@@ -1,8 +1,10 @@
 """Command-line driver: computations and theorem-verification sweeps.
 
-Output is deterministic for a fixed configuration and cache state; the
---jobs flag only affects wall-clock time.  Exit codes: 0 success, 1 a
-verification sweep found a counterexample, 2 invalid configuration.
+Output is deterministic for a fixed configuration.  The --jobs flag is
+accepted and validated but has no effect: the sweeps are pure Python and
+run in one thread.  Exit codes: 0 success, 1 a verification sweep found a
+counterexample, 2 invalid configuration, 3 internal error (one line on
+stderr).
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -28,7 +29,6 @@ from .shapes import (
     weak_strips,
 )
 from .symfunc import (
-    CACHE_ENV_VAR,
     SymElt,
     gtilde_pieri,
     gtilde_pieri_ie,
@@ -55,10 +55,8 @@ class RunConfig:
     k: int
     max_size: int | None = None
     r: int | None = None
-    t: int | None = None
     fmt: str = "text"
     jobs: int = 1
-    table_cache: str | None = None
 
     def __post_init__(self):
         if not 1 <= self.k <= MAX_K:
@@ -67,8 +65,6 @@ class RunConfig:
             raise ConfigError(f"need 0 <= max-size <= {MAX_SIZE}, got {self.max_size}")
         if self.r is not None and not 0 <= self.r <= self.k:
             raise ConfigError(f"need 0 <= r <= k, got r={self.r}")
-        if self.t is not None and not 1 <= self.t <= self.k:
-            raise ConfigError(f"need 1 <= t <= k, got t={self.t}")
         if self.jobs < 1:
             raise ConfigError(f"need jobs >= 1, got {self.jobs}")
 
@@ -85,10 +81,14 @@ def parse_partition(k: int, text: str | None) -> KBoundedPartition:
 
 
 def parse_word(k: int, text: str) -> tuple[int, ...]:
+    """Comma-separated letters, each in 0..k; empty word spelled ''."""
     try:
-        return tuple(int(a) for a in text.split(",")) if text.strip() else ()
+        word = tuple(int(a) for a in text.split(",")) if text.strip() else ()
     except ValueError as err:
         raise ConfigError(f"bad word {text!r}: {err}") from None
+    if any(not 0 <= a <= k for a in word):
+        raise ConfigError(f"bad word {text!r}: letters must lie in 0..{k}")
+    return word
 
 
 def _emit(cfg: RunConfig, payload: dict, rows: list[dict]) -> None:
@@ -271,10 +271,10 @@ def cmd_zsets(cfg: RunConfig, args) -> int:
 
 _VERIFY_SUITES = {
     "pieri-sum": lambda cfg: verify_pieri_sum(
-        cfg.k, cfg.max_size if cfg.max_size is not None else 4, jobs=cfg.jobs
+        cfg.k, cfg.max_size if cfg.max_size is not None else 4
     ),
     "factorization": lambda cfg: verify_factorization(
-        cfg.k, cfg.max_size if cfg.max_size is not None else 4, jobs=cfg.jobs
+        cfg.k, cfg.max_size if cfg.max_size is not None else 4
     ),
     "order-props": lambda cfg: verify_order_props(
         cfg.k, cfg.max_size if cfg.max_size is not None else 4
@@ -320,12 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact affine Schubert combinatorics at desk scale.",
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--jobs", type=int, default=1, help="parallelism hint")
-    parser.add_argument(
-        "--table-cache",
-        default=None,
-        help=f"directory for transition tables (env {CACHE_ENV_VAR} overrides)",
-    )
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, need_lambda=True, need_r=False):
@@ -380,20 +376,16 @@ def main(argv=None) -> int:
             k=args.k,
             max_size=getattr(args, "max_size", None),
             r=getattr(args, "r", None),
-            t=getattr(args, "t", None),
             fmt=args.format,
             jobs=args.jobs,
-            table_cache=args.table_cache,
         )
-        if cfg.table_cache and not os.environ.get(CACHE_ENV_VAR):
-            os.environ[CACHE_ENV_VAR] = cfg.table_cache
         return args.handler(cfg, args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -4,20 +4,16 @@ Three bases, all indexed by k-bounded partitions: products of complete
 homogeneous generators (h), the homogeneous affine Schubert basis defined
 by the weak-strip Pieri rule (ks), and its inhomogeneous K-theoretic
 analogue defined by the signed set-valued Pieri rule (g).  Coefficients
-are arbitrary-precision integers; the only fractions ever formed live
-inside the basis-change inversion, whose integrality is asserted.
+are arbitrary-precision integers throughout: both basis changes to h are
+unit lower-triangular in the term order, which is asserted, so they are
+inverted by integer forward substitution.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
-import json
-import os
 from dataclasses import dataclass
-from fractions import Fraction
-from pathlib import Path
 
 from .affine import AffinePermutation, IndexSet, bruhat_leq
 from .partitions import (
@@ -56,12 +52,9 @@ __all__ = [
     "gtilde_factorize_check",
     "kschur_rectangle_check",
     "kschur_top_degree_check",
-    "transition_cache_path",
 ]
 
 BASES = ("h", "ks", "g")
-
-CACHE_ENV_VAR = "AFFINESCHUR_TABLE_CACHE"
 
 
 def partition_sort_key(parts: tuple[int, ...]) -> tuple:
@@ -226,160 +219,50 @@ def h_to_ks(mu: KBoundedPartition) -> SymElt:
     return h_monomial_mult(SymElt.unit(mu.k, "ks"), mu.parts)
 
 
-def _invert_integer_matrix(rows: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of an integer matrix that must be unimodular.
+# h-basis rows of the two inverted transitions, per partition.
+_G2H_TABLES: dict[KBoundedPartition, dict[tuple[int, ...], int]] = {}
+_KS2H_TABLES: dict[KBoundedPartition, dict[tuple[int, ...], int]] = {}
 
-    Gauss-Jordan over Fractions; a singular pivot or a fractional entry in
-    the result signals a broken transition table, not bad input.
+
+def _invert_unitriangular(lam: KBoundedPartition, to_basis, rows: dict) -> SymElt:
+    """The h expansion of b_lam, given `to_basis`: h_mu in the b basis.
+
+    The transition is unit lower-triangular in the term order:
+    h_mu = b_mu + sum_{nu < mu} c_nu b_nu, so b_mu = h_mu - sum c_nu (b_nu
+    in h).  The partitions lam depends on are collected first, then their
+    rows are filled in term order and kept in `rows` per partition.  A
+    diagonal coefficient other than 1 or a term at or after mu means a
+    broken Pieri rule, not bad input.
     """
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise RuntimeError("singular transition block")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    out = []
-    for r in range(n):
-        row = []
-        for x in aug[r][n:]:
-            if x.denominator != 1:
-                raise RuntimeError("transition inverse is not integral")
-            row.append(int(x))
-        out.append(row)
-    return out
+    lower: dict[KBoundedPartition, list] = {}
+    todo = [lam]
+    while todo:
+        mu = todo.pop()
+        if mu in rows or mu in lower:
+            continue
+        terms = to_basis(mu).as_mapping()
+        key = partition_sort_key(mu.parts)
+        if terms.pop(mu.parts, 0) != 1 or any(partition_sort_key(p) > key for p in terms):
+            raise RuntimeError(f"transition of {mu} is not unitriangular")
+        lower[mu] = [(KBoundedPartition(mu.k, p), c) for p, c in terms.items()]
+        todo.extend(nu for nu, _ in lower[mu])
+    for mu in sorted(lower, key=lambda m: partition_sort_key(m.parts)):
+        acc = {mu.parts: 1}
+        for nu, c in lower[mu]:
+            for q, v in rows[nu].items():
+                acc[q] = acc.get(q, 0) - c * v
+        rows[mu] = {q: v for q, v in acc.items() if v}
+    return SymElt.from_dict(lam.k, "h", rows[lam])
 
 
-def transition_cache_path() -> Path | None:
-    p = os.environ.get(CACHE_ENV_VAR)
-    return Path(p) if p else None
-
-
-def _table_content_hash(payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-
-
-_G2H_TABLES: dict[tuple[int, int], dict[tuple[int, ...], dict[tuple[int, ...], int]]] = {}
-
-
-def _g_to_h_table(
-    k: int, degree: int, cache_path: Path | None = None
-) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
-    """g -> h transition for every k-bounded partition of size <= degree.
-
-    Built by inverting the stacked h -> g rows over the (size, revlex)
-    ordered basis; persisted as JSON with a content hash when a cache
-    path is configured.
-    """
-    key = (k, degree)
-    if key in _G2H_TABLES:
-        return _G2H_TABLES[key]
-    path = cache_path or transition_cache_path()
-    fname = None
-    if path is not None:
-        fname = Path(path) / f"g_to_h_k{k}_d{degree}.json"
-        table = _load_table(fname)
-        if table is not None:
-            _G2H_TABLES[key] = table
-            return table
-    basis = [p.parts for p in kbounded_partitions(k, degree)]
-    index = {p: i for i, p in enumerate(basis)}
-    rows = []
-    for mu in basis:
-        vec = [0] * len(basis)
-        for parts, c in h_to_g(KBoundedPartition(k, mu)).coeffs:
-            vec[index[parts]] = c
-        rows.append(vec)
-    inv = _invert_integer_matrix(rows)
-    table = {
-        basis[i]: {basis[j]: inv[i][j] for j in range(len(basis)) if inv[i][j]}
-        for i in range(len(basis))
-    }
-    _G2H_TABLES[key] = table
-    if fname is not None:
-        _store_table(fname, k, degree, table)
-    return table
-
-
-def _load_table(fname: Path):
-    if not fname.exists():
-        return None
-    try:
-        blob = json.loads(fname.read_text())
-        payload = blob["table"]
-        if _table_content_hash(payload) != blob.get("hash"):
-            return None
-        return {
-            tuple(json.loads(p)): {tuple(json.loads(q)): int(c) for q, c in row.items()}
-            for p, row in payload.items()
-        }
-    except (ValueError, KeyError, OSError):
-        return None
-
-
-def _store_table(fname: Path, k: int, degree: int, table) -> None:
-    payload = {
-        json.dumps(list(p)): {json.dumps(list(q)): c for q, c in sorted(row.items())}
-        for p, row in sorted(table.items())
-    }
-    blob = {
-        "k": k,
-        "degree": degree,
-        "order": "size ascending, then parts reverse-lexicographic",
-        "hash": _table_content_hash(payload),
-        "table": payload,
-    }
-    try:
-        fname.parent.mkdir(parents=True, exist_ok=True)
-        fname.write_text(json.dumps(blob, sort_keys=True, indent=0))
-    except OSError:
-        pass  # caching is best-effort
-
-
-def g_to_h(lam: KBoundedPartition, cache_path: Path | None = None) -> SymElt:
+def g_to_h(lam: KBoundedPartition) -> SymElt:
     """Exact integer expansion of a g basis element in the h basis."""
-    table = _g_to_h_table(lam.k, lam.size, cache_path)
-    return SymElt.from_dict(lam.k, "h", dict(table[lam.parts]))
-
-
-_KS2H_TABLES: dict[tuple[int, int], dict[tuple[int, ...], dict[tuple[int, ...], int]]] = {}
-
-
-def _ks_to_h_table(k: int, degree: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
-    """ks -> h transition on the homogeneous component of one degree."""
-    key = (k, degree)
-    if key in _KS2H_TABLES:
-        return _KS2H_TABLES[key]
-    basis = [p.parts for p in kbounded_partitions(k, degree) if p.size == degree]
-    index = {p: i for i, p in enumerate(basis)}
-    rows = []
-    for mu in basis:
-        vec = [0] * len(basis)
-        for parts, c in h_to_ks(KBoundedPartition(k, mu)).coeffs:
-            vec[index[parts]] = c
-        rows.append(vec)
-    inv = _invert_integer_matrix(rows)
-    table = {
-        basis[i]: {basis[j]: inv[i][j] for j in range(len(basis)) if inv[i][j]}
-        for i in range(len(basis))
-    }
-    _KS2H_TABLES[key] = table
-    return table
+    return _invert_unitriangular(lam, h_to_g, _G2H_TABLES)
 
 
 def ks_to_h(lam: KBoundedPartition) -> SymElt:
     """Expansion of a homogeneous basis element in the h basis."""
-    table = _ks_to_h_table(lam.k, lam.size)
-    return SymElt.from_dict(lam.k, "h", dict(table[lam.parts]))
+    return _invert_unitriangular(lam, h_to_ks, _KS2H_TABLES)
 
 
 def _product_via_h(a: SymElt, b: SymElt, to_h) -> SymElt:

@@ -9,7 +9,6 @@ nothing or the build is wrong; there is no tolerance anywhere.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .affine import (
@@ -724,32 +723,17 @@ def _a0_conditions(k, u, w, r, found) -> tuple[bool, bool, bool, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _map_partitions(jobs: int, fn, items):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
-def verify_pieri_sum(k: int, max_size: int, jobs: int = 1) -> list[CheckResult]:
+def verify_pieri_sum(k: int, max_size: int) -> list[CheckResult]:
     """Ideal-sum Pieri identity: signed product vs indicator sum vs IE form."""
     direct_vs_union = CheckResult("signed-product-equals-interval-union")
     zero_one = CheckResult("product-coefficients-are-zero-or-one")
     ie_form = CheckResult("inclusion-exclusion-expands-to-product")
     join_bound = CheckResult("product-support-above-weak-join")
-    lams = kbounded_partitions(k, max_size)
-
-    def run_one(lam):
-        out = []
+    for lam in kbounded_partitions(k, max_size):
         for r in range(0, k + 1):
             closed = gtilde_pieri(lam, r)
             direct = gtilde_pieri_direct(lam, r)
             ie = gtilde_pieri_ie(lam, r)
-            out.append((lam, r, closed, direct, ie))
-        return out
-
-    for rows in _map_partitions(jobs, run_one, lams):
-        for lam, r, closed, direct, ie in rows:
             witness = {"lam": list(lam.parts), "r": r}
             direct_vs_union.check(
                 closed == direct,
@@ -791,7 +775,7 @@ def verify_pieri_sum(k: int, max_size: int, jobs: int = 1) -> list[CheckResult]:
 
 
 def verify_factorization(
-    k: int, max_size: int, jobs: int = 1, top_degree_size: int | None = None
+    k: int, max_size: int, top_degree_size: int | None = None
 ) -> list[CheckResult]:
     """Rectangle factorization for both bases, plus the strip-shift lemmas."""
     gt = CheckResult("ideal-sum-rectangle-factorization")
@@ -800,16 +784,9 @@ def verify_factorization(
     shift = CheckResult("rectangle-union-shifts-strips")
     ie_shift = CheckResult("rectangle-union-shifts-ie-labels")
     lams = kbounded_partitions(k, max_size)
-
-    def run_one(lam):
-        return [
-            (lam, t, gtilde_factorize_check(lam, t), kschur_rectangle_check(lam, t))
-            for t in range(1, k + 1)
-        ]
-
-    for rows in _map_partitions(jobs, run_one, lams):
-        for lam, t, ok_g, ok_s in rows:
-            if ok_g:
+    for lam in lams:
+        for t in range(1, k + 1):
+            if gtilde_factorize_check(lam, t):
                 gt.count()
             else:
                 rect = k_rectangle(t, k)
@@ -819,7 +796,7 @@ def verify_factorization(
                     lhs=gtilde(union_sort(rect, lam)).as_dict()["terms"],
                     rhs=product_g(gtilde(rect), gtilde(lam)).as_dict()["terms"],
                 )
-            ks.check(ok_s, lam=list(lam.parts), t=t)
+            ks.check(kschur_rectangle_check(lam, t), lam=list(lam.parts), t=t)
 
     for lam in kbounded_partitions(k, top_degree_size or max_size):
         top.check(kschur_top_degree_check(lam), lam=list(lam.parts))

@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from affineschur import cli
 from affineschur.cli import main, parse_partition
 
 
@@ -143,6 +144,19 @@ def test_invalid_config_exits_2():
     assert code == 2
     code, _, err = run_cli("bij", "--k", "3", "--lambda", "5,1")
     assert code == 2
+    for command in ("table1", "zsets"):
+        code, _, err = run_cli(command, "--k", "3", "--word", "9")
+        assert code == 2 and "0..3" in err
+
+
+def test_internal_error_exits_3(monkeypatch):
+    def broken(k, max_size):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr(cli, "verify_pieri_sum", broken)
+    code, out, err = run_cli("verify", "pieri-sum", "--k", "2", "--max-size", "3")
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: broken invariant\n"
 
 
 def test_byte_identical_output():

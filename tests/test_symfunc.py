@@ -10,6 +10,7 @@ from affineschur.partitions import KBoundedPartition, kbounded_partitions
 from affineschur.shapes import bounded_to_perm
 from affineschur.symfunc import (
     SymElt,
+    _invert_unitriangular,
     expand_gtilde_combination,
     g_to_h,
     gtilde,
@@ -85,13 +86,14 @@ def test_h_to_g_golden():
 
 
 def test_g_to_h_round_trip():
-    for k in (2, 3):
-        for lam in kbounded_partitions(k, 6):
-            expanded = g_to_h(lam)
-            acc = SymElt.zero(k, "g")
-            for parts, c in expanded.coeffs:
-                acc = acc + h_to_g(KBoundedPartition(k, parts)).scale(c)
-            assert acc.as_mapping() == {lam.parts: 1}
+    # both inverted transitions, g and ks, composed back to the identity
+    for k, degree in ((2, 6), (3, 6), (4, 8)):
+        for lam in kbounded_partitions(k, degree):
+            for to_h, from_h, basis in ((g_to_h, h_to_g, "g"), (ks_to_h, h_to_ks, "ks")):
+                acc = SymElt.zero(k, basis)
+                for parts, c in to_h(lam).coeffs:
+                    acc = acc + from_h(KBoundedPartition(k, parts)).scale(c)
+                assert acc.as_mapping() == {lam.parts: 1}
     assert g_to_h(P(3)).as_mapping() == {(): 1}
     assert g_to_h(P(3, 1)).as_mapping() == {(1,): 1}
 
@@ -106,24 +108,33 @@ def test_transition_unit_diagonal():
             assert ks_to_h(lam).coefficient(lam.parts) == 1
 
 
-def test_table_persistence(tmp_path):
-    from affineschur import symfunc
+def test_inversion_rejects_non_triangular_transition():
+    # h_(1) = b_(1) + b_(1,1) puts a term after (1) in the term order
+    def fake(mu):
+        extra = {(1, 1): 1} if mu.parts == (1,) else {}
+        return SymElt.from_dict(2, "g", {mu.parts: 1, **extra})
 
-    symfunc._G2H_TABLES.clear()
-    first = g_to_h(P(2, 2, 1), cache_path=tmp_path)
-    files = list(tmp_path.glob("*.json"))
-    assert files, "table should have been persisted"
-    blob = json.loads(files[0].read_text())
-    assert {"k", "degree", "hash", "table", "order"} <= set(blob)
-    symfunc._G2H_TABLES.clear()
-    again = g_to_h(P(2, 2, 1), cache_path=tmp_path)
-    assert first == again
-    # corrupt the payload: the loader must reject it and rebuild
-    blob["table"]["[1]"] = {"[1]": 7}
-    files[0].write_text(json.dumps(blob))
-    symfunc._G2H_TABLES.clear()
-    rebuilt = g_to_h(P(2, 2, 1), cache_path=tmp_path)
-    assert rebuilt == first
+    with pytest.raises(RuntimeError, match="unitriangular"):
+        _invert_unitriangular(P(2, 1), fake, {})
+    with pytest.raises(RuntimeError, match="unitriangular"):
+        _invert_unitriangular(P(2, 1), lambda mu: SymElt.single(2, "g", mu.parts, 2), {})
+
+
+def test_inversion_handles_long_chains():
+    # h_(n) = b_(n) + b_(n-1): each row rests on a chain of 1500 earlier rows
+    k = 1500
+
+    def row(n):
+        return (n,) if n else ()
+
+    def chain(mu):
+        terms = {mu.parts: 1}
+        if mu.size:
+            terms[row(mu.size - 1)] = 1
+        return SymElt.from_dict(k, "g", terms)
+
+    inverse = _invert_unitriangular(P(k, k), chain, {})
+    assert inverse.as_mapping() == {row(j): (-1) ** (k - j) for j in range(k + 1)}
 
 
 def test_gtilde_examples():
