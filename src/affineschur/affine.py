@@ -19,6 +19,7 @@ __all__ = [
     "IndexSet",
     "ReducedWord",
     "BallCapExceeded",
+    "BALL_CAP",
     "identity",
     "simple",
     "from_word",
@@ -36,11 +37,15 @@ __all__ = [
     "meet_LS",
     "flip",
     "ball",
+    "ball_size",
     "grassmannian_ball",
     "reduced_word",
     "longest_finite_element",
     "is_affine_reflection",
 ]
+
+
+BALL_CAP = 1_000_000
 
 
 class BallCapExceeded(RuntimeError):
@@ -168,6 +173,14 @@ class ReducedWord:
             raise ValueError(f"letters {self.letters} out of range 0..{self.k}")
         if from_word(self.k, self.letters).length != len(self.letters):
             raise ValueError(f"word {self.letters} is not reduced")
+
+    @classmethod
+    def _trusted(cls, k: int, letters: tuple[int, ...]) -> "ReducedWord":
+        """Wrap letters already known to form a reduced word; no re-evaluation."""
+        rw = object.__new__(cls)
+        object.__setattr__(rw, "k", k)
+        object.__setattr__(rw, "letters", letters)
+        return rw
 
     def __len__(self):
         return len(self.letters)
@@ -304,14 +317,26 @@ def weak_leq(u: AffinePermutation, v: AffinePermutation, side: str = "left") -> 
 
 
 def reduced_word(w: AffinePermutation) -> ReducedWord:
-    """Deterministic reduced word: repeatedly strip the smallest left descent."""
+    """Deterministic reduced word: repeatedly strip the smallest left descent.
+
+    Works on the window of w^-1, where a left descent i of x is a right
+    descent of x^-1 and stripping it (x -> s_i x) swaps two entries.
+    """
+    n = w.k + 1
+    v = list(inverse(w).window)
     letters = []
-    x = w
-    while not x.is_identity():
-        i = min(descents(x, "left"))
+    for _ in range(w.length):
+        if v[n - 1] - n > v[0]:
+            i = 0
+            v[0], v[n - 1] = v[n - 1] - n, v[0] + n
+        else:
+            i = 1
+            while v[i - 1] < v[i]:
+                i += 1
+            v[i - 1], v[i] = v[i], v[i - 1]
         letters.append(i)
-        x = left_mul_s(x, i)
-    return ReducedWord(w.k, tuple(letters))
+    # each step strips a descent, so the word is reduced by construction
+    return ReducedWord._trusted(w.k, tuple(letters))
 
 
 @functools.lru_cache(maxsize=None)
@@ -382,7 +407,7 @@ def flip(z: AffinePermutation, x: AffinePermutation) -> AffinePermutation:
     return mul(z, inverse(x))
 
 
-def ball(k: int, max_length: int, cap: int = 1_000_000) -> list[AffinePermutation]:
+def ball(k: int, max_length: int, cap: int = BALL_CAP) -> list[AffinePermutation]:
     """All elements of length <= max_length, sorted by (length, window).
 
     Breadth-first search by left multiplication; raises BallCapExceeded
@@ -408,7 +433,26 @@ def ball(k: int, max_length: int, cap: int = 1_000_000) -> list[AffinePermutatio
     return sorted(seen, key=lambda w: (w.length, w.window))
 
 
-def grassmannian_ball(k: int, max_length: int, cap: int = 1_000_000) -> list[AffinePermutation]:
+def ball_size(k: int, max_length: int) -> int:
+    """Number of elements of length <= max_length, without enumerating them.
+
+    Bott's formula gives the length generating function of the affine
+    symmetric group on k+1 letters as prod_{i=1..k} [i+1]_t / (1 - t^i);
+    the ball size is the sum of its coefficients up to t^max_length.
+    """
+    if max_length < 0:
+        raise ValueError(f"max_length must be >= 0, got {max_length}")
+    coeffs = [1] + [0] * max_length
+    for i in range(1, k + 1):
+        # times [i+1]_t = 1 + t + ... + t^i
+        coeffs = [sum(coeffs[max(0, d - i) : d + 1]) for d in range(max_length + 1)]
+        # divided by 1 - t^i
+        for d in range(i, max_length + 1):
+            coeffs[d] += coeffs[d - i]
+    return sum(coeffs)
+
+
+def grassmannian_ball(k: int, max_length: int, cap: int = BALL_CAP) -> list[AffinePermutation]:
     """All 0-dominant (affine Grassmannian) elements of length <= max_length."""
     return [w for w in ball(k, max_length, cap) if w.is_grassmannian()]
 

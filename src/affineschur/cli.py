@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .affine import from_word
+from .affine import BALL_CAP, ball_size, from_word
 from .kcode import rd, ri, sh
 from .orderlab import signed_fiber_table, z_sets
 from .partitions import KBoundedPartition
@@ -36,6 +36,7 @@ from .symfunc import (
     pieri_kschur,
 )
 from .verify import (
+    ball_radii,
     verify_factorization,
     verify_fibers,
     verify_order_props,
@@ -269,24 +270,34 @@ def cmd_zsets(cfg: RunConfig, args) -> int:
     return 0
 
 
+# looked up at call time, so that tests can replace a sweep function
 _VERIFY_SUITES = {
-    "pieri-sum": lambda cfg: verify_pieri_sum(
-        cfg.k, cfg.max_size if cfg.max_size is not None else 4
-    ),
-    "factorization": lambda cfg: verify_factorization(
-        cfg.k, cfg.max_size if cfg.max_size is not None else 4
-    ),
-    "order-props": lambda cfg: verify_order_props(
-        cfg.k, cfg.max_size if cfg.max_size is not None else 4
-    ),
-    "fibers": lambda cfg: verify_fibers(
-        cfg.k, cfg.max_size if cfg.max_size is not None else 4
-    ),
+    "pieri-sum": lambda k, max_size: verify_pieri_sum(k, max_size),
+    "factorization": lambda k, max_size: verify_factorization(k, max_size),
+    "order-props": lambda k, max_size: verify_order_props(k, max_size),
+    "fibers": lambda k, max_size: verify_fibers(k, max_size),
 }
 
 
+def check_ball_sizes(suite: str, k: int, max_size: int) -> None:
+    """Reject a sweep whose length balls would exceed the enumeration cap.
+
+    Ball sizes come from Bott's formula, so nothing is enumerated here.
+    """
+    for radius in ball_radii(suite, k, max_size):
+        size = ball_size(k, radius)
+        if size > BALL_CAP:
+            raise ConfigError(
+                f"verify {suite} at k={k}, max-size {max_size} needs "
+                f"ball(k={k}, L={radius}) of {size:,} elements, "
+                f"over the cap of {BALL_CAP:,}"
+            )
+
+
 def cmd_verify(cfg: RunConfig, args) -> int:
-    results = _VERIFY_SUITES[args.suite](cfg)
+    max_size = cfg.max_size if cfg.max_size is not None else 4
+    check_ball_sizes(args.suite, cfg.k, max_size)
+    results = _VERIFY_SUITES[args.suite](cfg.k, max_size)
     rows = [
         {
             "check": r.name,

@@ -63,17 +63,13 @@ def strong_meet(
     v: AffinePermutation,
     w: AffinePermutation,
     universe: list[AffinePermutation],
-    lower=None,
 ) -> AffinePermutation | None:
     """Exact strong meet, or None when no maximum lower bound exists.
 
     The universe must contain every element of length <= min(l(v), l(w));
-    lower bounds cannot escape it, so the answer is exact.  A callable
-    `lower` may replace the per-call lower-set enumeration with a cache.
+    lower bounds cannot escape it, so the answer is exact.
     """
-    if lower is None:
-        lower = lambda x: bruhat_lower_set(x, universe)
-    common = lower(v) & lower(w)
+    common = bruhat_lower_set(v, universe) & bruhat_lower_set(w, universe)
     top_len = max(z.length for z in common)
     tops = [z for z in common if z.length == top_len]
     if len(tops) != 1:

@@ -8,6 +8,7 @@ nothing or the build is wrong; there is no tolerance anywhere.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -31,10 +32,8 @@ from .affine import (
 )
 from .kcode import d_elem, eval_code, first_row, rd, ri
 from .oracles import (
-    is_least_upper_bound_in_ball,
+    JoinStatus,
     saturated_chain_exists,
-    strong_join_in_ball,
-    strong_meet,
     subset_chain_exists,
     subword_lower_set,
     weak_join_in_ball,
@@ -71,6 +70,7 @@ from .symfunc import (
 
 __all__ = [
     "CheckResult",
+    "ball_radii",
     "verify_order_props",
     "verify_fibers",
     "verify_pieri_sum",
@@ -112,21 +112,153 @@ class CheckResult:
         }
 
 
+def ball_radii(suite: str, k: int, max_size: int) -> tuple[int, ...]:
+    """Radii of the largest length balls a verify suite enumerates.
+
+    Mirrors the `ball` calls of each sweep, so that a caller can check their
+    sizes before any work starts.
+    """
+    if suite == "order-props":
+        # the wide ball of verify_order_props and that of _verify_strip_props
+        return (max_size + 3, min(max_size + 1, 7) + k + 1)
+    if suite == "fibers":
+        return (max_size,)
+    if suite == "pieri-sum":
+        return (2 * min(max_size, 3) + 2,)
+    if suite == "factorization":
+        return ()
+    raise ValueError(f"unknown suite {suite!r}")
+
+
 def _win(w: AffinePermutation) -> list[int]:
     return list(w.window)
 
 
-def _lower_set_factory(universe):
-    cache: dict[AffinePermutation, frozenset] = {}
+def _mask(positions: list[int]) -> int:
+    """Bitset with the given bits set, built in time linear in its size."""
+    if not positions:
+        return 0
+    buf = bytearray(positions[-1] // 8 + 1)
+    for i in positions:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
-    def lower(x: AffinePermutation) -> frozenset:
-        if x not in cache:
-            cache[x] = frozenset(
-                z for z in universe if z.length <= x.length and bruhat_leq(z, x)
-            )
-        return cache[x]
 
-    return lower
+# row kind -> (whether the row lies above x, relation between x and z)
+_RELATIONS = {
+    "up": (True, lambda x, z: bruhat_leq(x, z)),
+    "down": (False, lambda x, z: bruhat_leq(z, x)),
+    "left-up": (True, lambda x, z: weak_leq(x, z, "left")),
+    "left-down": (False, lambda x, z: weak_leq(z, x, "left")),
+    "right-down": (False, lambda x, z: weak_leq(z, x, "right")),
+}
+
+
+class _BallOrder:
+    """Strong and weak order relations over one length ball, as bitset rows.
+
+    The ball is kept as `ball()` returns it, sorted by (length, window), and
+    bit i of a row stands for its i-th element.  A row of x is one Python
+    int, built by a single scan the first time x is asked for and memoised
+    after; x itself may lie outside the ball.  Joins, meets and least upper
+    bounds then become ANDs and subset tests of rows, and give the same
+    answers as the scans in `oracles` over the same universe.
+    """
+
+    def __init__(self, elements: list[AffinePermutation]):
+        self.elements = elements
+        self._index = {w: i for i, w in enumerate(elements)}
+        self.radius = elements[-1].length
+        self._lengths = [w.length for w in elements]
+        self._rows: dict[tuple, int] = {}
+
+    def _start(self, length: int) -> int:
+        """Position of the first element of length >= `length`."""
+        return bisect.bisect_left(self._lengths, length)
+
+    def _row(self, kind: str, x: AffinePermutation) -> int:
+        key = (kind, x)
+        row = self._rows.get(key)
+        if row is None:
+            above, related = _RELATIONS[kind]
+            if above:  # only elements at least as long as x can relate
+                span = range(self._start(x.length), len(self.elements))
+            else:
+                span = range(self._start(x.length + 1))
+            elements = self.elements
+            row = _mask([i for i in span if related(x, elements[i])])
+            self._rows[key] = row
+        return row
+
+    def up(self, x: AffinePermutation) -> int:
+        return self._row("up", x)
+
+    def down(self, x: AffinePermutation) -> int:
+        return self._row("down", x)
+
+    def left_up(self, x: AffinePermutation) -> int:
+        return self._row("left-up", x)
+
+    def left_down(self, x: AffinePermutation) -> int:
+        return self._row("left-down", x)
+
+    def right_down(self, x: AffinePermutation) -> int:
+        return self._row("right-down", x)
+
+    def members(self, row: int) -> list[AffinePermutation]:
+        """Elements of a row, in ball order."""
+        elements = self.elements
+        data = row.to_bytes((row.bit_length() + 7) // 8, "little")
+        return [
+            elements[8 * b + j]
+            for b, byte in enumerate(data)
+            if byte
+            for j in range(8)
+            if byte >> j & 1
+        ]
+
+    def contains(self, row: int, z: AffinePermutation) -> bool:
+        i = self._index.get(z)
+        return i is not None and bool(row >> i & 1)
+
+    def join(self, v: AffinePermutation, w: AffinePermutation) -> JoinStatus:
+        """Strong join within the ball; same answers as `strong_join_in_ball`."""
+        ubs = self.up(v) & self.up(w)
+        if not ubs:
+            return JoinStatus(None, False)
+        # the first common upper bound is a shortest one; any other of its
+        # length is incomparable to it, so it is the join or there is none
+        m = self.elements[(ubs & -ubs).bit_length() - 1]
+        if m.length >= self.radius:
+            return JoinStatus(None, False)
+        return JoinStatus(None if ubs & ~self.up(m) else m, True)
+
+    def is_least_upper_bound(
+        self, candidate: AffinePermutation, v: AffinePermutation, w: AffinePermutation
+    ) -> bool:
+        """No counterexample in the ball; same answers as `is_least_upper_bound_in_ball`."""
+        if not (bruhat_leq(v, candidate) and bruhat_leq(w, candidate)):
+            return False
+        return not self.up(v) & self.up(w) & ~self.up(candidate)
+
+    def meet(self, v: AffinePermutation, w: AffinePermutation) -> AffinePermutation | None:
+        """Exact strong meet, or None; same answers as `strong_meet`.
+
+        The ball must hold every element of length <= min(l(v), l(w)).
+        """
+        common = self.down(v) & self.down(w)
+        # the last common lower bound is a longest one; any other of its
+        # length is incomparable to it, so it is the meet or there is none
+        m = self.elements[common.bit_length() - 1]
+        return None if common & ~self.down(m) else m
+
+
+def _group_by_value(elements, fn) -> dict[AffinePermutation, int]:
+    """Bitset rows of the elements grouped by their image under fn."""
+    groups: dict[AffinePermutation, list[int]] = {}
+    for i, u in enumerate(elements):
+        groups.setdefault(fn(u), []).append(i)
+    return {value: _mask(positions) for value, positions in groups.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +276,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     fact_ball = ball(k, min(max_length, 5))
     subword_ball = ball(k, min(max_length, 7 if k <= 2 else 6))
     wide = ball(k, max_length + 3)
-    lower = _lower_set_factory(wide)
-    meet_cache: dict = {}
-
-    def cached_meet(v, w):
-        key = (v, w) if (v.length, v.window) <= (w.length, w.window) else (w, v)
-        if key not in meet_cache:
-            meet_cache[key] = strong_meet(key[0], key[1], wide, lower=lower)
-        return meet_cache[key]
-
+    order = _BallOrder(wide)
     results = []
 
     r = CheckResult("bruhat-matches-subword-oracle")
@@ -266,11 +390,11 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
         s = from_word(k, [i])
         for v in meet_ball:
             for w in meet_ball:
-                m = cached_meet(v, w)
+                m = order.meet(v, w)
                 if m is not None:
                     fv = demazure(s, v)
                     fw = demazure(s, w)
-                    m2 = cached_meet(fv, fw)
+                    m2 = order.meet(fv, fw)
                     r.check(
                         m2 == demazure(s, m),
                         kind="meet",
@@ -278,13 +402,13 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
                         v=_win(v),
                         w=_win(w),
                     )
-                j = strong_join_in_ball(v, w, wide)
+                j = order.join(v, w)
                 if j.certified and j.element is not None:
                     pv = psi_apply(s, v, "left")
                     pw = psi_apply(s, w, "left")
                     r.check(
-                        is_least_upper_bound_in_ball(
-                            psi_apply(s, j.element, "left"), pv, pw, wide
+                        order.is_least_upper_bound(
+                            psi_apply(s, j.element, "left"), pv, pw
                         ),
                         kind="join",
                         i=i,
@@ -314,35 +438,42 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     r2 = CheckResult("half-strong-meet-maximal")
     r3 = CheckResult("join-seed-minimal-both-forms")
     seed_ball = ball(k, min(max_length, 4))
+    # u -> demazure(u, y) and u -> psi_apply(u^-1, x), grouped by value
+    by_demazure = {
+        y: _group_by_value(wide, lambda u: demazure(u, y)) for y in seed_ball
+    }
+    wide_inverses = [inverse(u) for u in wide]
+    by_psi = {
+        x: _group_by_value(wide_inverses, lambda ui: psi_apply(ui, x, "left"))
+        for x in seed_ball
+    }
     for x in seed_ball:
         for y in seed_ball:
             j = s_join_L(x, y)
             ok = bruhat_leq(x, j) and weak_leq(y, j, "left")
-            ok = ok and all(
-                bruhat_leq(j, z)
-                for z in wide
-                if bruhat_leq(x, z) and weak_leq(y, z, "left")
-            )
+            ubs = order.up(x) & order.left_up(y)
+            ok = ok and all(bruhat_leq(j, z) for z in order.members(ubs))
             r.check(ok, x=_win(x), y=_win(y), join=_win(j))
 
             m = meet_LS(x, y)
             ok = weak_leq(m, x, "left") and bruhat_leq(m, y)
-            ok = ok and all(
-                bruhat_leq(z, m)
-                for z in wide
-                if weak_leq(z, x, "left") and bruhat_leq(z, y)
-            )
+            lbs = order.left_down(x) & order.down(y)
+            ok = ok and all(bruhat_leq(z, m) for z in order.members(lbs))
             r2.check(ok, x=_win(x), y=_win(y), meet=_win(m))
 
             seed = psi_apply(inverse(y), x, "right")
-            dset = [u for u in wide if bruhat_leq(x, demazure(u, y))]
-            eset = [
-                u for u in wide if bruhat_leq(psi_apply(inverse(u), x, "left"), y)
-            ]
+            dset = 0
+            for value, row in by_demazure[y].items():
+                if bruhat_leq(x, value):
+                    dset |= row
+            eset = 0
+            for value, row in by_psi[x].items():
+                if bruhat_leq(value, y):
+                    eset |= row
             ok = (
-                set(dset) == set(eset)
-                and seed in dset
-                and all(bruhat_leq(seed, u) for u in dset)
+                dset == eset
+                and order.contains(dset, seed)
+                and not dset & ~order.up(seed)
             )
             r3.check(ok, x=_win(x), y=_win(y), seed=_win(seed))
     results.extend([r, r2, r3])
@@ -350,19 +481,21 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     r = CheckResult("interval-flip-anti-isomorphism")
     flip_ball = ball(k, min(max_length, 6))
     for z in flip_ball:
-        left_interval = [x for x in wide if weak_leq(x, z, "left")]
-        right_interval = {x for x in wide if weak_leq(x, z, "right")}
+        left_row = order.left_down(z)
+        left_interval = order.members(left_row)
+        right_interval = order.right_down(z)
         images = {}
         for x in left_interval:
             fx = flip(z, x)
             images[x] = fx
             r.check(
-                fx in right_interval and fx.length == z.length - x.length,
+                order.contains(right_interval, fx)
+                and fx.length == z.length - x.length,
                 z=_win(z),
                 x=_win(x),
             )
         r.check(
-            set(images.values()) == right_interval,
+            set(images.values()) == set(order.members(right_interval)),
             z=_win(z),
             reason="flip is not onto the right interval",
         )
@@ -374,12 +507,10 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
                     x=_win(x),
                     y=_win(y),
                 )
-                m = cached_meet(x, y)
-                if m is not None and weak_leq(m, z, "left"):
+                m = order.meet(x, y)
+                if m is not None and order.contains(left_row, m):
                     r.check(
-                        is_least_upper_bound_in_ball(
-                            flip(z, m), images[x], images[y], wide
-                        ),
+                        order.is_least_upper_bound(flip(z, m), images[x], images[y]),
                         z=_win(z),
                         x=_win(x),
                         y=_win(y),
@@ -390,7 +521,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     r = CheckResult("weak-interval-chain-property")
     chain_ball = ball(k, min(max_length, 6))
     for u in chain_ball:
-        interval = frozenset(x for x in wide if weak_leq(x, u, "left"))
+        interval = frozenset(order.members(order.left_down(u)))
         for x in interval:
             for y in interval:
                 if bruhat_leq(x, y):
@@ -402,7 +533,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
                     )
     results.append(r)
 
-    results.extend(_verify_z_families(k, min(max_length, 6), wide))
+    results.extend(_verify_z_families(k, min(max_length, 6), order))
     results.extend(_verify_strongly_commutative(k, min(max_length, 4)))
     results.extend(_verify_kcode_props(k, max_length))
     results.extend(_verify_strip_props(k, min(max_length + 1, 7)))
@@ -419,8 +550,7 @@ def _verify_strip_props(k: int, max_size: int) -> list[CheckResult]:
         for r in range(k + 1)
         for c in itertools.combinations(range(k + 1), r)
     ]
-    wide = ball(k, max_size + k + 1)
-    lower = _lower_set_factory(wide)
+    order = _BallOrder(ball(k, max_size + k + 1))
     for lam in kbounded_partitions(k, max_size):
         fi = forbidden_index(lam)
         strips_by_r = {r: weak_strips(lam, r) for r in range(k + 1)}
@@ -449,7 +579,7 @@ def _verify_strip_props(k: int, max_size: int) -> list[CheckResult]:
             for B in qualifying:
                 cap = IndexSet(k, A.members & B.members)
                 cand = mul(d_elem(cap), w)
-                m = strong_meet(mul(d_elem(A), w), mul(d_elem(B), w), wide, lower=lower)
+                m = order.meet(mul(d_elem(A), w), mul(d_elem(B), w))
                 meets.check(
                     is_weak_strip(lam, cap) and m == cand,
                     lam=list(lam.parts),
@@ -459,24 +589,20 @@ def _verify_strip_props(k: int, max_size: int) -> list[CheckResult]:
     return [forb, unique, agree, meets]
 
 
-def _verify_z_families(k: int, L: int, wide) -> list[CheckResult]:
+def _verify_z_families(k: int, L: int, order: _BallOrder) -> list[CheckResult]:
     closure = CheckResult("z-families-closed-and-bounded")
     meets = CheckResult("plus-family-intersection-is-meet")
     joins = CheckResult("minus-family-intersection-is-join")
     chains = CheckResult("z-families-chain-property")
     confining = CheckResult("minus-family-confined-to-code-row")
-    lower = _lower_set_factory(wide)
     for u in ball(k, L):
         zs = z_sets(u)  # construction asserts closure and maxima
         closure.count()
         for A, B in itertools.combinations(sorted(zs.plus, key=sorted), 2):
             cap = IndexSet(k, A & B)
             lhs = mul(d_elem(cap), u)
-            m = strong_meet(
-                mul(d_elem(IndexSet(k, A)), u),
-                mul(d_elem(IndexSet(k, B)), u),
-                wide,
-                lower=lower,
+            m = order.meet(
+                mul(d_elem(IndexSet(k, A)), u), mul(d_elem(IndexSet(k, B)), u)
             )
             meets.check(m == lhs, u=_win(u), A=sorted(A), B=sorted(B))
         for A, B in itertools.combinations(sorted(zs.minus, key=sorted), 2):
@@ -485,7 +611,7 @@ def _verify_z_families(k: int, L: int, wide) -> list[CheckResult]:
             va = mul(inverse(d_elem(IndexSet(k, A))), u)
             vb = mul(inverse(d_elem(IndexSet(k, B))), u)
             joins.check(
-                is_least_upper_bound_in_ball(cand, va, vb, wide),
+                order.is_least_upper_bound(cand, va, vb),
                 u=_win(u),
                 A=sorted(A),
                 B=sorted(B),

@@ -9,6 +9,7 @@ from affineschur.affine import (
     IndexSet,
     ReducedWord,
     ball,
+    ball_size,
     bruhat_leq,
     demazure,
     descents,
@@ -165,6 +166,31 @@ def test_reduced_word_examples():
 def test_reduced_word_round_trip(k, L):
     for w in ball(k, L):
         assert from_word(k, reduced_word(w).letters) == w
+
+
+def test_reduced_words_pass_public_validation():
+    # reduced_word skips re-validation; the public constructor must agree
+    for w in ball(3, 5):
+        letters = reduced_word(w).letters
+        assert ReducedWord(3, letters).letters == letters
+
+
+def test_reduced_word_strips_the_smallest_left_descent():
+    for k, L in ((1, 6), (2, 6), (3, 5), (4, 4)):
+        for w in ball(k, L):
+            x = w
+            for letter in reduced_word(w).letters:
+                assert letter == min(descents(x, "left"))
+                x = left_mul_s(x, letter)
+            assert x.is_identity()
+
+
+def test_ball_size_matches_enumeration():
+    for k in range(1, 5):
+        for L in range(7):
+            assert ball_size(k, L) == len(ball(k, L))
+    assert ball_size(8, 15) == 1_302_499
+    assert ball_size(8, 16) == 2_031_535
 
 
 def test_reduced_word_type_rejects_unreduced():

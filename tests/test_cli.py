@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -147,6 +148,22 @@ def test_invalid_config_exits_2():
     for command in ("table1", "zsets"):
         code, _, err = run_cli(command, "--k", "3", "--word", "9")
         assert code == 2 and "0..3" in err
+
+
+def test_oversize_ball_exits_2_before_any_work(monkeypatch):
+    def never(k, max_size):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(cli, "verify_order_props", never)
+    start = time.perf_counter()
+    code, out, err = run_cli("verify", "order-props", "--k", "8", "--max-size", "12")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "1,302,499" in err
+    # k = 8 runs order-props only up to max-size 4 (strip ball(8, 14))
+    code, _, err = run_cli("verify", "order-props", "--k", "8", "--max-size", "5")
+    assert code == 2 and "ball(k=8, L=15)" in err
+    assert cli.check_ball_sizes("order-props", 8, 4) is None
 
 
 def test_internal_error_exits_3(monkeypatch):

@@ -1,10 +1,15 @@
 """The sweep harness itself: counters, witnesses, and small-rank runs."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from affineschur.affine import ball, from_word, identity
+from affineschur import verify
+from affineschur.affine import ball, bruhat_leq, demazure, from_word, identity
 from affineschur.oracles import (
     JoinStatus,
+    is_least_upper_bound_in_ball,
     saturated_chain_exists,
     strong_join_in_ball,
     strong_meet,
@@ -12,11 +17,15 @@ from affineschur.oracles import (
 )
 from affineschur.verify import (
     CheckResult,
+    _BallOrder,
+    ball_radii,
     verify_factorization,
     verify_fibers,
     verify_order_props,
     verify_pieri_sum,
 )
+
+GOLDEN = Path(__file__).parent / "data" / "order_props_golden.json"
 
 
 def test_check_result_bookkeeping():
@@ -74,3 +83,96 @@ def test_chain_helpers():
     fam = {frozenset(), frozenset({0}), frozenset({0, 1})}
     assert subset_chain_exists(frozenset(), frozenset({0, 1}), fam)
     assert not subset_chain_exists(frozenset(), frozenset({1}), fam)
+
+
+def _assert_rows_match_oracles(order, pairs, candidates):
+    universe = order.elements
+    for v, w in pairs:
+        assert order.join(v, w) == strong_join_in_ball(v, w, universe), (v, w)
+        assert order.meet(v, w) == strong_meet(v, w, universe), (v, w)
+        for c in candidates(v, w):
+            assert order.is_least_upper_bound(c, v, w) == is_least_upper_bound_in_ball(
+                c, v, w, universe
+            ), (c, v, w)
+
+
+@pytest.mark.parametrize("k,L", [(2, 4), (3, 3)])
+def test_ball_order_agrees_with_oracles(k, L):
+    order = _BallOrder(ball(k, L + 3))
+    small = ball(k, L)
+
+    def candidates(v, w):
+        # the join when there is one, an upper bound that may leave the
+        # ball, and an element that is usually no upper bound at all
+        j = order.join(v, w).element
+        return [c for c in (j, demazure(v, w), w) if c is not None]
+
+    _assert_rows_match_oracles(
+        order, [(v, w) for v in small for w in small], candidates
+    )
+
+
+def test_ball_order_on_a_tight_universe():
+    order = _BallOrder(ball(2, 3))
+    small = order.elements
+    pairs = [(v, w) for v in small for w in small]
+    assert any(not order.join(v, w).certified for v, w in pairs)
+    _assert_rows_match_oracles(order, pairs, lambda v, w: [demazure(v, w)])
+
+
+def test_ball_order_candidate_outside_the_ball():
+    order = _BallOrder(ball(2, 3))
+    outside = [c for c in ball(2, 5) if c.length > 3]
+    v, w = from_word(2, [0]), from_word(2, [1])
+    # some of these are common upper bounds, so their up rows are consulted
+    assert any(bruhat_leq(v, c) and bruhat_leq(w, c) for c in outside)
+    for c in outside:
+        assert order.is_least_upper_bound(c, v, w) == is_least_upper_bound_in_ball(
+            c, v, w, order.elements
+        )
+
+
+def test_ball_order_reports_missing_meet():
+    order = _BallOrder(ball(2, 6))
+    assert order.meet(from_word(2, [0, 1]), from_word(2, [1, 0])) is None
+    assert order.meet(from_word(2, [0]), from_word(2, [1])) == identity(2)
+
+
+def test_order_props_behaviour_lock():
+    """Check names, instance counts and ok flags, frozen before the bitset rows."""
+    golden = json.loads(GOLDEN.read_text())
+    for config in golden["configs"]:
+        results = verify_order_props(config["k"], config["max_size"])
+        got = [
+            {"name": r.name, "instances": r.instances, "ok": r.ok} for r in results
+        ]
+        assert got == config["results"], (config["k"], config["max_size"])
+
+
+@pytest.mark.parametrize(
+    "suite,fn,k,size",
+    [
+        ("order-props", verify_order_props, 2, 1),
+        ("order-props", verify_order_props, 1, 5),
+        ("fibers", verify_fibers, 2, 2),
+        ("pieri-sum", verify_pieri_sum, 2, 2),
+        ("factorization", verify_factorization, 2, 2),
+    ],
+)
+def test_ball_radii_cover_every_ball_a_sweep_builds(monkeypatch, suite, fn, k, size):
+    seen = []
+
+    def recording(name):
+        real = getattr(verify, name)
+
+        def wrapper(k, max_length, *args, **kwargs):
+            seen.append(max_length)
+            return real(k, max_length, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("ball", "grassmannian_ball"):
+        monkeypatch.setattr(verify, name, recording(name))
+    fn(k, size)
+    radii = ball_radii(suite, k, size)
+    assert max(seen, default=None) == max(radii, default=None)
