@@ -15,7 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .affine import AffinePermutation, IndexSet, bruhat_leq
+from .affine import IndexSet, bruhat_leq
 from .partitions import (
     KBoundedPartition,
     k_rectangle,
@@ -62,6 +62,10 @@ def partition_sort_key(parts: tuple[int, ...]) -> tuple:
     return (sum(parts), tuple(-p for p in parts))
 
 
+def _term_key(term: tuple[tuple[int, ...], int]) -> tuple:
+    return partition_sort_key(term[0])
+
+
 @dataclass(frozen=True)
 class SymElt:
     """Sparse integer combination of basis elements, zero terms dropped."""
@@ -79,12 +83,23 @@ class SymElt:
             KBoundedPartition(self.k, parts)  # validates boundedness
             if c:
                 cleaned[parts] = cleaned.get(parts, 0) + c
-        terms = tuple(
-            (p, c)
-            for p, c in sorted(cleaned.items(), key=lambda pc: partition_sort_key(pc[0]))
-            if c
-        )
+        terms = tuple((p, c) for p, c in sorted(cleaned.items(), key=_term_key) if c)
         object.__setattr__(self, "coeffs", terms)
+
+    @classmethod
+    def _trusted(cls, k: int, basis: str, d: dict[tuple[int, ...], int]) -> "SymElt":
+        """Wrap terms this module computed over k-bounded partitions.
+
+        Zero terms are dropped and the rest sorted once in the term order;
+        the partitions are not re-validated.
+        """
+        elt = object.__new__(cls)
+        object.__setattr__(elt, "k", k)
+        object.__setattr__(elt, "basis", basis)
+        object.__setattr__(
+            elt, "coeffs", tuple(sorted(((p, c) for p, c in d.items() if c), key=_term_key))
+        )
+        return elt
 
     @classmethod
     def from_dict(cls, k: int, basis: str, d: dict[tuple[int, ...], int]) -> "SymElt":
@@ -148,11 +163,10 @@ class SymElt:
         }
 
 
+# Both Pieri rules are memoised per (lam, r): a product sweep asks for the
+# same few hundred strip sums tens of thousands of times.  The results are
+# frozen, so every caller can share them.
 @functools.lru_cache(maxsize=None)
-def _grassmannian_of(lam: KBoundedPartition) -> AffinePermutation:
-    return bounded_to_perm(lam)
-
-
 def pieri_kschur(lam: KBoundedPartition, r: int) -> SymElt:
     """h_r times the homogeneous basis element of lam: sum over weak strips."""
     if not 0 <= r <= lam.k:
@@ -161,9 +175,10 @@ def pieri_kschur(lam: KBoundedPartition, r: int) -> SymElt:
     for A in weak_strips(lam, r):
         top = strip_top(lam, A)
         acc[top.parts] = acc.get(top.parts, 0) + 1
-    return SymElt.from_dict(lam.k, "ks", acc)
+    return SymElt._trusted(lam.k, "ks", acc)
 
 
+@functools.lru_cache(maxsize=None)
 def pieri_kk(lam: KBoundedPartition, r: int) -> SymElt:
     """h_r times the K-theoretic basis element of lam.
 
@@ -173,13 +188,13 @@ def pieri_kk(lam: KBoundedPartition, r: int) -> SymElt:
     """
     if not 1 <= r <= lam.k:
         raise ValueError(f"need 1 <= r <= k, got r={r}, k={lam.k}")
-    w = _grassmannian_of(lam)
+    w = bounded_to_perm(lam)
     acc: dict[tuple[int, ...], int] = {}
     for A, v in setvalued_strips(w, r):
         parts = perm_to_bounded(v).parts
         sign = (-1) ** (r + w.length - v.length)
         acc[parts] = acc.get(parts, 0) + sign
-    return SymElt.from_dict(lam.k, "g", acc)
+    return SymElt._trusted(lam.k, "g", acc)
 
 
 def h_mult(elt: SymElt, r: int) -> SymElt:
@@ -196,7 +211,7 @@ def h_mult(elt: SymElt, r: int) -> SymElt:
     for parts, c in elt.coeffs:
         for q, v in rule(KBoundedPartition(elt.k, parts), r).coeffs:
             acc[q] = acc.get(q, 0) + c * v
-    return SymElt.from_dict(elt.k, elt.basis, acc)
+    return SymElt._trusted(elt.k, elt.basis, acc)
 
 
 def h_monomial_mult(elt: SymElt, parts: tuple[int, ...]) -> SymElt:
@@ -252,7 +267,7 @@ def _invert_unitriangular(lam: KBoundedPartition, to_basis, rows: dict) -> SymEl
             for q, v in rows[nu].items():
                 acc[q] = acc.get(q, 0) - c * v
         rows[mu] = {q: v for q, v in acc.items() if v}
-    return SymElt.from_dict(lam.k, "h", rows[lam])
+    return SymElt._trusted(lam.k, "h", rows[lam])
 
 
 def g_to_h(lam: KBoundedPartition) -> SymElt:
@@ -266,12 +281,18 @@ def ks_to_h(lam: KBoundedPartition) -> SymElt:
 
 
 def _product_via_h(a: SymElt, b: SymElt, to_h) -> SymElt:
+    """a*b: expand a in h, then apply each h monomial to b by Pieri."""
     a._check_compatible(b)
-    out = SymElt.zero(a.k, a.basis)
+    in_h: dict[tuple[int, ...], int] = {}
     for parts, c in a.coeffs:
         for hparts, hc in to_h(KBoundedPartition(a.k, parts)).coeffs:
-            out = out + h_monomial_mult(b, hparts).scale(c * hc)
-    return out
+            in_h[hparts] = in_h.get(hparts, 0) + c * hc
+    acc: dict[tuple[int, ...], int] = {}
+    for hparts, hc in in_h.items():
+        if hc:
+            for q, v in h_monomial_mult(b, hparts).coeffs:
+                acc[q] = acc.get(q, 0) + hc * v
+    return SymElt._trusted(a.k, a.basis, acc)
 
 
 def product_g(a: SymElt, b: SymElt) -> SymElt:
@@ -287,19 +308,17 @@ def product_ks(a: SymElt, b: SymElt) -> SymElt:
 @functools.lru_cache(maxsize=None)
 def bruhat_lower_partitions(lam: KBoundedPartition) -> tuple[KBoundedPartition, ...]:
     """All k-bounded mu with w_mu <= w_lam in the strong order."""
-    w = _grassmannian_of(lam)
+    w = bounded_to_perm(lam)
     out = []
     for mu in kbounded_partitions(lam.k, lam.size):
-        if bruhat_leq(_grassmannian_of(mu), w):
+        if bruhat_leq(bounded_to_perm(mu), w):
             out.append(mu)
     return tuple(out)
 
 
 def gtilde(lam: KBoundedPartition) -> SymElt:
     """Sum of the g basis over the strong-order lower ideal of lam."""
-    return SymElt.from_dict(
-        lam.k, "g", {mu.parts: 1 for mu in bruhat_lower_partitions(lam)}
-    )
+    return SymElt._trusted(lam.k, "g", {mu.parts: 1 for mu in bruhat_lower_partitions(lam)})
 
 
 def gtilde_pieri(lam: KBoundedPartition, r: int) -> SymElt:
@@ -314,7 +333,7 @@ def gtilde_pieri(lam: KBoundedPartition, r: int) -> SymElt:
     for A in weak_strips(lam, r):
         for mu in bruhat_lower_partitions(strip_top(lam, A)):
             seen.add(mu.parts)
-    return SymElt.from_dict(lam.k, "g", {p: 1 for p in seen})
+    return SymElt._trusted(lam.k, "g", {p: 1 for p in seen})
 
 
 def gtilde_pieri_direct(lam: KBoundedPartition, r: int) -> SymElt:
@@ -322,10 +341,11 @@ def gtilde_pieri_direct(lam: KBoundedPartition, r: int) -> SymElt:
     if not 0 <= r <= lam.k:
         raise ValueError(f"need 0 <= r <= k, got r={r}, k={lam.k}")
     base = gtilde(lam)
-    out = SymElt.zero(lam.k, "g")
+    acc: dict[tuple[int, ...], int] = {}
     for i in range(r + 1):
-        out = out + h_mult(base, i)
-    return out
+        for q, v in h_mult(base, i).coeffs:
+            acc[q] = acc.get(q, 0) + v
+    return SymElt._trusted(lam.k, "g", acc)
 
 
 def gtilde_pieri_ie(lam: KBoundedPartition, r: int) -> dict[tuple[int, ...], int]:
@@ -345,21 +365,18 @@ def gtilde_pieri_ie(lam: KBoundedPartition, r: int) -> dict[tuple[int, ...], int
             inter = frozenset.intersection(*(A.members for A in combo))
             label = strip_top(lam, IndexSet(lam.k, inter)).parts
             acc[label] = acc.get(label, 0) + sign
-    return {
-        p: c
-        for p, c in sorted(acc.items(), key=lambda pc: partition_sort_key(pc[0]))
-        if c
-    }
+    return {p: c for p, c in sorted(acc.items(), key=_term_key) if c}
 
 
 def expand_gtilde_combination(
     k: int, combo: dict[tuple[int, ...], int]
 ) -> SymElt:
     """Expand an integer combination of gtilde labels into the g basis."""
-    out = SymElt.zero(k, "g")
+    acc: dict[tuple[int, ...], int] = {}
     for parts, c in combo.items():
-        out = out + gtilde(KBoundedPartition(k, parts)).scale(c)
-    return out
+        for q, v in gtilde(KBoundedPartition(k, parts)).coeffs:
+            acc[q] = acc.get(q, 0) + c * v
+    return SymElt._trusted(k, "g", acc)
 
 
 def gtilde_factorize_check(lam: KBoundedPartition, t: int) -> bool:

@@ -1,0 +1,52 @@
+"""The BENCH summary writer, on hand-made run outputs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_summary.py"
+spec = importlib.util.spec_from_file_location("bench_summary", TOOL)
+bench_summary = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_summary)
+
+END_TO_END = ("setup_s", "verdict_s", "queries_per_s", "query_p50_ms", "query_p95_ms",
+              "peak_rss_mb")
+
+
+def _write(path: Path, metrics: dict, failed: int = 0) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    result = {"correct": True, "attempted": 10, "failed": failed,
+              "metrics": {name: {"value": v, "unit": "s"} for name, v in metrics.items()}}
+    path.write_text("progress noise\n" + json.dumps(result) + "\n")
+
+
+def test_summary_of_pairs_and_traced_runs(tmp_path):
+    parent_verdicts = [4.0, 4.4, 4.2, 4.1, 3.9]
+    change_verdicts = [0.9, 0.8, 4.5, 0.85, 0.95]
+    for side, verdicts in (("parent", parent_verdicts), ("change", change_verdicts)):
+        for i, verdict in enumerate(verdicts):
+            metrics = dict.fromkeys(END_TO_END, 1.0)
+            metrics["verdict_s"] = verdict
+            metrics["queries_per_s"] = 2.0 if side == "change" else 1.0
+            _write(tmp_path / side / "factorization-sweep" / "seed1" / f"{i}.out", metrics)
+        traced = {"trace.wall_s": 3.0, "symfunc.pieri_kk.self_s": 2.0 if side == "parent" else 0.1}
+        _write(tmp_path / side / "factorization-sweep" / "seed1" / "trace0.out", traced)
+
+    summary = bench_summary.summarise(tmp_path)
+    seed = summary["workloads"]["factorization-sweep"]["seed1"]
+    assert seed["pairs"] == 5 and seed["correct"]
+    assert seed["failed"] == {"parent": 0, "change": 0}
+    verdict = seed["end_to_end"]["verdict_s"]
+    assert verdict["parent"]["median"] == 4.1 and verdict["change"]["median"] == 0.9
+    assert (verdict["parent"]["q1"], verdict["parent"]["q3"]) == (4.0, 4.2)
+    assert verdict["change_wins"] == 4  # the 4.5 s pair is a loss
+    assert seed["end_to_end"]["queries_per_s"]["change_wins"] == 5  # higher is better
+    assert seed["end_to_end"]["setup_s"]["change_wins"] == 0  # ties count for neither
+    assert seed["traced"]["symfunc.pieri_kk.self_s"] == {"unit": "s", "parent": 2.0,
+                                                         "change": 0.1}
+    assert "partitions.KBoundedPartition.new" not in seed["traced"]  # absent from the runs
+
+
+def test_summary_rejects_an_empty_run_directory(tmp_path, capsys):
+    assert bench_summary.main([str(tmp_path), "--out", str(tmp_path / "out.json")]) == 2
+    assert "no runs" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from affineschur import symfunc
 from affineschur.affine import ball, weak_leq
 from affineschur.oracles import weak_join_in_ball
 from affineschur.partitions import KBoundedPartition, kbounded_partitions
@@ -29,6 +30,7 @@ from affineschur.symfunc import (
     product_g,
     product_ks,
 )
+from affineschur.verify import verify_factorization
 
 
 def P(k, *parts):
@@ -231,3 +233,43 @@ def test_product_commutes():
     a = SymElt.single(3, "g", (2, 1))
     b = SymElt.single(3, "g", (1, 1))
     assert product_g(a, b) == product_g(b, a)
+
+
+def test_memoised_pieri_rules_match_the_uncached_rules():
+    for k in range(1, 5):
+        for lam in kbounded_partitions(k, 6):
+            for rule, rs in ((pieri_kk, range(1, k + 1)), (pieri_kschur, range(k + 1))):
+                for r in rs:
+                    got = rule(lam, r)
+                    assert got == rule.__wrapped__(lam, r), (rule, lam, r)
+                    assert got == SymElt(k, got.basis, got.coeffs)
+                    assert rule(lam, r) is got
+
+
+def test_products_are_valid_symelts(monkeypatch):
+    # every trusted product of a sweep survives the validating constructor unchanged
+    seen = []
+
+    def recording(fn):
+        def wrapper(a, b):
+            out = fn(a, b)
+            seen.append(out)
+            return out
+
+        return wrapper
+
+    for name in ("product_g", "product_ks"):
+        monkeypatch.setattr(symfunc, name, recording(getattr(symfunc, name)))
+    assert all(r.ok for r in verify_factorization(3, 3))
+    assert {elt.basis for elt in seen} == {"g", "ks"}
+    for elt in seen:
+        assert SymElt(elt.k, elt.basis, elt.coeffs) == elt
+
+
+def test_pieri_memos_can_be_cleared():
+    # benchmark sessions empty every memo they find by its cache_clear attribute
+    for rule in (pieri_kk, pieri_kschur):
+        rule(P(3, 2, 1), 1)
+        assert rule.cache_info().currsize > 0
+        rule.cache_clear()
+        assert rule.cache_info().currsize == 0

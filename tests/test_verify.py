@@ -26,6 +26,12 @@ from affineschur.verify import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "order_props_golden.json"
+SUITE_GOLDEN = Path(__file__).parent / "data" / "suite_golden.json"
+SUITES = {
+    "factorization": verify_factorization,
+    "pieri-sum": verify_pieri_sum,
+    "fibers": verify_fibers,
+}
 
 
 def test_check_result_bookkeeping():
@@ -147,6 +153,19 @@ def test_order_props_behaviour_lock():
             {"name": r.name, "instances": r.instances, "ok": r.ok} for r in results
         ]
         assert got == config["results"], (config["k"], config["max_size"])
+
+
+def test_symmetric_function_suites_behaviour_lock():
+    """Check names, instance counts and ok flags, frozen before the Pieri memos."""
+    golden = json.loads(SUITE_GOLDEN.read_text())
+    assert sorted(s["suite"] for s in golden["suites"]) == sorted(SUITES)
+    for suite in golden["suites"]:
+        for config in suite["configs"]:
+            results = SUITES[suite["suite"]](config["k"], config["max_size"])
+            got = [
+                {"name": r.name, "instances": r.instances, "ok": r.ok} for r in results
+            ]
+            assert got == config["results"], (suite["suite"], config["k"], config["max_size"])
 
 
 @pytest.mark.parametrize(

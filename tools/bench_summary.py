@@ -1,0 +1,159 @@
+"""Summarise schurbench runs of a parent and a changed tree into one BENCH file.
+
+Usage (from the repository root):
+
+    python3 tools/bench_summary.py RUNS --out BENCH_6.json
+
+RUNS holds the standard output of one `schurbench/run.py` invocation per
+file, laid out as RUNS/<side>/<workload>/seed<S>/<name>.out, where <side> is
+`parent` or `change`.  Only the last line of each file is read: the JSON
+object run.py prints.  Runs of `--trace 1` are told apart by their per-layer
+metrics.  Files of the same name under the two sides form a pair, so run
+the pairs alternately, for example:
+
+    for i in 0 1 2 3 4 5 6 7 8 9; do
+      for side in parent change; do   # swap the order on odd i
+        (cd $side && python3 schurbench/run.py --workload W --seed S \\
+           --seconds 30 --trace 0) > RUNS/$side/W/seedS/$i.out
+      done
+    done
+
+For each workload, seed and end-to-end metric the summary gives each side's
+median and quartiles, the number of pairs the change won (ties count for
+neither side) and the ratio of the medians, change over parent.  Traced runs
+give the per-layer figures in TRACED, as medians over the traced runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+TRACED = (
+    "symfunc.pieri_kk.self_s",
+    "symfunc.pieri_kk.calls",
+    "partitions.KBoundedPartition.new",
+    "symfunc.SymElt.new",
+    "symfunc.self_s",
+    "partitions.self_s",
+    "shapes.self_s",
+    "trace.wall_s",
+)
+
+
+def machine() -> dict:
+    info = {
+        "system": platform.system(),
+        "arch": platform.machine(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+    }
+    try:
+        with open("/proc/cpuinfo") as f:
+            models = [line.split(":", 1)[1].strip() for line in f if line.startswith("model name")]
+        if models:
+            info["cpu"] = models[0]
+    except OSError:
+        pass
+    return info
+
+
+def last_json(path: Path) -> dict:
+    lines = path.read_text().strip().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: no output")
+    return json.loads(lines[-1])
+
+
+def spread(values: list[float]) -> dict:
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = q3 = values[0]
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
+
+
+def summarise_seed(runs: dict[str, dict[str, dict]], better: dict[str, str]) -> dict:
+    """`runs` maps side -> file name -> run result, for one workload and seed."""
+    plain = {side: {n: r for n, r in runs[side].items() if "trace.wall_s" not in r["metrics"]}
+             for side in SIDES}
+    traced = {side: [r for r in runs[side].values() if "trace.wall_s" in r["metrics"]]
+              for side in SIDES}
+    every = [r for side in SIDES for r in runs[side].values()]
+    out = {
+        "correct": all(r["correct"] for r in every),
+        "attempted": {side: sum(r["attempted"] for r in runs[side].values()) for side in SIDES},
+        "failed": {side: sum(r["failed"] for r in runs[side].values()) for side in SIDES},
+    }
+    pairs = sorted(set(plain["parent"]) & set(plain["change"]))
+    if pairs:
+        out["pairs"] = len(pairs)
+        metrics = {}
+        for name, direction in better.items():
+            values = {side: [plain[side][n]["metrics"][name]["value"] for n in pairs]
+                      for side in SIDES}
+            sign = 1 if direction == "lower" else -1
+            wins = sum(1 for p, c in zip(values["parent"], values["change"])
+                       if sign * (p - c) > 0)
+            stats = {side: spread(values[side]) for side in SIDES}
+            base = stats["parent"]["median"]
+            metrics[name] = {
+                "unit": plain["parent"][pairs[0]]["metrics"][name]["unit"],
+                "better": direction,
+                **stats,
+                "change_wins": wins,
+                "median_ratio": stats["change"]["median"] / base if base else None,
+            }
+        out["end_to_end"] = metrics
+    if traced["parent"] and traced["change"]:
+        out["traced"] = {
+            name: {
+                "unit": traced["parent"][0]["metrics"][name]["unit"],
+                **{side: statistics.median(r["metrics"][name]["value"] for r in traced[side])
+                   for side in SIDES},
+            }
+            for name in TRACED
+            if all(name in r["metrics"] for side in SIDES for r in traced[side])
+        }
+    return out
+
+
+def summarise(runs_dir: Path) -> dict:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    found: dict[tuple[str, str], dict[str, dict[str, dict]]] = {}
+    for side in SIDES:
+        for path in sorted((runs_dir / side).glob("*/seed*/*.out")):
+            key = (path.parent.parent.name, path.parent.name)
+            found.setdefault(key, {s: {} for s in SIDES})[side][path.stem] = last_json(path)
+    if not found:
+        raise ValueError(f"no runs under {runs_dir}/{{parent,change}}/<workload>/seed<S>/")
+    workloads: dict[str, dict] = {}
+    for (workload, seed), runs in sorted(found.items()):
+        workloads.setdefault(workload, {})[seed] = summarise_seed(runs, better)
+    return {"machine": machine(), "workloads": workloads}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("runs", type=Path)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    try:
+        summary = summarise(args.runs)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    args.out.write_text(json.dumps(summary, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
