@@ -56,8 +56,12 @@ class AffinePermutation:
     """Element of the affine symmetric group on k+1 letters, window notation.
 
     Equality and hashing use the window, which is a unique normal form.
-    The Coxeter length is precomputed from the affine inversion formula
-    sum_{i<j} |floor((w(j)-w(i))/n)|.
+    The public constructor is the validation boundary: it checks the
+    window and computes the Coxeter length from the affine inversion
+    formula sum_{i<j} |floor((w(j)-w(i))/n)|.  The kernel operations build
+    their results through `_trusted` and carry the length forward: a
+    generator step changes it by one, decided by a single comparison, an
+    inverse keeps it, and a product computes it once by the formula.
     """
 
     __slots__ = ("k", "window", "length", "_hash")
@@ -75,13 +79,21 @@ class AffinePermutation:
             raise ValueError(f"window {win} has repeated residues mod {n}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "window", win)
-        ell = 0
-        for i in range(n):
-            wi = win[i]
-            for j in range(i + 1, n):
-                ell += abs((win[j] - wi) // n)
-        object.__setattr__(self, "length", ell)
+        object.__setattr__(self, "length", _inversion_length(win, n))
         object.__setattr__(self, "_hash", hash((k, win)))
+
+    @classmethod
+    def _trusted(cls, k: int, window: tuple[int, ...], length: int) -> "AffinePermutation":
+        """Wrap a window the kernel built from valid elements, with its length.
+
+        Nothing is checked; only the operations of this module call it.
+        """
+        w = object.__new__(cls)
+        object.__setattr__(w, "k", k)
+        object.__setattr__(w, "window", window)
+        object.__setattr__(w, "length", length)
+        object.__setattr__(w, "_hash", hash((k, window)))
+        return w
 
     def __setattr__(self, name, value):
         raise AttributeError("AffinePermutation is immutable")
@@ -137,6 +149,14 @@ class IndexSet:
         if len(self.members) == self.k + 1:
             raise ValueError("the full residue set is not allowed")
 
+    @classmethod
+    def _trusted(cls, k: int, members: frozenset[int]) -> "IndexSet":
+        """Wrap a frozenset already known to hold a proper subset of 0..k."""
+        A = object.__new__(cls)
+        object.__setattr__(A, "k", k)
+        object.__setattr__(A, "members", members)
+        return A
+
     def sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
@@ -189,6 +209,15 @@ class ReducedWord:
         return iter(self.letters)
 
 
+def _inversion_length(win: tuple[int, ...], n: int) -> int:
+    """Affine inversion formula: sum over i < j of |floor((w(j) - w(i)) / n)|."""
+    ell = 0
+    for i, wi in enumerate(win):
+        for wj in win[i + 1 :]:
+            ell += abs((wj - wi) // n)
+    return ell
+
+
 def _check_same_rank(u: AffinePermutation, v: AffinePermutation) -> None:
     if u.k != v.k:
         raise ValueError(f"rank mismatch: k={u.k} vs k={v.k}")
@@ -206,37 +235,51 @@ def simple(k: int, i: int) -> AffinePermutation:
 
 
 def left_mul_s(w: AffinePermutation, i: int) -> AffinePermutation:
-    """s_i * w: swaps the values congruent to i and i+1 mod n."""
+    """s_i * w: swaps the values congruent to i and i+1 mod n.
+
+    The length goes up by one iff w^-1(i) < w^-1(i+1).  A value x = w(p)
+    congruent to i gives w^-1(i) = p - (x - i), so both positions are read
+    off in the same pass.
+    """
     n = w.k + 1
     if not 0 <= i <= w.k:
         raise ValueError(f"letter {i} out of range 0..{w.k}")
-    r = i % n
     r1 = (i + 1) % n
     out = []
-    for x in w.window:
+    at_i = at_i1 = 0
+    for pos, x in enumerate(w.window, start=1):
         m = x % n
-        if m == r:
+        if m == i:
+            at_i = pos - x + i
             out.append(x + 1)
         elif m == r1:
+            at_i1 = pos - x + i + 1
             out.append(x - 1)
         else:
             out.append(x)
-    return AffinePermutation(w.k, out)
+    ell = w.length + 1 if at_i < at_i1 else w.length - 1
+    return AffinePermutation._trusted(w.k, tuple(out), ell)
 
 
 def right_mul_s(w: AffinePermutation, i: int) -> AffinePermutation:
-    """w * s_i: swaps the window positions i and i+1 (cyclically for i = 0)."""
+    """w * s_i: swaps the window positions i and i+1 (cyclically for i = 0).
+
+    The length goes up by one iff w(i) < w(i+1), where w(0) = w(n) - n.
+    """
     n = w.k + 1
     if not 0 <= i <= w.k:
         raise ValueError(f"letter {i} out of range 0..{w.k}")
     win = list(w.window)
     if i == 0:
         first, last = win[0], win[n - 1]
+        up = last - n < first
         win[0] = last - n
         win[n - 1] = first + n
     else:
+        up = win[i - 1] < win[i]
         win[i - 1], win[i] = win[i], win[i - 1]
-    return AffinePermutation(w.k, win)
+    ell = w.length + 1 if up else w.length - 1
+    return AffinePermutation._trusted(w.k, tuple(win), ell)
 
 
 def from_word(k: int, word: Iterable[int]) -> AffinePermutation:
@@ -258,18 +301,19 @@ def mul(u: AffinePermutation, v: AffinePermutation) -> AffinePermutation:
     uw = u.window
     out = []
     for x in v.window:
-        q, r = divmod(x - 1, n)
-        out.append(uw[r] + q * n)
-    return AffinePermutation(u.k, out)
+        r = (x - 1) % n
+        out.append(uw[r] + x - 1 - r)
+    win = tuple(out)
+    return AffinePermutation._trusted(u.k, win, _inversion_length(win, n))
 
 
 def inverse(w: AffinePermutation) -> AffinePermutation:
     n = w.k + 1
     out = [0] * n
     for pos, x in enumerate(w.window, start=1):
-        q, r = divmod(x - 1, n)
-        out[r] = pos - q * n
-    return AffinePermutation(w.k, out)
+        r = (x - 1) % n
+        out[r] = pos + r + 1 - x
+    return AffinePermutation._trusted(w.k, tuple(out), w.length)
 
 
 def descents(w: AffinePermutation, side: str = "right") -> frozenset[int]:

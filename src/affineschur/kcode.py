@@ -94,7 +94,7 @@ def cyclically_decreasing_word(A: IndexSet) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=None)
 def _d_from_frozen(k: int, members: frozenset[int]) -> AffinePermutation:
     w = identity(k)
-    for a in cyclically_decreasing_word(IndexSet(k, members)):
+    for a in cyclically_decreasing_word(IndexSet._trusted(k, members)):
         w = right_mul_s(w, a)
     return w
 
@@ -120,7 +120,7 @@ def _max_strippable_row(w: AffinePermutation, increasing: bool) -> frozenset[int
     for r in range(w.k, 0, -1):
         hits = []
         for combo in itertools.combinations(range(n), r):
-            A = IndexSet(w.k, frozenset(combo))
+            A = IndexSet._trusted(w.k, frozenset(combo))
             x = u_elem(A) if increasing else d_elem(A)
             if mul(w, inverse(x)).length == w.length - r:
                 hits.append(A.members)

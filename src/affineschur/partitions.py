@@ -52,6 +52,14 @@ class KBoundedPartition:
         if self.parts and self.parts[0] > self.k:
             raise ValueError(f"part {self.parts[0]} exceeds bound k={self.k}")
 
+    @classmethod
+    def _trusted(cls, k: int, parts: tuple[int, ...]) -> "KBoundedPartition":
+        """Wrap parts already known to form a k-bounded partition."""
+        lam = object.__new__(cls)
+        object.__setattr__(lam, "k", k)
+        object.__setattr__(lam, "parts", parts)
+        return lam
+
     @property
     def size(self) -> int:
         return sum(self.parts)

@@ -205,7 +205,7 @@ def weak_strips(lam: KBoundedPartition, r: int) -> list[IndexSet]:
         raise ValueError(f"need 0 <= r <= k, got r={r}, k={lam.k}")
     out = []
     for combo in itertools.combinations(range(lam.k + 1), r):
-        A = IndexSet(lam.k, frozenset(combo))
+        A = IndexSet._trusted(lam.k, frozenset(combo))
         if is_weak_strip(lam, A):
             out.append(A)
     return sorted(out, key=lambda a: a.sorted())
@@ -230,7 +230,7 @@ def setvalued_strips(
         raise ValueError(f"need 1 <= r <= k, got r={r}, k={w.k}")
     out = []
     for combo in itertools.combinations(range(w.k + 1), r):
-        A = IndexSet(w.k, frozenset(combo))
+        A = IndexSet._trusted(w.k, frozenset(combo))
         v = demazure(d_elem(A), w)
         if v.is_grassmannian():
             out.append((A, v))

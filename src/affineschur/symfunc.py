@@ -209,7 +209,7 @@ def h_mult(elt: SymElt, r: int) -> SymElt:
         raise ValueError("h_mult needs the ks or g basis")
     acc: dict[tuple[int, ...], int] = {}
     for parts, c in elt.coeffs:
-        for q, v in rule(KBoundedPartition(elt.k, parts), r).coeffs:
+        for q, v in rule(KBoundedPartition._trusted(elt.k, parts), r).coeffs:
             acc[q] = acc.get(q, 0) + c * v
     return SymElt._trusted(elt.k, elt.basis, acc)
 
@@ -259,7 +259,7 @@ def _invert_unitriangular(lam: KBoundedPartition, to_basis, rows: dict) -> SymEl
         key = partition_sort_key(mu.parts)
         if terms.pop(mu.parts, 0) != 1 or any(partition_sort_key(p) > key for p in terms):
             raise RuntimeError(f"transition of {mu} is not unitriangular")
-        lower[mu] = [(KBoundedPartition(mu.k, p), c) for p, c in terms.items()]
+        lower[mu] = [(KBoundedPartition._trusted(mu.k, p), c) for p, c in terms.items()]
         todo.extend(nu for nu, _ in lower[mu])
     for mu in sorted(lower, key=lambda m: partition_sort_key(m.parts)):
         acc = {mu.parts: 1}
@@ -285,7 +285,7 @@ def _product_via_h(a: SymElt, b: SymElt, to_h) -> SymElt:
     a._check_compatible(b)
     in_h: dict[tuple[int, ...], int] = {}
     for parts, c in a.coeffs:
-        for hparts, hc in to_h(KBoundedPartition(a.k, parts)).coeffs:
+        for hparts, hc in to_h(KBoundedPartition._trusted(a.k, parts)).coeffs:
             in_h[hparts] = in_h.get(hparts, 0) + c * hc
     acc: dict[tuple[int, ...], int] = {}
     for hparts, hc in in_h.items():

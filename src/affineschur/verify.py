@@ -546,7 +546,7 @@ def _verify_strip_props(k: int, max_size: int) -> list[CheckResult]:
     agree = CheckResult("strip-criteria-agree")
     meets = CheckResult("strip-meet-is-strip-of-intersection")
     all_subsets = [
-        IndexSet(k, frozenset(c))
+        IndexSet._trusted(k, frozenset(c))
         for r in range(k + 1)
         for c in itertools.combinations(range(k + 1), r)
     ]
@@ -577,7 +577,7 @@ def _verify_strip_props(k: int, max_size: int) -> list[CheckResult]:
         qualifying = [A for r in strips_by_r.values() for A in r]
         for A in qualifying:
             for B in qualifying:
-                cap = IndexSet(k, A.members & B.members)
+                cap = IndexSet._trusted(k, A.members & B.members)
                 cand = mul(d_elem(cap), w)
                 m = order.meet(mul(d_elem(A), w), mul(d_elem(B), w))
                 meets.check(
@@ -599,17 +599,18 @@ def _verify_z_families(k: int, L: int, order: _BallOrder) -> list[CheckResult]:
         zs = z_sets(u)  # construction asserts closure and maxima
         closure.count()
         for A, B in itertools.combinations(sorted(zs.plus, key=sorted), 2):
-            cap = IndexSet(k, A & B)
+            cap = IndexSet._trusted(k, A & B)
             lhs = mul(d_elem(cap), u)
             m = order.meet(
-                mul(d_elem(IndexSet(k, A)), u), mul(d_elem(IndexSet(k, B)), u)
+                mul(d_elem(IndexSet._trusted(k, A)), u),
+                mul(d_elem(IndexSet._trusted(k, B)), u),
             )
             meets.check(m == lhs, u=_win(u), A=sorted(A), B=sorted(B))
         for A, B in itertools.combinations(sorted(zs.minus, key=sorted), 2):
-            cap = IndexSet(k, A & B)
+            cap = IndexSet._trusted(k, A & B)
             cand = mul(inverse(d_elem(cap)), u)
-            va = mul(inverse(d_elem(IndexSet(k, A))), u)
-            vb = mul(inverse(d_elem(IndexSet(k, B))), u)
+            va = mul(inverse(d_elem(IndexSet._trusted(k, A))), u)
+            vb = mul(inverse(d_elem(IndexSet._trusted(k, B))), u)
             joins.check(
                 order.is_least_upper_bound(cand, va, vb),
                 u=_win(u),
@@ -647,8 +648,8 @@ def _verify_strongly_commutative(k: int, L: int) -> list[CheckResult]:
             if all((i - j) % n not in (0, 1, n - 1) for i in A for j in B):
                 pairs.append((A, B))
     for A, B in pairs:
-        x = d_elem(IndexSet(k, A))
-        y = d_elem(IndexSet(k, B))
+        x = d_elem(IndexSet._trusted(k, A))
+        y = d_elem(IndexSet._trusted(k, B))
         disj.check(
             mul(x, y) == mul(y, x) and mul(x, y).length == x.length + y.length,
             A=sorted(A),
@@ -657,8 +658,8 @@ def _verify_strongly_commutative(k: int, L: int) -> list[CheckResult]:
     if pairs:
         zb = ball(k, L)
         for A, B in pairs:
-            x = d_elem(IndexSet(k, A))
-            y = d_elem(IndexSet(k, B))
+            x = d_elem(IndexSet._trusted(k, A))
+            y = d_elem(IndexSet._trusted(k, B))
             xy = mul(x, y)
             for z in zb:
                 up = weak_leq(z, mul(xy, z), "left") == (
@@ -703,7 +704,7 @@ def _verify_kcode_props(k: int, L: int) -> list[CheckResult]:
             if row < frozenset(c)
         ]
         ok = all(
-            mul(w, inverse(d_elem(IndexSet(k, A)))).length != w.length - len(A)
+            mul(w, inverse(d_elem(IndexSet._trusted(k, A)))).length != w.length - len(A)
             for A in bigger
         )
         rowmax.check(ok, w=_win(w))
@@ -743,12 +744,12 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
     for u in gball:
         zs = z_sets(u)
         for members in subsets:
-            A = IndexSet(k, members)
+            A = IndexSet._trusted(k, members)
             fib = fiber_X(A, u)  # constructor asserts the boolean interval
             dA = d_elem(A)
             scan = {v for v in wide if v.length <= u.length and demazure(dA, v) == u}
             via_labels = {
-                mul(inverse(d_elem(IndexSet(k, B))), u) for B in fib.members
+                mul(inverse(d_elem(IndexSet._trusted(k, B))), u) for B in fib.members
             }
             labels.check(
                 scan == via_labels, u=_win(u), A=sorted(members)
@@ -788,7 +789,7 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
             single_As = {
                 members
                 for members in subsets
-                if len(fiber_Y(IndexSet(k, members), u, w).members) == 1
+                if len(fiber_Y(IndexSet._trusted(k, members), u, w).members) == 1
             }
             expect = set() if found is None else {found.members}
             singles.check(
@@ -831,7 +832,7 @@ def _a0_conditions(k, u, w, r, found) -> tuple[bool, bool, bool, bool]:
     c2 = c3 = c4 = False
     for size in range(r + 1):
         for combo in itertools.combinations(range(k + 1), size):
-            A = IndexSet(k, frozenset(combo))
+            A = IndexSet._trusted(k, frozenset(combo))
             dA = d_elem(A)
             v = mul(inverse(dA), u)
             if v.length == u.length - len(A) and bruhat_leq(v, w):

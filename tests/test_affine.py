@@ -1,5 +1,7 @@
 """Window arithmetic, orders, and the Demazure toolbox."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,9 +26,12 @@ from affineschur.affine import (
     mul,
     psi_apply,
     reduced_word,
+    right_mul_s,
     s_join_L,
     weak_leq,
 )
+from affineschur.kcode import rd, ri
+from affineschur.orderlab import z_sets
 from affineschur.oracles import subword_lower_set
 from affineschur.partitions import kbounded_partitions
 from affineschur.shapes import bounded_to_perm
@@ -308,3 +313,59 @@ def test_random_demazure_facts(wa, wb):
     assert weak_leq(x, z, "right") and weak_leq(y, z, "left")
     assert bruhat_leq(psi_apply(x, y, "left"), y)
     assert psi_apply(x, y, "left") == inverse(psi_apply(inverse(x), inverse(y), "right"))
+
+
+def assert_passes_validation(w):
+    """A kernel output equals the element the validating constructor builds."""
+    ref = AffinePermutation(w.k, w.window)
+    assert ref == w and hash(ref) == hash(w)
+    assert ref.length == w.length, w
+
+
+@pytest.mark.parametrize("k, L", [(1, 6), (2, 6), (3, 5), (4, 5)])
+def test_trusted_kernel_values_pass_validation(k, L):
+    elems = ball(k, L)
+    for w in elems:
+        assert_passes_validation(inverse(w))
+        for i in range(k + 1):
+            assert_passes_validation(left_mul_s(w, i))
+            assert_passes_validation(right_mul_s(w, i))
+    rng = random.Random(k)
+    for _ in range(400):
+        assert_passes_validation(mul(rng.choice(elems), rng.choice(elems)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=8), max_size=30),
+       st.lists(st.integers(min_value=0, max_value=8), max_size=30))
+def test_trusted_kernel_values_at_k8(wa, wb):
+    # n = 9, where the longest cold CLI queries live
+    x = y = identity(8)
+    for a in wa:
+        x = right_mul_s(x, a)
+        assert_passes_validation(x)
+    for b in wb:
+        y = left_mul_s(y, b)
+        assert_passes_validation(y)
+    assert_passes_validation(inverse(x))
+    assert_passes_validation(mul(x, y))
+    assert_passes_validation(mul(y, inverse(x)))
+
+
+def test_trusted_index_sets_pass_validation(monkeypatch):
+    made = []
+    trusted = IndexSet._trusted
+
+    def recording(cls, k, members):
+        A = trusted(k, members)
+        made.append(A)
+        return A
+
+    monkeypatch.setattr(IndexSet, "_trusted", classmethod(recording))
+    for w in ball(3, 4):
+        rd(w)
+        ri(w)
+        z_sets(w)
+    assert len(made) > 1000
+    for A in made:
+        assert IndexSet(A.k, A.members) == A

@@ -1,9 +1,11 @@
 """Index-set families, Demazure fibers, and the singleton-fiber search."""
 
 import itertools
+import re
 
 import pytest
 
+from affineschur import orderlab
 from affineschur.affine import (
     IndexSet,
     ball,
@@ -182,3 +184,20 @@ def test_fiber_rank_validation():
         fiber_X(IndexSet(2, frozenset({0})), identity(3))
     with pytest.raises(ValueError):
         find_A0(from_word(3, [1]), identity(3))
+
+
+@pytest.mark.parametrize(
+    "dropped, message",
+    [
+        (frozenset(), "plus not closed under intersection: frozenset({"),
+        (frozenset({0, 1, 2}), "plus not closed under proper union: frozenset({"),
+    ],
+)
+def test_family_closure_failure_is_reported(monkeypatch, dropped, message):
+    # every proper subset is in the plus family of the identity; drop one
+    subsets = orderlab._proper_subsets(3)
+    monkeypatch.setattr(
+        orderlab, "_proper_subsets", lambda k: [A for A in subsets if A != dropped]
+    )
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        z_sets(identity(3))

@@ -266,6 +266,22 @@ def test_products_are_valid_symelts(monkeypatch):
         assert SymElt(elt.k, elt.basis, elt.coeffs) == elt
 
 
+def test_trusted_partitions_pass_validation(monkeypatch):
+    made = []
+    trusted = KBoundedPartition._trusted
+
+    def recording(cls, k, parts):
+        lam = trusted(k, parts)
+        made.append(lam)
+        return lam
+
+    monkeypatch.setattr(KBoundedPartition, "_trusted", classmethod(recording))
+    assert all(r.ok for r in verify_factorization(3, 3))
+    assert made
+    for lam in made:
+        assert KBoundedPartition(lam.k, lam.parts) == lam
+
+
 def test_pieri_memos_can_be_cleared():
     # benchmark sessions empty every memo they find by its cache_clear attribute
     for rule in (pieri_kk, pieri_kschur):

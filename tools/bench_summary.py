@@ -37,6 +37,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACED = (
+    "affine.self_s",
+    "affine.AffinePermutation.new",
+    "kcode.self_s",
+    "orderlab.self_s",
     "symfunc.pieri_kk.self_s",
     "symfunc.pieri_kk.calls",
     "partitions.KBoundedPartition.new",
@@ -45,6 +49,7 @@ TRACED = (
     "partitions.self_s",
     "shapes.self_s",
     "trace.wall_s",
+    "trace.overhead_s",
 )
 
 
