@@ -6,12 +6,23 @@ diagram (residue of a box in column i, row j being i-j for the decreasing
 convention, j-i for the increasing one) gives the unique maximal
 decomposition of an affine permutation into cyclically decreasing
 (respectively increasing) factors.
+
+Both codes are the affine inversion tables of the window (Bjorner-Brenti,
+"Affine permutations of type A", Electron. J. Combin. 3 (1996); Combinatorics
+of Coxeter Groups, GTM 231, section 8.3).  With n = k+1 and j ranging over
+all integers,
+
+    rd(w).values[m] = #{j < p : w(j) > w(p)}   for p = m+1,
+    ri(w).values[m] = #{j > p : w(j) < w(p)}   for p in 1..n, p = -m (mod n),
+
+so both are read off the window in O(n^2) integer operations.  The greedy
+decomposition that strips maximal rows is kept as a test oracle,
+`oracles.kcode_by_stripping`.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 from .affine import (
@@ -109,56 +120,40 @@ def u_elem(A: IndexSet) -> AffinePermutation:
     return inverse(d_elem(A))
 
 
-def _max_strippable_row(w: AffinePermutation, increasing: bool) -> frozenset[int]:
-    """Largest A whose (in/de)creasing element splits off w on the right.
+def rd(w: AffinePermutation) -> KCode:
+    """k-code of the maximal decomposition into cyclically decreasing factors.
 
-    Splitting off means l(w x^-1) = l(w) - |A| for x = u_A or d_A.  The
-    maximal decomposition theory guarantees a unique such A of maximal
-    size; a tie would mean the implementation is broken, so it aborts.
+    Column m counts the integers j < p with w(j) > w(p), for p = m+1.  For
+    0-based window positions p, q the translates j = q+1+tn qualify when
+    t <= -[q >= p] and t > (w(p+1) - w(q+1))/n, so there are
+    max(0, -floor((w(p+1) - w(q+1))/n) - [q >= p]) of them.
     """
     n = w.k + 1
-    for r in range(w.k, 0, -1):
-        hits = []
-        for combo in itertools.combinations(range(n), r):
-            A = IndexSet._trusted(w.k, frozenset(combo))
-            x = u_elem(A) if increasing else d_elem(A)
-            if mul(w, inverse(x)).length == w.length - r:
-                hits.append(A.members)
-        if len(hits) > 1:
-            raise RuntimeError(
-                f"ambiguous maximal row for {w!r}: {sorted(map(sorted, hits))}"
-            )
-        if hits:
-            return hits[0]
-    return frozenset()
-
-
-def _decompose(w: AffinePermutation, increasing: bool) -> KCode:
-    n = w.k + 1
-    if w.is_identity():
-        return KCode(w.k, (0,) * n)
-    row = _max_strippable_row(w, increasing)
-    x = u_elem(IndexSet(w.k, row)) if increasing else d_elem(IndexSet(w.k, row))
-    rest = _decompose(mul(w, inverse(x)), increasing)
-    # Stripping the bottom row shifts the remaining columns left by one.
-    values = []
-    for i in range(n):
-        above = rest.values[(i - 1) % n]
-        residue = i if not increasing else (-i) % n
-        if above and residue not in row:
-            raise RuntimeError(f"column {i} of {w!r} is not bottom-justified")
-        values.append(above + (1 if residue in row else 0))
-    return KCode(w.k, tuple(values))
-
-
-def rd(w: AffinePermutation) -> KCode:
-    """k-code of the maximal decomposition into cyclically decreasing factors."""
-    return _decompose(w, increasing=False)
+    win = w.window
+    return KCode(
+        w.k,
+        tuple(
+            sum(max(0, -((wp - wq) // n) - (q >= p)) for q, wq in enumerate(win))
+            for p, wp in enumerate(win)
+        ),
+    )
 
 
 def ri(w: AffinePermutation) -> KCode:
-    """k-code of the maximal decomposition into cyclically increasing factors."""
-    return _decompose(w, increasing=True)
+    """k-code of the maximal decomposition into cyclically increasing factors.
+
+    Column m counts the integers j > p with w(j) < w(p), for the p in 1..n
+    with p = -m (mod n), that is 0-based window position n-1-m.  Mirroring
+    the count of `rd`, window position q gives
+    max(0, -floor((w(q+1) - w(p+1))/n) - [q <= p]) translates for 0-based p.
+    """
+    n = w.k + 1
+    win = w.window
+    later = [
+        sum(max(0, -((wq - wp) // n) - (q <= p)) for q, wq in enumerate(win))
+        for p, wp in enumerate(win)
+    ]
+    return KCode(w.k, tuple(reversed(later)))
 
 
 def code_rows(code: KCode, increasing: bool = False) -> list[IndexSet]:

@@ -5,7 +5,8 @@ order live inside the length ball of the elements involved, so meets are
 decided exactly.  Upper bounds are unbounded in an infinite group, so join
 queries are answered relative to an explicit ball and report "not certified
 in this ball" separately from a definite answer; callers assert claims only
-on certified instances.
+on certified instances.  The greedy row-stripping k-code decomposition lives
+here too: it is the definition the closed forms of `kcode` are tested against.
 """
 
 from __future__ import annotations
@@ -15,11 +16,15 @@ from dataclasses import dataclass
 
 from .affine import (
     AffinePermutation,
+    IndexSet,
     bruhat_leq,
     from_word,
+    inverse,
+    mul,
     reduced_word,
     weak_leq,
 )
+from .kcode import KCode, d_elem, u_elem
 
 __all__ = [
     "subword_lower_set",
@@ -32,6 +37,7 @@ __all__ = [
     "weak_join_in_ball",
     "saturated_chain_exists",
     "subset_chain_exists",
+    "kcode_by_stripping",
 ]
 
 
@@ -195,3 +201,50 @@ def subset_chain_exists(
         if not frontier:
             return False
     return B in frontier
+
+
+def _max_strippable_row(w: AffinePermutation, increasing: bool) -> frozenset[int]:
+    """Largest A whose (in/de)creasing element splits off w on the right.
+
+    Splitting off means l(w x^-1) = l(w) - |A| for x = u_A or d_A.  The
+    maximal decomposition theory guarantees a unique such A of maximal
+    size; a tie would mean the implementation is broken, so it aborts.
+    """
+    n = w.k + 1
+    for r in range(w.k, 0, -1):
+        hits = []
+        for combo in itertools.combinations(range(n), r):
+            A = IndexSet._trusted(w.k, frozenset(combo))
+            x = u_elem(A) if increasing else d_elem(A)
+            if mul(w, inverse(x)).length == w.length - r:
+                hits.append(A.members)
+        if len(hits) > 1:
+            raise RuntimeError(
+                f"ambiguous maximal row for {w!r}: {sorted(map(sorted, hits))}"
+            )
+        if hits:
+            return hits[0]
+    return frozenset()
+
+
+def kcode_by_stripping(w: AffinePermutation, increasing: bool) -> KCode:
+    """k-code by the definition: strip the largest row off w, then recurse.
+
+    Each row tries all 2^(k+1) residue subsets; test oracle for
+    `kcode.rd` (decreasing) and `kcode.ri` (increasing).
+    """
+    n = w.k + 1
+    if w.is_identity():
+        return KCode(w.k, (0,) * n)
+    row = _max_strippable_row(w, increasing)
+    x = u_elem(IndexSet(w.k, row)) if increasing else d_elem(IndexSet(w.k, row))
+    rest = kcode_by_stripping(mul(w, inverse(x)), increasing)
+    # Stripping the bottom row shifts the remaining columns left by one.
+    values = []
+    for i in range(n):
+        above = rest.values[(i - 1) % n]
+        residue = i if not increasing else (-i) % n
+        if above and residue not in row:
+            raise RuntimeError(f"column {i} of {w!r} is not bottom-justified")
+        values.append(above + (1 if residue in row else 0))
+    return KCode(w.k, tuple(values))

@@ -199,7 +199,16 @@ def pieri_kk(lam: KBoundedPartition, r: int) -> SymElt:
 
 def h_mult(elt: SymElt, r: int) -> SymElt:
     """Multiply by h_r in the ks or g basis (h_0 acts as the identity)."""
-    if r == 0:
+    return h_monomial_mult(elt, (r,))
+
+
+def h_monomial_mult(elt: SymElt, parts: tuple[int, ...]) -> SymElt:
+    """Multiply by a whole h monomial, largest generator first.
+
+    The steps pass a plain dict along; the result is sorted once.
+    """
+    steps = [r for r in sorted(parts, reverse=True) if r]
+    if not steps:
         return elt
     if elt.basis == "ks":
         rule = pieri_kschur
@@ -207,19 +216,14 @@ def h_mult(elt: SymElt, r: int) -> SymElt:
         rule = pieri_kk
     else:
         raise ValueError("h_mult needs the ks or g basis")
-    acc: dict[tuple[int, ...], int] = {}
-    for parts, c in elt.coeffs:
-        for q, v in rule(KBoundedPartition._trusted(elt.k, parts), r).coeffs:
-            acc[q] = acc.get(q, 0) + c * v
+    acc = dict(elt.coeffs)
+    for r in steps:
+        terms, acc = acc, {}
+        for p, c in terms.items():
+            if c:
+                for q, v in rule(KBoundedPartition._trusted(elt.k, p), r).coeffs:
+                    acc[q] = acc.get(q, 0) + c * v
     return SymElt._trusted(elt.k, elt.basis, acc)
-
-
-def h_monomial_mult(elt: SymElt, parts: tuple[int, ...]) -> SymElt:
-    """Multiply by a whole h monomial, largest generator first."""
-    out = elt
-    for r in sorted(parts, reverse=True):
-        out = h_mult(out, r)
-    return out
 
 
 @functools.lru_cache(maxsize=None)

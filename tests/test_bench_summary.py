@@ -29,7 +29,8 @@ def test_summary_of_pairs_and_traced_runs(tmp_path):
             metrics["verdict_s"] = verdict
             metrics["queries_per_s"] = 2.0 if side == "change" else 1.0
             _write(tmp_path / side / "factorization-sweep" / "seed1" / f"{i}.out", metrics)
-        traced = {"trace.wall_s": 3.0, "symfunc.pieri_kk.self_s": 2.0 if side == "parent" else 0.1}
+        traced = {"trace.wall_s": 3.0, "symfunc.pieri_kk.self_s": 2.0 if side == "parent" else 0.1,
+                  "affine.mul.calls": 107114 if side == "parent" else 58030}
         _write(tmp_path / side / "factorization-sweep" / "seed1" / "trace0.out", traced)
 
     summary = bench_summary.summarise(tmp_path)
@@ -44,6 +45,8 @@ def test_summary_of_pairs_and_traced_runs(tmp_path):
     assert seed["end_to_end"]["setup_s"]["change_wins"] == 0  # ties count for neither
     assert seed["traced"]["symfunc.pieri_kk.self_s"] == {"unit": "s", "parent": 2.0,
                                                          "change": 0.1}
+    assert seed["traced"]["affine.mul.calls"] == {"unit": "s", "parent": 107114,
+                                                  "change": 58030}
     assert "partitions.KBoundedPartition.new" not in seed["traced"]  # absent from the runs
 
 

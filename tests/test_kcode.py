@@ -26,6 +26,7 @@ from affineschur.kcode import (
     sh,
     u_elem,
 )
+from affineschur.oracles import kcode_by_stripping
 
 
 def all_index_sets(k, sizes=None):
@@ -114,6 +115,27 @@ def test_rd_bijective_on_ball(k, L):
         codei = ri(w)
         assert codei.size == w.length
         assert eval_code(codei, increasing=True) == w
+
+
+def assert_codes_match_stripping(w):
+    code, codei = rd(w), ri(w)
+    assert code == kcode_by_stripping(w, increasing=False)
+    assert codei == kcode_by_stripping(w, increasing=True)
+    assert 0 in code.values and 0 in codei.values
+
+
+@pytest.mark.parametrize("k,L", [(1, 6), (2, 6), (3, 6), (4, 5)])
+def test_codes_equal_stripping_oracle_on_ball(k, L):
+    # the inversion-count closed forms against the greedy definition
+    for w in ball(k, L):
+        assert_codes_match_stripping(w)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=8), max_size=14))
+def test_codes_equal_stripping_oracle_at_k8(word):
+    # n = 9, where the longest cold CLI queries live
+    assert_codes_match_stripping(from_word(8, word))
 
 
 def all_codes(k, max_sum):

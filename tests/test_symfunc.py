@@ -19,6 +19,7 @@ from affineschur.symfunc import (
     gtilde_pieri,
     gtilde_pieri_direct,
     gtilde_pieri_ie,
+    h_monomial_mult,
     h_mult,
     h_to_g,
     h_to_ks,
@@ -209,6 +210,18 @@ def test_h_mult_against_monomial_fold():
             for r in sorted(lam.parts, reverse=True):
                 acc = h_mult(acc, r)
             assert acc == h_to_g(lam)
+
+
+def test_h_monomial_mult_equals_stepwise_h_mult():
+    # one sort at the end gives the same element as sorting after every h_r
+    for k in range(1, 5):
+        for lam in kbounded_partitions(k, 6):
+            for basis in ("ks", "g"):
+                start = SymElt(k, basis, (((), 1), ((1,), -1)))
+                stepwise = start
+                for r in sorted(lam.parts, reverse=True):
+                    stepwise = h_mult(stepwise, r)
+                assert h_monomial_mult(start, lam.parts) == stepwise, (lam, basis)
 
 
 def test_product_support_dominates_weak_join():

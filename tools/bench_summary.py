@@ -40,6 +40,10 @@ TRACED = (
     "affine.self_s",
     "affine.AffinePermutation.new",
     "kcode.self_s",
+    "kcode.rd.self_s",
+    "kcode.ri.self_s",
+    "affine.mul.calls",
+    "affine.inverse.calls",
     "orderlab.self_s",
     "symfunc.pieri_kk.self_s",
     "symfunc.pieri_kk.calls",
