@@ -7,6 +7,8 @@ queries are answered relative to an explicit ball and report "not certified
 in this ball" separately from a definite answer; callers assert claims only
 on certified instances.  The greedy row-stripping k-code decomposition lives
 here too: it is the definition the closed forms of `kcode` are tested against.
+So does the Bruhat scan of a strong lower ideal of bounded partitions, which
+the core-containment ideals of `symfunc` are tested against.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .affine import (
     weak_leq,
 )
 from .kcode import KCode, d_elem, u_elem
+from .partitions import KBoundedPartition, kbounded_partitions
+from .shapes import bounded_to_perm
 
 __all__ = [
     "subword_lower_set",
@@ -38,6 +42,7 @@ __all__ = [
     "saturated_chain_exists",
     "subset_chain_exists",
     "kcode_by_stripping",
+    "strong_lower_ideal_by_bruhat",
 ]
 
 
@@ -248,3 +253,16 @@ def kcode_by_stripping(w: AffinePermutation, increasing: bool) -> KCode:
             raise RuntimeError(f"column {i} of {w!r} is not bottom-justified")
         values.append(above + (1 if residue in row else 0))
     return KCode(w.k, tuple(values))
+
+
+def strong_lower_ideal_by_bruhat(lam: KBoundedPartition) -> tuple[KBoundedPartition, ...]:
+    """All k-bounded mu with w_mu <= w_lam, by one strong-order test each.
+
+    Test oracle for `symfunc.bruhat_lower_partitions`.
+    """
+    w = bounded_to_perm(lam)
+    out = []
+    for mu in kbounded_partitions(lam.k, lam.size):
+        if bruhat_leq(bounded_to_perm(mu), w):
+            out.append(mu)
+    return tuple(out)

@@ -132,9 +132,15 @@ def partitions_of(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
 
 
 def kbounded_partitions(k: int, max_size: int) -> list[KBoundedPartition]:
-    """All k-bounded partitions of size <= max_size, by (size, revlex) order."""
-    out = []
-    for n in range(max_size + 1):
-        for parts in partitions_of(n, k):
-            out.append(KBoundedPartition(k, parts))
-    return out
+    """All k-bounded partitions of size <= max_size, by (size, revlex) order.
+
+    k is checked once; every tuple `partitions_of` yields is a k-bounded
+    partition, so none is re-validated.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return [
+        KBoundedPartition._trusted(k, parts)
+        for n in range(max_size + 1)
+        for parts in partitions_of(n, k)
+    ]

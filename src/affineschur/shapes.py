@@ -138,8 +138,35 @@ def perm_to_bounded(w: AffinePermutation) -> KBoundedPartition:
     return core_to_bounded(perm_to_core(w))
 
 
+def _core_rows(lam: KBoundedPartition) -> tuple[int, ...]:
+    """Rows of the (k+1)-core of lam, by row sliding (see `bounded_to_core`)."""
+    k = lam.k
+    heights: list[int] = []  # cells per column among the rows placed so far
+    rows = []
+    for p in reversed(lam.parts):
+        s = 0
+        while s < len(heights) and p + heights[s] > k:
+            s += 1
+        length = s + p
+        for c in range(min(length, len(heights))):
+            heights[c] += 1
+        heights.extend([1] * (length - len(heights)))
+        rows.append(length)
+    return tuple(reversed(rows))
+
+
 def bounded_to_core(lam: KBoundedPartition) -> CorePartition:
-    return perm_to_core(bounded_to_perm(lam))
+    """The (k+1)-core of lam, by Lapointe–Morse row sliding.
+
+    Rows are placed bottom-up.  Row i is shifted right by the least s with
+    lam_i + (height of the rows below at column s+1) <= k, which is the
+    hook length of its cell in column s+1, and the core row is s + lam_i
+    long (Lapointe–Morse, "Tableaux on k+1-cores, reduced words for affine
+    permutations, and k-Schur expansions", JCTA 2005).  The result equals
+    `perm_to_core(bounded_to_perm(lam))`, which the tests replay, and goes
+    through the validating `CorePartition` constructor.
+    """
+    return CorePartition(lam.k, _core_rows(lam))
 
 
 def k_transpose(lam: KBoundedPartition) -> KBoundedPartition:

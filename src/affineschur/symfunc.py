@@ -15,7 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .affine import IndexSet, bruhat_leq
+from .affine import IndexSet
 from .partitions import (
     KBoundedPartition,
     k_rectangle,
@@ -23,6 +23,7 @@ from .partitions import (
     union_sort,
 )
 from .shapes import (
+    _core_rows,
     bounded_to_perm,
     perm_to_bounded,
     setvalued_strips,
@@ -309,15 +310,37 @@ def product_ks(a: SymElt, b: SymElt) -> SymElt:
     return _product_via_h(a, b, ks_to_h)
 
 
+def _strong_ideal_union(tops: list[KBoundedPartition]) -> list[KBoundedPartition]:
+    """Every mu below one of `tops` in the strong order, by one pass over the
+    k-bounded partitions up to the largest top (see `bruhat_lower_partitions`).
+
+    A core has as many rows as its bounded partition, so longer candidates
+    are skipped before their core is built.
+    """
+    cores = [_core_rows(top) for top in tops]
+    rows_max = max(len(c) for c in cores)
+    out = []
+    for mu in kbounded_partitions(tops[0].k, max(top.size for top in tops)):
+        if len(mu.parts) > rows_max:
+            continue
+        rows = _core_rows(mu)
+        if any(len(rows) <= len(c) and all(a <= b for a, b in zip(rows, c)) for c in cores):
+            out.append(mu)
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def bruhat_lower_partitions(lam: KBoundedPartition) -> tuple[KBoundedPartition, ...]:
-    """All k-bounded mu with w_mu <= w_lam in the strong order."""
-    w = bounded_to_perm(lam)
-    out = []
-    for mu in kbounded_partitions(lam.k, lam.size):
-        if bruhat_leq(bounded_to_perm(mu), w):
-            out.append(mu)
-    return tuple(out)
+    """All k-bounded mu with w_mu <= w_lam in the strong order.
+
+    On 0-dominant (affine Grassmannian) elements the strong order is
+    containment of (k+1)-cores (Lascoux, "Ordering the affine symmetric
+    group", 2001; Lapointe–Morse, JCTA 2005): mu is kept when its core has
+    at most as many rows as the core of lam and each row is at most the
+    matching row there.  The Bruhat scan this replaces is kept as the test
+    oracle `oracles.strong_lower_ideal_by_bruhat`.
+    """
+    return tuple(_strong_ideal_union([lam]))
 
 
 def gtilde(lam: KBoundedPartition) -> SymElt:
@@ -329,15 +352,13 @@ def gtilde_pieri(lam: KBoundedPartition, r: int) -> SymElt:
     """gtilde(lam) times h_0 + ... + h_r, in closed form.
 
     The product is the 0/1 indicator sum over the union of the lower
-    ideals of the size-r weak-strip tops.
+    ideals of the size-r weak-strip tops, found in one pass over the
+    candidates against the cores of all tops.
     """
     if not 0 <= r <= lam.k:
         raise ValueError(f"need 0 <= r <= k, got r={r}, k={lam.k}")
-    seen: set[tuple[int, ...]] = set()
-    for A in weak_strips(lam, r):
-        for mu in bruhat_lower_partitions(strip_top(lam, A)):
-            seen.add(mu.parts)
-    return SymElt._trusted(lam.k, "g", {p: 1 for p in seen})
+    tops = [strip_top(lam, A) for A in weak_strips(lam, r)]
+    return SymElt._trusted(lam.k, "g", {mu.parts: 1 for mu in _strong_ideal_union(tops)})
 
 
 def gtilde_pieri_direct(lam: KBoundedPartition, r: int) -> SymElt:

@@ -30,8 +30,15 @@ def test_summary_of_pairs_and_traced_runs(tmp_path):
             metrics["queries_per_s"] = 2.0 if side == "change" else 1.0
             _write(tmp_path / side / "factorization-sweep" / "seed1" / f"{i}.out", metrics)
         traced = {"trace.wall_s": 3.0, "symfunc.pieri_kk.self_s": 2.0 if side == "parent" else 0.1,
-                  "affine.mul.calls": 107114 if side == "parent" else 58030}
+                  "affine.mul.calls": 107114 if side == "parent" else 58030,
+                  "affine.bruhat_leq.misses": 40122 if side == "parent" else 0}
         _write(tmp_path / side / "factorization-sweep" / "seed1" / "trace0.out", traced)
+        # self times run.py does not print come from the trace file; printed ones win
+        names = {"symfunc.bruhat_lower_partitions": {"calls": 83,
+                                                     "self_s": 3.6 if side == "parent" else 0.5},
+                 "symfunc.pieri_kk": {"calls": 9, "self_s": 99.0}}
+        (tmp_path / side / "factorization-sweep" / "seed1" / "trace0.trace.json").write_text(
+            json.dumps({"names": names, "memos": {}}))
 
     summary = bench_summary.summarise(tmp_path)
     seed = summary["workloads"]["factorization-sweep"]["seed1"]
@@ -47,6 +54,10 @@ def test_summary_of_pairs_and_traced_runs(tmp_path):
                                                          "change": 0.1}
     assert seed["traced"]["affine.mul.calls"] == {"unit": "s", "parent": 107114,
                                                   "change": 58030}
+    assert seed["traced"]["symfunc.bruhat_lower_partitions.self_s"] == {
+        "unit": "s", "parent": 3.6, "change": 0.5}
+    assert seed["traced"]["affine.bruhat_leq.misses"] == {"unit": "s", "parent": 40122,
+                                                          "change": 0}
     assert "partitions.KBoundedPartition.new" not in seed["traced"]  # absent from the runs
 
 

@@ -4,12 +4,14 @@ import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from affineschur import cli
 from affineschur.cli import main, parse_partition
 
+GTILDE_GOLDEN = Path(__file__).parent / "data" / "gtilde_golden.json"
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -80,6 +82,14 @@ def test_gtilde_side_by_side():
     assert union == {(), (1,), (2,), (1, 1)}
     ie = {tuple(t["parts"]): int(t["coeff"]) for t in blob["inclusion_exclusion"]}
     assert ie == {(2,): 1, (1, 1): 1, (1,): -1}
+
+
+def test_gtilde_matches_golden_outputs():
+    # --format json stdout and exit codes at k = 5..8, recorded before the
+    # strong-order ideals were read off (k+1)-cores
+    for case in json.loads(GTILDE_GOLDEN.read_text())["cases"]:
+        code, out, _ = run_cli(*case["argv"])
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
 
 
 def test_table1_rows():

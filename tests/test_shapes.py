@@ -1,6 +1,7 @@
 """Bounded/core/permutation bijections, strips, and the rotation lemma."""
 
 import itertools
+import random
 
 import pytest
 
@@ -23,6 +24,7 @@ from affineschur.partitions import (
 )
 from affineschur.shapes import (
     WeakStrip,
+    _core_rows,
     bounded_to_core,
     bounded_to_perm,
     core_action,
@@ -115,6 +117,18 @@ def test_bijection_coherence(k):
         assert w.is_grassmannian() and w.length == lam.size
         assert perm_to_core(w) == core
         assert perm_to_bounded(w) == lam
+
+
+def test_core_rows_equal_reading_word_route():
+    # row sliding against acting on the empty core along the reading word
+    for k in range(1, 5):
+        for lam in kbounded_partitions(k, 10):
+            assert _core_rows(lam) == perm_to_core(bounded_to_perm(lam)).parts, lam
+
+
+def test_core_rows_equal_reading_word_route_at_k8():
+    for lam in random.Random(17).sample(kbounded_partitions(8, 17), 80):
+        assert _core_rows(lam) == perm_to_core(bounded_to_perm(lam)).parts, lam
 
 
 def test_codes_of_grassmannian_elements():

@@ -1,17 +1,19 @@
 """Exact basis arithmetic, Pieri rules, ideal sums, and factorization."""
 
 import json
+import random
 
 import pytest
 
 from affineschur import symfunc
 from affineschur.affine import ball, weak_leq
-from affineschur.oracles import weak_join_in_ball
+from affineschur.oracles import strong_lower_ideal_by_bruhat, weak_join_in_ball
 from affineschur.partitions import KBoundedPartition, kbounded_partitions
-from affineschur.shapes import bounded_to_perm
+from affineschur.shapes import bounded_to_perm, strip_top, weak_strips
 from affineschur.symfunc import (
     SymElt,
     _invert_unitriangular,
+    bruhat_lower_partitions,
     expand_gtilde_combination,
     g_to_h,
     gtilde,
@@ -163,6 +165,33 @@ def test_gtilde_pieri_examples():
     assert gtilde_pieri(P(3, 1), 0) == gtilde(P(3, 1))
 
 
+def test_strong_ideal_equals_bruhat_scan_oracle():
+    # core containment against one strong-order comparison per candidate
+    for k in range(1, 5):
+        for lam in kbounded_partitions(k, 8):
+            assert bruhat_lower_partitions(lam) == strong_lower_ideal_by_bruhat(lam), lam
+
+
+def test_strong_ideal_equals_bruhat_scan_oracle_at_k8():
+    # strip tops of the k = 8 gtilde queries reach size 17
+    candidates = [lam for lam in kbounded_partitions(8, 17) if lam.size >= 9]
+    for lam in random.Random(8).sample(candidates, 12):
+        assert bruhat_lower_partitions(lam) == strong_lower_ideal_by_bruhat(lam), lam
+
+
+def test_gtilde_pieri_equals_union_of_top_ideals():
+    # the single scan against the cores of all strip tops at once
+    for k in range(1, 5):
+        for lam in kbounded_partitions(k, 5):
+            for r in range(k + 1):
+                union = {
+                    mu.parts
+                    for A in weak_strips(lam, r)
+                    for mu in bruhat_lower_partitions(strip_top(lam, A))
+                }
+                assert gtilde_pieri(lam, r).as_mapping() == dict.fromkeys(union, 1), (lam, r)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_gtilde_pieri_forms_agree(k):
     for lam in kbounded_partitions(k, 5):
@@ -293,6 +322,16 @@ def test_trusted_partitions_pass_validation(monkeypatch):
     assert made
     for lam in made:
         assert KBoundedPartition(lam.k, lam.parts) == lam
+
+
+def test_kbounded_partitions_pass_validation():
+    for k in range(1, 9):
+        made = kbounded_partitions(k, 10)
+        assert len(set(made)) == len(made)
+        for lam in made:
+            assert KBoundedPartition(lam.k, lam.parts) == lam
+    with pytest.raises(ValueError):
+        kbounded_partitions(0, 3)
 
 
 def test_pieri_memos_can_be_cleared():

@@ -8,8 +8,11 @@ RUNS holds the standard output of one `schurbench/run.py` invocation per
 file, laid out as RUNS/<side>/<workload>/seed<S>/<name>.out, where <side> is
 `parent` or `change`.  Only the last line of each file is read: the JSON
 object run.py prints.  Runs of `--trace 1` are told apart by their per-layer
-metrics.  Files of the same name under the two sides form a pair, so run
-the pairs alternately, for example:
+metrics.  Per-function self times that run.py does not print (such as
+`symfunc.bruhat_lower_partitions.self_s`) are read from a traced run's trace
+file, schurbench/out/trace-<workload>-seed<S>-trace1.json, when it is copied
+next to the run as <name>.trace.json.  Files of the same name under the two
+sides form a pair, so run the pairs alternately, for example:
 
     for i in 0 1 2 3 4 5 6 7 8 9; do
       for side in parent change; do   # swap the order on odd i
@@ -44,6 +47,8 @@ TRACED = (
     "kcode.ri.self_s",
     "affine.mul.calls",
     "affine.inverse.calls",
+    "affine.bruhat_leq.misses",
+    "symfunc.bruhat_lower_partitions.self_s",
     "orderlab.self_s",
     "symfunc.pieri_kk.self_s",
     "symfunc.pieri_kk.calls",
@@ -79,6 +84,18 @@ def last_json(path: Path) -> dict:
     if not lines:
         raise ValueError(f"{path}: no output")
     return json.loads(lines[-1])
+
+
+def load_run(path: Path) -> dict:
+    """One run's result, with the self times of its trace file when there is one."""
+    result = last_json(path)
+    trace_path = path.with_suffix(".trace.json")
+    if trace_path.is_file():
+        names = json.loads(trace_path.read_text())["names"]
+        self_times = {f"{key}.self_s": {"value": stat["self_s"], "unit": "s"}
+                      for key, stat in names.items()}
+        result["metrics"] = {**self_times, **result["metrics"]}
+    return result
 
 
 def spread(values: list[float]) -> dict:
@@ -141,7 +158,7 @@ def summarise(runs_dir: Path) -> dict:
     for side in SIDES:
         for path in sorted((runs_dir / side).glob("*/seed*/*.out")):
             key = (path.parent.parent.name, path.parent.name)
-            found.setdefault(key, {s: {} for s in SIDES})[side][path.stem] = last_json(path)
+            found.setdefault(key, {s: {} for s in SIDES})[side][path.stem] = load_run(path)
     if not found:
         raise ValueError(f"no runs under {runs_dir}/{{parent,change}}/<workload>/seed<S>/")
     workloads: dict[str, dict] = {}
