@@ -21,7 +21,6 @@ __all__ = [
     "BallCapExceeded",
     "BALL_CAP",
     "identity",
-    "simple",
     "from_word",
     "length",
     "mul",
@@ -226,12 +225,6 @@ def _check_same_rank(u: AffinePermutation, v: AffinePermutation) -> None:
 @functools.lru_cache(maxsize=None)
 def identity(k: int) -> AffinePermutation:
     return AffinePermutation(k, range(1, k + 2))
-
-
-@functools.lru_cache(maxsize=None)
-def simple(k: int, i: int) -> AffinePermutation:
-    """The generator s_i as a group element."""
-    return right_mul_s(identity(k), i)
 
 
 def left_mul_s(w: AffinePermutation, i: int) -> AffinePermutation:

@@ -8,7 +8,8 @@ in this ball" separately from a definite answer; callers assert claims only
 on certified instances.  The greedy row-stripping k-code decomposition lives
 here too: it is the definition the closed forms of `kcode` are tested against.
 So does the Bruhat scan of a strong lower ideal of bounded partitions, which
-the core-containment ideals of `symfunc` are tested against.
+the core-containment ideals of `symfunc` are tested against, and the
+residue-action walk on cores, the oracle of the conversions of `shapes`.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from .affine import (
     weak_leq,
 )
 from .kcode import KCode, d_elem, u_elem
-from .partitions import KBoundedPartition, kbounded_partitions
-from .shapes import bounded_to_perm
+from .partitions import CorePartition, KBoundedPartition, kbounded_partitions
+from .shapes import bounded_to_perm, core_action
 
 __all__ = [
     "subword_lower_set",
-    "subword_bruhat_leq",
     "bruhat_lower_set",
     "strong_meet",
     "JoinStatus",
@@ -43,6 +43,7 @@ __all__ = [
     "subset_chain_exists",
     "kcode_by_stripping",
     "strong_lower_ideal_by_bruhat",
+    "core_by_residue_action",
 ]
 
 
@@ -56,11 +57,6 @@ def subword_lower_set(v: AffinePermutation) -> frozenset[AffinePermutation]:
             if u.length == size:
                 out.add(u)
     return frozenset(out)
-
-
-def subword_bruhat_leq(u: AffinePermutation, v: AffinePermutation) -> bool:
-    """Exponential subword-property test; test oracle for bruhat_leq."""
-    return u in subword_lower_set(v)
 
 
 def bruhat_lower_set(
@@ -266,3 +262,14 @@ def strong_lower_ideal_by_bruhat(lam: KBoundedPartition) -> tuple[KBoundedPartit
         if bruhat_leq(bounded_to_perm(mu), w):
             out.append(mu)
     return tuple(out)
+
+
+def core_by_residue_action(w: AffinePermutation) -> CorePartition:
+    """Act on the empty core along a reduced word of a Grassmannian element;
+    test oracle for `shapes.perm_to_bounded` and `shapes.bounded_to_core`."""
+    if not w.is_grassmannian():
+        raise ValueError(f"{w!r} is not affine Grassmannian")
+    kappa = CorePartition(w.k, ())
+    for i in reversed(reduced_word(w).letters):
+        kappa = core_action(i, kappa)
+    return kappa

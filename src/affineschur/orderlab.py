@@ -105,14 +105,6 @@ class ZSets:
                     f"grassmannian plus family of {self.u!r} has no maximum"
                 )
 
-    def index_sets(self, which: str) -> list[IndexSet]:
-        fam = getattr(self, which)
-        if fam is None:
-            raise ValueError(f"{which} family was not computed for {self.u!r}")
-        return sorted(
-            (IndexSet(self.u.k, A) for A in fam), key=lambda a: (len(a), a.sorted())
-        )
-
     def as_dict(self) -> dict:
         out = {
             "u": self.u.as_dict(),

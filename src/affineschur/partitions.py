@@ -31,12 +31,6 @@ def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def hook_length(parts: tuple[int, ...], i: int, j: int) -> int:
-    """Hook length of the cell in (0-indexed) row i, column j."""
-    conj = conjugate(parts)
-    return (parts[i] - j) + (conj[j] - i) - 1
-
-
 @dataclass(frozen=True)
 class KBoundedPartition:
     """Partition whose parts are all at most k."""

@@ -2,7 +2,8 @@
 
 The three incarnations of the same object: a k-bounded partition, its
 (k+1)-core, and the 0-dominant affine permutation whose residue reading
-word builds it.  Also: the residue action on cores, the k-transpose, weak
+word builds it; each conversion has one route, and the residue-action walk
+is its oracle.  Also: the residue action on cores, the k-transpose, weak
 and set-valued strips, and the index-rotation automorphism.
 """
 
@@ -22,7 +23,7 @@ from .affine import (
     mul,
     reduced_word,
 )
-from .kcode import d_elem
+from .kcode import d_elem, rd, sh
 from .partitions import (
     CorePartition,
     KBoundedPartition,
@@ -123,19 +124,19 @@ def bounded_to_perm(lam: KBoundedPartition) -> AffinePermutation:
     return w
 
 
-@functools.lru_cache(maxsize=None)
 def perm_to_core(w: AffinePermutation) -> CorePartition:
-    """Act on the empty core along a reduced word of a Grassmannian element."""
+    """The (k+1)-core of a Grassmannian element, through its bounded partition."""
+    return bounded_to_core(perm_to_bounded(w))
+
+
+@functools.lru_cache(maxsize=None)
+def perm_to_bounded(w: AffinePermutation) -> KBoundedPartition:
+    """The shape of the decreasing k-code: the rows of lam are the cyclically
+    decreasing factors of its reading word (Lapointe–Morse, JCTA 2005).
+    Test oracle: `oracles.core_by_residue_action`."""
     if not w.is_grassmannian():
         raise ValueError(f"{w!r} is not affine Grassmannian")
-    kappa = CorePartition(w.k, ())
-    for i in reversed(reduced_word(w).letters):
-        kappa = core_action(i, kappa)
-    return kappa
-
-
-def perm_to_bounded(w: AffinePermutation) -> KBoundedPartition:
-    return core_to_bounded(perm_to_core(w))
+    return sh(rd(w))
 
 
 def _core_rows(lam: KBoundedPartition) -> tuple[int, ...]:
@@ -162,9 +163,9 @@ def bounded_to_core(lam: KBoundedPartition) -> CorePartition:
     lam_i + (height of the rows below at column s+1) <= k, which is the
     hook length of its cell in column s+1, and the core row is s + lam_i
     long (Lapointe–Morse, "Tableaux on k+1-cores, reduced words for affine
-    permutations, and k-Schur expansions", JCTA 2005).  The result equals
-    `perm_to_core(bounded_to_perm(lam))`, which the tests replay, and goes
-    through the validating `CorePartition` constructor.
+    permutations, and k-Schur expansions", JCTA 2005).  The tests replay it
+    against `oracles.core_by_residue_action`; the result goes through the
+    validating `CorePartition` constructor.
     """
     return CorePartition(lam.k, _core_rows(lam))
 

@@ -127,13 +127,6 @@ class SymElt:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        return max((sum(p) for p, _ in self.coeffs), default=0)
-
-    def top_degree_part(self) -> "SymElt":
-        d = self.degree()
-        return SymElt(self.k, self.basis, tuple((p, c) for p, c in self.coeffs if sum(p) == d))
-
     def __add__(self, other: "SymElt") -> "SymElt":
         self._check_compatible(other)
         return SymElt(self.k, self.basis, self.coeffs + other.coeffs)
@@ -227,19 +220,18 @@ def h_monomial_mult(elt: SymElt, parts: tuple[int, ...]) -> SymElt:
     return SymElt._trusted(elt.k, elt.basis, acc)
 
 
-@functools.lru_cache(maxsize=None)
 def h_to_g(mu: KBoundedPartition) -> SymElt:
     """Expansion of the h monomial of mu in the g basis, by iterated Pieri."""
     return h_monomial_mult(SymElt.unit(mu.k, "g"), mu.parts)
 
 
-@functools.lru_cache(maxsize=None)
 def h_to_ks(mu: KBoundedPartition) -> SymElt:
     """Expansion of the h monomial of mu in the ks basis (homogeneous)."""
     return h_monomial_mult(SymElt.unit(mu.k, "ks"), mu.parts)
 
 
-# h-basis rows of the two inverted transitions, per partition.
+# h-basis rows of the two inverted transitions, per partition: the only memo
+# of the transitions, as `_invert_unitriangular` expands each partition once.
 _G2H_TABLES: dict[KBoundedPartition, dict[tuple[int, ...], int]] = {}
 _KS2H_TABLES: dict[KBoundedPartition, dict[tuple[int, ...], int]] = {}
 

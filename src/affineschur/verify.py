@@ -36,7 +36,6 @@ from .oracles import (
     saturated_chain_exists,
     subset_chain_exists,
     subword_lower_set,
-    weak_join_in_ball,
 )
 from .orderlab import (
     fiber_X,
@@ -221,9 +220,13 @@ class _BallOrder:
         i = self._index.get(z)
         return i is not None and bool(row >> i & 1)
 
-    def join(self, v: AffinePermutation, w: AffinePermutation) -> JoinStatus:
-        """Strong join within the ball; same answers as `strong_join_in_ball`."""
-        ubs = self.up(v) & self.up(w)
+    def join(
+        self, v: AffinePermutation, w: AffinePermutation, kind: str = "up"
+    ) -> JoinStatus:
+        """Strong join within the ball, or left weak join for "left-up"; same
+        answers as `strong_join_in_ball`, and as `weak_join_in_ball` for the
+        element."""
+        ubs = self._row(kind, v) & self._row(kind, w)
         if not ubs:
             return JoinStatus(None, False)
         # the first common upper bound is a shortest one; any other of its
@@ -231,7 +234,7 @@ class _BallOrder:
         m = self.elements[(ubs & -ubs).bit_length() - 1]
         if m.length >= self.radius:
             return JoinStatus(None, False)
-        return JoinStatus(None if ubs & ~self.up(m) else m, True)
+        return JoinStatus(None if ubs & ~self._row(kind, m) else m, True)
 
     def is_least_upper_bound(
         self, candidate: AffinePermutation, v: AffinePermutation, w: AffinePermutation
@@ -876,12 +879,12 @@ def verify_pieri_sum(k: int, max_size: int) -> list[CheckResult]:
             )
 
     cap = min(max_size, 3)
-    small = [p for p in kbounded_partitions(k, cap)]
-    wide = ball(k, 2 * cap + 2)
+    small = kbounded_partitions(k, cap)
+    order = _BallOrder(ball(k, 2 * cap + 2))
     for a in small:
         for b in small:
             va, vb = bounded_to_perm(a), bounded_to_perm(b)
-            j = weak_join_in_ball(va, vb, wide)
+            j = order.join(va, vb, "left-up").element
             if j is None:
                 join_bound.fail(a=list(a.parts), b=list(b.parts), reason="join not certified")
                 continue

@@ -15,6 +15,7 @@ from affineschur.affine import (
     weak_leq,
 )
 from affineschur.kcode import d_elem, rd, ri, sh
+from affineschur.oracles import core_by_residue_action
 from affineschur.partitions import (
     CorePartition,
     KBoundedPartition,
@@ -97,6 +98,10 @@ def test_perm_to_core_examples():
     assert perm_to_core(from_word(3, [0, 3, 1, 0])).parts == (2, 2)
     with pytest.raises(ValueError):
         perm_to_core(from_word(3, [1]))
+    with pytest.raises(ValueError):
+        perm_to_bounded(from_word(3, [1]))
+    with pytest.raises(ValueError):
+        core_by_residue_action(from_word(3, [1]))
 
 
 def test_k_transpose():
@@ -115,26 +120,35 @@ def test_bijection_coherence(k):
         assert core_to_bounded(core) == lam
         w = bounded_to_perm(lam)
         assert w.is_grassmannian() and w.length == lam.size
+        assert core_by_residue_action(w) == core
         assert perm_to_core(w) == core
         assert perm_to_bounded(w) == lam
 
 
+def _assert_window_routes_match_walk(lam):
+    # row sliding and the k-code shape against acting on the empty core
+    # along the reading word
+    w = bounded_to_perm(lam)
+    walked = core_by_residue_action(w)
+    assert _core_rows(lam) == walked.parts, lam
+    assert perm_to_bounded(w) == core_to_bounded(walked) == lam, lam
+
+
 def test_core_rows_equal_reading_word_route():
-    # row sliding against acting on the empty core along the reading word
     for k in range(1, 5):
         for lam in kbounded_partitions(k, 10):
-            assert _core_rows(lam) == perm_to_core(bounded_to_perm(lam)).parts, lam
+            _assert_window_routes_match_walk(lam)
 
 
 def test_core_rows_equal_reading_word_route_at_k8():
     for lam in random.Random(17).sample(kbounded_partitions(8, 17), 80):
-        assert _core_rows(lam) == perm_to_core(bounded_to_perm(lam)).parts, lam
+        _assert_window_routes_match_walk(lam)
 
 
 def test_codes_of_grassmannian_elements():
     for k in (2, 3):
         for w in grassmannian_ball(k, 6):
-            assert sh(rd(w)) == perm_to_bounded(w)
+            assert sh(rd(w)) == core_to_bounded(core_by_residue_action(w))
             assert sh(ri(w)) == k_transpose(sh(rd(w)))
 
 

@@ -232,7 +232,7 @@ def test_top_degree_examples():
 
 
 def test_h_mult_against_monomial_fold():
-    # multiplying by h_r one letter at a time matches the cached expansion
+    # multiplying by h_r one letter at a time matches the monomial expansion
     for k in (2, 3):
         for lam in kbounded_partitions(k, 4):
             acc = SymElt.unit(k, "g")

@@ -14,7 +14,10 @@ from affineschur.oracles import (
     strong_join_in_ball,
     strong_meet,
     subset_chain_exists,
+    weak_join_in_ball,
 )
+from affineschur.partitions import kbounded_partitions
+from affineschur.shapes import bounded_to_perm
 from affineschur.verify import (
     CheckResult,
     _BallOrder,
@@ -95,6 +98,9 @@ def _assert_rows_match_oracles(order, pairs, candidates):
     universe = order.elements
     for v, w in pairs:
         assert order.join(v, w) == strong_join_in_ball(v, w, universe), (v, w)
+        assert order.join(v, w, "left-up").element == weak_join_in_ball(
+            v, w, universe
+        ), (v, w)
         assert order.meet(v, w) == strong_meet(v, w, universe), (v, w)
         for c in candidates(v, w):
             assert order.is_least_upper_bound(c, v, w) == is_least_upper_bound_in_ball(
@@ -115,6 +121,12 @@ def test_ball_order_agrees_with_oracles(k, L):
 
     _assert_rows_match_oracles(
         order, [(v, w) for v in small for w in small], candidates
+    )
+    # the shape `verify_pieri_sum` joins in: Grassmannian pairs of size <= 3
+    order = _BallOrder(ball(k, 8))
+    grass = [bounded_to_perm(lam) for lam in kbounded_partitions(k, 3)]
+    _assert_rows_match_oracles(
+        order, [(v, w) for v in grass for w in grass], candidates
     )
 
 
