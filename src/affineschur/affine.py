@@ -27,6 +27,7 @@ __all__ = [
     "inverse",
     "left_mul_s",
     "right_mul_s",
+    "left_action",
     "descents",
     "bruhat_leq",
     "weak_leq",
@@ -273,6 +274,62 @@ def right_mul_s(w: AffinePermutation, i: int) -> AffinePermutation:
         win[i - 1], win[i] = win[i], win[i - 1]
     ell = w.length + 1 if up else w.length - 1
     return AffinePermutation._trusted(w.k, tuple(win), ell)
+
+
+LEFT_MODES = ("plain", "ascent", "descent", "max")
+
+
+def left_action(
+    w: AffinePermutation, letters: Iterable[int], mode: str = "plain"
+) -> AffinePermutation | None:
+    """Apply s_i on the left of w for each letter i, first letter first.
+
+    The result of letters (a_1, ..., a_m) is s_{a_m} ... s_{a_1} w.  A
+    residue -> position table beside a mutable window makes each step O(1):
+    s_i adds one to the value of residue i and takes one from the value of
+    residue i+1, and the length goes up iff w^-1(i) < w^-1(i+1), read off
+    the two positions and values.  The modes:
+
+    - "plain": every step is taken;
+    - "ascent": None at the first step that lowers the length, so a value
+      comes back iff the length grows by one per letter;
+    - "descent": None at the first step that raises the length;
+    - "max": a step that lowers the length is skipped, z -> max(z, s_i z),
+      so letters read off a reduced word of x, rightmost first, give the
+      Demazure product x * w.
+
+    One trusted value is built at the end.
+    """
+    if mode not in LEFT_MODES:
+        raise ValueError(f"mode must be one of {LEFT_MODES}, got {mode!r}")
+    k = w.k
+    n = k + 1
+    win = list(w.window)
+    pos = [0] * n
+    for p, x in enumerate(win):
+        pos[x % n] = p
+    ell = w.length
+    for i in letters:
+        if not 0 <= i <= k:
+            raise ValueError(f"letter {i} out of range 0..{k}")
+        j = i + 1 if i < k else 0
+        p, q = pos[i], pos[j]
+        # w^-1(i) = p+1 - (win[p] - i) against w^-1(i+1) = q+1 - (win[q] - i - 1)
+        up = p - win[p] <= q - win[q]
+        if up:
+            if mode == "descent":
+                return None
+            ell += 1
+        elif mode == "ascent":
+            return None
+        elif mode == "max":
+            continue
+        else:
+            ell -= 1
+        win[p] += 1
+        win[q] -= 1
+        pos[i], pos[j] = q, p
+    return AffinePermutation._trusted(k, tuple(win), ell)
 
 
 def from_word(k: int, word: Iterable[int]) -> AffinePermutation:

@@ -26,6 +26,7 @@ from .shapes import (
     perm_to_bounded,
     reading_word,
     setvalued_strips,
+    strip_top,
     weak_strips,
 )
 from .symfunc import (
@@ -150,7 +151,7 @@ def cmd_bij(cfg: RunConfig, args) -> int:
 def cmd_strips(cfg: RunConfig, args) -> int:
     lam = parse_partition(cfg.k, args.lam)
     r = cfg.r if cfg.r is not None else 1
-    weak = [WeakStrip.build(lam, A) for A in weak_strips(lam, r)]
+    weak = [WeakStrip._trusted(lam, A, strip_top(lam, A)) for A in weak_strips(lam, r)]
     rows = [
         {"kind": "weak", "A": _fmt_set(s.indices.members), "top": _fmt_parts(s.top.parts)}
         for s in weak

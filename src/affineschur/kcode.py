@@ -30,8 +30,8 @@ from .affine import (
     IndexSet,
     identity,
     inverse,
+    left_action,
     mul,
-    right_mul_s,
 )
 from .partitions import KBoundedPartition
 
@@ -39,6 +39,8 @@ __all__ = [
     "KCode",
     "cyclically_decreasing_word",
     "d_elem",
+    "d_steps",
+    "d_inverse_steps",
     "u_elem",
     "rd",
     "ri",
@@ -103,16 +105,33 @@ def cyclically_decreasing_word(A: IndexSet) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _d_from_frozen(k: int, members: frozenset[int]) -> AffinePermutation:
-    w = identity(k)
-    for a in cyclically_decreasing_word(IndexSet._trusted(k, members)):
-        w = right_mul_s(w, a)
-    return w
+def _d_from_frozen(
+    k: int, members: frozenset[int]
+) -> tuple[AffinePermutation, tuple[int, ...], tuple[int, ...]]:
+    """d_A with the left steps of d_A and of d_A^{-1} (see `d_steps`)."""
+    word = cyclically_decreasing_word(IndexSet._trusted(k, members))
+    steps = word[::-1]
+    return left_action(identity(k), steps), steps, word
 
 
 def d_elem(A: IndexSet) -> AffinePermutation:
     """Cyclically decreasing element d_A; its length is |A|."""
-    return _d_from_frozen(A.k, A.members)
+    return _d_from_frozen(A.k, A.members)[0]
+
+
+def d_steps(A: IndexSet) -> tuple[int, ...]:
+    """Letters with `left_action(w, d_steps(A))` equal to d_A w.
+
+    The cyclically decreasing word of A read backwards, its rightmost
+    letter acting first; kept in the memo of `d_elem`.
+    """
+    return _d_from_frozen(A.k, A.members)[1]
+
+
+def d_inverse_steps(A: IndexSet) -> tuple[int, ...]:
+    """Letters with `left_action(w, d_inverse_steps(A))` equal to d_A^{-1} w:
+    the cyclically decreasing word of A itself."""
+    return _d_from_frozen(A.k, A.members)[2]
 
 
 def u_elem(A: IndexSet) -> AffinePermutation:

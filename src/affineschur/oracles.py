@@ -10,6 +10,9 @@ here too: it is the definition the closed forms of `kcode` are tested against.
 So does the Bruhat scan of a strong lower ideal of bounded partitions, which
 the core-containment ideals of `symfunc` are tested against, and the
 residue-action walk on cores, the oracle of the conversions of `shapes`.
+The products with d_A and d_A^{-1}, one full group product each, are the
+oracles of the step-by-step strip, Z-set and fiber decisions, and the pair
+scan is the oracle of the bitset closure check of `orderlab`.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .affine import (
     AffinePermutation,
     IndexSet,
     bruhat_leq,
+    demazure,
     from_word,
     inverse,
     mul,
@@ -44,6 +48,10 @@ __all__ = [
     "kcode_by_stripping",
     "strong_lower_ideal_by_bruhat",
     "core_by_residue_action",
+    "d_mul",
+    "d_demazure",
+    "d_inverse_mul",
+    "closure_failure_by_pairs",
 ]
 
 
@@ -273,3 +281,40 @@ def core_by_residue_action(w: AffinePermutation) -> CorePartition:
     for i in reversed(reduced_word(w).letters):
         kappa = core_action(i, kappa)
     return kappa
+
+
+def d_mul(A: IndexSet, w: AffinePermutation) -> AffinePermutation:
+    """d_A w as one group product; oracle of `left_action` on `d_steps`."""
+    return mul(d_elem(A), w)
+
+
+def d_demazure(A: IndexSet, w: AffinePermutation) -> AffinePermutation:
+    """Demazure product d_A * w along a reduced word of d_A; oracle of the
+    "max" mode of `left_action`."""
+    return demazure(d_elem(A), w)
+
+
+def d_inverse_mul(B: IndexSet, u: AffinePermutation) -> AffinePermutation:
+    """d_B^{-1} u as one group product; oracle of `left_action` on
+    `d_inverse_steps`."""
+    return mul(inverse(d_elem(B)), u)
+
+
+def closure_failure_by_pairs(
+    name: str, fam: frozenset[frozenset[int]], k: int
+) -> str | None:
+    """The first pair whose intersection, or proper union, leaves the family.
+
+    Scans every pair of members as bitmasks; None when the family is closed.
+    Oracle of `orderlab._closure_gaps`, and the witness of its failures.
+    """
+    full = (1 << (k + 1)) - 1
+    masks = {sum(1 << i for i in A): A for A in fam}
+    for a, A in masks.items():
+        for b, B in masks.items():
+            if a & b not in masks:
+                return f"{name} not closed under intersection: {A}, {B}"
+            u = a | b
+            if u != full and u not in masks:
+                return f"{name} not closed under proper union: {A}, {B}"
+    return None

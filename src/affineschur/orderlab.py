@@ -5,6 +5,13 @@ side) and with d_A^{-1} u <=_L u (the minus side) are closed under
 intersection, and under union as long as the union stays proper.  The
 fiber of the Demazure action of d_A over u is labelled by subsets of A
 and always forms a full interval in the boolean lattice.
+
+Every A is decided by one run of generator steps on u (`affine.left_action`
+on the letters of `kcode.d_steps` or `kcode.d_inverse_steps`), with no group
+product: the run stops at the first step of the wrong direction.  The
+closure of a family is decided by bitset transforms over all 2^(k+1)
+residue masks; the pair scan and the products are the test oracles in
+`oracles`.
 """
 
 from __future__ import annotations
@@ -17,13 +24,14 @@ from .affine import (
     AffinePermutation,
     IndexSet,
     bruhat_leq,
-    demazure,
     inverse,
+    left_action,
     meet_LS,
     mul,
     reduced_word,
 )
-from .kcode import d_elem, first_row, ri
+from .kcode import d_elem, d_inverse_steps, d_steps, first_row, ri
+from .oracles import closure_failure_by_pairs
 from .partitions import KBoundedPartition
 from .shapes import bounded_to_core, is_weak_strip, strip_top
 
@@ -50,20 +58,64 @@ def _proper_subsets(k: int) -> list[frozenset[int]]:
     return out
 
 
+def _closure_gaps(masks: list[int], n: int) -> tuple[int, int]:
+    """Bitsets over the 2^n residue masks: the masks that the family would
+    need for closure under intersection and under proper union but lacks.
+
+    Bit m of an int stands for the residue mask m.  The intersection of the
+    members above m is m exactly when some member lies above m and, for
+    each residue outside m, some member above m avoids it: the superset-AND
+    transform, taken one residue at a time as shifts of whole bitsets.
+    Dually the union of the members below m is m exactly when each residue
+    of m lies in some member below m (the subset-OR transform).  A family
+    is closed iff no such m is missing from it; the empty mask and the full
+    one are exempt from the union side, as they are no proper union.
+    """
+    size = 1 << n
+    everything = (1 << size) - 1
+    fam = 0
+    for m in masks:
+        fam |= 1 << m
+    has = []  # has[i]: the masks holding residue i
+    for i in range(n):
+        block = 1 << i
+        pattern, width = ((1 << block) - 1) << block, 2 * block
+        while width < size:
+            pattern |= pattern << width
+            width *= 2
+        has.append(pattern)
+
+    def below(bits: int) -> int:  # every subset of a member
+        for i in range(n):
+            bits |= (bits & has[i]) >> (1 << i)
+        return bits
+
+    def above(bits: int) -> int:  # every superset of a member
+        for i in range(n):
+            bits |= (bits & ~has[i]) << (1 << i)
+        return bits
+
+    meets = below(fam)
+    joins = everything & ~1 & ~(1 << (size - 1))
+    for i in range(n):
+        meets &= below(fam & ~has[i]) | has[i]
+        joins &= above(fam & has[i]) | (everything & ~has[i])
+    return meets & ~fam, joins & ~fam
+
+
 def _assert_family_closure(name: str, fam: frozenset[frozenset[int]], k: int) -> None:
     """Every pairwise intersection, and every proper union, is in the family.
 
-    The family is checked as bitmasks, one int per member.
+    Decided by `_closure_gaps` in O((k+1)^2) bitset operations; only a
+    broken family pays for the pair scan, `oracles.closure_failure_by_pairs`,
+    which names the first failing pair.
     """
-    full = (1 << (k + 1)) - 1
-    masks = {sum(1 << i for i in A): A for A in fam}
-    for a, A in masks.items():
-        for b, B in masks.items():
-            if a & b not in masks:
-                raise RuntimeError(f"{name} not closed under intersection: {A}, {B}")
-            u = a | b
-            if u != full and u not in masks:
-                raise RuntimeError(f"{name} not closed under proper union: {A}, {B}")
+    masks = [sum(1 << i for i in A) for A in fam]
+    if _closure_gaps(masks, k + 1) != (0, 0):
+        raise RuntimeError(
+            closure_failure_by_pairs(name, fam, k)
+            or f"{name}: closure transforms disagree with the pair scan"
+        )
 
 
 def _has_maximum(fam: frozenset[frozenset[int]]) -> bool:
@@ -120,19 +172,23 @@ class ZSets:
 
 
 def z_sets(u: AffinePermutation) -> ZSets:
-    """Enumerate the three families over all proper subsets of the residues."""
+    """Enumerate the three families over all proper subsets of the residues.
+
+    Each A is decided by one run of generator steps on u: the letters of
+    d_A with no step down (plus), and those of d_A^{-1} with no step up
+    (minus).
+    """
     k = u.k
     plus, minus, plus_g = set(), set(), set()
     grass = u.is_grassmannian()
     for members in _proper_subsets(k):
         A = IndexSet._trusted(k, members)
-        dA = d_elem(A)
-        up = mul(dA, u)
-        if up.length == u.length + len(A):
+        up = left_action(u, d_steps(A), "ascent")
+        if up is not None:
             plus.add(members)
             if grass and up.is_grassmannian():
                 plus_g.add(members)
-        if mul(inverse(dA), u).length == u.length - len(A):
+        if left_action(u, d_inverse_steps(A), "descent") is not None:
             minus.add(members)
     return ZSets(
         u,
@@ -205,7 +261,7 @@ class Fiber:
 
     def elements(self) -> list[AffinePermutation]:
         return [
-            mul(inverse(d_elem(IndexSet(self.A.k, B))), self.u)
+            _below(IndexSet(self.A.k, B), self.u)
             for B in sorted(self.members, key=lambda b: (len(b), sorted(b)))
         ]
 
@@ -220,18 +276,28 @@ class Fiber:
         }
 
 
+def _below(B: IndexSet, u: AffinePermutation) -> AffinePermutation | None:
+    """d_B^{-1} u when every letter of d_B^{-1} lowers the length, else None.
+
+    Only such B can label a fiber element: d_A * v lies above v in the left
+    weak order, so d_A * v = u forces l(u) - l(v) = l(u v^{-1}) = |B|.
+    """
+    return left_action(u, d_inverse_steps(B), "descent")
+
+
 @functools.lru_cache(maxsize=None)
 def fiber_X(A: IndexSet, u: AffinePermutation) -> Fiber:
     """All labels B with d_A * (d_B^{-1} u) = u."""
     if A.k != u.k:
         raise ValueError(f"rank mismatch: k={A.k} vs k={u.k}")
-    dA = d_elem(A)
+    steps = d_steps(A)
     members = set()
     amem = sorted(A.members)
     for r in range(len(amem) + 1):
         for combo in itertools.combinations(amem, r):
             B = IndexSet._trusted(u.k, frozenset(combo))
-            if demazure(dA, mul(inverse(d_elem(B)), u)) == u:
+            v = _below(B, u)
+            if v is not None and left_action(v, steps, "max") == u:
                 members.add(B.members)
     return Fiber(A, u, frozenset(members))
 
@@ -242,9 +308,7 @@ def fiber_Y(A: IndexSet, u: AffinePermutation, w: AffinePermutation) -> Fiber:
         raise ValueError(f"rank mismatch: k={w.k} vs k={u.k}")
     big = fiber_X(A, u)
     members = frozenset(
-        B
-        for B in big.members
-        if bruhat_leq(mul(inverse(d_elem(IndexSet._trusted(u.k, B))), u), w)
+        B for B in big.members if bruhat_leq(_below(IndexSet._trusted(u.k, B), u), w)
     )
     return Fiber(A, u, members)
 
@@ -281,7 +345,7 @@ def signed_fiber_table(
     for members in _proper_subsets(u.k):
         A = IndexSet._trusted(u.k, members)
         for B in fiber_X(A, u).members:
-            v = mul(inverse(d_elem(IndexSet._trusted(u.k, B))), u)
+            v = _below(IndexSet._trusted(u.k, B), u)
             if w is not None and not bruhat_leq(v, w):
                 continue
             sign = (-1) ** (len(A) - (u.length - v.length))

@@ -5,6 +5,14 @@ The three incarnations of the same object: a k-bounded partition, its
 word builds it; each conversion has one route, and the residue-action walk
 is its oracle.  Also: the residue action on cores, the k-transpose, weak
 and set-valued strips, and the index-rotation automorphism.
+
+Strips never multiply by d_A: its cyclically decreasing letters act on the
+window one generator step at a time (`affine.left_action`), so a weak strip
+is a run of steps that only go up, and a set-valued strip is the Demazure
+run that skips the steps going down (Lam-Lapointe-Morse-Shimozono, "Affine
+insertion and Pieri rules for the affine Grassmannian", Mem. AMS 2010).
+The full products are the test oracles `oracles.d_mul` and
+`oracles.d_demazure`.
 """
 
 from __future__ import annotations
@@ -17,13 +25,13 @@ from dataclasses import dataclass
 from .affine import (
     AffinePermutation,
     IndexSet,
-    demazure,
     from_word,
+    left_action,
     longest_finite_element,
     mul,
     reduced_word,
 )
-from .kcode import d_elem, rd, sh
+from .kcode import d_elem, d_steps, rd, sh
 from .partitions import (
     CorePartition,
     KBoundedPartition,
@@ -189,6 +197,18 @@ class WeakStrip:
         if strip_top(self.base, self.indices) != self.top:
             raise ValueError(f"top {self.top!r} does not match d_A . {self.base!r}")
 
+    @classmethod
+    def _trusted(
+        cls, base: KBoundedPartition, indices: IndexSet, top: KBoundedPartition
+    ) -> "WeakStrip":
+        """Wrap a strip that `weak_strips` decided and `strip_top` topped;
+        nothing is re-checked."""
+        strip = object.__new__(cls)
+        object.__setattr__(strip, "base", base)
+        object.__setattr__(strip, "indices", indices)
+        object.__setattr__(strip, "top", top)
+        return strip
+
     @property
     def size(self) -> int:
         return len(self.indices)
@@ -206,12 +226,16 @@ class WeakStrip:
 
 
 def is_weak_strip(lam: KBoundedPartition, A: IndexSet) -> bool:
-    """d_A w_lam is a weak strip top iff it is length-additive and 0-dominant."""
+    """d_A w_lam is a weak strip top iff it is length-additive and 0-dominant.
+
+    Length-additivity is decided step by step: the letters of d_A act on
+    w_lam from the right end of its word, and the first step that lowers
+    the length ends the test.
+    """
     if lam.k != A.k:
         raise ValueError(f"rank mismatch: k={lam.k} vs k={A.k}")
-    w = bounded_to_perm(lam)
-    v = mul(d_elem(A), w)
-    return v.length == w.length + len(A) and v.is_grassmannian()
+    v = left_action(bounded_to_perm(lam), d_steps(A), "ascent")
+    return v is not None and v.is_grassmannian()
 
 
 def is_weak_strip_parabolic(lam: KBoundedPartition, A: IndexSet) -> bool:
@@ -241,7 +265,7 @@ def weak_strips(lam: KBoundedPartition, r: int) -> list[IndexSet]:
 
 def strip_top(lam: KBoundedPartition, A: IndexSet) -> KBoundedPartition:
     """Bounded partition of d_A . lam (caller guarantees a genuine strip)."""
-    return perm_to_bounded(mul(d_elem(A), bounded_to_perm(lam)))
+    return perm_to_bounded(left_action(bounded_to_perm(lam), d_steps(A)))
 
 
 def setvalued_strips(
@@ -259,7 +283,7 @@ def setvalued_strips(
     out = []
     for combo in itertools.combinations(range(w.k + 1), r):
         A = IndexSet._trusted(w.k, frozenset(combo))
-        v = demazure(d_elem(A), w)
+        v = left_action(w, d_steps(A), "max")
         if v.is_grassmannian():
             out.append((A, v))
     return sorted(out, key=lambda av: av[0].sorted())

@@ -277,9 +277,20 @@ def ks_to_h(lam: KBoundedPartition) -> SymElt:
     return _invert_unitriangular(lam, h_to_ks, _KS2H_TABLES)
 
 
+def _top_degree(elt: SymElt) -> int:
+    return max((sum(p) for p, _ in elt.coeffs), default=0)
+
+
 def _product_via_h(a: SymElt, b: SymElt, to_h) -> SymElt:
-    """a*b: expand a in h, then apply each h monomial to b by Pieri."""
+    """a*b: expand one factor in h, then apply each h monomial to the other
+    by Pieri.
+
+    The product commutes, so the factor of lower top degree is expanded:
+    its h expansion inverts a smaller transition.
+    """
     a._check_compatible(b)
+    if _top_degree(a) > _top_degree(b):
+        a, b = b, a
     in_h: dict[tuple[int, ...], int] = {}
     for parts, c in a.coeffs:
         for hparts, hc in to_h(KBoundedPartition._trusted(a.k, parts)).coeffs:

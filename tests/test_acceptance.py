@@ -197,6 +197,8 @@ def test_08_ideal_sum_rectangle_factorization():
             for t in range(1, k + 1):
                 for lam in kbounded_partitions(k, 5):
                     assert gtilde_factorize_check(lam, t), (k, t, lam)
+        # spot check at the largest admitted rank
+        assert_all_ok(verify_factorization(8, 1))
 
 
 def test_09_homogeneous_factorization_and_top_degree():

@@ -1,6 +1,7 @@
 """Index-set families, Demazure fibers, and the singleton-fiber search."""
 
 import itertools
+import random
 import re
 
 import pytest
@@ -27,7 +28,7 @@ from affineschur.orderlab import (
     strips_meet,
     z_sets,
 )
-from affineschur.oracles import strong_meet
+from affineschur.oracles import closure_failure_by_pairs, strong_meet
 from affineschur.partitions import KBoundedPartition, kbounded_partitions
 from affineschur.shapes import bounded_to_perm, strip_top, weak_strips
 
@@ -201,3 +202,43 @@ def test_family_closure_failure_is_reported(monkeypatch, dropped, message):
     )
     with pytest.raises(RuntimeError, match=re.escape(message)):
         z_sets(identity(3))
+
+
+def _mask(A):
+    return sum(1 << i for i in A)
+
+
+def _closed_by_transforms(fam, k):
+    return orderlab._closure_gaps([_mask(A) for A in fam], k + 1) == (0, 0)
+
+
+def test_closure_transforms_equal_pair_scan_exhaustively():
+    # every family of proper subsets at k = 1 and k = 2
+    for k in (1, 2):
+        subsets = orderlab._proper_subsets(k)
+        for r in range(len(subsets) + 1):
+            for fam in itertools.combinations(subsets, r):
+                fam = frozenset(fam)
+                by_pairs = closure_failure_by_pairs("F", fam, k) is None
+                assert _closed_by_transforms(fam, k) == by_pairs, fam
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_closure_transforms_equal_pair_scan_on_damaged_families(k):
+    rng = random.Random(k)
+    subsets = orderlab._proper_subsets(k)
+    outcomes = set()
+    for w in rng.sample(ball(k, 4), 12):
+        zs = z_sets(w)
+        for fam in (zs.plus, zs.minus, zs.plus_grassmannian):
+            if fam is None:
+                continue
+            assert _closed_by_transforms(fam, k)
+            for _ in range(4):
+                drop = set(rng.sample(sorted(fam, key=sorted), rng.randint(0, min(3, len(fam)))))
+                add = set(rng.sample(subsets, rng.randint(0, 2)))
+                damaged = frozenset((fam - drop) | add)
+                by_pairs = closure_failure_by_pairs("F", damaged, k) is None
+                assert _closed_by_transforms(damaged, k) == by_pairs, (w, damaged)
+                outcomes.add(by_pairs)
+    assert outcomes == {True, False}

@@ -46,6 +46,12 @@ TRACED = (
     "kcode.rd.self_s",
     "kcode.ri.self_s",
     "affine.mul.calls",
+    "affine.demazure.size",
+    "affine.left_action.self_s",
+    "orderlab.z_sets.self_s",
+    "orderlab.fiber_X.self_s",
+    "shapes.weak_strips.self_s",
+    "shapes.setvalued_strips.self_s",
     "affine.inverse.calls",
     "affine.bruhat_leq.misses",
     "symfunc.bruhat_lower_partitions.self_s",
