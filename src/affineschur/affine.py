@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 __all__ = [
     "AffinePermutation",
@@ -28,6 +28,7 @@ __all__ = [
     "left_mul_s",
     "right_mul_s",
     "left_action",
+    "left_growth",
     "descents",
     "bruhat_leq",
     "weak_leq",
@@ -86,7 +87,9 @@ class AffinePermutation:
     def _trusted(cls, k: int, window: tuple[int, ...], length: int) -> "AffinePermutation":
         """Wrap a window the kernel built from valid elements, with its length.
 
-        Nothing is checked; only the operations of this module call it.
+        Nothing is checked; only the operations of this module call it, and
+        `orderlab.fiber_X` on the windows `left_growth` hands out, whose
+        length moved by one per residue.
         """
         w = object.__new__(cls)
         object.__setattr__(w, "k", k)
@@ -330,6 +333,64 @@ def left_action(
         win[q] -= 1
         pos[i], pos[j] = q, p
     return AffinePermutation._trusted(k, tuple(win), ell)
+
+
+def left_growth(
+    window: Sequence[int], ascent: bool, size: int, within: Iterable[int] | None = None
+) -> list[list[tuple[frozenset[int], list[int]]]]:
+    """The index sets A whose cyclically decreasing element moves a window
+    strictly one way, grown one residue at a time.
+
+    With ascent, the A with l(d_A w) = l(w) + |A|, each beside the window of
+    d_A w; without, the A with l(d_A^{-1} w) = l(w) - |A|, beside the window
+    of d_A^{-1} w.  Level r of the result lists the A of size r, for r up to
+    `size`; only residues of `within` (all by default) are added.
+
+    The runs of consecutive residues in A commute.  So if a+1 is not in A,
+    d_{A+a} = s_a d_A, and if b-1 is not in A, d_{A+b}^{-1} = s_b d_A^{-1}:
+    every A of the family comes from a smaller one by adding a run top
+    (ascent) or a run bottom (descent), and the child is in the family iff
+    its parent is and the one step s_a goes the right way.  That step is
+    one comparison on a residue -> position table, as in `left_action`, and
+    any parent gives the same verdict, so a set of the masks tried at each
+    level dedupes.  A window is copied only for a child that is kept.  The
+    full residue set has no run top or bottom, so it is never reached.
+    """
+    n = len(window)
+    win = list(window)
+    pos = [0] * n
+    for p, x in enumerate(win):
+        pos[x % n] = p
+    residues = range(n) if within is None else sorted(within)
+    # a may join A when its neighbour above (ascent) or below (descent) is out
+    guard = [1 << a | 1 << ((a + 1) % n if ascent else (a - 1) % n) for a in range(n)]
+    level = [(0, frozenset(), win, pos)]
+    levels = [[(frozenset(), win)]]
+    for _ in range(size):
+        grown = []
+        tried = set()
+        for mask, members, win, pos in level:
+            for a in residues:
+                if mask & guard[a]:
+                    continue
+                child = mask | 1 << a
+                if child in tried:
+                    continue
+                tried.add(child)
+                j = a + 1 if a + 1 < n else 0
+                p, q = pos[a], pos[j]
+                # s_a raises the length iff w^-1(a) < w^-1(a+1)
+                if (p - win[p] <= q - win[q]) != ascent:
+                    continue
+                cwin = win.copy()
+                cwin[p] += 1
+                cwin[q] -= 1
+                cpos = pos.copy()
+                cpos[a], cpos[j] = q, p
+                grown.append((child, members | {a}, cwin, cpos))
+        levels.append([(members, win) for _, members, win, _ in grown])
+        level = grown
+    return levels
 
 
 def from_word(k: int, word: Iterable[int]) -> AffinePermutation:

@@ -12,7 +12,9 @@ the core-containment ideals of `symfunc` are tested against, and the
 residue-action walk on cores, the oracle of the conversions of `shapes`.
 The products with d_A and d_A^{-1}, one full group product each, are the
 oracles of the step-by-step strip, Z-set and fiber decisions, and the pair
-scan is the oracle of the bitset closure check of `orderlab`.
+scan is the oracle of the bitset closure check of `orderlab`.  The scans of
+all 2^(k+1) residue subsets, one generator run each, are the oracles of the
+grown Z-set families and weak strips.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ from .affine import (
     demazure,
     from_word,
     inverse,
+    left_action,
     mul,
     reduced_word,
     weak_leq,
 )
-from .kcode import KCode, d_elem, u_elem
+from .kcode import KCode, d_elem, d_inverse_steps, d_steps, u_elem
 from .partitions import CorePartition, KBoundedPartition, kbounded_partitions
-from .shapes import bounded_to_perm, core_action
+from .shapes import bounded_to_perm, core_action, is_weak_strip
 
 __all__ = [
     "subword_lower_set",
@@ -52,6 +55,9 @@ __all__ = [
     "d_demazure",
     "d_inverse_mul",
     "closure_failure_by_pairs",
+    "proper_subsets",
+    "z_sets_by_scan",
+    "weak_strips_by_scan",
 ]
 
 
@@ -318,3 +324,46 @@ def closure_failure_by_pairs(
             if u != full and u not in masks:
                 return f"{name} not closed under proper union: {A}, {B}"
     return None
+
+
+def proper_subsets(k: int) -> list[frozenset[int]]:
+    """Every proper subset of the residues 0..k, by size."""
+    out = []
+    for r in range(k + 1):
+        out.extend(
+            frozenset(c) for c in itertools.combinations(range(k + 1), r)
+        )
+    return out
+
+
+def z_sets_by_scan(
+    u: AffinePermutation,
+) -> tuple[
+    frozenset[frozenset[int]], frozenset[frozenset[int]], frozenset[frozenset[int]] | None
+]:
+    """The plus, minus and Grassmannian plus families of u, each A decided by
+    its own run of generator steps on u; oracle of `orderlab.z_sets`."""
+    k = u.k
+    plus, minus, plus_g = set(), set(), set()
+    grass = u.is_grassmannian()
+    for members in proper_subsets(k):
+        A = IndexSet._trusted(k, members)
+        up = left_action(u, d_steps(A), "ascent")
+        if up is not None:
+            plus.add(members)
+            if grass and up.is_grassmannian():
+                plus_g.add(members)
+        if left_action(u, d_inverse_steps(A), "descent") is not None:
+            minus.add(members)
+    return frozenset(plus), frozenset(minus), frozenset(plus_g) if grass else None
+
+
+def weak_strips_by_scan(lam: KBoundedPartition, r: int) -> list[IndexSet]:
+    """`is_weak_strip` on every subset of size r; oracle of
+    `shapes.weak_strips`."""
+    out = []
+    for combo in itertools.combinations(range(lam.k + 1), r):
+        A = IndexSet._trusted(lam.k, frozenset(combo))
+        if is_weak_strip(lam, A):
+            out.append(A)
+    return sorted(out, key=lambda a: a.sorted())

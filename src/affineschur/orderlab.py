@@ -6,12 +6,14 @@ intersection, and under union as long as the union stays proper.  The
 fiber of the Demazure action of d_A over u is labelled by subsets of A
 and always forms a full interval in the boolean lattice.
 
-Every A is decided by one run of generator steps on u (`affine.left_action`
-on the letters of `kcode.d_steps` or `kcode.d_inverse_steps`), with no group
-product: the run stops at the first step of the wrong direction.  The
-closure of a family is decided by bitset transforms over all 2^(k+1)
-residue masks; the pair scan and the products are the test oracles in
-`oracles`.
+Each family is grown from the empty set one residue at a time
+(`affine.left_growth`): the plus family by adding run tops, the minus
+family and the fiber labels by adding run bottoms, each child decided by
+one generator step on its parent's window, so a branch ends at its first
+step of the wrong direction and no subset outside the family is tried.
+The closure of a family is decided by bitset transforms over all 2^(k+1)
+residue masks.  The subset scan `oracles.z_sets_by_scan`, the pair scan
+and the products are the test oracles in `oracles`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .affine import (
     bruhat_leq,
     inverse,
     left_action,
+    left_growth,
     meet_LS,
     mul,
     reduced_word,
@@ -47,15 +50,6 @@ __all__ = [
     "find_A0",
     "signed_fiber_table",
 ]
-
-
-def _proper_subsets(k: int) -> list[frozenset[int]]:
-    out = []
-    for r in range(k + 1):
-        out.extend(
-            frozenset(c) for c in itertools.combinations(range(k + 1), r)
-        )
-    return out
 
 
 def _closure_gaps(masks: list[int], n: int) -> tuple[int, int]:
@@ -172,29 +166,29 @@ class ZSets:
 
 
 def z_sets(u: AffinePermutation) -> ZSets:
-    """Enumerate the three families over all proper subsets of the residues.
+    """Grow the three families from the empty set.
 
-    Each A is decided by one run of generator steps on u: the letters of
-    d_A with no step down (plus), and those of d_A^{-1} with no step up
-    (minus).
+    The plus family adds run tops while each step raises the length, the
+    minus family adds run bottoms while each step lowers it; the
+    Grassmannian plus family keeps the plus members whose window is
+    increasing.
     """
     k = u.k
-    plus, minus, plus_g = set(), set(), set()
-    grass = u.is_grassmannian()
-    for members in _proper_subsets(k):
-        A = IndexSet._trusted(k, members)
-        up = left_action(u, d_steps(A), "ascent")
-        if up is not None:
-            plus.add(members)
-            if grass and up.is_grassmannian():
-                plus_g.add(members)
-        if left_action(u, d_inverse_steps(A), "descent") is not None:
-            minus.add(members)
+    plus = left_growth(u.window, True, k)
+    minus = left_growth(u.window, False, k)
+    plus_g = None
+    if u.is_grassmannian():
+        plus_g = frozenset(
+            A
+            for level in plus
+            for A, win in level
+            if all(x < y for x, y in zip(win, win[1:]))
+        )
     return ZSets(
         u,
-        frozenset(plus),
-        frozenset(minus),
-        frozenset(plus_g) if grass else None,
+        frozenset(A for level in plus for A, _ in level),
+        frozenset(A for level in minus for A, _ in level),
+        plus_g,
     )
 
 
@@ -287,18 +281,22 @@ def _below(B: IndexSet, u: AffinePermutation) -> AffinePermutation | None:
 
 @functools.lru_cache(maxsize=None)
 def fiber_X(A: IndexSet, u: AffinePermutation) -> Fiber:
-    """All labels B with d_A * (d_B^{-1} u) = u."""
+    """All labels B with d_A * (d_B^{-1} u) = u.
+
+    The candidates B are the subsets of A grown by `left_growth` with every
+    step going down (see `_below`); each is kept when the Demazure run of
+    d_A climbs back to u.
+    """
     if A.k != u.k:
         raise ValueError(f"rank mismatch: k={A.k} vs k={u.k}")
+    k = u.k
     steps = d_steps(A)
     members = set()
-    amem = sorted(A.members)
-    for r in range(len(amem) + 1):
-        for combo in itertools.combinations(amem, r):
-            B = IndexSet._trusted(u.k, frozenset(combo))
-            v = _below(B, u)
-            if v is not None and left_action(v, steps, "max") == u:
-                members.add(B.members)
+    for r, level in enumerate(left_growth(u.window, False, len(A), A.members)):
+        for B, win in level:
+            v = AffinePermutation._trusted(k, tuple(win), u.length - r)
+            if left_action(v, steps, "max") == u:
+                members.add(B)
     return Fiber(A, u, frozenset(members))
 
 
@@ -342,7 +340,9 @@ def signed_fiber_table(
     inhomogeneous Pieri rule.  Rows are sorted by (|A|, A, l(v), window).
     """
     rows = []
-    for members in _proper_subsets(u.k):
+    # a nonempty fiber is the interval [bottom, A], so it holds A itself:
+    # only the A of the minus family of u can have one
+    for members in (A for level in left_growth(u.window, False, u.k) for A, _ in level):
         A = IndexSet._trusted(u.k, members)
         for B in fiber_X(A, u).members:
             v = _below(IndexSet._trusted(u.k, B), u)

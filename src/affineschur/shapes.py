@@ -11,8 +11,12 @@ window one generator step at a time (`affine.left_action`), so a weak strip
 is a run of steps that only go up, and a set-valued strip is the Demazure
 run that skips the steps going down (Lam-Lapointe-Morse-Shimozono, "Affine
 insertion and Pieri rules for the affine Grassmannian", Mem. AMS 2010).
-The full products are the test oracles `oracles.d_mul` and
-`oracles.d_demazure`.
+The weak strips of a size are grown one residue at a time
+(`affine.left_growth`) from w_lam w_0, where 0-dominance of the top turns
+into plain length-additivity, so only genuine strips are visited; the
+set-valued strips are still a scan over the subsets of that size.  The
+subset scan `oracles.weak_strips_by_scan` and the full products
+`oracles.d_mul` and `oracles.d_demazure` are the test oracles.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .affine import (
     IndexSet,
     from_word,
     left_action,
+    left_growth,
     longest_finite_element,
     mul,
     reduced_word,
@@ -252,14 +257,17 @@ def is_weak_strip_parabolic(lam: KBoundedPartition, A: IndexSet) -> bool:
 
 
 def weak_strips(lam: KBoundedPartition, r: int) -> list[IndexSet]:
-    """All index sets of weak strips of size r over lam, sorted."""
+    """All index sets of weak strips of size r over lam, sorted.
+
+    Grown from w_lam w_0 with every step going up (see
+    `is_weak_strip_parabolic`).  w_lam is 0-dominant, so w_lam w_0 is its
+    window reversed, of length l(w_lam) + k(k+1)/2, and no product is made.
+    """
     if not 0 <= r <= lam.k:
         raise ValueError(f"need 0 <= r <= k, got r={r}, k={lam.k}")
-    out = []
-    for combo in itertools.combinations(range(lam.k + 1), r):
-        A = IndexSet._trusted(lam.k, frozenset(combo))
-        if is_weak_strip(lam, A):
-            out.append(A)
+    k = lam.k
+    level = left_growth(bounded_to_perm(lam).window[::-1], True, r)[r]
+    out = [IndexSet._trusted(k, A) for A, _ in level]
     return sorted(out, key=lambda a: a.sorted())
 
 

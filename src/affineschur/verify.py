@@ -234,7 +234,16 @@ class _BallOrder:
         m = self.elements[(ubs & -ubs).bit_length() - 1]
         if m.length >= self.radius:
             return JoinStatus(None, False)
-        return JoinStatus(None if ubs & ~self._row(kind, m) else m, True)
+        if kind == "left-up":
+            # m's weak row would serve this query alone: test only the upper
+            # bounds, m <=_L z iff l(z m^-1) + l(m) = l(z), without the memo
+            m_inv = inverse(m)
+            least = all(
+                mul(z, m_inv).length + m.length == z.length for z in self.members(ubs)
+            )
+        else:
+            least = not ubs & ~self._row(kind, m)
+        return JoinStatus(m if least else None, True)
 
     def is_least_upper_bound(
         self, candidate: AffinePermutation, v: AffinePermutation, w: AffinePermutation

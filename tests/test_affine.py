@@ -31,10 +31,10 @@ from affineschur.affine import (
     weak_leq,
 )
 from affineschur.kcode import rd, ri
-from affineschur.orderlab import z_sets
+from affineschur.orderlab import signed_fiber_table
 from affineschur.oracles import subword_lower_set
 from affineschur.partitions import kbounded_partitions
-from affineschur.shapes import bounded_to_perm
+from affineschur.shapes import bounded_to_perm, setvalued_strips, weak_strips
 
 
 def bfs_lengths(k, max_length):
@@ -365,7 +365,13 @@ def test_trusted_index_sets_pass_validation(monkeypatch):
     for w in ball(3, 4):
         rd(w)
         ri(w)
-        z_sets(w)
+        signed_fiber_table(w)
+    for lam in kbounded_partitions(3, 6):
+        w = bounded_to_perm(lam)
+        for r in range(4):
+            weak_strips(lam, r)
+            if r:
+                setvalued_strips(w, r)
     assert len(made) > 1000
     for A in made:
         assert IndexSet(A.k, A.members) == A

@@ -1,0 +1,111 @@
+"""The growth kernel, and the weak strips, Z-set families and fiber labels
+grown with it, against the subset scans of `oracles`."""
+
+import itertools
+import random
+
+from affineschur.affine import (
+    AffinePermutation,
+    IndexSet,
+    ball,
+    identity,
+    left_action,
+    left_growth,
+    left_mul_s,
+)
+from affineschur.kcode import d_inverse_steps, d_steps
+from affineschur.orderlab import fiber_X, signed_fiber_table, z_sets
+from affineschur.oracles import proper_subsets, weak_strips_by_scan, z_sets_by_scan
+from affineschur.partitions import kbounded_partitions
+from affineschur.shapes import (
+    bounded_to_perm,
+    is_weak_strip,
+    is_weak_strip_parabolic,
+    weak_strips,
+)
+
+
+def test_weak_strips_equal_subset_scan():
+    grid = [(k, 8) for k in range(1, 5)] + [(k, 5) for k in range(5, 9)]
+    for k, size in grid:
+        for lam in kbounded_partitions(k, size):
+            for r in range(k + 1):
+                strips = weak_strips(lam, r)
+                assert strips == weak_strips_by_scan(lam, r), (lam, r)
+                for A in strips:
+                    assert is_weak_strip(lam, A) and is_weak_strip_parabolic(lam, A)
+                    assert IndexSet(k, A.members) == A
+
+
+def test_z_sets_equal_subset_scan_on_grassmannian_elements():
+    grid = [(k, 8) for k in range(1, 5)] + [(k, 5) for k in range(5, 9)]
+    for k, size in grid:
+        for lam in kbounded_partitions(k, size):
+            u = bounded_to_perm(lam)
+            zs = z_sets(u)
+            assert (zs.plus, zs.minus, zs.plus_grassmannian) == z_sets_by_scan(u), lam
+
+
+def test_z_sets_equal_subset_scan_on_random_words():
+    rng = random.Random(12)
+    seen = 0
+    for _ in range(500):
+        k = rng.randint(1, 8)
+        u = identity(k)
+        for _ in range(rng.randint(0, 25)):
+            u = left_mul_s(u, rng.randint(0, k))
+        if u.is_grassmannian():
+            continue
+        seen += 1
+        zs = z_sets(u)
+        assert zs.plus_grassmannian is None
+        assert (zs.plus, zs.minus, None) == z_sets_by_scan(u), u
+    assert seen > 300
+
+
+def test_growth_windows_are_the_left_action_runs():
+    # each kept set carries the window of d_A w (ascent) or d_A^{-1} w
+    # (descent); the public constructor re-derives the length
+    for k, L in ((1, 4), (2, 4), (3, 3), (5, 2)):
+        for w in ball(k, L):
+            for ascent, sign, steps in ((True, 1, d_steps), (False, -1, d_inverse_steps)):
+                mode = "ascent" if ascent else "descent"
+                levels = left_growth(w.window, ascent, k)
+                grown = {}
+                for r, level in enumerate(levels):
+                    for A, win in level:
+                        assert len(A) == r and A not in grown
+                        v = AffinePermutation(k, win)
+                        assert v.length == w.length + sign * r, (w, A)
+                        grown[A] = v
+                for members in proper_subsets(k):
+                    v = left_action(w, steps(IndexSet(k, members)), mode)
+                    assert grown.get(members) == v, (w, members)
+
+
+def test_growth_stays_within_the_given_residues():
+    w = bounded_to_perm(kbounded_partitions(4, 6)[-1])
+    for within in ({0, 2}, {1, 2, 3}, set()):
+        for size in range(len(within) + 1):
+            levels = left_growth(w.window, False, size, within)
+            assert len(levels) == size + 1
+            assert all(A <= within for level in levels for A, _ in level)
+
+
+def test_fiber_labels_and_table_equal_subset_scan():
+    for k, L in ((2, 4), (3, 3)):
+        for u in ball(k, L):
+            rows = []
+            for members in proper_subsets(k):
+                A = IndexSet(k, members)
+                steps = d_steps(A)
+                scan = set()
+                for r in range(len(members) + 1):
+                    for B in map(frozenset, itertools.combinations(sorted(members), r)):
+                        v = left_action(u, d_inverse_steps(IndexSet(k, B)), "descent")
+                        if v is not None and left_action(v, steps, "max") == u:
+                            scan.add(B)
+                            rows.append((v, A, (-1) ** (len(A) - (u.length - v.length))))
+                assert fiber_X(A, u).members == scan, (u, members)
+            rows.sort(key=lambda r: (len(r[1]), r[1].sorted(), r[0].length, r[0].window))
+            assert signed_fiber_table(u) == rows, u
