@@ -1,10 +1,10 @@
 """Command-line driver: computations and theorem-verification sweeps.
 
-Output is deterministic for a fixed configuration.  The --jobs flag is
-accepted and validated but has no effect: the sweeps are pure Python and
-run in one thread.  Exit codes: 0 success, 1 a verification sweep found a
-counterexample, 2 invalid configuration, 3 internal error (one line on
-stderr).
+Output is deterministic for a fixed configuration; the sweeps run in one
+thread.  A verify sweep is sized before it starts: the radii its suite
+declares in `verify.ball_radii` are checked against the ball cap.  Exit
+codes: 0 success, 1 a verification sweep found a counterexample, 2 invalid
+configuration, 3 internal error (one line on stderr).
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class RunConfig:
     max_size: int | None = None
     r: int | None = None
     fmt: str = "text"
-    jobs: int = 1
 
     def __post_init__(self):
         if not 1 <= self.k <= MAX_K:
@@ -67,8 +66,6 @@ class RunConfig:
             raise ConfigError(f"need 0 <= max-size <= {MAX_SIZE}, got {self.max_size}")
         if self.r is not None and not 0 <= self.r <= self.k:
             raise ConfigError(f"need 0 <= r <= k, got r={self.r}")
-        if self.jobs < 1:
-            raise ConfigError(f"need jobs >= 1, got {self.jobs}")
 
 
 def parse_partition(k: int, text: str | None) -> KBoundedPartition:
@@ -310,7 +307,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     payload = {
         "suite": args.suite,
         "k": cfg.k,
-        "max_size": cfg.max_size,
+        "max_size": max_size,
         "results": [r.as_dict() for r in results],
     }
     _emit(cfg, payload, rows)
@@ -332,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact affine Schubert combinatorics at desk scale.",
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, need_lambda=True, need_r=False):
@@ -392,7 +387,6 @@ def main(argv=None) -> int:
             max_size=getattr(args, "max_size", None),
             r=getattr(args, "r", None),
             fmt=args.format,
-            jobs=args.jobs,
         )
         return args.handler(cfg, args)
     except ConfigError as err:

@@ -4,6 +4,9 @@ Each sweep pits a closed form against a brute-force oracle over explicit
 length balls or partition ranges and reports every counterexample with a
 JSON-able witness.  All identities are exact, so a sweep either finds
 nothing or the build is wrong; there is no tolerance anywhere.
+
+A suite enumerates one length ball, at the largest radius it declares in
+`ball_radii`, and cuts every smaller ball from it as a prefix.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .affine import (
     descents,
     flip,
     from_word,
-    grassmannian_ball,
     inverse,
     is_affine_reflection,
     meet_LS,
@@ -33,6 +35,7 @@ from .affine import (
 from .kcode import d_elem, eval_code, first_row, rd, ri
 from .oracles import (
     JoinStatus,
+    proper_subsets,
     saturated_chain_exists,
     subset_chain_exists,
     subword_lower_set,
@@ -112,10 +115,12 @@ class CheckResult:
 
 
 def ball_radii(suite: str, k: int, max_size: int) -> tuple[int, ...]:
-    """Radii of the largest length balls a verify suite enumerates.
+    """Radii of the length balls a verify suite builds its order rows over.
 
-    Mirrors the `ball` calls of each sweep, so that a caller can check their
-    sizes before any work starts.
+    The only place that knows how large a suite's balls get: the suite
+    enumerates one ball, at the largest of these radii, and cuts every
+    smaller ball from it with `_prefix`; the CLI sizes them before any work
+    starts.
     """
     if suite == "order-props":
         # the wide ball of verify_order_props and that of _verify_strip_props
@@ -127,6 +132,14 @@ def ball_radii(suite: str, k: int, max_size: int) -> tuple[int, ...]:
     if suite == "factorization":
         return ()
     raise ValueError(f"unknown suite {suite!r}")
+
+
+def _prefix(elements: list[AffinePermutation], radius: int) -> list[AffinePermutation]:
+    """`ball(k, radius)`, cut from a `ball()` list, which is sorted by (length,
+    window); a radius beyond the list's own was never declared, so it raises."""
+    if radius > elements[-1].length:
+        raise ValueError(f"ball radius {radius} is not declared in ball_radii")
+    return elements[: bisect.bisect_right(elements, radius, key=lambda w: w.length)]
 
 
 def _win(w: AffinePermutation) -> list[int]:
@@ -175,7 +188,7 @@ class _BallOrder:
         """Position of the first element of length >= `length`."""
         return bisect.bisect_left(self._lengths, length)
 
-    def _row(self, kind: str, x: AffinePermutation) -> int:
+    def row(self, kind: str, x: AffinePermutation) -> int:
         key = (kind, x)
         row = self._rows.get(key)
         if row is None:
@@ -188,21 +201,6 @@ class _BallOrder:
             row = _mask([i for i in span if related(x, elements[i])])
             self._rows[key] = row
         return row
-
-    def up(self, x: AffinePermutation) -> int:
-        return self._row("up", x)
-
-    def down(self, x: AffinePermutation) -> int:
-        return self._row("down", x)
-
-    def left_up(self, x: AffinePermutation) -> int:
-        return self._row("left-up", x)
-
-    def left_down(self, x: AffinePermutation) -> int:
-        return self._row("left-down", x)
-
-    def right_down(self, x: AffinePermutation) -> int:
-        return self._row("right-down", x)
 
     def members(self, row: int) -> list[AffinePermutation]:
         """Elements of a row, in ball order."""
@@ -226,7 +224,7 @@ class _BallOrder:
         """Strong join within the ball, or left weak join for "left-up"; same
         answers as `strong_join_in_ball`, and as `weak_join_in_ball` for the
         element."""
-        ubs = self._row(kind, v) & self._row(kind, w)
+        ubs = self.row(kind, v) & self.row(kind, w)
         if not ubs:
             return JoinStatus(None, False)
         # the first common upper bound is a shortest one; any other of its
@@ -242,7 +240,7 @@ class _BallOrder:
                 mul(z, m_inv).length + m.length == z.length for z in self.members(ubs)
             )
         else:
-            least = not ubs & ~self._row(kind, m)
+            least = not ubs & ~self.row(kind, m)
         return JoinStatus(m if least else None, True)
 
     def is_least_upper_bound(
@@ -251,18 +249,18 @@ class _BallOrder:
         """No counterexample in the ball; same answers as `is_least_upper_bound_in_ball`."""
         if not (bruhat_leq(v, candidate) and bruhat_leq(w, candidate)):
             return False
-        return not self.up(v) & self.up(w) & ~self.up(candidate)
+        return not self.row("up", v) & self.row("up", w) & ~self.row("up", candidate)
 
     def meet(self, v: AffinePermutation, w: AffinePermutation) -> AffinePermutation | None:
         """Exact strong meet, or None; same answers as `strong_meet`.
 
         The ball must hold every element of length <= min(l(v), l(w)).
         """
-        common = self.down(v) & self.down(w)
+        common = self.row("down", v) & self.row("down", w)
         # the last common lower bound is a longest one; any other of its
         # length is incomparable to it, so it is the meet or there is none
         m = self.elements[common.bit_length() - 1]
-        return None if common & ~self.down(m) else m
+        return None if common & ~self.row("down", m) else m
 
 
 def _group_by_value(elements, fn) -> dict[AffinePermutation, int]:
@@ -282,13 +280,19 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     """Property suites for the strong/weak order machinery.
 
     Quantifier ranges scale with max_length but are clamped per suite so
-    the triple-quantified checks stay within desk scale.
+    the triple-quantified checks stay within desk scale.  Every ball is a
+    prefix of the one enumerated at the largest radius `ball_radii` declares.
     """
-    triple_ball = ball(k, min(max_length, 4 if k <= 2 else 3))
-    fact_ball = ball(k, min(max_length, 5))
-    subword_ball = ball(k, min(max_length, 7 if k <= 2 else 6))
-    wide = ball(k, max_length + 3)
+    wide_radius, strip_radius = ball_radii("order-props", k, max_length)
+    elements = ball(k, max(wide_radius, strip_radius))
+    triple_ball = _prefix(elements, min(max_length, 4 if k <= 2 else 3))
+    seed_ball = _prefix(elements, min(max_length, 4))
+    pair_ball = _prefix(elements, min(max_length, 5))
+    six_ball = _prefix(elements, min(max_length, 6))
+    subword_ball = _prefix(elements, min(max_length, 7 if k <= 2 else 6))
+    wide = _prefix(elements, wide_radius)
     order = _BallOrder(wide)
+    subsets = proper_subsets(k)
     results = []
 
     r = CheckResult("bruhat-matches-subword-oracle")
@@ -303,9 +307,8 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     results.append(r)
 
     r = CheckResult("strong-covers-are-reflections")
-    cover_ball = ball(k, min(max_length, 5))
-    for u in cover_ball:
-        for v in cover_ball:
+    for u in pair_ball:
+        for v in pair_ball:
             if v.length != u.length + 1:
                 continue
             by_order = bruhat_leq(u, v)
@@ -397,11 +400,10 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     results.append(r)
 
     r = CheckResult("generator-actions-preserve-meet-join")
-    meet_ball = ball(k, min(max_length, 5))
     for i in range(k + 1):
         s = from_word(k, [i])
-        for v in meet_ball:
-            for w in meet_ball:
+        for v in pair_ball:
+            for w in pair_ball:
                 m = order.meet(v, w)
                 if m is not None:
                     fv = demazure(s, v)
@@ -430,10 +432,10 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     results.append(r)
 
     r = CheckResult("reduced-factorization-comparison")
-    for z in fact_ball:
+    for z in pair_ball:
         factorizations = [
             (u, mul(inverse(u), z))
-            for u in fact_ball
+            for u in pair_ball
             if weak_leq(u, z, "right")
         ]
         for u, x in factorizations:
@@ -449,7 +451,6 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     r = CheckResult("half-strong-join-minimal")
     r2 = CheckResult("half-strong-meet-maximal")
     r3 = CheckResult("join-seed-minimal-both-forms")
-    seed_ball = ball(k, min(max_length, 4))
     # u -> demazure(u, y) and u -> psi_apply(u^-1, x), grouped by value
     by_demazure = {
         y: _group_by_value(wide, lambda u: demazure(u, y)) for y in seed_ball
@@ -463,13 +464,13 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
         for y in seed_ball:
             j = s_join_L(x, y)
             ok = bruhat_leq(x, j) and weak_leq(y, j, "left")
-            ubs = order.up(x) & order.left_up(y)
+            ubs = order.row("up", x) & order.row("left-up", y)
             ok = ok and all(bruhat_leq(j, z) for z in order.members(ubs))
             r.check(ok, x=_win(x), y=_win(y), join=_win(j))
 
             m = meet_LS(x, y)
             ok = weak_leq(m, x, "left") and bruhat_leq(m, y)
-            lbs = order.left_down(x) & order.down(y)
+            lbs = order.row("left-down", x) & order.row("down", y)
             ok = ok and all(bruhat_leq(z, m) for z in order.members(lbs))
             r2.check(ok, x=_win(x), y=_win(y), meet=_win(m))
 
@@ -485,17 +486,16 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
             ok = (
                 dset == eset
                 and order.contains(dset, seed)
-                and not dset & ~order.up(seed)
+                and not dset & ~order.row("up", seed)
             )
             r3.check(ok, x=_win(x), y=_win(y), seed=_win(seed))
     results.extend([r, r2, r3])
 
     r = CheckResult("interval-flip-anti-isomorphism")
-    flip_ball = ball(k, min(max_length, 6))
-    for z in flip_ball:
-        left_row = order.left_down(z)
+    for z in six_ball:
+        left_row = order.row("left-down", z)
         left_interval = order.members(left_row)
-        right_interval = order.right_down(z)
+        right_interval = order.row("right-down", z)
         images = {}
         for x in left_interval:
             fx = flip(z, x)
@@ -531,9 +531,8 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     results.append(r)
 
     r = CheckResult("weak-interval-chain-property")
-    chain_ball = ball(k, min(max_length, 6))
-    for u in chain_ball:
-        interval = frozenset(order.members(order.left_down(u)))
+    for u in six_ball:
+        interval = frozenset(order.members(order.row("left-down", u)))
         for x in interval:
             for y in interval:
                 if bruhat_leq(x, y):
@@ -545,24 +544,21 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
                     )
     results.append(r)
 
-    results.extend(_verify_z_families(k, min(max_length, 6), order))
-    results.extend(_verify_strongly_commutative(k, min(max_length, 4)))
-    results.extend(_verify_kcode_props(k, max_length))
-    results.extend(_verify_strip_props(k, min(max_length + 1, 7)))
+    results.extend(_verify_z_families(k, six_ball, order))
+    results.extend(_verify_strongly_commutative(k, subsets, seed_ball))
+    kcode_ball = _prefix(elements, min(max_length, 6 if k <= 2 else 5))
+    results.extend(_verify_kcode_props(k, subsets, kcode_ball))
+    strip_order = _BallOrder(_prefix(elements, strip_radius))
+    results.extend(_verify_strip_props(k, min(max_length + 1, 7), subsets, strip_order))
     return results
 
 
-def _verify_strip_props(k: int, max_size: int) -> list[CheckResult]:
+def _verify_strip_props(k, max_size, subsets, order) -> list[CheckResult]:
     forb = CheckResult("forbidden-index-never-in-a-strip")
     unique = CheckResult("unique-size-k-strip-adds-one-row")
     agree = CheckResult("strip-criteria-agree")
     meets = CheckResult("strip-meet-is-strip-of-intersection")
-    all_subsets = [
-        IndexSet._trusted(k, frozenset(c))
-        for r in range(k + 1)
-        for c in itertools.combinations(range(k + 1), r)
-    ]
-    order = _BallOrder(ball(k, max_size + k + 1))
+    all_subsets = [IndexSet._trusted(k, A) for A in subsets]
     for lam in kbounded_partitions(k, max_size):
         fi = forbidden_index(lam)
         strips_by_r = {r: weak_strips(lam, r) for r in range(k + 1)}
@@ -601,13 +597,13 @@ def _verify_strip_props(k: int, max_size: int) -> list[CheckResult]:
     return [forb, unique, agree, meets]
 
 
-def _verify_z_families(k: int, L: int, order: _BallOrder) -> list[CheckResult]:
+def _verify_z_families(k, elements, order) -> list[CheckResult]:
     closure = CheckResult("z-families-closed-and-bounded")
     meets = CheckResult("plus-family-intersection-is-meet")
     joins = CheckResult("minus-family-intersection-is-join")
     chains = CheckResult("z-families-chain-property")
     confining = CheckResult("minus-family-confined-to-code-row")
-    for u in ball(k, L):
+    for u in elements:
         zs = z_sets(u)  # construction asserts closure and maxima
         closure.count()
         for A, B in itertools.combinations(sorted(zs.plus, key=sorted), 2):
@@ -646,19 +642,17 @@ def _verify_z_families(k: int, L: int, order: _BallOrder) -> list[CheckResult]:
     return [closure, meets, joins, chains, confining]
 
 
-def _verify_strongly_commutative(k: int, L: int) -> list[CheckResult]:
+def _verify_strongly_commutative(k, subsets, zb) -> list[CheckResult]:
     disj = CheckResult("strongly-disjoint-elements-commute")
     split = CheckResult("strongly-commutative-splitting")
     n = k + 1
-    pairs = []
-    for A in map(frozenset, itertools.chain.from_iterable(
-        itertools.combinations(range(n), r) for r in range(1, n)
-    )):
-        for B in map(frozenset, itertools.chain.from_iterable(
-            itertools.combinations(range(n), r) for r in range(1, n)
-        )):
-            if all((i - j) % n not in (0, 1, n - 1) for i in A for j in B):
-                pairs.append((A, B))
+    nonempty = [A for A in subsets if A]
+    pairs = [
+        (A, B)
+        for A in nonempty
+        for B in nonempty
+        if all((i - j) % n not in (0, 1, n - 1) for i in A for j in B)
+    ]
     for A, B in pairs:
         x = d_elem(IndexSet._trusted(k, A))
         y = d_elem(IndexSet._trusted(k, B))
@@ -667,29 +661,26 @@ def _verify_strongly_commutative(k: int, L: int) -> list[CheckResult]:
             A=sorted(A),
             B=sorted(B),
         )
-    if pairs:
-        zb = ball(k, L)
-        for A, B in pairs:
-            x = d_elem(IndexSet._trusted(k, A))
-            y = d_elem(IndexSet._trusted(k, B))
-            xy = mul(x, y)
-            for z in zb:
-                up = weak_leq(z, mul(xy, z), "left") == (
-                    weak_leq(z, mul(x, z), "left") and weak_leq(z, mul(y, z), "left")
-                )
-                dn = weak_leq(mul(xy, z), z, "left") == (
-                    weak_leq(mul(x, z), z, "left") and weak_leq(mul(y, z), z, "left")
-                )
-                split.check(up and dn, A=sorted(A), B=sorted(B), z=_win(z))
+    for A, B in pairs:
+        x = d_elem(IndexSet._trusted(k, A))
+        y = d_elem(IndexSet._trusted(k, B))
+        xy = mul(x, y)
+        for z in zb:
+            up = weak_leq(z, mul(xy, z), "left") == (
+                weak_leq(z, mul(x, z), "left") and weak_leq(z, mul(y, z), "left")
+            )
+            dn = weak_leq(mul(xy, z), z, "left") == (
+                weak_leq(mul(x, z), z, "left") and weak_leq(mul(y, z), z, "left")
+            )
+            split.check(up and dn, A=sorted(A), B=sorted(B), z=_win(z))
     return [disj, split]
 
 
-def _verify_kcode_props(k: int, L: int) -> list[CheckResult]:
+def _verify_kcode_props(k, subsets, elems) -> list[CheckResult]:
     bij = CheckResult("kcode-round-trip-and-injective")
     mono = CheckResult("kcodes-monotone-in-weak-order")
     dom = CheckResult("dominance-reads-off-code")
     rowmax = CheckResult("bottom-row-is-inclusion-maximal")
-    elems = ball(k, min(L, 6 if k <= 2 else 5))
     seen = {}
     for w in elems:
         code = rd(w)
@@ -709,12 +700,7 @@ def _verify_kcode_props(k: int, L: int) -> list[CheckResult]:
             by_descent = descents(w, "right") <= {i}
             dom.check(by_code == by_descent, w=_win(w), i=i)
         row = first_row(code)
-        bigger = [
-            frozenset(c)
-            for r in range(len(row) + 1, k + 1)
-            for c in itertools.combinations(range(k + 1), r)
-            if row < frozenset(c)
-        ]
+        bigger = [A for A in subsets if row < A]
         ok = all(
             mul(w, inverse(d_elem(IndexSet._trusted(k, A)))).length != w.length - len(A)
             for A in bigger
@@ -739,8 +725,8 @@ def _verify_kcode_props(k: int, L: int) -> list[CheckResult]:
 
 def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
     """Fibers of the Demazure action: labels, boolean intervals, uniqueness."""
-    gball = grassmannian_ball(k, max_length)
-    wide = ball(k, max_length)
+    wide = ball(k, max(ball_radii("fibers", k, max_length)))
+    gball = [w for w in wide if w.is_grassmannian()]
     labels = CheckResult("fiber-labels-match-element-scan")
     convex = CheckResult("fibers-convex-in-strong-order")
     caps = CheckResult("fiber-labels-closed-under-intersection")
@@ -748,11 +734,7 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
     seven = CheckResult("membership-characterizations-agree")
     singles = CheckResult("singleton-fiber-iff-found-index-set")
     a0r = CheckResult("strip-reachability-conditions-agree")
-    subsets = [
-        frozenset(c)
-        for r in range(k + 1)
-        for c in itertools.combinations(range(k + 1), r)
-    ]
+    subsets = proper_subsets(k)
     for u in gball:
         zs = z_sets(u)
         for members in subsets:
@@ -811,7 +793,7 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
                 found=None if found is None else sorted(found.members),
             )
             for r in range(k + 1):
-                conds = _a0_conditions(k, u, w, r, found)
+                conds = _a0_conditions(subsets, u, w, r, found)
                 a0r.check(
                     len(set(conds)) == 1,
                     u=_win(u),
@@ -839,21 +821,22 @@ def _seven_way_agreement(k, u, A, B, fib, zs) -> bool:
     return len({c1, c2, c3, c4, c5, c6, c7}) == 1
 
 
-def _a0_conditions(k, u, w, r, found) -> tuple[bool, bool, bool, bool]:
+def _a0_conditions(subsets, u, w, r, found) -> tuple[bool, bool, bool, bool]:
     c1 = found is not None and len(found) <= r
     c2 = c3 = c4 = False
-    for size in range(r + 1):
-        for combo in itertools.combinations(range(k + 1), size):
-            A = IndexSet._trusted(k, frozenset(combo))
-            dA = d_elem(A)
-            v = mul(inverse(dA), u)
-            if v.length == u.length - len(A) and bruhat_leq(v, w):
-                c2 = True
-            top = mul(dA, w)
-            if top.length == w.length + len(A) and bruhat_leq(u, top):
-                c3 = True
-                if size == r:
-                    c4 = True
+    for members in subsets:  # by size, so the sizes <= r come first
+        if len(members) > r:
+            break
+        A = IndexSet._trusted(u.k, members)
+        dA = d_elem(A)
+        v = mul(inverse(dA), u)
+        if v.length == u.length - len(A) and bruhat_leq(v, w):
+            c2 = True
+        top = mul(dA, w)
+        if top.length == w.length + len(A) and bruhat_leq(u, top):
+            c3 = True
+            if len(A) == r:
+                c4 = True
     return (c1, c2, c3, c4)
 
 
@@ -887,9 +870,8 @@ def verify_pieri_sum(k: int, max_size: int) -> list[CheckResult]:
                 ie={str(list(p)): c for p, c in ie.items()},
             )
 
-    cap = min(max_size, 3)
-    small = kbounded_partitions(k, cap)
-    order = _BallOrder(ball(k, 2 * cap + 2))
+    small = kbounded_partitions(k, min(max_size, 3))
+    order = _BallOrder(ball(k, max(ball_radii("pieri-sum", k, max_size))))
     for a in small:
         for b in small:
             va, vb = bounded_to_perm(a), bounded_to_perm(b)
@@ -913,9 +895,7 @@ def verify_pieri_sum(k: int, max_size: int) -> list[CheckResult]:
     return [direct_vs_union, zero_one, ie_form, join_bound]
 
 
-def verify_factorization(
-    k: int, max_size: int, top_degree_size: int | None = None
-) -> list[CheckResult]:
+def verify_factorization(k: int, max_size: int) -> list[CheckResult]:
     """Rectangle factorization for both bases, plus the strip-shift lemmas."""
     gt = CheckResult("ideal-sum-rectangle-factorization")
     ks = CheckResult("homogeneous-rectangle-factorization")
@@ -937,7 +917,7 @@ def verify_factorization(
                 )
             ks.check(kschur_rectangle_check(lam, t), lam=list(lam.parts), t=t)
 
-    for lam in kbounded_partitions(k, top_degree_size or max_size):
+    for lam in lams:
         top.check(kschur_top_degree_check(lam), lam=list(lam.parts))
 
     for t in range(1, k + 1):

@@ -9,9 +9,12 @@ from pathlib import Path
 import pytest
 
 from affineschur import cli
+from affineschur.affine import BALL_CAP, ball_size
 from affineschur.cli import main, parse_partition
+from affineschur.verify import ball_radii
 
 GTILDE_GOLDEN = Path(__file__).parent / "data" / "gtilde_golden.json"
+README = Path(__file__).parent.parent / "README.md"
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -193,8 +196,38 @@ def test_byte_identical_output():
     assert first == second
 
 
-def test_jobs_only_changes_runtime():
-    base = ("verify", "pieri-sum", "--k", "2", "--max-size", "3")
-    _, seq, _ = run_cli(*base)
-    _, par, _ = run_cli("--jobs", "4", *base)
-    assert seq == par
+def test_jobs_flag_is_rejected():
+    with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+        main(["--jobs", "2", "verify", "pieri-sum", "--k", "2", "--max-size", "3"])
+    assert exc.value.code == 2
+
+
+def test_json_reports_the_max_size_that_ran():
+    code, out, _ = run_cli("--format", "json", "verify", "factorization", "--k", "2")
+    assert code == 0 and json.loads(out)["max_size"] == 4
+    code, out, _ = run_cli(
+        "--format", "json", "verify", "factorization", "--k", "2", "--max-size", "3"
+    )
+    assert code == 0 and json.loads(out)["max_size"] == 3
+
+
+def test_readme_range_table_matches_ball_radii():
+    rows = {}
+    for line in README.read_text().splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if len(cells) == 4 and cells[0].startswith("`"):
+            rows[cells[0].strip("`")] = (cells[1], cells[2])
+    assert sorted(rows) == sorted(cli._VERIFY_SUITES)
+
+    def admitted(suite, k):
+        sizes = [
+            m
+            for m in range(cli.MAX_SIZE + 1)
+            if all(ball_size(k, r) <= BALL_CAP for r in ball_radii(suite, k, m))
+        ]
+        assert sizes == list(range(len(sizes))), (suite, k)
+        return f"max-size 0..{sizes[-1]}"
+
+    for suite, (low_k, top_k) in rows.items():
+        assert {admitted(suite, k) for k in range(1, cli.MAX_K)} == {low_k}, suite
+        assert admitted(suite, cli.MAX_K) == top_k, suite

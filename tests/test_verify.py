@@ -21,6 +21,7 @@ from affineschur.shapes import bounded_to_perm
 from affineschur.verify import (
     CheckResult,
     _BallOrder,
+    _prefix,
     ball_radii,
     verify_factorization,
     verify_fibers,
@@ -193,17 +194,20 @@ def test_symmetric_function_suites_behaviour_lock():
 def test_ball_radii_cover_every_ball_a_sweep_builds(monkeypatch, suite, fn, k, size):
     seen = []
 
-    def recording(name):
-        real = getattr(verify, name)
+    def recording(k, max_length, *args, **kwargs):
+        seen.append(max_length)
+        return ball(k, max_length, *args, **kwargs)
 
-        def wrapper(k, max_length, *args, **kwargs):
-            seen.append(max_length)
-            return real(k, max_length, *args, **kwargs)
-
-        return wrapper
-
-    for name in ("ball", "grassmannian_ball"):
-        monkeypatch.setattr(verify, name, recording(name))
+    monkeypatch.setattr(verify, "ball", recording)
     fn(k, size)
     radii = ball_radii(suite, k, size)
-    assert max(seen, default=None) == max(radii, default=None)
+    # one enumeration per suite, at the largest declared radius
+    assert seen == ([max(radii)] if radii else [])
+
+
+def test_prefix_is_the_smaller_ball_and_refuses_a_larger_one():
+    elements = ball(2, 4)
+    for radius in range(5):
+        assert _prefix(elements, radius) == ball(2, radius)
+    with pytest.raises(ValueError, match="not declared in ball_radii"):
+        _prefix(elements, 5)
