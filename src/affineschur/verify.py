@@ -6,7 +6,11 @@ JSON-able witness.  All identities are exact, so a sweep either finds
 nothing or the build is wrong; there is no tolerance anywhere.
 
 A suite enumerates one length ball, at the largest radius it declares in
-`ball_radii`, and cuts every smaller ball from it as a prefix.
+`ball_radii`, and cuts every smaller ball from it as a prefix.  A map over
+a whole ball, such as u -> demazure(u, y), is built by one generator step
+per element from the value of the element's parent (`_BallOrder.parents`,
+`_hecke_values`), not by one kernel call per pair; the per-pair calls are
+its test oracle.
 """
 
 from __future__ import annotations
@@ -26,9 +30,11 @@ from .affine import (
     from_word,
     inverse,
     is_affine_reflection,
+    left_mul_s,
     meet_LS,
     mul,
     psi_apply,
+    right_mul_s,
     s_join_L,
     weak_leq,
 )
@@ -262,13 +268,59 @@ class _BallOrder:
         m = self.elements[common.bit_length() - 1]
         return None if common & ~self.row("down", m) else m
 
+    def parents(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Left and right parents of every element of the ball but e.
 
-def _group_by_value(elements, fn) -> dict[AffinePermutation, int]:
-    """Bitset rows of the elements grouped by their image under fn."""
+        Entry t of each list belongs to element t+1 and holds (position of
+        the parent, letter): the left parent of u is s_i u for the least left
+        descent i, the right parent u s_j for the least right descent j.  The
+        ball is closed downwards and sorted by length, so every parent comes
+        earlier.  `reduced_word` strips the least left descent first, so the
+        left parents of u spell its reduced word and the right parents that
+        of u^-1.
+        """
+        left, right = [], []
+        for u in self.elements[1:]:
+            i = min(descents(u, "left"))
+            j = min(descents(u, "right"))
+            left.append((self._index[left_mul_s(u, i)], i))
+            right.append((self._index[right_mul_s(u, j)], j))
+        return left, right
+
+
+def _hecke_values(
+    parents: list[tuple[int, int]], start: AffinePermutation, up: bool
+) -> list[AffinePermutation]:
+    """A 0-Hecke map over a ball, one generator step per element.
+
+    The identity maps to `start`; an element whose parent maps to z, by
+    the letter i, maps to max(z, s_i z) if `up` and to min(z, s_i z)
+    otherwise.  Over the left parents from y this is u -> demazure(u, y),
+    over the right parents from x it is u -> psi_apply(u^-1, x, "left"):
+    the same letters in the same order as those calls apply, with every
+    prefix shared.
+    """
+    values = [start]
+    for p, i in parents:
+        z = values[p]
+        sz = left_mul_s(z, i)
+        values.append(sz if (sz.length > z.length) == up else z)
+    return values
+
+
+def _group_by_value(
+    values: list[AffinePermutation], canon: dict[AffinePermutation, AffinePermutation]
+) -> dict[AffinePermutation, int]:
+    """Bitset rows of the positions grouped by their value, each value
+    replaced by its first equal in `canon`, so memo keys on it match by
+    identity."""
     groups: dict[AffinePermutation, list[int]] = {}
-    for i, u in enumerate(elements):
-        groups.setdefault(fn(u), []).append(i)
-    return {value: _mask(positions) for value, positions in groups.items()}
+    for i, value in enumerate(values):
+        groups.setdefault(value, []).append(i)
+    return {
+        canon.setdefault(value, value): _mask(positions)
+        for value, positions in groups.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +369,20 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     results.append(r)
 
     r = CheckResult("weak-order-triple-splitting")
+    # y z, and whether z <=_L y z, do not depend on x
+    products = {}
+    for y in triple_ball:
+        yzs = [mul(y, z) for z in triple_ball]
+        products[y] = [
+            (z, yz, weak_leq(z, yz, "left")) for z, yz in zip(triple_ball, yzs)
+        ]
     for x in triple_ball:
         for y in triple_ball:
             xy = mul(x, y)
             y_le = weak_leq(y, xy, "left")
-            for z in triple_ball:
-                yz = mul(y, z)
+            for z, yz, z_le in products[y]:
                 xyz = mul(x, yz)
-                lhs = weak_leq(z, yz, "left") and weak_leq(yz, xyz, "left")
+                lhs = z_le and weak_leq(yz, xyz, "left")
                 rhs = y_le and weak_leq(z, xyz, "left")
                 r.check(lhs == rhs, x=_win(x), y=_win(y), z=_win(z))
     results.append(r)
@@ -452,12 +510,14 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     r2 = CheckResult("half-strong-meet-maximal")
     r3 = CheckResult("join-seed-minimal-both-forms")
     # u -> demazure(u, y) and u -> psi_apply(u^-1, x), grouped by value
+    left_parents, right_parents = order.parents()
+    canon = {u: u for u in wide}  # values in the ball become its own elements
     by_demazure = {
-        y: _group_by_value(wide, lambda u: demazure(u, y)) for y in seed_ball
+        y: _group_by_value(_hecke_values(left_parents, y, up=True), canon)
+        for y in seed_ball
     }
-    wide_inverses = [inverse(u) for u in wide]
     by_psi = {
-        x: _group_by_value(wide_inverses, lambda ui: psi_apply(ui, x, "left"))
+        x: _group_by_value(_hecke_values(right_parents, x, up=False), canon)
         for x in seed_ball
     }
     for x in seed_ball:
@@ -735,6 +795,9 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
     singles = CheckResult("singleton-fiber-iff-found-index-set")
     a0r = CheckResult("strip-reachability-conditions-agree")
     subsets = proper_subsets(k)
+    down_steps, up_steps = {}, {}
+    for g in gball:
+        down_steps[g], up_steps[g] = _strict_steps(subsets, g)
     for u in gball:
         zs = z_sets(u)
         for members in subsets:
@@ -792,8 +855,8 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
                 w=_win(w),
                 found=None if found is None else sorted(found.members),
             )
-            for r in range(k + 1):
-                conds = _a0_conditions(subsets, u, w, r, found)
+            conds_by_r = _a0_conditions(down_steps[u], up_steps[w], u, w, found)
+            for r, conds in enumerate(conds_by_r):
                 a0r.check(
                     len(set(conds)) == 1,
                     u=_win(u),
@@ -821,23 +884,33 @@ def _seven_way_agreement(k, u, A, B, fib, zs) -> bool:
     return len({c1, c2, c3, c4, c5, c6, c7}) == 1
 
 
-def _a0_conditions(subsets, u, w, r, found) -> tuple[bool, bool, bool, bool]:
-    c1 = found is not None and len(found) <= r
-    c2 = c3 = c4 = False
-    for members in subsets:  # by size, so the sizes <= r come first
-        if len(members) > r:
-            break
-        A = IndexSet._trusted(u.k, members)
-        dA = d_elem(A)
-        v = mul(inverse(dA), u)
-        if v.length == u.length - len(A) and bruhat_leq(v, w):
-            c2 = True
+def _strict_steps(subsets, w) -> tuple[list, list]:
+    """(|A|, d_A^-1 w) for the A with l(d_A^-1 w) = l(w) - |A|, and (|A|, d_A w)
+    for the A with l(d_A w) = l(w) + |A|, both by size."""
+    down, up = [], []
+    for members in subsets:
+        dA = d_elem(IndexSet._trusted(w.k, members))
+        v = mul(inverse(dA), w)
+        if v.length == w.length - len(members):
+            down.append((len(members), v))
         top = mul(dA, w)
-        if top.length == w.length + len(A) and bruhat_leq(u, top):
-            c3 = True
-            if len(A) == r:
-                c4 = True
-    return (c1, c2, c3, c4)
+        if top.length == w.length + len(members):
+            up.append((len(members), top))
+    return down, up
+
+
+def _a0_conditions(u_down, w_up, u, w, found) -> list[tuple[bool, bool, bool, bool]]:
+    """The four conditions for every r = 0..k, read off the strict steps of u
+    down and of w up (`_strict_steps`), none of which depends on r."""
+    k = u.k
+    # least |A| with d_A^-1 u <= w, least |A| with u <= d_A w, and every such |A|
+    least_down = min((size for size, v in u_down if bruhat_leq(v, w)), default=k + 1)
+    up_sizes = {size for size, top in w_up if bruhat_leq(u, top)}
+    least_up = min(up_sizes, default=k + 1)
+    return [
+        (found is not None and len(found) <= r, least_down <= r, least_up <= r, r in up_sizes)
+        for r in range(k + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -5,22 +5,36 @@ from pathlib import Path
 
 import pytest
 
-from affineschur import verify
-from affineschur.affine import ball, bruhat_leq, demazure, from_word, identity
+from affineschur import affine, verify
+from affineschur.affine import (
+    IndexSet,
+    ball,
+    bruhat_leq,
+    demazure,
+    from_word,
+    identity,
+    inverse,
+    mul,
+    psi_apply,
+)
+from affineschur.kcode import d_elem
 from affineschur.oracles import (
     JoinStatus,
     is_least_upper_bound_in_ball,
+    proper_subsets,
     saturated_chain_exists,
     strong_join_in_ball,
     strong_meet,
     subset_chain_exists,
     weak_join_in_ball,
 )
+from affineschur.orderlab import find_A0
 from affineschur.partitions import kbounded_partitions
 from affineschur.shapes import bounded_to_perm
 from affineschur.verify import (
     CheckResult,
     _BallOrder,
+    _hecke_values,
     _prefix,
     ball_radii,
     verify_factorization,
@@ -211,3 +225,50 @@ def test_prefix_is_the_smaller_ball_and_refuses_a_larger_one():
         assert _prefix(elements, radius) == ball(2, radius)
     with pytest.raises(ValueError, match="not declared in ball_radii"):
         _prefix(elements, 5)
+
+
+@pytest.mark.parametrize("k,L", [(2, 5), (3, 4)])
+def test_hecke_recurrences_match_the_per_pair_products(k, L):
+    """One generator step per ball element gives what the per-pair calls give."""
+    elements = ball(k, L)
+    left, right = _BallOrder(elements).parents()
+    for x in _prefix(elements, 4):
+        assert _hecke_values(left, x, up=True) == [demazure(u, x) for u in elements]
+        assert _hecke_values(right, x, up=False) == [
+            psi_apply(inverse(u), x, "left") for u in elements
+        ]
+
+
+def test_join_seed_maps_leave_no_per_pair_memo():
+    affine.demazure.cache_clear()
+    affine.psi_apply.cache_clear()
+    verify_order_props(3, 4)
+    wide_radius = ball_radii("order-props", 3, 4)[0]
+    pairs = len(ball(3, wide_radius)) * len(ball(3, 4))  # 295 * 69
+    assert affine.demazure.cache_info().currsize < pairs / 2
+    assert affine.psi_apply.cache_info().currsize < pairs / 2
+
+
+def test_a0_conditions_read_every_r_off_one_pass():
+    """Against a scan of the subsets of size <= r for each r on its own."""
+    k = 3
+    subsets = proper_subsets(k)
+    gball = [w for w in ball(k, 4) if w.is_grassmannian()]
+    steps = {g: verify._strict_steps(subsets, g) for g in gball}
+    for u in gball:
+        for w in gball:
+            found = find_A0(u, w)
+            got = verify._a0_conditions(steps[u][0], steps[w][1], u, w, found)
+            for r in range(k + 1):
+                small = [IndexSet(k, A) for A in subsets if len(A) <= r]
+                down = [(A, mul(inverse(d_elem(A)), u)) for A in small]
+                up = [(A, mul(d_elem(A), w)) for A in small]
+                assert got[r] == (
+                    found is not None and len(found) <= r,
+                    any(v.length == u.length - len(A) and bruhat_leq(v, w) for A, v in down),
+                    any(t.length == w.length + len(A) and bruhat_leq(u, t) for A, t in up),
+                    any(
+                        t.length == w.length + r and len(A) == r and bruhat_leq(u, t)
+                        for A, t in up
+                    ),
+                ), (u, w, r)

@@ -47,6 +47,7 @@ TRACED = (
     "kcode.ri.self_s",
     "affine.mul.calls",
     "affine.demazure.size",
+    "affine.psi_apply.size",
     "affine.left_action.self_s",
     "orderlab.z_sets.self_s",
     "orderlab.fiber_X.self_s",
