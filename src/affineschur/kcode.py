@@ -104,19 +104,33 @@ def cyclically_decreasing_word(A: IndexSet) -> tuple[int, ...]:
     return tuple(word)
 
 
+class _DWord:
+    """The letters of d_A, and d_A itself once it is first asked for: the
+    strip, Z-set and fiber steps read only the letters."""
+
+    __slots__ = ("k", "steps", "word", "_elem")
+
+    def __init__(self, k: int, word: tuple[int, ...]):
+        self.k = k
+        self.word = word
+        self.steps = word[::-1]
+        self._elem = None
+
+    def elem(self) -> AffinePermutation:
+        if self._elem is None:
+            self._elem = left_action(identity(self.k), self.steps)
+        return self._elem
+
+
 @functools.lru_cache(maxsize=None)
-def _d_from_frozen(
-    k: int, members: frozenset[int]
-) -> tuple[AffinePermutation, tuple[int, ...], tuple[int, ...]]:
-    """d_A with the left steps of d_A and of d_A^{-1} (see `d_steps`)."""
-    word = cyclically_decreasing_word(IndexSet._trusted(k, members))
-    steps = word[::-1]
-    return left_action(identity(k), steps), steps, word
+def _d_from_frozen(k: int, members: frozenset[int]) -> _DWord:
+    """The cyclically decreasing word of A, memoised with d_A (see `d_steps`)."""
+    return _DWord(k, cyclically_decreasing_word(IndexSet._trusted(k, members)))
 
 
 def d_elem(A: IndexSet) -> AffinePermutation:
     """Cyclically decreasing element d_A; its length is |A|."""
-    return _d_from_frozen(A.k, A.members)[0]
+    return _d_from_frozen(A.k, A.members).elem()
 
 
 def d_steps(A: IndexSet) -> tuple[int, ...]:
@@ -125,13 +139,13 @@ def d_steps(A: IndexSet) -> tuple[int, ...]:
     The cyclically decreasing word of A read backwards, its rightmost
     letter acting first; kept in the memo of `d_elem`.
     """
-    return _d_from_frozen(A.k, A.members)[1]
+    return _d_from_frozen(A.k, A.members).steps
 
 
 def d_inverse_steps(A: IndexSet) -> tuple[int, ...]:
     """Letters with `left_action(w, d_inverse_steps(A))` equal to d_A^{-1} w:
     the cyclically decreasing word of A itself."""
-    return _d_from_frozen(A.k, A.members)[2]
+    return _d_from_frozen(A.k, A.members).word
 
 
 def u_elem(A: IndexSet) -> AffinePermutation:

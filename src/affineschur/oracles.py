@@ -8,8 +8,10 @@ in this ball" separately from a definite answer; callers assert claims only
 on certified instances.  The greedy row-stripping k-code decomposition lives
 here too: it is the definition the closed forms of `kcode` are tested against.
 So does the Bruhat scan of a strong lower ideal of bounded partitions, which
-the core-containment ideals of `symfunc` are tested against, and the
-residue-action walk on cores, the oracle of the conversions of `shapes`.
+the core-containment ideals of `symfunc` are tested against, the filter of
+all bounded partitions by core containment, the oracle of their pruned
+enumeration, and the residue-action walk on cores, the oracle of the
+conversions of `shapes`.
 The products with d_A and d_A^{-1}, one full group product each, are the
 oracles of the step-by-step strip, Z-set and fiber decisions, and the pair
 scan is the oracle of the bitset closure check of `orderlab`.  The scans of
@@ -36,7 +38,7 @@ from .affine import (
 )
 from .kcode import KCode, d_elem, d_inverse_steps, d_steps, u_elem
 from .partitions import CorePartition, KBoundedPartition, kbounded_partitions
-from .shapes import bounded_to_perm, core_action, is_weak_strip
+from .shapes import _core_rows, bounded_to_perm, core_action, is_weak_strip
 
 __all__ = [
     "subword_lower_set",
@@ -50,6 +52,7 @@ __all__ = [
     "subset_chain_exists",
     "kcode_by_stripping",
     "strong_lower_ideal_by_bruhat",
+    "strong_ideal_union_by_filter",
     "core_by_residue_action",
     "d_mul",
     "d_demazure",
@@ -276,6 +279,21 @@ def strong_lower_ideal_by_bruhat(lam: KBoundedPartition) -> tuple[KBoundedPartit
         if bruhat_leq(bounded_to_perm(mu), w):
             out.append(mu)
     return tuple(out)
+
+
+def strong_ideal_union_by_filter(tops: list[KBoundedPartition]) -> list[KBoundedPartition]:
+    """Every mu below one of `tops` in the strong order, by one core
+    containment test per k-bounded partition up to the largest top.
+
+    Test oracle for the pruned `symfunc._strong_ideal_union`.
+    """
+    cores = [_core_rows(top) for top in tops]
+    out = []
+    for mu in kbounded_partitions(tops[0].k, max(top.size for top in tops)):
+        rows = _core_rows(mu)
+        if any(len(rows) <= len(c) and all(a <= b for a, b in zip(rows, c)) for c in cores):
+            out.append(mu)
+    return out
 
 
 def core_by_residue_action(w: AffinePermutation) -> CorePartition:

@@ -152,19 +152,32 @@ def perm_to_bounded(w: AffinePermutation) -> KBoundedPartition:
     return sh(rd(w))
 
 
+def _slide_row(heights: list[int], p: int, k: int) -> int:
+    """Length of the core row of a part p slid onto the rows placed so far.
+
+    `heights` counts the cells per column of those rows.  The row is
+    shifted right by the least s with p + heights[s] <= k, so its length
+    s + p grows strictly with p.
+    """
+    s = 0
+    while s < len(heights) and p + heights[s] > k:
+        s += 1
+    return s + p
+
+
+def _stack_row(heights: list[int], length: int) -> list[int]:
+    """Cells per column once a core row of `length` cells lies on top; a
+    core row is at least as long as every row below it."""
+    return [h + 1 for h in heights] + [1] * (length - len(heights))
+
+
 def _core_rows(lam: KBoundedPartition) -> tuple[int, ...]:
     """Rows of the (k+1)-core of lam, by row sliding (see `bounded_to_core`)."""
-    k = lam.k
-    heights: list[int] = []  # cells per column among the rows placed so far
+    heights: list[int] = []
     rows = []
     for p in reversed(lam.parts):
-        s = 0
-        while s < len(heights) and p + heights[s] > k:
-            s += 1
-        length = s + p
-        for c in range(min(length, len(heights))):
-            heights[c] += 1
-        heights.extend([1] * (length - len(heights)))
+        length = _slide_row(heights, p, lam.k)
+        heights = _stack_row(heights, length)
         rows.append(length)
     return tuple(reversed(rows))
 

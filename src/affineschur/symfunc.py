@@ -19,11 +19,12 @@ from .affine import IndexSet
 from .partitions import (
     KBoundedPartition,
     k_rectangle,
-    kbounded_partitions,
     union_sort,
 )
 from .shapes import (
     _core_rows,
+    _slide_row,
+    _stack_row,
     bounded_to_perm,
     perm_to_bounded,
     setvalued_strips,
@@ -314,22 +315,45 @@ def product_ks(a: SymElt, b: SymElt) -> SymElt:
 
 
 def _strong_ideal_union(tops: list[KBoundedPartition]) -> list[KBoundedPartition]:
-    """Every mu below one of `tops` in the strong order, by one pass over the
-    k-bounded partitions up to the largest top (see `bruhat_lower_partitions`).
+    """Every mu below one of `tops` in the strong order, by (size, revlex).
 
-    A core has as many rows as its bounded partition, so longer candidates
-    are skipped before their core is built.
+    mu lies below a top when the top's core holds mu's (see
+    `bruhat_lower_partitions`).  A core has as many rows as its bounded
+    partition, so for each row count l the parts of mu are chosen bottom-up
+    and each core row is placed by `_slide_row` as it is chosen.  A placed
+    row never moves, so a branch lives only while some top's core, with at
+    least l rows, dominates every core row placed so far; and a row grows
+    with its part, so the parts stop at the first row too long for every
+    live top.  The filter over all k-bounded partitions is the test oracle
+    `oracles.strong_ideal_union_by_filter`.
     """
+    k = tops[0].k
     cores = [_core_rows(top) for top in tops]
-    rows_max = max(len(c) for c in cores)
-    out = []
-    for mu in kbounded_partitions(tops[0].k, max(top.size for top in tops)):
-        if len(mu.parts) > rows_max:
-            continue
-        rows = _core_rows(mu)
-        if any(len(rows) <= len(c) and all(a <= b for a, b in zip(rows, c)) for c in cores):
-            out.append(mu)
-    return out
+    found: list[tuple[int, ...]] = [()]
+
+    def grow(parts: list[int], heights: list[int], live: list, row: int) -> None:
+        if row < 0:
+            found.append(tuple(reversed(parts)))
+            return
+        bound = max(c[row] for c in live)
+        for p in range(parts[-1] if parts else 1, k + 1):
+            length = _slide_row(heights, p, k)
+            if length > bound:
+                break
+            parts.append(p)
+            grow(
+                parts,
+                _stack_row(heights, length),
+                [c for c in live if length <= c[row]],
+                row - 1,
+            )
+            parts.pop()
+
+    for rows in range(1, max(len(c) for c in cores) + 1):
+        grow([], [], [c for c in cores if len(c) >= rows], rows - 1)
+    found.sort(reverse=True)
+    found.sort(key=sum)
+    return [KBoundedPartition._trusted(k, parts) for parts in found]
 
 
 @functools.lru_cache(maxsize=None)
@@ -391,7 +415,7 @@ def gtilde_pieri_ie(lam: KBoundedPartition, r: int) -> dict[tuple[int, ...], int
         sign = (-1) ** (m - 1)
         for combo in itertools.combinations(strips, m):
             inter = frozenset.intersection(*(A.members for A in combo))
-            label = strip_top(lam, IndexSet(lam.k, inter)).parts
+            label = strip_top(lam, IndexSet._trusted(lam.k, inter)).parts
             acc[label] = acc.get(label, 0) + sign
     return {p: c for p, c in sorted(acc.items(), key=_term_key) if c}
 

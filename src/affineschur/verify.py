@@ -34,7 +34,6 @@ from .affine import (
     meet_LS,
     mul,
     psi_apply,
-    right_mul_s,
     s_join_L,
     weak_leq,
 )
@@ -162,13 +161,16 @@ def _mask(positions: list[int]) -> int:
     return int.from_bytes(buf, "little")
 
 
-# row kind -> (whether the row lies above x, relation between x and z)
-_RELATIONS = {
+# strong row kind -> (whether the row lies above x, relation between x and z)
+_STRONG = {
     "up": (True, lambda x, z: bruhat_leq(x, z)),
     "down": (False, lambda x, z: bruhat_leq(z, x)),
-    "left-up": (True, lambda x, z: weak_leq(x, z, "left")),
-    "left-down": (False, lambda x, z: weak_leq(z, x, "left")),
-    "right-down": (False, lambda x, z: weak_leq(z, x, "right")),
+}
+# weak row kind -> (side of its generator steps, whether the row lies above x)
+_WEAK = {
+    "left-up": ("left", True),
+    "left-down": ("left", False),
+    "right-down": ("right", False),
 }
 
 
@@ -177,18 +179,27 @@ class _BallOrder:
 
     The ball is kept as `ball()` returns it, sorted by (length, window), and
     bit i of a row stands for its i-th element.  A row of x is one Python
-    int, built by a single scan the first time x is asked for and memoised
-    after; x itself may lie outside the ball.  Joins, meets and least upper
-    bounds then become ANDs and subset tests of rows, and give the same
-    answers as the scans in `oracles` over the same universe.
+    int, built the first time x is asked for and memoised after.  Joins,
+    meets and least upper bounds then become ANDs and subset tests of rows,
+    and give the same answers as the scans in `oracles` over the same
+    universe.
+
+    A strong row is a scan of the ball with `bruhat_leq`, and x may lie
+    outside the ball.  A weak row is a search along generator steps: a
+    left weak cover is u -> s_i u with the length up by one, so every z with
+    x <=_L z and l(z) <= radius is reached through ball elements, and so
+    are the lower sets and the right side.  The steps are read from a table
+    of the positions of s_i u and u s_i, built per element as the searches
+    reach it; x must lie in the ball.
     """
 
     def __init__(self, elements: list[AffinePermutation]):
         self.elements = elements
-        self._index = {w: i for i, w in enumerate(elements)}
+        self._index = {w.window: i for i, w in enumerate(elements)}  # by window
         self.radius = elements[-1].length
         self._lengths = [w.length for w in elements]
         self._rows: dict[tuple, int] = {}
+        self._steps: dict[str, dict[int, list[int]]] = {"left": {}, "right": {}}
 
     def _start(self, length: int) -> int:
         """Position of the first element of length >= `length`."""
@@ -198,15 +209,63 @@ class _BallOrder:
         key = (kind, x)
         row = self._rows.get(key)
         if row is None:
-            above, related = _RELATIONS[kind]
-            if above:  # only elements at least as long as x can relate
-                span = range(self._start(x.length), len(self.elements))
+            if kind in _WEAK:
+                row = self._weak_row(*_WEAK[kind], x)
             else:
-                span = range(self._start(x.length + 1))
-            elements = self.elements
-            row = _mask([i for i in span if related(x, elements[i])])
+                above, related = _STRONG[kind]
+                if above:  # only elements at least as long as x can relate
+                    span = range(self._start(x.length), len(self.elements))
+                else:
+                    span = range(self._start(x.length + 1))
+                elements = self.elements
+                row = _mask([i for i in span if related(x, elements[i])])
             self._rows[key] = row
         return row
+
+    def _weak_row(self, side: str, above: bool, x: AffinePermutation) -> int:
+        start = self._index.get(x.window)
+        if start is None:
+            raise ValueError(f"weak rows are searched inside the ball; {x!r} is outside")
+        lengths = self._lengths
+        seen = {start}
+        todo = [start]
+        while todo:
+            p = todo.pop()
+            for q in self._neighbours(side, p):
+                if q >= 0 and (lengths[q] > lengths[p]) == above and q not in seen:
+                    seen.add(q)
+                    todo.append(q)
+        return _mask(sorted(seen))
+
+    def _neighbours(self, side: str, p: int) -> list[int]:
+        """Positions of s_i u (left) or u s_i (right) for u at position p and
+        i = 0..k, with -1 for an element outside the ball."""
+        table = self._steps[side]
+        out = table.get(p)
+        if out is None:
+            win = self.elements[p].window
+            n = len(win)
+            windows = []
+            if side == "left":  # s_i adds one to residue i, takes one from i+1
+                at = [0] * n
+                for pos, v in enumerate(win):
+                    at[v % n] = pos
+                for i in range(n):
+                    w = list(win)
+                    w[at[i]] += 1
+                    w[at[(i + 1) % n]] -= 1
+                    windows.append(w)
+            else:  # s_i swaps window positions i and i+1, cyclically for i = 0
+                w = list(win)
+                w[0], w[-1] = win[-1] - n, win[0] + n
+                windows.append(w)
+                for i in range(1, n):
+                    w = list(win)
+                    w[i - 1], w[i] = win[i], win[i - 1]
+                    windows.append(w)
+            index = self._index
+            out = table[p] = [index.get(tuple(w), -1) for w in windows]
+        return out
 
     def members(self, row: int) -> list[AffinePermutation]:
         """Elements of a row, in ball order."""
@@ -221,7 +280,7 @@ class _BallOrder:
         ]
 
     def contains(self, row: int, z: AffinePermutation) -> bool:
-        i = self._index.get(z)
+        i = self._index.get(z.window)
         return i is not None and bool(row >> i & 1)
 
     def join(
@@ -238,16 +297,7 @@ class _BallOrder:
         m = self.elements[(ubs & -ubs).bit_length() - 1]
         if m.length >= self.radius:
             return JoinStatus(None, False)
-        if kind == "left-up":
-            # m's weak row would serve this query alone: test only the upper
-            # bounds, m <=_L z iff l(z m^-1) + l(m) = l(z), without the memo
-            m_inv = inverse(m)
-            least = all(
-                mul(z, m_inv).length + m.length == z.length for z in self.members(ubs)
-            )
-        else:
-            least = not ubs & ~self.row(kind, m)
-        return JoinStatus(m if least else None, True)
+        return JoinStatus(None if ubs & ~self.row(kind, m) else m, True)
 
     def is_least_upper_bound(
         self, candidate: AffinePermutation, v: AffinePermutation, w: AffinePermutation
@@ -275,16 +325,18 @@ class _BallOrder:
         the parent, letter): the left parent of u is s_i u for the least left
         descent i, the right parent u s_j for the least right descent j.  The
         ball is closed downwards and sorted by length, so every parent comes
-        earlier.  `reduced_word` strips the least left descent first, so the
-        left parents of u spell its reduced word and the right parents that
-        of u^-1.
+        earlier, and a step to an earlier position is a descent.
+        `reduced_word` strips the least left descent first, so the left
+        parents of u spell its reduced word and the right parents that of
+        u^-1.
         """
-        left, right = [], []
-        for u in self.elements[1:]:
-            i = min(descents(u, "left"))
-            j = min(descents(u, "right"))
-            left.append((self._index[left_mul_s(u, i)], i))
-            right.append((self._index[right_mul_s(u, j)], j))
+        left, right = (
+            [
+                next((q, i) for i, q in enumerate(self._neighbours(side, p)) if 0 <= q < p)
+                for p in range(1, len(self.elements))
+            ]
+            for side in ("left", "right")
+        )
         return left, right
 
 

@@ -15,11 +15,14 @@ from affineschur.affine import (
     mul,
     weak_leq,
 )
+from affineschur import kcode
 from affineschur.kcode import (
     KCode,
     code_rows,
     cyclically_decreasing_word,
     d_elem,
+    d_inverse_steps,
+    d_steps,
     eval_code,
     rd,
     ri,
@@ -65,6 +68,18 @@ def test_d_elem_examples():
         for A in all_index_sets(k):
             assert u_elem(A) == inverse(d_elem(A))
             assert d_elem(A).length == len(A)
+
+
+def test_letters_of_d_do_not_build_d():
+    """The step letters come from the memo without building d_A, which is
+    built once when first asked for."""
+    A = IndexSet(6, frozenset({0, 2, 3, 6}))
+    memo = kcode._d_from_frozen(A.k, A.members)
+    memo._elem = None
+    assert d_inverse_steps(A) == d_steps(A)[::-1] == (3, 2, 0, 6)
+    assert memo._elem is None
+    assert d_elem(A) == from_word(6, d_inverse_steps(A))
+    assert d_elem(A) is memo._elem
 
 
 def test_d_elem_order_independent():

@@ -7,12 +7,17 @@ import pytest
 
 from affineschur import symfunc
 from affineschur.affine import ball, weak_leq
-from affineschur.oracles import strong_lower_ideal_by_bruhat, weak_join_in_ball
+from affineschur.oracles import (
+    strong_ideal_union_by_filter,
+    strong_lower_ideal_by_bruhat,
+    weak_join_in_ball,
+)
 from affineschur.partitions import KBoundedPartition, kbounded_partitions
 from affineschur.shapes import bounded_to_perm, strip_top, weak_strips
 from affineschur.symfunc import (
     SymElt,
     _invert_unitriangular,
+    _strong_ideal_union,
     bruhat_lower_partitions,
     expand_gtilde_combination,
     g_to_h,
@@ -177,6 +182,20 @@ def test_strong_ideal_equals_bruhat_scan_oracle_at_k8():
     candidates = [lam for lam in kbounded_partitions(8, 17) if lam.size >= 9]
     for lam in random.Random(8).sample(candidates, 12):
         assert bruhat_lower_partitions(lam) == strong_lower_ideal_by_bruhat(lam), lam
+
+
+def test_pruned_ideal_equals_the_filter_oracle():
+    """Same partitions in the same (size, revlex) order, for single tops and
+    for the strip-top unions `gtilde_pieri` passes."""
+    ranges = [(k, 8) for k in range(1, 5)] + [(5, 7), (6, 7)]
+    for k, max_size in ranges:
+        for lam in kbounded_partitions(k, max_size):
+            assert _strong_ideal_union([lam]) == strong_ideal_union_by_filter([lam]), lam
+            for r in range(k + 1):
+                tops = [strip_top(lam, A) for A in weak_strips(lam, r)]
+                assert _strong_ideal_union(tops) == strong_ideal_union_by_filter(
+                    tops
+                ), (lam, r)
 
 
 def test_gtilde_pieri_equals_union_of_top_ideals():

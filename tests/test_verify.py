@@ -16,6 +16,7 @@ from affineschur.affine import (
     inverse,
     mul,
     psi_apply,
+    weak_leq,
 )
 from affineschur.kcode import d_elem
 from affineschur.oracles import (
@@ -35,6 +36,7 @@ from affineschur.verify import (
     CheckResult,
     _BallOrder,
     _hecke_values,
+    _mask,
     _prefix,
     ball_radii,
     verify_factorization,
@@ -143,6 +145,36 @@ def test_ball_order_agrees_with_oracles(k, L):
     _assert_rows_match_oracles(
         order, [(v, w) for v in grass for w in grass], candidates
     )
+
+
+@pytest.mark.parametrize("k,L", [(2, 5), (3, 4), (5, 4)])
+def test_weak_rows_equal_the_weak_order_scan(k, L):
+    """The generator searches find what one `weak_leq` per element finds."""
+    elements = ball(k, L)
+    order = _BallOrder(elements)
+    relations = {
+        "left-up": lambda x, z: weak_leq(x, z, "left"),
+        "left-down": lambda x, z: weak_leq(z, x, "left"),
+        "right-down": lambda x, z: weak_leq(z, x, "right"),
+    }
+    for x in elements:
+        for kind, related in relations.items():
+            scan = _mask([i for i, z in enumerate(elements) if related(x, z)])
+            assert order.row(kind, x) == scan, (kind, x)
+
+
+def test_weak_row_of_an_element_outside_the_ball_raises():
+    order = _BallOrder(ball(2, 3))
+    outside = from_word(2, [0, 1, 2, 0])
+    for kind in ("left-up", "left-down", "right-down"):
+        with pytest.raises(ValueError, match="outside"):
+            order.row(kind, outside)
+
+
+def test_pieri_sum_joins_leave_no_weak_order_memo():
+    affine.weak_leq.cache_clear()
+    verify_pieri_sum(5, 6)
+    assert affine.weak_leq.cache_info().currsize <= 1000
 
 
 def test_ball_order_on_a_tight_universe():

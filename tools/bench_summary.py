@@ -55,6 +55,8 @@ TRACED = (
     "shapes.setvalued_strips.self_s",
     "affine.inverse.calls",
     "affine.bruhat_leq.misses",
+    "affine.weak_leq.misses",
+    "affine.weak_leq.size",
     "symfunc.bruhat_lower_partitions.self_s",
     "orderlab.self_s",
     "symfunc.pieri_kk.self_s",
