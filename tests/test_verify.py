@@ -32,6 +32,7 @@ from affineschur.oracles import (
 from affineschur.orderlab import find_A0
 from affineschur.partitions import kbounded_partitions
 from affineschur.shapes import bounded_to_perm
+from affineschur.symfunc import SymElt
 from affineschur.verify import (
     CheckResult,
     _BallOrder,
@@ -63,6 +64,14 @@ def test_check_result_bookkeeping():
     assert r.failures == [{"a": 2}]
     blob = r.as_dict()
     assert blob["name"] == "demo" and blob["ok"] is False
+    # elements and symmetric functions become JSON only in a failing witness
+    w = from_word(2, [0, 1])
+    g = SymElt.single(2, "g", (2, 1))
+    r = CheckResult("demo")
+    r.check(True, w=w, g=g)
+    r.check(False, w=w, g=g, i=3)
+    assert r.failures == [{"w": list(w.window), "g": g.as_dict()["terms"], "i": 3}]
+    assert json.loads(json.dumps(r.as_dict()))["failures"] == r.failures
 
 
 @pytest.mark.parametrize(
@@ -161,6 +170,82 @@ def test_weak_rows_equal_the_weak_order_scan(k, L):
         for kind, related in relations.items():
             scan = _mask([i for i, z in enumerate(elements) if related(x, z)])
             assert order.row(kind, x) == scan, (kind, x)
+
+
+def _strong_scan(elements, x):
+    return {
+        "down": _mask([i for i, z in enumerate(elements) if bruhat_leq(z, x)]),
+        "up": _mask([i for i, z in enumerate(elements) if bruhat_leq(x, z)]),
+    }
+
+
+@pytest.mark.parametrize("k,L", [(2, 6), (3, 5), (4, 4)])
+def test_lifted_strong_rows_equal_the_bruhat_scan(k, L):
+    """Lifting [e, s_i y] = [e, y] u s_i [e, y] finds what `bruhat_leq` finds."""
+    elements = ball(k, L)
+    order = _BallOrder(elements)
+    # longest first, so that each row is lifted through ancestors without rows
+    for x in reversed(elements):
+        scan = _strong_scan(elements, x)
+        assert order.row("down", x) == scan["down"], x
+        assert order.row("up", x) == scan["up"], x
+        for z in elements:
+            assert order.leq(z, x) == bruhat_leq(z, x), (z, x)
+
+
+def test_prefix_orders_read_the_shared_table():
+    """Rows of a prefix equal those of an order built on the prefix alone."""
+    whole = _BallOrder(ball(2, 7))
+    outside = [w for w in ball(2, 9) if w.length > 7]
+    for radius in (3, 5, 7):
+        view, alone = whole.prefix(radius), _BallOrder(ball(2, radius))
+        assert view.elements == alone.elements and view.radius == alone.radius
+        # the strong rows of elements past the prefix, inside it or not
+        for x in whole.elements + outside:
+            for kind in ("down", "up"):
+                assert view.row(kind, x) == alone.row(kind, x), (radius, kind, x)
+        for x in alone.elements:
+            for kind in ("left-up", "left-down", "right-down"):
+                assert view.row(kind, x) == alone.row(kind, x), (radius, kind, x)
+        assert view.parents() == alone.parents()
+        pairs = [(v, w) for v in alone.elements for w in alone.elements]
+        for v, w in pairs[::7]:
+            assert view.join(v, w) == alone.join(v, w)
+            assert view.meet(v, w) == alone.meet(v, w)
+    five = whole.prefix(5)
+    for x in whole.elements[len(five.elements) :]:
+        with pytest.raises(ValueError, match="outside"):
+            five.row("left-up", x)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_elements_outside_the_ball(k):
+    """Their down rows are scans, and comparing with them lifts into the ball."""
+    elements = ball(k, 3)
+    order = _BallOrder(elements)
+    for x in ball(k, 6)[len(elements) :]:
+        scan = _strong_scan(elements, x)
+        assert order.row("down", x) == scan["down"] and scan["down"]
+        assert order.row("up", x) == scan["up"] == 0
+        letters, q = order.lift(x)
+        assert len(letters) == x.length - 3 and elements[q].length == 3
+        for z in elements:
+            assert order.leq(z, x) == bruhat_leq(z, x) and not order.leq(x, z)
+
+
+def test_pieri_sum_builds_no_strong_table(monkeypatch):
+    built = []
+    lifted = _BallOrder._lifted
+
+    def recording(self, p):
+        built.append(p)
+        return lifted(self, p)
+
+    monkeypatch.setattr(_BallOrder, "_lifted", recording)
+    verify_pieri_sum(5, 6)
+    assert not built
+    verify_order_props(1, 2)  # the recording itself works
+    assert built
 
 
 def test_weak_row_of_an_element_outside_the_ball_raises():

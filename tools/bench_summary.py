@@ -54,7 +54,9 @@ TRACED = (
     "shapes.weak_strips.self_s",
     "shapes.setvalued_strips.self_s",
     "affine.inverse.calls",
+    "affine.bruhat_leq.hits",
     "affine.bruhat_leq.misses",
+    "affine.bruhat_leq.size",
     "affine.weak_leq.misses",
     "affine.weak_leq.size",
     "symfunc.bruhat_lower_partitions.self_s",
