@@ -219,8 +219,12 @@ def first_row(code: KCode, increasing: bool = False) -> frozenset[int]:
 
 
 def sh(code: KCode) -> KBoundedPartition:
-    """Column-count shape: part j counts columns of height at least j."""
+    """Column-count shape: part j counts columns of height at least j.
+
+    A k-code has an empty column among its k+1, so every part is at most k
+    and the shape is trusted.
+    """
     parts = []
     for j in range(1, max(code.values, default=0) + 1):
         parts.append(sum(1 for v in code.values if v >= j))
-    return KBoundedPartition(code.k, tuple(parts))
+    return KBoundedPartition._trusted(code.k, tuple(parts))

@@ -16,7 +16,8 @@ The products with d_A and d_A^{-1}, one full group product each, are the
 oracles of the step-by-step strip, Z-set and fiber decisions, and the pair
 scan is the oracle of the bitset closure check of `orderlab`.  The scans of
 all 2^(k+1) residue subsets, one generator run each, are the oracles of the
-grown Z-set families and weak strips.
+grown Z-set families and weak strips.  The product that applies each h
+monomial on its own is the oracle of the prefix-trie walk of `symfunc`.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .affine import (
 from .kcode import KCode, d_elem, d_inverse_steps, d_steps, u_elem
 from .partitions import CorePartition, KBoundedPartition, kbounded_partitions
 from .shapes import _core_rows, bounded_to_perm, core_action, is_weak_strip
+from .symfunc import SymElt, h_monomial_mult
 
 __all__ = [
     "subword_lower_set",
@@ -61,6 +63,7 @@ __all__ = [
     "proper_subsets",
     "z_sets_by_scan",
     "weak_strips_by_scan",
+    "product_via_h_by_monomial",
 ]
 
 
@@ -385,3 +388,18 @@ def weak_strips_by_scan(lam: KBoundedPartition, r: int) -> list[IndexSet]:
         if is_weak_strip(lam, A):
             out.append(A)
     return sorted(out, key=lambda a: a.sorted())
+
+
+def product_via_h_by_monomial(a: SymElt, b: SymElt, to_h) -> SymElt:
+    """a*b with a expanded in h by `to_h` and each h monomial applied to b on
+    its own; the oracle of `symfunc._product_via_h`, which walks the
+    monomials as a prefix trie."""
+    in_h: dict[tuple[int, ...], int] = {}
+    for parts, c in a.as_mapping().items():
+        for hparts, hc in to_h(KBoundedPartition(a.k, parts)).as_mapping().items():
+            in_h[hparts] = in_h.get(hparts, 0) + c * hc
+    acc: dict[tuple[int, ...], int] = {}
+    for hparts, hc in in_h.items():
+        for q, v in h_monomial_mult(b, hparts).as_mapping().items():
+            acc[q] = acc.get(q, 0) + hc * v
+    return SymElt(a.k, a.basis, tuple(acc.items()))

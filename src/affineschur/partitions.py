@@ -105,14 +105,18 @@ def k_rectangle(t: int, k: int) -> KBoundedPartition:
     """The rectangle with k+1-t rows of length t."""
     if not 1 <= t <= k:
         raise ValueError(f"need 1 <= t <= k, got t={t}, k={k}")
-    return KBoundedPartition(k, (t,) * (k + 1 - t))
+    return KBoundedPartition._trusted(k, (t,) * (k + 1 - t))
 
 
 def union_sort(mu: KBoundedPartition, lam: KBoundedPartition) -> KBoundedPartition:
-    """Merge the parts of two bounded partitions, resorted decreasingly."""
+    """Merge the parts of two bounded partitions, resorted decreasingly.
+
+    Merging two k-bounded partitions of one k gives a k-bounded partition,
+    so only the ranks are checked.
+    """
     if mu.k != lam.k:
         raise ValueError(f"rank mismatch: k={mu.k} vs k={lam.k}")
-    return KBoundedPartition(mu.k, tuple(sorted(mu.parts + lam.parts, reverse=True)))
+    return KBoundedPartition._trusted(mu.k, tuple(sorted(mu.parts + lam.parts, reverse=True)))
 
 
 def partitions_of(n: int, max_part: int) -> Iterator[tuple[int, ...]]:

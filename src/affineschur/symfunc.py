@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .affine import IndexSet
 from .partitions import (
@@ -68,40 +67,68 @@ def _term_key(term: tuple[tuple[int, ...], int]) -> tuple:
     return partition_sort_key(term[0])
 
 
-@dataclass(frozen=True)
+def _accumulate(acc: dict, terms: dict, c: int = 1) -> dict:
+    """Add c times the terms into acc, in place; returns acc."""
+    for q, v in terms.items():
+        acc[q] = acc.get(q, 0) + c * v
+    return acc
+
+
 class SymElt:
-    """Sparse integer combination of basis elements, zero terms dropped."""
+    """Sparse integer combination of basis elements, zero terms dropped.
 
-    k: int
-    basis: str
-    coeffs: tuple[tuple[tuple[int, ...], int], ...]
+    The terms are kept as a dict from parts to coefficient, in no order, and
+    the arithmetic of this module reads that dict.  `coeffs`, the terms as a
+    tuple in the term order, is sorted on first access and kept on the
+    instance.  Equality and hashing compare (k, basis, terms).
+    """
 
-    def __post_init__(self):
-        if self.basis not in BASES:
-            raise ValueError(f"basis must be one of {BASES}, got {self.basis!r}")
-        cleaned = {}
-        for parts, c in self.coeffs:
+    __slots__ = ("k", "basis", "_terms", "_coeffs")
+
+    def __init__(self, k: int, basis: str, coeffs):
+        if basis not in BASES:
+            raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
+        cleaned: dict[tuple[int, ...], int] = {}
+        for parts, c in coeffs:
             parts = tuple(parts)
-            KBoundedPartition(self.k, parts)  # validates boundedness
-            if c:
-                cleaned[parts] = cleaned.get(parts, 0) + c
-        terms = tuple((p, c) for p, c in sorted(cleaned.items(), key=_term_key) if c)
-        object.__setattr__(self, "coeffs", terms)
+            KBoundedPartition(k, parts)  # validates boundedness
+            cleaned[parts] = cleaned.get(parts, 0) + c
+        self._fill(k, basis, cleaned)
+
+    def _fill(self, k: int, basis: str, d: dict[tuple[int, ...], int]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_terms", {p: c for p, c in d.items() if c})
+        object.__setattr__(self, "_coeffs", None)
 
     @classmethod
     def _trusted(cls, k: int, basis: str, d: dict[tuple[int, ...], int]) -> "SymElt":
         """Wrap terms this module computed over k-bounded partitions.
 
-        Zero terms are dropped and the rest sorted once in the term order;
-        the partitions are not re-validated.
+        Zero terms are dropped into a fresh dict; the partitions are not
+        re-validated and nothing is sorted.
         """
         elt = object.__new__(cls)
-        object.__setattr__(elt, "k", k)
-        object.__setattr__(elt, "basis", basis)
-        object.__setattr__(
-            elt, "coeffs", tuple(sorted(((p, c) for p, c in d.items() if c), key=_term_key))
-        )
+        elt._fill(k, basis, d)
         return elt
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SymElt is immutable")
+
+    @property
+    def coeffs(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The nonzero terms in the term order."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(sorted(self._terms.items(), key=_term_key)))
+        return self._coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, SymElt):
+            return NotImplemented
+        return (self.k, self.basis, self._terms) == (other.k, other.basis, other._terms)
+
+    def __hash__(self):
+        return hash((self.k, self.basis, frozenset(self._terms.items())))
 
     @classmethod
     def from_dict(cls, k: int, basis: str, d: dict[tuple[int, ...], int]) -> "SymElt":
@@ -120,23 +147,23 @@ class SymElt:
         return cls(k, basis, ((tuple(parts), coeff),))
 
     def as_mapping(self) -> dict[tuple[int, ...], int]:
-        return dict(self.coeffs)
+        return dict(self._terms)
 
     def coefficient(self, parts: tuple[int, ...]) -> int:
-        return self.as_mapping().get(tuple(parts), 0)
+        return self._terms.get(tuple(parts), 0)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._terms
 
     def __add__(self, other: "SymElt") -> "SymElt":
         self._check_compatible(other)
-        return SymElt(self.k, self.basis, self.coeffs + other.coeffs)
+        return SymElt._trusted(self.k, self.basis, _accumulate(dict(self._terms), other._terms))
 
     def __sub__(self, other: "SymElt") -> "SymElt":
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "SymElt":
-        return SymElt(self.k, self.basis, tuple((p, c * v) for p, v in self.coeffs))
+        return SymElt._trusted(self.k, self.basis, {p: c * v for p, v in self._terms.items()})
 
     def _check_compatible(self, other: "SymElt") -> None:
         if self.k != other.k:
@@ -145,7 +172,7 @@ class SymElt:
             raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self._terms:
             return f"SymElt(k={self.k}, {self.basis}: 0)"
         body = " + ".join(f"{c}*{self.basis}{list(p)}" for p, c in self.coeffs)
         return f"SymElt(k={self.k}, {body})"
@@ -197,38 +224,46 @@ def h_mult(elt: SymElt, r: int) -> SymElt:
     return h_monomial_mult(elt, (r,))
 
 
+def _pieri_rule(basis: str):
+    if basis == "ks":
+        return pieri_kschur
+    if basis == "g":
+        return pieri_kk
+    raise ValueError("h_mult needs the ks or g basis")
+
+
+def _pieri_step(terms: dict, rule, k: int, r: int) -> dict[tuple[int, ...], int]:
+    """The terms (a plain dict) times h_r by the memoised Pieri rule."""
+    acc: dict[tuple[int, ...], int] = {}
+    for p, c in terms.items():
+        if c:
+            _accumulate(acc, rule(KBoundedPartition._trusted(k, p), r)._terms, c)
+    return acc
+
+
 def h_monomial_mult(elt: SymElt, parts: tuple[int, ...]) -> SymElt:
     """Multiply by a whole h monomial, largest generator first.
 
-    The steps pass a plain dict along; the result is sorted once.
+    The steps pass a plain dict along, and the result is not sorted.
     """
     steps = [r for r in sorted(parts, reverse=True) if r]
     if not steps:
         return elt
-    if elt.basis == "ks":
-        rule = pieri_kschur
-    elif elt.basis == "g":
-        rule = pieri_kk
-    else:
-        raise ValueError("h_mult needs the ks or g basis")
-    acc = dict(elt.coeffs)
+    rule = _pieri_rule(elt.basis)
+    acc = elt._terms
     for r in steps:
-        terms, acc = acc, {}
-        for p, c in terms.items():
-            if c:
-                for q, v in rule(KBoundedPartition._trusted(elt.k, p), r).coeffs:
-                    acc[q] = acc.get(q, 0) + c * v
+        acc = _pieri_step(acc, rule, elt.k, r)
     return SymElt._trusted(elt.k, elt.basis, acc)
 
 
 def h_to_g(mu: KBoundedPartition) -> SymElt:
     """Expansion of the h monomial of mu in the g basis, by iterated Pieri."""
-    return h_monomial_mult(SymElt.unit(mu.k, "g"), mu.parts)
+    return h_monomial_mult(SymElt._trusted(mu.k, "g", {(): 1}), mu.parts)
 
 
 def h_to_ks(mu: KBoundedPartition) -> SymElt:
     """Expansion of the h monomial of mu in the ks basis (homogeneous)."""
-    return h_monomial_mult(SymElt.unit(mu.k, "ks"), mu.parts)
+    return h_monomial_mult(SymElt._trusted(mu.k, "ks", {(): 1}), mu.parts)
 
 
 # h-basis rows of the two inverted transitions, per partition: the only memo
@@ -262,8 +297,7 @@ def _invert_unitriangular(lam: KBoundedPartition, to_basis, rows: dict) -> SymEl
     for mu in sorted(lower, key=lambda m: partition_sort_key(m.parts)):
         acc = {mu.parts: 1}
         for nu, c in lower[mu]:
-            for q, v in rows[nu].items():
-                acc[q] = acc.get(q, 0) - c * v
+            _accumulate(acc, rows[nu], -c)
         rows[mu] = {q: v for q, v in acc.items() if v}
     return SymElt._trusted(lam.k, "h", rows[lam])
 
@@ -279,28 +313,41 @@ def ks_to_h(lam: KBoundedPartition) -> SymElt:
 
 
 def _top_degree(elt: SymElt) -> int:
-    return max((sum(p) for p, _ in elt.coeffs), default=0)
+    return max(map(sum, elt._terms), default=0)
 
 
 def _product_via_h(a: SymElt, b: SymElt, to_h) -> SymElt:
-    """a*b: expand one factor in h, then apply each h monomial to the other
+    """a*b: expand one factor in h, then apply its h monomials to the other
     by Pieri.
 
     The product commutes, so the factor of lower top degree is expanded:
-    its h expansion inverts a smaller transition.
+    its h expansion inverts a smaller transition.  The monomials are walked
+    in lexicographic order as a prefix trie of their descending steps, so a
+    prefix of Pieri steps that several monomials share is applied once.
+    The one-monomial-at-a-time fold is the test oracle
+    `oracles.product_via_h_by_monomial`.
     """
     a._check_compatible(b)
     if _top_degree(a) > _top_degree(b):
         a, b = b, a
+    rule = _pieri_rule(b.basis)
     in_h: dict[tuple[int, ...], int] = {}
-    for parts, c in a.coeffs:
-        for hparts, hc in to_h(KBoundedPartition._trusted(a.k, parts)).coeffs:
-            in_h[hparts] = in_h.get(hparts, 0) + c * hc
+    for parts, c in a._terms.items():
+        _accumulate(in_h, to_h(KBoundedPartition._trusted(a.k, parts))._terms, c)
     acc: dict[tuple[int, ...], int] = {}
-    for hparts, hc in in_h.items():
-        if hc:
-            for q, v in h_monomial_mult(b, hparts).coeffs:
-                acc[q] = acc.get(q, 0) + hc * v
+    # path[i] is b times the first i steps of the previous monomial
+    path, previous = [b._terms], ()
+    for hparts in sorted(hp for hp, hc in in_h.items() if hc):
+        shared = 0
+        for x, y in zip(previous, hparts):
+            if x != y:
+                break
+            shared += 1
+        del path[shared + 1 :]
+        for r in hparts[shared:]:
+            path.append(_pieri_step(path[-1], rule, a.k, r))
+        previous = hparts
+        _accumulate(acc, path[-1], in_h[hparts])
     return SymElt._trusted(a.k, a.basis, acc)
 
 
@@ -395,8 +442,7 @@ def gtilde_pieri_direct(lam: KBoundedPartition, r: int) -> SymElt:
     base = gtilde(lam)
     acc: dict[tuple[int, ...], int] = {}
     for i in range(r + 1):
-        for q, v in h_mult(base, i).coeffs:
-            acc[q] = acc.get(q, 0) + v
+        _accumulate(acc, h_mult(base, i)._terms)
     return SymElt._trusted(lam.k, "g", acc)
 
 
@@ -426,15 +472,12 @@ def expand_gtilde_combination(
     """Expand an integer combination of gtilde labels into the g basis."""
     acc: dict[tuple[int, ...], int] = {}
     for parts, c in combo.items():
-        for q, v in gtilde(KBoundedPartition(k, parts)).coeffs:
-            acc[q] = acc.get(q, 0) + c * v
+        _accumulate(acc, gtilde(KBoundedPartition(k, parts))._terms, c)
     return SymElt._trusted(k, "g", acc)
 
 
 def gtilde_factorize_check(lam: KBoundedPartition, t: int) -> bool:
     """Whether gtilde of the rectangle-union equals the product of gtildes."""
-    if not 1 <= t <= lam.k:
-        raise ValueError(f"need 1 <= t <= k, got t={t}, k={lam.k}")
     rect = k_rectangle(t, lam.k)
     lhs = gtilde(union_sort(rect, lam))
     rhs = product_g(gtilde(rect), gtilde(lam))
@@ -443,21 +486,13 @@ def gtilde_factorize_check(lam: KBoundedPartition, t: int) -> bool:
 
 def kschur_rectangle_check(lam: KBoundedPartition, t: int) -> bool:
     """Whether the homogeneous basis element of the rectangle-union factors."""
-    if not 1 <= t <= lam.k:
-        raise ValueError(f"need 1 <= t <= k, got t={t}, k={lam.k}")
     rect = k_rectangle(t, lam.k)
-    lhs = SymElt.single(lam.k, "ks", union_sort(rect, lam).parts)
-    rhs = product_ks(
-        SymElt.single(lam.k, "ks", rect.parts), SymElt.single(lam.k, "ks", lam.parts)
-    )
+    lhs = SymElt._trusted(lam.k, "ks", {union_sort(rect, lam).parts: 1})
+    rhs = product_ks(*(SymElt._trusted(lam.k, "ks", {mu.parts: 1}) for mu in (rect, lam)))
     return lhs == rhs
 
 
 def kschur_top_degree_check(lam: KBoundedPartition) -> bool:
     """Top-degree h terms of the g element match the homogeneous element."""
-    top = SymElt(
-        lam.k,
-        "h",
-        tuple((p, c) for p, c in g_to_h(lam).coeffs if sum(p) == lam.size),
-    )
-    return top == ks_to_h(lam)
+    top = {p: c for p, c in g_to_h(lam)._terms.items() if sum(p) == lam.size}
+    return SymElt._trusted(lam.k, "h", top) == ks_to_h(lam)

@@ -8,17 +8,24 @@ import pytest
 from affineschur import symfunc
 from affineschur.affine import ball, weak_leq
 from affineschur.oracles import (
+    product_via_h_by_monomial,
     strong_ideal_union_by_filter,
     strong_lower_ideal_by_bruhat,
     weak_join_in_ball,
 )
-from affineschur.partitions import KBoundedPartition, kbounded_partitions
+from affineschur.partitions import (
+    KBoundedPartition,
+    k_rectangle,
+    kbounded_partitions,
+    union_sort,
+)
 from affineschur.shapes import bounded_to_perm, strip_top, weak_strips
 from affineschur.symfunc import (
     SymElt,
     _invert_unitriangular,
     _strong_ideal_union,
     bruhat_lower_partitions,
+    partition_sort_key,
     expand_gtilde_combination,
     g_to_h,
     gtilde,
@@ -45,6 +52,11 @@ def P(k, *parts):
     return KBoundedPartition(k, parts)
 
 
+def in_term_order(elt):
+    parts = [p for p, _ in elt.coeffs]
+    return parts == sorted(parts, key=partition_sort_key)
+
+
 def test_symelt_normalization():
     elt = SymElt(3, "g", (((1,), 2), ((1,), -2), ((2,), 1)))
     assert elt.as_mapping() == {(2,): 1}
@@ -62,6 +74,22 @@ def test_symelt_term_order():
     blob = elt.as_dict()
     assert blob["terms"][0] == {"parts": [], "coeff": "1"}
     json.dumps(blob)  # serializable
+
+
+def test_symelt_equality_ignores_insertion_order():
+    terms = [((2, 1), 3), ((), -1), ((1,), 2), ((3,), 0)]
+    a = SymElt(3, "g", terms)
+    b = SymElt(3, "g", list(reversed(terms)))
+    c = SymElt._trusted(3, "g", dict(reversed(terms)))
+    assert list(a.as_mapping()) != list(b.as_mapping())
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+    assert len({a, b, c}) == 1
+    assert a.coeffs == b.coeffs == c.coeffs == (((), -1), ((1,), 2), ((2, 1), 3))
+    assert a != SymElt(3, "ks", terms) and a != SymElt(4, "g", terms)
+    assert a != a.coeffs
+    with pytest.raises(AttributeError):
+        a.k = 4
 
 
 def test_pieri_kschur_examples():
@@ -234,6 +262,9 @@ def test_gtilde_factorization_examples():
     lhs = gtilde(P(2, 1, 1, 1))
     rhs = product_g(gtilde(P(2, 1, 1)), gtilde(P(2, 1)))
     assert lhs == rhs
+    for t in (0, 4):
+        with pytest.raises(ValueError):
+            gtilde_factorize_check(P(3, 1), t)
 
 
 def test_kschur_rectangle_examples():
@@ -242,6 +273,9 @@ def test_kschur_rectangle_examples():
     assert product_ks(
         SymElt.unit(3, "ks"), SymElt.single(3, "ks", (2,))
     ).as_mapping() == {(2,): 1}
+    for t in (0, 4):
+        with pytest.raises(ValueError):
+            kschur_rectangle_check(P(3, 1), t)
 
 
 def test_top_degree_examples():
@@ -304,6 +338,7 @@ def test_memoised_pieri_rules_match_the_uncached_rules():
                     got = rule(lam, r)
                     assert got == rule.__wrapped__(lam, r), (rule, lam, r)
                     assert got == SymElt(k, got.basis, got.coeffs)
+                    assert in_term_order(got)
                     assert rule(lam, r) is got
 
 
@@ -325,6 +360,34 @@ def test_products_are_valid_symelts(monkeypatch):
     assert {elt.basis for elt in seen} == {"g", "ks"}
     for elt in seen:
         assert SymElt(elt.k, elt.basis, elt.coeffs) == elt
+        assert in_term_order(elt)
+
+
+def test_products_equal_the_per_monomial_oracle():
+    for k in range(1, 5):
+        lams = kbounded_partitions(k, 5)
+        for basis, product, to_h in (("g", product_g, g_to_h), ("ks", product_ks, ks_to_h)):
+            elts = [SymElt.single(k, basis, lam.parts) for lam in lams]
+            if basis == "g":
+                elts += [gtilde(lam) for lam in lams]
+            for a in elts:
+                for b in elts:
+                    assert product(a, b) == product_via_h_by_monomial(a, b, to_h), (a, b)
+
+
+def test_products_equal_the_per_monomial_oracle_at_k8():
+    # the rectangle factorization's products: the oracle expands its first
+    # factor, so the factor of lower degree goes first
+    k, rng = 8, random.Random(8)
+    for _ in range(4):
+        size = rng.randint(1, 6)
+        lam = rng.choice([mu for mu in kbounded_partitions(k, size) if mu.size == size])
+        rect = k_rectangle(rng.randint(1, k), k)
+        got = product_g(gtilde(rect), gtilde(lam))
+        assert got == product_via_h_by_monomial(gtilde(lam), gtilde(rect), g_to_h), (rect, lam)
+        a = SymElt.single(k, "ks", lam.parts)
+        b = SymElt.single(k, "ks", rect.parts)
+        assert product_ks(b, a) == product_via_h_by_monomial(a, b, ks_to_h), (rect, lam)
 
 
 def test_trusted_partitions_pass_validation(monkeypatch):
@@ -341,6 +404,17 @@ def test_trusted_partitions_pass_validation(monkeypatch):
     assert made
     for lam in made:
         assert KBoundedPartition(lam.k, lam.parts) == lam
+    # union_sort results are trusted values too
+    made.clear()
+    for k in range(1, 5):
+        lams = kbounded_partitions(k, 5)
+        unions = [union_sort(mu, lam) for mu in lams for lam in lams]
+        recorded = {id(m) for m in made}
+        assert all(id(u) in recorded for u in unions)
+        for u in unions:
+            assert KBoundedPartition(u.k, u.parts) == u
+    with pytest.raises(ValueError):
+        union_sort(P(2, 1), P(3, 1))
 
 
 def test_kbounded_partitions_pass_validation():
