@@ -12,6 +12,14 @@ per element from the value of the element's parent (`_BallOrder.parents`,
 `_hecke_values`), not by one kernel call per pair; the per-pair calls are
 its test oracle.  The strong order rows over the ball are lifted the same
 way, from the parent's row, with `bruhat_leq` as their test oracle.
+
+So a check computes each product, Demazure value and order row once per
+element or index set and reads its instances off them: two values in the
+ball compare by one bit of a lifted row, and a weak comparison of an
+element with a product that contains it, u <=_L a u, is the length sum
+l(a) + l(u) = l(a u).  The memoised per-pair `demazure`, `psi_apply`,
+`weak_leq` and `bruhat_leq` stay the oracles these readings are tested
+against.
 """
 
 from __future__ import annotations
@@ -33,10 +41,8 @@ from .affine import (
     inverse,
     is_affine_reflection,
     left_mul_s,
-    meet_LS,
     mul,
     psi_apply,
-    s_join_L,
     weak_leq,
 )
 from .kcode import d_elem, eval_code, first_row, rd, ri
@@ -69,8 +75,8 @@ from .symfunc import (
     gtilde,
     gtilde_factorize_check,
     gtilde_pieri,
-    gtilde_pieri_direct,
     gtilde_pieri_ie,
+    h_mult,
     kschur_rectangle_check,
     kschur_top_degree_check,
     product_g,
@@ -292,7 +298,9 @@ class _BallOrder:
 
     def leq(self, u: AffinePermutation, v: AffinePermutation) -> bool:
         """u <= v in the strong order, by `lift` and `lower` when u lies in
-        the ball; a longer u falls back to `bruhat_leq`."""
+        the ball; a u outside it but shorter than v falls back to `bruhat_leq`."""
+        if u.length >= v.length:
+            return u == v
         p = self._index.get(u.window)
         if p is None:
             return bruhat_leq(u, v)
@@ -411,7 +419,10 @@ class _BallOrder:
 
         The ball must hold every element of length <= min(l(v), l(w)).
         """
-        common = self.row("down", v) & self.row("down", w)
+        return self.meet_of(self.row("down", v) & self.row("down", w))
+
+    def meet_of(self, common: int) -> AffinePermutation | None:
+        """Exact meet of the elements whose down rows AND to `common`, or None."""
         # the last common lower bound is a longest one; any other of its
         # length is incomparable to it, so it is the meet or there is none
         m = self.elements[common.bit_length() - 1]
@@ -468,6 +479,28 @@ def _hecke_values(
     return values
 
 
+def _hecke_tables(
+    parents: tuple[list[tuple[int, int]], list[tuple[int, int]]],
+    elements: list[AffinePermutation],
+    at_inverse: list[int],
+) -> tuple[list[list[AffinePermutation]], list[list[AffinePermutation]]]:
+    """Demazure and anti-Demazure values over a prefix of a ball, by `_hecke_values`.
+
+    `parents` are the ball's (`_BallOrder.parents`), and `at_inverse[i]` is
+    the position of the inverse of `elements[i]`.  The first len(elements) - 1
+    parents belong to the prefix, so for its j-th element w
+    dem[j][i] = demazure(elements[i], w) and psi[j][i] = psi_apply(elements[i], w, "left"),
+    the latter read at the position of elements[i]^-1.
+    """
+    left, right = (side[: len(elements) - 1] for side in parents)
+    dem = [_hecke_values(left, w, up=True) for w in elements]
+    psi = []
+    for w in elements:
+        values = _hecke_values(right, w, up=False)
+        psi.append([values[q] for q in at_inverse])
+    return dem, psi
+
+
 def _group_by_value(
     order: _BallOrder, values: list[AffinePermutation]
 ) -> list[tuple[list[int], int, int]]:
@@ -522,97 +555,117 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
             r.check(by_order == by_reflection, u=u, v=v)
     results.append(r)
 
+    # The six triple-ball checks read their Demazure values off one table
+    # per w (`_hecke_tables`) and compare them by a bit of a lifted row; the
+    # position lists hold where each value sits in the whole ball.  A weak
+    # comparison of an element with a product that contains it is a length
+    # sum: u <=_L a u iff l(a) + l(u) = l(a u), and u <=_R u a likewise.
+    parents = order.parents()
+    size = len(triple_ball)
+    lengths = [x.length for x in triple_ball]
+    inverses = [inverse(x) for x in triple_ball]
+    at_inverse = [whole.position(xi) for xi in inverses]
+    dem, psi = _hecke_tables(parents, triple_ball, at_inverse)
+    dem_at = [[whole.position(v) for v in values] for values in dem]
+    psi_at = [[whole.position(v) for v in values] for values in psi]
+
+    def leq(u, p, v, q):
+        """u <= v for values at ball positions p and q (None outside)."""
+        if p is not None and q is not None:
+            return bool(whole._lifted(q) >> p & 1)
+        return whole.leq(u, v)
+
     r = CheckResult("weak-order-triple-splitting")
-    # y z, and whether z <=_L y z, do not depend on x; x (y z), and whether
-    # y z <=_L x (y z), depend on y z only through its value
+    # the lengths of y z do not depend on x; those of x (y z) depend on y z
+    # only through its value.  z <=_L y z, y z <=_L x (y z), y <=_L x y and
+    # z <=_L (x y) z are length sums
     distinct: dict[AffinePermutation, int] = {}
-    products = {}
+    products = []
     for y in triple_ball:
         yzs = [mul(y, z) for z in triple_ball]
-        products[y] = [
-            (z, distinct.setdefault(yz, len(distinct)), weak_leq(z, yz, "left"))
-            for z, yz in zip(triple_ball, yzs)
-        ]
-    for x in triple_ball:
-        xyzs = [mul(x, yz) for yz in distinct]
-        yz_les = [weak_leq(yz, xyz, "left") for yz, xyz in zip(distinct, xyzs)]
-        for y in triple_ball:
-            xy = mul(x, y)
-            y_le = weak_leq(y, xy, "left")
-            for z, t, z_le in products[y]:
-                lhs = z_le and yz_les[t]
-                rhs = y_le and weak_leq(z, xyzs[t], "left")
+        products.append([distinct.setdefault(yz, len(distinct)) for yz in yzs])
+    yz_lengths = [yz.length for yz in distinct]
+    for a, x in zip(lengths, triple_ball):
+        xyz_lengths = [mul(x, yz).length for yz in distinct]
+        for b, y, ts in zip(lengths, triple_ball, products):
+            xy = mul(x, y).length
+            y_le = a + b == xy
+            for c, z, t in zip(lengths, triple_ball, ts):
+                lhs = b + c == yz_lengths[t] and a + yz_lengths[t] == xyz_lengths[t]
+                rhs = y_le and xy + c == xyz_lengths[t]
                 r.check(lhs == rhs, x=x, y=y, z=z)
     results.append(r)
 
     r = CheckResult("demazure-product-factors")
-    for x in triple_ball:
-        for y in triple_ball:
-            z = demazure(x, y)
-            xp = mul(z, inverse(y))
-            yp = mul(inverse(x), z)
+    # with z = x' y = x y', x <=_R z, x' <=_R z, y <=_L z and y' <=_L z are
+    # the length sums l(z) = l(x) + l(y') = l(x') + l(y)
+    for i, x in enumerate(triple_ball):
+        for j, y in enumerate(triple_ball):
+            z = dem[j][i]
+            xp = mul(z, inverses[j])
+            yp = mul(inverses[i], z)
             good = (
-                weak_leq(x, z, "right")
-                and weak_leq(xp, z, "right")
-                and weak_leq(y, z, "left")
-                and weak_leq(yp, z, "left")
-                and z.length == x.length + yp.length == xp.length + y.length
-                and bruhat_leq(xp, x)
-                and bruhat_leq(yp, y)
+                z.length == x.length + yp.length == xp.length + y.length
+                and leq(xp, whole.position(xp), x, i)
+                and leq(yp, whole.position(yp), y, j)
             )
             r.check(good, x=x, y=y, z=z)
     results.append(r)
 
     r = CheckResult("anti-demazure-factors")
-    for x in triple_ball:
-        for y in triple_ball:
-            z = psi_apply(x, y, "left")
-            xp = mul(z, inverse(y))
-            good = (
-                bruhat_leq(xp, x)
-                and weak_leq(z, y, "left")
-                and weak_leq(inverse(xp), y, "right")
-            )
+    # with y = x'^-1 z, z <=_L y and x'^-1 <=_R y are l(y) = l(x') + l(z)
+    for i, x in enumerate(triple_ball):
+        for j, y in enumerate(triple_ball):
+            z = psi[j][i]
+            xp = mul(z, inverses[j])
+            good = leq(xp, whole.position(xp), x, i) and y.length == xp.length + z.length
             r.check(good, x=x, y=y, z=z)
     results.append(r)
 
     r = CheckResult("demazure-actions-monotone")
-    for x in triple_ball:
-        xi = inverse(x)
-        for w in triple_ball:
-            up = demazure(x, w)
-            dn = psi_apply(x, w, "left")
+    # an anti-Demazure value is no longer than w, so it lies in the triple ball
+    for i, x in enumerate(triple_ball):
+        xi = at_inverse[i]
+        for j, w in enumerate(triple_ball):
+            up = dem[j][i]
+            dn = psi[j][i]
             good = (
-                weak_leq(w, up, "left")
-                and weak_leq(dn, w, "left")
-                and bruhat_leq(w, demazure(x, psi_apply(xi, w, "left")))
-                and bruhat_leq(psi_apply(xi, demazure(x, w), "left"), w)
+                mul(up, inverses[j]).length + w.length == up.length
+                and mul(w, inverses[psi_at[j][i]]).length + dn.length == w.length
             )
+            if good:
+                b = psi_at[j][xi]  # psi_apply(x^-1, w)
+                good = leq(w, j, dem[b][i], dem_at[b][i])
+            if good:
+                u = dem_at[j][i]
+                if u is not None and u < size:
+                    back, q = psi[u][xi], psi_at[u][xi]
+                else:  # demazure(x, w) is longer than the tables reach
+                    back = psi_apply(inverses[i], up, "left")
+                    q = whole.position(back)
+                good = leq(back, q, w, j)
             r.check(good, x=x, w=w)
     results.append(r)
 
     r = CheckResult("demazure-preserves-order")
-    for x in triple_ball:
-        for v in triple_ball:
-            for w in triple_ball:
-                if not bruhat_leq(v, w):
-                    continue
-                good = bruhat_leq(demazure(x, v), demazure(x, w)) and bruhat_leq(
-                    psi_apply(x, v, "left"), psi_apply(x, w, "left")
-                )
-                r.check(good, x=x, v=v, w=w)
+    # the pairs v <= w of the triple ball, in the order of the loops over v and w
+    pairs = sorted((v, w) for w in range(size) for v in _positions(whole._lifted(w)))
+    for i, x in enumerate(triple_ball):
+        for v, w in pairs:
+            good = leq(dem[v][i], dem_at[v][i], dem[w][i], dem_at[w][i]) and leq(
+                psi[v][i], psi_at[v][i], psi[w][i], psi_at[w][i]
+            )
+            r.check(good, x=x, v=triple_ball[v], w=triple_ball[w])
     results.append(r)
 
     r = CheckResult("demazure-monotone-in-actor")
-    for x in triple_ball:
-        for y in triple_ball:
-            if not bruhat_leq(x, y):
-                continue
-            for w in triple_ball:
-                good = bruhat_leq(demazure(x, w), demazure(y, w)) and bruhat_leq(
-                    psi_apply(y, w, "left"), psi_apply(x, w, "left")
-                )
-                r.check(good, x=x, y=y, w=w)
+    for i, j in pairs:
+        x, y = triple_ball[i], triple_ball[j]
+        for t, w in enumerate(triple_ball):
+            good = leq(dem[t][i], dem_at[t][i], dem[t][j], dem_at[t][j]) and leq(
+                psi[t][j], psi_at[t][j], psi[t][i], psi_at[t][i]
+            )
+            r.check(good, x=x, y=y, w=w)
     results.append(r)
 
     r = CheckResult("generator-actions-preserve-meet-join")
@@ -652,35 +705,36 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     # u -> demazure(u, y) and u -> psi_apply(u^-1, x), grouped by value; a
     # Demazure value keeps its lift and the down row it ends in, so x <= value
     # is one bit test after `lower`
-    left_parents, right_parents = order.parents()
     by_demazure = {
         y: [
             (letters, whole._lifted(q), row)
             for letters, q, row in _group_by_value(
-                whole, _hecke_values(left_parents, y, up=True)
+                whole, _hecke_values(parents[0], y, up=True)
             )
         ]
         for y in seed_ball
     }
     by_psi = {
-        x: _group_by_value(whole, _hecke_values(right_parents, x, up=False)) for x in seed_ball
+        x: _group_by_value(whole, _hecke_values(parents[1], x, up=False)) for x in seed_ball
     }
     for x in seed_ball:
         px = whole.position(x)
         for y in seed_ball:
-            j = s_join_L(x, y)
-            ok = whole.leq(x, j) and weak_leq(y, j, "left")
+            # s_join_L(x, y) = seed y and meet_LS(x, y) = seed^-1 x, whose
+            # weak comparisons y <=_L seed y and seed^-1 x <=_L x are length sums
+            seed = psi_apply(inverse(y), x, "right")
+            j = mul(seed, y)
+            ok = whole.leq(x, j) and seed.length + y.length == j.length
             ubs = order.row("up", x) & order.row("left-up", y)
             ok = ok and not ubs & ~order.row("up", j)
             r.check(ok, x=x, y=y, join=j)
 
-            m = meet_LS(x, y)
-            ok = weak_leq(m, x, "left") and whole.leq(m, y)
+            m = mul(inverse(seed), x)
+            ok = seed.length + m.length == x.length and whole.leq(m, y)
             lbs = order.row("left-down", x) & order.row("down", y)
             ok = ok and not lbs & ~order.row("down", m)
             r2.check(ok, x=x, y=y, meet=m)
 
-            seed = psi_apply(inverse(y), x, "right")
             dset = eset = 0
             for letters, below_value, row in by_demazure[y]:
                 if below_value >> (whole.lower(px, letters) if letters else px) & 1:
@@ -742,8 +796,8 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
 
     results.extend(_verify_z_families(k, six_ball, order))
     results.extend(_verify_strongly_commutative(k, subsets, seed_ball))
-    kcode_ball = _prefix(elements, min(max_length, 6 if k <= 2 else 5))
-    results.extend(_verify_kcode_props(k, subsets, kcode_ball))
+    kcode_order = whole.prefix(min(max_length, 6 if k <= 2 else 5))
+    results.extend(_verify_kcode_props(k, subsets, kcode_order))
     strip_order = whole.prefix(strip_radius)
     results.extend(_verify_strip_props(k, min(max_length + 1, 7), subsets, strip_order))
     return results
@@ -779,13 +833,19 @@ def _verify_strip_props(k, max_size, subsets, order) -> list[CheckResult]:
         )
         w = bounded_to_perm(lam)
         qualifying = [A for r in strips_by_r.values() for A in r]
-        for A in qualifying:
-            for B in qualifying:
-                cap = IndexSet._trusted(k, A.members & B.members)
-                cand = mul(d_elem(cap), w)
-                m = order.meet(mul(d_elem(A), w), mul(d_elem(B), w))
+        # d_A w with its down row once per strip, d_C w and the strip test
+        # once per intersection C
+        below = [order.row("down", mul(d_elem(A), w)) for A in qualifying]
+        caps = {}
+        for A, row_a in zip(qualifying, below):
+            for B, row_b in zip(qualifying, below):
+                members = A.members & B.members
+                if members not in caps:
+                    cap = IndexSet._trusted(k, members)
+                    caps[members] = is_weak_strip(lam, cap), mul(d_elem(cap), w)
+                is_strip, cand = caps[members]
                 meets.check(
-                    is_weak_strip(lam, cap) and m == cand,
+                    is_strip and order.meet_of(row_a & row_b) == cand,
                     lam=list(lam.parts),
                     A=list(A.sorted()),
                     B=list(B.sorted()),
@@ -802,21 +862,17 @@ def _verify_z_families(k, elements, order) -> list[CheckResult]:
     for u in elements:
         zs = z_sets(u)  # construction asserts closure and maxima
         closure.count()
+        # d_A u with its down row, and d_A^-1 u, once per member A; the
+        # families are closed under intersection
+        plus = {A: mul(d_elem(IndexSet._trusted(k, A)), u) for A in zs.plus}
+        below = {A: order.row("down", v) for A, v in plus.items()}
         for A, B in itertools.combinations(sorted(zs.plus, key=sorted), 2):
-            cap = IndexSet._trusted(k, A & B)
-            lhs = mul(d_elem(cap), u)
-            m = order.meet(
-                mul(d_elem(IndexSet._trusted(k, A)), u),
-                mul(d_elem(IndexSet._trusted(k, B)), u),
-            )
-            meets.check(m == lhs, u=u, A=sorted(A), B=sorted(B))
+            m = order.meet_of(below[A] & below[B])
+            meets.check(m == plus[A & B], u=u, A=sorted(A), B=sorted(B))
+        minus = {A: mul(inverse(d_elem(IndexSet._trusted(k, A))), u) for A in zs.minus}
         for A, B in itertools.combinations(sorted(zs.minus, key=sorted), 2):
-            cap = IndexSet._trusted(k, A & B)
-            cand = mul(inverse(d_elem(cap)), u)
-            va = mul(inverse(d_elem(IndexSet._trusted(k, A))), u)
-            vb = mul(inverse(d_elem(IndexSet._trusted(k, B))), u)
             joins.check(
-                order.is_least_upper_bound(cand, va, vb),
+                order.is_least_upper_bound(minus[A & B], minus[A], minus[B]),
                 u=u,
                 A=sorted(A),
                 B=sorted(B),
@@ -826,7 +882,7 @@ def _verify_z_families(k, elements, order) -> list[CheckResult]:
                 for B in fam:
                     if A < B:
                         chains.check(
-                            subset_chain_exists(A, B, set(fam)),
+                            subset_chain_exists(A, B, fam),
                             u=u,
                             A=sorted(A),
                             B=sorted(B),
@@ -872,15 +928,18 @@ def _verify_strongly_commutative(k, subsets, zb) -> list[CheckResult]:
     return [disj, split]
 
 
-def _verify_kcode_props(k, subsets, elems) -> list[CheckResult]:
+def _verify_kcode_props(k, subsets, order) -> list[CheckResult]:
+    elems = order.elements
     bij = CheckResult("kcode-round-trip-and-injective")
     mono = CheckResult("kcodes-monotone-in-weak-order")
     dom = CheckResult("dominance-reads-off-code")
     rowmax = CheckResult("bottom-row-is-inclusion-maximal")
     seen = {}
+    codes = []
     for w in elems:
         code = rd(w)
         cod2 = ri(w)
+        codes.append((code, cod2))
         ok = (
             eval_code(code) == w
             and eval_code(cod2, increasing=True) == w
@@ -902,11 +961,10 @@ def _verify_kcode_props(k, subsets, elems) -> list[CheckResult]:
             for A in bigger
         )
         rowmax.check(ok, w=w)
-    for x in elems:
-        cx, ix = rd(x), ri(x)
-        for y in elems:
-            if weak_leq(x, y, "left"):
-                mono.check(rd(y).contains(cx) and ri(y).contains(ix), x=x, y=y)
+    for x, (cx, ix) in zip(elems, codes):
+        for q in _positions(order.row("left-up", x)):
+            cy, iy = codes[q]
+            mono.check(cy.contains(cx) and iy.contains(ix), x=x, y=elems[q])
     return [bij, mono, dom, rowmax]
 
 
@@ -1047,9 +1105,12 @@ def verify_pieri_sum(k: int, max_size: int) -> list[CheckResult]:
     ie_form = CheckResult("inclusion-exclusion-expands-to-product")
     join_bound = CheckResult("product-support-above-weak-join")
     for lam in kbounded_partitions(k, max_size):
+        # gtilde_pieri_direct(lam, r) for r = 0..k, adding one h_r gtilde(lam) at a time
+        base = gtilde(lam)
+        direct = SymElt._trusted(k, "g", {})
         for r in range(0, k + 1):
             closed = gtilde_pieri(lam, r)
-            direct = gtilde_pieri_direct(lam, r)
+            direct = direct + h_mult(base, r)
             ie = gtilde_pieri_ie(lam, r)
             witness = {"lam": list(lam.parts), "r": r}
             direct_vs_union.check(closed == direct, **witness, direct=direct, closed=closed)

@@ -14,8 +14,10 @@ from affineschur.affine import (
     from_word,
     identity,
     inverse,
+    meet_LS,
     mul,
     psi_apply,
+    s_join_L,
     weak_leq,
 )
 from affineschur.kcode import d_elem
@@ -36,6 +38,7 @@ from affineschur.symfunc import SymElt
 from affineschur.verify import (
     CheckResult,
     _BallOrder,
+    _hecke_tables,
     _hecke_values,
     _mask,
     _prefix,
@@ -231,6 +234,11 @@ def test_elements_outside_the_ball(k):
         assert len(letters) == x.length - 3 and elements[q].length == 3
         for z in elements:
             assert order.leq(z, x) == bruhat_leq(z, x) and not order.leq(x, z)
+    # two elements outside the ball: equal lengths compare by equality
+    outside = ball(k, 5)[len(elements) :]
+    for u in outside:
+        for v in outside:
+            assert order.leq(u, v) == bruhat_leq(u, v), (u, v)
 
 
 def test_pieri_sum_builds_no_strong_table(monkeypatch):
@@ -389,3 +397,63 @@ def test_a0_conditions_read_every_r_off_one_pass():
                         for A, t in up
                     ),
                 ), (u, w, r)
+
+
+@pytest.mark.parametrize("k,L", [(1, 4), (2, 5), (3, 3)])
+def test_triple_ball_tables_match_the_per_pair_products(k, L):
+    """The tables of the triple-ball checks, where some values leave the ball at (1,4)."""
+    wide_radius, strip_radius = ball_radii("order-props", k, L)
+    elements = ball(k, max(wide_radius, strip_radius))
+    whole = _BallOrder(elements)
+    triple_ball = _prefix(elements, min(L, 4 if k <= 2 else 3))
+    at_inverse = [whole.position(inverse(x)) for x in triple_ball]
+    dem, psi = _hecke_tables(whole.prefix(wide_radius).parents(), triple_ball, at_inverse)
+    for j, w in enumerate(triple_ball):
+        assert dem[j] == [demazure(x, w) for x in triple_ball], w
+        assert psi[j] == [psi_apply(x, w, "left") for x in triple_ball], w
+    if k == 1:
+        assert any(whole.position(v) is None for values in dem for v in values)
+
+
+def test_weak_order_against_a_product_is_a_length_sum():
+    elements = ball(2, 4)
+    for a in elements:
+        for u in elements:
+            au, ua = mul(a, u), mul(u, a)
+            assert weak_leq(u, au, "left") == (a.length + u.length == au.length), (a, u)
+            assert weak_leq(u, ua, "right") == (u.length + a.length == ua.length), (a, u)
+
+
+def test_join_seed_reads_the_half_strong_join_and_meet_off_one_seed():
+    elements = ball(3, 3)
+    for x in elements:
+        for y in elements:
+            seed = psi_apply(inverse(y), x, "right")
+            j, m = mul(seed, y), mul(inverse(seed), x)
+            assert s_join_L(x, y) == j and meet_LS(x, y) == m, (x, y)
+            assert weak_leq(y, j, "left") == (seed.length + y.length == j.length)
+            assert weak_leq(m, x, "left") == (seed.length + m.length == x.length)
+
+
+@pytest.mark.parametrize("k,L", [(2, 5), (3, 5)])
+def test_left_up_rows_of_the_kcode_ball_equal_weak_leq(k, L):
+    """The k-code ball is a prefix view; its rows stop at its own radius."""
+    wide_radius, strip_radius = ball_radii("order-props", k, L)
+    whole = _BallOrder(ball(k, max(wide_radius, strip_radius)))
+    kcode_order = whole.prefix(min(L, 6 if k <= 2 else 5))
+    elements = kcode_order.elements
+    for x in elements:
+        scan = _mask([q for q, y in enumerate(elements) if weak_leq(x, y, "left")])
+        assert kcode_order.row("left-up", x) == scan, x
+
+
+def test_triple_ball_checks_make_no_memoised_call_per_instance():
+    """The memos keep what the rest of the suite asks, not one entry per pair."""
+    for memo in (affine.demazure, affine.weak_leq):
+        memo.cache_clear()
+    verify_order_props(2, 4)
+    pairs = len(ball(2, 4)) ** 2  # of the triple ball, which here is also the pair ball
+    # generator-actions-preserve-meet-join asks demazure(s_i, v) for v in its pair ball
+    assert affine.demazure.cache_info().currsize <= 3 * len(ball(2, 4))
+    # the flips of interval-flip-anti-isomorphism check their weak precondition
+    assert affine.weak_leq.cache_info().currsize < pairs
