@@ -14,6 +14,7 @@ from affineschur.cli import main, parse_partition
 from affineschur.verify import ball_radii
 
 GTILDE_GOLDEN = Path(__file__).parent / "data" / "gtilde_golden.json"
+CLI_GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 README = Path(__file__).parent.parent / "README.md"
 
 def run_cli(*argv):
@@ -93,6 +94,21 @@ def test_gtilde_matches_golden_outputs():
     for case in json.loads(GTILDE_GOLDEN.read_text())["cases"]:
         code, out, _ = run_cli(*case["argv"])
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+
+def test_every_command_matches_golden_outputs():
+    # exit code, stdout and stderr of every command in json, text and csv,
+    # failing order-props (5,0) with its witnesses included
+    cases = json.loads(CLI_GOLDEN.read_text())["cases"]
+    assert {case["argv"][1] for case in cases} == {"json", "text", "csv"}
+    assert {case["argv"][2] for case in cases} == {
+        "bij", "strips", "pieri", "gtilde", "table1", "zsets", "verify"
+    }
+    for case in cases:
+        code, out, err = run_cli(*case["argv"])
+        assert (code, out, err) == (
+            case["exit"], case["stdout"], case["stderr"]
+        ), case["argv"]
 
 
 def test_table1_rows():
