@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .affine import BALL_CAP, ball_size, from_word
 from .kcode import rd, ri, sh
@@ -90,10 +91,58 @@ def parse_word(k: int, text: str) -> tuple[int, ...]:
     return word
 
 
-def _emit(cfg: RunConfig, payload: dict, rows: list[dict]) -> None:
+# how _json_text writes a scalar, by its exact type
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, in one pass.
+
+    On 3.11 the stdlib writes indented JSON with its pure-Python encoder.
+    This writer takes exactly the types CLI payloads hold (dicts with str
+    keys, lists, str, int, bool and None) and raises TypeError for any
+    other; a list of scalars of one type is written with one join.
+    """
+    kind = type(value)
+    scalar = _JSON_SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        scalar = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = (
+            map(scalar, value)
+            if scalar is not None
+            else [_json_text(item, inner) for item in value]
+        )
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
+            for key in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _emit(cfg: RunConfig, payload: dict, rows) -> None:
+    """Print the payload as JSON, or `rows()` as text or CSV; `rows` is
+    called only for those two formats."""
     if cfg.fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif cfg.fmt == "csv":
+        print(_json_text(payload))
+        return
+    rows = rows()
+    if cfg.fmt == "csv":
         if rows:
             fields = list(dict.fromkeys(key for row in rows for key in row))
             writer = csv.DictWriter(sys.stdout, fieldnames=fields, restval="")
@@ -119,18 +168,7 @@ def cmd_bij(cfg: RunConfig, args) -> int:
     word = list(reading_word(lam))
     code_d = rd(w)
     code_i = ri(w)
-    rows = [
-        {
-            "bounded": _fmt_parts(lam.parts),
-            "core": _fmt_parts(core.parts),
-            "word": "".join(map(str, word)) or "-",
-            "window": " ".join(map(str, w.window)),
-            "rd": ",".join(map(str, code_d.values)),
-            "ri": ",".join(map(str, code_i.values)),
-            "sh_rd": _fmt_parts(sh(code_d).parts),
-            "sh_ri": _fmt_parts(sh(code_i).parts),
-        }
-    ]
+    sh_d, sh_i = sh(code_d), sh(code_i)
     payload = {
         "bounded": lam.as_dict(),
         "core": core.as_dict(),
@@ -138,10 +176,21 @@ def cmd_bij(cfg: RunConfig, args) -> int:
         "word": word,
         "rd": code_d.as_dict(),
         "ri": code_i.as_dict(),
-        "sh_rd": sh(code_d).as_dict(),
-        "sh_ri": sh(code_i).as_dict(),
+        "sh_rd": sh_d.as_dict(),
+        "sh_ri": sh_i.as_dict(),
     }
-    _emit(cfg, payload, rows)
+    _emit(cfg, payload, lambda: [
+        {
+            "bounded": _fmt_parts(lam.parts),
+            "core": _fmt_parts(core.parts),
+            "word": "".join(map(str, word)) or "-",
+            "window": " ".join(map(str, w.window)),
+            "rd": ",".join(map(str, code_d.values)),
+            "ri": ",".join(map(str, code_i.values)),
+            "sh_rd": _fmt_parts(sh_d.parts),
+            "sh_ri": _fmt_parts(sh_i.parts),
+        }
+    ])
     return 0
 
 
@@ -149,33 +198,34 @@ def cmd_strips(cfg: RunConfig, args) -> int:
     lam = parse_partition(cfg.k, args.lam)
     r = cfg.r if cfg.r is not None else 1
     weak = [WeakStrip._trusted(lam, A, strip_top(lam, A)) for A in weak_strips(lam, r)]
-    rows = [
-        {"kind": "weak", "A": _fmt_set(s.indices.members), "top": _fmt_parts(s.top.parts)}
-        for s in weak
-    ]
-    sv_payload = []
+    # (A, top, sign) of each set-valued strip
+    set_valued = []
     if r >= 1:
-        for A, v in setvalued_strips(bounded_to_perm(lam), r):
-            mu = perm_to_bounded(v)
-            sign = (-1) ** (r + lam.size - v.length)
-            rows.append(
-                {
-                    "kind": "set-valued",
-                    "A": _fmt_set(A.members),
-                    "top": _fmt_parts(mu.parts),
-                    "sign": f"{sign:+d}",
-                }
-            )
-            sv_payload.append(
-                {"A": list(A.sorted()), "top": mu.as_dict(), "sign": sign}
-            )
+        set_valued = [
+            (A, perm_to_bounded(v), (-1) ** (r + lam.size - v.length))
+            for A, v in setvalued_strips(bounded_to_perm(lam), r)
+        ]
     payload = {
         "base": lam.as_dict(),
         "r": r,
         "weak": [s.as_dict() for s in weak],
-        "set_valued": sv_payload,
+        "set_valued": [
+            {"A": list(A.sorted()), "top": mu.as_dict(), "sign": sign}
+            for A, mu, sign in set_valued
+        ],
     }
-    _emit(cfg, payload, rows)
+    _emit(cfg, payload, lambda: [
+        {"kind": "weak", "A": _fmt_set(s.indices.members), "top": _fmt_parts(s.top.parts)}
+        for s in weak
+    ] + [
+        {
+            "kind": "set-valued",
+            "A": _fmt_set(A.members),
+            "top": _fmt_parts(mu.parts),
+            "sign": f"{sign:+d}",
+        }
+        for A, mu, sign in set_valued
+    ])
     return 0
 
 
@@ -186,11 +236,10 @@ def cmd_pieri(cfg: RunConfig, args) -> int:
         elt = pieri_kschur(lam, r)
     else:
         elt = h_mult(SymElt.single(cfg.k, "g", lam.parts), r)
-    rows = [
+    _emit(cfg, {"base": lam.as_dict(), "r": r, "result": elt.as_dict()}, lambda: [
         {"basis": elt.basis, "parts": _fmt_parts(p), "coeff": str(c)}
         for p, c in elt.coeffs
-    ]
-    _emit(cfg, {"base": lam.as_dict(), "r": r, "result": elt.as_dict()}, rows)
+    ])
     return 0
 
 
@@ -199,14 +248,6 @@ def cmd_gtilde(cfg: RunConfig, args) -> int:
     r = cfg.r if cfg.r is not None else 1
     closed = gtilde_pieri(lam, r)
     ie = gtilde_pieri_ie(lam, r)
-    rows = [
-        {"form": "interval-union", "parts": _fmt_parts(p), "coeff": str(c)}
-        for p, c in closed.coeffs
-    ]
-    rows += [
-        {"form": "inclusion-exclusion", "parts": _fmt_parts(p), "coeff": str(c)}
-        for p, c in ie.items()
-    ]
     payload = {
         "base": lam.as_dict(),
         "r": r,
@@ -215,7 +256,13 @@ def cmd_gtilde(cfg: RunConfig, args) -> int:
             {"parts": list(p), "coeff": str(c)} for p, c in ie.items()
         ],
     }
-    _emit(cfg, payload, rows)
+    _emit(cfg, payload, lambda: [
+        {"form": "interval-union", "parts": _fmt_parts(p), "coeff": str(c)}
+        for p, c in closed.coeffs
+    ] + [
+        {"form": "inclusion-exclusion", "parts": _fmt_parts(p), "coeff": str(c)}
+        for p, c in ie.items()
+    ])
     return 0
 
 
@@ -230,15 +277,6 @@ def cmd_table1(cfg: RunConfig, args) -> int:
     if args.below is not None:
         w = bounded_to_perm(parse_partition(cfg.k, args.below))
     table = signed_fiber_table(u, w)
-    rows = [
-        {
-            "v_window": " ".join(map(str, v.window)),
-            "v_shape": _fmt_parts(perm_to_bounded(v).parts),
-            "A": _fmt_set(A.members),
-            "sign": f"{sign:+d}",
-        }
-        for v, A, sign in table
-    ]
     payload = {
         "u": u.as_dict(),
         "below": None if w is None else w.as_dict(),
@@ -247,7 +285,15 @@ def cmd_table1(cfg: RunConfig, args) -> int:
             for v, A, sign in table
         ],
     }
-    _emit(cfg, payload, rows)
+    _emit(cfg, payload, lambda: [
+        {
+            "v_window": " ".join(map(str, v.window)),
+            "v_shape": _fmt_parts(perm_to_bounded(v).parts),
+            "A": _fmt_set(A.members),
+            "sign": f"{sign:+d}",
+        }
+        for v, A, sign in table
+    ])
     return 0
 
 
@@ -256,15 +302,13 @@ def cmd_zsets(cfg: RunConfig, args) -> int:
         u = from_word(cfg.k, parse_word(cfg.k, args.word))
     else:
         u = bounded_to_perm(parse_partition(cfg.k, args.lam))
-    zs = z_sets(u)
-    rows = []
-    for which in ("plus", "minus", "plus_grassmannian"):
-        fam = getattr(zs, which)
-        if fam is None:
-            continue
-        for A in sorted(fam, key=lambda a: (len(a), sorted(a))):
-            rows.append({"family": which, "A": _fmt_set(A)})
-    _emit(cfg, zs.as_dict(), rows)
+    payload = z_sets(u).as_dict()
+    # the families of the payload, each member sorted and in family order
+    _emit(cfg, payload, lambda: [
+        {"family": which, "A": "{" + ",".join(map(str, A)) + "}"}
+        for which in ("plus", "minus", "plus_grassmannian")
+        for A in payload.get(which, ())
+    ])
     return 0
 
 
@@ -296,21 +340,20 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     max_size = cfg.max_size if cfg.max_size is not None else 4
     check_ball_sizes(args.suite, cfg.k, max_size)
     results = _VERIFY_SUITES[args.suite](cfg.k, max_size)
-    rows = [
-        {
-            "check": r.name,
-            "instances": str(r.instances),
-            "status": "ok" if r.ok else "FAIL",
-        }
-        for r in results
-    ]
     payload = {
         "suite": args.suite,
         "k": cfg.k,
         "max_size": max_size,
         "results": [r.as_dict() for r in results],
     }
-    _emit(cfg, payload, rows)
+    _emit(cfg, payload, lambda: [
+        {
+            "check": r.name,
+            "instances": str(r.instances),
+            "status": "ok" if r.ok else "FAIL",
+        }
+        for r in results
+    ])
     bad = [r for r in results if not r.ok]
     if bad and cfg.fmt != "json":
         for r in bad:

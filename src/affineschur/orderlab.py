@@ -152,16 +152,12 @@ class ZSets:
                 )
 
     def as_dict(self) -> dict:
-        out = {
-            "u": self.u.as_dict(),
-            "plus": [sorted(A) for A in sorted(self.plus, key=lambda a: (len(a), sorted(a)))],
-            "minus": [sorted(A) for A in sorted(self.minus, key=lambda a: (len(a), sorted(a)))],
-        }
-        if self.plus_grassmannian is not None:
-            out["plus_grassmannian"] = [
-                sorted(A)
-                for A in sorted(self.plus_grassmannian, key=lambda a: (len(a), sorted(a)))
-            ]
+        """Each family as sorted member lists, by size and then lexicographically."""
+        out = {"u": self.u.as_dict()}
+        for which in ("plus", "minus", "plus_grassmannian"):
+            fam = getattr(self, which)
+            if fam is not None:
+                out[which] = sorted(map(sorted, fam), key=lambda a: (len(a), a))
         return out
 
 

@@ -37,7 +37,6 @@ from .affine import (
     demazure,
     descents,
     flip,
-    from_word,
     inverse,
     is_affine_reflection,
     left_mul_s,
@@ -669,23 +668,47 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     results.append(r)
 
     r = CheckResult("generator-actions-preserve-meet-join")
-    # the meet and the join of a pair do not depend on i
-    pairs = [
-        (v, w, order.meet(v, w), order.join(v, w)) for v in pair_ball for w in pair_ball
-    ]
+    # phi_i(u) = demazure(s_i, u) = max(u, s_i u) and psi_i(u) = min(u, s_i u)
+    # are one left step at ball positions.  The meet of two positions is the
+    # AND of their down rows (`order.meet`), and the least-upper-bound test
+    # (`order.is_least_upper_bound`) reads a lifted row and three up rows.
+    own, up_rows, lengths = order._all, order._up_rows(), whole._lengths
+
+    def meet_at(a, b):
+        common = whole._lifted(a) & whole._lifted(b) & own
+        m = common.bit_length() - 1
+        return None if common & ~whole._lifted(m) else m
+
+    def step(p, i, up):
+        t = whole._neighbours("left", p)[i]
+        if t < 0:  # s_i u is longer than u and lies outside the whole ball
+            if up:
+                raise ValueError(f"s_{i} {whole._ball[p]!r} lies outside the ball")
+            return p
+        return t if (lengths[t] > lengths[p]) == up else p
+
+    # the meet and the join of a pair do not depend on i; pair_ball is a
+    # prefix of the whole ball, so its elements sit at their own indices
+    pairs = []
+    for a, v in enumerate(pair_ball):
+        for b, w in enumerate(pair_ball):
+            j = order.join(v, w)
+            certified = j.certified and j.element is not None
+            top = whole.position(j.element) if certified else None
+            pairs.append((v, w, a, b, meet_at(a, b), top))
     for i in range(k + 1):
-        s = from_word(k, [i])
-        for v, w, m, j in pairs:
+        for v, w, a, b, m, top in pairs:
             if m is not None:
-                fv = demazure(s, v)
-                fw = demazure(s, w)
-                m2 = order.meet(fv, fw)
-                r.check(m2 == demazure(s, m), kind="meet", i=i, v=v, w=w)
-            if j.certified and j.element is not None:
-                pv = psi_apply(s, v, "left")
-                pw = psi_apply(s, w, "left")
-                top = psi_apply(s, j.element, "left")
-                r.check(order.is_least_upper_bound(top, pv, pw), kind="join", i=i, v=v, w=w)
+                good = meet_at(step(a, i, True), step(b, i, True)) == step(m, i, True)
+                r.check(good, kind="meet", i=i, v=v, w=w)
+            if top is not None:
+                pv, pw, pt = step(a, i, False), step(b, i, False), step(top, i, False)
+                good = (
+                    whole._lifted(pt) >> pv & 1
+                    and whole._lifted(pt) >> pw & 1
+                    and not up_rows[pv] & up_rows[pw] & ~up_rows[pt]
+                )
+                r.check(bool(good), kind="join", i=i, v=v, w=w)
     results.append(r)
 
     r = CheckResult("reduced-factorization-comparison")

@@ -7,6 +7,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affineschur import cli
 from affineschur.affine import BALL_CAP, ball_size
@@ -193,6 +195,53 @@ def test_oversize_ball_exits_2_before_any_work(monkeypatch):
     code, _, err = run_cli("verify", "order-props", "--k", "8", "--max-size", "5")
     assert code == 2 and "ball(k=8, L=15)" in err
     assert cli.check_ball_sizes("order-props", 8, 4) is None
+
+
+json_strings = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600ab')
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | json_strings
+)
+json_payloads = st.recursive(
+    json_scalars
+    | st.lists(st.booleans() | st.integers(-2, 2))
+    | st.lists(json_strings),
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(json_strings, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_payloads)
+def test_json_writer_matches_stdlib(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [1.5, {"a": [1, 2.0]}, {"a": {1, 2}}, [(1, 2)], {1: "a"}, {"a": {"b": b"x"}}],
+)
+def test_json_writer_rejects_other_types(payload):
+    with pytest.raises(TypeError):
+        cli._json_text(payload)
+
+
+def test_unsupported_payload_value_exits_3(monkeypatch):
+    class Result:
+        name, instances, ok = "ratio", 1, True
+
+        def as_dict(self):
+            return {"ratio": 0.5}
+
+    monkeypatch.setattr(cli, "verify_pieri_sum", lambda k, max_size: [Result()])
+    args = ("--format", "json", "verify", "pieri-sum", "--k", "2", "--max-size", "3")
+    code, out, err = run_cli(*args)
+    assert code == 3 and out == ""
+    assert err == "internal error: TypeError: Object of type float is not JSON serializable\n"
 
 
 def test_internal_error_exits_3(monkeypatch):
