@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -135,7 +136,7 @@ def _json_text(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _emit(cfg: RunConfig, payload: dict, rows) -> None:
+def _emit(cfg: RunConfig, payload: dict, rows: Callable[[], list[dict]]) -> None:
     """Print the payload as JSON, or `rows()` as text or CSV; `rows` is
     called only for those two formats."""
     if cfg.fmt == "json":
