@@ -88,8 +88,8 @@ class AffinePermutation:
         """Wrap a window the kernel built from valid elements, with its length.
 
         Nothing is checked; only the operations of this module call it, and
-        `orderlab.fiber_X` on the windows `left_growth` hands out, whose
-        length moved by one per residue.
+        `orderlab.fiber_X` and `shapes.setvalued_strips` on the windows
+        `left_growth` hands out with their length change.
         """
         w = object.__new__(cls)
         object.__setattr__(w, "k", k)
@@ -336,40 +336,67 @@ def left_action(
 
 
 def left_growth(
-    window: Sequence[int], ascent: bool, size: int, within: Iterable[int] | None = None
-) -> list[list[tuple[frozenset[int], list[int]]]]:
-    """The index sets A whose cyclically decreasing element moves a window
-    strictly one way, grown one residue at a time.
+    window: Sequence[int], mode: str, size: int, within: Iterable[int] | None = None
+) -> list[list[tuple[frozenset[int], list[int], int]]]:
+    """The index sets A whose cyclically decreasing element acts on a window
+    as `left_action` does in `mode`, grown one residue at a time.
 
-    With ascent, the A with l(d_A w) = l(w) + |A|, each beside the window of
-    d_A w; without, the A with l(d_A^{-1} w) = l(w) - |A|, beside the window
-    of d_A^{-1} w.  Level r of the result lists the A of size r, for r up to
-    `size`; only residues of `within` (all by default) are added.
+    Level r of the result lists the A of size r, for r up to `size`, each
+    beside the window of the result and its length change; only residues of
+    `within` (all by default) are added.  The modes:
+
+    - "ascent": the A with l(d_A w) = l(w) + |A|, beside d_A w;
+    - "descent": the A with l(d_A^{-1} w) = l(w) - |A|, beside d_A^{-1} w;
+    - "max": for an increasing window, the A whose Demazure product d_A * w
+      is Grassmannian (increasing window), beside d_A * w.
 
     The runs of consecutive residues in A commute.  So if a+1 is not in A,
     d_{A+a} = s_a d_A, and if b-1 is not in A, d_{A+b}^{-1} = s_b d_A^{-1}:
-    every A of the family comes from a smaller one by adding a run top
-    (ascent) or a run bottom (descent), and the child is in the family iff
-    its parent is and the one step s_a goes the right way.  That step is
-    one comparison on a residue -> position table, as in `left_action`, and
-    any parent gives the same verdict, so a set of the masks tried at each
-    level dedupes.  A window is copied only for a child that is kept.  The
-    full residue set has no run top or bottom, so it is never reached.
+    every A comes from a smaller one by adding a run top (ascent, max) or a
+    run bottom (descent).  The child is in the family iff its parent is and
+    the one step s_a goes the right way; in "max" the step is
+    z -> max(z, s_a z), and the child is in iff its parent is and the
+    result is Grassmannian.  That pruning is sound because a left Demazure
+    step keeps every right descent: when s_a z > z and z s_j < z, then
+    l(s_a z s_j) <= l(z) < l(s_a z).  It needs the run top: removing any
+    other element of an admissible A can leave an inadmissible set.
+
+    A step up adds one to the value win[p] of residue a and takes one from
+    the value win[q] of residue a+1.  On an increasing window only the
+    pairs (p, p+1) and (q-1, q) can then break, and each only if its two
+    values were one apart: win[p+1] = win[p] + 1 has residue a+1, and
+    win[q-1] = win[q] - 1 has residue a, so either way q = p+1.  There the
+    step goes up exactly when win[q] = win[p] + 1, and it swaps the two
+    values.  So a step up keeps the window increasing iff q != p+1.
+
+    Each step is one comparison on a residue -> position table, as in
+    `left_action`, and any parent gives the same verdict, so a set of the
+    masks tried at each level dedupes.  A window is copied only for a child
+    whose step goes up and that is kept; a "max" step that would go down
+    leaves the parent's window, shared.  The length change is +|A|, -|A|,
+    or in "max" the number of steps that went up.  The full residue set has
+    no run top or bottom, so it is never reached.
     """
+    if mode not in LEFT_MODES[1:]:
+        raise ValueError(f"mode must be one of {LEFT_MODES[1:]}, got {mode!r}")
     n = len(window)
     win = list(window)
+    is_max = mode == "max"
+    if is_max and any(x > y for x, y in zip(win, win[1:])):
+        raise ValueError(f"max growth needs an increasing window, got {win}")
+    ascent = mode != "descent"
     pos = [0] * n
     for p, x in enumerate(win):
         pos[x % n] = p
     residues = range(n) if within is None else sorted(within)
-    # a may join A when its neighbour above (ascent) or below (descent) is out
+    # a may join A when its neighbour above (ascent, max) or below (descent) is out
     guard = [1 << a | 1 << ((a + 1) % n if ascent else (a - 1) % n) for a in range(n)]
-    level = [(0, frozenset(), win, pos)]
-    levels = [[(frozenset(), win)]]
+    level = [(0, frozenset(), win, pos, 0)]
+    levels = [[(frozenset(), win, 0)]]
     for _ in range(size):
         grown = []
         tried = set()
-        for mask, members, win, pos in level:
+        for mask, members, win, pos, dl in level:
             for a in residues:
                 if mask & guard[a]:
                     continue
@@ -381,14 +408,19 @@ def left_growth(
                 p, q = pos[a], pos[j]
                 # s_a raises the length iff w^-1(a) < w^-1(a+1)
                 if (p - win[p] <= q - win[q]) != ascent:
+                    if is_max:
+                        grown.append((child, members | {a}, win, pos, dl))
+                    continue
+                if is_max and q == p + 1:
+                    # the step swaps win[p] and win[q] = win[p] + 1
                     continue
                 cwin = win.copy()
                 cwin[p] += 1
                 cwin[q] -= 1
                 cpos = pos.copy()
                 cpos[a], cpos[j] = q, p
-                grown.append((child, members | {a}, cwin, cpos))
-        levels.append([(members, win) for _, members, win, _ in grown])
+                grown.append((child, members | {a}, cwin, cpos, dl + (1 if ascent else -1)))
+        levels.append([(members, win, dl) for _, members, win, _, dl in grown])
         level = grown
     return levels
 

@@ -224,7 +224,17 @@ def sh(code: KCode) -> KBoundedPartition:
     A k-code has an empty column among its k+1, so every part is at most k
     and the shape is trusted.
     """
+    return _column_shape(code.k, code.values)
+
+
+def _column_shape(k: int, heights: tuple[int, ...] | list[int]) -> KBoundedPartition:
+    """Part j counts the heights of at least j, the conjugate of the sorted
+    heights; `sh` without the `KCode`."""
+    desc = sorted(heights, reverse=True)
     parts = []
-    for j in range(1, max(code.values, default=0) + 1):
-        parts.append(sum(1 for v in code.values if v >= j))
-    return KBoundedPartition._trusted(code.k, tuple(parts))
+    count = len(desc)
+    for j in range(1, (desc[0] if desc else 0) + 1):
+        while desc[count - 1] < j:
+            count -= 1
+        parts.append(count)
+    return KBoundedPartition._trusted(k, tuple(parts))

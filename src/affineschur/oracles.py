@@ -15,9 +15,10 @@ conversions of `shapes`.
 The products with d_A and d_A^{-1}, one full group product each, are the
 oracles of the step-by-step strip, Z-set and fiber decisions, and the pair
 scan is the oracle of the bitset closure check of `orderlab`.  The scans of
-all 2^(k+1) residue subsets, one generator run each, are the oracles of the
-grown Z-set families and weak strips.  The product that applies each h
-monomial on its own is the oracle of the prefix-trie walk of `symfunc`.
+the residue subsets, one generator run each, are the oracles of the grown
+Z-set families, weak strips and set-valued strips.  The product that
+applies each h monomial on its own is the oracle of the prefix-trie walk of
+`symfunc`.
 """
 
 from __future__ import annotations
@@ -388,6 +389,24 @@ def weak_strips_by_scan(lam: KBoundedPartition, r: int) -> list[IndexSet]:
         if is_weak_strip(lam, A):
             out.append(A)
     return sorted(out, key=lambda a: a.sorted())
+
+
+def setvalued_strips_by_scan(
+    w: AffinePermutation, r: int
+) -> list[tuple[IndexSet, AffinePermutation]]:
+    """The Demazure run of d_A on w for every subset A of size r, kept when
+    the product is Grassmannian; oracle of `shapes.setvalued_strips`."""
+    if not w.is_grassmannian():
+        raise ValueError(f"{w!r} is not affine Grassmannian")
+    if not 1 <= r <= w.k:
+        raise ValueError(f"need 1 <= r <= k, got r={r}, k={w.k}")
+    out = []
+    for combo in itertools.combinations(range(w.k + 1), r):
+        A = IndexSet._trusted(w.k, frozenset(combo))
+        v = left_action(w, d_steps(A), "max")
+        if v.is_grassmannian():
+            out.append((A, v))
+    return sorted(out, key=lambda av: av[0].sorted())
 
 
 def product_via_h_by_monomial(a: SymElt, b: SymElt, to_h) -> SymElt:

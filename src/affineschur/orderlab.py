@@ -170,20 +170,20 @@ def z_sets(u: AffinePermutation) -> ZSets:
     increasing.
     """
     k = u.k
-    plus = left_growth(u.window, True, k)
-    minus = left_growth(u.window, False, k)
+    plus = left_growth(u.window, "ascent", k)
+    minus = left_growth(u.window, "descent", k)
     plus_g = None
     if u.is_grassmannian():
         plus_g = frozenset(
             A
             for level in plus
-            for A, win in level
+            for A, win, _ in level
             if all(x < y for x, y in zip(win, win[1:]))
         )
     return ZSets(
         u,
-        frozenset(A for level in plus for A, _ in level),
-        frozenset(A for level in minus for A, _ in level),
+        frozenset(A for level in plus for A, _, _ in level),
+        frozenset(A for level in minus for A, _, _ in level),
         plus_g,
     )
 
@@ -288,9 +288,9 @@ def fiber_X(A: IndexSet, u: AffinePermutation) -> Fiber:
     k = u.k
     steps = d_steps(A)
     members = set()
-    for r, level in enumerate(left_growth(u.window, False, len(A), A.members)):
-        for B, win in level:
-            v = AffinePermutation._trusted(k, tuple(win), u.length - r)
+    for level in left_growth(u.window, "descent", len(A), A.members):
+        for B, win, dl in level:
+            v = AffinePermutation._trusted(k, tuple(win), u.length + dl)
             if left_action(v, steps, "max") == u:
                 members.add(B)
     return Fiber(A, u, frozenset(members))
@@ -338,7 +338,7 @@ def signed_fiber_table(
     rows = []
     # a nonempty fiber is the interval [bottom, A], so it holds A itself:
     # only the A of the minus family of u can have one
-    for members in (A for level in left_growth(u.window, False, u.k) for A, _ in level):
+    for members in (A for level in left_growth(u.window, "descent", u.k) for A, _, _ in level):
         A = IndexSet._trusted(u.k, members)
         for B in fiber_X(A, u).members:
             v = _below(IndexSet._trusted(u.k, B), u)

@@ -11,18 +11,19 @@ window one generator step at a time (`affine.left_action`), so a weak strip
 is a run of steps that only go up, and a set-valued strip is the Demazure
 run that skips the steps going down (Lam-Lapointe-Morse-Shimozono, "Affine
 insertion and Pieri rules for the affine Grassmannian", Mem. AMS 2010).
-The weak strips of a size are grown one residue at a time
-(`affine.left_growth`) from w_lam w_0, where 0-dominance of the top turns
-into plain length-additivity, so only genuine strips are visited; the
-set-valued strips are still a scan over the subsets of that size.  The
-subset scan `oracles.weak_strips_by_scan` and the full products
-`oracles.d_mul` and `oracles.d_demazure` are the test oracles.
+Both kinds are grown one run top at a time (`affine.left_growth`): weak
+strips from w_lam w_0, where 0-dominance of the top turns into plain
+length-additivity, and set-valued strips from w_lam by Demazure steps, a
+branch ending at its first non-Grassmannian product.  So only genuine
+strips, and their run-top parents, are visited.  The subset scans
+`oracles.weak_strips_by_scan` and `oracles.setvalued_strips_by_scan` and
+the full products `oracles.d_mul` and `oracles.d_demazure` are the test
+oracles.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 
 from dataclasses import dataclass
 
@@ -36,7 +37,7 @@ from .affine import (
     mul,
     reduced_word,
 )
-from .kcode import d_elem, d_steps, rd, sh
+from .kcode import _column_shape, d_elem, d_steps
 from .partitions import (
     CorePartition,
     KBoundedPartition,
@@ -146,10 +147,18 @@ def perm_to_core(w: AffinePermutation) -> CorePartition:
 def perm_to_bounded(w: AffinePermutation) -> KBoundedPartition:
     """The shape of the decreasing k-code: the rows of lam are the cyclically
     decreasing factors of its reading word (Lapointe–Morse, JCTA 2005).
-    Test oracle: `oracles.core_by_residue_action`."""
+
+    The window of a Grassmannian element is increasing, so in the count of
+    `kcode.rd` no earlier window position contributes to column p, and a
+    later one q contributes (w(q) - w(p)) // n.  Test oracles: `sh(rd(w))`
+    and `oracles.core_by_residue_action`."""
     if not w.is_grassmannian():
         raise ValueError(f"{w!r} is not affine Grassmannian")
-    return sh(rd(w))
+    n = w.k + 1
+    win = w.window
+    return _column_shape(
+        w.k, [sum((wq - wp) // n for wq in win[p + 1 :]) for p, wp in enumerate(win)]
+    )
 
 
 def _slide_row(heights: list[int], p: int, k: int) -> int:
@@ -279,8 +288,8 @@ def weak_strips(lam: KBoundedPartition, r: int) -> list[IndexSet]:
     if not 0 <= r <= lam.k:
         raise ValueError(f"need 0 <= r <= k, got r={r}, k={lam.k}")
     k = lam.k
-    level = left_growth(bounded_to_perm(lam).window[::-1], True, r)[r]
-    out = [IndexSet._trusted(k, A) for A, _ in level]
+    level = left_growth(bounded_to_perm(lam).window[::-1], "ascent", r)[r]
+    out = [IndexSet._trusted(k, A) for A, _, _ in level]
     return sorted(out, key=lambda a: a.sorted())
 
 
@@ -296,17 +305,18 @@ def setvalued_strips(
 
     The same product may appear under several A; pairs are kept separate
     because the Pieri signs depend on |A| and on the length of the product.
+    Grown by Demazure steps from w (the "max" mode of `left_growth`), which
+    also carries the length: one more per step that goes up.
     """
     if not w.is_grassmannian():
         raise ValueError(f"{w!r} is not affine Grassmannian")
-    if not 1 <= r <= w.k:
-        raise ValueError(f"need 1 <= r <= k, got r={r}, k={w.k}")
-    out = []
-    for combo in itertools.combinations(range(w.k + 1), r):
-        A = IndexSet._trusted(w.k, frozenset(combo))
-        v = left_action(w, d_steps(A), "max")
-        if v.is_grassmannian():
-            out.append((A, v))
+    k = w.k
+    if not 1 <= r <= k:
+        raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
+    out = [
+        (IndexSet._trusted(k, A), AffinePermutation._trusted(k, tuple(win), w.length + dl))
+        for A, win, dl in left_growth(w.window, "max", r)[r]
+    ]
     return sorted(out, key=lambda av: av[0].sorted())
 
 

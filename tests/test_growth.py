@@ -1,8 +1,10 @@
-"""The growth kernel, and the weak strips, Z-set families and fiber labels
-grown with it, against the subset scans of `oracles`."""
+"""The growth kernel, and the weak strips, set-valued strips, Z-set families
+and fiber labels grown with it, against the subset scans of `oracles`."""
 
 import itertools
 import random
+
+import pytest
 
 from affineschur.affine import (
     AffinePermutation,
@@ -15,14 +17,23 @@ from affineschur.affine import (
 )
 from affineschur.kcode import d_inverse_steps, d_steps
 from affineschur.orderlab import fiber_X, signed_fiber_table, z_sets
-from affineschur.oracles import proper_subsets, weak_strips_by_scan, z_sets_by_scan
+from affineschur.oracles import (
+    proper_subsets,
+    setvalued_strips_by_scan,
+    weak_strips_by_scan,
+    z_sets_by_scan,
+)
 from affineschur.partitions import kbounded_partitions
 from affineschur.shapes import (
     bounded_to_perm,
     is_weak_strip,
     is_weak_strip_parabolic,
+    setvalued_strips,
     weak_strips,
 )
+
+# every k <= 6 up to size 8, then k = 7 and 8 up to size 6
+SETVALUED_GRID = [(k, 8) for k in range(1, 7)] + [(7, 6), (8, 6)]
 
 
 def test_weak_strips_equal_subset_scan():
@@ -35,6 +46,42 @@ def test_weak_strips_equal_subset_scan():
                 for A in strips:
                     assert is_weak_strip(lam, A) and is_weak_strip_parabolic(lam, A)
                     assert IndexSet(k, A.members) == A
+
+
+def test_setvalued_strips_equal_subset_scan():
+    # AffinePermutation equality ignores the length, and the Pieri signs
+    # read it, so each grown length is re-derived by the public constructor
+    for k, size in SETVALUED_GRID:
+        for lam in kbounded_partitions(k, size):
+            w = bounded_to_perm(lam)
+            for r in range(1, k + 1):
+                strips = setvalued_strips(w, r)
+                scan = setvalued_strips_by_scan(w, r)
+                assert strips == scan, (lam, r)
+                for (_, v), (_, u) in zip(strips, scan):
+                    assert v.length == u.length == AffinePermutation(k, v.window).length
+
+
+def test_setvalued_pruning_follows_run_tops_only():
+    # d_A * w is Grassmannian for the admissible A.  Dropping a run top a
+    # (a+1 not in A) keeps A admissible, which the growth relies on;
+    # dropping any element does not, so plain subset closure is false.
+    not_closed = 0
+    for k in range(1, 7):
+        n = k + 1
+        for lam in kbounded_partitions(k, 6 if k == 6 else 8):
+            w = bounded_to_perm(lam)
+            admissible = {
+                A
+                for A in proper_subsets(k)
+                if left_action(w, d_steps(IndexSet(k, A)), "max").is_grassmannian()
+            }
+            for A in admissible:
+                for b in A:
+                    if A - {b} not in admissible:
+                        assert (b + 1) % n in A, (lam, A, b)
+                        not_closed += 1
+    assert not_closed == 1936
 
 
 def test_z_sets_equal_subset_scan_on_grassmannian_elements():
@@ -64,32 +111,45 @@ def test_z_sets_equal_subset_scan_on_random_words():
 
 
 def test_growth_windows_are_the_left_action_runs():
-    # each kept set carries the window of d_A w (ascent) or d_A^{-1} w
-    # (descent); the public constructor re-derives the length
+    # each kept set carries the window of d_A w (ascent), d_A^{-1} w
+    # (descent) or d_A * w (max, kept when Grassmannian) and its length
+    # change; the public constructor re-derives the length
     for k, L in ((1, 4), (2, 4), (3, 3), (5, 2)):
         for w in ball(k, L):
-            for ascent, sign, steps in ((True, 1, d_steps), (False, -1, d_inverse_steps)):
-                mode = "ascent" if ascent else "descent"
-                levels = left_growth(w.window, ascent, k)
+            for mode, steps in (("ascent", d_steps), ("descent", d_inverse_steps), ("max", d_steps)):
+                if mode == "max" and not w.is_grassmannian():
+                    continue
+                levels = left_growth(w.window, mode, k)
                 grown = {}
                 for r, level in enumerate(levels):
-                    for A, win in level:
+                    for A, win, dl in level:
                         assert len(A) == r and A not in grown
                         v = AffinePermutation(k, win)
-                        assert v.length == w.length + sign * r, (w, A)
+                        assert v.length == w.length + dl, (w, A)
+                        if mode != "max":
+                            assert dl == (r if mode == "ascent" else -r), (w, A)
                         grown[A] = v
                 for members in proper_subsets(k):
                     v = left_action(w, steps(IndexSet(k, members)), mode)
+                    if mode == "max" and not v.is_grassmannian():
+                        v = None
                     assert grown.get(members) == v, (w, members)
+
+
+def test_max_growth_rejects_a_window_that_is_not_increasing():
+    with pytest.raises(ValueError, match="increasing"):
+        left_growth((2, 1, 3), "max", 1)
+    with pytest.raises(ValueError, match="mode"):
+        left_growth((1, 2, 3), "plain", 1)
 
 
 def test_growth_stays_within_the_given_residues():
     w = bounded_to_perm(kbounded_partitions(4, 6)[-1])
     for within in ({0, 2}, {1, 2, 3}, set()):
         for size in range(len(within) + 1):
-            levels = left_growth(w.window, False, size, within)
+            levels = left_growth(w.window, "descent", size, within)
             assert len(levels) == size + 1
-            assert all(A <= within for level in levels for A, _ in level)
+            assert all(A <= within for level in levels for A, _, _ in level)
 
 
 def test_fiber_labels_and_table_equal_subset_scan():

@@ -184,8 +184,9 @@ def test_strips_equal_product_routes(k, size):
                     assert bounded_to_perm(strip_top(lam, A)) == v
             assert weak_strips(lam, r) == scan
             if r:
-                assert setvalued_strips(w, r) == [
-                    (A, d_demazure(A, w))
+                # lengths too: equality of elements ignores them
+                assert [(A, v, v.length) for A, v in setvalued_strips(w, r)] == [
+                    (A, d_demazure(A, w), d_demazure(A, w).length)
                     for A in proper_index_sets(k)
                     if len(A) == r and d_demazure(A, w).is_grassmannian()
                 ]
@@ -203,8 +204,8 @@ def test_strips_equal_product_routes_at_k8():
                 and d_mul(A, w).length == w.length + r
                 and d_mul(A, w).is_grassmannian()
             ]
-            assert [(A.sorted(), v) for A, v in setvalued_strips(w, r)] == [
-                (A.sorted(), d_demazure(A, w))
+            assert [(A.sorted(), v, v.length) for A, v in setvalued_strips(w, r)] == [
+                (A.sorted(), d_demazure(A, w), d_demazure(A, w).length)
                 for A in proper_index_sets(8)
                 if len(A) == r and d_demazure(A, w).is_grassmannian()
             ]

@@ -152,6 +152,18 @@ def test_codes_of_grassmannian_elements():
             assert sh(ri(w)) == k_transpose(sh(rd(w)))
 
 
+def test_perm_to_bounded_equals_shape_of_rd():
+    # the increasing-window code against the general k-code, on every w_lam
+    # and every grown set-valued product of the set-valued strip ranges
+    for k, size in [(k, 8) for k in range(1, 7)] + [(7, 6), (8, 6)]:
+        for lam in kbounded_partitions(k, size):
+            w = bounded_to_perm(lam)
+            assert perm_to_bounded(w) == sh(rd(w)) == lam
+            for r in range(1, k + 1):
+                for _, v in setvalued_strips(w, r):
+                    assert perm_to_bounded(v) == sh(rd(v)), (lam, r, v)
+
+
 def test_weak_strip_lists():
     lam = P(3, 3, 2, 1)
     expected = {0: [()], 1: [(1,), (3,)], 2: [(1, 2), (1, 3)], 3: [(1, 2, 3)]}
