@@ -40,7 +40,6 @@ from .orderlab import (
     forbidden_index,
     minus_forbidden_indices,
     signed_fiber_table,
-    strips_meet,
     z_sets,
 )
 from .partitions import (

@@ -88,8 +88,8 @@ class AffinePermutation:
         """Wrap a window the kernel built from valid elements, with its length.
 
         Nothing is checked; only the operations of this module call it, and
-        `orderlab.fiber_X` and `shapes.setvalued_strips` on the windows
-        `left_growth` hands out with their length change.
+        `orderlab.fiber_X`, `shapes.setvalued_strips`, `shapes.weak_strips`
+        and `symfunc.gtilde_pieri_ie` on the windows `left_growth` hands out.
         """
         w = object.__new__(cls)
         object.__setattr__(w, "k", k)
@@ -173,8 +173,9 @@ class IndexSet:
         return iter(self.sorted())
 
     def shift(self, t: int) -> "IndexSet":
+        """Rotate every residue by t; a rotation of a proper subset is proper."""
         n = self.k + 1
-        return IndexSet(self.k, frozenset((i + t) % n for i in self.members))
+        return IndexSet._trusted(self.k, frozenset((i + t) % n for i in self.members))
 
     def __repr__(self):
         return f"IndexSet(k={self.k}, {{{', '.join(map(str, self.sorted()))}}})"
@@ -587,11 +588,13 @@ def meet_LS(x: AffinePermutation, y: AffinePermutation) -> AffinePermutation:
 
 
 def flip(z: AffinePermutation, x: AffinePermutation) -> AffinePermutation:
-    """Interval flip x -> z x^-1, an anti-isomorphism [e,z]_L -> [e,z]_R."""
+    """Interval flip x -> z x^-1, an anti-isomorphism [e,z]_L -> [e,z]_R;
+    x <=_L z iff l(z x^-1) + l(x) = l(z), checked on the product returned."""
     _check_same_rank(z, x)
-    if not weak_leq(x, z, "left"):
+    y = mul(z, inverse(x))
+    if y.length + x.length != z.length:
         raise ValueError("precondition violation: x is not <=_L z")
-    return mul(z, inverse(x))
+    return y
 
 
 def ball(k: int, max_length: int, cap: int = BALL_CAP) -> list[AffinePermutation]:

@@ -22,13 +22,11 @@ from .kcode import rd, ri, sh
 from .orderlab import signed_fiber_table, z_sets
 from .partitions import KBoundedPartition
 from .shapes import (
-    WeakStrip,
     bounded_to_core,
     bounded_to_perm,
     perm_to_bounded,
     reading_word,
     setvalued_strips,
-    strip_top,
     weak_strips,
 )
 from .symfunc import (
@@ -198,7 +196,7 @@ def cmd_bij(cfg: RunConfig, args) -> int:
 def cmd_strips(cfg: RunConfig, args) -> int:
     lam = parse_partition(cfg.k, args.lam)
     r = cfg.r if cfg.r is not None else 1
-    weak = [WeakStrip._trusted(lam, A, strip_top(lam, A)) for A in weak_strips(lam, r)]
+    weak = weak_strips(lam, r)
     # (A, top, sign) of each set-valued strip
     set_valued = []
     if r >= 1:

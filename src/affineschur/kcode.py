@@ -190,7 +190,8 @@ def ri(w: AffinePermutation) -> KCode:
 
 
 def code_rows(code: KCode, increasing: bool = False) -> list[IndexSet]:
-    """Residue sets of the diagram rows, bottom row first."""
+    """Residue sets of the diagram rows, bottom row first; a row misses the
+    residue of every empty column, so each set is proper."""
     n = code.k + 1
     rows = []
     for j in range(max(code.values, default=0)):
@@ -199,7 +200,7 @@ def code_rows(code: KCode, increasing: bool = False) -> list[IndexSet]:
             for i in range(n)
             if code.values[i] > j
         )
-        rows.append(IndexSet(code.k, residues))
+        rows.append(IndexSet._trusted(code.k, residues))
     return rows
 
 

@@ -36,13 +36,12 @@ from .affine import (
 from .kcode import d_elem, d_inverse_steps, d_steps, first_row, ri
 from .oracles import closure_failure_by_pairs
 from .partitions import KBoundedPartition
-from .shapes import bounded_to_core, is_weak_strip, strip_top
+from .shapes import bounded_to_core
 
 __all__ = [
     "ZSets",
     "Fiber",
     "z_sets",
-    "strips_meet",
     "forbidden_index",
     "minus_forbidden_indices",
     "fiber_X",
@@ -186,13 +185,6 @@ def z_sets(u: AffinePermutation) -> ZSets:
         frozenset(A for level in minus for A, _, _ in level),
         plus_g,
     )
-
-
-def strips_meet(lam: KBoundedPartition, A: IndexSet, B: IndexSet) -> KBoundedPartition:
-    """Meet of two weak-strip tops over lam: the strip of the intersection."""
-    if not (is_weak_strip(lam, A) and is_weak_strip(lam, B)):
-        raise ValueError(f"{A!r} and {B!r} must both be weak strips over {lam!r}")
-    return strip_top(lam, IndexSet(lam.k, A.members & B.members))
 
 
 def forbidden_index(lam: KBoundedPartition) -> int:

@@ -15,10 +15,9 @@ Both kinds are grown one run top at a time (`affine.left_growth`): weak
 strips from w_lam w_0, where 0-dominance of the top turns into plain
 length-additivity, and set-valued strips from w_lam by Demazure steps, a
 branch ending at its first non-Grassmannian product.  So only genuine
-strips, and their run-top parents, are visited.  The subset scans
-`oracles.weak_strips_by_scan` and `oracles.setvalued_strips_by_scan` and
-the full products `oracles.d_mul` and `oracles.d_demazure` are the test
-oracles.
+strips, and their run-top parents, are visited, and a weak strip carries
+its top, read off its window.  The subset scans, `strip_top` and the full
+products `oracles.d_mul` and `oracles.d_demazure` are the test oracles.
 """
 
 from __future__ import annotations
@@ -228,8 +227,8 @@ class WeakStrip:
     def _trusted(
         cls, base: KBoundedPartition, indices: IndexSet, top: KBoundedPartition
     ) -> "WeakStrip":
-        """Wrap a strip that `weak_strips` decided and `strip_top` topped;
-        nothing is re-checked."""
+        """Wrap a strip that `weak_strips` grew, with the top read off its
+        window; nothing is re-checked."""
         strip = object.__new__(cls)
         object.__setattr__(strip, "base", base)
         object.__setattr__(strip, "indices", indices)
@@ -278,23 +277,27 @@ def is_weak_strip_parabolic(lam: KBoundedPartition, A: IndexSet) -> bool:
     return mul(d_elem(A), wJ).length == wJ.length + len(A)
 
 
-def weak_strips(lam: KBoundedPartition, r: int) -> list[IndexSet]:
-    """All index sets of weak strips of size r over lam, sorted.
+def weak_strips(lam: KBoundedPartition, r: int) -> list[WeakStrip]:
+    """All weak strips of size r over lam, sorted by index set.
 
     Grown from w_lam w_0 with every step going up (see
     `is_weak_strip_parabolic`).  w_lam is 0-dominant, so w_lam w_0 is its
-    window reversed, of length l(w_lam) + k(k+1)/2, and no product is made.
+    window reversed, and no product is made; the grown window reversed is
+    that of the top d_A w_lam, of length |lam| + r.
     """
     if not 0 <= r <= lam.k:
         raise ValueError(f"need 0 <= r <= k, got r={r}, k={lam.k}")
     k = lam.k
-    level = left_growth(bounded_to_perm(lam).window[::-1], "ascent", r)[r]
-    out = [IndexSet._trusted(k, A) for A, _, _ in level]
-    return sorted(out, key=lambda a: a.sorted())
+    out = []
+    for A, win, _ in left_growth(bounded_to_perm(lam).window[::-1], "ascent", r)[r]:
+        top = AffinePermutation._trusted(k, tuple(win[::-1]), lam.size + r)
+        out.append(WeakStrip._trusted(lam, IndexSet._trusted(k, A), perm_to_bounded(top)))
+    return sorted(out, key=lambda s: s.indices.sorted())
 
 
 def strip_top(lam: KBoundedPartition, A: IndexSet) -> KBoundedPartition:
-    """Bounded partition of d_A . lam (caller guarantees a genuine strip)."""
+    """Bounded partition of d_A . lam (caller guarantees a genuine strip);
+    the check of `WeakStrip` and the tests' oracle of the grown tops."""
     return perm_to_bounded(left_action(bounded_to_perm(lam), d_steps(A)))
 
 

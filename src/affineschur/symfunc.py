@@ -6,7 +6,8 @@ by the weak-strip Pieri rule (ks), and its inhomogeneous K-theoretic
 analogue defined by the signed set-valued Pieri rule (g).  Coefficients
 are arbitrary-precision integers throughout: both basis changes to h are
 unit lower-triangular in the term order, which is asserted, so they are
-inverted by integer forward substitution.
+inverted by integer forward substitution.  The weak-strip rules read every
+strip top off the windows of the growth from w_lam w_0 (`shapes.weak_strips`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .affine import IndexSet
+from .affine import AffinePermutation, left_growth
 from .partitions import (
     KBoundedPartition,
     k_rectangle,
@@ -27,7 +28,6 @@ from .shapes import (
     bounded_to_perm,
     perm_to_bounded,
     setvalued_strips,
-    strip_top,
     weak_strips,
 )
 
@@ -194,9 +194,8 @@ def pieri_kschur(lam: KBoundedPartition, r: int) -> SymElt:
     if not 0 <= r <= lam.k:
         raise ValueError(f"need 0 <= r <= k, got r={r}, k={lam.k}")
     acc: dict[tuple[int, ...], int] = {}
-    for A in weak_strips(lam, r):
-        top = strip_top(lam, A)
-        acc[top.parts] = acc.get(top.parts, 0) + 1
+    for strip in weak_strips(lam, r):
+        acc[strip.top.parts] = acc.get(strip.top.parts, 0) + 1
     return SymElt._trusted(lam.k, "ks", acc)
 
 
@@ -431,7 +430,7 @@ def gtilde_pieri(lam: KBoundedPartition, r: int) -> SymElt:
     """
     if not 0 <= r <= lam.k:
         raise ValueError(f"need 0 <= r <= k, got r={r}, k={lam.k}")
-    tops = [strip_top(lam, A) for A in weak_strips(lam, r)]
+    tops = [strip.top for strip in weak_strips(lam, r)]
     return SymElt._trusted(lam.k, "g", {mu.parts: 1 for mu in _strong_ideal_union(tops)})
 
 
@@ -450,19 +449,28 @@ def gtilde_pieri_ie(lam: KBoundedPartition, r: int) -> dict[tuple[int, ...], int
     """Inclusion-exclusion form of the same product, as gtilde labels.
 
     Alternating sum over nonempty collections of the size-r strips; the
-    label of a collection is the strip of the intersection of its index
-    sets (intersections of strip labels are again strips).
+    label of a collection is the top of the strip of the intersection of
+    its index sets.  That is a strip, so its window is in levels 0..r of
+    the growth, and a shape is read once per set the sum meets.
     """
     if not 0 <= r <= lam.k:
         raise ValueError(f"need 0 <= r <= k, got r={r}, k={lam.k}")
-    strips = weak_strips(lam, r)
-    acc: dict[tuple[int, ...], int] = {}
+    levels = left_growth(bounded_to_perm(lam).window[::-1], "ascent", r)
+    strips = [A for A, _, _ in levels[r]]
+    counts: dict[frozenset[int], int] = {}
     for m in range(1, len(strips) + 1):
         sign = (-1) ** (m - 1)
         for combo in itertools.combinations(strips, m):
-            inter = frozenset.intersection(*(A.members for A in combo))
-            label = strip_top(lam, IndexSet._trusted(lam.k, inter)).parts
-            acc[label] = acc.get(label, 0) + sign
+            inter = frozenset.intersection(*combo)
+            counts[inter] = counts.get(inter, 0) + sign
+    windows = {A: win for level in levels for A, win, _ in level}
+    acc: dict[tuple[int, ...], int] = {}
+    for inter, c in counts.items():
+        if inter not in windows:
+            raise RuntimeError(f"size-{r} strips over {lam} meet in {sorted(inter)}, not grown")
+        top = AffinePermutation._trusted(lam.k, tuple(windows[inter][::-1]), lam.size + len(inter))
+        label = perm_to_bounded(top).parts
+        acc[label] = acc.get(label, 0) + c
     return {p: c for p, c in sorted(acc.items(), key=_term_key) if c}
 
 

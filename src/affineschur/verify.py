@@ -65,7 +65,6 @@ from .shapes import (
     bounded_to_perm,
     is_weak_strip,
     is_weak_strip_parabolic,
-    strip_top,
     weak_strips,
 )
 from .symfunc import (
@@ -836,15 +835,14 @@ def _verify_strip_props(k, max_size, subsets, order) -> list[CheckResult]:
         fi = forbidden_index(lam)
         strips_by_r = {r: weak_strips(lam, r) for r in range(k + 1)}
         forb.check(
-            all(fi not in A for r in strips_by_r.values() for A in r),
+            all(fi not in s.indices for r in strips_by_r.values() for s in r),
             lam=list(lam.parts),
             forbidden=fi,
         )
         top_k = strips_by_r[k]
         unique.check(
             len(top_k) == 1
-            and strip_top(lam, top_k[0])
-            == union_sort(KBoundedPartition(k, (k,)), lam),
+            and top_k[0].top == union_sort(KBoundedPartition(k, (k,)), lam),
             lam=list(lam.parts),
         )
         agree.check(
@@ -855,7 +853,7 @@ def _verify_strip_props(k, max_size, subsets, order) -> list[CheckResult]:
             lam=list(lam.parts),
         )
         w = bounded_to_perm(lam)
-        qualifying = [A for r in strips_by_r.values() for A in r]
+        qualifying = [s.indices for r in strips_by_r.values() for s in r]
         # d_A w with its down row once per strip, d_C w and the strip test
         # once per intersection C
         below = [order.row("down", mul(d_elem(A), w)) for A in qualifying]
@@ -1197,25 +1195,21 @@ def verify_factorization(k: int, max_size: int) -> list[CheckResult]:
     small = {}
     for lam in lams:
         for r in range(0, k + 1):
-            strips = weak_strips(lam, r)
             labels = [
                 (KBoundedPartition._trusted(k, parts), c)
                 for parts, c in gtilde_pieri_ie(lam, r).items()
             ]
-            small[lam, r] = (strips, [strip_top(lam, A) for A in strips], labels)
+            small[lam, r] = (weak_strips(lam, r), labels)
     for t in range(1, k + 1):
         rect = k_rectangle(t, k)
         for lam in lams:
             big = union_sort(rect, lam)
             for r in range(0, k + 1):
-                small_strips, small_tops, ie_small = small[lam, r]
-                shifted = sorted(
-                    (A.shift(t) for A in small_strips), key=lambda a: a.sorted()
-                )
-                big_strips = weak_strips(big, r)
-                ok = shifted == big_strips and all(
-                    union_sort(rect, top) == strip_top(big, A.shift(t))
-                    for A, top in zip(small_strips, small_tops)
+                small_strips, ie_small = small[lam, r]
+                shifted = {s.indices.shift(t): s.top for s in small_strips}
+                big_tops = {s.indices: s.top for s in weak_strips(big, r)}
+                ok = shifted.keys() == big_tops.keys() and all(
+                    union_sort(rect, top) == big_tops[A] for A, top in shifted.items()
                 )
                 shift.check(ok, lam=list(lam.parts), t=t, r=r)
                 ie_big = gtilde_pieri_ie(big, r)

@@ -109,7 +109,7 @@ def test_02_code_decomposition_example():
 def test_03_weak_strip_poset():
     with budget("03 weak-strip index sets and cover relations", 1):
         lam = KBoundedPartition(3, (3, 2, 1))
-        labels = [A.sorted() for r in range(4) for A in weak_strips(lam, r)]
+        labels = [s.indices.sorted() for r in range(4) for s in weak_strips(lam, r)]
         assert sorted(labels, key=lambda a: (len(a), a)) == [
             (), (1,), (3,), (1, 2), (1, 3), (1, 2, 3),
         ]

@@ -30,7 +30,7 @@ from affineschur.affine import (
     s_join_L,
     weak_leq,
 )
-from affineschur.kcode import rd, ri
+from affineschur.kcode import code_rows, rd, ri
 from affineschur.orderlab import signed_fiber_table
 from affineschur.oracles import subword_lower_set
 from affineschur.partitions import kbounded_partitions
@@ -363,15 +363,20 @@ def test_trusted_index_sets_pass_validation(monkeypatch):
 
     monkeypatch.setattr(IndexSet, "_trusted", classmethod(recording))
     for w in ball(3, 4):
-        rd(w)
-        ri(w)
+        for code in (rd(w), ri(w)):
+            code_rows(code)
+            code_rows(code, increasing=True)
         signed_fiber_table(w)
     for lam in kbounded_partitions(3, 6):
         w = bounded_to_perm(lam)
         for r in range(4):
-            weak_strips(lam, r)
+            for s in weak_strips(lam, r):
+                for t in range(4):
+                    s.indices.shift(t)
             if r:
-                setvalued_strips(w, r)
+                for A, _ in setvalued_strips(w, r):
+                    for t in range(4):
+                        A.shift(t)
     assert len(made) > 1000
     for A in made:
         assert IndexSet(A.k, A.members) == A

@@ -25,10 +25,12 @@ from affineschur.oracles import (
 )
 from affineschur.partitions import kbounded_partitions
 from affineschur.shapes import (
+    WeakStrip,
     bounded_to_perm,
     is_weak_strip,
     is_weak_strip_parabolic,
     setvalued_strips,
+    strip_top,
     weak_strips,
 )
 
@@ -42,10 +44,14 @@ def test_weak_strips_equal_subset_scan():
         for lam in kbounded_partitions(k, size):
             for r in range(k + 1):
                 strips = weak_strips(lam, r)
-                assert strips == weak_strips_by_scan(lam, r), (lam, r)
-                for A in strips:
+                assert [s.indices for s in strips] == weak_strips_by_scan(lam, r), (lam, r)
+                for s in strips:
+                    A = s.indices
                     assert is_weak_strip(lam, A) and is_weak_strip_parabolic(lam, A)
                     assert IndexSet(k, A.members) == A
+                    # the grown top, replayed through the validating constructor
+                    assert WeakStrip(lam, A, s.top) == s
+                    assert s.top == strip_top(lam, A), (lam, A)
 
 
 def test_setvalued_strips_equal_subset_scan():

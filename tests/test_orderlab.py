@@ -26,12 +26,11 @@ from affineschur.orderlab import (
     forbidden_index,
     minus_forbidden_indices,
     signed_fiber_table,
-    strips_meet,
     z_sets,
 )
 from affineschur.oracles import closure_failure_by_pairs, proper_subsets, strong_meet
 from affineschur.partitions import KBoundedPartition, kbounded_partitions
-from affineschur.shapes import bounded_to_perm, strip_top, weak_strips
+from affineschur.shapes import bounded_to_perm, is_weak_strip, strip_top, weak_strips
 
 
 def P(k, *parts):
@@ -67,15 +66,22 @@ def test_z_sets_worked_example():
 
 
 def test_strips_meet_examples():
-    lam = P(3, 3, 2, 1)
-    got = strips_meet(lam, IndexSet(3, frozenset({1, 2})), IndexSet(3, frozenset({1, 3})))
-    assert got == strip_top(lam, IndexSet(3, frozenset({1})))
-    lam1 = P(3, 1)
-    assert strips_meet(lam1, IndexSet(3, frozenset({1})), IndexSet(3, frozenset({3}))) == lam1
-    same = IndexSet(3, frozenset({1}))
-    assert strips_meet(lam, same, same) == strip_top(lam, same)
-    with pytest.raises(ValueError):
-        strips_meet(lam, IndexSet(3, frozenset({0})), same)
+    # the strong meet of two weak-strip tops over lam is the top of the
+    # strip of the intersection of their index sets
+    wide = ball(3, 8)
+    for lam, a, b, cap in [
+        (P(3, 3, 2, 1), {1, 2}, {1, 3}, {1}),
+        (P(3, 1), {1}, {3}, set()),
+        (P(3, 3, 2, 1), {1}, {1}, {1}),
+    ]:
+        A, B = IndexSet(3, frozenset(a)), IndexSet(3, frozenset(b))
+        assert is_weak_strip(lam, A) and is_weak_strip(lam, B)
+        C = IndexSet(3, A.members & B.members)
+        assert C == IndexSet(3, frozenset(cap))
+        w = bounded_to_perm(lam)
+        m = strong_meet(mul(d_elem(A), w), mul(d_elem(B), w), wide)
+        assert m == bounded_to_perm(strip_top(lam, C))
+    assert strip_top(P(3, 1), IndexSet(3, frozenset())) == P(3, 1)
 
 
 def test_strips_meet_is_strong_meet():
@@ -84,11 +90,12 @@ def test_strips_meet_is_strong_meet():
         wide = ball(k, 8)
         for lam in kbounded_partitions(k, 4):
             w = bounded_to_perm(lam)
-            labels = [A for r in range(k + 1) for A in weak_strips(lam, r)]
+            labels = [s.indices for r in range(k + 1) for s in weak_strips(lam, r)]
             for A in labels:
                 for B in labels:
                     m = strong_meet(mul(d_elem(A), w), mul(d_elem(B), w), wide)
-                    assert m == bounded_to_perm(strips_meet(lam, A, B))
+                    C = IndexSet(k, A.members & B.members)
+                    assert m == bounded_to_perm(strip_top(lam, C))
 
 
 def test_forbidden_index_examples():
@@ -98,7 +105,7 @@ def test_forbidden_index_examples():
         for lam in kbounded_partitions(k, 7):
             fi = forbidden_index(lam)
             for r in range(k + 1):
-                assert all(fi not in A for A in weak_strips(lam, r))
+                assert all(fi not in s.indices for s in weak_strips(lam, r))
 
 
 def test_minus_forbidden_indices():

@@ -168,7 +168,7 @@ def test_weak_strip_lists():
     lam = P(3, 3, 2, 1)
     expected = {0: [()], 1: [(1,), (3,)], 2: [(1, 2), (1, 3)], 3: [(1, 2, 3)]}
     for r, sets in expected.items():
-        assert [A.sorted() for A in weak_strips(lam, r)] == sets
+        assert [s.indices.sorted() for s in weak_strips(lam, r)] == sets
     with pytest.raises(ValueError):
         weak_strips(lam, 4)
 
@@ -177,7 +177,7 @@ def test_weak_strip_poset_covers():
     """Cover relations among the strip tops over (3,2,1) at k=3."""
     lam = P(3, 3, 2, 1)
     labels = [
-        A for r in range(4) for A in weak_strips(lam, r)
+        s.indices for r in range(4) for s in weak_strips(lam, r)
     ]
     tops = {A.sorted(): mul(d_elem(A), bounded_to_perm(lam)) for A in labels}
     keys = sorted(tops, key=lambda a: (len(a), a))
@@ -228,8 +228,10 @@ def test_weak_strip_value_type():
 
 def test_strip_tops():
     lam = P(3, 3, 2, 1)
-    tops = {A.sorted(): strip_top(lam, A).parts for A in weak_strips(lam, 1)}
+    strips = weak_strips(lam, 1)
+    tops = {s.indices.sorted(): strip_top(lam, s.indices).parts for s in strips}
     assert tops == {(1,): (3, 2, 1, 1), (3,): (3, 2, 2)}
+    assert {s.indices.sorted(): s.top.parts for s in strips} == tops
 
 
 def test_setvalued_strips_examples():
@@ -296,9 +298,9 @@ def test_rectangle_union_shifts_strips():
             for lam in kbounded_partitions(k, 4):
                 big = union_sort(rect, lam)
                 for r in range(k + 1):
-                    small = weak_strips(lam, r)
+                    small = [s.indices for s in weak_strips(lam, r)]
                     assert sorted(A.shift(t).sorted() for A in small) == sorted(
-                        A.sorted() for A in weak_strips(big, r)
+                        s.indices.sorted() for s in weak_strips(big, r)
                     )
                     for A in small:
                         assert union_sort(rect, strip_top(lam, A)) == strip_top(

@@ -1,12 +1,13 @@
 """Exact basis arithmetic, Pieri rules, ideal sums, and factorization."""
 
+import itertools
 import json
 import random
 
 import pytest
 
 from affineschur import symfunc
-from affineschur.affine import ball, weak_leq
+from affineschur.affine import IndexSet, ball, weak_leq
 from affineschur.oracles import (
     product_via_h_by_monomial,
     strong_ideal_union_by_filter,
@@ -220,7 +221,7 @@ def test_pruned_ideal_equals_the_filter_oracle():
         for lam in kbounded_partitions(k, max_size):
             assert _strong_ideal_union([lam]) == strong_ideal_union_by_filter([lam]), lam
             for r in range(k + 1):
-                tops = [strip_top(lam, A) for A in weak_strips(lam, r)]
+                tops = [s.top for s in weak_strips(lam, r)]
                 assert _strong_ideal_union(tops) == strong_ideal_union_by_filter(
                     tops
                 ), (lam, r)
@@ -233,8 +234,8 @@ def test_gtilde_pieri_equals_union_of_top_ideals():
             for r in range(k + 1):
                 union = {
                     mu.parts
-                    for A in weak_strips(lam, r)
-                    for mu in bruhat_lower_partitions(strip_top(lam, A))
+                    for s in weak_strips(lam, r)
+                    for mu in bruhat_lower_partitions(strip_top(lam, s.indices))
                 }
                 assert gtilde_pieri(lam, r).as_mapping() == dict.fromkeys(union, 1), (lam, r)
 
@@ -253,6 +254,46 @@ def test_gtilde_pieri_ie_examples():
     assert gtilde_pieri_ie(P(3, 1), 1) == {(2,): 1, (1, 1): 1, (1,): -1}
     assert gtilde_pieri_ie(P(3), 2) == {(2,): 1}
     assert gtilde_pieri_ie(P(3, 2, 1), 3) == {(3, 2, 1): 1}
+
+
+def ie_by_strip_tops(lam, r):
+    """The inclusion-exclusion sum with each label walked by `strip_top`."""
+    strips = [s.indices.members for s in weak_strips(lam, r)]
+    tops = {}
+    acc = {}
+    for m in range(1, len(strips) + 1):
+        for combo in itertools.combinations(strips, m):
+            inter = frozenset.intersection(*combo)
+            if inter not in tops:
+                tops[inter] = strip_top(lam, IndexSet(lam.k, inter)).parts
+            acc[tops[inter]] = acc.get(tops[inter], 0) + (-1) ** (m - 1)
+    return {p: c for p, c in acc.items() if c}
+
+
+def test_gtilde_pieri_ie_labels_are_strip_tops():
+    # the labels read off the growth windows against a walk per intersection
+    for k in range(1, 5):
+        for lam in kbounded_partitions(k, 7):
+            for r in range(k + 1):
+                assert gtilde_pieri_ie(lam, r) == ie_by_strip_tops(lam, r), (lam, r)
+    rng = random.Random(22)
+    for lam in rng.sample(kbounded_partitions(8, 12), 16):
+        r = rng.randint(2, 6)
+        assert gtilde_pieri_ie(lam, r) == ie_by_strip_tops(lam, r), (lam, r)
+
+
+def test_gtilde_pieri_ie_raises_on_a_missing_intersection(monkeypatch):
+    # over (3,2,1) the size-2 strips {1,2} and {1,3} meet in the strip {1}
+    grow = symfunc.left_growth
+
+    def dropping(window, mode, size, within=None):
+        levels = grow(window, mode, size, within)
+        levels[1] = [entry for entry in levels[1] if entry[0] != {1}]
+        return levels
+
+    monkeypatch.setattr(symfunc, "left_growth", dropping)
+    with pytest.raises(RuntimeError, match=r"size-2 strips over .*\(3, 2, 1\).* meet in \[1\]"):
+        gtilde_pieri_ie(P(3, 3, 2, 1), 2)
 
 
 def test_gtilde_factorization_examples():
