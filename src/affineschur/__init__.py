@@ -60,7 +60,6 @@ from .shapes import (
     perm_to_bounded,
     perm_to_core,
     setvalued_strips,
-    shift_ft,
     strip_top,
     weak_strips,
 )

@@ -88,8 +88,8 @@ class AffinePermutation:
         """Wrap a window the kernel built from valid elements, with its length.
 
         Nothing is checked; only the operations of this module call it, and
-        `orderlab.fiber_X`, `shapes.setvalued_strips`, `shapes.weak_strips`
-        and `symfunc.gtilde_pieri_ie` on the windows `left_growth` hands out.
+        `orderlab.fiber_X`, `shapes.setvalued_strips` and `shapes.StripGrowth`
+        on the windows `left_growth` hands out.
         """
         w = object.__new__(cls)
         object.__setattr__(w, "k", k)

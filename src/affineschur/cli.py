@@ -22,6 +22,7 @@ from .kcode import rd, ri, sh
 from .orderlab import signed_fiber_table, z_sets
 from .partitions import KBoundedPartition
 from .shapes import (
+    StripGrowth,
     bounded_to_core,
     bounded_to_perm,
     perm_to_bounded,
@@ -31,8 +32,9 @@ from .shapes import (
 )
 from .symfunc import (
     SymElt,
-    gtilde_pieri,
-    gtilde_pieri_ie,
+    _gtilde_pieri_ie,
+    _gtilde_pieri_union,
+    _in_term_order,
     h_mult,
     pieri_kschur,
 )
@@ -245,8 +247,10 @@ def cmd_pieri(cfg: RunConfig, args) -> int:
 def cmd_gtilde(cfg: RunConfig, args) -> int:
     lam = parse_partition(cfg.k, args.lam)
     r = cfg.r if cfg.r is not None else 1
-    closed = gtilde_pieri(lam, r)
-    ie = gtilde_pieri_ie(lam, r)
+    # gtilde_pieri and gtilde_pieri_ie, read off one growth
+    growth = StripGrowth(lam, r)
+    closed = _gtilde_pieri_union(growth, r)
+    ie = _in_term_order(_gtilde_pieri_ie(growth, r))
     payload = {
         "base": lam.as_dict(),
         "r": r,

@@ -18,7 +18,8 @@ scan is the oracle of the bitset closure check of `orderlab`.  The scans of
 the residue subsets, one generator run each, are the oracles of the grown
 Z-set families, weak strips and set-valued strips.  The product that
 applies each h monomial on its own is the oracle of the prefix-trie walk of
-`symfunc`.
+`symfunc`.  The rotation s_i -> s_{i+t} of a reduced word is the oracle of
+the rectangle-union lemma w_{R_t u lam} = f_t(w_lam) w_{R_t}.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ __all__ = [
     "z_sets_by_scan",
     "weak_strips_by_scan",
     "product_via_h_by_monomial",
+    "shift_ft",
 ]
 
 
@@ -422,3 +424,15 @@ def product_via_h_by_monomial(a: SymElt, b: SymElt, to_h) -> SymElt:
         for q, v in h_monomial_mult(b, hparts).as_mapping().items():
             acc[q] = acc.get(q, 0) + hc * v
     return SymElt(a.k, a.basis, tuple(acc.items()))
+
+
+def shift_ft(w: AffinePermutation, t: int) -> AffinePermutation:
+    """Image under the rotation automorphism s_i -> s_{i+t}; length-preserving."""
+    if not 0 <= t <= w.k:
+        raise ValueError(f"need 0 <= t <= k, got t={t}, k={w.k}")
+    n = w.k + 1
+    word = [(a + t) % n for a in reduced_word(w).letters]
+    out = from_word(w.k, word)
+    if out.length != w.length:
+        raise RuntimeError(f"rotation by {t} did not preserve length of {w!r}")
+    return out

@@ -16,8 +16,12 @@ strips from w_lam w_0, where 0-dominance of the top turns into plain
 length-additivity, and set-valued strips from w_lam by Demazure steps, a
 branch ending at its first non-Grassmannian product.  So only genuine
 strips, and their run-top parents, are visited, and a weak strip carries
-its top, read off its window.  The subset scans, `strip_top` and the full
-products `oracles.d_mul` and `oracles.d_demazure` are the test oracles.
+its top, read off its window.  One weak growth of a partition is a value,
+`StripGrowth`: it holds the strips of every size up to its level and the
+top of any intersection of them, so the Pieri forms and the sweeps grow
+each partition once for all sizes.  The subset scans, `strip_top` and the
+full products `oracles.d_mul` and `oracles.d_demazure` are the test
+oracles.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .affine import (
     left_growth,
     longest_finite_element,
     mul,
-    reduced_word,
 )
 from .kcode import _column_shape, d_elem, d_steps
 from .partitions import (
@@ -47,6 +50,7 @@ from .partitions import (
 
 __all__ = [
     "WeakStrip",
+    "StripGrowth",
     "reading_word",
     "core_to_bounded",
     "bounded_to_core",
@@ -62,7 +66,6 @@ __all__ = [
     "weak_strips",
     "strip_top",
     "setvalued_strips",
-    "shift_ft",
 ]
 
 
@@ -227,7 +230,7 @@ class WeakStrip:
     def _trusted(
         cls, base: KBoundedPartition, indices: IndexSet, top: KBoundedPartition
     ) -> "WeakStrip":
-        """Wrap a strip that `weak_strips` grew, with the top read off its
+        """Wrap a strip that `StripGrowth` grew, with the top read off its
         window; nothing is re-checked."""
         strip = object.__new__(cls)
         object.__setattr__(strip, "base", base)
@@ -277,22 +280,59 @@ def is_weak_strip_parabolic(lam: KBoundedPartition, A: IndexSet) -> bool:
     return mul(d_elem(A), wJ).length == wJ.length + len(A)
 
 
-def weak_strips(lam: KBoundedPartition, r: int) -> list[WeakStrip]:
-    """All weak strips of size r over lam, sorted by index set.
+class StripGrowth:
+    """The weak strips over lam of every size up to `size`, from one growth.
 
     Grown from w_lam w_0 with every step going up (see
     `is_weak_strip_parabolic`).  w_lam is 0-dominant, so w_lam w_0 is its
     window reversed, and no product is made; the grown window reversed is
-    that of the top d_A w_lam, of length |lam| + r.
+    that of the top d_A w_lam, of length |lam| + |A|.  A top is read off
+    its window on first use and kept, so a size reads only its own level,
+    and no top is read twice, whether for a strip or for an intersection.
+    The strips of a size are built once too, and every reader shares them.
     """
-    if not 0 <= r <= lam.k:
-        raise ValueError(f"need 0 <= r <= k, got r={r}, k={lam.k}")
-    k = lam.k
-    out = []
-    for A, win, _ in left_growth(bounded_to_perm(lam).window[::-1], "ascent", r)[r]:
-        top = AffinePermutation._trusted(k, tuple(win[::-1]), lam.size + r)
-        out.append(WeakStrip._trusted(lam, IndexSet._trusted(k, A), perm_to_bounded(top)))
-    return sorted(out, key=lambda s: s.indices.sorted())
+
+    __slots__ = ("lam", "_windows", "_tops", "_strips")
+
+    def __init__(self, lam: KBoundedPartition, size: int):
+        if not 0 <= size <= lam.k:
+            raise ValueError(f"need 0 <= r <= k, got r={size}, k={lam.k}")
+        self.lam = lam
+        levels = left_growth(bounded_to_perm(lam).window[::-1], "ascent", size)
+        self._windows = {A: win for level in levels for A, win, _ in level}
+        self._tops: dict[frozenset[int], KBoundedPartition] = {}
+        self._strips: dict[int, list[WeakStrip]] = {}
+
+    def strips(self, r: int) -> list[WeakStrip]:
+        """All weak strips of size r over lam, sorted by index set; the
+        list is shared, not to be changed."""
+        out = self._strips.get(r)
+        if out is None:
+            lam = self.lam
+            out = [
+                WeakStrip._trusted(lam, IndexSet._trusted(lam.k, A), self.top(A))
+                for A in self._windows
+                if len(A) == r
+            ]
+            out = self._strips[r] = sorted(out, key=lambda s: s.indices.sorted())
+        return out
+
+    def top(self, A: frozenset[int]) -> KBoundedPartition:
+        """Top of the strip with index set A; KeyError if A is no strip of
+        size up to the level."""
+        top = self._tops.get(A)
+        if top is None:
+            lam = self.lam
+            win = self._windows[A]
+            grown = AffinePermutation._trusted(lam.k, tuple(win[::-1]), lam.size + len(A))
+            top = self._tops[A] = perm_to_bounded(grown)
+        return top
+
+
+def weak_strips(lam: KBoundedPartition, r: int) -> list[WeakStrip]:
+    """All weak strips of size r over lam, sorted by index set: level r of
+    a `StripGrowth` up to r."""
+    return StripGrowth(lam, r).strips(r)
 
 
 def strip_top(lam: KBoundedPartition, A: IndexSet) -> KBoundedPartition:
@@ -321,15 +361,3 @@ def setvalued_strips(
         for A, win, dl in left_growth(w.window, "max", r)[r]
     ]
     return sorted(out, key=lambda av: av[0].sorted())
-
-
-def shift_ft(w: AffinePermutation, t: int) -> AffinePermutation:
-    """Image under the rotation automorphism s_i -> s_{i+t}; length-preserving."""
-    if not 0 <= t <= w.k:
-        raise ValueError(f"need 0 <= t <= k, got t={t}, k={w.k}")
-    n = w.k + 1
-    word = [(a + t) % n for a in reduced_word(w).letters]
-    out = from_word(w.k, word)
-    if out.length != w.length:
-        raise RuntimeError(f"rotation by {t} did not preserve length of {w!r}")
-    return out

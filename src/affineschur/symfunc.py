@@ -7,7 +7,10 @@ analogue defined by the signed set-valued Pieri rule (g).  Coefficients
 are arbitrary-precision integers throughout: both basis changes to h are
 unit lower-triangular in the term order, which is asserted, so they are
 inverted by integer forward substitution.  The weak-strip rules read every
-strip top off the windows of the growth from w_lam w_0 (`shapes.weak_strips`).
+strip top off the windows of the growth from w_lam w_0 (`shapes.StripGrowth`):
+both forms of the gtilde Pieri rule are reads of one growth, so a sweep that
+grows a partition once to level k reads every r from it.  Their dict
+results are put in the term order only where it reaches output.
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .affine import AffinePermutation, left_growth
 from .partitions import (
     KBoundedPartition,
     k_rectangle,
     union_sort,
 )
 from .shapes import (
+    StripGrowth,
     _core_rows,
     _slide_row,
     _stack_row,
@@ -428,10 +431,13 @@ def gtilde_pieri(lam: KBoundedPartition, r: int) -> SymElt:
     ideals of the size-r weak-strip tops, found in one pass over the
     candidates against the cores of all tops.
     """
-    if not 0 <= r <= lam.k:
-        raise ValueError(f"need 0 <= r <= k, got r={r}, k={lam.k}")
-    tops = [strip.top for strip in weak_strips(lam, r)]
-    return SymElt._trusted(lam.k, "g", {mu.parts: 1 for mu in _strong_ideal_union(tops)})
+    return _gtilde_pieri_union(StripGrowth(lam, r), r)
+
+
+def _gtilde_pieri_union(growth: StripGrowth, r: int) -> SymElt:
+    """`gtilde_pieri` of the growth's partition at r <= its level."""
+    tops = [strip.top for strip in growth.strips(r)]
+    return SymElt._trusted(growth.lam.k, "g", {mu.parts: 1 for mu in _strong_ideal_union(tops)})
 
 
 def gtilde_pieri_direct(lam: KBoundedPartition, r: int) -> SymElt:
@@ -446,32 +452,41 @@ def gtilde_pieri_direct(lam: KBoundedPartition, r: int) -> SymElt:
 
 
 def gtilde_pieri_ie(lam: KBoundedPartition, r: int) -> dict[tuple[int, ...], int]:
-    """Inclusion-exclusion form of the same product, as gtilde labels.
+    """Inclusion-exclusion form of the same product, as gtilde labels in
+    the term order.
 
     Alternating sum over nonempty collections of the size-r strips; the
     label of a collection is the top of the strip of the intersection of
-    its index sets.  That is a strip, so its window is in levels 0..r of
-    the growth, and a shape is read once per set the sum meets.
+    its index sets.  That is a strip, so the growth holds its top.
     """
-    if not 0 <= r <= lam.k:
-        raise ValueError(f"need 0 <= r <= k, got r={r}, k={lam.k}")
-    levels = left_growth(bounded_to_perm(lam).window[::-1], "ascent", r)
-    strips = [A for A, _, _ in levels[r]]
+    return _in_term_order(_gtilde_pieri_ie(StripGrowth(lam, r), r))
+
+
+def _gtilde_pieri_ie(growth: StripGrowth, r: int) -> dict[tuple[int, ...], int]:
+    """`gtilde_pieri_ie` of the growth's partition at r <= its level, in no
+    order.  The collections are summed per intersection first, so a top is
+    asked for once per set the sum meets."""
+    strips = [strip.indices.members for strip in growth.strips(r)]
     counts: dict[frozenset[int], int] = {}
     for m in range(1, len(strips) + 1):
         sign = (-1) ** (m - 1)
         for combo in itertools.combinations(strips, m):
             inter = frozenset.intersection(*combo)
             counts[inter] = counts.get(inter, 0) + sign
-    windows = {A: win for level in levels for A, win, _ in level}
     acc: dict[tuple[int, ...], int] = {}
     for inter, c in counts.items():
-        if inter not in windows:
-            raise RuntimeError(f"size-{r} strips over {lam} meet in {sorted(inter)}, not grown")
-        top = AffinePermutation._trusted(lam.k, tuple(windows[inter][::-1]), lam.size + len(inter))
-        label = perm_to_bounded(top).parts
+        try:
+            label = growth.top(inter).parts
+        except KeyError:
+            raise RuntimeError(
+                f"size-{r} strips over {growth.lam} meet in {sorted(inter)}, not grown"
+            ) from None
         acc[label] = acc.get(label, 0) + c
-    return {p: c for p, c in sorted(acc.items(), key=_term_key) if c}
+    return {p: c for p, c in acc.items() if c}
+
+
+def _in_term_order(combo: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    return dict(sorted(combo.items(), key=_term_key))
 
 
 def expand_gtilde_combination(

@@ -20,6 +20,13 @@ element with a product that contains it, u <=_L a u, is the length sum
 l(a) + l(u) = l(a u).  The memoised per-pair `demazure`, `psi_apply`,
 `weak_leq` and `bruhat_leq` stay the oracles these readings are tested
 against.
+
+The symmetric-function suites share work the same way: each partition's
+weak strips are grown once, to level k (`shapes.StripGrowth`), and every r
+of both Pieri forms is read off that growth.  The rectangle factorization
+reads gtilde(R_t) gtilde(lam) as the sum of the rows g_mu gtilde(R_t) over
+the strong ideal below lam, each row one product per (t, mu) for the
+sweep; the whole product is rebuilt only for a failing witness.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import copy
 import itertools
 from dataclasses import dataclass, field
 
+from . import symfunc
 from .affine import (
     AffinePermutation,
     IndexSet,
@@ -62,22 +70,22 @@ from .orderlab import (
 )
 from .partitions import KBoundedPartition, k_rectangle, kbounded_partitions, union_sort
 from .shapes import (
+    StripGrowth,
     bounded_to_perm,
     is_weak_strip,
     is_weak_strip_parabolic,
-    weak_strips,
 )
 from .symfunc import (
     SymElt,
-    expand_gtilde_combination,
+    _accumulate,
+    _gtilde_pieri_ie,
+    _gtilde_pieri_union,
+    _in_term_order,
+    bruhat_lower_partitions,
     gtilde,
-    gtilde_factorize_check,
-    gtilde_pieri,
-    gtilde_pieri_ie,
     h_mult,
     kschur_rectangle_check,
     kschur_top_degree_check,
-    product_g,
     product_ks,
 )
 
@@ -833,7 +841,8 @@ def _verify_strip_props(k, max_size, subsets, order) -> list[CheckResult]:
     all_subsets = [IndexSet._trusted(k, A) for A in subsets]
     for lam in kbounded_partitions(k, max_size):
         fi = forbidden_index(lam)
-        strips_by_r = {r: weak_strips(lam, r) for r in range(k + 1)}
+        growth = StripGrowth(lam, k)
+        strips_by_r = {r: growth.strips(r) for r in range(k + 1)}
         forb.check(
             all(fi not in s.indices for r in strips_by_r.values() for s in r),
             lam=list(lam.parts),
@@ -1126,21 +1135,32 @@ def verify_pieri_sum(k: int, max_size: int) -> list[CheckResult]:
     ie_form = CheckResult("inclusion-exclusion-expands-to-product")
     join_bound = CheckResult("product-support-above-weak-join")
     for lam in kbounded_partitions(k, max_size):
+        growth = StripGrowth(lam, k)
+        # the g-basis terms of gtilde(label), once per label of lam
+        ideals: dict[tuple[int, ...], dict] = {}
         # gtilde_pieri_direct(lam, r) for r = 0..k, adding one h_r gtilde(lam) at a time
         base = gtilde(lam)
         direct = SymElt._trusted(k, "g", {})
         for r in range(0, k + 1):
-            closed = gtilde_pieri(lam, r)
+            closed = _gtilde_pieri_union(growth, r)
             direct = direct + h_mult(base, r)
-            ie = gtilde_pieri_ie(lam, r)
+            ie = _gtilde_pieri_ie(growth, r)
             witness = {"lam": list(lam.parts), "r": r}
             direct_vs_union.check(closed == direct, **witness, direct=direct, closed=closed)
             zero_one.check(all(c == 1 for c in direct.as_mapping().values()), **witness)
-            ie_form.check(
-                expand_gtilde_combination(k, ie) == closed,
-                **witness,
-                ie={str(list(p)): c for p, c in ie.items()},
-            )
+            # expand_gtilde_combination(k, ie), its oracle in the tests
+            expanded: dict[tuple[int, ...], int] = {}
+            for parts, c in ie.items():
+                if parts not in ideals:
+                    ideals[parts] = gtilde(KBoundedPartition._trusted(k, parts))._terms
+                _accumulate(expanded, ideals[parts], c)
+            if SymElt._trusted(k, "g", expanded) == closed:
+                ie_form.count()
+            else:
+                ie_form.fail(
+                    **witness,
+                    ie={str(list(p)): c for p, c in _in_term_order(ie).items()},
+                )
 
     small = kbounded_partitions(k, min(max_size, 3))
     order = _BallOrder(ball(k, max(ball_radii("pieri-sum", k, max_size))))
@@ -1151,7 +1171,7 @@ def verify_pieri_sum(k: int, max_size: int) -> list[CheckResult]:
             if j is None:
                 join_bound.fail(a=list(a.parts), b=list(b.parts), reason="join not certified")
                 continue
-            prod_g = product_g(
+            prod_g = symfunc.product_g(
                 SymElt._trusted(k, "g", {a.parts: 1}), SymElt._trusted(k, "g", {b.parts: 1})
             )
             prod_s = product_ks(
@@ -1174,45 +1194,57 @@ def verify_factorization(k: int, max_size: int) -> list[CheckResult]:
     shift = CheckResult("rectangle-union-shifts-strips")
     ie_shift = CheckResult("rectangle-union-shifts-ie-labels")
     lams = kbounded_partitions(k, max_size)
+    rects = {t: k_rectangle(t, k) for t in range(1, k + 1)}
+    rect_gtildes = {t: gtilde(rect) for t, rect in rects.items()}
+    # gtilde(lam) is the sum of g_mu over mu below lam, so gtilde(R_t) gtilde(lam)
+    # is the sum of the rows g_mu gtilde(R_t), each made once per (t, mu)
+    rows: dict[tuple[int, KBoundedPartition], dict] = {}
     for lam in lams:
-        for t in range(1, k + 1):
-            if gtilde_factorize_check(lam, t):
+        for t, rect in rects.items():
+            rhs: dict[tuple[int, ...], int] = {}
+            for mu in bruhat_lower_partitions(lam):
+                row = rows.get((t, mu))
+                if row is None:
+                    g_mu = SymElt._trusted(k, "g", {mu.parts: 1})
+                    row = rows[t, mu] = symfunc.product_g(g_mu, rect_gtildes[t])._terms
+                _accumulate(rhs, row)
+            if gtilde(union_sort(rect, lam)) == SymElt._trusted(k, "g", rhs):
                 gt.count()
             else:
-                rect = k_rectangle(t, k)
                 gt.fail(
                     lam=list(lam.parts),
                     t=t,
                     lhs=gtilde(union_sort(rect, lam)),
-                    rhs=product_g(gtilde(rect), gtilde(lam)),
+                    rhs=symfunc.product_g(gtilde(rect), gtilde(lam)),
                 )
             ks.check(kschur_rectangle_check(lam, t), lam=list(lam.parts), t=t)
 
     for lam in lams:
         top.check(kschur_top_degree_check(lam), lam=list(lam.parts))
 
-    # the strips, their tops and the IE labels of lam do not depend on t
+    # the strips, their tops and the IE labels of lam do not depend on t;
+    # each partition is grown once, to level k
     small = {}
     for lam in lams:
+        growth = StripGrowth(lam, k)
         for r in range(0, k + 1):
             labels = [
                 (KBoundedPartition._trusted(k, parts), c)
-                for parts, c in gtilde_pieri_ie(lam, r).items()
+                for parts, c in _gtilde_pieri_ie(growth, r).items()
             ]
-            small[lam, r] = (weak_strips(lam, r), labels)
-    for t in range(1, k + 1):
-        rect = k_rectangle(t, k)
+            small[lam, r] = (growth.strips(r), labels)
+    for t, rect in rects.items():
         for lam in lams:
-            big = union_sort(rect, lam)
+            big = StripGrowth(union_sort(rect, lam), k)
             for r in range(0, k + 1):
                 small_strips, ie_small = small[lam, r]
                 shifted = {s.indices.shift(t): s.top for s in small_strips}
-                big_tops = {s.indices: s.top for s in weak_strips(big, r)}
+                big_tops = {s.indices: s.top for s in big.strips(r)}
                 ok = shifted.keys() == big_tops.keys() and all(
                     union_sort(rect, top) == big_tops[A] for A, top in shifted.items()
                 )
                 shift.check(ok, lam=list(lam.parts), t=t, r=r)
-                ie_big = gtilde_pieri_ie(big, r)
+                ie_big = _gtilde_pieri_ie(big, r)
                 expected = {}
                 for label, c in ie_small:
                     key = union_sort(rect, label).parts

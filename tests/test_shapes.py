@@ -15,7 +15,7 @@ from affineschur.affine import (
     weak_leq,
 )
 from affineschur.kcode import d_elem, rd, ri, sh
-from affineschur.oracles import core_by_residue_action
+from affineschur.oracles import core_by_residue_action, shift_ft
 from affineschur.partitions import (
     CorePartition,
     KBoundedPartition,
@@ -37,7 +37,6 @@ from affineschur.shapes import (
     perm_to_core,
     reading_word,
     setvalued_strips,
-    shift_ft,
     strip_top,
     weak_strips,
 )

@@ -6,13 +6,14 @@ import random
 
 import pytest
 
-from affineschur import symfunc
+from affineschur import shapes, symfunc
 from affineschur.affine import IndexSet, ball, weak_leq
 from affineschur.oracles import (
     product_via_h_by_monomial,
     strong_ideal_union_by_filter,
     strong_lower_ideal_by_bruhat,
     weak_join_in_ball,
+    weak_strips_by_scan,
 )
 from affineschur.partitions import (
     KBoundedPartition,
@@ -20,9 +21,11 @@ from affineschur.partitions import (
     kbounded_partitions,
     union_sort,
 )
-from affineschur.shapes import bounded_to_perm, strip_top, weak_strips
+from affineschur.shapes import StripGrowth, bounded_to_perm, strip_top, weak_strips
 from affineschur.symfunc import (
     SymElt,
+    _gtilde_pieri_ie,
+    _gtilde_pieri_union,
     _invert_unitriangular,
     _strong_ideal_union,
     bruhat_lower_partitions,
@@ -282,18 +285,77 @@ def test_gtilde_pieri_ie_labels_are_strip_tops():
         assert gtilde_pieri_ie(lam, r) == ie_by_strip_tops(lam, r), (lam, r)
 
 
+def test_one_growth_reads_every_level():
+    # one growth to level k, read from the top level down, so the lower
+    # levels find the tops their intersections already read
+    def check(lam):
+        growth = StripGrowth(lam, lam.k)
+        for r in range(lam.k, -1, -1):
+            ie = _gtilde_pieri_ie(growth, r)
+            assert ie == gtilde_pieri_ie(lam, r) == ie_by_strip_tops(lam, r), (lam, r)
+            assert _gtilde_pieri_union(growth, r) == gtilde_pieri(lam, r), (lam, r)
+            strips = growth.strips(r)
+            assert strips == weak_strips(lam, r), (lam, r)
+            assert [s.indices for s in strips] == weak_strips_by_scan(lam, r), (lam, r)
+            members = [s.indices.members for s in strips]
+            inters = {
+                frozenset.intersection(*combo)
+                for m in range(1, len(members) + 1)
+                for combo in itertools.combinations(members, m)
+            }
+            for inter in inters:
+                assert growth.top(inter) == strip_top(lam, IndexSet(lam.k, inter)), (lam, inter)
+
+    for k in range(1, 5):
+        for lam in kbounded_partitions(k, 7):
+            check(lam)
+    for lam in random.Random(23).sample(kbounded_partitions(8, 12), 12):
+        check(lam)
+
+
+def test_a_growth_raises_on_a_set_it_did_not_grow():
+    # over (3,2,1) the strips are {}, {1}, {3}, {1,2}, {1,3} and {1,2,3}
+    lam = P(3, 3, 2, 1)
+    growth = StripGrowth(lam, 2)
+    assert growth.top(frozenset({1})) == strip_top(lam, IndexSet(3, {1}))
+    with pytest.raises(KeyError):
+        growth.top(frozenset({2}))  # no strip
+    with pytest.raises(KeyError):
+        growth.top(frozenset({1, 2, 3}))  # beyond the level
+    with pytest.raises(ValueError, match=r"need 0 <= r <= k, got r=4, k=3"):
+        StripGrowth(lam, 4)
+
+
 def test_gtilde_pieri_ie_raises_on_a_missing_intersection(monkeypatch):
     # over (3,2,1) the size-2 strips {1,2} and {1,3} meet in the strip {1}
-    grow = symfunc.left_growth
+    grow = shapes.left_growth
 
     def dropping(window, mode, size, within=None):
         levels = grow(window, mode, size, within)
         levels[1] = [entry for entry in levels[1] if entry[0] != {1}]
         return levels
 
-    monkeypatch.setattr(symfunc, "left_growth", dropping)
+    monkeypatch.setattr(shapes, "left_growth", dropping)
     with pytest.raises(RuntimeError, match=r"size-2 strips over .*\(3, 2, 1\).* meet in \[1\]"):
         gtilde_pieri_ie(P(3, 3, 2, 1), 2)
+
+
+def test_rectangle_rows_sum_to_the_gtilde_product():
+    # gtilde(lam) is the sum of g_mu over the ideal below lam, so the rows
+    # g_mu gtilde(R_t) that verify_factorization makes once per (t, mu) sum
+    # to gtilde(R_t) gtilde(lam)
+    for k in range(1, 5):
+        lams = kbounded_partitions(k, 5)
+        for t in range(1, k + 1):
+            g_rect = gtilde(k_rectangle(t, k))
+            rows = {}
+            for lam in lams:
+                total = SymElt.zero(k, "g")
+                for mu in bruhat_lower_partitions(lam):
+                    if mu not in rows:
+                        rows[mu] = product_g(SymElt.single(k, "g", mu.parts), g_rect)
+                    total = total + rows[mu]
+                assert total == product_g(g_rect, gtilde(lam)), (k, t, lam)
 
 
 def test_gtilde_factorization_examples():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from affineschur import affine, verify
+from affineschur import affine, symfunc, verify
 from affineschur.affine import (
     IndexSet,
     ball,
@@ -32,7 +32,7 @@ from affineschur.oracles import (
     weak_join_in_ball,
 )
 from affineschur.orderlab import find_A0
-from affineschur.partitions import kbounded_partitions
+from affineschur.partitions import KBoundedPartition, k_rectangle, kbounded_partitions, union_sort
 from affineschur.shapes import bounded_to_perm
 from affineschur.symfunc import SymElt
 from affineschur.verify import (
@@ -254,6 +254,36 @@ def test_pieri_sum_builds_no_strong_table(monkeypatch):
     assert not built
     verify_order_props(1, 2)  # the recording itself works
     assert built
+
+
+def test_a_wrong_rectangle_row_fails_the_ideal_sum_factorization(monkeypatch):
+    # one wrong coefficient in the row g_(1) gtilde(R_2) at k = 3
+    k, t, mu = 3, 2, (1,)
+    g_rect = symfunc.gtilde(k_rectangle(t, k))
+    top = union_sort(k_rectangle(t, k), KBoundedPartition(k, mu)).parts
+    product_g = symfunc.product_g
+
+    def damaged(a, b):
+        out = product_g(a, b)
+        if a == SymElt.single(k, "g", mu) and b == g_rect:
+            terms = out.as_mapping()
+            terms[top] += 1
+            return SymElt.from_dict(k, "g", terms)
+        return out
+
+    monkeypatch.setattr(symfunc, "product_g", damaged)
+    gt = verify_factorization(k, 4)[0]
+    lams = kbounded_partitions(k, 4)
+    assert gt.name == "ideal-sum-rectangle-factorization" and gt.instances == k * len(lams)
+    below = [
+        lam for lam in lams if KBoundedPartition(k, mu) in symfunc.bruhat_lower_partitions(lam)
+    ]
+    assert [(w["lam"], w["t"]) for w in gt.failures] == [(list(lam.parts), t) for lam in below]
+    for w in gt.failures:
+        lam = KBoundedPartition(k, tuple(w["lam"]))
+        # the parent's witness: both sides recomputed whole, so they agree
+        lhs = symfunc.gtilde(union_sort(k_rectangle(t, k), lam)).as_dict()["terms"]
+        assert w == {"lam": w["lam"], "t": t, "lhs": lhs, "rhs": lhs}
 
 
 def test_weak_row_of_an_element_outside_the_ball_raises():
