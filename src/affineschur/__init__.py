@@ -67,7 +67,6 @@ from .symfunc import (
     SymElt,
     g_to_h,
     gtilde,
-    gtilde_factorize_check,
     gtilde_pieri,
     gtilde_pieri_direct,
     gtilde_pieri_ie,

@@ -22,7 +22,6 @@ from .kcode import rd, ri, sh
 from .orderlab import signed_fiber_table, z_sets
 from .partitions import KBoundedPartition
 from .shapes import (
-    StripGrowth,
     bounded_to_core,
     bounded_to_perm,
     perm_to_bounded,
@@ -32,9 +31,8 @@ from .shapes import (
 )
 from .symfunc import (
     SymElt,
-    _gtilde_pieri_ie,
-    _gtilde_pieri_union,
-    _in_term_order,
+    gtilde_pieri,
+    gtilde_pieri_ie,
     h_mult,
     pieri_kschur,
 )
@@ -247,10 +245,8 @@ def cmd_pieri(cfg: RunConfig, args) -> int:
 def cmd_gtilde(cfg: RunConfig, args) -> int:
     lam = parse_partition(cfg.k, args.lam)
     r = cfg.r if cfg.r is not None else 1
-    # gtilde_pieri and gtilde_pieri_ie, read off one growth
-    growth = StripGrowth(lam, r)
-    closed = _gtilde_pieri_union(growth, r)
-    ie = _in_term_order(_gtilde_pieri_ie(growth, r))
+    closed = gtilde_pieri(lam, r)
+    ie = gtilde_pieri_ie(lam, r)
     payload = {
         "base": lam.as_dict(),
         "r": r,

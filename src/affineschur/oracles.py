@@ -19,7 +19,9 @@ the residue subsets, one generator run each, are the oracles of the grown
 Z-set families, weak strips and set-valued strips.  The product that
 applies each h monomial on its own is the oracle of the prefix-trie walk of
 `symfunc`.  The rotation s_i -> s_{i+t} of a reduced word is the oracle of
-the rectangle-union lemma w_{R_t u lam} = f_t(w_lam) w_{R_t}.
+the rectangle-union lemma w_{R_t u lam} = f_t(w_lam) w_{R_t}, and the
+whole product gtilde(R_t) gtilde(lam) the oracle of the per-rectangle rows
+the factorization sweep of `verify` sums.
 """
 
 from __future__ import annotations
@@ -40,9 +42,15 @@ from .affine import (
     weak_leq,
 )
 from .kcode import KCode, d_elem, d_inverse_steps, d_steps, u_elem
-from .partitions import CorePartition, KBoundedPartition, kbounded_partitions
+from .partitions import (
+    CorePartition,
+    KBoundedPartition,
+    k_rectangle,
+    kbounded_partitions,
+    union_sort,
+)
 from .shapes import _core_rows, bounded_to_perm, core_action, is_weak_strip
-from .symfunc import SymElt, h_monomial_mult
+from .symfunc import SymElt, gtilde, h_monomial_mult, product_g
 
 __all__ = [
     "subword_lower_set",
@@ -67,6 +75,7 @@ __all__ = [
     "weak_strips_by_scan",
     "product_via_h_by_monomial",
     "shift_ft",
+    "gtilde_factorize_check",
 ]
 
 
@@ -436,3 +445,12 @@ def shift_ft(w: AffinePermutation, t: int) -> AffinePermutation:
     if out.length != w.length:
         raise RuntimeError(f"rotation by {t} did not preserve length of {w!r}")
     return out
+
+
+def gtilde_factorize_check(lam: KBoundedPartition, t: int) -> bool:
+    """Whether gtilde of the rectangle-union equals the whole product of
+    gtildes, gtilde(R_t) gtilde(lam)."""
+    rect = k_rectangle(t, lam.k)
+    lhs = gtilde(union_sort(rect, lam))
+    rhs = product_g(gtilde(rect), gtilde(lam))
+    return lhs == rhs

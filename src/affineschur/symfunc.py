@@ -53,7 +53,6 @@ __all__ = [
     "gtilde_pieri_direct",
     "gtilde_pieri_ie",
     "expand_gtilde_combination",
-    "gtilde_factorize_check",
     "kschur_rectangle_check",
     "kschur_top_degree_check",
 ]
@@ -492,19 +491,17 @@ def _in_term_order(combo: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], i
 def expand_gtilde_combination(
     k: int, combo: dict[tuple[int, ...], int]
 ) -> SymElt:
-    """Expand an integer combination of gtilde labels into the g basis."""
+    """Expand an integer combination of gtilde labels into the g basis.
+
+    The labels are taken as k-bounded partitions, as `gtilde_pieri_ie`
+    gives them, and each adds its coefficient over its memoised strong
+    ideal.
+    """
     acc: dict[tuple[int, ...], int] = {}
     for parts, c in combo.items():
-        _accumulate(acc, gtilde(KBoundedPartition(k, parts))._terms, c)
+        for mu in bruhat_lower_partitions(KBoundedPartition._trusted(k, parts)):
+            acc[mu.parts] = acc.get(mu.parts, 0) + c
     return SymElt._trusted(k, "g", acc)
-
-
-def gtilde_factorize_check(lam: KBoundedPartition, t: int) -> bool:
-    """Whether gtilde of the rectangle-union equals the product of gtildes."""
-    rect = k_rectangle(t, lam.k)
-    lhs = gtilde(union_sort(rect, lam))
-    rhs = product_g(gtilde(rect), gtilde(lam))
-    return lhs == rhs
 
 
 def kschur_rectangle_check(lam: KBoundedPartition, t: int) -> bool:

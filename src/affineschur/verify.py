@@ -26,7 +26,8 @@ weak strips are grown once, to level k (`shapes.StripGrowth`), and every r
 of both Pieri forms is read off that growth.  The rectangle factorization
 reads gtilde(R_t) gtilde(lam) as the sum of the rows g_mu gtilde(R_t) over
 the strong ideal below lam, each row one product per (t, mu) for the
-sweep; the whole product is rebuilt only for a failing witness.
+sweep; a failing instance reports the row sum it compared.  The whole
+product, `oracles.gtilde_factorize_check`, is the test oracle of the rows.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ from .symfunc import (
     _gtilde_pieri_union,
     _in_term_order,
     bruhat_lower_partitions,
+    expand_gtilde_combination,
     gtilde,
     h_mult,
     kschur_rectangle_check,
@@ -1136,8 +1138,6 @@ def verify_pieri_sum(k: int, max_size: int) -> list[CheckResult]:
     join_bound = CheckResult("product-support-above-weak-join")
     for lam in kbounded_partitions(k, max_size):
         growth = StripGrowth(lam, k)
-        # the g-basis terms of gtilde(label), once per label of lam
-        ideals: dict[tuple[int, ...], dict] = {}
         # gtilde_pieri_direct(lam, r) for r = 0..k, adding one h_r gtilde(lam) at a time
         base = gtilde(lam)
         direct = SymElt._trusted(k, "g", {})
@@ -1148,13 +1148,7 @@ def verify_pieri_sum(k: int, max_size: int) -> list[CheckResult]:
             witness = {"lam": list(lam.parts), "r": r}
             direct_vs_union.check(closed == direct, **witness, direct=direct, closed=closed)
             zero_one.check(all(c == 1 for c in direct.as_mapping().values()), **witness)
-            # expand_gtilde_combination(k, ie), its oracle in the tests
-            expanded: dict[tuple[int, ...], int] = {}
-            for parts, c in ie.items():
-                if parts not in ideals:
-                    ideals[parts] = gtilde(KBoundedPartition._trusted(k, parts))._terms
-                _accumulate(expanded, ideals[parts], c)
-            if SymElt._trusted(k, "g", expanded) == closed:
+            if expand_gtilde_combination(k, ie) == closed:
                 ie_form.count()
             else:
                 ie_form.fail(
@@ -1201,22 +1195,15 @@ def verify_factorization(k: int, max_size: int) -> list[CheckResult]:
     rows: dict[tuple[int, KBoundedPartition], dict] = {}
     for lam in lams:
         for t, rect in rects.items():
-            rhs: dict[tuple[int, ...], int] = {}
+            acc: dict[tuple[int, ...], int] = {}
             for mu in bruhat_lower_partitions(lam):
                 row = rows.get((t, mu))
                 if row is None:
                     g_mu = SymElt._trusted(k, "g", {mu.parts: 1})
                     row = rows[t, mu] = symfunc.product_g(g_mu, rect_gtildes[t])._terms
-                _accumulate(rhs, row)
-            if gtilde(union_sort(rect, lam)) == SymElt._trusted(k, "g", rhs):
-                gt.count()
-            else:
-                gt.fail(
-                    lam=list(lam.parts),
-                    t=t,
-                    lhs=gtilde(union_sort(rect, lam)),
-                    rhs=symfunc.product_g(gtilde(rect), gtilde(lam)),
-                )
+                _accumulate(acc, row)
+            lhs, rhs = gtilde(union_sort(rect, lam)), SymElt._trusted(k, "g", acc)
+            gt.check(lhs == rhs, lam=list(lam.parts), t=t, lhs=lhs, rhs=rhs)
             ks.check(kschur_rectangle_check(lam, t), lam=list(lam.parts), t=t)
 
     for lam in lams:

@@ -9,6 +9,7 @@ import pytest
 from affineschur import shapes, symfunc
 from affineschur.affine import IndexSet, ball, weak_leq
 from affineschur.oracles import (
+    gtilde_factorize_check,
     product_via_h_by_monomial,
     strong_ideal_union_by_filter,
     strong_lower_ideal_by_bruhat,
@@ -33,7 +34,6 @@ from affineschur.symfunc import (
     expand_gtilde_combination,
     g_to_h,
     gtilde,
-    gtilde_factorize_check,
     gtilde_pieri,
     gtilde_pieri_direct,
     gtilde_pieri_ie,
@@ -251,6 +251,18 @@ def test_gtilde_pieri_forms_agree(k):
             assert closed == gtilde_pieri_direct(lam, r)
             assert all(c == 1 for _, c in closed.coeffs)
             assert expand_gtilde_combination(k, gtilde_pieri_ie(lam, r)) == closed
+
+
+def test_expand_gtilde_combination_is_the_sum_of_the_gtildes():
+    # it reads each label's memoised ideal; its definition sums gtilde elements
+    for k in range(1, 5):
+        for lam in kbounded_partitions(k, 5):
+            for r in range(k + 1):
+                combo = gtilde_pieri_ie(lam, r)
+                total = SymElt.zero(k, "g")
+                for parts, c in combo.items():
+                    total = total + gtilde(P(k, *parts)).scale(c)
+                assert expand_gtilde_combination(k, combo) == total, (k, lam, r)
 
 
 def test_gtilde_pieri_ie_examples():

@@ -281,9 +281,16 @@ def test_a_wrong_rectangle_row_fails_the_ideal_sum_factorization(monkeypatch):
     assert [(w["lam"], w["t"]) for w in gt.failures] == [(list(lam.parts), t) for lam in below]
     for w in gt.failures:
         lam = KBoundedPartition(k, tuple(w["lam"]))
-        # the parent's witness: both sides recomputed whole, so they agree
-        lhs = symfunc.gtilde(union_sort(k_rectangle(t, k), lam)).as_dict()["terms"]
-        assert w == {"lam": w["lam"], "t": t, "lhs": lhs, "rhs": lhs}
+        # the witness shows the row sum that was compared: off by the damaged term
+        lhs = symfunc.gtilde(union_sort(k_rectangle(t, k), lam))
+        rhs = lhs + SymElt.single(k, "g", top)
+        assert w == {
+            "lam": w["lam"],
+            "t": t,
+            "lhs": lhs.as_dict()["terms"],
+            "rhs": rhs.as_dict()["terms"],
+        }
+        assert w["rhs"] != w["lhs"]
 
 
 def test_weak_row_of_an_element_outside_the_ball_raises():
