@@ -292,14 +292,15 @@ class StripGrowth:
     The strips of a size are built once too, and every reader shares them.
     """
 
-    __slots__ = ("lam", "_windows", "_tops", "_strips")
+    __slots__ = ("lam", "_levels", "_windows", "_tops", "_strips")
 
     def __init__(self, lam: KBoundedPartition, size: int):
         if not 0 <= size <= lam.k:
             raise ValueError(f"need 0 <= r <= k, got r={size}, k={lam.k}")
         self.lam = lam
-        levels = left_growth(bounded_to_perm(lam).window[::-1], "ascent", size)
-        self._windows = {A: win for level in levels for A, win, _ in level}
+        self._levels = left_growth(bounded_to_perm(lam).window[::-1], "ascent", size)
+        # every grown set's window, gathered on the first top asked for by set
+        self._windows: dict[frozenset[int], list[int]] | None = None
         self._tops: dict[frozenset[int], KBoundedPartition] = {}
         self._strips: dict[int, list[WeakStrip]] = {}
 
@@ -308,24 +309,35 @@ class StripGrowth:
         list is shared, not to be changed."""
         out = self._strips.get(r)
         if out is None:
-            lam = self.lam
-            out = [
-                WeakStrip._trusted(lam, IndexSet._trusted(lam.k, A), self.top(A))
-                for A in self._windows
-                if len(A) == r
-            ]
-            out = self._strips[r] = sorted(out, key=lambda s: s.indices.sorted())
+            lam, tops = self.lam, self._tops
+            out = []
+            for A, win, _ in self._levels[r]:
+                top = tops.get(A)
+                if top is None:
+                    top = self._read_top(A, win)
+                out.append(WeakStrip._trusted(lam, IndexSet._trusted(lam.k, A), top))
+            out.sort(key=lambda s: s.indices.sorted())
+            self._strips[r] = out
         return out
+
+    def sets(self, r: int) -> list[frozenset[int]]:
+        """The index sets of the size-r strips, in no order."""
+        return [A for A, _, _ in self._levels[r]]
 
     def top(self, A: frozenset[int]) -> KBoundedPartition:
         """Top of the strip with index set A; KeyError if A is no strip of
         size up to the level."""
         top = self._tops.get(A)
         if top is None:
-            lam = self.lam
-            win = self._windows[A]
-            grown = AffinePermutation._trusted(lam.k, tuple(win[::-1]), lam.size + len(A))
-            top = self._tops[A] = perm_to_bounded(grown)
+            if self._windows is None:
+                self._windows = {B: win for level in self._levels for B, win, _ in level}
+            top = self._read_top(A, self._windows[A])
+        return top
+
+    def _read_top(self, A: frozenset[int], win: list[int]) -> KBoundedPartition:
+        lam = self.lam
+        grown = AffinePermutation._trusted(lam.k, tuple(win[::-1]), lam.size + len(A))
+        top = self._tops[A] = perm_to_bounded(grown)
         return top
 
 

@@ -465,7 +465,7 @@ def _gtilde_pieri_ie(growth: StripGrowth, r: int) -> dict[tuple[int, ...], int]:
     """`gtilde_pieri_ie` of the growth's partition at r <= its level, in no
     order.  The collections are summed per intersection first, so a top is
     asked for once per set the sum meets."""
-    strips = [strip.indices.members for strip in growth.strips(r)]
+    strips = growth.sets(r)
     counts: dict[frozenset[int], int] = {}
     for m in range(1, len(strips) + 1):
         sign = (-1) ** (m - 1)
