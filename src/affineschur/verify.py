@@ -7,11 +7,12 @@ nothing or the build is wrong; there is no tolerance anywhere.
 
 A suite enumerates one length ball, at the largest radius it declares in
 `ball_radii`, and cuts every smaller ball from it as a prefix.  A map over
-a whole ball, such as u -> demazure(u, y), is built by one generator step
-per element from the value of the element's parent (`_BallOrder.parents`,
+a whole ball, such as u -> demazure(u, y) or v -> d_A * v, is built by one
+generator step per element from its parent's value (`_BallOrder.parents`,
 `_hecke_values`), not by one kernel call per pair; the per-pair calls are
-its test oracle.  The strong order rows over the ball are lifted the same
-way, from the parent's row, with `bruhat_leq` as their test oracle.
+its test oracle.  The strong order rows are lifted the same way, with
+`bruhat_leq` as their test oracle, and exist only for the elements an
+order holds: a meet of longer operands is read in the whole ball.
 
 So a check computes each product, Demazure value and order row once per
 element or index set and reads its instances off them: two values in the
@@ -43,7 +44,6 @@ from .affine import (
     IndexSet,
     ball,
     bruhat_leq,
-    demazure,
     descents,
     flip,
     inverse,
@@ -216,11 +216,11 @@ class _BallOrder:
     Prop. 2.2.7), so the down row of x is the row of y OR its image under
     the left step s_i, which stays in the ball.  The up rows are the
     transpose of the down rows, built on the first up request.  An element
-    outside the ball is longer than all of it: its up row is empty, and its
-    down row is a memoised scan of the ball with `bruhat_leq`.  Comparing
-    a ball element with it needs no scan (`leq`): `lift` strips its least
-    left descents until it lies in the ball, and `lower` takes the ball
-    element through the same letters to a bit test.
+    beyond the order's own elements is longer than all of them: its up row
+    is empty, and it has no down row (asking raises).  Comparing a ball
+    element with it needs no row (`leq`): `lift` strips its least left
+    descents until it lies in the ball, and `lower` takes the ball element
+    through the same letters to a bit test.
 
     A weak row is a search along generator steps: a left weak cover is
     u -> s_i u with the length up by one, so every z with x <=_L z and
@@ -231,15 +231,15 @@ class _BallOrder:
 
     `prefix(r)` gives the order over the elements of length <= r, which
     keep their positions there.  It shares the index, the step table and
-    the down rows, masks what it reads to its own elements, and transposes
-    only its own down rows into up rows.
+    the down rows, answers only for its own elements, and transposes only
+    its own down rows into up rows.
     """
 
     def __init__(self, elements: list[AffinePermutation]):
         self.elements = elements
         self.radius = elements[-1].length
         self._all = (1 << len(elements)) - 1  # this order's own elements
-        self._rows: dict[tuple, int] = {}
+        self._rows: dict[tuple, int] = {}  # weak rows, by (kind, x)
         self._up: list[int] | None = None
         # shared with every prefix
         self._ball = elements
@@ -259,21 +259,16 @@ class _BallOrder:
         return view
 
     def row(self, kind: str, x: AffinePermutation) -> int:
-        if kind not in _WEAK:
-            i = self._index.get(x.window, len(self._ball))
-            if kind == "up":  # an x beyond these elements is longer than all of them
-                return self._up_rows()[i] if i < len(self.elements) else 0
-            if i < len(self._ball):
-                return self._lifted(i) & self._all
-        key = (kind, x)
-        row = self._rows.get(key)
-        if row is None:
-            if kind in _WEAK:
-                row = self._weak_row(*_WEAK[kind], x)
-            else:
-                row = _mask([i for i, z in enumerate(self.elements) if bruhat_leq(z, x)])
-            self._rows[key] = row
-        return row
+        if kind in _WEAK:
+            if (kind, x) not in self._rows:
+                self._rows[kind, x] = self._weak_row(*_WEAK[kind], x)
+            return self._rows[kind, x]
+        i = self._index.get(x.window, len(self._ball))
+        if kind == "up":  # an x beyond these elements is longer than all of them
+            return self._up_rows()[i] if i < len(self.elements) else 0
+        if i >= len(self.elements):
+            raise ValueError(f"strong down rows are lifted inside the ball; {x!r} is outside")
+        return self._lifted(i)
 
     def position(self, w: AffinePermutation) -> int | None:
         """Position of w in the whole ball, None outside it."""
@@ -305,13 +300,13 @@ class _BallOrder:
         return p
 
     def leq(self, u: AffinePermutation, v: AffinePermutation) -> bool:
-        """u <= v in the strong order, by `lift` and `lower` when u lies in
-        the ball; a u outside it but shorter than v falls back to `bruhat_leq`."""
+        """u <= v in the strong order, by `lift` and `lower`; a u shorter
+        than v must lie in the ball."""
         if u.length >= v.length:
             return u == v
         p = self._index.get(u.window)
         if p is None:
-            return bruhat_leq(u, v)
+            raise ValueError(f"strong comparisons lower inside the ball; {u!r} is outside")
         letters, q = self.lift(v)
         return bool(self._lifted(q) >> self.lower(p, letters) & 1)
 
@@ -425,7 +420,7 @@ class _BallOrder:
     def meet(self, v: AffinePermutation, w: AffinePermutation) -> AffinePermutation | None:
         """Exact strong meet, or None; same answers as `strong_meet`.
 
-        The ball must hold every element of length <= min(l(v), l(w)).
+        v and w must be elements of this order; any other's down row raises.
         """
         return self.meet_of(self.row("down", v) & self.row("down", w))
 
@@ -475,9 +470,9 @@ def _hecke_values(
     The identity maps to `start`; an element whose parent maps to z, by
     the letter i, maps to max(z, s_i z) if `up` and to min(z, s_i z)
     otherwise.  Over the left parents from y this is u -> demazure(u, y),
-    over the right parents from x it is u -> psi_apply(u^-1, x, "left"):
-    the same letters in the same order as those calls apply, with every
-    prefix shared.
+    over the right parents from x it is u -> psi_apply(u^-1, x, "left"), or
+    u -> demazure(u^-1, x) if `up`: the same letters in the same order as
+    those calls apply, with every prefix shared.
     """
     values = [start]
     for p, i in parents:
@@ -826,7 +821,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
                     r.check(saturated_chain_exists(x, y, interval), u=u, x=x, y=y)
     results.append(r)
 
-    results.extend(_verify_z_families(k, six_ball, order))
+    results.extend(_verify_z_families(k, six_ball, order, whole))
     results.extend(_verify_strongly_commutative(k, subsets, seed_ball))
     kcode_order = whole.prefix(min(max_length, 6 if k <= 2 else 5))
     results.extend(_verify_kcode_props(k, subsets, kcode_order))
@@ -885,7 +880,7 @@ def _verify_strip_props(k, max_size, subsets, order) -> list[CheckResult]:
     return [forb, unique, agree, meets]
 
 
-def _verify_z_families(k, elements, order) -> list[CheckResult]:
+def _verify_z_families(k, elements, order, whole) -> list[CheckResult]:
     closure = CheckResult("z-families-closed-and-bounded")
     meets = CheckResult("plus-family-intersection-is-meet")
     joins = CheckResult("minus-family-intersection-is-join")
@@ -894,12 +889,12 @@ def _verify_z_families(k, elements, order) -> list[CheckResult]:
     for u in elements:
         zs = z_sets(u)  # construction asserts closure and maxima
         closure.count()
-        # d_A u with its down row, and d_A^-1 u, once per member A; the
-        # families are closed under intersection
+        # d_A u, up to min(L, 6) + k long, with its down row in the whole
+        # ball, and d_A^-1 u, once per member A; closed under intersection
         plus = {A: mul(d_elem(IndexSet._trusted(k, A)), u) for A in zs.plus}
-        below = {A: order.row("down", v) for A, v in plus.items()}
+        below = {A: whole.row("down", v) for A, v in plus.items()}
         for A, B in itertools.combinations(sorted(zs.plus, key=sorted), 2):
-            m = order.meet_of(below[A] & below[B])
+            m = whole.meet_of(below[A] & below[B])
             meets.check(m == plus[A & B], u=u, A=sorted(A), B=sorted(B))
         minus = {A: mul(inverse(d_elem(IndexSet._trusted(k, A))), u) for A in zs.minus}
         for A, B in itertools.combinations(sorted(zs.minus, key=sorted), 2):
@@ -945,17 +940,16 @@ def _verify_strongly_commutative(k, subsets, zb) -> list[CheckResult]:
             A=sorted(A),
             B=sorted(B),
         )
+    # z <=_L a z iff l(a) + l(z) = l(a z), and a z <=_L z iff l(a) + l(a z) = l(z)
     for A, B in pairs:
         x = d_elem(IndexSet._trusted(k, A))
         y = d_elem(IndexSet._trusted(k, B))
         xy = mul(x, y)
+        a, b, ab = x.length, y.length, xy.length
         for z in zb:
-            up = weak_leq(z, mul(xy, z), "left") == (
-                weak_leq(z, mul(x, z), "left") and weak_leq(z, mul(y, z), "left")
-            )
-            dn = weak_leq(mul(xy, z), z, "left") == (
-                weak_leq(mul(x, z), z, "left") and weak_leq(mul(y, z), z, "left")
-            )
+            c, xz, yz, xyz = z.length, mul(x, z).length, mul(y, z).length, mul(xy, z).length
+            up = (ab + c == xyz) == (a + c == xz and b + c == yz)
+            dn = (ab + xyz == c) == (a + xz == c and b + yz == c)
             split.check(up and dn, A=sorted(A), B=sorted(B), z=z)
     return [disj, split]
 
@@ -1009,6 +1003,7 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
     """Fibers of the Demazure action: labels, boolean intervals, uniqueness."""
     wide = ball(k, max(ball_radii("fibers", k, max_length)))
     gball = [w for w in wide if w.is_grassmannian()]
+    order = _BallOrder(wide)
     labels = CheckResult("fiber-labels-match-element-scan")
     convex = CheckResult("fibers-convex-in-strong-order")
     caps = CheckResult("fiber-labels-closed-under-intersection")
@@ -1020,30 +1015,35 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
     down_steps, up_steps = {}, {}
     for g in gball:
         down_steps[g], up_steps[g] = _strict_steps(subsets, g)
+    # the element scan: d_A * v = (v^-1 * d_A^-1)^-1 for every v of the ball,
+    # grouped by that value and kept where it is a Grassmannian u
+    grassmannian, right = set(gball), order.parents()[1]
+    scans = {}
+    for members in subsets:
+        start = inverse(d_elem(IndexSet._trusted(k, members)))
+        by_value: dict[AffinePermutation, set[AffinePermutation]] = {}
+        for v, value in zip(wide, _hecke_values(right, start, up=True)):
+            by_value.setdefault(value, set()).add(v)
+        inverted = ((inverse(value), vs) for value, vs in by_value.items())
+        scans[members] = {u: vs for u, vs in inverted if u in grassmannian}
     for u in gball:
         zs = z_sets(u)
         for members in subsets:
             A = IndexSet._trusted(k, members)
             fib = fiber_X(A, u)  # constructor asserts the boolean interval
-            dA = d_elem(A)
-            scan = {v for v in wide if v.length <= u.length and demazure(dA, v) == u}
             via_labels = {
                 mul(inverse(d_elem(IndexSet._trusted(k, B))), u) for B in fib.members
             }
-            labels.check(scan == via_labels, u=u, A=sorted(members))
+            labels.check(scans[members].get(u, set()) == via_labels, u=u, A=sorted(members))
+            # convex: no v' with v <= v' <= v'' lies outside the fiber
             elements = sorted(via_labels, key=lambda v: v.length)
+            outside = ~_mask(sorted(order.position(v) for v in elements))
             for v in elements:
+                between = order.row("up", v) & outside
                 for vpp in elements:
-                    if not bruhat_leq(v, vpp):
-                        continue
-                    ok = all(
-                        (vp in via_labels)
-                        for vp in wide
-                        if v.length <= vp.length <= vpp.length
-                        and bruhat_leq(v, vp)
-                        and bruhat_leq(vp, vpp)
-                    )
-                    convex.check(ok, u=u, A=sorted(members), v=v)
+                    if order.leq(v, vpp):
+                        ok = not between & order.row("down", vpp)
+                        convex.check(ok, u=u, A=sorted(members), v=v)
             for B, C in itertools.combinations(sorted(fib.members, key=sorted), 2):
                 caps.check(B & C in fib.members, u=u, A=sorted(members))
             if members in zs.minus:

@@ -100,7 +100,7 @@ def test_gtilde_matches_golden_outputs():
 
 def test_every_command_matches_golden_outputs():
     # exit code, stdout and stderr of every command in json, text and csv,
-    # failing order-props (5,0) with its witnesses included
+    # order-props (5,0) included
     cases = json.loads(CLI_GOLDEN.read_text())["cases"]
     assert {case["argv"][1] for case in cases} == {"json", "text", "csv"}
     assert {case["argv"][2] for case in cases} == {
