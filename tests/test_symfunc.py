@@ -429,6 +429,11 @@ def test_product_support_dominates_weak_join():
                 va, vb = bounded_to_perm(a), bounded_to_perm(b)
                 join = weak_join_in_ball(va, vb, wide)
                 assert join is not None, (a, b)
+                # above the join iff above both factors, the form `verify pieri-sum` tests
+                for z in wide:
+                    assert weak_leq(join, z, "left") == (
+                        weak_leq(va, z, "left") and weak_leq(vb, z, "left")
+                    ), (a, b, z)
                 for elt in (
                     product_g(SymElt.single(k, "g", a.parts), SymElt.single(k, "g", b.parts)),
                     product_ks(SymElt.single(k, "ks", a.parts), SymElt.single(k, "ks", b.parts)),
