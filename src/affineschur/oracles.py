@@ -300,7 +300,8 @@ def strong_ideal_union_by_filter(tops: list[KBoundedPartition]) -> list[KBounded
     """Every mu below one of `tops` in the strong order, by one core
     containment test per k-bounded partition up to the largest top.
 
-    Test oracle for the pruned `symfunc._strong_ideal_union`.
+    Test oracle of `symfunc.bruhat_lower_partitions` and of the
+    `symfunc.gtilde_pieri` union.
     """
     cores = [_core_rows(top) for top in tops]
     out = []

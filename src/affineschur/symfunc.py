@@ -362,60 +362,42 @@ def product_ks(a: SymElt, b: SymElt) -> SymElt:
     return _product_via_h(a, b, ks_to_h)
 
 
-def _strong_ideal_union(tops: list[KBoundedPartition]) -> list[KBoundedPartition]:
-    """Every mu below one of `tops` in the strong order, by (size, revlex).
-
-    mu lies below a top when the top's core holds mu's (see
-    `bruhat_lower_partitions`).  A core has as many rows as its bounded
-    partition, so for each row count l the parts of mu are chosen bottom-up
-    and each core row is placed by `_slide_row` as it is chosen.  A placed
-    row never moves, so a branch lives only while some top's core, with at
-    least l rows, dominates every core row placed so far; and a row grows
-    with its part, so the parts stop at the first row too long for every
-    live top.  The filter over all k-bounded partitions is the test oracle
-    `oracles.strong_ideal_union_by_filter`.
-    """
-    k = tops[0].k
-    cores = [_core_rows(top) for top in tops]
-    found: list[tuple[int, ...]] = [()]
-
-    def grow(parts: list[int], heights: list[int], live: list, row: int) -> None:
-        if row < 0:
-            found.append(tuple(reversed(parts)))
-            return
-        bound = max(c[row] for c in live)
-        for p in range(parts[-1] if parts else 1, k + 1):
-            length = _slide_row(heights, p, k)
-            if length > bound:
-                break
-            parts.append(p)
-            grow(
-                parts,
-                _stack_row(heights, length),
-                [c for c in live if length <= c[row]],
-                row - 1,
-            )
-            parts.pop()
-
-    for rows in range(1, max(len(c) for c in cores) + 1):
-        grow([], [], [c for c in cores if len(c) >= rows], rows - 1)
-    found.sort(reverse=True)
-    found.sort(key=sum)
-    return [KBoundedPartition._trusted(k, parts) for parts in found]
-
-
 @functools.lru_cache(maxsize=None)
 def bruhat_lower_partitions(lam: KBoundedPartition) -> tuple[KBoundedPartition, ...]:
-    """All k-bounded mu with w_mu <= w_lam in the strong order.
+    """All k-bounded mu with w_mu <= w_lam in the strong order, by (size, revlex).
 
     On 0-dominant (affine Grassmannian) elements the strong order is
     containment of (k+1)-cores (Lascoux, "Ordering the affine symmetric
     group", 2001; Lapointe–Morse, JCTA 2005): mu is kept when its core has
     at most as many rows as the core of lam and each row is at most the
-    matching row there.  The Bruhat scan this replaces is kept as the test
-    oracle `oracles.strong_lower_ideal_by_bruhat`.
+    matching row there.  For each row count l the parts of mu are chosen
+    bottom-up and each core row is placed by `_slide_row` as it is chosen.
+    A placed row never moves and grows with its part, so the parts stop at
+    the first row longer than its match in lam's core.  Test oracles:
+    `oracles.strong_lower_ideal_by_bruhat` and
+    `oracles.strong_ideal_union_by_filter`.
     """
-    return tuple(_strong_ideal_union([lam]))
+    k = lam.k
+    core = _core_rows(lam)
+    found: list[tuple[int, ...]] = [()]
+
+    def grow(parts: list[int], heights: list[int], row: int) -> None:
+        if row < 0:
+            found.append(tuple(reversed(parts)))
+            return
+        for p in range(parts[-1] if parts else 1, k + 1):
+            length = _slide_row(heights, p, k)
+            if length > core[row]:
+                break
+            parts.append(p)
+            grow(parts, _stack_row(heights, length), row - 1)
+            parts.pop()
+
+    for rows in range(1, len(core) + 1):
+        grow([], [], rows - 1)
+    found.sort(reverse=True)
+    found.sort(key=sum)
+    return tuple(KBoundedPartition._trusted(k, parts) for parts in found)
 
 
 def gtilde(lam: KBoundedPartition) -> SymElt:
@@ -427,16 +409,19 @@ def gtilde_pieri(lam: KBoundedPartition, r: int) -> SymElt:
     """gtilde(lam) times h_0 + ... + h_r, in closed form.
 
     The product is the 0/1 indicator sum over the union of the lower
-    ideals of the size-r weak-strip tops, found in one pass over the
-    candidates against the cores of all tops.
+    ideals of the size-r weak-strip tops, each read from the memo of
+    `bruhat_lower_partitions`.
     """
     return _gtilde_pieri_union(StripGrowth(lam, r), r)
 
 
 def _gtilde_pieri_union(growth: StripGrowth, r: int) -> SymElt:
     """`gtilde_pieri` of the growth's partition at r <= its level."""
-    tops = [strip.top for strip in growth.strips(r)]
-    return SymElt._trusted(growth.lam.k, "g", {mu.parts: 1 for mu in _strong_ideal_union(tops)})
+    return SymElt._trusted(
+        growth.lam.k,
+        "g",
+        {mu.parts: 1 for strip in growth.strips(r) for mu in bruhat_lower_partitions(strip.top)},
+    )
 
 
 def gtilde_pieri_direct(lam: KBoundedPartition, r: int) -> SymElt:

@@ -64,3 +64,34 @@ def test_summary_of_pairs_and_traced_runs(tmp_path):
 def test_summary_rejects_an_empty_run_directory(tmp_path, capsys):
     assert bench_summary.main([str(tmp_path), "--out", str(tmp_path / "out.json")]) == 2
     assert "no runs" in capsys.readouterr().err
+
+
+def _pairs(tmp_path, workload, parent, change):
+    for side, values in (("parent", parent), ("change", change)):
+        for i, value in enumerate(values):
+            metrics = dict.fromkeys(END_TO_END, 1.0)
+            metrics["verdict_s"] = value
+            _write(tmp_path / side / workload / "seed1" / f"{i}.out", metrics)
+
+
+def test_verdicts_and_sign_test_of_the_pairs(tmp_path):
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98, 1.01]
+    _pairs(tmp_path, "shifted", parent, [v - 0.2 for v in parent[:-1]] + [1.5])
+    _pairs(tmp_path, "unmoved", parent, [v + 0.01 * (-1) ** (i + 1) for i, v in enumerate(parent)])
+    summary = bench_summary.summarise(tmp_path)["workloads"]
+
+    shifted = summary["shifted"]["seed1"]["end_to_end"]["verdict_s"]
+    assert shifted["values"]["parent"] == parent  # pair order: 10 after 9, not after 1
+    assert shifted["change_wins"] == 10
+    assert shifted["sign_test_p"] == 2 * 12 / 2**11
+    assert shifted["verdict"] == "better"
+    unmoved = summary["unmoved"]["seed1"]["end_to_end"]["verdict_s"]
+    assert unmoved["verdict"] == "unresolved"
+    assert (unmoved["change_wins"], unmoved["sign_test_p"]) == (6, 1.0)  # 6 wins, 5 losses
+    tied = summary["unmoved"]["seed1"]["end_to_end"]["setup_s"]
+    assert (tied["change_wins"], tied["sign_test_p"], tied["verdict"]) == (0, 1.0, "unresolved")
+
+    # the mirror: the parent wins every pair by far more than its spread
+    assert bench_summary.verdict(0, 10, 10, {"parent": bench_summary.spread([1.0, 1.1]),
+                                             "change": bench_summary.spread([2.0, 2.1])},
+                                 1) == "worse"

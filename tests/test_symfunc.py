@@ -28,7 +28,6 @@ from affineschur.symfunc import (
     _gtilde_pieri_ie,
     _gtilde_pieri_union,
     _invert_unitriangular,
-    _strong_ideal_union,
     bruhat_lower_partitions,
     partition_sort_key,
     expand_gtilde_combination,
@@ -217,21 +216,39 @@ def test_strong_ideal_equals_bruhat_scan_oracle_at_k8():
 
 
 def test_pruned_ideal_equals_the_filter_oracle():
-    """Same partitions in the same (size, revlex) order, for single tops and
-    for the strip-top unions `gtilde_pieri` passes."""
+    """The ideal search gives the filter's partitions in its (size, revlex)
+    order, and the support of `gtilde_pieri` is the filter over the strip
+    tops."""
     ranges = [(k, 8) for k in range(1, 5)] + [(5, 7), (6, 7)]
     for k, max_size in ranges:
         for lam in kbounded_partitions(k, max_size):
-            assert _strong_ideal_union([lam]) == strong_ideal_union_by_filter([lam]), lam
+            assert list(bruhat_lower_partitions(lam)) == strong_ideal_union_by_filter([lam]), lam
             for r in range(k + 1):
                 tops = [s.top for s in weak_strips(lam, r)]
-                assert _strong_ideal_union(tops) == strong_ideal_union_by_filter(
-                    tops
-                ), (lam, r)
+                assert set(gtilde_pieri(lam, r).as_mapping()) == {
+                    mu.parts for mu in strong_ideal_union_by_filter(tops)
+                }, (lam, r)
+
+
+def test_pieri_union_reads_the_memoised_ideals(monkeypatch):
+    # once every strip top's ideal is in the memo, the union searches nothing
+    lams = [lam for k in range(1, 5) for lam in kbounded_partitions(k, 5)]
+    for lam in lams:
+        for r in range(lam.k + 1):
+            for s in weak_strips(lam, r):
+                bruhat_lower_partitions(s.top)
+
+    def searched(*args):
+        raise AssertionError("the union searched an ideal")
+
+    monkeypatch.setattr(symfunc, "_slide_row", searched)
+    for lam in lams:
+        for r in range(lam.k + 1):
+            _gtilde_pieri_union(StripGrowth(lam, lam.k), r)
 
 
 def test_gtilde_pieri_equals_union_of_top_ideals():
-    # the single scan against the cores of all strip tops at once
+    # the union of the tops' ideals, each top walked by the validating strip_top
     for k in range(1, 5):
         for lam in kbounded_partitions(k, 5):
             for r in range(k + 1):

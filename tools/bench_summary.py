@@ -22,15 +22,25 @@ sides form a pair, so run the pairs alternately, for example:
     done
 
 For each workload, seed and end-to-end metric the summary gives each side's
-median and quartiles, the number of pairs the change won (ties count for
-neither side) and the ratio of the medians, change over parent.  Traced runs
-give the per-layer figures in TRACED, as medians over the traced runs.
+values in pair order, its median and quartiles, the number of pairs the
+change won (ties count for neither side), the ratio of the medians, change
+over parent, and:
+
+- `sign_test_p`, the exact two-sided binomial (sign) test over the pairs
+  that are not tied;
+- `verdict`: `better` when the change wins at least 9 of 10 of all pairs
+  and its median beats the parent's by more than the parent's quartile
+  spread, `worse` when the parent does so, and `unresolved` otherwise.
+
+Traced runs give the per-layer figures in TRACED, as medians over the
+traced runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -117,6 +127,30 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
 
 
+def pair_key(name: str) -> tuple:
+    """Run files 0, 1, ..., 10 in run order, not in string order."""
+    return (0, int(name), "") if name.isdigit() else (1, 0, name)
+
+
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided binomial test of wins against losses at p = 1/2."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
+def verdict(wins: int, losses: int, pairs: int, stats: dict, sign: int) -> str:
+    """`better` or `worse` when one side wins at least 9 of 10 of all pairs
+    and its median is ahead by more than the parent's quartile spread."""
+    gap = sign * (stats["parent"]["median"] - stats["change"]["median"])
+    iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+    if 10 * wins >= 9 * pairs and gap > iqr:
+        return "better"
+    if 10 * losses >= 9 * pairs and -gap > iqr:
+        return "worse"
+    return "unresolved"
+
+
 def summarise_seed(runs: dict[str, dict[str, dict]], better: dict[str, str]) -> dict:
     """`runs` maps side -> file name -> run result, for one workload and seed."""
     plain = {side: {n: r for n, r in runs[side].items() if "trace.wall_s" not in r["metrics"]}
@@ -129,7 +163,7 @@ def summarise_seed(runs: dict[str, dict[str, dict]], better: dict[str, str]) -> 
         "attempted": {side: sum(r["attempted"] for r in runs[side].values()) for side in SIDES},
         "failed": {side: sum(r["failed"] for r in runs[side].values()) for side in SIDES},
     }
-    pairs = sorted(set(plain["parent"]) & set(plain["change"]))
+    pairs = sorted(set(plain["parent"]) & set(plain["change"]), key=pair_key)
     if pairs:
         out["pairs"] = len(pairs)
         metrics = {}
@@ -137,16 +171,20 @@ def summarise_seed(runs: dict[str, dict[str, dict]], better: dict[str, str]) -> 
             values = {side: [plain[side][n]["metrics"][name]["value"] for n in pairs]
                       for side in SIDES}
             sign = 1 if direction == "lower" else -1
-            wins = sum(1 for p, c in zip(values["parent"], values["change"])
-                       if sign * (p - c) > 0)
+            diffs = [sign * (p - c) for p, c in zip(values["parent"], values["change"])]
+            wins = sum(1 for d in diffs if d > 0)
+            losses = sum(1 for d in diffs if d < 0)
             stats = {side: spread(values[side]) for side in SIDES}
             base = stats["parent"]["median"]
             metrics[name] = {
                 "unit": plain["parent"][pairs[0]]["metrics"][name]["unit"],
                 "better": direction,
+                "values": values,
                 **stats,
                 "change_wins": wins,
                 "median_ratio": stats["change"]["median"] / base if base else None,
+                "sign_test_p": sign_test_p(wins, losses),
+                "verdict": verdict(wins, losses, len(pairs), stats, sign),
             }
         out["end_to_end"] = metrics
     if traced["parent"] and traced["change"]:
