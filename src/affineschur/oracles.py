@@ -2,16 +2,16 @@
 
 Everything here enumerates; nothing is clever.  Lower bounds in the strong
 order live inside the length ball of the elements involved, so meets are
-decided exactly.  Upper bounds are unbounded in an infinite group, so join
-queries are answered relative to an explicit ball and report "not certified
-in this ball" separately from a definite answer; callers assert claims only
-on certified instances.  The greedy row-stripping k-code decomposition lives
-here too: it is the definition the closed forms of `kcode` are tested against.
-So does the Bruhat scan of a strong lower ideal of bounded partitions, which
-the core-containment ideals of `symfunc` are tested against, the filter of
-all bounded partitions by core containment, the oracle of their pruned
-enumeration, and the residue-action walk on cores, the oracle of the
-conversions of `shapes`.
+decided exactly.  Upper bounds are unbounded in an infinite group, but every
+minimal common upper bound of v and w is at most l(v) + l(w) long (subword
+property, Bjorner-Brenti, GTM 231, Thm 2.2.2): a ball of that radius decides
+joins exactly, and a smaller one raises.  The greedy row-stripping k-code
+decomposition lives here too: it is the definition the closed forms of
+`kcode` are tested against.  So does the Bruhat scan of a strong lower ideal
+of bounded partitions, which the core-containment ideals of `symfunc` are
+tested against, the filter of all bounded partitions by core containment,
+the oracle of their pruned enumeration, and the residue-action walk on
+cores, the oracle of the conversions of `shapes`.
 The products with d_A and d_A^{-1}, one full group product each, are the
 oracles of the step-by-step strip, Z-set and fiber decisions, and the pair
 scan is the oracle of the bitset closure check of `orderlab`.  The scans of
@@ -27,7 +27,6 @@ the factorization sweep of `verify` sums.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .affine import (
     AffinePermutation,
@@ -56,7 +55,6 @@ __all__ = [
     "subword_lower_set",
     "bruhat_lower_set",
     "strong_meet",
-    "JoinStatus",
     "strong_join_in_ball",
     "is_least_upper_bound_in_ball",
     "weak_join_in_ball",
@@ -119,36 +117,28 @@ def strong_meet(
     return None
 
 
-@dataclass(frozen=True)
-class JoinStatus:
-    """Outcome of a ball-limited join search."""
-
-    element: AffinePermutation | None
-    certified: bool  # True: `element` (or its absence) is decided within the ball
+def _reaches_upper_bounds(v: AffinePermutation, w: AffinePermutation, universe) -> None:
+    """Raise unless the ball reaches l(v) + l(w), the most a minimal common
+    upper bound of v and w is long (subword property)."""
+    if v.length + w.length > max(z.length for z in universe):
+        raise ValueError(f"joins of {v!r} and {w!r} need radius {v.length + w.length}")
 
 
 def strong_join_in_ball(
     v: AffinePermutation,
     w: AffinePermutation,
     universe: list[AffinePermutation],
-) -> JoinStatus:
-    """Least common strong upper bound within the universe, if one exists there.
-
-    When some common upper bound z lies strictly inside the ball, every
-    candidate for the true join has length < radius and the search is
-    meaningful; otherwise the query is reported as uncertified.
-    """
+) -> AffinePermutation | None:
+    """Exact strong join, or None; the universe must be a ball of radius at
+    least l(v) + l(w), which holds every minimal common upper bound (subword
+    property), and a smaller one raises."""
+    _reaches_upper_bounds(v, w, universe)
     ubs = [z for z in universe if bruhat_leq(v, z) and bruhat_leq(w, z)]
-    if not ubs:
-        return JoinStatus(None, False)
-    radius = max(z.length for z in universe)
     min_len = min(z.length for z in ubs)
-    if min_len >= radius:
-        return JoinStatus(None, False)
     for m in (z for z in ubs if z.length == min_len):
         if all(bruhat_leq(m, z) for z in ubs):
-            return JoinStatus(m, True)
-    return JoinStatus(None, min_len < radius)
+            return m
+    return None
 
 
 def is_least_upper_bound_in_ball(
@@ -157,7 +147,10 @@ def is_least_upper_bound_in_ball(
     w: AffinePermutation,
     universe: list[AffinePermutation],
 ) -> bool:
-    """No counterexample in the ball to `candidate` being the strong join."""
+    """Whether `candidate` is the strong join of v and w; the universe must be
+    a ball of radius at least l(v) + l(w), which holds every minimal common
+    upper bound (subword property), and a smaller one raises."""
+    _reaches_upper_bounds(v, w, universe)
     if not (bruhat_leq(v, candidate) and bruhat_leq(w, candidate)):
         return False
     return all(

@@ -55,7 +55,6 @@ from .affine import (
 )
 from .kcode import d_elem, eval_code, first_row, rd, ri
 from .oracles import (
-    JoinStatus,
     proper_subsets,
     saturated_chain_exists,
     subset_chain_exists,
@@ -153,11 +152,14 @@ def ball_radii(suite: str, k: int, max_size: int) -> tuple[int, ...]:
     The only place that knows how large a suite's balls get: the suite
     enumerates one ball, at the largest of these radii, and cuts every
     smaller ball from it with `_prefix`; the CLI sizes them before any work
-    starts.
+    starts.  A join of v and w needs radius l(v) + l(w), the most a minimal
+    common upper bound is long (subword property, Bjorner-Brenti, GTM 231,
+    Thm 2.2.2); the joins of order-props join elements up to min(max_size, 6).
     """
     if suite == "order-props":
-        # the wide ball of verify_order_props and that of _verify_strip_props
-        return (max_size + 3, min(max_size + 1, 7) + k + 1)
+        # the wide ball of verify_order_props, that of _verify_strip_props, and
+        # that of its joins and least upper bounds
+        return (max_size + 3, min(max_size + 1, 7) + k + 1, 2 * min(max_size, 6))
     if suite == "fibers":
         return (max_size,)
     if suite in ("pieri-sum", "factorization"):
@@ -391,25 +393,27 @@ class _BallOrder:
         i = self._index.get(z.window)
         return i is not None and bool(row >> i & 1)
 
-    def join(self, v: AffinePermutation, w: AffinePermutation) -> JoinStatus:
-        """Strong join within the ball; same answers as `strong_join_in_ball`."""
+    def join(self, v: AffinePermutation, w: AffinePermutation) -> AffinePermutation | None:
+        """Exact strong join, or None; same answers as `strong_join_in_ball`.
+
+        Every minimal common upper bound is at most l(v) + l(w) long (subword
+        property, Bjorner-Brenti, GTM 231, Thm 2.2.2); a smaller radius raises.
+        """
+        if v.length + w.length > self.radius:
+            raise ValueError(f"joins of {v!r} and {w!r} need radius {v.length + w.length}")
         ubs = self.row("up", v) & self.row("up", w)
-        if not ubs:
-            return JoinStatus(None, False)
         # the first common upper bound is a shortest one; any other of its
         # length is incomparable to it, so it is the join or there is none
         m = self.elements[(ubs & -ubs).bit_length() - 1]
-        if m.length >= self.radius:
-            return JoinStatus(None, False)
-        return JoinStatus(None if ubs & ~self.row("up", m) else m, True)
+        return None if ubs & ~self.row("up", m) else m
 
     def is_least_upper_bound(
         self, candidate: AffinePermutation, v: AffinePermutation, w: AffinePermutation
     ) -> bool:
-        """No counterexample in the ball; same answers as `is_least_upper_bound_in_ball`."""
-        if not (self.leq(v, candidate) and self.leq(w, candidate)):
-            return False
-        return not self.row("up", v) & self.row("up", w) & ~self.row("up", candidate)
+        """Whether `candidate` is the strong join, read off `join`: the radius
+        must reach l(v) + l(w) (subword property) or this raises; same
+        answers as `is_least_upper_bound_in_ball`."""
+        return self.join(v, w) == candidate
 
     def meet(self, v: AffinePermutation, w: AffinePermutation) -> AffinePermutation | None:
         """Exact strong meet, or None; same answers as `strong_meet`.
@@ -521,8 +525,8 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     the triple-quantified checks stay within desk scale.  Every ball is a
     prefix of the one enumerated at the largest radius `ball_radii` declares.
     """
-    wide_radius, strip_radius = ball_radii("order-props", k, max_length)
-    elements = ball(k, max(wide_radius, strip_radius))
+    wide_radius, strip_radius, upper_radius = ball_radii("order-props", k, max_length)
+    elements = ball(k, max(wide_radius, strip_radius, upper_radius))
     triple_ball = _prefix(elements, min(max_length, 4 if k <= 2 else 3))
     seed_ball = _prefix(elements, min(max_length, 4))
     pair_ball = _prefix(elements, min(max_length, 5))
@@ -532,6 +536,8 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     # orders, and its comparisons are exact for any two of its elements
     whole = _BallOrder(elements)
     order = whole.prefix(wide_radius)
+    # joins and least upper bounds, decided at radius l(v) + l(w) or more
+    upper = order if upper_radius <= wide_radius else whole.prefix(upper_radius)
     subsets = proper_subsets(k)
     results = []
 
@@ -669,8 +675,8 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     # phi_i(u) = demazure(s_i, u) = max(u, s_i u) and psi_i(u) = min(u, s_i u)
     # are one left step at ball positions.  The meet of two positions is the
     # AND of their down rows (`order.meet`), and the least-upper-bound test
-    # (`order.is_least_upper_bound`) reads a lifted row and three up rows.
-    own, up_rows, lengths = order._all, order._up_rows(), whole._lengths
+    # reads a lifted row and three up rows of `upper`.
+    own, up_rows, lengths = order._all, upper._up_rows(), whole._lengths
 
     def meet_at(a, b):
         common = whole._lifted(a) & whole._lifted(b) & own
@@ -690,9 +696,8 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     pairs = []
     for a, v in enumerate(pair_ball):
         for b, w in enumerate(pair_ball):
-            j = order.join(v, w)
-            certified = j.certified and j.element is not None
-            top = whole.position(j.element) if certified else None
+            j = upper.join(v, w)
+            top = None if j is None else whole.position(j)
             pairs.append((v, w, a, b, meet_at(a, b), top))
     for i in range(k + 1):
         for v, w, a, b, m, top in pairs:
@@ -798,7 +803,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
                 m = order.meet(x, y)
                 if m is not None and order.contains(left_row, m):
                     r.check(
-                        order.is_least_upper_bound(flip(z, m), images[x], images[y]),
+                        upper.is_least_upper_bound(flip(z, m), images[x], images[y]),
                         z=z,
                         x=x,
                         y=y,
@@ -815,7 +820,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
                     r.check(saturated_chain_exists(x, y, interval), u=u, x=x, y=y)
     results.append(r)
 
-    results.extend(_verify_z_families(k, six_ball, order, whole))
+    results.extend(_verify_z_families(k, six_ball, upper, whole))
     results.extend(_verify_strongly_commutative(k, subsets, seed_ball))
     kcode_order = whole.prefix(min(max_length, 6 if k <= 2 else 5))
     results.extend(_verify_kcode_props(k, subsets, kcode_order))
@@ -874,7 +879,7 @@ def _verify_strip_props(k, max_size, subsets, order) -> list[CheckResult]:
     return [forb, unique, agree, meets]
 
 
-def _verify_z_families(k, elements, order, whole) -> list[CheckResult]:
+def _verify_z_families(k, elements, upper, whole) -> list[CheckResult]:
     closure = CheckResult("z-families-closed-and-bounded")
     meets = CheckResult("plus-family-intersection-is-meet")
     joins = CheckResult("minus-family-intersection-is-join")
@@ -893,7 +898,7 @@ def _verify_z_families(k, elements, order, whole) -> list[CheckResult]:
         minus = {A: mul(inverse(d_elem(IndexSet._trusted(k, A))), u) for A in zs.minus}
         for A, B in itertools.combinations(sorted(zs.minus, key=sorted), 2):
             joins.check(
-                order.is_least_upper_bound(minus[A & B], minus[A], minus[B]),
+                upper.is_least_upper_bound(minus[A & B], minus[A], minus[B]),
                 u=u,
                 A=sorted(A),
                 B=sorted(B),

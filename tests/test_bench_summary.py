@@ -95,3 +95,28 @@ def test_verdicts_and_sign_test_of_the_pairs(tmp_path):
     assert bench_summary.verdict(0, 10, 10, {"parent": bench_summary.spread([1.0, 1.1]),
                                              "change": bench_summary.spread([2.0, 2.1])},
                                  1) == "worse"
+
+
+def test_pair_ratio_interval_excludes_1_only_under_a_shift(tmp_path):
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    _pairs(tmp_path, "shifted", parent, [0.8 * v + 0.01 * (-1) ** i for i, v in enumerate(parent)])
+    _pairs(tmp_path, "unmoved", parent, [v + 0.02 * (-1) ** i for i, v in enumerate(parent)])
+    summary = bench_summary.summarise(tmp_path)["workloads"]
+
+    shifted = summary["shifted"]["seed1"]["end_to_end"]["verdict_s"]
+    lo, hi = shifted["pair_ratio_ci95"]
+    assert lo <= shifted["pair_ratio_median"] <= hi < 1
+    unmoved = summary["unmoved"]["seed1"]["end_to_end"]["verdict_s"]
+    lo, hi = unmoved["pair_ratio_ci95"]
+    assert lo < 1 < hi and lo <= unmoved["pair_ratio_median"] <= hi
+    # the interval is a pure function of the pairs: the seed is fixed in the tool
+    assert bench_summary.summarise(tmp_path)["workloads"]["unmoved"] == summary["unmoved"]
+    tied = summary["unmoved"]["seed1"]["end_to_end"]["setup_s"]
+    assert (tied["pair_ratio_median"], tied["pair_ratio_ci95"]) == (1.0, [1.0, 1.0])
+    # a parent value of 0 has no ratio
+    assert bench_summary.summarise_seed(
+        {side: {"0": {"correct": True, "attempted": 1, "failed": 0,
+                      "metrics": {"verdict_s": {"value": 0.0, "unit": "s"}}}}
+         for side in bench_summary.SIDES},
+        {"verdict_s": "lower"},
+    )["end_to_end"]["verdict_s"]["pair_ratio_ci95"] is None

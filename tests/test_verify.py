@@ -22,7 +22,6 @@ from affineschur.affine import (
 )
 from affineschur.kcode import d_elem
 from affineschur.oracles import (
-    JoinStatus,
     is_least_upper_bound_in_ball,
     proper_subsets,
     saturated_chain_exists,
@@ -102,13 +101,35 @@ def test_strong_meet_reports_missing_maximum():
 
 def test_join_certification_levels():
     universe = ball(2, 4)
-    out = strong_join_in_ball(from_word(2, [0]), from_word(2, [1]), universe)
-    assert isinstance(out, JoinStatus)
-    # with a tight ball, a long pair stays uncertified rather than guessed
-    tight = ball(2, 2)
+    s0, s1 = from_word(2, [0]), from_word(2, [1])
+    # s0 and s1 have the two upper bounds s0 s1 and s1 s0 of length 2: no join
+    assert strong_join_in_ball(s0, s1, universe) is None
+    assert strong_join_in_ball(s0, s0, universe) == s0
+    # a ball shorter than l(v) + l(w) raises rather than guess
+    tight = ball(2, 3)
     top = from_word(2, [0, 1])
-    out = strong_join_in_ball(top, top, tight)
-    assert not out.certified
+    with pytest.raises(ValueError, match="need radius 4"):
+        strong_join_in_ball(top, top, tight)
+    with pytest.raises(ValueError, match="need radius 4"):
+        is_least_upper_bound_in_ball(top, top, top, tight)
+    assert strong_join_in_ball(top, top, universe) == top
+    assert is_least_upper_bound_in_ball(top, top, top, universe)
+
+
+def test_a_join_that_a_short_ball_would_certify_is_refused_in_a_wide_one():
+    """Two elements of length 4 at k = 4: ball(4,7) holds one shortest common
+    upper bound below all the others there, but ball(4,8) holds one that is
+    not above it, so the pair has no join."""
+    v = affine.AffinePermutation(4, [0, 1, 7, 3, 4])
+    w = affine.AffinePermutation(4, [0, 6, 2, 3, 4])
+    wide = ball(4, 8)
+    assert _BallOrder(wide).join(v, w) is None
+    assert strong_join_in_ball(v, w, wide) is None
+    assert not _BallOrder(wide).is_least_upper_bound(
+        affine.AffinePermutation(4, [0, 7, 1, 3, 4]), v, w
+    )
+    with pytest.raises(ValueError, match="need radius 8"):
+        _BallOrder(ball(4, 7)).join(v, w)
 
 
 def test_chain_helpers():
@@ -135,13 +156,13 @@ def _assert_rows_match_oracles(order, pairs, candidates):
 
 @pytest.mark.parametrize("k,L", [(2, 4), (3, 3)])
 def test_ball_order_agrees_with_oracles(k, L):
-    order = _BallOrder(ball(k, L + 3))
+    order = _BallOrder(ball(k, 2 * L))
     small = ball(k, L)
 
     def candidates(v, w):
         # the join when there is one, an upper bound that may leave the
         # ball, and an element that is usually no upper bound at all
-        j = order.join(v, w).element
+        j = order.join(v, w)
         return [c for c in (j, demazure(v, w), w) if c is not None]
 
     _assert_rows_match_oracles(
@@ -211,7 +232,12 @@ def test_prefix_orders_read_the_shared_table():
         assert view.parents() == alone.parents()
         pairs = [(v, w) for v in alone.elements for w in alone.elements]
         for v, w in pairs[::7]:
-            assert view.join(v, w) == alone.join(v, w)
+            if v.length + w.length <= radius:
+                assert view.join(v, w) == alone.join(v, w)
+            else:  # neither order holds every minimal common upper bound
+                for order in (view, alone):
+                    with pytest.raises(ValueError, match="need radius"):
+                        order.join(v, w)
             assert view.meet(v, w) == alone.meet(v, w)
     five = whole.prefix(5)
     for x in whole.elements[len(five.elements) :]:
@@ -345,8 +371,20 @@ def test_ball_order_on_a_tight_universe():
     order = _BallOrder(ball(2, 3))
     small = order.elements
     pairs = [(v, w) for v in small for w in small]
-    assert any(not order.join(v, w).certified for v, w in pairs)
-    _assert_rows_match_oracles(order, pairs, lambda v, w: [demazure(v, w)])
+    beyond = [(v, w) for v, w in pairs if v.length + w.length > order.radius]
+    assert beyond
+    for v, w in beyond:  # both sides raise rather than guess
+        c = demazure(v, w)
+        for query in (
+            lambda: order.join(v, w),
+            lambda: strong_join_in_ball(v, w, small),
+            lambda: order.is_least_upper_bound(c, v, w),
+            lambda: is_least_upper_bound_in_ball(c, v, w, small),
+        ):
+            with pytest.raises(ValueError, match="need radius"):
+                query()
+    within = [(v, w) for v, w in pairs if v.length + w.length <= order.radius]
+    _assert_rows_match_oracles(order, within, lambda v, w: [demazure(v, w)])
 
 
 def test_ball_order_candidate_outside_the_ball():
@@ -378,9 +416,10 @@ def test_order_props_behaviour_lock():
         assert got == config["results"], (config["k"], config["max_size"])
 
 
-@pytest.mark.parametrize("k,L", [(k, 0) for k in range(1, 8)] + [(5, 1)])
+@pytest.mark.parametrize("k,L", [(k, 0) for k in range(1, 8)] + [(5, 1), (4, 4)])
 def test_order_props_find_no_counterexample(k, L):
-    """The Z-family meets are read in the whole ball, which holds every d_A u."""
+    """The Z-family meets are read in the whole ball, which holds every d_A u,
+    and the joins in a ball of radius l(v) + l(w) at least."""
     affine.weak_leq.cache_clear()
     assert [r.name for r in verify_order_props(k, L) if not r.ok] == []
     # its weak comparisons are length sums and rows, not memoised calls
@@ -488,9 +527,11 @@ def test_a0_conditions_read_every_r_off_one_pass():
 
 @pytest.mark.parametrize("k,L", [(1, 4), (2, 5), (3, 3)])
 def test_triple_ball_tables_match_the_per_pair_products(k, L):
-    """The tables of the triple-ball checks, where some values leave the ball at (1,4)."""
-    wide_radius, strip_radius = ball_radii("order-props", k, L)
-    elements = ball(k, max(wide_radius, strip_radius))
+    """The tables of the triple-ball checks, where some values leave the ball
+    of the parents at (1,4); the whole ball, which reaches the radius of the
+    joins, holds them all."""
+    wide_radius, strip_radius, upper_radius = ball_radii("order-props", k, L)
+    elements = ball(k, max(wide_radius, strip_radius, upper_radius))
     whole = _BallOrder(elements)
     triple_ball = _prefix(elements, min(L, 4 if k <= 2 else 3))
     at_inverse = [whole.position(inverse(x)) for x in triple_ball]
@@ -498,8 +539,9 @@ def test_triple_ball_tables_match_the_per_pair_products(k, L):
     for j, w in enumerate(triple_ball):
         assert dem[j] == [demazure(x, w) for x in triple_ball], w
         assert psi[j] == [psi_apply(x, w, "left") for x in triple_ball], w
+    assert all(whole.position(v) is not None for values in dem for v in values)
     if k == 1:
-        assert any(whole.position(v) is None for values in dem for v in values)
+        assert any(v.length > wide_radius for values in dem for v in values)
 
 
 def test_weak_order_against_a_product_is_a_length_sum():
@@ -525,8 +567,7 @@ def test_join_seed_reads_the_half_strong_join_and_meet_off_one_seed():
 @pytest.mark.parametrize("k,L", [(2, 5), (3, 5)])
 def test_left_up_rows_of_the_kcode_ball_equal_weak_leq(k, L):
     """The k-code ball is a prefix view; its rows stop at its own radius."""
-    wide_radius, strip_radius = ball_radii("order-props", k, L)
-    whole = _BallOrder(ball(k, max(wide_radius, strip_radius)))
+    whole = _BallOrder(ball(k, max(ball_radii("order-props", k, L))))
     kcode_order = whole.prefix(min(L, 6 if k <= 2 else 5))
     elements = kcode_order.elements
     for x in elements:
@@ -539,7 +580,5 @@ def test_triple_ball_checks_make_no_memoised_call_per_instance():
     for memo in (affine.demazure, affine.weak_leq):
         memo.cache_clear()
     verify_order_props(2, 4)
-    pairs = len(ball(2, 4)) ** 2  # of the triple ball, which here is also the pair ball
-    # generator-actions-preserve-meet-join asks demazure(s_i, v) for v in its pair ball
-    assert affine.demazure.cache_info().currsize <= 3 * len(ball(2, 4))
-    assert affine.weak_leq.cache_info().currsize < pairs
+    assert affine.demazure.cache_info().currsize == 0
+    assert affine.weak_leq.cache_info().currsize == 0

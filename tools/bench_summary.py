@@ -28,6 +28,10 @@ over parent, and:
 
 - `sign_test_p`, the exact two-sided binomial (sign) test over the pairs
   that are not tied;
+- `pair_ratio_median`, the median of the per-pair ratios change/parent, and
+  `pair_ratio_ci95`, its 95 % percentile bootstrap interval over the pairs
+  (BOOTSTRAP_RESAMPLES resamples from BOOTSTRAP_SEED, fixed here so that a
+  summary is reproducible; pairs whose parent value is 0 have no ratio);
 - `verdict`: `better` when the change wins at least 9 of 10 of all pairs
   and its median beats the parent's by more than the parent's quartile
   spread, `worse` when the parent does so, and `unresolved` otherwise.
@@ -43,12 +47,15 @@ import json
 import math
 import os
 import platform
+import random
 import statistics
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 1
 TRACED = (
     "affine.self_s",
     "affine.AffinePermutation.new",
@@ -139,6 +146,16 @@ def sign_test_p(wins: int, losses: int) -> float:
     return min(1.0, 2 * tail / 2**n)
 
 
+def pair_ratio_ci95(ratios: list[float]) -> list[float]:
+    """2.5th and 97.5th percentiles of the median ratio over the pairs
+    resampled with replacement, from a fixed seed."""
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(BOOTSTRAP_RESAMPLES))
+    last = BOOTSTRAP_RESAMPLES - 1
+    return [medians[round(0.025 * last)], medians[round(0.975 * last)]]
+
+
 def verdict(wins: int, losses: int, pairs: int, stats: dict, sign: int) -> str:
     """`better` or `worse` when one side wins at least 9 of 10 of all pairs
     and its median is ahead by more than the parent's quartile spread."""
@@ -176,6 +193,7 @@ def summarise_seed(runs: dict[str, dict[str, dict]], better: dict[str, str]) -> 
             losses = sum(1 for d in diffs if d < 0)
             stats = {side: spread(values[side]) for side in SIDES}
             base = stats["parent"]["median"]
+            ratios = [c / p for p, c in zip(values["parent"], values["change"]) if p]
             metrics[name] = {
                 "unit": plain["parent"][pairs[0]]["metrics"][name]["unit"],
                 "better": direction,
@@ -183,6 +201,8 @@ def summarise_seed(runs: dict[str, dict[str, dict]], better: dict[str, str]) -> 
                 **stats,
                 "change_wins": wins,
                 "median_ratio": stats["change"]["median"] / base if base else None,
+                "pair_ratio_median": statistics.median(ratios) if ratios else None,
+                "pair_ratio_ci95": pair_ratio_ci95(ratios) if ratios else None,
                 "sign_test_p": sign_test_p(wins, losses),
                 "verdict": verdict(wins, losses, len(pairs), stats, sign),
             }
