@@ -13,7 +13,8 @@ generator step per element from its parent's value (`_BallOrder.parents`,
 `_hecke_values`), not by one kernel call per pair; the per-pair calls are
 its test oracle.  The strong order rows are lifted the same way, with
 `bruhat_leq` as their test oracle, and exist only for the elements an
-order holds: a meet of longer operands is read in the whole ball.
+order holds.  All below x is shorter than x, so down rows and meets are
+read in the whole ball; only up rows and joins depend on a radius.
 
 So a check computes each product, Demazure value and order row once per
 element or index set and reads its instances off them: two values in the
@@ -231,14 +232,14 @@ class _BallOrder:
 
     `prefix(r)` gives the order over the elements of length <= r, which
     keep their positions there.  It shares the index, the step table and
-    the down rows, answers only for its own elements, and transposes only
-    its own down rows into up rows.
+    the down rows, and answers only for its own elements.  Its down-set
+    answers are the whole ball's, since all below x is shorter than x; its
+    up rows, left-up rows and joins stop at r.
     """
 
     def __init__(self, elements: list[AffinePermutation]):
         self.elements = elements
         self.radius = elements[-1].length
-        self._all = (1 << len(elements)) - 1  # this order's own elements
         self._rows: dict[tuple, int] = {}  # weak rows, by (kind, x)
         self._up: list[int] | None = None
         # shared with every prefix
@@ -253,7 +254,6 @@ class _BallOrder:
         view = copy.copy(self)
         view.elements = _prefix(self.elements, radius)
         view.radius = view.elements[-1].length
-        view._all = (1 << len(view.elements)) - 1
         view._rows = {}
         view._up = None
         return view
@@ -524,6 +524,19 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     Quantifier ranges scale with max_length but are clamped per suite so
     the triple-quantified checks stay within desk scale.  Every ball is a
     prefix of the one enumerated at the largest radius `ball_radii` declares.
+
+    Every order question reads one of two tables.  Down-set questions (down
+    rows, weak down rows, meets, members) read `whole`: all below x is
+    shorter than x, so no order holding x answers them otherwise.  Up-set
+    questions (up rows, left-up rows, joins) read `upper`, of radius
+    max(L+3, 2 min(L,6)).  Strong comparisons are bits of lifted rows; only
+    `bruhat-matches-subword-oracle`, whose subject it is, calls `bruhat_leq`.
+
+    `upper` decides `half-strong-join-minimal`: take z = a y reduced, with
+    x <= z and y <=_L z.  x is a subword product of word(a) word(y); with Q
+    the letters of a it uses, then word(y), dem(Q) = dem(Q_a) * y is >= x
+    and >=_L y, below z, and at most l(x) + l(y) <= 2 min(L,4) long.  So a
+    z not above j has one in `upper` below it that is not above j either.
     """
     wide_radius, strip_radius, upper_radius = ball_radii("order-props", k, max_length)
     elements = ball(k, max(wide_radius, strip_radius, upper_radius))
@@ -532,14 +545,14 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     pair_ball = _prefix(elements, min(max_length, 5))
     six_ball = _prefix(elements, min(max_length, 6))
     subword_ball = _prefix(elements, min(max_length, 7 if k <= 2 else 6))
-    # one table of strong rows over the whole enumerated ball serves both
-    # orders, and its comparisons are exact for any two of its elements
     whole = _BallOrder(elements)
-    order = whole.prefix(wide_radius)
-    # joins and least upper bounds, decided at radius l(v) + l(w) or more
-    upper = order if upper_radius <= wide_radius else whole.prefix(upper_radius)
+    upper = whole.prefix(max(wide_radius, upper_radius))
     subsets = proper_subsets(k)
     results = []
+
+    def leq(p, q):
+        """Whether the element at ball position p is <= the one at q."""
+        return bool(whole._lifted(q) >> p & 1)
 
     r = CheckResult("bruhat-matches-subword-oracle")
     for v in subword_ball:
@@ -549,13 +562,13 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     results.append(r)
 
     r = CheckResult("strong-covers-are-reflections")
-    for u in pair_ball:
-        for v in pair_ball:
+    # pair_ball is a prefix of the whole ball, so its elements sit at their own indices
+    for a, u in enumerate(pair_ball):
+        for b, v in enumerate(pair_ball):
             if v.length != u.length + 1:
                 continue
-            by_order = bruhat_leq(u, v)
             by_reflection = is_affine_reflection(mul(v, inverse(u)))
-            r.check(by_order == by_reflection, u=u, v=v)
+            r.check(leq(a, b) == by_reflection, u=u, v=v)
     results.append(r)
 
     # The six triple-ball checks read their Demazure values off one table
@@ -563,7 +576,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     # position lists hold where each value sits in the whole ball.  A weak
     # comparison of an element with a product that contains it is a length
     # sum: u <=_L a u iff l(a) + l(u) = l(a u), and u <=_R u a likewise.
-    parents = order.parents()
+    parents = whole.prefix(wide_radius).parents()  # the range of the Hecke maps
     size = len(triple_ball)
     lengths = [x.length for x in triple_ball]
     inverses = [inverse(x) for x in triple_ball]
@@ -571,12 +584,6 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     dem, psi = _hecke_tables(parents, triple_ball, at_inverse)
     dem_at = [[whole.position(v) for v in values] for values in dem]
     psi_at = [[whole.position(v) for v in values] for values in psi]
-
-    def leq(u, p, v, q):
-        """u <= v for values at ball positions p and q (None outside)."""
-        if p is not None and q is not None:
-            return bool(whole._lifted(q) >> p & 1)
-        return whole.leq(u, v)
 
     r = CheckResult("weak-order-triple-splitting")
     # the lengths of y z do not depend on x; those of x (y z) depend on y z
@@ -609,8 +616,8 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
             yp = mul(inverses[i], z)
             good = (
                 z.length == x.length + yp.length == xp.length + y.length
-                and leq(xp, whole.position(xp), x, i)
-                and leq(yp, whole.position(yp), y, j)
+                and leq(whole.position(xp), i)
+                and leq(whole.position(yp), j)
             )
             r.check(good, x=x, y=y, z=z)
     results.append(r)
@@ -621,7 +628,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
         for j, y in enumerate(triple_ball):
             z = psi[j][i]
             xp = mul(z, inverses[j])
-            good = leq(xp, whole.position(xp), x, i) and y.length == xp.length + z.length
+            good = leq(whole.position(xp), i) and y.length == xp.length + z.length
             r.check(good, x=x, y=y, z=z)
     results.append(r)
 
@@ -638,15 +645,14 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
             )
             if good:
                 b = psi_at[j][xi]  # psi_apply(x^-1, w)
-                good = leq(w, j, dem[b][i], dem_at[b][i])
+                good = leq(j, dem_at[b][i])
             if good:
                 u = dem_at[j][i]
-                if u is not None and u < size:
-                    back, q = psi[u][xi], psi_at[u][xi]
+                if u < size:
+                    q = psi_at[u][xi]
                 else:  # demazure(x, w) is longer than the tables reach
-                    back = psi_apply(inverses[i], up, "left")
-                    q = whole.position(back)
-                good = leq(back, q, w, j)
+                    q = whole.position(psi_apply(inverses[i], up, "left"))
+                good = leq(q, j)
             r.check(good, x=x, w=w)
     results.append(r)
 
@@ -655,9 +661,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     pairs = sorted((v, w) for w in range(size) for v in _positions(whole._lifted(w)))
     for i, x in enumerate(triple_ball):
         for v, w in pairs:
-            good = leq(dem[v][i], dem_at[v][i], dem[w][i], dem_at[w][i]) and leq(
-                psi[v][i], psi_at[v][i], psi[w][i], psi_at[w][i]
-            )
+            good = leq(dem_at[v][i], dem_at[w][i]) and leq(psi_at[v][i], psi_at[w][i])
             r.check(good, x=x, v=triple_ball[v], w=triple_ball[w])
     results.append(r)
 
@@ -665,21 +669,19 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     for i, j in pairs:
         x, y = triple_ball[i], triple_ball[j]
         for t, w in enumerate(triple_ball):
-            good = leq(dem[t][i], dem_at[t][i], dem[t][j], dem_at[t][j]) and leq(
-                psi[t][j], psi_at[t][j], psi[t][i], psi_at[t][i]
-            )
+            good = leq(dem_at[t][i], dem_at[t][j]) and leq(psi_at[t][j], psi_at[t][i])
             r.check(good, x=x, y=y, w=w)
     results.append(r)
 
     r = CheckResult("generator-actions-preserve-meet-join")
     # phi_i(u) = demazure(s_i, u) = max(u, s_i u) and psi_i(u) = min(u, s_i u)
     # are one left step at ball positions.  The meet of two positions is the
-    # AND of their down rows (`order.meet`), and the least-upper-bound test
-    # reads a lifted row and three up rows of `upper`.
-    own, up_rows, lengths = order._all, upper._up_rows(), whole._lengths
+    # AND of their down rows, and the least-upper-bound test reads a lifted
+    # row and three up rows of `upper`.
+    up_rows, lengths = upper._up_rows(), whole._lengths
 
     def meet_at(a, b):
-        common = whole._lifted(a) & whole._lifted(b) & own
+        common = whole._lifted(a) & whole._lifted(b)
         m = common.bit_length() - 1
         return None if common & ~whole._lifted(m) else m
 
@@ -691,8 +693,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
             return p
         return t if (lengths[t] > lengths[p]) == up else p
 
-    # the meet and the join of a pair do not depend on i; pair_ball is a
-    # prefix of the whole ball, so its elements sit at their own indices
+    # the meet and the join of a pair do not depend on i
     pairs = []
     for a, v in enumerate(pair_ball):
         for b, w in enumerate(pair_ball):
@@ -706,23 +707,21 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
                 r.check(good, kind="meet", i=i, v=v, w=w)
             if top is not None:
                 pv, pw, pt = step(a, i, False), step(b, i, False), step(top, i, False)
-                good = (
-                    whole._lifted(pt) >> pv & 1
-                    and whole._lifted(pt) >> pw & 1
-                    and not up_rows[pv] & up_rows[pw] & ~up_rows[pt]
-                )
-                r.check(bool(good), kind="join", i=i, v=v, w=w)
+                good = leq(pv, pt) and leq(pw, pt)
+                good = good and not up_rows[pv] & up_rows[pw] & ~up_rows[pt]
+                r.check(good, kind="join", i=i, v=v, w=w)
     results.append(r)
 
     r = CheckResult("reduced-factorization-comparison")
     for z in pair_ball:
-        # the u <=_R z, in ball order, all as long as z at most
+        # the u <=_R z, in ball order, with the positions of u and u^-1 z
         factorizations = [
-            (u, mul(inverse(u), z)) for u in order.members(order.row("right-down", z))
+            (elements[p], p, whole.position(mul(inverse(elements[p]), z)))
+            for p in _positions(whole.row("right-down", z))
         ]
-        for u, x in factorizations:
-            for v, y in factorizations:
-                r.check(bruhat_leq(v, u) == bruhat_leq(x, y), z=z, u=u, v=v)
+        for u, a, x in factorizations:
+            for v, b, y in factorizations:
+                r.check(leq(b, a) == leq(x, y), z=z, u=u, v=v)
     results.append(r)
 
     r = CheckResult("half-strong-join-minimal")
@@ -751,14 +750,14 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
             seed = psi_apply(inverse(y), x, "right")
             j = mul(seed, y)
             ok = whole.leq(x, j) and seed.length + y.length == j.length
-            ubs = order.row("up", x) & order.row("left-up", y)
-            ok = ok and not ubs & ~order.row("up", j)
+            ubs = upper.row("up", x) & upper.row("left-up", y)
+            ok = ok and not ubs & ~upper.row("up", j)
             r.check(ok, x=x, y=y, join=j)
 
             m = mul(inverse(seed), x)
             ok = seed.length + m.length == x.length and whole.leq(m, y)
-            lbs = order.row("left-down", x) & order.row("down", y)
-            ok = ok and not lbs & ~order.row("down", m)
+            lbs = whole.row("left-down", x) & whole.row("down", y)
+            ok = ok and not lbs & ~whole.row("down", m)
             r2.check(ok, x=x, y=y, meet=m)
 
             dset = eset = 0
@@ -771,37 +770,37 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
                     eset |= row
             ok = (
                 dset == eset
-                and order.contains(dset, seed)
-                and not dset & ~order.row("up", seed)
+                and whole.contains(dset, seed)
+                and not dset & ~upper.row("up", seed)
             )
             r3.check(ok, x=x, y=y, seed=seed)
     results.extend([r, r2, r3])
 
     r = CheckResult("interval-flip-anti-isomorphism")
     for z in six_ball:
-        left_row = order.row("left-down", z)
-        left_interval = order.members(left_row)
-        right_interval = order.row("right-down", z)
+        left_row = whole.row("left-down", z)
+        left_interval = whole.members(left_row)
+        right_interval = whole.row("right-down", z)
         images = {}
         for x in left_interval:
             fx = flip(z, x)
             images[x] = fx
             r.check(
-                order.contains(right_interval, fx)
+                whole.contains(right_interval, fx)
                 and fx.length == z.length - x.length,
                 z=z,
                 x=x,
             )
         r.check(
-            set(images.values()) == set(order.members(right_interval)),
+            set(images.values()) == set(whole.members(right_interval)),
             z=z,
             reason="flip is not onto the right interval",
         )
         for x in left_interval:
             for y in left_interval:
-                r.check(bruhat_leq(x, y) == bruhat_leq(images[y], images[x]), z=z, x=x, y=y)
-                m = order.meet(x, y)
-                if m is not None and order.contains(left_row, m):
+                r.check(whole.leq(x, y) == whole.leq(images[y], images[x]), z=z, x=x, y=y)
+                m = whole.meet(x, y)
+                if m is not None and whole.contains(left_row, m):
                     r.check(
                         upper.is_least_upper_bound(flip(z, m), images[x], images[y]),
                         z=z,
@@ -813,23 +812,23 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
 
     r = CheckResult("weak-interval-chain-property")
     for u in six_ball:
-        interval = frozenset(order.members(order.row("left-down", u)))
+        interval = frozenset(whole.members(whole.row("left-down", u)))
         for x in interval:
             for y in interval:
-                if bruhat_leq(x, y):
+                if whole.leq(x, y):
                     r.check(saturated_chain_exists(x, y, interval), u=u, x=x, y=y)
     results.append(r)
 
     results.extend(_verify_z_families(k, six_ball, upper, whole))
     results.extend(_verify_strongly_commutative(k, subsets, seed_ball))
+    # the k-code ball is a quantifier range: its left-up rows stop at its radius
     kcode_order = whole.prefix(min(max_length, 6 if k <= 2 else 5))
     results.extend(_verify_kcode_props(k, subsets, kcode_order))
-    strip_order = whole.prefix(strip_radius)
-    results.extend(_verify_strip_props(k, min(max_length + 1, 7), subsets, strip_order))
+    results.extend(_verify_strip_props(k, min(max_length + 1, 7), subsets, whole))
     return results
 
 
-def _verify_strip_props(k, max_size, subsets, order) -> list[CheckResult]:
+def _verify_strip_props(k, max_size, subsets, whole) -> list[CheckResult]:
     forb = CheckResult("forbidden-index-never-in-a-strip")
     unique = CheckResult("unique-size-k-strip-adds-one-row")
     agree = CheckResult("strip-criteria-agree")
@@ -861,7 +860,7 @@ def _verify_strip_props(k, max_size, subsets, order) -> list[CheckResult]:
         qualifying = [s.indices for r in strips_by_r.values() for s in r]
         # d_A w with its down row once per strip, d_C w and the strip test
         # once per intersection C
-        below = [order.row("down", mul(d_elem(A), w)) for A in qualifying]
+        below = [whole.row("down", mul(d_elem(A), w)) for A in qualifying]
         caps = {}
         for A, row_a in zip(qualifying, below):
             for B, row_b in zip(qualifying, below):
@@ -871,7 +870,7 @@ def _verify_strip_props(k, max_size, subsets, order) -> list[CheckResult]:
                     caps[members] = is_weak_strip(lam, cap), mul(d_elem(cap), w)
                 is_strip, cand = caps[members]
                 meets.check(
-                    is_strip and order.meet_of(row_a & row_b) == cand,
+                    is_strip and whole.meet_of(row_a & row_b) == cand,
                     lam=list(lam.parts),
                     A=list(A.sorted()),
                     B=list(B.sorted()),

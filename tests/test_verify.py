@@ -582,3 +582,49 @@ def test_triple_ball_checks_make_no_memoised_call_per_instance():
     verify_order_props(2, 4)
     assert affine.demazure.cache_info().currsize == 0
     assert affine.weak_leq.cache_info().currsize == 0
+
+
+def test_order_props_transposes_one_table(monkeypatch):
+    """Every up row is read from one view, so one transpose serves the sweep."""
+    sizes = []
+    transpose = verify._transpose
+
+    def counting(rows):
+        sizes.append(len(rows))
+        return transpose(rows)
+
+    monkeypatch.setattr(verify, "_transpose", counting)
+    verify_order_props(2, 5)
+    assert len(sizes) == 1
+
+
+def test_order_props_calls_bruhat_leq_only_where_it_is_the_subject(monkeypatch):
+    calls = []
+
+    def counting(u, v):
+        calls.append((u, v))
+        return bruhat_leq(u, v)
+
+    monkeypatch.setattr(verify, "bruhat_leq", counting)
+    results = verify_order_props(2, 4)
+    subword = next(r for r in results if r.name == "bruhat-matches-subword-oracle")
+    assert len(calls) == subword.instances > 0
+
+
+def test_half_strong_upper_bounds_are_decided_at_radius_l_x_plus_l_y():
+    """Each minimal z with x <= z and y <=_L z is at most l(x) + l(y) long,
+    so `half-strong-join-minimal` reads its upper bounds at that radius;
+    some pair needs all of it."""
+    small, wide = ball(2, 3), ball(2, 8)
+    slack = []
+    for x in small:
+        for y in small:
+            bounds = [z for z in wide if bruhat_leq(x, z) and weak_leq(y, z, "left")]
+            minimal = [
+                z
+                for z in bounds
+                if not any(c.length < z.length and bruhat_leq(c, z) for c in bounds)
+            ]
+            assert minimal, (x, y)
+            slack += [x.length + y.length - z.length for z in minimal]
+    assert min(slack) == 0
