@@ -56,16 +56,19 @@ class BallCapExceeded(RuntimeError):
 class AffinePermutation:
     """Element of the affine symmetric group on k+1 letters, window notation.
 
-    Equality and hashing use the window, which is a unique normal form.
-    The public constructor is the validation boundary: it checks the
-    window and computes the Coxeter length from the affine inversion
-    formula sum_{i<j} |floor((w(j)-w(i))/n)|.  The kernel operations build
-    their results through `_trusted` and carry the length forward: a
-    generator step changes it by one, decided by a single comparison, an
-    inverse keeps it, and a product computes it once by the formula.
+    Equality and hashing use the window, which is a unique normal form;
+    its size fixes k, so the hash is that of the window alone.  The public
+    constructor is the validation boundary: it checks the window and
+    computes the Coxeter length from the affine inversion formula
+    sum_{i<j} |floor((w(j)-w(i))/n)|.  The kernel operations build their
+    results through `_trusted` and carry the length forward: a generator
+    step changes it by one, decided by a single comparison, an inverse
+    keeps it, and a product computes it once by the formula.  Both store
+    the three slots through their descriptors' setters (`_set_k`,
+    `_set_window`, `_set_length`), since `__setattr__` raises.
     """
 
-    __slots__ = ("k", "window", "length", "_hash")
+    __slots__ = ("k", "window", "length")
 
     def __init__(self, k: int, window: Iterable[int]):
         if k < 1:
@@ -78,10 +81,9 @@ class AffinePermutation:
             raise ValueError(f"window {win} does not sum to {n * (n + 1) // 2}")
         if len({x % n for x in win}) != n:
             raise ValueError(f"window {win} has repeated residues mod {n}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "window", win)
-        object.__setattr__(self, "length", _inversion_length(win, n))
-        object.__setattr__(self, "_hash", hash((k, win)))
+        _set_k(self, k)
+        _set_window(self, win)
+        _set_length(self, _inversion_length(win, n))
 
     @classmethod
     def _trusted(cls, k: int, window: tuple[int, ...], length: int) -> "AffinePermutation":
@@ -92,10 +94,9 @@ class AffinePermutation:
         on the windows `left_growth` hands out.
         """
         w = object.__new__(cls)
-        object.__setattr__(w, "k", k)
-        object.__setattr__(w, "window", window)
-        object.__setattr__(w, "length", length)
-        object.__setattr__(w, "_hash", hash((k, window)))
+        _set_k(w, k)
+        _set_window(w, window)
+        _set_length(w, length)
         return w
 
     def __setattr__(self, name, value):
@@ -108,14 +109,10 @@ class AffinePermutation:
         return self.window[r] + q * n
 
     def __eq__(self, other):
-        return (
-            isinstance(other, AffinePermutation)
-            and self.k == other.k
-            and self.window == other.window
-        )
+        return isinstance(other, AffinePermutation) and self.window == other.window
 
     def __hash__(self):
-        return self._hash
+        return hash(self.window)
 
     def __mul__(self, other: "AffinePermutation") -> "AffinePermutation":
         return mul(self, other)
@@ -136,6 +133,11 @@ class AffinePermutation:
 
     def as_dict(self) -> dict:
         return {"k": self.k, "window": list(self.window)}
+
+
+_set_k = AffinePermutation.k.__set__
+_set_window = AffinePermutation.window.__set__
+_set_length = AffinePermutation.length.__set__
 
 
 @dataclass(frozen=True)
@@ -440,15 +442,17 @@ def length(w: AffinePermutation) -> int:
 
 def mul(u: AffinePermutation, v: AffinePermutation) -> AffinePermutation:
     """Composition of window functions, (uv)(i) = u(v(i))."""
-    _check_same_rank(u, v)
-    n = u.k + 1
+    k = u.k
+    if k != v.k:
+        raise ValueError(f"rank mismatch: k={k} vs k={v.k}")
+    n = k + 1
     uw = u.window
     out = []
     for x in v.window:
         r = (x - 1) % n
         out.append(uw[r] + x - 1 - r)
     win = tuple(out)
-    return AffinePermutation._trusted(u.k, win, _inversion_length(win, n))
+    return AffinePermutation._trusted(k, win, _inversion_length(win, n))
 
 
 def inverse(w: AffinePermutation) -> AffinePermutation:

@@ -3,7 +3,9 @@
 Each sweep pits a closed form against a brute-force oracle over explicit
 length balls or partition ranges and reports every counterexample with a
 JSON-able witness.  All identities are exact, so a sweep either finds
-nothing or the build is wrong; there is no tolerance anywhere.
+nothing or the build is wrong; there is no tolerance anywhere.  A passing
+instance costs one count (`r.count() if ok else r.fail(...)`); its witness
+values are computed and turned into JSON only in `fail`.
 
 A suite enumerates one length ball, at the largest radius it declares in
 `ball_radii`, and cuts every smaller ball from it as a prefix; the
@@ -103,7 +105,11 @@ __all__ = [
 
 @dataclass
 class CheckResult:
-    """One named sweep: how many instances ran, and every failing witness."""
+    """One named sweep: how many instances ran, and every failing witness.
+
+    A passing instance costs one `count`; a witness is built only in `fail`,
+    so a call site computes its witness values in the failing branch alone.
+    """
 
     name: str
     instances: int = 0
@@ -121,12 +127,6 @@ class CheckResult:
         witness are turned into JSON here, so a passing instance builds none."""
         self.instances += 1
         self.failures.append({name: _json(value) for name, value in witness.items()})
-
-    def check(self, condition: bool, **witness) -> None:
-        if condition:
-            self.count()
-        else:
-            self.fail(**witness)
 
     def as_dict(self) -> dict:
         return {
@@ -558,7 +558,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     for v in subword_ball:
         lower_v = subword_lower_set(v)
         for u in subword_ball:
-            r.check(bruhat_leq(u, v) == (u in lower_v), u=u, v=v)
+            r.count() if bruhat_leq(u, v) == (u in lower_v) else r.fail(u=u, v=v)
     results.append(r)
 
     r = CheckResult("strong-covers-are-reflections")
@@ -568,7 +568,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
             if v.length != u.length + 1:
                 continue
             by_reflection = is_affine_reflection(mul(v, inverse(u)))
-            r.check(leq(a, b) == by_reflection, u=u, v=v)
+            r.count() if leq(a, b) == by_reflection else r.fail(u=u, v=v)
     results.append(r)
 
     # The six triple-ball checks read their Demazure values off one table
@@ -603,7 +603,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
             for c, z, t in zip(lengths, triple_ball, ts):
                 lhs = b + c == yz_lengths[t] and a + yz_lengths[t] == xyz_lengths[t]
                 rhs = y_le and xy + c == xyz_lengths[t]
-                r.check(lhs == rhs, x=x, y=y, z=z)
+                r.count() if lhs == rhs else r.fail(x=x, y=y, z=z)
     results.append(r)
 
     r = CheckResult("demazure-product-factors")
@@ -619,7 +619,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
                 and leq(whole.position(xp), i)
                 and leq(whole.position(yp), j)
             )
-            r.check(good, x=x, y=y, z=z)
+            r.count() if good else r.fail(x=x, y=y, z=z)
     results.append(r)
 
     r = CheckResult("anti-demazure-factors")
@@ -629,7 +629,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
             z = psi[j][i]
             xp = mul(z, inverses[j])
             good = leq(whole.position(xp), i) and y.length == xp.length + z.length
-            r.check(good, x=x, y=y, z=z)
+            r.count() if good else r.fail(x=x, y=y, z=z)
     results.append(r)
 
     r = CheckResult("demazure-actions-monotone")
@@ -653,7 +653,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
                 else:  # demazure(x, w) is longer than the tables reach
                     q = whole.position(psi_apply(inverses[i], up, "left"))
                 good = leq(q, j)
-            r.check(good, x=x, w=w)
+            r.count() if good else r.fail(x=x, w=w)
     results.append(r)
 
     r = CheckResult("demazure-preserves-order")
@@ -662,7 +662,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     for i, x in enumerate(triple_ball):
         for v, w in pairs:
             good = leq(dem_at[v][i], dem_at[w][i]) and leq(psi_at[v][i], psi_at[w][i])
-            r.check(good, x=x, v=triple_ball[v], w=triple_ball[w])
+            r.count() if good else r.fail(x=x, v=triple_ball[v], w=triple_ball[w])
     results.append(r)
 
     r = CheckResult("demazure-monotone-in-actor")
@@ -670,7 +670,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
         x, y = triple_ball[i], triple_ball[j]
         for t, w in enumerate(triple_ball):
             good = leq(dem_at[t][i], dem_at[t][j]) and leq(psi_at[t][j], psi_at[t][i])
-            r.check(good, x=x, y=y, w=w)
+            r.count() if good else r.fail(x=x, y=y, w=w)
     results.append(r)
 
     r = CheckResult("generator-actions-preserve-meet-join")
@@ -704,12 +704,12 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
         for v, w, a, b, m, top in pairs:
             if m is not None:
                 good = meet_at(step(a, i, True), step(b, i, True)) == step(m, i, True)
-                r.check(good, kind="meet", i=i, v=v, w=w)
+                r.count() if good else r.fail(kind="meet", i=i, v=v, w=w)
             if top is not None:
                 pv, pw, pt = step(a, i, False), step(b, i, False), step(top, i, False)
                 good = leq(pv, pt) and leq(pw, pt)
                 good = good and not up_rows[pv] & up_rows[pw] & ~up_rows[pt]
-                r.check(good, kind="join", i=i, v=v, w=w)
+                r.count() if good else r.fail(kind="join", i=i, v=v, w=w)
     results.append(r)
 
     r = CheckResult("reduced-factorization-comparison")
@@ -721,7 +721,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
         ]
         for u, a, x in factorizations:
             for v, b, y in factorizations:
-                r.check(leq(b, a) == leq(x, y), z=z, u=u, v=v)
+                r.count() if leq(b, a) == leq(x, y) else r.fail(z=z, u=u, v=v)
     results.append(r)
 
     r = CheckResult("half-strong-join-minimal")
@@ -752,13 +752,13 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
             ok = whole.leq(x, j) and seed.length + y.length == j.length
             ubs = upper.row("up", x) & upper.row("left-up", y)
             ok = ok and not ubs & ~upper.row("up", j)
-            r.check(ok, x=x, y=y, join=j)
+            r.count() if ok else r.fail(x=x, y=y, join=j)
 
             m = mul(inverse(seed), x)
             ok = seed.length + m.length == x.length and whole.leq(m, y)
             lbs = whole.row("left-down", x) & whole.row("down", y)
             ok = ok and not lbs & ~whole.row("down", m)
-            r2.check(ok, x=x, y=y, meet=m)
+            r2.count() if ok else r2.fail(x=x, y=y, meet=m)
 
             dset = eset = 0
             for letters, below_value, row in by_demazure[y]:
@@ -773,7 +773,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
                 and whole.contains(dset, seed)
                 and not dset & ~upper.row("up", seed)
             )
-            r3.check(ok, x=x, y=y, seed=seed)
+            r3.count() if ok else r3.fail(x=x, y=y, seed=seed)
     results.extend([r, r2, r3])
 
     r = CheckResult("interval-flip-anti-isomorphism")
@@ -785,29 +785,18 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
         for x in left_interval:
             fx = flip(z, x)
             images[x] = fx
-            r.check(
-                whole.contains(right_interval, fx)
-                and fx.length == z.length - x.length,
-                z=z,
-                x=x,
-            )
-        r.check(
-            set(images.values()) == set(whole.members(right_interval)),
-            z=z,
-            reason="flip is not onto the right interval",
-        )
+            ok = whole.contains(right_interval, fx) and fx.length == z.length - x.length
+            r.count() if ok else r.fail(z=z, x=x)
+        ok = set(images.values()) == set(whole.members(right_interval))
+        r.count() if ok else r.fail(z=z, reason="flip is not onto the right interval")
         for x in left_interval:
             for y in left_interval:
-                r.check(whole.leq(x, y) == whole.leq(images[y], images[x]), z=z, x=x, y=y)
+                ok = whole.leq(x, y) == whole.leq(images[y], images[x])
+                r.count() if ok else r.fail(z=z, x=x, y=y)
                 m = whole.meet(x, y)
                 if m is not None and whole.contains(left_row, m):
-                    r.check(
-                        upper.is_least_upper_bound(flip(z, m), images[x], images[y]),
-                        z=z,
-                        x=x,
-                        y=y,
-                        kind="meet-to-join",
-                    )
+                    ok = upper.is_least_upper_bound(flip(z, m), images[x], images[y])
+                    r.count() if ok else r.fail(z=z, x=x, y=y, kind="meet-to-join")
     results.append(r)
 
     r = CheckResult("weak-interval-chain-property")
@@ -816,7 +805,8 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
         for x in interval:
             for y in interval:
                 if whole.leq(x, y):
-                    r.check(saturated_chain_exists(x, y, interval), u=u, x=x, y=y)
+                    ok = saturated_chain_exists(x, y, interval)
+                    r.count() if ok else r.fail(u=u, x=x, y=y)
     results.append(r)
 
     results.extend(_verify_z_families(k, six_ball, upper, whole))
@@ -838,24 +828,13 @@ def _verify_strip_props(k, max_size, subsets, whole) -> list[CheckResult]:
         fi = forbidden_index(lam)
         growth = StripGrowth(lam, k)
         strips_by_r = {r: growth.strips(r) for r in range(k + 1)}
-        forb.check(
-            all(fi not in s.indices for r in strips_by_r.values() for s in r),
-            lam=list(lam.parts),
-            forbidden=fi,
-        )
+        ok = all(fi not in s.indices for r in strips_by_r.values() for s in r)
+        forb.count() if ok else forb.fail(lam=list(lam.parts), forbidden=fi)
         top_k = strips_by_r[k]
-        unique.check(
-            len(top_k) == 1
-            and top_k[0].top == union_sort(KBoundedPartition(k, (k,)), lam),
-            lam=list(lam.parts),
-        )
-        agree.check(
-            all(
-                is_weak_strip(lam, A) == is_weak_strip_parabolic(lam, A)
-                for A in all_subsets
-            ),
-            lam=list(lam.parts),
-        )
+        ok = len(top_k) == 1 and top_k[0].top == union_sort(KBoundedPartition(k, (k,)), lam)
+        unique.count() if ok else unique.fail(lam=list(lam.parts))
+        ok = all(is_weak_strip(lam, A) == is_weak_strip_parabolic(lam, A) for A in all_subsets)
+        agree.count() if ok else agree.fail(lam=list(lam.parts))
         w = bounded_to_perm(lam)
         qualifying = [s.indices for r in strips_by_r.values() for s in r]
         # d_A w with its down row once per strip, d_C w and the strip test
@@ -869,11 +848,9 @@ def _verify_strip_props(k, max_size, subsets, whole) -> list[CheckResult]:
                     cap = IndexSet._trusted(k, members)
                     caps[members] = is_weak_strip(lam, cap), mul(d_elem(cap), w)
                 is_strip, cand = caps[members]
-                meets.check(
-                    is_strip and whole.meet_of(row_a & row_b) == cand,
-                    lam=list(lam.parts),
-                    A=list(A.sorted()),
-                    B=list(B.sorted()),
+                ok = is_strip and whole.meet_of(row_a & row_b) == cand
+                meets.count() if ok else meets.fail(
+                    lam=list(lam.parts), A=list(A.sorted()), B=list(B.sorted())
                 )
     return [forb, unique, agree, meets]
 
@@ -893,29 +870,21 @@ def _verify_z_families(k, elements, upper, whole) -> list[CheckResult]:
         below = {A: whole.row("down", v) for A, v in plus.items()}
         for A, B in itertools.combinations(sorted(zs.plus, key=sorted), 2):
             m = whole.meet_of(below[A] & below[B])
-            meets.check(m == plus[A & B], u=u, A=sorted(A), B=sorted(B))
+            meets.count() if m == plus[A & B] else meets.fail(u=u, A=sorted(A), B=sorted(B))
         minus = {A: mul(inverse(d_elem(IndexSet._trusted(k, A))), u) for A in zs.minus}
         for A, B in itertools.combinations(sorted(zs.minus, key=sorted), 2):
-            joins.check(
-                upper.is_least_upper_bound(minus[A & B], minus[A], minus[B]),
-                u=u,
-                A=sorted(A),
-                B=sorted(B),
-            )
+            ok = upper.is_least_upper_bound(minus[A & B], minus[A], minus[B])
+            joins.count() if ok else joins.fail(u=u, A=sorted(A), B=sorted(B))
         for fam in (zs.plus, zs.minus):
             for A in fam:
                 for B in fam:
                     if A < B:
-                        chains.check(
-                            subset_chain_exists(A, B, fam),
-                            u=u,
-                            A=sorted(A),
-                            B=sorted(B),
-                        )
+                        ok = subset_chain_exists(A, B, fam)
+                        chains.count() if ok else chains.fail(u=u, A=sorted(A), B=sorted(B))
         row = first_row(ri(inverse(u)), increasing=True)
         forb = minus_forbidden_indices(u)
         ok = all(A <= row for A in zs.minus) and forb == frozenset(range(k + 1)) - row
-        confining.check(ok, u=u, row=sorted(row))
+        confining.count() if ok else confining.fail(u=u, row=sorted(row))
     return [closure, meets, joins, chains, confining]
 
 
@@ -933,11 +902,8 @@ def _verify_strongly_commutative(k, subsets, zb) -> list[CheckResult]:
     for A, B in pairs:
         x = d_elem(IndexSet._trusted(k, A))
         y = d_elem(IndexSet._trusted(k, B))
-        disj.check(
-            mul(x, y) == mul(y, x) and mul(x, y).length == x.length + y.length,
-            A=sorted(A),
-            B=sorted(B),
-        )
+        ok = mul(x, y) == mul(y, x) and mul(x, y).length == x.length + y.length
+        disj.count() if ok else disj.fail(A=sorted(A), B=sorted(B))
     # z <=_L a z iff l(a) + l(z) = l(a z), and a z <=_L z iff l(a) + l(a z) = l(z)
     for A, B in pairs:
         x = d_elem(IndexSet._trusted(k, A))
@@ -948,7 +914,7 @@ def _verify_strongly_commutative(k, subsets, zb) -> list[CheckResult]:
             c, xz, yz, xyz = z.length, mul(x, z).length, mul(y, z).length, mul(xy, z).length
             up = (ab + c == xyz) == (a + c == xz and b + c == yz)
             dn = (ab + xyz == c) == (a + xz == c and b + yz == c)
-            split.check(up and dn, A=sorted(A), B=sorted(B), z=z)
+            split.count() if up and dn else split.fail(A=sorted(A), B=sorted(B), z=z)
     return [disj, split]
 
 
@@ -970,25 +936,26 @@ def _verify_kcode_props(k, subsets, order) -> list[CheckResult]:
             and code.size == w.length == cod2.size
             and seen.setdefault(code.values, w) == w
         )
-        bij.check(ok, w=w)
+        bij.count() if ok else bij.fail(w=w)
         for i in range(k + 1):
             cyc = [code.values[(i + t) % (k + 1)] for t in range(k + 1)]
             by_code = all(
                 cyc[t] >= cyc[t + 1] for t in range(k)
             ) and code.values[(i - 1) % (k + 1)] == 0
             by_descent = descents(w, "right") <= {i}
-            dom.check(by_code == by_descent, w=w, i=i)
+            dom.count() if by_code == by_descent else dom.fail(w=w, i=i)
         row = first_row(code)
         bigger = [A for A in subsets if row < A]
         ok = all(
             mul(w, inverse(d_elem(IndexSet._trusted(k, A)))).length != w.length - len(A)
             for A in bigger
         )
-        rowmax.check(ok, w=w)
+        rowmax.count() if ok else rowmax.fail(w=w)
     for x, (cx, ix) in zip(elems, codes):
         for q in _positions(order.row("left-up", x)):
             cy, iy = codes[q]
-            mono.check(cy.contains(cx) and iy.contains(ix), x=x, y=elems[q])
+            ok = cy.contains(cx) and iy.contains(ix)
+            mono.count() if ok else mono.fail(x=x, y=elems[q])
     return [bij, mono, dom, rowmax]
 
 
@@ -1032,7 +999,8 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
             via_labels = {
                 mul(inverse(d_elem(IndexSet._trusted(k, B))), u) for B in fib.members
             }
-            labels.check(scans[members].get(u, set()) == via_labels, u=u, A=sorted(members))
+            ok = scans[members].get(u, set()) == via_labels
+            labels.count() if ok else labels.fail(u=u, A=sorted(members))
             # convex: no v' with v <= v' <= v'' lies outside the fiber
             elements = sorted(via_labels, key=lambda v: v.length)
             outside = ~_mask(sorted(order.position(v) for v in elements))
@@ -1041,22 +1009,19 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
                 for vpp in elements:
                     if order.leq(v, vpp):
                         ok = not between & order.row("down", vpp)
-                        convex.check(ok, u=u, A=sorted(members), v=v)
+                        convex.count() if ok else convex.fail(u=u, A=sorted(members), v=v)
             for B, C in itertools.combinations(sorted(fib.members, key=sorted), 2):
-                caps.check(B & C in fib.members, u=u, A=sorted(members))
+                caps.count() if B & C in fib.members else caps.fail(u=u, A=sorted(members))
             if members in zs.minus:
                 for i in members:
                     Ap = members - {i}
                     if Ap in zs.minus:
-                        covers.check(Ap in fib.members, u=u, A=sorted(members), i=i)
+                        ok = Ap in fib.members
+                        covers.count() if ok else covers.fail(u=u, A=sorted(members), i=i)
                 for B in subsets:
                     if B <= members and B in zs.minus:
-                        seven.check(
-                            _seven_way_agreement(k, u, members, B, fib, zs),
-                            u=u,
-                            A=sorted(members),
-                            B=sorted(B),
-                        )
+                        ok = _seven_way_agreement(k, u, members, B, fib, zs)
+                        seven.count() if ok else seven.fail(u=u, A=sorted(members), B=sorted(B))
         for w in gball:
             found = find_A0(u, w)
             single_As = {
@@ -1065,15 +1030,13 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
                 if len(fiber_Y(IndexSet._trusted(k, members), u, w).members) == 1
             }
             expect = set() if found is None else {found.members}
-            singles.check(
-                single_As == expect,
-                u=u,
-                w=w,
-                found=None if found is None else sorted(found.members),
+            singles.count() if single_As == expect else singles.fail(
+                u=u, w=w, found=None if found is None else sorted(found.members)
             )
             conds_by_r = _a0_conditions(down_steps[u], up_steps[w], u, w, found)
             for r, conds in enumerate(conds_by_r):
-                a0r.check(len(set(conds)) == 1, u=u, w=w, r=r, conds=list(conds))
+                ok = len(set(conds)) == 1
+                a0r.count() if ok else a0r.fail(u=u, w=w, r=r, conds=list(conds))
     return [labels, convex, caps, covers, seven, singles, a0r]
 
 
@@ -1143,14 +1106,17 @@ def verify_pieri_sum(k: int, max_size: int) -> list[CheckResult]:
             closed = _gtilde_pieri_union(growth, r)
             direct = direct + h_mult(base, r)
             ie = _gtilde_pieri_ie(growth, r)
-            witness = {"lam": list(lam.parts), "r": r}
-            direct_vs_union.check(closed == direct, **witness, direct=direct, closed=closed)
-            zero_one.check(all(c == 1 for c in direct.as_mapping().values()), **witness)
+            direct_vs_union.count() if closed == direct else direct_vs_union.fail(
+                lam=list(lam.parts), r=r, direct=direct, closed=closed
+            )
+            ok = all(c == 1 for c in direct.as_mapping().values())
+            zero_one.count() if ok else zero_one.fail(lam=list(lam.parts), r=r)
             if expand_gtilde_combination(k, ie) == closed:
                 ie_form.count()
             else:
                 ie_form.fail(
-                    **witness,
+                    lam=list(lam.parts),
+                    r=r,
                     ie={str(list(p)): c for p, c in _in_term_order(ie).items()},
                 )
 
@@ -1172,7 +1138,9 @@ def verify_pieri_sum(k: int, max_size: int) -> list[CheckResult]:
                 # x <=_L w iff l(w x^-1) + l(x) = l(w)
                 if any(mul(w, x_inv).length + lx != w.length for x_inv, lx in factors):
                     not_above.append(list(parts))
-            join_bound.check(not not_above, a=list(a.parts), b=list(b.parts), not_above=not_above)
+            join_bound.count() if not not_above else join_bound.fail(
+                a=list(a.parts), b=list(b.parts), not_above=not_above
+            )
     return [direct_vs_union, zero_one, ie_form, join_bound]
 
 
@@ -1199,11 +1167,11 @@ def verify_factorization(k: int, max_size: int) -> list[CheckResult]:
                     row = rows[t, mu] = symfunc.product_g(g_mu, rect_gtildes[t])._terms
                 _accumulate(acc, row)
             lhs, rhs = gtilde(union_sort(rect, lam)), SymElt._trusted(k, "g", acc)
-            gt.check(lhs == rhs, lam=list(lam.parts), t=t, lhs=lhs, rhs=rhs)
-            ks.check(kschur_rectangle_check(lam, t), lam=list(lam.parts), t=t)
+            gt.count() if lhs == rhs else gt.fail(lam=list(lam.parts), t=t, lhs=lhs, rhs=rhs)
+            ks.count() if kschur_rectangle_check(lam, t) else ks.fail(lam=list(lam.parts), t=t)
 
     for lam in lams:
-        top.check(kschur_top_degree_check(lam), lam=list(lam.parts))
+        top.count() if kschur_top_degree_check(lam) else top.fail(lam=list(lam.parts))
 
     # the strips, their tops and the IE labels of lam do not depend on t;
     # each partition is grown once, to level k
@@ -1226,16 +1194,12 @@ def verify_factorization(k: int, max_size: int) -> list[CheckResult]:
                 ok = shifted.keys() == big_tops.keys() and all(
                     union_sort(rect, top) == big_tops[A] for A, top in shifted.items()
                 )
-                shift.check(ok, lam=list(lam.parts), t=t, r=r)
+                shift.count() if ok else shift.fail(lam=list(lam.parts), t=t, r=r)
                 ie_big = _gtilde_pieri_ie(big, r)
                 expected = {}
                 for label, c in ie_small:
                     key = union_sort(rect, label).parts
                     expected[key] = expected.get(key, 0) + c
-                ie_shift.check(
-                    {p: c for p, c in expected.items() if c} == ie_big,
-                    lam=list(lam.parts),
-                    t=t,
-                    r=r,
-                )
+                ok = {p: c for p, c in expected.items() if c} == ie_big
+                ie_shift.count() if ok else ie_shift.fail(lam=list(lam.parts), t=t, r=r)
     return [gt, ks, top, shift, ie_shift]

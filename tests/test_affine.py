@@ -352,6 +352,18 @@ def test_trusted_kernel_values_at_k8(wa, wb):
     assert_passes_validation(mul(y, inverse(x)))
 
 
+def test_elements_are_immutable_and_have_no_dict():
+    w = AffinePermutation(3, (5, -1, 2, 4))
+    made = [w, left_mul_s(w, 1), right_mul_s(w, 0), mul(w, w), inverse(w), identity(3)]
+    for x in made:
+        before = (x.k, x.window, x.length, hash(x))
+        assert not hasattr(x, "__dict__")
+        for name, value in (("k", 4), ("window", (1, 2, 3, 4)), ("length", 0), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(x, name, value)
+        assert (x.k, x.window, x.length, hash(x)) == before
+
+
 def test_trusted_index_sets_pass_validation(monkeypatch):
     made = []
     trusted = IndexSet._trusted

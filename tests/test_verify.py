@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from affineschur import affine, symfunc, verify
+from affineschur import affine, cli, symfunc, verify
 from affineschur.affine import (
     IndexSet,
     ball,
@@ -58,21 +58,63 @@ SUITES = {
 
 def test_check_result_bookkeeping():
     r = CheckResult("demo")
-    r.check(True, a=1)
-    r.check(False, a=2)
+    r.count()
+    assert r.instances == 1 and r.ok
+    r.fail(a=2)
     r.count()
     assert r.instances == 3 and not r.ok
     assert r.failures == [{"a": 2}]
     blob = r.as_dict()
     assert blob["name"] == "demo" and blob["ok"] is False
+    assert not hasattr(r, "check")
     # elements and symmetric functions become JSON only in a failing witness
     w = from_word(2, [0, 1])
     g = SymElt.single(2, "g", (2, 1))
     r = CheckResult("demo")
-    r.check(True, w=w, g=g)
-    r.check(False, w=w, g=g, i=3)
+    r.count()
+    r.fail(w=w, g=g, i=3)
+    assert r.instances == 2
     assert r.failures == [{"w": list(w.window), "g": g.as_dict()["terms"], "i": 3}]
     assert json.loads(json.dumps(r.as_dict()))["failures"] == r.failures
+
+
+def test_failing_order_props_checks_keep_their_witnesses(monkeypatch, capsys):
+    k, L = 2, 3
+    clean = {r.name: r.instances for r in verify_order_props(k, L)}
+    pair_ball = ball(k, min(L, 5))
+    covers = [
+        [list(u.window), list(v.window)]
+        for u in pair_ball
+        for v in pair_ball
+        if v.length == u.length + 1
+    ]
+    reflection = verify.is_affine_reflection
+    monkeypatch.setattr(verify, "is_affine_reflection", lambda w: not reflection(w))
+    monkeypatch.setattr(verify, "subset_chain_exists", lambda A, B, family: False)
+    got = {r.name: r for r in verify_order_props(k, L)}
+    assert {name: r.instances for name, r in got.items()} == clean
+    strong = got["strong-covers-are-reflections"]
+    assert len(strong.failures) == strong.instances == len(covers) > 0
+    assert [[w["u"], w["v"]] for w in strong.failures] == covers
+    assert all(w.keys() == {"u", "v"} for w in strong.failures)
+    chains = got["z-families-chain-property"]
+    assert len(chains.failures) == chains.instances > 0
+    for w in chains.failures:
+        assert w.keys() == {"u", "A", "B"}
+        assert len(w["u"]) == k + 1 and all(type(x) is int for x in w["u"])
+        assert w["A"] == sorted(w["A"]) and w["B"] == sorted(w["B"])
+        assert set(w["A"]) < set(w["B"])
+    # every other check passes as before
+    assert all(r.ok for name, r in got.items() if name not in (strong.name, chains.name))
+
+    assert cli.main(["verify", "order-props", "--k", str(k), "--max-size", str(L)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(strong.failures) + len(chains.failures)
+    assert err[0] == (
+        "counterexample [strong-covers-are-reflections]: "
+        + json.dumps(strong.failures[0], sort_keys=True)
+    )
+    assert all(line.startswith("counterexample [") for line in err)
 
 
 @pytest.mark.parametrize(
