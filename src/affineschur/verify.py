@@ -13,9 +13,10 @@ symmetric-function suites declare none and enumerate none.  A map over
 a whole ball, such as u -> demazure(u, y) or v -> d_A * v, is built by one
 generator step per element from its parent's value (`_BallOrder.parents`,
 `_hecke_values`), not by one kernel call per pair; the per-pair calls are
-its test oracle.  The strong order rows are lifted the same way, with
-`bruhat_leq` as their test oracle, and exist only for the elements an
-order holds.  All below x is shorter than x, so down rows and meets are
+its test oracle.  Its values are positions in the ball, stepped along the
+ball's step table, and only values that leave the ball are elements.  The
+strong order rows are lifted the same way, with `bruhat_leq` as their test
+oracle, and exist only for the elements an order holds.  All below x is shorter than x, so down rows and meets are
 read in the whole ball; only up rows and joins depend on a radius.
 
 So a check computes each product, Demazure value and order row once per
@@ -49,7 +50,6 @@ from .affine import (
     ball,
     bruhat_leq,
     descents,
-    flip,
     inverse,
     is_affine_reflection,
     left_mul_s,
@@ -389,23 +389,28 @@ class _BallOrder:
         elements = self.elements
         return [elements[i] for i in _positions(row)]
 
-    def contains(self, row: int, z: AffinePermutation) -> bool:
-        i = self._index.get(z.window)
-        return i is not None and bool(row >> i & 1)
-
     def join(self, v: AffinePermutation, w: AffinePermutation) -> AffinePermutation | None:
-        """Exact strong join, or None; same answers as `strong_join_in_ball`.
+        """Exact strong join of two ball elements, or None (`join_at`); same
+        answers as `strong_join_in_ball`, and a radius below l(v) + l(w) raises."""
+        m = self.join_at(self._index[v.window], self._index[w.window])
+        return None if m is None else self._ball[m]
+
+    def join_at(self, a: int, b: int) -> int | None:
+        """Position of the exact strong join of the elements at a and b, or None.
 
         Every minimal common upper bound is at most l(v) + l(w) long (subword
         property, Bjorner-Brenti, GTM 231, Thm 2.2.2); a smaller radius raises.
         """
-        if v.length + w.length > self.radius:
-            raise ValueError(f"joins of {v!r} and {w!r} need radius {v.length + w.length}")
-        ubs = self.row("up", v) & self.row("up", w)
+        lengths = self._lengths
+        if lengths[a] + lengths[b] > self.radius:
+            v, w = self._ball[a], self._ball[b]
+            raise ValueError(f"joins of {v!r} and {w!r} need radius {lengths[a] + lengths[b]}")
+        up = self._up_rows()
+        ubs = up[a] & up[b]
         # the first common upper bound is a shortest one; any other of its
         # length is incomparable to it, so it is the join or there is none
-        m = self.elements[(ubs & -ubs).bit_length() - 1]
-        return None if ubs & ~self.row("up", m) else m
+        m = (ubs & -ubs).bit_length() - 1
+        return None if ubs & ~up[m] else m
 
     def is_least_upper_bound(
         self, candidate: AffinePermutation, v: AffinePermutation, w: AffinePermutation
@@ -420,14 +425,20 @@ class _BallOrder:
 
         v and w must be elements of this order; any other's down row raises.
         """
-        return self.meet_of(self.row("down", v) & self.row("down", w))
+        m = self.meet_of(self.row("down", v) & self.row("down", w))
+        return None if m is None else self._ball[m]
 
-    def meet_of(self, common: int) -> AffinePermutation | None:
-        """Exact meet of the elements whose down rows AND to `common`, or None."""
+    def meet_at(self, a: int, b: int) -> int | None:
+        """Position of the exact meet of the elements at a and b, or None."""
+        return self.meet_of(self._lifted(a) & self._lifted(b))
+
+    def meet_of(self, common: int) -> int | None:
+        """Position of the exact meet of the elements whose down rows AND to
+        `common`, or None."""
         # the last common lower bound is a longest one; any other of its
         # length is incomparable to it, so it is the meet or there is none
-        m = self.elements[common.bit_length() - 1]
-        return None if common & ~self.row("down", m) else m
+        m = common.bit_length() - 1
+        return None if common & ~self._lifted(m) else m
 
     def _parent(self, side: str, p: int) -> tuple[int, int]:
         return next((q, i) for i, q in enumerate(self._neighbours(side, p)) if 0 <= q < p)
@@ -461,8 +472,8 @@ def _transpose(rows: list[int]) -> list[int]:
 
 
 def _hecke_values(
-    parents: list[tuple[int, int]], start: AffinePermutation, up: bool
-) -> list[AffinePermutation]:
+    order: _BallOrder, parents: list[tuple[int, int]], start: AffinePermutation, up: bool
+) -> list[int | AffinePermutation]:
     """A 0-Hecke map over a ball, one generator step per element.
 
     The identity maps to `start`; an element whose parent maps to z, by
@@ -471,46 +482,172 @@ def _hecke_values(
     over the right parents from x it is u -> psi_apply(u^-1, x, "left"), or
     u -> demazure(u^-1, x) if `up`: the same letters in the same order as
     those calls apply, with every prefix shared.
+
+    A value is its position in `order`'s whole ball, stepped along the
+    step table (`_neighbours`).  Only an `up` step leaves the ball, which
+    is closed downwards; such a value, and every later `up` value from it,
+    is an element.  A `start` outside the ball needs `up`.
     """
-    values = [start]
+    lengths, ball = order._lengths, order._ball
+    p = order.position(start)
+    values: list[int | AffinePermutation] = [start if p is None else p]
     for p, i in parents:
         z = values[p]
-        sz = left_mul_s(z, i)
-        values.append(sz if (sz.length > z.length) == up else z)
+        if type(z) is int:
+            t = order._neighbours("left", z)[i]
+            if t < 0:  # s_i z is longer than z and outside the ball
+                values.append(left_mul_s(ball[z], i) if up else z)
+            else:
+                values.append(t if (lengths[t] > lengths[z]) == up else z)
+        else:
+            sz = left_mul_s(z, i)
+            values.append(sz if sz.length > z.length else z)
     return values
 
 
 def _hecke_tables(
+    order: _BallOrder,
     parents: tuple[list[tuple[int, int]], list[tuple[int, int]]],
-    elements: list[AffinePermutation],
+    size: int,
     at_inverse: list[int],
-) -> tuple[list[list[AffinePermutation]], list[list[AffinePermutation]]]:
-    """Demazure and anti-Demazure values over a prefix of a ball, by `_hecke_values`.
+) -> tuple[list[list[int | AffinePermutation]], list[list[int | AffinePermutation]]]:
+    """Demazure and anti-Demazure values over the first `size` elements of
+    `order`'s ball, by `_hecke_values`.
 
     `parents` are the ball's (`_BallOrder.parents`), and `at_inverse[i]` is
-    the position of the inverse of `elements[i]`.  The first len(elements) - 1
-    parents belong to the prefix, so for its j-th element w
-    dem[j][i] = demazure(elements[i], w) and psi[j][i] = psi_apply(elements[i], w, "left"),
-    the latter read at the position of elements[i]^-1.
+    the position of the inverse of element i.  The first size - 1 parents
+    belong to the prefix, so for its j-th element w, dem[j][i] is
+    demazure(u, w) and psi[j][i] is psi_apply(u, w, "left") for u its i-th
+    element, the latter read at the position of u^-1.
     """
-    left, right = (side[: len(elements) - 1] for side in parents)
-    dem = [_hecke_values(left, w, up=True) for w in elements]
+    left, right = (side[: size - 1] for side in parents)
+    starts = order._ball[:size]
+    dem = [_hecke_values(order, left, w, up=True) for w in starts]
     psi = []
-    for w in elements:
-        values = _hecke_values(right, w, up=False)
+    for w in starts:
+        values = _hecke_values(order, right, w, up=False)
         psi.append([values[q] for q in at_inverse])
     return dem, psi
 
 
-def _group_by_value(
-    order: _BallOrder, values: list[AffinePermutation]
-) -> list[tuple[list[int], int, int]]:
-    """Bitset rows of the positions grouped by their value, as (letters,
-    position, row) with the value lifted from `order`'s ball (`lift`)."""
-    groups: dict[AffinePermutation, list[int]] = {}
-    for i, value in enumerate(values):
-        groups.setdefault(value, []).append(i)
-    return [(*order.lift(value), _mask(positions)) for value, positions in groups.items()]
+def _seed_tables(
+    order: _BallOrder, right: list[tuple[int, int]], size: int
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Positions of the join seed z = psi_apply(y^-1, x, "right"), of z y and
+    of z^-1 x, for x and y among the first `size` elements of `order`'s
+    ball, as tables indexed [y][x].
+
+    `right` are the ball's right parents (`_BallOrder.parents`).
+    `reduced_word(y^-1)` starts with the least right descent j of y, whose
+    right parent is y' = y s_j, so z(x, y) = z(x', y') with x' = min(x, x s_j),
+    z y = (z(x', y') y') s_j, and z^-1 x is z(x', y')^-1 x' times s_j when
+    x' = x s_j, else itself: one right step per entry from the parent's row.
+    Each entry is at most l(x) + l(y) long, so it lies in a ball of twice
+    the prefix's radius.
+    """
+    # x' = min(x, x s_j) by j; an x s_j shorter than x lies in the ball, earlier
+    mins = [
+        [t if 0 <= t < x else x for t in order._neighbours("right", x)] for x in range(size)
+    ]
+    seeds, joins, meets = [list(range(size))], [list(range(size))], [[0] * size]
+    for q, j in right[: size - 1]:
+        s_row, j_row, m_row = seeds[q], joins[q], meets[q]
+        seed, join, meet = [], [], []
+        for x in range(size):
+            p = mins[x][j]
+            seed.append(s_row[p])
+            join.append(order._neighbours("right", j_row[p])[j])
+            meet.append(m_row[p] if p == x else order._neighbours("right", m_row[p])[j])
+        seeds.append(seed)
+        joins.append(join)
+        meets.append(meet)
+    return seeds, joins, meets
+
+
+def _spread(groups: list[tuple[int, int]], size: int) -> list[int]:
+    """For each i < size, the OR of the rows of the groups whose mask holds i.
+
+    `groups` are (mask, row) pairs with disjoint rows.  A group is ORed
+    into the i its mask holds, or, when those are more than half, into
+    the i it does not hold, as a row to take out of the union of such
+    groups: the rows are disjoint, so that is exact.
+    """
+    everyone = (1 << size) - 1
+    held = [0] * size
+    missed = [0] * size
+    dense = 0
+    for mask, row in groups:
+        mask &= everyone
+        if 2 * mask.bit_count() <= size:
+            for i in _positions(mask):
+                held[i] |= row
+        else:
+            dense |= row
+            for i in _positions(everyone & ~mask):
+                missed[i] |= row
+    return [h | dense & ~m for h, m in zip(held, missed)]
+
+
+def _join_seed_sets(
+    whole: _BallOrder,
+    upper: _BallOrder,
+    parents: tuple[list[tuple[int, int]], list[tuple[int, int]]],
+    size: int,
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The join-seed sets, both forms, as rows over the ball of `parents`,
+    for x and y among the first `size` elements of `whole`'s ball:
+    dsets[y][x] holds the u with x <= demazure(u, y), and esets[x][y] the
+    u with psi_apply(u^-1, x, "left") <= y.
+
+    The u are grouped by their value (`_hecke_values`), and each group is
+    spread (`_spread`) over every x below its value at once, read off the
+    value's down row, or over every y above it, read off its up row in
+    `upper`.  A Demazure value outside the whole ball is lifted into it
+    (`lift`), and each x is compared with it by `lower`.
+    """
+
+    def groups(values):
+        us: dict[int | AffinePermutation, list[int]] = {}
+        for u, value in enumerate(values):
+            us.setdefault(value, []).append(u)
+        return us.items()
+
+    left, right = parents
+    dsets = []
+    for y in whole._ball[:size]:
+        spread = []
+        for value, us in groups(_hecke_values(whole, left, y, up=True)):
+            if type(value) is int:
+                xs = whole._lifted(value)
+            else:
+                letters, q = whole.lift(value)
+                below = whole._lifted(q)
+                xs = _mask([x for x in range(size) if below >> whole.lower(x, letters) & 1])
+            spread.append((xs, _mask(us)))
+        dsets.append(_spread(spread, size))
+    up = upper._up_rows()
+    esets = []
+    for x in whole._ball[:size]:
+        values = _hecke_values(whole, right, x, up=False)  # each no longer than x
+        esets.append(_spread([(up[q], _mask(us)) for q, us in groups(values)], size))
+    return dsets, esets
+
+
+def _flip_images(order: _BallOrder, c: int) -> dict[int, int]:
+    """The interval flip x -> z x^-1 (`affine.flip`) at positions, for z the
+    element at c and every x <=_L z, keyed by the position of x.
+
+    z maps to e.  For x = s_i x' with x' <=_L z longer than x,
+    z x^-1 = (z x'^-1) s_i, one right step from the image of x'; the
+    interval is taken longest first, so x' has its image already.
+    """
+    left_row = order.row("left-down", order._ball[c])
+    images = {c: 0}  # z is the longest, and last, element of its interval
+    for x in reversed(_positions(left_row)[:-1]):
+        steps = enumerate(order._neighbours("left", x))
+        i, t = next((i, t) for i, t in steps if t > x and left_row >> t & 1)
+        images[x] = order._neighbours("right", images[t])[i]
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +668,16 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     questions (up rows, left-up rows, joins) read `upper`, of radius
     max(L+3, 2 min(L,6)).  Strong comparisons are bits of lifted rows; only
     `bruhat-matches-subword-oracle`, whose subject it is, calls `bruhat_leq`.
+    Meets and joins are `meet_at`/`meet_of` and `join_at`, at positions.
+
+    The join-seed block (`half-strong-join-minimal`, `half-strong-meet-maximal`,
+    `join-seed-minimal-both-forms`) and `interval-flip-anti-isomorphism` work
+    on positions only: the seed, join and meet of every pair come from one
+    table over right parents (`_seed_tables`), the join-seed sets of each y
+    (or x) are spread over every x (or y) at once (`_join_seed_sets`), and
+    the flip images are right steps (`_flip_images`).  No pair there calls
+    the kernel; `psi_apply`, `s_join_L`, `meet_LS` and `flip` are their
+    test oracles.
 
     `upper` decides `half-strong-join-minimal`: take z = a y reduced, with
     x <= z and y <=_L z.  x is a subword product of word(a) word(y); with Q
@@ -581,9 +728,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     lengths = [x.length for x in triple_ball]
     inverses = [inverse(x) for x in triple_ball]
     at_inverse = [whole.position(xi) for xi in inverses]
-    dem, psi = _hecke_tables(parents, triple_ball, at_inverse)
-    dem_at = [[whole.position(v) for v in values] for values in dem]
-    psi_at = [[whole.position(v) for v in values] for values in psi]
+    dem_at, psi_at = _hecke_tables(whole, parents, size, at_inverse)
 
     r = CheckResult("weak-order-triple-splitting")
     # the lengths of y z do not depend on x; those of x (y z) depend on y z
@@ -611,7 +756,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     # the length sums l(z) = l(x) + l(y') = l(x') + l(y)
     for i, x in enumerate(triple_ball):
         for j, y in enumerate(triple_ball):
-            z = dem[j][i]
+            z = elements[dem_at[j][i]]
             xp = mul(z, inverses[j])
             yp = mul(inverses[i], z)
             good = (
@@ -626,7 +771,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     # with y = x'^-1 z, z <=_L y and x'^-1 <=_R y are l(y) = l(x') + l(z)
     for i, x in enumerate(triple_ball):
         for j, y in enumerate(triple_ball):
-            z = psi[j][i]
+            z = elements[psi_at[j][i]]
             xp = mul(z, inverses[j])
             good = leq(whole.position(xp), i) and y.length == xp.length + z.length
             r.count() if good else r.fail(x=x, y=y, z=z)
@@ -637,8 +782,8 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     for i, x in enumerate(triple_ball):
         xi = at_inverse[i]
         for j, w in enumerate(triple_ball):
-            up = dem[j][i]
-            dn = psi[j][i]
+            up = elements[dem_at[j][i]]
+            dn = elements[psi_at[j][i]]
             good = (
                 mul(up, inverses[j]).length + w.length == up.length
                 and mul(w, inverses[psi_at[j][i]]).length + dn.length == w.length
@@ -675,15 +820,9 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
 
     r = CheckResult("generator-actions-preserve-meet-join")
     # phi_i(u) = demazure(s_i, u) = max(u, s_i u) and psi_i(u) = min(u, s_i u)
-    # are one left step at ball positions.  The meet of two positions is the
-    # AND of their down rows, and the least-upper-bound test reads a lifted
-    # row and three up rows of `upper`.
-    up_rows, lengths = upper._up_rows(), whole._lengths
-
-    def meet_at(a, b):
-        common = whole._lifted(a) & whole._lifted(b)
-        m = common.bit_length() - 1
-        return None if common & ~whole._lifted(m) else m
+    # are one left step at ball positions; meets are read in `whole` and
+    # joins in `upper`, both at positions
+    lengths = whole._lengths
 
     def step(p, i, up):
         t = whole._neighbours("left", p)[i]
@@ -697,18 +836,14 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     pairs = []
     for a, v in enumerate(pair_ball):
         for b, w in enumerate(pair_ball):
-            j = upper.join(v, w)
-            top = None if j is None else whole.position(j)
-            pairs.append((v, w, a, b, meet_at(a, b), top))
+            pairs.append((v, w, a, b, whole.meet_at(a, b), upper.join_at(a, b)))
     for i in range(k + 1):
         for v, w, a, b, m, top in pairs:
             if m is not None:
-                good = meet_at(step(a, i, True), step(b, i, True)) == step(m, i, True)
+                good = whole.meet_at(step(a, i, True), step(b, i, True)) == step(m, i, True)
                 r.count() if good else r.fail(kind="meet", i=i, v=v, w=w)
             if top is not None:
-                pv, pw, pt = step(a, i, False), step(b, i, False), step(top, i, False)
-                good = leq(pv, pt) and leq(pw, pt)
-                good = good and not up_rows[pv] & up_rows[pw] & ~up_rows[pt]
+                good = upper.join_at(step(a, i, False), step(b, i, False)) == step(top, i, False)
                 r.count() if good else r.fail(kind="join", i=i, v=v, w=w)
     results.append(r)
 
@@ -727,76 +862,57 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     r = CheckResult("half-strong-join-minimal")
     r2 = CheckResult("half-strong-meet-maximal")
     r3 = CheckResult("join-seed-minimal-both-forms")
-    # u -> demazure(u, y) and u -> psi_apply(u^-1, x), grouped by value; a
-    # Demazure value keeps its lift and the down row it ends in, so x <= value
-    # is one bit test after `lower`
-    by_demazure = {
-        y: [
-            (letters, whole._lifted(q), row)
-            for letters, q, row in _group_by_value(
-                whole, _hecke_values(parents[0], y, up=True)
-            )
-        ]
-        for y in seed_ball
-    }
-    by_psi = {
-        x: _group_by_value(whole, _hecke_values(parents[1], x, up=False)) for x in seed_ball
-    }
-    for x in seed_ball:
-        px = whole.position(x)
-        for y in seed_ball:
-            # s_join_L(x, y) = seed y and meet_LS(x, y) = seed^-1 x, whose
-            # weak comparisons y <=_L seed y and seed^-1 x <=_L x are length sums
-            seed = psi_apply(inverse(y), x, "right")
-            j = mul(seed, y)
-            ok = whole.leq(x, j) and seed.length + y.length == j.length
-            ubs = upper.row("up", x) & upper.row("left-up", y)
-            ok = ok and not ubs & ~upper.row("up", j)
-            r.count() if ok else r.fail(x=x, y=y, join=j)
+    # s_join_L(x, y) = z y and meet_LS(x, y) = z^-1 x for the seed
+    # z = psi_apply(y^-1, x, "right"), all three at positions (`_seed_tables`);
+    # y <=_L z y and z^-1 x <=_L x are length sums.  The join-seed sets of
+    # both forms are rows over the ball of the 0-Hecke maps (`_join_seed_sets`).
+    n = len(seed_ball)
+    seeds, joins, meets = _seed_tables(whole, parents[1], n)
+    dsets, esets = _join_seed_sets(whole, upper, parents, n)
+    up_rows = upper._up_rows()
+    below = [whole._lifted(p) for p in range(n)]
+    left_up = [upper.row("left-up", y) for y in seed_ball]
+    left_down = [whole.row("left-down", x) for x in seed_ball]
+    for x in range(n):
+        for y in range(n):
+            z, j, m = seeds[y][x], joins[y][x], meets[y][x]
+            ok = whole._lifted(j) >> x & 1 and lengths[z] + lengths[y] == lengths[j]
+            ok = ok and not up_rows[x] & left_up[y] & ~up_rows[j]
+            r.count() if ok else r.fail(x=elements[x], y=elements[y], join=elements[j])
 
-            m = mul(inverse(seed), x)
-            ok = seed.length + m.length == x.length and whole.leq(m, y)
-            lbs = whole.row("left-down", x) & whole.row("down", y)
-            ok = ok and not lbs & ~whole.row("down", m)
-            r2.count() if ok else r2.fail(x=x, y=y, meet=m)
+            ok = lengths[z] + lengths[m] == lengths[x] and below[y] >> m & 1
+            ok = ok and not left_down[x] & below[y] & ~whole._lifted(m)
+            r2.count() if ok else r2.fail(x=elements[x], y=elements[y], meet=elements[m])
 
-            dset = eset = 0
-            for letters, below_value, row in by_demazure[y]:
-                if below_value >> (whole.lower(px, letters) if letters else px) & 1:
-                    dset |= row
-            below_y = whole.row("down", y)
-            for letters, q, row in by_psi[x]:
-                if not letters and below_y >> q & 1:  # one outside the ball is longer than y
-                    eset |= row
-            ok = (
-                dset == eset
-                and whole.contains(dset, seed)
-                and not dset & ~upper.row("up", seed)
-            )
-            r3.count() if ok else r3.fail(x=x, y=y, seed=seed)
+            dset = dsets[y][x]
+            ok = dset == esets[x][y] and dset >> z & 1 and not dset & ~up_rows[z]
+            r3.count() if ok else r3.fail(x=elements[x], y=elements[y], seed=elements[z])
     results.extend([r, r2, r3])
 
     r = CheckResult("interval-flip-anti-isomorphism")
-    for z in six_ball:
+    # the flip x -> z x^-1 at positions (`_flip_images`); meets are read in
+    # `whole` and joins in `upper`
+    for c, z in enumerate(six_ball):
         left_row = whole.row("left-down", z)
-        left_interval = whole.members(left_row)
+        left_interval = _positions(left_row)
         right_interval = whole.row("right-down", z)
-        images = {}
+        images = _flip_images(whole, c)
         for x in left_interval:
-            fx = flip(z, x)
-            images[x] = fx
-            ok = whole.contains(right_interval, fx) and fx.length == z.length - x.length
-            r.count() if ok else r.fail(z=z, x=x)
-        ok = set(images.values()) == set(whole.members(right_interval))
+            fx = images[x]
+            ok = right_interval >> fx & 1 and lengths[fx] == lengths[c] - lengths[x]
+            r.count() if ok else r.fail(z=z, x=elements[x])
+        ok = _mask(sorted(set(images.values()))) == right_interval
         r.count() if ok else r.fail(z=z, reason="flip is not onto the right interval")
         for x in left_interval:
             for y in left_interval:
-                ok = whole.leq(x, y) == whole.leq(images[y], images[x])
-                r.count() if ok else r.fail(z=z, x=x, y=y)
-                m = whole.meet(x, y)
-                if m is not None and whole.contains(left_row, m):
-                    ok = upper.is_least_upper_bound(flip(z, m), images[x], images[y])
-                    r.count() if ok else r.fail(z=z, x=x, y=y, kind="meet-to-join")
+                ok = leq(x, y) == leq(images[y], images[x])
+                r.count() if ok else r.fail(z=z, x=elements[x], y=elements[y])
+                m = whole.meet_at(x, y)
+                if m is not None and left_row >> m & 1:
+                    ok = upper.join_at(images[x], images[y]) == images[m]
+                    r.count() if ok else r.fail(
+                        z=z, x=elements[x], y=elements[y], kind="meet-to-join"
+                    )
     results.append(r)
 
     r = CheckResult("weak-interval-chain-property")
@@ -837,8 +953,8 @@ def _verify_strip_props(k, max_size, subsets, whole) -> list[CheckResult]:
         agree.count() if ok else agree.fail(lam=list(lam.parts))
         w = bounded_to_perm(lam)
         qualifying = [s.indices for r in strips_by_r.values() for s in r]
-        # d_A w with its down row once per strip, d_C w and the strip test
-        # once per intersection C
+        # d_A w with its down row once per strip, d_C w (at its position: the
+        # whole ball holds it) and the strip test once per intersection C
         below = [whole.row("down", mul(d_elem(A), w)) for A in qualifying]
         caps = {}
         for A, row_a in zip(qualifying, below):
@@ -846,7 +962,8 @@ def _verify_strip_props(k, max_size, subsets, whole) -> list[CheckResult]:
                 members = A.members & B.members
                 if members not in caps:
                     cap = IndexSet._trusted(k, members)
-                    caps[members] = is_weak_strip(lam, cap), mul(d_elem(cap), w)
+                    cand = whole.position(mul(d_elem(cap), w))
+                    caps[members] = is_weak_strip(lam, cap), cand
                 is_strip, cand = caps[members]
                 ok = is_strip and whole.meet_of(row_a & row_b) == cand
                 meets.count() if ok else meets.fail(
@@ -864,12 +981,11 @@ def _verify_z_families(k, elements, upper, whole) -> list[CheckResult]:
     for u in elements:
         zs = z_sets(u)  # construction asserts closure and maxima
         closure.count()
-        # d_A u, up to min(L, 6) + k long, with its down row in the whole
-        # ball, and d_A^-1 u, once per member A; closed under intersection
-        plus = {A: mul(d_elem(IndexSet._trusted(k, A)), u) for A in zs.plus}
-        below = {A: whole.row("down", v) for A, v in plus.items()}
+        # d_A u, up to min(L, 6) + k long, at its position in the whole ball,
+        # and d_A^-1 u, once per member A; closed under intersection
+        plus = {A: whole.position(mul(d_elem(IndexSet._trusted(k, A)), u)) for A in zs.plus}
         for A, B in itertools.combinations(sorted(zs.plus, key=sorted), 2):
-            m = whole.meet_of(below[A] & below[B])
+            m = whole.meet_at(plus[A], plus[B])
             meets.count() if m == plus[A & B] else meets.fail(u=u, A=sorted(A), B=sorted(B))
         minus = {A: mul(inverse(d_elem(IndexSet._trusted(k, A))), u) for A in zs.minus}
         for A, B in itertools.combinations(sorted(zs.minus, key=sorted), 2):
@@ -986,10 +1102,13 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
     scans = {}
     for members in subsets:
         start = inverse(d_elem(IndexSet._trusted(k, members)))
-        by_value: dict[AffinePermutation, set[AffinePermutation]] = {}
-        for v, value in zip(wide, _hecke_values(right, start, up=True)):
+        by_value: dict[int | AffinePermutation, set[AffinePermutation]] = {}
+        for v, value in zip(wide, _hecke_values(order, right, start, up=True)):
             by_value.setdefault(value, set()).add(v)
-        inverted = ((inverse(value), vs) for value, vs in by_value.items())
+        inverted = (
+            (inverse(wide[value] if type(value) is int else value), vs)
+            for value, vs in by_value.items()
+        )
         scans[members] = {u: vs for u, vs in inverted if u in grassmannian}
     for u in gball:
         zs = z_sets(u)

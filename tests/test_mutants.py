@@ -1,0 +1,111 @@
+"""A fault table: which check catches which planted bug.
+
+Each mutant replaces one function by a wrong version of it, and names the
+suite configurations where it runs and the checks it must fail there.  The
+unmutated suites pass at those configurations, so a mutant that stops
+failing its checks means a refactor lost the sharing the check relied on:
+the table records, for instance, that the meets of `generator-actions`
+and of `interval-flip` both go through `_BallOrder.meet_of`.  A failure
+beyond the recorded checks is allowed; a recorded check that passes is not.
+"""
+
+from typing import Callable, NamedTuple
+
+import pytest
+
+from affineschur import verify
+from affineschur.verify import _BallOrder, verify_order_props
+
+SUITES = {"order-props": verify_order_props}
+
+
+class Mutant(NamedTuple):
+    name: str
+    owner: object  # the module or class holding the function
+    attribute: str
+    mutate: Callable  # original function -> its wrong version
+    suite: str
+    configs: tuple[tuple[int, int], ...]
+    checks: frozenset[str]
+
+
+def _meet_without_meet_test(original):
+    def meet_of(self, common):
+        return common.bit_length() - 1  # a longest common lower bound, meet or not
+
+    return meet_of
+
+
+def _join_without_least_test(original):
+    def join_at(self, a, b):
+        up = self._up_rows()
+        ubs = up[a] & up[b]
+        return (ubs & -ubs).bit_length() - 1  # a shortest common upper bound
+
+    return join_at
+
+
+def _seeds_one_right_step_off(original):
+    def seed_tables(order, right, size):
+        seeds, joins, meets = original(order, right, size)
+
+        def off(z):
+            t = order._neighbours("right", z)[0]
+            return z if t < 0 else t
+
+        return [[off(z) for z in row] for row in seeds], joins, meets
+
+    return seed_tables
+
+
+MUTANTS = [
+    Mutant(
+        "meet_of-without-meet-test",
+        _BallOrder,
+        "meet_of",
+        _meet_without_meet_test,
+        "order-props",
+        ((2, 4),),
+        frozenset({"interval-flip-anti-isomorphism", "generator-actions-preserve-meet-join"}),
+    ),
+    Mutant(
+        "join_at-without-least-test",
+        _BallOrder,
+        "join_at",
+        _join_without_least_test,
+        "order-props",
+        ((2, 4), (3, 4)),
+        frozenset({"generator-actions-preserve-meet-join"}),
+    ),
+    Mutant(
+        "seed-table-one-right-step-off",
+        verify,
+        "_seed_tables",
+        _seeds_one_right_step_off,
+        "order-props",
+        ((2, 4),),
+        frozenset(
+            {
+                "half-strong-join-minimal",
+                "half-strong-meet-maximal",
+                "join-seed-minimal-both-forms",
+            }
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "suite,k,L", sorted({(m.suite, k, L) for m in MUTANTS for k, L in m.configs})
+)
+def test_unmutated_suites_pass(suite, k, L):
+    assert [r.name for r in SUITES[suite](k, L) if not r.ok] == []
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_mutant_fails_its_recorded_checks(monkeypatch, mutant):
+    original = getattr(mutant.owner, mutant.attribute)
+    monkeypatch.setattr(mutant.owner, mutant.attribute, mutant.mutate(original))
+    for k, L in mutant.configs:
+        failing = {r.name for r in SUITES[mutant.suite](k, L) if not r.ok}
+        assert mutant.checks <= failing, (k, L, sorted(failing))

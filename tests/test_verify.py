@@ -11,6 +11,7 @@ from affineschur.affine import (
     ball,
     bruhat_leq,
     demazure,
+    flip,
     from_word,
     identity,
     inverse,
@@ -36,10 +37,13 @@ from affineschur.symfunc import SymElt
 from affineschur.verify import (
     CheckResult,
     _BallOrder,
+    _flip_images,
     _hecke_tables,
     _hecke_values,
+    _join_seed_sets,
     _mask,
     _prefix,
+    _seed_tables,
     ball_radii,
     verify_factorization,
     verify_fibers,
@@ -519,17 +523,48 @@ def test_prefix_is_the_smaller_ball_and_refuses_a_larger_one():
         _prefix(elements, 5)
 
 
-@pytest.mark.parametrize("k,L", [(2, 5), (3, 4)])
+def _values_as_elements(order, values):
+    """The elements that `_hecke_values` positions stand for."""
+    return [order._ball[v] if type(v) is int else v for v in values]
+
+
+@pytest.mark.parametrize("k,L", [(1, 4), (2, 5), (3, 4)])
 def test_hecke_recurrences_match_the_per_pair_products(k, L):
     """One generator step per ball element gives what the per-pair calls give."""
     elements = ball(k, L)
-    left, right = _BallOrder(elements).parents()
+    order = _BallOrder(elements)
+    left, right = order.parents()
+    left_the_ball = 0
     for x in _prefix(elements, 4):
-        assert _hecke_values(left, x, up=True) == [demazure(u, x) for u in elements]
-        assert _hecke_values(right, x, up=True) == [demazure(inverse(u), x) for u in elements]
-        assert _hecke_values(right, x, up=False) == [
+        up_left = _hecke_values(order, left, x, up=True)
+        up_right = _hecke_values(order, right, x, up=True)
+        down_right = _hecke_values(order, right, x, up=False)
+        assert _values_as_elements(order, up_left) == [demazure(u, x) for u in elements]
+        assert _values_as_elements(order, up_right) == [
+            demazure(inverse(u), x) for u in elements
+        ]
+        assert _values_as_elements(order, down_right) == [
             psi_apply(inverse(u), x, "left") for u in elements
         ]
+        # a value is its ball position, an element only where it leaves the
+        # ball, which only Demazure values do
+        assert all(type(v) is int for v in down_right), x
+        for values in (up_left, up_right):
+            outside = [v for v in values if type(v) is not int]
+            assert all(order.position(v) is None for v in outside), x
+            left_the_ball += len(outside)
+    assert left_the_ball
+
+
+def test_hecke_values_from_a_start_outside_the_ball():
+    """The fiber scan starts at d_A^-1, which can lie outside its ball; every
+    value then stays outside, as an element."""
+    elements = ball(1, 4)
+    order = _BallOrder(elements)
+    start = from_word(1, [0, 1, 0, 1, 0])
+    assert order.position(start) is None
+    values = _hecke_values(order, order.parents()[1], start, up=True)
+    assert values == [demazure(inverse(u), start) for u in elements]
 
 
 def test_join_seed_maps_leave_no_per_pair_memo():
@@ -577,13 +612,90 @@ def test_triple_ball_tables_match_the_per_pair_products(k, L):
     whole = _BallOrder(elements)
     triple_ball = _prefix(elements, min(L, 4 if k <= 2 else 3))
     at_inverse = [whole.position(inverse(x)) for x in triple_ball]
-    dem, psi = _hecke_tables(whole.prefix(wide_radius).parents(), triple_ball, at_inverse)
+    parents = whole.prefix(wide_radius).parents()
+    dem, psi = _hecke_tables(whole, parents, len(triple_ball), at_inverse)
     for j, w in enumerate(triple_ball):
-        assert dem[j] == [demazure(x, w) for x in triple_ball], w
-        assert psi[j] == [psi_apply(x, w, "left") for x in triple_ball], w
-    assert all(whole.position(v) is not None for values in dem for v in values)
+        assert _values_as_elements(whole, dem[j]) == [demazure(x, w) for x in triple_ball], w
+        assert _values_as_elements(whole, psi[j]) == [
+            psi_apply(x, w, "left") for x in triple_ball
+        ], w
+    assert all(type(v) is int for values in dem for v in values)
     if k == 1:
-        assert any(v.length > wide_radius for values in dem for v in values)
+        assert any(whole._lengths[v] > wide_radius for values in dem for v in values)
+
+
+def _join_seed_setup(k, L):
+    """The orders, 0-Hecke parents and seed-ball size of the join-seed block."""
+    radii = ball_radii("order-props", k, L)
+    elements = ball(k, max(radii))
+    whole = _BallOrder(elements)
+    upper = whole.prefix(max(radii[0], radii[2]))
+    parents = whole.prefix(radii[0]).parents()
+    return whole, upper, parents, len(_prefix(elements, min(L, 4)))
+
+
+@pytest.mark.parametrize("k,L", [(2, 5), (3, 4)])
+def test_seed_tables_equal_the_right_anti_demazure_seed(k, L):
+    """One right step per entry from the right parent's row gives the seed,
+    and so the half-strong join and meet, of every pair of the seed ball."""
+    whole, _, parents, n = _join_seed_setup(k, L)
+    seeds, joins, meets = _seed_tables(whole, parents[1], n)
+    elements = whole.elements
+    for y in elements[:n]:
+        for x in elements[:n]:
+            b, a = whole.position(y), whole.position(x)
+            seed = psi_apply(inverse(y), x, "right")
+            assert elements[seeds[b][a]] == seed, (x, y)
+            assert elements[joins[b][a]] == s_join_L(x, y) == mul(seed, y), (x, y)
+            assert elements[meets[b][a]] == meet_LS(x, y) == mul(inverse(seed), x), (x, y)
+
+
+@pytest.mark.parametrize("k,L", [(2, 5), (3, 4)])
+def test_join_seed_sets_equal_the_per_group_scan(k, L):
+    """The spread rows against one order test per (x, y, value group), with
+    the values from the per-pair `demazure` and `psi_apply` calls."""
+    whole, upper, parents, n = _join_seed_setup(k, L)
+    dsets, esets = _join_seed_sets(whole, upper, parents, n)
+    domain, seed_ball = whole.elements[: len(parents[0]) + 1], whole.elements[:n]
+
+    def groups(value_of):
+        by_value = {}
+        for u, element in enumerate(domain):
+            by_value.setdefault(value_of(element), []).append(u)
+        return [(whole.lift(value), _mask(us)) for value, us in by_value.items()]
+
+    lifted = 0
+    for b, y in enumerate(seed_ball):
+        dem = groups(lambda u: demazure(u, y))
+        lifted += sum(bool(letters) for (letters, _), _ in dem)
+        for a in range(n):
+            scan = 0
+            for (letters, q), row in dem:
+                if whole._lifted(q) >> whole.lower(a, letters) & 1:
+                    scan |= row
+            assert dsets[b][a] == scan, (a, b)
+    assert lifted  # some Demazure values leave the whole ball
+    for a, x in enumerate(seed_ball):
+        psi = groups(lambda u: psi_apply(inverse(u), x, "left"))
+        for b, y in enumerate(seed_ball):
+            scan = 0
+            for (letters, q), row in psi:
+                assert not letters
+                if bruhat_leq(whole.elements[q], y):
+                    scan |= row
+            assert esets[a][b] == scan, (a, b)
+
+
+@pytest.mark.parametrize("k,L", [(2, 5), (3, 4)])
+def test_flip_images_equal_the_kernel_flip(k, L):
+    elements = ball(k, L)
+    order = _BallOrder(elements)
+    for c, z in enumerate(elements):
+        images = _flip_images(order, c)
+        interval = [x for x in elements if weak_leq(x, z, "left")]
+        assert sorted(images) == [order.position(x) for x in interval], z
+        for x in interval:
+            assert elements[images[order.position(x)]] == flip(z, x), (z, x)
 
 
 def test_weak_order_against_a_product_is_a_length_sum():
