@@ -21,11 +21,12 @@ read in the whole ball; only up rows and joins depend on a radius.
 
 So a check computes each product, Demazure value and order row once per
 element or index set and reads its instances off them: two values in the
-ball compare by one bit of a lifted row, and a weak comparison is the
-length sum x <=_L w iff l(w x^-1) + l(x) = l(w), which for w = a x reads
-l(a) + l(x) = l(a x).  The memoised per-pair `demazure`, `psi_apply`,
-`weak_leq` and `bruhat_leq` stay the oracles these readings are tested
-against.
+ball compare by one bit of a lifted row, and a weak comparison is a test
+of inversion rows (`_inversion_rows`), l(u v) = l(u) + l(v) iff
+T_R(u) & T_L(v) = 0, or the length sum l(a) + l(x) = l(a x) where a x is
+formed anyway.  The per-pair kernel calls, `mul` and the memoised
+`demazure`, `psi_apply`, `weak_leq` and `bruhat_leq`, stay the oracles
+these readings are tested against.
 
 The symmetric-function suites share work the same way: each partition's
 weak strips are grown once, to level k (`shapes.StripGrowth`), and every r
@@ -54,7 +55,6 @@ from .affine import (
     is_affine_reflection,
     left_mul_s,
     mul,
-    psi_apply,
 )
 from .kcode import d_elem, eval_code, first_row, rd, ri
 from .oracles import (
@@ -186,12 +186,14 @@ def _mask(positions: list[int]) -> int:
     return int.from_bytes(buf, "little")
 
 
+# the set bits of each byte value, so that a byte costs one step per set bit
+_BYTE_BITS = [tuple(j for j in range(8) if byte >> j & 1) for byte in range(256)]
+
+
 def _positions(row: int) -> list[int]:
     """Positions of the set bits of a bitset, in increasing order."""
     data = row.to_bytes((row.bit_length() + 7) // 8, "little")
-    return [
-        8 * b + j for b, byte in enumerate(data) if byte for j in range(8) if byte >> j & 1
-    ]
+    return [8 * b + j for b, byte in enumerate(data) if byte for j in _BYTE_BITS[byte]]
 
 
 # weak row kind -> (side of its generator steps, whether the row lies above x)
@@ -530,6 +532,97 @@ def _hecke_tables(
     return dem, psi
 
 
+def _inversion_rows(
+    order: _BallOrder,
+    parents: tuple[list[tuple[int, int]], list[tuple[int, int]]],
+    size: int,
+) -> tuple[list[int], list[int]]:
+    """Left and right inversion sets of the first `size` elements of
+    `order`'s ball, as bitsets over an index of affine reflections.
+
+    T_L(u) = {t : l(t u) < l(u)} and T_R(u) = {t : l(u t) < l(u)}.  For u s_j
+    longer than u, T_L(u s_j) is T_L(u) with u s_j u^-1 added, and for s_i u
+    longer than u, T_R(s_i u) is T_R(u) with u^-1 s_i u added (Bjorner-Brenti,
+    GTM 231, Sec. 1.4), so each row is its right (left) parent's row and one
+    bit; `parents` are the ball's (`_BallOrder.parents`).  Then
+    l(u v) = l(u) + l(v) - 2 |T_R(u) & T_L(v)|, and u <=_L v iff T_R(u) is a
+    subset of T_R(v) (ibid., Sec. 3.1).  The reflection that swaps a + m n
+    and b + m n for every m is labelled by (a, b), a < b, shifted so that
+    1 <= a <= n.  The prefix need only be closed downwards.
+    """
+    ball, (left, right) = order._ball, parents
+    n = len(ball[0].window)
+    index: dict[tuple[int, int], int] = {}
+
+    def bit(a: int, b: int) -> int:
+        a, b = min(a, b), max(a, b)
+        shift = (a - 1) // n * n
+        return 1 << index.setdefault((a - shift, b - shift), len(index))
+
+    t_left, t_right = [0], [0]
+    for (r, j), (q, i) in zip(right[: size - 1], left[: size - 1]):
+        # u s_j u^-1 swaps u(j) and u(j+1), where u(0) = u(n) - n
+        win = ball[r].window
+        t = bit(win[-1] - n, win[0]) if j == 0 else bit(win[j - 1], win[j])
+        t_left.append(t_left[r] | t)
+        # u^-1 s_i u swaps u^-1(i) and u^-1(i+1); u(c) = v gives
+        # u^-1(v + m n) = c + m n
+        offset = {v % n: c + 1 - v for c, v in enumerate(ball[q].window)}
+        t_right.append(t_right[q] | bit(i + offset[i], i + 1 + offset[(i + 1) % n]))
+    return t_left, t_right
+
+
+def _product_table(
+    order: _BallOrder, left: list[tuple[int, int]], size: int
+) -> list[list[int]]:
+    """prod[y][z], the position of y z for y and z among the first `size`
+    elements of `order`'s ball.
+
+    `left` are the ball's left parents (`_BallOrder.parents`): for y = s_i y',
+    y z = s_i (y' z) is one left step from the row of y'.  Each entry is at
+    most twice the prefix's radius long, so a ball of that radius holds it.
+    """
+    prod = [list(range(size))]
+    for q, i in left[: size - 1]:
+        prod.append([order._neighbours("left", p)[i] for p in prod[q]])
+    return prod
+
+
+def _quotient(order: _BallOrder, side: str, p: int, letters) -> int | None:
+    """Position that the element u at p reaches by one generator step per
+    letter on `side`, or None at the first step that does not shorten it.
+
+    Each step changes the length by one.  So for a = s_{i_1} ... s_{i_l}
+    reduced, the right steps i_l, ..., i_1 reach u a^-1 and all shorten iff
+    a <=_L u, and the left steps i_1, ..., i_l reach a^-1 u and all shorten
+    iff a <=_R u.  Shorter elements come earlier in any ball that holds u.
+    """
+    for i in letters:
+        t = order._neighbours(side, p)[i]
+        if not 0 <= t < p:
+            return None
+        p = t
+    return p
+
+
+def _generator_steps(order: _BallOrder, size: int, up: bool) -> list[list[int]]:
+    """phi_i(u) = max(u, s_i u) if `up`, else psi_i(u) = min(u, s_i u), as
+    positions: steps[i][p] for every letter i and the element u at each
+    p < size of `order`'s ball.
+
+    A psi_i value is no longer than u, so it lies in the prefix, which is
+    closed downwards; a phi_i value outside the ball raises.
+    """
+    columns = list(zip(*(order._neighbours("left", p) for p in range(size))))
+    if up and any(t < 0 for column in columns for t in column):
+        raise ValueError("a generator step leaves the ball")
+    # the ball is sorted by length, so s_i u is longer than u iff it comes later
+    return [
+        [t if (t > p if up else 0 <= t < p) else p for p, t in enumerate(column)]
+        for column in columns
+    ]
+
+
 def _seed_tables(
     order: _BallOrder, right: list[tuple[int, int]], size: int
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -593,6 +686,7 @@ def _join_seed_sets(
     upper: _BallOrder,
     parents: tuple[list[tuple[int, int]], list[tuple[int, int]]],
     size: int,
+    psi: list[list[int]],
 ) -> tuple[list[list[int]], list[list[int]]]:
     """The join-seed sets, both forms, as rows over the ball of `parents`,
     for x and y among the first `size` elements of `whole`'s ball:
@@ -603,7 +697,10 @@ def _join_seed_sets(
     spread (`_spread`) over every x below its value at once, read off the
     value's down row, or over every y above it, read off its up row in
     `upper`.  A Demazure value outside the whole ball is lifted into it
-    (`lift`), and each x is compared with it by `lower`.
+    (`lift`), and compared with every x at once: the x are lowered through
+    the lift's letters, as `lower` does, by the psi_i lists `psi`
+    (`_generator_steps` over at least the prefix), once per distinct
+    letter sequence.
     """
 
     def groups(values):
@@ -613,6 +710,8 @@ def _join_seed_sets(
         return us.items()
 
     left, right = parents
+    lowered: dict[tuple[int, ...], list[int]] = {}  # letters -> where each x goes
+    prefix = (1 << size) - 1
     dsets = []
     for y in whole._ball[:size]:
         spread = []
@@ -621,8 +720,15 @@ def _join_seed_sets(
                 xs = whole._lifted(value)
             else:
                 letters, q = whole.lift(value)
-                below = whole._lifted(q)
-                xs = _mask([x for x in range(size) if below >> whole.lower(x, letters) & 1])
+                key = tuple(letters)
+                if key not in lowered:
+                    ps = list(range(size))
+                    for i in letters:
+                        step = psi[i]
+                        ps = [step[p] for p in ps]
+                    lowered[key] = ps
+                below = whole._lifted(q) & prefix  # the x are lowered inside the prefix
+                xs = _mask([x for x, p in enumerate(lowered[key]) if below >> p & 1])
             spread.append((xs, _mask(us)))
         dsets.append(_spread(spread, size))
     up = upper._up_rows()
@@ -666,9 +772,20 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     rows, weak down rows, meets, members) read `whole`: all below x is
     shorter than x, so no order holding x answers them otherwise.  Up-set
     questions (up rows, left-up rows, joins) read `upper`, of radius
-    max(L+3, 2 min(L,6)).  Strong comparisons are bits of lifted rows; only
-    `bruhat-matches-subword-oracle`, whose subject it is, calls `bruhat_leq`.
-    Meets and joins are `meet_at`/`meet_of` and `join_at`, at positions.
+    max(L+3, 2 min(L,6)).  Strong comparisons are bits of lifted rows, read
+    from one list of them; only `bruhat-matches-subword-oracle`, whose
+    subject it is, calls `bruhat_leq`.  Meets and joins are
+    `meet_at`/`meet_of` and `join_at`, at positions.
+
+    The six triple-ball checks (`weak-order-triple-splitting` through
+    `demazure-monotone-in-actor`) and `generator-actions-preserve-meet-join`
+    make no kernel call per instance.  They read tables built once per sweep
+    along the ball's parents: Demazure values (`_hecke_tables`), products
+    (`_product_table`), inversion rows over the prefix of radius 2 t, t the
+    triple radius, with l(u v) = l(u) + l(v) - 2 |T_R(u) & T_L(v)| and
+    u <=_L v iff T_R(u) <= T_R(v) (`_inversion_rows`; Bjorner-Brenti, GTM 231,
+    Secs. 1.4 and 3.1), quotient walks (`_quotient`) and generator steps
+    (`_generator_steps`).  They need only a down-closed prefix, not a ball.
 
     The join-seed block (`half-strong-join-minimal`, `half-strong-meet-maximal`,
     `join-seed-minimal-both-forms`) and `interval-flip-anti-isomorphism` work
@@ -687,7 +804,8 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     """
     wide_radius, strip_radius, upper_radius = ball_radii("order-props", k, max_length)
     elements = ball(k, max(wide_radius, strip_radius, upper_radius))
-    triple_ball = _prefix(elements, min(max_length, 4 if k <= 2 else 3))
+    triple_radius = min(max_length, 4 if k <= 2 else 3)
+    triple_ball = _prefix(elements, triple_radius)
     seed_ball = _prefix(elements, min(max_length, 4))
     pair_ball = _prefix(elements, min(max_length, 5))
     six_ball = _prefix(elements, min(max_length, 6))
@@ -697,9 +815,13 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     subsets = proper_subsets(k)
     results = []
 
+    # strong comparisons are bits of the lifted down rows, which `upper`
+    # lifts for its up rows anyway
+    down = [whole._lifted(p) for p in range(len(upper.elements))]
+
     def leq(p, q):
         """Whether the element at ball position p is <= the one at q."""
-        return bool(whole._lifted(q) >> p & 1)
+        return bool(down[q] >> p & 1)
 
     r = CheckResult("bruhat-matches-subword-oracle")
     for v in subword_ball:
@@ -718,92 +840,80 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
             r.count() if leq(a, b) == by_reflection else r.fail(u=u, v=v)
     results.append(r)
 
-    # The six triple-ball checks read their Demazure values off one table
-    # per w (`_hecke_tables`) and compare them by a bit of a lifted row; the
-    # position lists hold where each value sits in the whole ball.  A weak
-    # comparison of an element with a product that contains it is a length
-    # sum: u <=_L a u iff l(a) + l(u) = l(a u), and u <=_R u a likewise.
-    parents = whole.prefix(wide_radius).parents()  # the range of the Hecke maps
+    # The tables of the six triple-ball checks and of the generator actions
+    # (see the docstring).  One parents() call serves the Hecke maps, over
+    # the wide ball, and the inversion rows, over the prefix of radius 2 t.
     size = len(triple_ball)
-    lengths = [x.length for x in triple_ball]
-    inverses = [inverse(x) for x in triple_ball]
-    at_inverse = [whole.position(xi) for xi in inverses]
+    parents = whole.prefix(max(wide_radius, 2 * triple_radius)).parents()
+    words = [()]  # (i_1, ..., i_l) for u = s_{i_1} ... s_{i_l}, off the left parents
+    at_inverse = [0]  # (s_i u)^-1 = u^-1 s_i
+    for q, i in parents[0][: size - 1]:
+        words.append((i,) + words[q])
+        at_inverse.append(whole._neighbours("right", at_inverse[q])[i])
+    backwards = [word[::-1] for word in words]
     dem_at, psi_at = _hecke_tables(whole, parents, size, at_inverse)
+    prod = _product_table(whole, parents[0], size)
+    t_left, t_right = _inversion_rows(whole, parents, len(_prefix(elements, 2 * triple_radius)))
+    psi = _generator_steps(whole, len(upper.elements), up=False)
 
     r = CheckResult("weak-order-triple-splitting")
-    # the lengths of y z do not depend on x; those of x (y z) depend on y z
-    # only through its value.  z <=_L y z, y z <=_L x (y z), y <=_L x y and
-    # z <=_L (x y) z are length sums
-    distinct: dict[AffinePermutation, int] = {}
-    products = []
-    for y in triple_ball:
-        yzs = [mul(y, z) for z in triple_ball]
-        products.append([distinct.setdefault(yz, len(distinct)) for yz in yzs])
-    yz_lengths = [yz.length for yz in distinct]
-    for a, x in zip(lengths, triple_ball):
-        xyz_lengths = [mul(x, yz).length for yz in distinct]
-        for b, y, ts in zip(lengths, triple_ball, products):
-            xy = mul(x, y).length
-            y_le = a + b == xy
-            for c, z, t in zip(lengths, triple_ball, ts):
-                lhs = b + c == yz_lengths[t] and a + yz_lengths[t] == xyz_lengths[t]
-                rhs = y_le and xy + c == xyz_lengths[t]
+    # z <=_L y z, y z <=_L x (y z), y <=_L x y and z <=_L (x y) z say that a
+    # product is reduced, T_R & T_L = 0, even where x y z leaves the ball
+    for a, x in enumerate(triple_ball):
+        r_x, xys = t_right[a], prod[a]
+        for b, y in enumerate(triple_ball):
+            y_le = not r_x & t_left[b]
+            r_y, r_xy = t_right[b], t_right[xys[b]]
+            for z, l_z, yz in zip(triple_ball, t_left, prod[b]):
+                lhs = not r_y & l_z and not r_x & t_left[yz]
+                rhs = y_le and not r_xy & l_z
                 r.count() if lhs == rhs else r.fail(x=x, y=y, z=z)
     results.append(r)
 
     r = CheckResult("demazure-product-factors")
-    # with z = x' y = x y', x <=_R z, x' <=_R z, y <=_L z and y' <=_L z are
-    # the length sums l(z) = l(x) + l(y') = l(x') + l(y)
+    # with z = x' y = x y', y <=_L z and x <=_R z hold iff the walks from z
+    # to x' = z y^-1 and to y' = x^-1 z descend all the way
     for i, x in enumerate(triple_ball):
         for j, y in enumerate(triple_ball):
-            z = elements[dem_at[j][i]]
-            xp = mul(z, inverses[j])
-            yp = mul(inverses[i], z)
-            good = (
-                z.length == x.length + yp.length == xp.length + y.length
-                and leq(whole.position(xp), i)
-                and leq(whole.position(yp), j)
-            )
-            r.count() if good else r.fail(x=x, y=y, z=z)
+            z = dem_at[j][i]
+            xp = _quotient(whole, "right", z, backwards[j])
+            yp = _quotient(whole, "left", z, words[i])
+            good = xp is not None and yp is not None and leq(xp, i) and leq(yp, j)
+            r.count() if good else r.fail(x=x, y=y, z=elements[z])
     results.append(r)
 
     r = CheckResult("anti-demazure-factors")
-    # with y = x'^-1 z, z <=_L y and x'^-1 <=_R y are l(y) = l(x') + l(z)
+    # with y = x'^-1 z, z <=_L y iff the walk from y^-1 to x' = z y^-1 descends
     for i, x in enumerate(triple_ball):
         for j, y in enumerate(triple_ball):
-            z = elements[psi_at[j][i]]
-            xp = mul(z, inverses[j])
-            good = leq(whole.position(xp), i) and y.length == xp.length + z.length
-            r.count() if good else r.fail(x=x, y=y, z=z)
+            z = psi_at[j][i]  # no longer than y, so in the triple ball
+            xp = _quotient(whole, "left", at_inverse[j], backwards[z])
+            good = xp is not None and leq(xp, i)
+            r.count() if good else r.fail(x=x, y=y, z=elements[z])
     results.append(r)
 
     r = CheckResult("demazure-actions-monotone")
-    # an anti-Demazure value is no longer than w, so it lies in the triple ball
+    # an anti-Demazure value is no longer than w, so it lies in the triple
+    # ball; w <=_L demazure(x, w) and psi_apply(x, w) <=_L w are subset tests
     for i, x in enumerate(triple_ball):
         xi = at_inverse[i]
         for j, w in enumerate(triple_ball):
-            up = elements[dem_at[j][i]]
-            dn = elements[psi_at[j][i]]
-            good = (
-                mul(up, inverses[j]).length + w.length == up.length
-                and mul(w, inverses[psi_at[j][i]]).length + dn.length == w.length
-            )
+            up, r_w = dem_at[j][i], t_right[j]
+            good = not r_w & ~t_right[up] and not t_right[psi_at[j][i]] & ~r_w
             if good:
                 b = psi_at[j][xi]  # psi_apply(x^-1, w)
                 good = leq(j, dem_at[b][i])
             if good:
-                u = dem_at[j][i]
-                if u < size:
-                    q = psi_at[u][xi]
-                else:  # demazure(x, w) is longer than the tables reach
-                    q = whole.position(psi_apply(inverses[i], up, "left"))
+                q = up  # psi_apply(x^-1, up): the psi steps along the word of x
+                for letter in words[i]:
+                    q = psi[letter][q]
                 good = leq(q, j)
             r.count() if good else r.fail(x=x, w=w)
     results.append(r)
 
     r = CheckResult("demazure-preserves-order")
     # the pairs v <= w of the triple ball, in the order of the loops over v and w
-    pairs = sorted((v, w) for w in range(size) for v in _positions(whole._lifted(w)))
+    pairs = sorted((v, w) for w in range(size) for v in _positions(down[w]))
     for i, x in enumerate(triple_ball):
         for v, w in pairs:
             good = leq(dem_at[v][i], dem_at[w][i]) and leq(psi_at[v][i], psi_at[w][i])
@@ -820,30 +930,28 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
 
     r = CheckResult("generator-actions-preserve-meet-join")
     # phi_i(u) = demazure(s_i, u) = max(u, s_i u) and psi_i(u) = min(u, s_i u)
-    # are one left step at ball positions; meets are read in `whole` and
-    # joins in `upper`, both at positions
-    lengths = whole._lengths
-
-    def step(p, i, up):
-        t = whole._neighbours("left", p)[i]
-        if t < 0:  # s_i u is longer than u and lies outside the whole ball
-            if up:
-                raise ValueError(f"s_{i} {whole._ball[p]!r} lies outside the ball")
-            return p
-        return t if (lengths[t] > lengths[p]) == up else p
-
+    # as position lists; meets are read in `whole` and joins in `upper`.  Both
+    # maps are two-to-one, so each stepped pair is met or joined once per letter
+    phi = _generator_steps(whole, len(pair_ball), up=True)
     # the meet and the join of a pair do not depend on i
     pairs = []
     for a, v in enumerate(pair_ball):
         for b, w in enumerate(pair_ball):
             pairs.append((v, w, a, b, whole.meet_at(a, b), upper.join_at(a, b)))
-    for i in range(k + 1):
+    for i, (phi_i, psi_i) in enumerate(zip(phi, psi)):
+        stepped_meets, stepped_joins = {}, {}
         for v, w, a, b, m, top in pairs:
             if m is not None:
-                good = whole.meet_at(step(a, i, True), step(b, i, True)) == step(m, i, True)
+                key = phi_i[a], phi_i[b]
+                if key not in stepped_meets:
+                    stepped_meets[key] = whole.meet_at(*key)
+                good = stepped_meets[key] == phi_i[m]
                 r.count() if good else r.fail(kind="meet", i=i, v=v, w=w)
             if top is not None:
-                good = upper.join_at(step(a, i, False), step(b, i, False)) == step(top, i, False)
+                key = psi_i[a], psi_i[b]
+                if key not in stepped_joins:
+                    stepped_joins[key] = upper.join_at(*key)
+                good = stepped_joins[key] == psi_i[top]
                 r.count() if good else r.fail(kind="join", i=i, v=v, w=w)
     results.append(r)
 
@@ -868,20 +976,22 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     # both forms are rows over the ball of the 0-Hecke maps (`_join_seed_sets`).
     n = len(seed_ball)
     seeds, joins, meets = _seed_tables(whole, parents[1], n)
-    dsets, esets = _join_seed_sets(whole, upper, parents, n)
+    wide = len(_prefix(elements, wide_radius))
+    hecke_parents = tuple(side[: wide - 1] for side in parents)
+    dsets, esets = _join_seed_sets(whole, upper, hecke_parents, n, psi)
     up_rows = upper._up_rows()
-    below = [whole._lifted(p) for p in range(n)]
+    lengths = whole._lengths
     left_up = [upper.row("left-up", y) for y in seed_ball]
     left_down = [whole.row("left-down", x) for x in seed_ball]
     for x in range(n):
         for y in range(n):
             z, j, m = seeds[y][x], joins[y][x], meets[y][x]
-            ok = whole._lifted(j) >> x & 1 and lengths[z] + lengths[y] == lengths[j]
+            ok = down[j] >> x & 1 and lengths[z] + lengths[y] == lengths[j]
             ok = ok and not up_rows[x] & left_up[y] & ~up_rows[j]
             r.count() if ok else r.fail(x=elements[x], y=elements[y], join=elements[j])
 
-            ok = lengths[z] + lengths[m] == lengths[x] and below[y] >> m & 1
-            ok = ok and not left_down[x] & below[y] & ~whole._lifted(m)
+            ok = lengths[z] + lengths[m] == lengths[x] and down[y] >> m & 1
+            ok = ok and not left_down[x] & down[y] & ~down[m]
             r2.count() if ok else r2.fail(x=elements[x], y=elements[y], meet=elements[m])
 
             dset = dsets[y][x]

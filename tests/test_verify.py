@@ -15,9 +15,11 @@ from affineschur.affine import (
     from_word,
     identity,
     inverse,
+    left_mul_s,
     meet_LS,
     mul,
     psi_apply,
+    reduced_word,
     s_join_L,
     weak_leq,
 )
@@ -38,11 +40,15 @@ from affineschur.verify import (
     CheckResult,
     _BallOrder,
     _flip_images,
+    _generator_steps,
     _hecke_tables,
     _hecke_values,
+    _inversion_rows,
     _join_seed_sets,
     _mask,
     _prefix,
+    _product_table,
+    _quotient,
     _seed_tables,
     ball_radii,
     verify_factorization,
@@ -602,17 +608,21 @@ def test_a0_conditions_read_every_r_off_one_pass():
                 ), (u, w, r)
 
 
-@pytest.mark.parametrize("k,L", [(1, 4), (2, 5), (3, 3)])
+@pytest.mark.parametrize("k,L", [(1, 4), (2, 5), (3, 3), (3, 4)])
 def test_triple_ball_tables_match_the_per_pair_products(k, L):
     """The tables of the triple-ball checks, where some values leave the ball
     of the parents at (1,4); the whole ball, which reaches the radius of the
-    joins, holds them all."""
+    joins, holds them all.  The inversion rows, the products, the quotient
+    walks and the generator steps against the kernel, over the prefix of
+    radius 2 t, t the triple radius."""
     wide_radius, strip_radius, upper_radius = ball_radii("order-props", k, L)
     elements = ball(k, max(wide_radius, strip_radius, upper_radius))
     whole = _BallOrder(elements)
-    triple_ball = _prefix(elements, min(L, 4 if k <= 2 else 3))
+    triple_radius = min(L, 4 if k <= 2 else 3)
+    triple_ball = _prefix(elements, triple_radius)
+    double = _prefix(elements, 2 * triple_radius)
     at_inverse = [whole.position(inverse(x)) for x in triple_ball]
-    parents = whole.prefix(wide_radius).parents()
+    parents = whole.prefix(max(wide_radius, 2 * triple_radius)).parents()
     dem, psi = _hecke_tables(whole, parents, len(triple_ball), at_inverse)
     for j, w in enumerate(triple_ball):
         assert _values_as_elements(whole, dem[j]) == [demazure(x, w) for x in triple_ball], w
@@ -622,6 +632,43 @@ def test_triple_ball_tables_match_the_per_pair_products(k, L):
     assert all(type(v) is int for values in dem for v in values)
     if k == 1:
         assert any(whole._lengths[v] > wide_radius for values in dem for v in values)
+
+    # l(u v) = l(u) + l(v) - 2 |T_R(u) & T_L(v)|, and u <=_L v iff T_R(u) <= T_R(v)
+    t_left, t_right = _inversion_rows(whole, parents, len(double))
+    for a, u in enumerate(double):
+        for b, v in enumerate(double):
+            common = (t_right[a] & t_left[b]).bit_count()
+            assert u.length + v.length - 2 * common == mul(u, v).length, (u, v)
+            assert (not t_right[a] & ~t_right[b]) == weak_leq(u, v, "left"), (u, v)
+    prod = _product_table(whole, parents[0], len(triple_ball))
+    for b, y in enumerate(triple_ball):
+        assert [elements[p] for p in prod[b]] == [mul(y, z) for z in triple_ball], y
+    # z y^-1 where y <=_L z and x^-1 z where x <=_R z, else no quotient
+    for c, z in enumerate(double):
+        for x in triple_ball:
+            word = reduced_word(x).letters
+            right = _quotient(whole, "right", c, word[::-1])
+            left = _quotient(whole, "left", c, word)
+            if weak_leq(x, z, "left"):
+                assert elements[right] == mul(z, inverse(x)), (z, x)
+            else:
+                assert right is None, (z, x)
+            if weak_leq(x, z, "right"):
+                assert elements[left] == mul(inverse(x), z), (z, x)
+            else:
+                assert left is None, (z, x)
+    # a max step from the longest elements leaves the ball
+    inner = _prefix(elements, elements[-1].length - 1)
+    phi = _generator_steps(whole, len(inner), up=True)
+    psi = _generator_steps(whole, len(elements), up=False)
+    for p, u in enumerate(elements):
+        for i in range(k + 1):
+            pair = (u, left_mul_s(u, i))
+            if p < len(inner):
+                assert elements[phi[i][p]] == max(pair, key=lambda v: v.length), (u, i)
+            assert elements[psi[i][p]] == min(pair, key=lambda v: v.length), (u, i)
+    with pytest.raises(ValueError, match="leaves the ball"):
+        _generator_steps(whole, len(elements), up=True)
 
 
 def _join_seed_setup(k, L):
@@ -655,7 +702,7 @@ def test_join_seed_sets_equal_the_per_group_scan(k, L):
     """The spread rows against one order test per (x, y, value group), with
     the values from the per-pair `demazure` and `psi_apply` calls."""
     whole, upper, parents, n = _join_seed_setup(k, L)
-    dsets, esets = _join_seed_sets(whole, upper, parents, n)
+    dsets, esets = _join_seed_sets(whole, upper, parents, n, _generator_steps(whole, n, up=False))
     domain, seed_ball = whole.elements[: len(parents[0]) + 1], whole.elements[:n]
 
     def groups(value_of):
@@ -736,6 +783,20 @@ def test_triple_ball_checks_make_no_memoised_call_per_instance():
     verify_order_props(2, 4)
     assert affine.demazure.cache_info().currsize == 0
     assert affine.weak_leq.cache_info().currsize == 0
+
+
+def test_order_props_forms_no_kernel_product_per_triple(monkeypatch):
+    """The triple-ball checks and the generator actions read tables built
+    once per sweep; the products left belong to other checks."""
+    calls = []
+
+    def counting(u, v):
+        calls.append((u, v))
+        return mul(u, v)
+
+    monkeypatch.setattr(verify, "mul", counting)
+    verify_order_props(2, 5)
+    assert len(calls) < 1500
 
 
 def test_order_props_transposes_one_table(monkeypatch):
