@@ -73,7 +73,6 @@ from .symfunc import (
     h_to_g,
     h_to_ks,
     ks_to_h,
-    kschur_rectangle_check,
     kschur_top_degree_check,
     pieri_kk,
     pieri_kschur,

@@ -17,11 +17,11 @@ oracles of the step-by-step strip, Z-set and fiber decisions, and the pair
 scan is the oracle of the bitset closure check of `orderlab`.  The scans of
 the residue subsets, one generator run each, are the oracles of the grown
 Z-set families, weak strips and set-valued strips.  The product that
-applies each h monomial on its own is the oracle of the prefix-trie walk of
+applies each h monomial on its own is the oracle of the table walk of
 `symfunc`.  The rotation s_i -> s_{i+t} of a reduced word is the oracle of
 the rectangle-union lemma w_{R_t u lam} = f_t(w_lam) w_{R_t}, and the
-whole product gtilde(R_t) gtilde(lam) the oracle of the per-rectangle rows
-the factorization sweep of `verify` sums.
+whole products gtilde(R_t) gtilde(lam) and s_{R_t} s_lam are the oracles of
+the sums the factorization sweep of `verify` reads off its shared tables.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .partitions import (
     union_sort,
 )
 from .shapes import _core_rows, bounded_to_perm, core_action, is_weak_strip
-from .symfunc import SymElt, gtilde, h_monomial_mult, product_g
+from .symfunc import SymElt, gtilde, h_monomial_mult, product_g, product_ks
 
 __all__ = [
     "subword_lower_set",
@@ -74,6 +74,7 @@ __all__ = [
     "product_via_h_by_monomial",
     "shift_ft",
     "gtilde_factorize_check",
+    "kschur_rectangle_check",
 ]
 
 
@@ -416,8 +417,8 @@ def setvalued_strips_by_scan(
 
 def product_via_h_by_monomial(a: SymElt, b: SymElt, to_h) -> SymElt:
     """a*b with a expanded in h by `to_h` and each h monomial applied to b on
-    its own; the oracle of `symfunc._product_via_h`, which walks the
-    monomials as a prefix trie."""
+    its own; the oracle of `symfunc._product_via_h`, which reads them from a
+    table of b h_nu built one Pieri step per entry."""
     in_h: dict[tuple[int, ...], int] = {}
     for parts, c in a.as_mapping().items():
         for hparts, hc in to_h(KBoundedPartition(a.k, parts)).as_mapping().items():
@@ -447,4 +448,13 @@ def gtilde_factorize_check(lam: KBoundedPartition, t: int) -> bool:
     rect = k_rectangle(t, lam.k)
     lhs = gtilde(union_sort(rect, lam))
     rhs = product_g(gtilde(rect), gtilde(lam))
+    return lhs == rhs
+
+
+def kschur_rectangle_check(lam: KBoundedPartition, t: int) -> bool:
+    """Whether the homogeneous basis element of the rectangle-union equals
+    the whole product of the rectangle's and lam's elements."""
+    rect = k_rectangle(t, lam.k)
+    lhs = SymElt._trusted(lam.k, "ks", {union_sort(rect, lam).parts: 1})
+    rhs = product_ks(*(SymElt._trusted(lam.k, "ks", {mu.parts: 1}) for mu in (rect, lam)))
     return lhs == rhs

@@ -18,11 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .partitions import (
-    KBoundedPartition,
-    k_rectangle,
-    union_sort,
-)
+from .partitions import KBoundedPartition
 from .shapes import (
     StripGrowth,
     _core_rows,
@@ -53,7 +49,6 @@ __all__ = [
     "gtilde_pieri_direct",
     "gtilde_pieri_ie",
     "expand_gtilde_combination",
-    "kschur_rectangle_check",
     "kschur_top_degree_check",
 ]
 
@@ -317,13 +312,46 @@ def _top_degree(elt: SymElt) -> int:
     return max(map(sum, elt._terms), default=0)
 
 
+def _h_expansion(elt: SymElt, to_h) -> dict[tuple[int, ...], int]:
+    """The h expansion of elt, given `to_h`: a basis element in h."""
+    in_h: dict[tuple[int, ...], int] = {}
+    for parts, c in elt._terms.items():
+        _accumulate(in_h, to_h(KBoundedPartition._trusted(elt.k, parts))._terms, c)
+    return in_h
+
+
+def _h_combination(in_h: dict, table: dict, basis: str, k: int) -> dict[tuple[int, ...], int]:
+    """The terms of the sum of c b h_nu over the terms c h_nu of in_h.
+
+    `table` maps descending h monomials nu to b h_nu in the basis, and
+    table[()] holds b's terms.  A missing entry is one Pieri step from the
+    entry for nu less its last part (h_{nu_1} is applied first), and is kept
+    in the table, so products that share a table form each b h_nu once.
+    """
+    rule = _pieri_rule(basis)
+    acc: dict[tuple[int, ...], int] = {}
+    for nu, c in in_h.items():
+        if not c:
+            continue
+        entry = table.get(nu)
+        if entry is None:
+            n = len(nu) - 1
+            while nu[:n] not in table:  # the longest prefix held; () always is
+                n -= 1
+            entry = table[nu[:n]]
+            for i in range(n, len(nu)):
+                entry = table[nu[: i + 1]] = _pieri_step(entry, rule, k, nu[i])
+        _accumulate(acc, entry, c)
+    return acc
+
+
 def _product_via_h(a: SymElt, b: SymElt, to_h) -> SymElt:
     """a*b: expand one factor in h, then apply its h monomials to the other
     by Pieri.
 
     The product commutes, so the factor of lower top degree is expanded:
-    its h expansion inverts a smaller transition.  The monomials are walked
-    in lexicographic order as a prefix trie of their descending steps, so a
+    its h expansion inverts a smaller transition.  The monomials are read
+    from a table of b h_nu local to the product (`_h_combination`), so a
     prefix of Pieri steps that several monomials share is applied once.
     The one-monomial-at-a-time fold is the test oracle
     `oracles.product_via_h_by_monomial`.
@@ -331,25 +359,9 @@ def _product_via_h(a: SymElt, b: SymElt, to_h) -> SymElt:
     a._check_compatible(b)
     if _top_degree(a) > _top_degree(b):
         a, b = b, a
-    rule = _pieri_rule(b.basis)
-    in_h: dict[tuple[int, ...], int] = {}
-    for parts, c in a._terms.items():
-        _accumulate(in_h, to_h(KBoundedPartition._trusted(a.k, parts))._terms, c)
-    acc: dict[tuple[int, ...], int] = {}
-    # path[i] is b times the first i steps of the previous monomial
-    path, previous = [b._terms], ()
-    for hparts in sorted(hp for hp, hc in in_h.items() if hc):
-        shared = 0
-        for x, y in zip(previous, hparts):
-            if x != y:
-                break
-            shared += 1
-        del path[shared + 1 :]
-        for r in hparts[shared:]:
-            path.append(_pieri_step(path[-1], rule, a.k, r))
-        previous = hparts
-        _accumulate(acc, path[-1], in_h[hparts])
-    return SymElt._trusted(a.k, a.basis, acc)
+    return SymElt._trusted(
+        a.k, a.basis, _h_combination(_h_expansion(a, to_h), {(): b._terms}, b.basis, a.k)
+    )
 
 
 def product_g(a: SymElt, b: SymElt) -> SymElt:
@@ -487,14 +499,6 @@ def expand_gtilde_combination(
         for mu in bruhat_lower_partitions(KBoundedPartition._trusted(k, parts)):
             acc[mu.parts] = acc.get(mu.parts, 0) + c
     return SymElt._trusted(k, "g", acc)
-
-
-def kschur_rectangle_check(lam: KBoundedPartition, t: int) -> bool:
-    """Whether the homogeneous basis element of the rectangle-union factors."""
-    rect = k_rectangle(t, lam.k)
-    lhs = SymElt._trusted(lam.k, "ks", {union_sort(rect, lam).parts: 1})
-    rhs = product_ks(*(SymElt._trusted(lam.k, "ks", {mu.parts: 1}) for mu in (rect, lam)))
-    return lhs == rhs
 
 
 def kschur_top_degree_check(lam: KBoundedPartition) -> bool:

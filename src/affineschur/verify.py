@@ -32,9 +32,14 @@ The symmetric-function suites share work the same way: each partition's
 weak strips are grown once, to level k (`shapes.StripGrowth`), and every r
 of both Pieri forms is read off that growth.  The rectangle factorization
 reads gtilde(R_t) gtilde(lam) as the sum of the rows g_mu gtilde(R_t) over
-the strong ideal below lam, each row one product per (t, mu) for the
-sweep; a failing instance reports the row sum it compared.  The whole
-product, `oracles.gtilde_factorize_check`, is the test oracle of the rows.
+the strong ideal below lam, one row per (t, mu), and s_{R_t} s_lam as one
+sum per (t, lam).  Each expands its factor of lower top degree in h and
+reads the other factor b times each h monomial from b's table of Pieri
+products (`symfunc._h_combination`): one table per rectangle and basis for
+the whole sweep and one per partition for its t loop, so each b h_nu is
+one Pieri step per sweep.  A failing instance reports the row sum it
+compared.  The whole products, `oracles.gtilde_factorize_check` and
+`oracles.kschur_rectangle_check`, are the test oracles of the sums.
 """
 
 from __future__ import annotations
@@ -83,12 +88,14 @@ from .symfunc import (
     _accumulate,
     _gtilde_pieri_ie,
     _gtilde_pieri_union,
+    _h_expansion,
     _in_term_order,
     bruhat_lower_partitions,
     expand_gtilde_combination,
+    g_to_h,
     gtilde,
     h_mult,
-    kschur_rectangle_check,
+    ks_to_h,
     kschur_top_degree_check,
     product_ks,
 )
@@ -1382,22 +1389,40 @@ def verify_factorization(k: int, max_size: int) -> list[CheckResult]:
     ie_shift = CheckResult("rectangle-union-shifts-ie-labels")
     lams = kbounded_partitions(k, max_size)
     rects = {t: k_rectangle(t, k) for t in range(1, k + 1)}
-    rect_gtildes = {t: gtilde(rect) for t, rect in rects.items()}
     # gtilde(lam) is the sum of g_mu over mu below lam, so gtilde(R_t) gtilde(lam)
-    # is the sum of the rows g_mu gtilde(R_t), each made once per (t, mu)
+    # is the sum of the rows g_mu gtilde(R_t), each made once per (t, mu).  A
+    # row, and s_{R_t} s_lam, expands its factor of lower top degree in h, as
+    # `symfunc.product_g` does, and reads the other factor times each h
+    # monomial from that factor's table: one table per rectangle and basis for
+    # the whole sweep, one per partition for its t loop.
+    g_rects = {t: {(): gtilde(rect)._terms} for t, rect in rects.items()}
+    s_rects = {t: {(): {rect.parts: 1}} for t, rect in rects.items()}
+    g_rects_in_h: dict[int, dict] = {}  # gtilde(R_t) in h, made where first needed
     rows: dict[tuple[int, KBoundedPartition], dict] = {}
+    for lam in lams:
+        g_lam, s_lam = {(): {lam.parts: 1}}, {(): {lam.parts: 1}}
+        for t, rect in rects.items():
+            if lam.size <= rect.size:
+                row = symfunc._h_combination(g_to_h(lam)._terms, g_rects[t], "g", k)
+            else:
+                if t not in g_rects_in_h:
+                    g_rects_in_h[t] = _h_expansion(gtilde(rect), g_to_h)
+                row = symfunc._h_combination(g_rects_in_h[t], g_lam, "g", k)
+            rows[t, lam] = {p: c for p, c in row.items() if c}
+            if rect.size > lam.size:
+                prod = symfunc._h_combination(ks_to_h(lam)._terms, s_rects[t], "ks", k)
+            else:
+                prod = symfunc._h_combination(ks_to_h(rect)._terms, s_lam, "ks", k)
+            lhs = SymElt._trusted(k, "ks", {union_sort(rect, lam).parts: 1})
+            rhs = SymElt._trusted(k, "ks", prod)
+            ks.count() if lhs == rhs else ks.fail(lam=list(lam.parts), t=t)
     for lam in lams:
         for t, rect in rects.items():
             acc: dict[tuple[int, ...], int] = {}
             for mu in bruhat_lower_partitions(lam):
-                row = rows.get((t, mu))
-                if row is None:
-                    g_mu = SymElt._trusted(k, "g", {mu.parts: 1})
-                    row = rows[t, mu] = symfunc.product_g(g_mu, rect_gtildes[t])._terms
-                _accumulate(acc, row)
+                _accumulate(acc, rows[t, mu])
             lhs, rhs = gtilde(union_sort(rect, lam)), SymElt._trusted(k, "g", acc)
             gt.count() if lhs == rhs else gt.fail(lam=list(lam.parts), t=t, lhs=lhs, rhs=rhs)
-            ks.count() if kschur_rectangle_check(lam, t) else ks.fail(lam=list(lam.parts), t=t)
 
     for lam in lams:
         top.count() if kschur_top_degree_check(lam) else top.fail(lam=list(lam.parts))

@@ -16,7 +16,7 @@ from affineschur.affine import (
     weak_leq,
 )
 from affineschur.kcode import d_elem, rd, ri, sh
-from affineschur.oracles import gtilde_factorize_check
+from affineschur.oracles import gtilde_factorize_check, kschur_rectangle_check
 from affineschur.orderlab import fiber_X, fiber_Y, find_A0, signed_fiber_table
 from affineschur.partitions import CorePartition, KBoundedPartition, kbounded_partitions
 from affineschur.shapes import (
@@ -34,7 +34,6 @@ from affineschur.symfunc import (
     gtilde_pieri,
     gtilde_pieri_direct,
     gtilde_pieri_ie,
-    kschur_rectangle_check,
     kschur_top_degree_check,
 )
 from affineschur.verify import (

@@ -11,17 +11,32 @@ beyond the recorded checks is allowed; a recorded check that passes is not.
 A mutant that no check kills is kept as a survivor, a row with no
 recorded checks, and its test asserts that it still survives: a new check
 that kills it turns the row into an ordinary one.
+
+A mutant replaces the function wherever a module of the package holds it
+by name, so a function that `verify` imports from `symfunc` is wrong in
+both.  The h-basis transition tables of `symfunc` are memos of Pieri
+products, so every mutant run starts them empty.
 """
 
 from typing import Callable, NamedTuple
 
 import pytest
 
-from affineschur import verify
+from affineschur import symfunc, verify
 from affineschur.affine import from_word
-from affineschur.verify import _BallOrder, verify_order_props
+from affineschur.symfunc import SymElt
+from affineschur.verify import (
+    _BallOrder,
+    verify_factorization,
+    verify_order_props,
+    verify_pieri_sum,
+)
 
-SUITES = {"order-props": verify_order_props}
+SUITES = {
+    "order-props": verify_order_props,
+    "factorization": verify_factorization,
+    "pieri-sum": verify_pieri_sum,
+}
 
 
 class Mutant(NamedTuple):
@@ -103,6 +118,46 @@ def _psi_one_letter_off(original):
     return generator_steps
 
 
+def _pieri_kk_lower_signs_flipped(original):
+    def pieri_kk(lam, r):
+        out = original(lam, r)
+        if lam.parts != (2, 1) or r != 1:
+            return out
+        top = lam.size + r
+        return SymElt._trusted(
+            lam.k, "g", {p: c if sum(p) == top else -c for p, c in out.as_mapping().items()}
+        )
+
+    return pieri_kk
+
+
+def _pieri_kk_top_degree_only(original):
+    def pieri_kk(lam, r):
+        top = lam.size + r
+        return SymElt._trusted(
+            lam.k, "g", {p: c for p, c in original(lam, r).as_mapping().items() if sum(p) == top}
+        )
+
+    return pieri_kk
+
+
+def _ideals_without_empty_partition(original):
+    def bruhat_lower_partitions(lam):
+        ideal = original(lam)
+        return ideal[1:] if len(ideal) > 3 else ideal  # the ideal starts at ()
+
+    return bruhat_lower_partitions
+
+
+def _table_entry_one_step_short(original):
+    def h_combination(in_h, table, basis, k):
+        if (2, 1) not in table:  # b h_(2,1) read as b h_(2)
+            table[(2, 1)] = original({(2,): 1}, table, basis, k)
+        return original(in_h, table, basis, k)
+
+    return h_combination
+
+
 MUTANTS = [
     Mutant(
         "meet_of-without-meet-test",
@@ -177,6 +232,90 @@ MUTANTS = [
         ((2, 4), (3, 4)),
         frozenset(),
     ),
+    Mutant(
+        "pieri-kk-lower-signs-flipped/factorization",
+        symfunc,
+        "pieri_kk",
+        _pieri_kk_lower_signs_flipped,
+        "factorization",
+        ((3, 4),),
+        frozenset({"ideal-sum-rectangle-factorization"}),
+    ),
+    Mutant(
+        "pieri-kk-lower-signs-flipped/pieri-sum",
+        symfunc,
+        "pieri_kk",
+        _pieri_kk_lower_signs_flipped,
+        "pieri-sum",
+        ((3, 4),),
+        frozenset(
+            {
+                "signed-product-equals-interval-union",
+                "product-coefficients-are-zero-or-one",
+                "product-support-above-weak-join",
+            }
+        ),
+    ),
+    Mutant(
+        "pieri-kk-top-degree-only/factorization",
+        symfunc,
+        "pieri_kk",
+        _pieri_kk_top_degree_only,
+        "factorization",
+        ((3, 4),),
+        frozenset({"ideal-sum-rectangle-factorization"}),
+    ),
+    Mutant(
+        "pieri-kk-top-degree-only/pieri-sum",
+        symfunc,
+        "pieri_kk",
+        _pieri_kk_top_degree_only,
+        "pieri-sum",
+        ((3, 4),),
+        frozenset(
+            {"signed-product-equals-interval-union", "product-coefficients-are-zero-or-one"}
+        ),
+    ),
+    Mutant(
+        "ideals-without-empty-partition/factorization",
+        symfunc,
+        "bruhat_lower_partitions",
+        _ideals_without_empty_partition,
+        "factorization",
+        ((3, 4),),
+        frozenset({"ideal-sum-rectangle-factorization"}),
+    ),
+    Mutant(
+        "ideals-without-empty-partition/pieri-sum",
+        symfunc,
+        "bruhat_lower_partitions",
+        _ideals_without_empty_partition,
+        "pieri-sum",
+        ((3, 4),),
+        frozenset(
+            {"signed-product-equals-interval-union", "inclusion-exclusion-expands-to-product"}
+        ),
+    ),
+    Mutant(
+        "table-entry-one-pieri-step-short/factorization",
+        symfunc,
+        "_h_combination",
+        _table_entry_one_step_short,
+        "factorization",
+        ((3, 4),),
+        frozenset(
+            {"ideal-sum-rectangle-factorization", "homogeneous-rectangle-factorization"}
+        ),
+    ),
+    Mutant(
+        "table-entry-one-pieri-step-short/pieri-sum",
+        symfunc,
+        "_h_combination",
+        _table_entry_one_step_short,
+        "pieri-sum",
+        ((3, 4),),
+        frozenset({"product-support-above-weak-join"}),
+    ),
 ]
 
 
@@ -190,7 +329,13 @@ def test_unmutated_suites_pass(suite, k, L):
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_mutant_fails_its_recorded_checks(monkeypatch, mutant):
     original = getattr(mutant.owner, mutant.attribute)
-    monkeypatch.setattr(mutant.owner, mutant.attribute, mutant.mutate(original))
+    mutated = mutant.mutate(original)
+    monkeypatch.setattr(mutant.owner, mutant.attribute, mutated)
+    for module in (verify, symfunc):
+        if getattr(module, mutant.attribute, None) is original:
+            monkeypatch.setattr(module, mutant.attribute, mutated)
+    monkeypatch.setattr(symfunc, "_G2H_TABLES", {})
+    monkeypatch.setattr(symfunc, "_KS2H_TABLES", {})
     for k, L in mutant.configs:
         failing = {r.name for r in SUITES[mutant.suite](k, L) if not r.ok}
         if mutant.checks:

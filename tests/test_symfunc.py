@@ -10,6 +10,7 @@ from affineschur import shapes, symfunc
 from affineschur.affine import IndexSet, ball, weak_leq
 from affineschur.oracles import (
     gtilde_factorize_check,
+    kschur_rectangle_check,
     product_via_h_by_monomial,
     strong_ideal_union_by_filter,
     strong_lower_ideal_by_bruhat,
@@ -41,7 +42,6 @@ from affineschur.symfunc import (
     h_to_g,
     h_to_ks,
     ks_to_h,
-    kschur_rectangle_check,
     kschur_top_degree_check,
     pieri_kk,
     pieri_kschur,
@@ -480,24 +480,26 @@ def test_memoised_pieri_rules_match_the_uncached_rules():
 
 
 def test_products_are_valid_symelts(monkeypatch):
-    # every trusted product of a sweep survives the validating constructor unchanged
-    seen = []
+    # every trusted sum the factorization sweep compares survives the
+    # validating constructor unchanged
+    compared = []
+    eq = SymElt.__eq__
 
-    def recording(fn):
-        def wrapper(a, b):
-            out = fn(a, b)
-            seen.append(out)
-            return out
+    def recording(self, other):
+        compared.append((self, other))
+        return eq(self, other)
 
-        return wrapper
-
-    for name in ("product_g", "product_ks"):
-        monkeypatch.setattr(symfunc, name, recording(getattr(symfunc, name)))
+    monkeypatch.setattr(SymElt, "__eq__", recording)
     assert all(r.ok for r in verify_factorization(3, 3))
-    assert {elt.basis for elt in seen} == {"g", "ks"}
-    for elt in seen:
-        assert SymElt(elt.k, elt.basis, elt.coeffs) == elt
-        assert in_term_order(elt)
+    monkeypatch.undo()
+    lams = kbounded_partitions(3, 3)
+    bases = [lhs.basis for lhs, _ in compared]
+    assert bases.count("g") == bases.count("ks") == 3 * len(lams)
+    assert bases.count("h") == len(lams)
+    for pair in compared:
+        for elt in pair:
+            assert SymElt(elt.k, elt.basis, elt.coeffs) == elt
+            assert in_term_order(elt)
 
 
 def test_products_equal_the_per_monomial_oracle():

@@ -25,7 +25,9 @@ from affineschur.affine import (
 )
 from affineschur.kcode import d_elem
 from affineschur.oracles import (
+    gtilde_factorize_check,
     is_least_upper_bound_in_ball,
+    kschur_rectangle_check,
     proper_subsets,
     saturated_chain_exists,
     strong_join_in_ball,
@@ -348,33 +350,39 @@ def test_pieri_sum_builds_no_strong_table(monkeypatch):
 
 
 def test_a_wrong_rectangle_row_fails_the_ideal_sum_factorization(monkeypatch):
-    # one wrong coefficient in the row g_(1) gtilde(R_2) at k = 3
-    k, t, mu = 3, 2, (1,)
-    g_rect = symfunc.gtilde(k_rectangle(t, k))
-    top = union_sort(k_rectangle(t, k), KBoundedPartition(k, mu)).parts
-    product_g = symfunc.product_g
+    # one wrong coefficient in the sweep's table entry gtilde(R_2) h_(1) at k = 3
+    k, t = 3, 2
+    rect = k_rectangle(t, k)
+    g_rect = symfunc.gtilde(rect).as_mapping()
+    top = union_sort(rect, KBoundedPartition(k, (1,))).parts
+    combination = symfunc._h_combination
 
-    def damaged(a, b):
-        out = product_g(a, b)
-        if a == SymElt.single(k, "g", mu) and b == g_rect:
-            terms = out.as_mapping()
-            terms[top] += 1
-            return SymElt.from_dict(k, "g", terms)
-        return out
+    def damaged(in_h, table, basis, k_):
+        if basis == "g" and table[()] == g_rect and (1,) not in table:
+            # fill the entries h_1^n that are built from h_(1) first, so
+            # that the damage stays in one entry
+            combination({(1,) * n: 1 for n in range(1, 5)}, table, basis, k_)
+            table[(1,)] = {**table[(1,)], top: table[(1,)].get(top, 0) + 1}
+        return combination(in_h, table, basis, k_)
 
-    monkeypatch.setattr(symfunc, "product_g", damaged)
+    monkeypatch.setattr(symfunc, "_h_combination", damaged)
     gt = verify_factorization(k, 4)[0]
     lams = kbounded_partitions(k, 4)
     assert gt.name == "ideal-sum-rectangle-factorization" and gt.instances == k * len(lams)
-    below = [
-        lam for lam in lams if KBoundedPartition(k, mu) in symfunc.bruhat_lower_partitions(lam)
+    # gtilde(R_2) gtilde(lam) reads the entry with the h_(1) coefficient of gtilde(lam)
+    reads = {
+        lam: symfunc._h_expansion(symfunc.gtilde(lam), symfunc.g_to_h).get((1,), 0)
+        for lam in lams
+    }
+    assert [(w["lam"], w["t"]) for w in gt.failures] == [
+        (list(lam.parts), t) for lam in lams if reads[lam]
     ]
-    assert [(w["lam"], w["t"]) for w in gt.failures] == [(list(lam.parts), t) for lam in below]
+    assert len(gt.failures) > 1
     for w in gt.failures:
         lam = KBoundedPartition(k, tuple(w["lam"]))
-        # the witness shows the row sum that was compared: off by the damaged term
-        lhs = symfunc.gtilde(union_sort(k_rectangle(t, k), lam))
-        rhs = lhs + SymElt.single(k, "g", top)
+        # the witness shows the sum that was compared: off by the damaged term
+        lhs = symfunc.gtilde(union_sort(rect, lam))
+        rhs = lhs + SymElt.single(k, "g", top, reads[lam])
         assert w == {
             "lam": w["lam"],
             "t": t,
@@ -382,6 +390,55 @@ def test_a_wrong_rectangle_row_fails_the_ideal_sum_factorization(monkeypatch):
             "rhs": rhs.as_dict()["terms"],
         }
         assert w["rhs"] != w["lhs"]
+
+
+def test_factorization_sums_equal_the_whole_products(monkeypatch):
+    """The sums the sweep reads off its shared tables equal the products
+    its oracles form whole, on both routes: where the partition's factor
+    is expanded in h and where the rectangle's is."""
+    compared = []
+    eq = SymElt.__eq__
+
+    def recording(self, other):
+        compared.append((self, other))
+        return eq(self, other)
+
+    for k, L in [(1, 5), (2, 5), (3, 5), (4, 5), (2, 8), (3, 8)]:
+        compared.clear()
+        monkeypatch.setattr(SymElt, "__eq__", recording)
+        assert all(r.ok for r in verify_factorization(k, L))
+        monkeypatch.undo()
+        pairs = [(lam, t) for lam in kbounded_partitions(k, L) for t in range(1, k + 1)]
+        sums = {basis: [rhs for lhs, rhs in compared if lhs.basis == basis] for basis in ("g", "ks")}
+        assert len(sums["g"]) == len(sums["ks"]) == len(pairs)
+        routes = set()
+        for (lam, t), g_sum, ks_sum in zip(pairs, sums["g"], sums["ks"]):
+            rect = k_rectangle(t, k)
+            routes.add(lam.size <= rect.size)
+            assert g_sum == symfunc.product_g(symfunc.gtilde(rect), symfunc.gtilde(lam)), (lam, t)
+            assert gtilde_factorize_check(lam, t)
+            single = [SymElt.single(k, "ks", mu.parts) for mu in (rect, lam)]
+            assert ks_sum == symfunc.product_ks(*single), (lam, t)
+            assert kschur_rectangle_check(lam, t)
+        assert routes == {True, False}, (k, L)
+
+
+def test_factorization_forms_each_pieri_product_once_per_sweep(monkeypatch):
+    """Every b h_nu of a Pieri-side factor is one table entry for the whole
+    sweep, not one per row: 768 Pieri steps before the tables were shared."""
+    calls = []
+    step = symfunc._pieri_step
+
+    def counting(terms, rule, k, r):
+        calls.append(r)
+        return step(terms, rule, k, r)
+
+    # cold transitions, whose rows are h monomials by Pieri steps too
+    monkeypatch.setattr(symfunc, "_G2H_TABLES", {})
+    monkeypatch.setattr(symfunc, "_KS2H_TABLES", {})
+    monkeypatch.setattr(symfunc, "_pieri_step", counting)
+    verify_factorization(4, 5)
+    assert len(calls) == 371
 
 
 def test_weak_row_of_an_element_outside_the_ball_raises():
