@@ -90,8 +90,8 @@ class AffinePermutation:
         """Wrap a window the kernel built from valid elements, with its length.
 
         Nothing is checked; only the operations of this module call it, and
-        `orderlab.fiber_X`, `shapes.setvalued_strips` and `shapes.StripGrowth`
-        on the windows `left_growth` hands out.
+        `orderlab.fiber_X`, `shapes.setvalued_strips`, `shapes.StripGrowth`
+        and the fiber sweep of `verify` on the windows `left_growth` hands out.
         """
         w = object.__new__(cls)
         _set_k(w, k)

@@ -10,7 +10,7 @@ values are computed and turned into JSON only in `fail`.
 A suite enumerates one length ball, at the largest radius it declares in
 `ball_radii`, and cuts every smaller ball from it as a prefix; the
 symmetric-function suites declare none and enumerate none.  A map over
-a whole ball, such as u -> demazure(u, y) or v -> d_A * v, is built by one
+a whole ball, such as u -> demazure(u, y) or u -> psi_apply(u^-1, x), is built by one
 generator step per element from its parent's value (`_BallOrder.parents`,
 `_hecke_values`), not by one kernel call per pair; the per-pair calls are
 its test oracle.  Its values are positions in the ball, stepped along the
@@ -58,6 +58,7 @@ from .affine import (
     descents,
     inverse,
     is_affine_reflection,
+    left_growth,
     left_mul_s,
     mul,
 )
@@ -225,9 +226,9 @@ class _BallOrder:
     [e, x] = [e, y] u s_i [e, y] (lifting property, Bjorner-Brenti, GTM 231,
     Prop. 2.2.7), so the down row of x is the row of y OR its image under
     the left step s_i, which stays in the ball.  The up rows are the
-    transpose of the down rows, built on the first up request.  An element
-    beyond the order's own elements is longer than all of them: its up row
-    is empty, and it has no down row (asking raises).  Comparing a ball
+    transpose of the down rows, built on the first request (`_up_rows`).
+    An element beyond the order's own elements is longer than all
+    of them, and has no down row (asking raises).  Comparing a ball
     element with it needs no row (`leq`): `lift` strips its least left
     descents until it lies in the ball, and `lower` takes the ball element
     through the same letters to a bit test.
@@ -273,8 +274,6 @@ class _BallOrder:
                 self._rows[kind, x] = self._weak_row(*_WEAK[kind], x)
             return self._rows[kind, x]
         i = self._index.get(x.window, len(self._ball))
-        if kind == "up":  # an x beyond these elements is longer than all of them
-            return self._up_rows()[i] if i < len(self.elements) else 0
         if i >= len(self.elements):
             raise ValueError(f"strong down rows are lifted inside the ball; {x!r} is outside")
         return self._lifted(i)
@@ -429,14 +428,6 @@ class _BallOrder:
         answers as `is_least_upper_bound_in_ball`."""
         return self.join(v, w) == candidate
 
-    def meet(self, v: AffinePermutation, w: AffinePermutation) -> AffinePermutation | None:
-        """Exact strong meet, or None; same answers as `strong_meet`.
-
-        v and w must be elements of this order; any other's down row raises.
-        """
-        m = self.meet_of(self.row("down", v) & self.row("down", w))
-        return None if m is None else self._ball[m]
-
     def meet_at(self, a: int, b: int) -> int | None:
         """Position of the exact meet of the elements at a and b, or None."""
         return self.meet_of(self._lifted(a) & self._lifted(b))
@@ -481,25 +472,25 @@ def _transpose(rows: list[int]) -> list[int]:
 
 
 def _hecke_values(
-    order: _BallOrder, parents: list[tuple[int, int]], start: AffinePermutation, up: bool
+    order: _BallOrder, parents: list[tuple[int, int]], start: int, up: bool
 ) -> list[int | AffinePermutation]:
     """A 0-Hecke map over a ball, one generator step per element.
 
-    The identity maps to `start`; an element whose parent maps to z, by
-    the letter i, maps to max(z, s_i z) if `up` and to min(z, s_i z)
-    otherwise.  Over the left parents from y this is u -> demazure(u, y),
-    over the right parents from x it is u -> psi_apply(u^-1, x, "left"), or
-    u -> demazure(u^-1, x) if `up`: the same letters in the same order as
-    those calls apply, with every prefix shared.
+    The identity maps to the element at position `start` of the ball; an
+    element whose parent maps to z, by the letter i, maps to max(z, s_i z)
+    if `up` and to min(z, s_i z) otherwise.  Over the left parents from y
+    this is u -> demazure(u, y), over the right parents from x it is
+    u -> psi_apply(u^-1, x, "left"), or u -> demazure(u^-1, x) if `up`: the
+    same letters in the same order as those calls apply, with every prefix
+    shared.
 
     A value is its position in `order`'s whole ball, stepped along the
     step table (`_neighbours`).  Only an `up` step leaves the ball, which
     is closed downwards; such a value, and every later `up` value from it,
-    is an element.  A `start` outside the ball needs `up`.
+    is an element.
     """
     lengths, ball = order._lengths, order._ball
-    p = order.position(start)
-    values: list[int | AffinePermutation] = [start if p is None else p]
+    values: list[int | AffinePermutation] = [start]
     for p, i in parents:
         z = values[p]
         if type(z) is int:
@@ -530,10 +521,9 @@ def _hecke_tables(
     element, the latter read at the position of u^-1.
     """
     left, right = (side[: size - 1] for side in parents)
-    starts = order._ball[:size]
-    dem = [_hecke_values(order, left, w, up=True) for w in starts]
+    dem = [_hecke_values(order, left, w, up=True) for w in range(size)]
     psi = []
-    for w in starts:
+    for w in range(size):
         values = _hecke_values(order, right, w, up=False)
         psi.append([values[q] for q in at_inverse])
     return dem, psi
@@ -720,7 +710,7 @@ def _join_seed_sets(
     lowered: dict[tuple[int, ...], list[int]] = {}  # letters -> where each x goes
     prefix = (1 << size) - 1
     dsets = []
-    for y in whole._ball[:size]:
+    for y in range(size):
         spread = []
         for value, us in groups(_hecke_values(whole, left, y, up=True)):
             if type(value) is int:
@@ -740,7 +730,7 @@ def _join_seed_sets(
         dsets.append(_spread(spread, size))
     up = upper._up_rows()
     esets = []
-    for x in whole._ball[:size]:
+    for x in range(size):
         values = _hecke_values(whole, right, x, up=False)  # each no longer than x
         esets.append(_spread([(up[q], _mask(us)) for q, us in groups(values)], size))
     return dsets, esets
@@ -1210,23 +1200,8 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
     singles = CheckResult("singleton-fiber-iff-found-index-set")
     a0r = CheckResult("strip-reachability-conditions-agree")
     subsets = proper_subsets(k)
-    down_steps, up_steps = {}, {}
-    for g in gball:
-        down_steps[g], up_steps[g] = _strict_steps(subsets, g)
-    # the element scan: d_A * v = (v^-1 * d_A^-1)^-1 for every v of the ball,
-    # grouped by that value and kept where it is a Grassmannian u
-    grassmannian, right = set(gball), order.parents()[1]
-    scans = {}
-    for members in subsets:
-        start = inverse(d_elem(IndexSet._trusted(k, members)))
-        by_value: dict[int | AffinePermutation, set[AffinePermutation]] = {}
-        for v, value in zip(wide, _hecke_values(order, right, start, up=True)):
-            by_value.setdefault(value, set()).add(v)
-        inverted = (
-            (inverse(wide[value] if type(value) is int else value), vs)
-            for value, vs in by_value.items()
-        )
-        scans[members] = {u: vs for u, vs in inverted if u in grassmannian}
+    steps = {g: _growth_steps(order, g) for g in gball}
+    scan = _fiber_scan(gball, max_length)
     for u in gball:
         zs = z_sets(u)
         for members in subsets:
@@ -1235,16 +1210,19 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
             via_labels = {
                 mul(inverse(d_elem(IndexSet._trusted(k, B))), u) for B in fib.members
             }
-            ok = scans[members].get(u, set()) == via_labels
+            ok = scan.get((members, u), set()) == via_labels
             labels.count() if ok else labels.fail(u=u, A=sorted(members))
-            # convex: no v' with v <= v' <= v'' lies outside the fiber
+            # convex: no q outside the fiber, below v'' and longer than v, is above v
             elements = sorted(via_labels, key=lambda v: v.length)
-            outside = ~_mask(sorted(order.position(v) for v in elements))
-            for v in elements:
-                between = order.row("up", v) & outside
-                for vpp in elements:
-                    if order.leq(v, vpp):
-                        ok = not between & order.row("down", vpp)
+            at = [order.position(v) for v in elements]
+            below = [order._lifted(p) for p in at]
+            outside = ~_mask(sorted(at))
+            for v, p in zip(elements, at):
+                longer = -1 << bisect.bisect_right(order._lengths, v.length)
+                for row in below:
+                    if row >> p & 1:
+                        between = _positions(row & outside & longer)
+                        ok = not any(order._lifted(q) >> p & 1 for q in between)
                         convex.count() if ok else convex.fail(u=u, A=sorted(members), v=v)
             for B, C in itertools.combinations(sorted(fib.members, key=sorted), 2):
                 caps.count() if B & C in fib.members else caps.fail(u=u, A=sorted(members))
@@ -1269,11 +1247,45 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
             singles.count() if single_As == expect else singles.fail(
                 u=u, w=w, found=None if found is None else sorted(found.members)
             )
-            conds_by_r = _a0_conditions(down_steps[u], up_steps[w], u, w, found)
+            conds_by_r = _a0_conditions(order, steps[u][0], steps[w][1], u, w, found)
             for r, conds in enumerate(conds_by_r):
                 ok = len(set(conds)) == 1
                 a0r.count() if ok else a0r.fail(u=u, w=w, r=r, conds=list(conds))
     return [labels, convex, caps, covers, seven, singles, a0r]
+
+
+def _fiber_scan(gball: list[AffinePermutation], max_length: int) -> dict:
+    """(A, u) -> the v with d_A * v = u, for every index set A and every u in
+    `gball`, the Grassmannian elements of length <= max_length; its test
+    oracle is one Demazure product per (A, v) of the whole ball.
+
+    Each left Demazure step z -> max(z, s_i z) is z or a left weak cover, so
+    v <=_L d_A * v = u.  If u = a v, l(u) = l(a) + l(v), and s is a right
+    descent of v, then l(u s) <= l(a) + l(v s) < l(u): s is one of u.  So v
+    is Grassmannian whenever u is, and the "max" growth of each Grassmannian
+    v (`left_growth`) lists every such A beside d_A * v.
+    """
+    scan = {}
+    for v in gball:
+        for members, win, dl in itertools.chain.from_iterable(left_growth(v.window, "max", v.k)):
+            if v.length + dl <= max_length:
+                u = AffinePermutation._trusted(v.k, tuple(win), v.length + dl)
+                scan.setdefault((members, u), set()).add(v)
+    return scan
+
+
+def _growth_steps(order: _BallOrder, w: AffinePermutation) -> tuple[list, list]:
+    """(|A|, position of d_A^-1 w) for the A with l(d_A^-1 w) = l(w) - |A|, and
+    (|A|, letters, down row) of d_A w lifted into the ball (`lift`) for the A
+    with l(d_A w) = l(w) + |A|, off the growth levels of w (`left_growth`)."""
+    k = w.k
+    grown = itertools.chain.from_iterable(left_growth(w.window, "descent", k))
+    down = [(len(A), order._index[tuple(win)]) for A, win, _ in grown]
+    up = []
+    for A, win, dl in itertools.chain.from_iterable(left_growth(w.window, "ascent", k)):
+        letters, q = order.lift(AffinePermutation._trusted(k, tuple(win), w.length + dl))
+        up.append((len(A), letters, order._lifted(q)))
+    return down, up
 
 
 def _seven_way_agreement(k, u, A, B, fib, zs) -> bool:
@@ -1293,28 +1305,15 @@ def _seven_way_agreement(k, u, A, B, fib, zs) -> bool:
     return len({c1, c2, c3, c4, c5, c6, c7}) == 1
 
 
-def _strict_steps(subsets, w) -> tuple[list, list]:
-    """(|A|, d_A^-1 w) for the A with l(d_A^-1 w) = l(w) - |A|, and (|A|, d_A w)
-    for the A with l(d_A w) = l(w) + |A|, both by size."""
-    down, up = [], []
-    for members in subsets:
-        dA = d_elem(IndexSet._trusted(w.k, members))
-        v = mul(inverse(dA), w)
-        if v.length == w.length - len(members):
-            down.append((len(members), v))
-        top = mul(dA, w)
-        if top.length == w.length + len(members):
-            up.append((len(members), top))
-    return down, up
-
-
-def _a0_conditions(u_down, w_up, u, w, found) -> list[tuple[bool, bool, bool, bool]]:
-    """The four conditions for every r = 0..k, read off the strict steps of u
-    down and of w up (`_strict_steps`), none of which depends on r."""
+def _a0_conditions(order, u_down, w_up, u, w, found) -> list[tuple[bool, bool, bool, bool]]:
+    """The four conditions for every r = 0..k, off the strict steps of u down
+    and of w up (`_growth_steps`), none of which depends on r: d_A^-1 u <= w
+    and u <= d_A w are bits of the down rows of w and of the lift of d_A w."""
     k = u.k
+    pu, below_w = order.position(u), order._lifted(order.position(w))
     # least |A| with d_A^-1 u <= w, least |A| with u <= d_A w, and every such |A|
-    least_down = min((size for size, v in u_down if bruhat_leq(v, w)), default=k + 1)
-    up_sizes = {size for size, top in w_up if bruhat_leq(u, top)}
+    least_down = min((size for size, p in u_down if below_w >> p & 1), default=k + 1)
+    up_sizes = {size for size, letters, row in w_up if row >> order.lower(pu, letters) & 1}
     least_up = min(up_sizes, default=k + 1)
     return [
         (found is not None and len(found) <= r, least_down <= r, least_up <= r, r in up_sizes)

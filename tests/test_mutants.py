@@ -13,21 +13,24 @@ recorded checks, and its test asserts that it still survives: a new check
 that kills it turns the row into an ordinary one.
 
 A mutant replaces the function wherever a module of the package holds it
-by name, so a function that `verify` imports from `symfunc` is wrong in
-both.  The h-basis transition tables of `symfunc` are memos of Pieri
-products, so every mutant run starts them empty.
+by name, so a function that `verify` imports from `symfunc` or `orderlab`
+is wrong in both.  The h-basis transition tables of `symfunc` and the
+`orderlab.fiber_X` memo are memos of the functions under test, so every
+mutant run starts them empty.
 """
 
 from typing import Callable, NamedTuple
 
 import pytest
 
-from affineschur import symfunc, verify
+from affineschur import orderlab, symfunc, verify
 from affineschur.affine import from_word
+from affineschur.orderlab import Fiber
 from affineschur.symfunc import SymElt
 from affineschur.verify import (
     _BallOrder,
     verify_factorization,
+    verify_fibers,
     verify_order_props,
     verify_pieri_sum,
 )
@@ -36,6 +39,7 @@ SUITES = {
     "order-props": verify_order_props,
     "factorization": verify_factorization,
     "pieri-sum": verify_pieri_sum,
+    "fibers": verify_fibers,
 }
 
 
@@ -156,6 +160,33 @@ def _table_entry_one_step_short(original):
         return original(in_h, table, basis, k)
 
     return h_combination
+
+
+def _fiber_without_lone_top_label(original):
+    def fiber_X(A, u):
+        fib = original(A, u)
+        # a fiber is the interval [bottom, A]; without its top it stays one
+        # only where the top is all it holds
+        return Fiber(A, u, frozenset()) if fib.members == {A.members} else fib
+
+    return fiber_X
+
+
+def _no_singleton_search(original):
+    def find_A0(u, w):
+        return None
+
+    return find_A0
+
+
+def _left_parent_letter_one_off(original):
+    def _parent(self, side, p):
+        q, i = original(self, side, p)
+        if side == "left":  # the lifted row of p takes the image under s_{i+1}
+            i = (i + 1) % (self._ball[0].k + 1)
+        return q, i
+
+    return _parent
 
 
 MUTANTS = [
@@ -316,6 +347,41 @@ MUTANTS = [
         ((3, 4),),
         frozenset({"product-support-above-weak-join"}),
     ),
+    Mutant(
+        "fiber-X-without-lone-top-label",
+        orderlab,
+        "fiber_X",
+        _fiber_without_lone_top_label,
+        "fibers",
+        ((2, 4), (3, 3)),
+        frozenset(
+            {
+                "fiber-labels-match-element-scan",
+                "membership-characterizations-agree",
+                "singleton-fiber-iff-found-index-set",
+            }
+        ),
+    ),
+    Mutant(
+        "find-A0-never-finds",
+        orderlab,
+        "find_A0",
+        _no_singleton_search,
+        "fibers",
+        ((2, 4), (3, 3)),
+        frozenset(
+            {"singleton-fiber-iff-found-index-set", "strip-reachability-conditions-agree"}
+        ),
+    ),
+    Mutant(
+        "lifted-rows-by-the-next-letter",
+        _BallOrder,
+        "_parent",
+        _left_parent_letter_one_off,
+        "fibers",
+        ((2, 4), (3, 3)),
+        frozenset({"fibers-convex-in-strong-order"}),
+    ),
 ]
 
 
@@ -328,15 +394,17 @@ def test_unmutated_suites_pass(suite, k, L):
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_mutant_fails_its_recorded_checks(monkeypatch, mutant):
+    fiber_memo = orderlab.fiber_X
     original = getattr(mutant.owner, mutant.attribute)
     mutated = mutant.mutate(original)
     monkeypatch.setattr(mutant.owner, mutant.attribute, mutated)
-    for module in (verify, symfunc):
+    for module in (verify, symfunc, orderlab):
         if getattr(module, mutant.attribute, None) is original:
             monkeypatch.setattr(module, mutant.attribute, mutated)
     monkeypatch.setattr(symfunc, "_G2H_TABLES", {})
     monkeypatch.setattr(symfunc, "_KS2H_TABLES", {})
     for k, L in mutant.configs:
+        fiber_memo.cache_clear()
         failing = {r.name for r in SUITES[mutant.suite](k, L) if not r.ok}
         if mutant.checks:
             assert mutant.checks <= failing, (k, L, sorted(failing))
