@@ -29,6 +29,7 @@ __all__ = [
     "right_mul_s",
     "left_action",
     "left_growth",
+    "LeftGrowth",
     "descents",
     "bruhat_leq",
     "weak_leq",
@@ -378,28 +379,72 @@ def left_growth(
     whose step goes up and that is kept; a "max" step that would go down
     leaves the parent's window, shared.  The length change is +|A|, -|A|,
     or in "max" the number of steps that went up.  The full residue set has
-    no run top or bottom, so it is never reached.
+    no run top or bottom, so it is never reached.  Each level is one
+    `LeftGrowth.grow`.
     """
-    if mode not in LEFT_MODES[1:]:
-        raise ValueError(f"mode must be one of {LEFT_MODES[1:]}, got {mode!r}")
-    n = len(window)
-    win = list(window)
-    is_max = mode == "max"
-    if is_max and any(x > y for x, y in zip(win, win[1:])):
-        raise ValueError(f"max growth needs an increasing window, got {win}")
-    ascent = mode != "descent"
-    pos = [0] * n
-    for p, x in enumerate(win):
-        pos[x % n] = p
-    residues = range(n) if within is None else sorted(within)
-    # a may join A when its neighbour above (ascent, max) or below (descent) is out
-    guard = [1 << a | 1 << ((a + 1) % n if ascent else (a - 1) % n) for a in range(n)]
-    level = [(0, frozenset(), win, pos, 0)]
-    levels = [[(frozenset(), win, 0)]]
-    for _ in range(size):
+    growth = LeftGrowth(window, mode, within)
+    return [growth.level(), *(growth.grow() for _ in range(size))]
+
+
+class LeftGrowth:
+    """`left_growth`, one level at a time: `grow` returns the next level.
+
+    Only the deepest level grown is kept, with the residue -> position
+    table of each window, so a caller that wants one level grows no
+    further than it, and one that wants more goes on from there.  A caller
+    that keeps the growth between levels can `park` it, dropping those
+    tables until the next `grow`.  With `sets` false no index set is built
+    and the levels hold None in its place.
+    """
+
+    __slots__ = ("depth", "_level", "_residues", "_guard", "_ascent", "_max", "_sets")
+
+    def __init__(
+        self,
+        window: Sequence[int],
+        mode: str,
+        within: Iterable[int] | None = None,
+        sets: bool = True,
+    ):
+        if mode not in LEFT_MODES[1:]:
+            raise ValueError(f"mode must be one of {LEFT_MODES[1:]}, got {mode!r}")
+        n = len(window)
+        win = list(window)
+        self._max = mode == "max"
+        if self._max and any(x > y for x, y in zip(win, win[1:])):
+            raise ValueError(f"max growth needs an increasing window, got {win}")
+        self._ascent = ascent = mode != "descent"
+        pos = [0] * n
+        for p, x in enumerate(win):
+            pos[x % n] = p
+        self._residues = range(n) if within is None else sorted(within)
+        # a may join A when its neighbour above (ascent, max) or below (descent) is out
+        self._guard = [1 << a | 1 << ((a + 1) % n if ascent else (a - 1) % n) for a in range(n)]
+        self._sets = sets
+        self._level = [(0, frozenset() if sets else None, win, pos, 0)]
+        self.depth = 0
+
+    def park(self) -> None:
+        """Drop the position tables of the deepest level; `grow` rebuilds
+        them, one per window."""
+        self._level = [(mask, members, win, None, dl) for mask, members, win, _, dl in self._level]
+
+    def level(self) -> list[tuple[frozenset[int], list[int], int]]:
+        """The deepest level grown, as (A, window, length change)."""
+        return [(members, win, dl) for _, members, win, _, dl in self._level]
+
+    def grow(self) -> list[tuple[frozenset[int], list[int], int]]:
+        """Grow the next level and return it, as `level` does."""
+        residues, guard, ascent, is_max = self._residues, self._guard, self._ascent, self._max
+        sets = self._sets
+        n = len(guard)
         grown = []
         tried = set()
-        for mask, members, win, pos, dl in level:
+        for mask, members, win, pos, dl in self._level:
+            if pos is None:
+                pos = [0] * n
+                for p, x in enumerate(win):
+                    pos[x % n] = p
             for a in residues:
                 if mask & guard[a]:
                     continue
@@ -412,7 +457,7 @@ def left_growth(
                 # s_a raises the length iff w^-1(a) < w^-1(a+1)
                 if (p - win[p] <= q - win[q]) != ascent:
                     if is_max:
-                        grown.append((child, members | {a}, win, pos, dl))
+                        grown.append((child, members | {a} if sets else None, win, pos, dl))
                     continue
                 if is_max and q == p + 1:
                     # the step swaps win[p] and win[q] = win[p] + 1
@@ -422,10 +467,12 @@ def left_growth(
                 cwin[q] -= 1
                 cpos = pos.copy()
                 cpos[a], cpos[j] = q, p
-                grown.append((child, members | {a}, cwin, cpos, dl + (1 if ascent else -1)))
-        levels.append([(members, win, dl) for _, members, win, _, dl in grown])
-        level = grown
-    return levels
+                grown.append(
+                    (child, members | {a} if sets else None, cwin, cpos, dl + (1 if ascent else -1))
+                )
+        self._level = grown
+        self.depth += 1
+        return [(members, win, dl) for _, members, win, _, dl in grown]
 
 
 def from_word(k: int, word: Iterable[int]) -> AffinePermutation:

@@ -18,7 +18,9 @@ scan is the oracle of the bitset closure check of `orderlab`.  The scans of
 the residue subsets, one generator run each, are the oracles of the grown
 Z-set families, weak strips and set-valued strips.  The product that
 applies each h monomial on its own is the oracle of the table walk of
-`symfunc`.  The rotation s_i -> s_{i+t} of a reduced word is the oracle of
+`symfunc`, and the set-valued Pieri rule from the strips of one size, grown
+afresh, is the oracle of the rows `symfunc.pieri_kk` reads off one growth
+per partition.  The rotation s_i -> s_{i+t} of a reduced word is the oracle of
 the rectangle-union lemma w_{R_t u lam} = f_t(w_lam) w_{R_t}, and the
 whole products gtilde(R_t) gtilde(lam) and s_{R_t} s_lam are the oracles of
 the sums the factorization sweep of `verify` reads off its shared tables.
@@ -48,7 +50,14 @@ from .partitions import (
     kbounded_partitions,
     union_sort,
 )
-from .shapes import _core_rows, bounded_to_perm, core_action, is_weak_strip
+from .shapes import (
+    _core_rows,
+    bounded_to_perm,
+    core_action,
+    is_weak_strip,
+    perm_to_bounded,
+    setvalued_strips,
+)
 from .symfunc import SymElt, gtilde, h_monomial_mult, product_g, product_ks
 
 __all__ = [
@@ -71,6 +80,7 @@ __all__ = [
     "proper_subsets",
     "z_sets_by_scan",
     "weak_strips_by_scan",
+    "pieri_kk_by_strips",
     "product_via_h_by_monomial",
     "shift_ft",
     "gtilde_factorize_check",
@@ -280,7 +290,7 @@ def kcode_by_stripping(w: AffinePermutation, increasing: bool) -> KCode:
 def strong_lower_ideal_by_bruhat(lam: KBoundedPartition) -> tuple[KBoundedPartition, ...]:
     """All k-bounded mu with w_mu <= w_lam, by one strong-order test each.
 
-    Test oracle for `symfunc.bruhat_lower_partitions`.
+    Test oracle for `symfunc.strong_ideal_parts`.
     """
     w = bounded_to_perm(lam)
     out = []
@@ -294,7 +304,7 @@ def strong_ideal_union_by_filter(tops: list[KBoundedPartition]) -> list[KBounded
     """Every mu below one of `tops` in the strong order, by one core
     containment test per k-bounded partition up to the largest top.
 
-    Test oracle of `symfunc.bruhat_lower_partitions` and of the
+    Test oracle of `symfunc.strong_ideal_parts` and of the
     `symfunc.gtilde_pieri` union.
     """
     cores = [_core_rows(top) for top in tops]
@@ -413,6 +423,18 @@ def setvalued_strips_by_scan(
         if v.is_grassmannian():
             out.append((A, v))
     return sorted(out, key=lambda av: av[0].sorted())
+
+
+def pieri_kk_by_strips(lam: KBoundedPartition, r: int) -> SymElt:
+    """h_r times the K-theoretic basis element of lam, from the set-valued
+    strips of size r alone, grown afresh for this r; the oracle of
+    `symfunc.pieri_kk`, which reads every r off one growth of lam."""
+    w = bounded_to_perm(lam)
+    acc: dict[tuple[int, ...], int] = {}
+    for _, v in setvalued_strips(w, r):
+        parts = perm_to_bounded(v).parts
+        acc[parts] = acc.get(parts, 0) + (-1) ** (r + w.length - v.length)
+    return SymElt(lam.k, "g", tuple(acc.items()))
 
 
 def product_via_h_by_monomial(a: SymElt, b: SymElt, to_h) -> SymElt:

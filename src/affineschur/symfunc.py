@@ -9,8 +9,11 @@ unit lower-triangular in the term order, which is asserted, so they are
 inverted by integer forward substitution.  The weak-strip rules read every
 strip top off the windows of the growth from w_lam w_0 (`shapes.StripGrowth`):
 both forms of the gtilde Pieri rule are reads of one growth, so a sweep that
-grows a partition once to level k reads every r from it.  Their dict
-results are put in the term order only where it reaches output.
+grows a partition once to level k reads every r from it.  The set-valued
+rule reads every r off one Demazure growth of w_lam, extended on demand,
+and each partition's strong ideal is searched once, as plain parts, for
+every reader.  Their dict results are put in the term order only where it
+reaches output.
 """
 
 from __future__ import annotations
@@ -18,17 +21,9 @@ from __future__ import annotations
 import functools
 import itertools
 
+from .affine import AffinePermutation, LeftGrowth
 from .partitions import KBoundedPartition
-from .shapes import (
-    StripGrowth,
-    _core_rows,
-    _slide_row,
-    _stack_row,
-    bounded_to_perm,
-    perm_to_bounded,
-    setvalued_strips,
-    weak_strips,
-)
+from .shapes import StripGrowth, _core_rows, bounded_to_perm, perm_to_bounded, weak_strips
 
 __all__ = [
     "BASES",
@@ -43,6 +38,7 @@ __all__ = [
     "ks_to_h",
     "product_g",
     "product_ks",
+    "strong_ideal_parts",
     "bruhat_lower_partitions",
     "gtilde",
     "gtilde_pieri",
@@ -182,9 +178,9 @@ class SymElt:
         }
 
 
-# Both Pieri rules are memoised per (lam, r): a product sweep asks for the
-# same few hundred strip sums tens of thousands of times.  The results are
-# frozen, so every caller can share them.
+# Both Pieri rules are memoised per (lam, r), pieri_kk through the growth of
+# lam: a product sweep asks for the same few hundred strip sums tens of
+# thousands of times.  The results are frozen, so every caller can share them.
 @functools.lru_cache(maxsize=None)
 def pieri_kschur(lam: KBoundedPartition, r: int) -> SymElt:
     """h_r times the homogeneous basis element of lam: sum over weak strips."""
@@ -196,23 +192,69 @@ def pieri_kschur(lam: KBoundedPartition, r: int) -> SymElt:
     return SymElt._trusted(lam.k, "ks", acc)
 
 
-@functools.lru_cache(maxsize=None)
 def pieri_kk(lam: KBoundedPartition, r: int) -> SymElt:
     """h_r times the K-theoretic basis element of lam.
 
     Signed sum over set-valued strips (A, v): the coefficient of the
     target v gains (-1)^(r + l(w_lam) - l(v)); distinct A with the same
-    product accumulate.
+    product accumulate.  Read off the memoised growth of lam
+    (`_SetValuedRows`), which every r shares; the per-r scan
+    `oracles.pieri_kk_by_strips` is its test oracle.
     """
-    if not 1 <= r <= lam.k:
-        raise ValueError(f"need 1 <= r <= k, got r={r}, k={lam.k}")
-    w = bounded_to_perm(lam)
-    acc: dict[tuple[int, ...], int] = {}
-    for A, v in setvalued_strips(w, r):
-        parts = perm_to_bounded(v).parts
-        sign = (-1) ** (r + w.length - v.length)
-        acc[parts] = acc.get(parts, 0) + sign
-    return SymElt._trusted(lam.k, "g", acc)
+    return _set_valued_rows(lam)[r]
+
+
+class _SetValuedRows(dict):
+    """r -> pieri_kk(lam, r), read off one "max" growth of w_lam.
+
+    The growth (`affine.LeftGrowth`, with no index sets) is extended one
+    level at a time, as far as the largest r asked, so a sweep grows lam
+    once and a single r grows no further than itself.  A level is turned
+    into a row only when its r is asked: the levels passed on the way are
+    kept as grown, and each level's windows are dropped once its row is
+    read, but for the deepest, which stays parked to grow the next.  The
+    row of level r adds (-1)^(r - dl) at the shape of each window, where
+    dl is l(v) - l(w_lam).
+    """
+
+    __slots__ = ("lam", "_length", "_growth", "_unread")
+
+    def __init__(self, lam: KBoundedPartition):
+        super().__init__()
+        w = bounded_to_perm(lam)
+        self.lam = lam
+        self._length = w.length
+        self._growth = LeftGrowth(w.window, "max", sets=False)
+        self._unread: dict[int, list] = {}
+
+    def __missing__(self, r: int) -> SymElt:
+        k = self.lam.k
+        if not 1 <= r <= k:
+            raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
+        level = self._unread.pop(r, None)
+        if level is None:
+            growth = self._growth
+            while growth.depth < r - 1:
+                grown = growth.grow()
+                self._unread[growth.depth] = grown
+            level = growth.grow()
+            if r == k:  # no index set is larger
+                self._growth = None
+            else:
+                growth.park()
+        ell = self._length
+        acc: dict[tuple[int, ...], int] = {}
+        for _, win, dl in level:
+            parts = perm_to_bounded(AffinePermutation._trusted(k, tuple(win), ell + dl)).parts
+            acc[parts] = acc.get(parts, 0) + (-1 if (r - dl) & 1 else 1)
+        row = self[r] = SymElt._trusted(k, "g", acc)
+        return row
+
+
+@functools.lru_cache(maxsize=None)
+def _set_valued_rows(lam: KBoundedPartition) -> _SetValuedRows:
+    """The memo of `pieri_kk`: one growth per partition."""
+    return _SetValuedRows(lam)
 
 
 def h_mult(elt: SymElt, r: int) -> SymElt:
@@ -375,46 +417,65 @@ def product_ks(a: SymElt, b: SymElt) -> SymElt:
 
 
 @functools.lru_cache(maxsize=None)
-def bruhat_lower_partitions(lam: KBoundedPartition) -> tuple[KBoundedPartition, ...]:
-    """All k-bounded mu with w_mu <= w_lam in the strong order, by (size, revlex).
+def strong_ideal_parts(lam: KBoundedPartition) -> tuple[tuple[int, ...], ...]:
+    """The parts of every k-bounded mu with w_mu <= w_lam in the strong
+    order, in no order.
 
     On 0-dominant (affine Grassmannian) elements the strong order is
     containment of (k+1)-cores (Lascoux, "Ordering the affine symmetric
     group", 2001; Lapointe–Morse, JCTA 2005): mu is kept when its core has
     at most as many rows as the core of lam and each row is at most the
     matching row there.  For each row count l the parts of mu are chosen
-    bottom-up and each core row is placed by `_slide_row` as it is chosen.
-    A placed row never moves and grows with its part, so the parts stop at
-    the first row longer than its match in lam's core.  Test oracles:
-    `oracles.strong_lower_ideal_by_bruhat` and
+    bottom-up, and each core row is placed as it is chosen (the row
+    sliding of `shapes.bounded_to_core`).  The rows placed so far are
+    non-decreasing, so a column holds more than k - p of them iff it lies
+    left of the (k - p + 1)-th longest: with j rows placed, a part p slides
+    right by the length of the (j - (k - p))-th placed row, or by 0 when
+    j <= k - p.  A placed row never moves and grows strictly with its part,
+    so the parts stop at the first row longer than its match in lam's core.
+    Test oracles: `oracles.strong_lower_ideal_by_bruhat` and
     `oracles.strong_ideal_union_by_filter`.
     """
     k = lam.k
     core = _core_rows(lam)
     found: list[tuple[int, ...]] = [()]
+    parts: list[int] = []  # of mu, bottom-up
+    placed: list[int] = []  # their core rows
 
-    def grow(parts: list[int], heights: list[int], row: int) -> None:
-        if row < 0:
-            found.append(tuple(reversed(parts)))
-            return
+    def grow(row: int) -> None:
+        bound = core[row]
+        below = len(placed) - k - 1  # part p slides by placed[below + p]
+        rest = () if row else tuple(reversed(parts))  # the parts of mu below its top
         for p in range(parts[-1] if parts else 1, k + 1):
-            length = _slide_row(heights, p, k)
-            if length > core[row]:
+            i = below + p
+            length = p + placed[i] if i >= 0 else p
+            if length > bound:
                 break
-            parts.append(p)
-            grow(parts, _stack_row(heights, length), row - 1)
-            parts.pop()
+            if row:
+                parts.append(p)
+                placed.append(length)
+                grow(row - 1)
+                placed.pop()
+                parts.pop()
+            else:
+                found.append((p, *rest))
 
-    for rows in range(1, len(core) + 1):
-        grow([], [], rows - 1)
-    found.sort(reverse=True)
+    for row in range(len(core)):  # the top row of mu's core is row 0
+        grow(row)
+    return tuple(found)
+
+
+def bruhat_lower_partitions(lam: KBoundedPartition) -> tuple[KBoundedPartition, ...]:
+    """All k-bounded mu with w_mu <= w_lam in the strong order, by (size,
+    revlex): `strong_ideal_parts` sorted and wrapped."""
+    found = sorted(strong_ideal_parts(lam), reverse=True)
     found.sort(key=sum)
-    return tuple(KBoundedPartition._trusted(k, parts) for parts in found)
+    return tuple(KBoundedPartition._trusted(lam.k, parts) for parts in found)
 
 
 def gtilde(lam: KBoundedPartition) -> SymElt:
     """Sum of the g basis over the strong-order lower ideal of lam."""
-    return SymElt._trusted(lam.k, "g", {mu.parts: 1 for mu in bruhat_lower_partitions(lam)})
+    return SymElt._trusted(lam.k, "g", dict.fromkeys(strong_ideal_parts(lam), 1))
 
 
 def gtilde_pieri(lam: KBoundedPartition, r: int) -> SymElt:
@@ -422,7 +483,7 @@ def gtilde_pieri(lam: KBoundedPartition, r: int) -> SymElt:
 
     The product is the 0/1 indicator sum over the union of the lower
     ideals of the size-r weak-strip tops, each read from the memo of
-    `bruhat_lower_partitions`.
+    `strong_ideal_parts`.
     """
     return _gtilde_pieri_union(StripGrowth(lam, r), r)
 
@@ -432,7 +493,7 @@ def _gtilde_pieri_union(growth: StripGrowth, r: int) -> SymElt:
     return SymElt._trusted(
         growth.lam.k,
         "g",
-        {mu.parts: 1 for strip in growth.strips(r) for mu in bruhat_lower_partitions(strip.top)},
+        {mu: 1 for strip in growth.strips(r) for mu in strong_ideal_parts(strip.top)},
     )
 
 
@@ -496,8 +557,8 @@ def expand_gtilde_combination(
     """
     acc: dict[tuple[int, ...], int] = {}
     for parts, c in combo.items():
-        for mu in bruhat_lower_partitions(KBoundedPartition._trusted(k, parts)):
-            acc[mu.parts] = acc.get(mu.parts, 0) + c
+        for mu in strong_ideal_parts(KBoundedPartition._trusted(k, parts)):
+            acc[mu] = acc.get(mu, 0) + c
     return SymElt._trusted(k, "g", acc)
 
 

@@ -91,7 +91,6 @@ from .symfunc import (
     _gtilde_pieri_union,
     _h_expansion,
     _in_term_order,
-    bruhat_lower_partitions,
     expand_gtilde_combination,
     g_to_h,
     gtilde,
@@ -99,6 +98,7 @@ from .symfunc import (
     ks_to_h,
     kschur_top_degree_check,
     product_ks,
+    strong_ideal_parts,
 )
 
 __all__ = [
@@ -1204,9 +1204,12 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
     scan = _fiber_scan(gball, max_length)
     for u in gball:
         zs = z_sets(u)
+        occupied = []  # the A with a nonempty fiber over u
         for members in subsets:
             A = IndexSet._trusted(k, members)
             fib = fiber_X(A, u)  # constructor asserts the boolean interval
+            if fib.members:
+                occupied.append(members)
             via_labels = {
                 mul(inverse(d_elem(IndexSet._trusted(k, B))), u) for B in fib.members
             }
@@ -1238,9 +1241,10 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
                         seven.count() if ok else seven.fail(u=u, A=sorted(members), B=sorted(B))
         for w in gball:
             found = find_A0(u, w)
+            # fiber_Y keeps part of fiber_X, so only an occupied A can have one element
             single_As = {
                 members
-                for members in subsets
+                for members in occupied
                 if len(fiber_Y(IndexSet._trusted(k, members), u, w).members) == 1
             }
             expect = set() if found is None else {found.members}
@@ -1397,7 +1401,7 @@ def verify_factorization(k: int, max_size: int) -> list[CheckResult]:
     g_rects = {t: {(): gtilde(rect)._terms} for t, rect in rects.items()}
     s_rects = {t: {(): {rect.parts: 1}} for t, rect in rects.items()}
     g_rects_in_h: dict[int, dict] = {}  # gtilde(R_t) in h, made where first needed
-    rows: dict[tuple[int, KBoundedPartition], dict] = {}
+    rows: dict[tuple[int, tuple[int, ...]], dict] = {}  # by (t, parts of mu)
     for lam in lams:
         g_lam, s_lam = {(): {lam.parts: 1}}, {(): {lam.parts: 1}}
         for t, rect in rects.items():
@@ -1407,7 +1411,7 @@ def verify_factorization(k: int, max_size: int) -> list[CheckResult]:
                 if t not in g_rects_in_h:
                     g_rects_in_h[t] = _h_expansion(gtilde(rect), g_to_h)
                 row = symfunc._h_combination(g_rects_in_h[t], g_lam, "g", k)
-            rows[t, lam] = {p: c for p, c in row.items() if c}
+            rows[t, lam.parts] = {p: c for p, c in row.items() if c}
             if rect.size > lam.size:
                 prod = symfunc._h_combination(ks_to_h(lam)._terms, s_rects[t], "ks", k)
             else:
@@ -1418,7 +1422,7 @@ def verify_factorization(k: int, max_size: int) -> list[CheckResult]:
     for lam in lams:
         for t, rect in rects.items():
             acc: dict[tuple[int, ...], int] = {}
-            for mu in bruhat_lower_partitions(lam):
+            for mu in strong_ideal_parts(lam):
                 _accumulate(acc, rows[t, mu])
             lhs, rhs = gtilde(union_sort(rect, lam)), SymElt._trusted(k, "g", acc)
             gt.count() if lhs == rhs else gt.fail(lam=list(lam.parts), t=t, lhs=lhs, rhs=rhs)

@@ -37,6 +37,8 @@ def test_summary_of_pairs_and_traced_runs(tmp_path):
         names = {"symfunc.bruhat_lower_partitions": {"calls": 83,
                                                      "self_s": 3.6 if side == "parent" else 0.5},
                  "symfunc.pieri_kk": {"calls": 9, "self_s": 99.0}}
+        if side == "change":  # a function the parent lacks
+            names["symfunc.strong_ideal_parts"] = {"calls": 83, "self_s": 0.2}
         (tmp_path / side / "factorization-sweep" / "seed1" / "trace0.trace.json").write_text(
             json.dumps({"names": names, "memos": {}}))
 
@@ -58,6 +60,8 @@ def test_summary_of_pairs_and_traced_runs(tmp_path):
         "unit": "s", "parent": 3.6, "change": 0.5}
     assert seed["traced"]["affine.bruhat_leq.misses"] == {"unit": "s", "parent": 40122,
                                                           "change": 0}
+    assert seed["traced"]["symfunc.strong_ideal_parts.self_s"] == {
+        "unit": "s", "parent": None, "change": 0.2}
     assert "partitions.KBoundedPartition.new" not in seed["traced"]  # absent from the runs
 
 

@@ -9,6 +9,7 @@ import pytest
 from affineschur.affine import (
     AffinePermutation,
     IndexSet,
+    LeftGrowth,
     ball,
     identity,
     left_action,
@@ -140,6 +141,25 @@ def test_growth_windows_are_the_left_action_runs():
                     if mode == "max" and not v.is_grassmannian():
                         v = None
                     assert grown.get(members) == v, (w, members)
+
+
+def test_parked_growth_without_sets_grows_the_same_levels():
+    # a growth parked between levels, with or without its index sets, gives
+    # the windows and length changes of the eager growth, level by level
+    for k, L in ((2, 4), (3, 3), (5, 2)):
+        for w in ball(k, L):
+            for mode in ("ascent", "descent", "max"):
+                if mode == "max" and not w.is_grassmannian():
+                    continue
+                levels = left_growth(w.window, mode, k)
+                for sets in (True, False):
+                    growth = LeftGrowth(w.window, mode, sets=sets)
+                    for r in range(1, k + 1):
+                        growth.park()
+                        got = growth.grow()
+                        assert growth.depth == r
+                        expected = levels[r] if sets else [(None, v, d) for _, v, d in levels[r]]
+                        assert got == expected, (w, mode, sets, r)
 
 
 def test_max_growth_rejects_a_window_that_is_not_increasing():

@@ -14,16 +14,17 @@ that kills it turns the row into an ordinary one.
 
 A mutant replaces the function wherever a module of the package holds it
 by name, so a function that `verify` imports from `symfunc` or `orderlab`
-is wrong in both.  The h-basis transition tables of `symfunc` and the
-`orderlab.fiber_X` memo are memos of the functions under test, so every
-mutant run starts them empty.
+is wrong in both.  The h-basis transition tables of `symfunc`, its memo
+of set-valued Pieri growths and the `orderlab.fiber_X` memo are memos of
+the functions under test, so every mutant run starts them empty.
 """
 
+import functools
 from typing import Callable, NamedTuple
 
 import pytest
 
-from affineschur import orderlab, symfunc, verify
+from affineschur import orderlab, shapes, symfunc, verify
 from affineschur.affine import from_word
 from affineschur.orderlab import Fiber
 from affineschur.symfunc import SymElt
@@ -146,11 +147,45 @@ def _pieri_kk_top_degree_only(original):
 
 
 def _ideals_without_empty_partition(original):
-    def bruhat_lower_partitions(lam):
+    def strong_ideal_parts(lam):
         ideal = original(lam)
-        return ideal[1:] if len(ideal) > 3 else ideal  # the ideal starts at ()
+        return tuple(mu for mu in ideal if mu) if len(ideal) > 3 else ideal
 
-    return bruhat_lower_partitions
+    return strong_ideal_parts
+
+
+def _ideal_shift_one_row_low(original):
+    def strong_ideal_parts(lam):
+        # the search of `symfunc.strong_ideal_parts`, sliding each part by the
+        # placed row just below the (j - (k - p))-th
+        k, core = lam.k, shapes._core_rows(lam)
+        found = [()]
+
+        def grow(parts, placed, row):
+            for p in range(parts[-1] if parts else 1, k + 1):
+                i = len(placed) - (k - p) - 2
+                length = p + (placed[i] if i >= 0 else 0)
+                if length > core[row]:
+                    break
+                if row:
+                    grow(parts + [p], placed + [length], row - 1)
+                else:
+                    found.append(tuple(reversed(parts + [p])))
+
+        for row in range(len(core)):
+            grow([], [], row)
+        return tuple(found)
+
+    return strong_ideal_parts
+
+
+def _growth_answering_with_the_level_below(original):
+    # at (2,1) only, as for the pieri_kk mutants: wherever an h_to_g
+    # expansion reads the level below, the unitriangular transition raises
+    def __missing__(self, r):
+        return self[r - 1] if r > 1 and self.lam.parts == (2, 1) else original(self, r)
+
+    return __missing__
 
 
 def _table_entry_one_step_short(original):
@@ -310,7 +345,7 @@ MUTANTS = [
     Mutant(
         "ideals-without-empty-partition/factorization",
         symfunc,
-        "bruhat_lower_partitions",
+        "strong_ideal_parts",
         _ideals_without_empty_partition,
         "factorization",
         ((3, 4),),
@@ -319,12 +354,56 @@ MUTANTS = [
     Mutant(
         "ideals-without-empty-partition/pieri-sum",
         symfunc,
-        "bruhat_lower_partitions",
+        "strong_ideal_parts",
         _ideals_without_empty_partition,
         "pieri-sum",
         ((3, 4),),
         frozenset(
             {"signed-product-equals-interval-union", "inclusion-exclusion-expands-to-product"}
+        ),
+    ),
+    Mutant(
+        "ideal-shift-one-placed-row-low/factorization",
+        symfunc,
+        "strong_ideal_parts",
+        _ideal_shift_one_row_low,
+        "factorization",
+        ((3, 4),),
+        frozenset({"ideal-sum-rectangle-factorization"}),
+    ),
+    Mutant(
+        "ideal-shift-one-placed-row-low/pieri-sum",
+        symfunc,
+        "strong_ideal_parts",
+        _ideal_shift_one_row_low,
+        "pieri-sum",
+        ((3, 4),),
+        frozenset(
+            {"signed-product-equals-interval-union", "product-coefficients-are-zero-or-one"}
+        ),
+    ),
+    Mutant(
+        "pieri-growth-answers-with-the-level-below/factorization",
+        symfunc._SetValuedRows,
+        "__missing__",
+        _growth_answering_with_the_level_below,
+        "factorization",
+        ((3, 4),),
+        frozenset({"ideal-sum-rectangle-factorization"}),
+    ),
+    Mutant(
+        "pieri-growth-answers-with-the-level-below/pieri-sum",
+        symfunc._SetValuedRows,
+        "__missing__",
+        _growth_answering_with_the_level_below,
+        "pieri-sum",
+        ((3, 4),),
+        frozenset(
+            {
+                "signed-product-equals-interval-union",
+                "product-coefficients-are-zero-or-one",
+                "product-support-above-weak-join",
+            }
         ),
     ),
     Mutant(
@@ -403,8 +482,11 @@ def test_mutant_fails_its_recorded_checks(monkeypatch, mutant):
             monkeypatch.setattr(module, mutant.attribute, mutated)
     monkeypatch.setattr(symfunc, "_G2H_TABLES", {})
     monkeypatch.setattr(symfunc, "_KS2H_TABLES", {})
+    growths = functools.lru_cache(maxsize=None)(symfunc._set_valued_rows.__wrapped__)
+    monkeypatch.setattr(symfunc, "_set_valued_rows", growths)
     for k, L in mutant.configs:
         fiber_memo.cache_clear()
+        growths.cache_clear()
         failing = {r.name for r in SUITES[mutant.suite](k, L) if not r.ok}
         if mutant.checks:
             assert mutant.checks <= failing, (k, L, sorted(failing))

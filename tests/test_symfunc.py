@@ -11,6 +11,7 @@ from affineschur.affine import IndexSet, ball, weak_leq
 from affineschur.oracles import (
     gtilde_factorize_check,
     kschur_rectangle_check,
+    pieri_kk_by_strips,
     product_via_h_by_monomial,
     strong_ideal_union_by_filter,
     strong_lower_ideal_by_bruhat,
@@ -47,6 +48,7 @@ from affineschur.symfunc import (
     pieri_kschur,
     product_g,
     product_ks,
+    strong_ideal_parts,
 )
 from affineschur.verify import verify_factorization
 
@@ -201,18 +203,26 @@ def test_gtilde_pieri_examples():
     assert gtilde_pieri(P(3, 1), 0) == gtilde(P(3, 1))
 
 
+def _assert_ideal_is_the_bruhat_scan(lam):
+    # core containment against one strong-order comparison per candidate:
+    # the memoised parts, in no order and each once, and their sorted view
+    expected = strong_lower_ideal_by_bruhat(lam)
+    assert sorted(strong_ideal_parts(lam)) == sorted(mu.parts for mu in expected), lam
+    assert bruhat_lower_partitions(lam) == expected, lam
+
+
 def test_strong_ideal_equals_bruhat_scan_oracle():
-    # core containment against one strong-order comparison per candidate
     for k in range(1, 5):
-        for lam in kbounded_partitions(k, 8):
-            assert bruhat_lower_partitions(lam) == strong_lower_ideal_by_bruhat(lam), lam
+        for lam in kbounded_partitions(k, 10):
+            _assert_ideal_is_the_bruhat_scan(lam)
 
 
 def test_strong_ideal_equals_bruhat_scan_oracle_at_k8():
     # strip tops of the k = 8 gtilde queries reach size 17
     candidates = [lam for lam in kbounded_partitions(8, 17) if lam.size >= 9]
-    for lam in random.Random(8).sample(candidates, 12):
-        assert bruhat_lower_partitions(lam) == strong_lower_ideal_by_bruhat(lam), lam
+    smaller = [lam for lam in kbounded_partitions(8, 14) if lam.size >= 6]
+    for lam in random.Random(8).sample(candidates, 12) + random.Random(14).sample(smaller, 12):
+        _assert_ideal_is_the_bruhat_scan(lam)
 
 
 def test_pruned_ideal_equals_the_filter_oracle():
@@ -230,21 +240,18 @@ def test_pruned_ideal_equals_the_filter_oracle():
                 }, (lam, r)
 
 
-def test_pieri_union_reads_the_memoised_ideals(monkeypatch):
+def test_pieri_union_reads_the_memoised_ideals():
     # once every strip top's ideal is in the memo, the union searches nothing
     lams = [lam for k in range(1, 5) for lam in kbounded_partitions(k, 5)]
     for lam in lams:
         for r in range(lam.k + 1):
             for s in weak_strips(lam, r):
-                bruhat_lower_partitions(s.top)
-
-    def searched(*args):
-        raise AssertionError("the union searched an ideal")
-
-    monkeypatch.setattr(symfunc, "_slide_row", searched)
+                strong_ideal_parts(s.top)
+    searched = strong_ideal_parts.cache_info().misses
     for lam in lams:
         for r in range(lam.k + 1):
             _gtilde_pieri_union(StripGrowth(lam, lam.k), r)
+    assert strong_ideal_parts.cache_info().misses == searched
 
 
 def test_gtilde_pieri_equals_union_of_top_ideals():
@@ -468,15 +475,50 @@ def test_product_commutes():
 
 
 def test_memoised_pieri_rules_match_the_uncached_rules():
+    # pieri_kk is memoised through its growth, and the per-r strip rule is
+    # its uncached form
     for k in range(1, 5):
         for lam in kbounded_partitions(k, 6):
-            for rule, rs in ((pieri_kk, range(1, k + 1)), (pieri_kschur, range(k + 1))):
+            for rule, uncached, rs in (
+                (pieri_kk, pieri_kk_by_strips, range(1, k + 1)),
+                (pieri_kschur, pieri_kschur.__wrapped__, range(k + 1)),
+            ):
                 for r in rs:
                     got = rule(lam, r)
-                    assert got == rule.__wrapped__(lam, r), (rule, lam, r)
+                    assert got == uncached(lam, r), (rule, lam, r)
                     assert got == SymElt(k, got.basis, got.coeffs)
                     assert in_term_order(got)
                     assert rule(lam, r) is got
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_shared_growth_answers_every_r_in_any_order(order):
+    # each partition gets a fresh growth, asked for every r in the given order
+    rng = random.Random(order)
+    lams = [lam for k in range(1, 5) for lam in kbounded_partitions(k, 6)]
+    lams += rng.sample(kbounded_partitions(8, 8), 15)
+    for lam in lams:
+        rs = list(range(1, lam.k + 1))
+        if order == "descending":
+            rs.reverse()
+        elif order == "shuffled":
+            rng.shuffle(rs)
+        rows = symfunc._SetValuedRows(lam)
+        for r in rs:
+            assert rows[r] == pieri_kk_by_strips(lam, r), (lam, r)
+        # every level is read, so no window is kept
+        assert rows._growth is None and rows._unread == {}, lam
+
+
+def test_one_r_grows_no_further_than_itself():
+    lam = P(5, 3, 2, 1)
+    rows = symfunc._SetValuedRows(lam)
+    assert rows[3] == pieri_kk_by_strips(lam, 3)
+    assert rows._growth.depth == 3 and sorted(rows._unread) == [1, 2]
+    assert rows[1] == pieri_kk_by_strips(lam, 1)  # read from the kept level
+    assert rows._growth.depth == 3 and sorted(rows._unread) == [2]
+    with pytest.raises(ValueError, match=r"need 1 <= r <= k, got r=6, k=5"):
+        rows[6]
 
 
 def test_products_are_valid_symelts(monkeypatch):
@@ -567,9 +609,10 @@ def test_kbounded_partitions_pass_validation():
 
 
 def test_pieri_memos_can_be_cleared():
-    # benchmark sessions empty every memo they find by its cache_clear attribute
-    for rule in (pieri_kk, pieri_kschur):
+    # benchmark sessions empty every memo they find by its cache_clear
+    # attribute; pieri_kk keeps its rows in the memo of its growths
+    for rule, memo in ((pieri_kk, symfunc._set_valued_rows), (pieri_kschur, pieri_kschur)):
         rule(P(3, 2, 1), 1)
-        assert rule.cache_info().currsize > 0
-        rule.cache_clear()
-        assert rule.cache_info().currsize == 0
+        assert memo.cache_info().currsize > 0
+        memo.cache_clear()
+        assert memo.cache_info().currsize == 0

@@ -37,7 +37,8 @@ over parent, and:
   spread, `worse` when the parent does so, and `unresolved` otherwise.
 
 Traced runs give the per-layer figures in TRACED, as medians over the
-traced runs.
+traced runs; a figure that only one side's traced runs report, such as
+the self time of a function the other tree lacks, is None on the other.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ TRACED = (
     "affine.weak_leq.misses",
     "affine.weak_leq.size",
     "symfunc.bruhat_lower_partitions.self_s",
+    "symfunc.strong_ideal_parts.self_s",
     "orderlab.self_s",
     "symfunc.pieri_kk.self_s",
     "symfunc.pieri_kk.calls",
@@ -208,15 +210,16 @@ def summarise_seed(runs: dict[str, dict[str, dict]], better: dict[str, str]) -> 
             }
         out["end_to_end"] = metrics
     if traced["parent"] and traced["change"]:
-        out["traced"] = {
-            name: {
-                "unit": traced["parent"][0]["metrics"][name]["unit"],
-                **{side: statistics.median(r["metrics"][name]["value"] for r in traced[side])
-                   for side in SIDES},
-            }
-            for name in TRACED
-            if all(name in r["metrics"] for side in SIDES for r in traced[side])
-        }
+        out["traced"] = {}
+        for name in TRACED:
+            found = {side: [r["metrics"][name] for r in traced[side] if name in r["metrics"]]
+                     for side in SIDES}
+            if any(found.values()):  # a function one side lacks reads None there
+                out["traced"][name] = {
+                    "unit": next(m["unit"] for side in SIDES for m in found[side]),
+                    **{side: statistics.median(m["value"] for m in found[side])
+                       if found[side] else None for side in SIDES},
+                }
     return out
 
 
