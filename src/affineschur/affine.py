@@ -380,99 +380,113 @@ def left_growth(
     leaves the parent's window, shared.  The length change is +|A|, -|A|,
     or in "max" the number of steps that went up.  The full residue set has
     no run top or bottom, so it is never reached.  Each level is one
-    `LeftGrowth.grow`.
+    `_grow_level` step.
     """
-    growth = LeftGrowth(window, mode, within)
-    return [growth.level(), *(growth.grow() for _ in range(size))]
+    level, residues, ascent, is_max = _growth_start(window, mode, within)
+    guard = _guards(len(window), ascent)
+    levels = [[(frozenset(), level[0][2], 0)]]
+    for _ in range(size):
+        level = _grow_level(level, residues, guard, ascent, is_max)
+        levels.append([(members, win, dl) for _, members, win, _, dl in level])
+    return levels
+
+
+def _growth_start(window: Sequence[int], mode: str, within: Iterable[int] | None):
+    """The first level of a growth in `mode`, its residues and its direction."""
+    if mode not in LEFT_MODES[1:]:
+        raise ValueError(f"mode must be one of {LEFT_MODES[1:]}, got {mode!r}")
+    n = len(window)
+    win = list(window)
+    is_max = mode == "max"
+    if is_max and any(x > y for x, y in zip(win, win[1:])):
+        raise ValueError(f"max growth needs an increasing window, got {win}")
+    pos = [0] * n
+    for p, x in enumerate(win):
+        pos[x % n] = p
+    residues = range(n) if within is None else sorted(within)
+    return [(0, frozenset(), win, pos, 0)], residues, mode != "descent", is_max
+
+
+def _guards(n: int, ascent: bool) -> list[int]:
+    # a may join A when its neighbour above (ascent, max) or below (descent) is out
+    return [1 << a | 1 << ((a + 1) % n if ascent else (a - 1) % n) for a in range(n)]
+
+
+def _grow_level(level: list, residues, guard: list[int], ascent: bool, is_max: bool) -> list:
+    """The next level of a growth: the entries (mask, A, window, position
+    table, length change) grown from `level` by one run top or bottom."""
+    n = len(guard)
+    grown = []
+    tried = set()
+    for mask, members, win, pos, dl in level:
+        for a in residues:
+            if mask & guard[a]:
+                continue
+            child = mask | 1 << a
+            if child in tried:
+                continue
+            tried.add(child)
+            j = a + 1 if a + 1 < n else 0
+            p, q = pos[a], pos[j]
+            # s_a raises the length iff w^-1(a) < w^-1(a+1)
+            if (p - win[p] <= q - win[q]) != ascent:
+                if is_max:
+                    grown.append((child, members | {a}, win, pos, dl))
+                continue
+            if is_max and q == p + 1:
+                # the step swaps win[p] and win[q] = win[p] + 1
+                continue
+            cwin = win.copy()
+            cwin[p] += 1
+            cwin[q] -= 1
+            cpos = pos.copy()
+            cpos[a], cpos[j] = q, p
+            grown.append((child, members | {a}, cwin, cpos, dl + (1 if ascent else -1)))
+    return grown
 
 
 class LeftGrowth:
-    """`left_growth`, one level at a time: `grow` returns the next level.
+    """`left_growth` one level at a time, for a caller that keeps the
+    growth between levels: `grow` returns the next level.
 
-    Only the deepest level grown is kept, with the residue -> position
-    table of each window, so a caller that wants one level grows no
-    further than it, and one that wants more goes on from there.  A caller
-    that keeps the growth between levels can `park` it, dropping those
-    tables until the next `grow`.  With `sets` false no index set is built
-    and the levels hold None in its place.
+    Only the deepest level grown is kept, so a caller that wants one level
+    grows no further than it, and one that wants more goes on from there.
+    Between levels the caller can `park` the growth, keeping of its
+    deepest level only the masks, windows and length changes until the
+    next `grow`.
     """
 
-    __slots__ = ("depth", "_level", "_residues", "_guard", "_ascent", "_max", "_sets")
+    __slots__ = ("depth", "_level", "_parked", "_residues", "_guard", "_ascent", "_max")
 
-    def __init__(
-        self,
-        window: Sequence[int],
-        mode: str,
-        within: Iterable[int] | None = None,
-        sets: bool = True,
-    ):
-        if mode not in LEFT_MODES[1:]:
-            raise ValueError(f"mode must be one of {LEFT_MODES[1:]}, got {mode!r}")
-        n = len(window)
-        win = list(window)
-        self._max = mode == "max"
-        if self._max and any(x > y for x, y in zip(win, win[1:])):
-            raise ValueError(f"max growth needs an increasing window, got {win}")
-        self._ascent = ascent = mode != "descent"
-        pos = [0] * n
-        for p, x in enumerate(win):
-            pos[x % n] = p
-        self._residues = range(n) if within is None else sorted(within)
-        # a may join A when its neighbour above (ascent, max) or below (descent) is out
-        self._guard = [1 << a | 1 << ((a + 1) % n if ascent else (a - 1) % n) for a in range(n)]
-        self._sets = sets
-        self._level = [(0, frozenset() if sets else None, win, pos, 0)]
+    def __init__(self, window: Sequence[int], mode: str):
+        self._level, self._residues, self._ascent, self._max = _growth_start(window, mode, None)
+        self._guard = _guards(len(window), self._ascent)
+        self._parked = False
         self.depth = 0
 
     def park(self) -> None:
-        """Drop the position tables of the deepest level; `grow` rebuilds
-        them, one per window."""
-        self._level = [(mask, members, win, None, dl) for mask, members, win, _, dl in self._level]
-
-    def level(self) -> list[tuple[frozenset[int], list[int], int]]:
-        """The deepest level grown, as (A, window, length change)."""
-        return [(members, win, dl) for _, members, win, _, dl in self._level]
+        """Drop the index sets and position tables of the deepest level;
+        `grow` rebuilds them from its masks and windows."""
+        self._level = [(mask, None, win, None, dl) for mask, _, win, _, dl in self._level]
+        self._parked = True
 
     def grow(self) -> list[tuple[frozenset[int], list[int], int]]:
-        """Grow the next level and return it, as `level` does."""
-        residues, guard, ascent, is_max = self._residues, self._guard, self._ascent, self._max
-        sets = self._sets
-        n = len(guard)
-        grown = []
-        tried = set()
-        for mask, members, win, pos, dl in self._level:
-            if pos is None:
-                pos = [0] * n
-                for p, x in enumerate(win):
-                    pos[x % n] = p
-            for a in residues:
-                if mask & guard[a]:
-                    continue
-                child = mask | 1 << a
-                if child in tried:
-                    continue
-                tried.add(child)
-                j = a + 1 if a + 1 < n else 0
-                p, q = pos[a], pos[j]
-                # s_a raises the length iff w^-1(a) < w^-1(a+1)
-                if (p - win[p] <= q - win[q]) != ascent:
-                    if is_max:
-                        grown.append((child, members | {a} if sets else None, win, pos, dl))
-                    continue
-                if is_max and q == p + 1:
-                    # the step swaps win[p] and win[q] = win[p] + 1
-                    continue
-                cwin = win.copy()
-                cwin[p] += 1
-                cwin[q] -= 1
-                cpos = pos.copy()
-                cpos[a], cpos[j] = q, p
-                grown.append(
-                    (child, members | {a} if sets else None, cwin, cpos, dl + (1 if ascent else -1))
-                )
-        self._level = grown
+        """Grow the next level and return it, as (A, window, length change)."""
+        if self._parked:
+            self._unpark()
+        self._level = _grow_level(self._level, self._residues, self._guard, self._ascent, self._max)
         self.depth += 1
-        return [(members, win, dl) for _, members, win, _, dl in grown]
+        return [(members, win, dl) for _, members, win, _, dl in self._level]
+
+    def _unpark(self) -> None:
+        n = len(self._guard)
+        level = []
+        for mask, _, win, _, dl in self._level:
+            pos = [0] * n
+            for p, x in enumerate(win):
+                pos[x % n] = p
+            level.append((mask, frozenset([a for a in range(n) if mask >> a & 1]), win, pos, dl))
+        self._level, self._parked = level, False
 
 
 def from_word(k: int, word: Iterable[int]) -> AffinePermutation:

@@ -207,47 +207,45 @@ def pieri_kk(lam: KBoundedPartition, r: int) -> SymElt:
 class _SetValuedRows(dict):
     """r -> pieri_kk(lam, r), read off one "max" growth of w_lam.
 
-    The growth (`affine.LeftGrowth`, with no index sets) is extended one
-    level at a time, as far as the largest r asked, so a sweep grows lam
-    once and a single r grows no further than itself.  A level is turned
-    into a row only when its r is asked: the levels passed on the way are
-    kept as grown, and each level's windows are dropped once its row is
-    read, but for the deepest, which stays parked to grow the next.  The
-    row of level r adds (-1)^(r - dl) at the shape of each window, where
-    dl is l(v) - l(w_lam).
+    The growth (`affine.LeftGrowth`) is extended one level at a time, as
+    far as the largest r asked, so a sweep that asks r in ascending order
+    grows lam once, and a single r grows no further than itself.  Only the
+    level asked is turned into a row: the levels passed on the way are
+    dropped, and the deepest is parked to grow the next.  An r at or below
+    the depth grown is read off a growth of its own.  The row of level r
+    adds (-1)^(r - dl) at the shape of each window, where dl is
+    l(v) - l(w_lam).
     """
 
-    __slots__ = ("lam", "_length", "_growth", "_unread")
+    __slots__ = ("lam", "_w", "_growth")
 
     def __init__(self, lam: KBoundedPartition):
         super().__init__()
-        w = bounded_to_perm(lam)
         self.lam = lam
-        self._length = w.length
-        self._growth = LeftGrowth(w.window, "max", sets=False)
-        self._unread: dict[int, list] = {}
+        self._w = bounded_to_perm(lam)
+        self._growth = LeftGrowth(self._w.window, "max")
 
     def __missing__(self, r: int) -> SymElt:
         k = self.lam.k
         if not 1 <= r <= k:
             raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
-        level = self._unread.pop(r, None)
-        if level is None:
-            growth = self._growth
-            while growth.depth < r - 1:
-                grown = growth.grow()
-                self._unread[growth.depth] = grown
-            level = growth.grow()
-            if r == k:  # no index set is larger
-                self._growth = None
-            else:
-                growth.park()
-        ell = self._length
+        growth = self._growth
+        if growth is None or growth.depth >= r:
+            growth = LeftGrowth(self._w.window, "max")
+        while growth.depth < r - 1:
+            growth.grow()
+        level = growth.grow()
+        ell = self._w.length
         acc: dict[tuple[int, ...], int] = {}
         for _, win, dl in level:
             parts = perm_to_bounded(AffinePermutation._trusted(k, tuple(win), ell + dl)).parts
             acc[parts] = acc.get(parts, 0) + (-1 if (r - dl) & 1 else 1)
         row = self[r] = SymElt._trusted(k, "g", acc)
+        if growth is self._growth:
+            if r == k:  # no index set is larger
+                self._growth = None
+            else:
+                growth.park()
         return row
 
 

@@ -143,23 +143,20 @@ def test_growth_windows_are_the_left_action_runs():
                     assert grown.get(members) == v, (w, members)
 
 
-def test_parked_growth_without_sets_grows_the_same_levels():
-    # a growth parked between levels, with or without its index sets, gives
-    # the windows and length changes of the eager growth, level by level
+def test_parked_growth_grows_the_same_levels():
+    # a growth kept between levels grows the levels of the eager growth,
+    # parked or not: parking drops the index sets and position tables
     for k, L in ((2, 4), (3, 3), (5, 2)):
         for w in ball(k, L):
             for mode in ("ascent", "descent", "max"):
                 if mode == "max" and not w.is_grassmannian():
                     continue
                 levels = left_growth(w.window, mode, k)
-                for sets in (True, False):
-                    growth = LeftGrowth(w.window, mode, sets=sets)
-                    for r in range(1, k + 1):
-                        growth.park()
-                        got = growth.grow()
-                        assert growth.depth == r
-                        expected = levels[r] if sets else [(None, v, d) for _, v, d in levels[r]]
-                        assert got == expected, (w, mode, sets, r)
+                kept, parked = LeftGrowth(w.window, mode), LeftGrowth(w.window, mode)
+                for r in range(1, k + 1):
+                    parked.park()
+                    assert parked.grow() == kept.grow() == levels[r], (w, mode, r)
+                    assert parked.depth == kept.depth == r
 
 
 def test_max_growth_rejects_a_window_that_is_not_increasing():

@@ -506,19 +506,38 @@ def test_shared_growth_answers_every_r_in_any_order(order):
         rows = symfunc._SetValuedRows(lam)
         for r in rs:
             assert rows[r] == pieri_kk_by_strips(lam, r), (lam, r)
-        # every level is read, so no window is kept
-        assert rows._growth is None and rows._unread == {}, lam
 
 
 def test_one_r_grows_no_further_than_itself():
     lam = P(5, 3, 2, 1)
     rows = symfunc._SetValuedRows(lam)
     assert rows[3] == pieri_kk_by_strips(lam, 3)
-    assert rows._growth.depth == 3 and sorted(rows._unread) == [1, 2]
-    assert rows[1] == pieri_kk_by_strips(lam, 1)  # read from the kept level
-    assert rows._growth.depth == 3 and sorted(rows._unread) == [2]
+    assert rows._growth.depth == 3
+    assert rows[1] == pieri_kk_by_strips(lam, 1)  # off a growth of its own
+    assert rows._growth.depth == 3
+    assert rows[4] == pieri_kk_by_strips(lam, 4)  # one level on from the parked one
+    assert rows._growth.depth == 4
     with pytest.raises(ValueError, match=r"need 1 <= r <= k, got r=6, k=5"):
         rows[6]
+
+
+def test_a_row_interrupted_while_built_is_built_again(monkeypatch):
+    # the growth has reached level r when its row fails; asking r again must
+    # not read the level after it
+    lam = P(5, 3, 2, 1)
+    rows = symfunc._SetValuedRows(lam)
+    assert rows[1] == pieri_kk_by_strips(lam, 1)
+
+    def interrupted(v):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(symfunc, "perm_to_bounded", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            rows[2]
+    assert 2 not in rows
+    for r in (2, 3, 5, 4):
+        assert rows[r] == pieri_kk_by_strips(lam, r), r
 
 
 def test_products_are_valid_symelts(monkeypatch):
