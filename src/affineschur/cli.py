@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from collections.abc import Callable
@@ -101,13 +102,20 @@ _JSON_SCALARS = {
 }
 
 
+def _one_scalar_type(values):
+    """How `_json_text` writes the values, when they all have one scalar type."""
+    kinds = set(map(type, values))
+    return _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+
+
 def _json_text(value, indent: str = "\n") -> str:
     """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, in one pass.
 
     On 3.11 the stdlib writes indented JSON with its pure-Python encoder.
     This writer takes exactly the types CLI payloads hold (dicts with str
     keys, lists, str, int, bool and None) and raises TypeError for any
-    other; a list of scalars of one type is written with one join.
+    other.  A list of scalars of one type is written with one join, and a
+    list of lists whose scalars all have one type with one join per row.
     """
     kind = type(value)
     scalar = _JSON_SCALARS.get(kind)
@@ -118,12 +126,19 @@ def _json_text(value, indent: str = "\n") -> str:
         if not value:
             return "[]"
         kinds = set(map(type, value))
-        scalar = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-        items = (
-            map(scalar, value)
-            if scalar is not None
-            else [_json_text(item, inner) for item in value]
-        )
+        only = kinds.pop() if len(kinds) == 1 else None
+        scalar = _JSON_SCALARS.get(only)
+        if scalar is not None:
+            items = map(scalar, value)
+        elif only is list and (cell := _one_scalar_type(itertools.chain.from_iterable(value))):
+            deeper = inner + "  "
+            comma = "," + deeper
+            items = [
+                "[" + deeper + comma.join(map(cell, row)) + inner + "]" if row else "[]"
+                for row in value
+            ]
+        else:
+            items = [_json_text(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if kind is dict:
         if not value:

@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affineschur import cli
@@ -205,10 +205,16 @@ json_scalars = (
     | st.integers(min_value=-(10**400), max_value=10**400)
     | json_strings
 )
+json_rows = (
+    st.lists(st.integers(-2, 2))
+    | st.lists(json_strings, max_size=3)
+    | st.lists(st.booleans() | st.integers(-2, 2) | st.none(), max_size=3)
+)
 json_payloads = st.recursive(
     json_scalars
     | st.lists(st.booleans() | st.integers(-2, 2))
-    | st.lists(json_strings),
+    | st.lists(json_strings)
+    | st.lists(json_rows, max_size=4),
     lambda children: st.lists(children, max_size=5)
     | st.dictionaries(json_strings, children, max_size=5),
     max_leaves=40,
@@ -217,13 +223,26 @@ json_payloads = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(json_payloads)
+@example([[0, 1], [], [2]])
+@example([[], []])
+@example([[1, "a"], [True], []])
+@example([["a"], [1]])
 def test_json_writer_matches_stdlib(payload):
     assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize(
     "payload",
-    [1.5, {"a": [1, 2.0]}, {"a": {1, 2}}, [(1, 2)], {1: "a"}, {"a": {"b": b"x"}}],
+    [
+        1.5,
+        {"a": [1, 2.0]},
+        {"a": {1, 2}},
+        [(1, 2)],
+        {1: "a"},
+        {"a": {"b": b"x"}},
+        [[1.5]],
+        [[(1, 2)]],
+    ],
 )
 def test_json_writer_rejects_other_types(payload):
     with pytest.raises(TypeError):

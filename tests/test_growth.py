@@ -92,12 +92,31 @@ def test_setvalued_pruning_follows_run_tops_only():
 
 
 def test_z_sets_equal_subset_scan_on_grassmannian_elements():
-    grid = [(k, 8) for k in range(1, 5)] + [(k, 5) for k in range(5, 9)]
-    for k, size in grid:
-        for lam in kbounded_partitions(k, size):
+    for k in range(1, 9):
+        for lam in kbounded_partitions(k, 8):
             u = bounded_to_perm(lam)
             zs = z_sets(u)
             assert (zs.plus, zs.minus, zs.plus_grassmannian) == z_sets_by_scan(u), lam
+
+
+def test_z_sets_equal_subset_scan_on_balls():
+    for k in range(1, 5):
+        for u in ball(k, 4):
+            zs = z_sets(u)
+            assert (zs.plus, zs.minus, zs.plus_grassmannian) == z_sets_by_scan(u), u
+
+
+def test_z_sets_equal_subset_scan_on_random_words_at_k8():
+    rng = random.Random(8)
+    grassmannian = 0
+    for _ in range(120):
+        u = identity(8)
+        for _ in range(rng.randint(0, 40)):
+            u = left_mul_s(u, rng.randint(0, 8))
+        grassmannian += u.is_grassmannian()
+        zs = z_sets(u)
+        assert (zs.plus, zs.minus, zs.plus_grassmannian) == z_sets_by_scan(u), u
+    assert 0 < grassmannian < 120
 
 
 def test_z_sets_equal_subset_scan_on_random_words():

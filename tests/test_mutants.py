@@ -19,6 +19,7 @@ of set-valued Pieri growths and the `orderlab.fiber_X` memo are memos of
 the functions under test, so every mutant run starts them empty.
 """
 
+import dataclasses
 import functools
 from typing import Callable, NamedTuple
 
@@ -212,6 +213,30 @@ def _no_singleton_search(original):
         return None
 
     return find_A0
+
+
+def _minus_family_without_a_silent_member(original):
+    def z_sets(u):
+        # drop the first member between the empty set and the maximum whose
+        # loss the closure and maximum assertions of ZSets do not see
+        zs = original(u)
+        top = frozenset().union(*zs.minus)
+        for middle in sorted(zs.minus, key=lambda A: (len(A), sorted(A))):
+            if middle and middle != top:
+                try:
+                    return dataclasses.replace(zs, minus=zs.minus - {middle})
+                except RuntimeError:
+                    continue
+        return zs
+
+    return z_sets
+
+
+def _plus_runs_never_starting_at_0(original):
+    def plus_limits(key):
+        return [0] + original(key)[1:]
+
+    return plus_limits
 
 
 def _left_parent_letter_one_off(original):
@@ -451,6 +476,28 @@ MUTANTS = [
         frozenset(
             {"singleton-fiber-iff-found-index-set", "strip-reachability-conditions-agree"}
         ),
+    ),
+    Mutant(
+        "minus-family-without-a-silent-member",
+        orderlab,
+        "z_sets",
+        _minus_family_without_a_silent_member,
+        "order-props",
+        ((2, 4), (3, 4)),
+        frozenset({"z-families-chain-property"}),
+    ),
+    # Survivor: without runs that start at residue 0, the plus family keeps
+    # the members A with 0 in A only if k is in A; that family is still
+    # closed under intersection and proper union, and no check asks whether
+    # a Z-family holds every A that it should.
+    Mutant(
+        "plus-runs-never-starting-at-0",
+        orderlab,
+        "_plus_limits",
+        _plus_runs_never_starting_at_0,
+        "order-props",
+        ((2, 4), (3, 4)),
+        frozenset(),
     ),
     Mutant(
         "lifted-rows-by-the-next-letter",

@@ -210,12 +210,41 @@ def test_family_closure_failure_is_reported(dropped, message):
         dataclasses.replace(zs, plus=zs.plus - {dropped})
 
 
-def _mask(A):
-    return sum(1 << i for i in A)
+def test_a_run_limit_that_breaks_closure_is_reported(monkeypatch):
+    # plus runs of length one only: {0} and {1} are members, {0, 1} is not
+    monkeypatch.setattr(orderlab, "_plus_limits", lambda key: [1] * len(key))
+    message = "plus not closed under proper union: "
+    with pytest.raises(RuntimeError, match=re.escape(message)) as raised:
+        z_sets(identity(3))
+    A, B = (
+        frozenset(map(int, filter(None, found.split(", "))))
+        for found in re.findall(r"frozenset\(\{([\d, ]*)\}\)", str(raised.value))
+    )
+    spaced = frozenset(C for C in proper_subsets(3) if all((i + 1) % 4 not in C for i in C))
+    assert A in spaced and B in spaced and A | B not in spaced
+    # the checking constructor refuses the same family with the same report
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        orderlab.ZSets(identity(3), spaced, frozenset({frozenset()}), None)
+
+
+def test_as_dict_lists_members_by_size_then_lexicographically():
+    rng = random.Random(5)
+    for k in (2, 4, 8):
+        for w in rng.sample(ball(k, 3), 6):
+            zs = z_sets(w)
+            blob = zs.as_dict()
+            for which in ("plus", "minus", "plus_grassmannian"):
+                fam = getattr(zs, which)
+                if fam is None:
+                    assert which not in blob
+                    continue
+                assert blob[which] == sorted(map(sorted, fam), key=lambda a: (len(a), a))
+                assert all(type(a) is list for a in blob[which])
 
 
 def _closed_by_transforms(fam, k):
-    return orderlab._closure_gaps([_mask(A) for A in fam], k + 1) == (0, 0)
+    has = orderlab._residue_patterns(k + 1)
+    return orderlab._closure_gaps([orderlab._bitset(fam)], has) == [(0, 0)]
 
 
 def test_closure_transforms_equal_pair_scan_exhaustively():
@@ -248,3 +277,12 @@ def test_closure_transforms_equal_pair_scan_on_damaged_families(k):
                 assert _closed_by_transforms(damaged, k) == by_pairs, (w, damaged)
                 outcomes.add(by_pairs)
     assert outcomes == {True, False}
+
+
+def test_closure_gaps_side_by_side_equal_one_at_a_time():
+    rng = random.Random(9)
+    for n in (1, 2, 3, 5):
+        has = orderlab._residue_patterns(n)
+        fams = [rng.getrandbits(1 << n) for _ in range(4)] + [0, (1 << (1 << n)) - 1]
+        alone = [orderlab._closure_gaps([f], has)[0] for f in fams]
+        assert orderlab._closure_gaps(fams, has) == alone

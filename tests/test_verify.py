@@ -1,6 +1,7 @@
 """The sweep harness itself: counters, witnesses, and small-rank runs."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -35,13 +36,14 @@ from affineschur.oracles import (
     strong_meet,
     subset_chain_exists,
 )
-from affineschur.orderlab import find_A0
+from affineschur.orderlab import find_A0, z_sets
 from affineschur.partitions import KBoundedPartition, k_rectangle, kbounded_partitions, union_sort
 from affineschur.shapes import bounded_to_perm
 from affineschur.symfunc import SymElt
 from affineschur.verify import (
     CheckResult,
     _BallOrder,
+    _extends_toward,
     _flip_images,
     _generator_steps,
     _hecke_tables,
@@ -103,7 +105,7 @@ def test_failing_order_props_checks_keep_their_witnesses(monkeypatch, capsys):
     ]
     reflection = verify.is_affine_reflection
     monkeypatch.setattr(verify, "is_affine_reflection", lambda w: not reflection(w))
-    monkeypatch.setattr(verify, "subset_chain_exists", lambda A, B, family: False)
+    monkeypatch.setattr(verify, "_extends_toward", lambda A, B, family: False)
     got = {r.name: r for r in verify_order_props(k, L)}
     assert {name: r.instances for name, r in got.items()} == clean
     strong = got["strong-covers-are-reflections"]
@@ -196,6 +198,33 @@ def test_chain_helpers():
     fam = {frozenset(), frozenset({0}), frozenset({0, 1})}
     assert subset_chain_exists(frozenset(), frozenset({0, 1}), fam)
     assert not subset_chain_exists(frozenset(), frozenset({1}), fam)
+
+
+def _failing_pairs(rule, fam):
+    return {(A, B) for A in fam for B in fam if A < B and not rule(A, B, fam)}
+
+
+def test_one_step_extensions_decide_the_chain_property():
+    # every pair of every Z-family agrees; on a family with a member
+    # dropped, the one-step rule flags only pairs the chain search flags,
+    # and some pair exactly when the chain search flags one
+    rng = random.Random(22)
+    pairs = verdicts = 0
+    for k, L in ((1, 4), (2, 4), (3, 4), (4, 4)):
+        for u in ball(k, L):
+            zs = z_sets(u)
+            for fam in (zs.plus, zs.minus, zs.plus_grassmannian):
+                if fam is None:
+                    continue
+                assert _failing_pairs(_extends_toward, fam) == set()
+                assert _failing_pairs(subset_chain_exists, fam) == set()
+                pairs += sum(A < B for A in fam for B in fam)
+                damaged = fam - {rng.choice(sorted(fam, key=sorted))}
+                one_step = _failing_pairs(_extends_toward, damaged)
+                chains = _failing_pairs(subset_chain_exists, damaged)
+                assert one_step <= chains and bool(one_step) == bool(chains), (u, damaged)
+                verdicts += bool(chains)
+    assert pairs > 10_000 and verdicts > 0, pairs
 
 
 def _meet(order, v, w):
