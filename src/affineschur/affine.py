@@ -11,8 +11,7 @@ concurrent sweeps.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 __all__ = [
     "AffinePermutation",
@@ -52,6 +51,11 @@ BALL_CAP = 1_000_000
 
 class BallCapExceeded(RuntimeError):
     """A length-ball enumeration grew past its configured element cap."""
+
+
+def _frozen(self, *_):
+    """`__setattr__` and `__delattr__` of the immutable value types of the package."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class AffinePermutation:
@@ -100,8 +104,7 @@ class AffinePermutation:
         _set_length(w, length)
         return w
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AffinePermutation is immutable")
+    __setattr__ = __delattr__ = _frozen
 
     def __call__(self, i: int) -> int:
         """Value w(i) for any integer i."""
@@ -141,27 +144,37 @@ _set_window = AffinePermutation.window.__set__
 _set_length = AffinePermutation.length.__set__
 
 
-@dataclass(frozen=True)
 class IndexSet:
     """Proper subset of the residues {0, ..., k}, labelling d_A and u_A."""
 
-    k: int
-    members: frozenset[int]
+    __slots__ = ("k", "members")
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(int(i) for i in self.members))
-        if any(not 0 <= i <= self.k for i in self.members):
-            raise ValueError(f"members {set(self.members)} out of range 0..{self.k}")
-        if len(self.members) == self.k + 1:
+    def __init__(self, k: int, members: Iterable[int]):
+        members = frozenset(int(i) for i in members)
+        if any(not 0 <= i <= k for i in members):
+            raise ValueError(f"members {set(members)} out of range 0..{k}")
+        if len(members) == k + 1:
             raise ValueError("the full residue set is not allowed")
+        _set_index_k(self, k)
+        _set_members(self, members)
 
     @classmethod
     def _trusted(cls, k: int, members: frozenset[int]) -> "IndexSet":
         """Wrap a frozenset already known to hold a proper subset of 0..k."""
         A = object.__new__(cls)
-        object.__setattr__(A, "k", k)
-        object.__setattr__(A, "members", members)
+        _set_index_k(A, k)
+        _set_members(A, members)
         return A
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.members) == (other.k, other.members)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.k, self.members))
 
     def sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
@@ -187,33 +200,52 @@ class IndexSet:
         return {"k": self.k, "set": list(self.sorted())}
 
 
-@dataclass(frozen=True)
+_set_index_k, _set_members = IndexSet.k.__set__, IndexSet.members.__set__
+
+
 class ReducedWord:
     """Word over {0, ..., k} whose evaluation has length equal to its size."""
 
-    k: int
-    letters: tuple[int, ...]
+    __slots__ = ("k", "letters")
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(int(i) for i in self.letters))
-        if any(not 0 <= i <= self.k for i in self.letters):
-            raise ValueError(f"letters {self.letters} out of range 0..{self.k}")
-        if from_word(self.k, self.letters).length != len(self.letters):
-            raise ValueError(f"word {self.letters} is not reduced")
+    def __init__(self, k: int, letters: Iterable[int]):
+        letters = tuple(int(i) for i in letters)
+        if any(not 0 <= i <= k for i in letters):
+            raise ValueError(f"letters {letters} out of range 0..{k}")
+        if from_word(k, letters).length != len(letters):
+            raise ValueError(f"word {letters} is not reduced")
+        _set_word_k(self, k)
+        _set_letters(self, letters)
 
     @classmethod
     def _trusted(cls, k: int, letters: tuple[int, ...]) -> "ReducedWord":
         """Wrap letters already known to form a reduced word; no re-evaluation."""
         rw = object.__new__(cls)
-        object.__setattr__(rw, "k", k)
-        object.__setattr__(rw, "letters", letters)
+        _set_word_k(rw, k)
+        _set_letters(rw, letters)
         return rw
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.letters) == (other.k, other.letters)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.k, self.letters))
+
+    def __repr__(self):
+        return f"ReducedWord(k={self.k!r}, letters={self.letters!r})"
 
     def __len__(self):
         return len(self.letters)
 
     def __iter__(self):
         return iter(self.letters)
+
+
+_set_word_k, _set_letters = ReducedWord.k.__set__, ReducedWord.letters.__set__
 
 
 def _inversion_length(win: tuple[int, ...], n: int) -> int:

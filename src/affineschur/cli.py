@@ -15,7 +15,6 @@ import itertools
 import json
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from .affine import BALL_CAP, ball_size, from_word
@@ -55,20 +54,30 @@ class ConfigError(ValueError):
     """Invalid run configuration; reported with exit status 2."""
 
 
-@dataclass
 class RunConfig:
-    k: int
-    max_size: int | None = None
-    r: int | None = None
-    fmt: str = "text"
+    """The rank and the options one CLI call runs with, checked against the caps."""
 
-    def __post_init__(self):
-        if not 1 <= self.k <= MAX_K:
-            raise ConfigError(f"need 1 <= k <= {MAX_K}, got k={self.k}")
-        if self.max_size is not None and not 0 <= self.max_size <= MAX_SIZE:
-            raise ConfigError(f"need 0 <= max-size <= {MAX_SIZE}, got {self.max_size}")
-        if self.r is not None and not 0 <= self.r <= self.k:
-            raise ConfigError(f"need 0 <= r <= k, got r={self.r}")
+    __slots__ = ("k", "max_size", "r", "fmt")
+
+    def __init__(self, k: int, max_size: int | None = None, r: int | None = None,
+                 fmt: str = "text"):
+        if not 1 <= k <= MAX_K:
+            raise ConfigError(f"need 1 <= k <= {MAX_K}, got k={k}")
+        if max_size is not None and not 0 <= max_size <= MAX_SIZE:
+            raise ConfigError(f"need 0 <= max-size <= {MAX_SIZE}, got {max_size}")
+        if r is not None and not 0 <= r <= k:
+            raise ConfigError(f"need 0 <= r <= k, got r={r}")
+        self.k, self.max_size, self.r, self.fmt = k, max_size, r, fmt
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.max_size, self.r, self.fmt) == (
+                other.k, other.max_size, other.r, other.fmt)
+        return NotImplemented
+
+    def __repr__(self):
+        return (f"RunConfig(k={self.k!r}, max_size={self.max_size!r}, r={self.r!r}, "
+                f"fmt={self.fmt!r})")
 
 
 def parse_partition(k: int, text: str | None) -> KBoundedPartition:

@@ -23,11 +23,12 @@ decomposition that strips maximal rows is kept as a test oracle,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections.abc import Iterable
 
 from .affine import (
     AffinePermutation,
     IndexSet,
+    _frozen,
     identity,
     inverse,
     left_action,
@@ -51,21 +52,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class KCode:
     """Column heights indexed by the residues 0..k; at least one is zero."""
 
-    k: int
-    values: tuple[int, ...]
+    __slots__ = ("k", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if len(self.values) != self.k + 1:
-            raise ValueError(f"need {self.k + 1} values, got {self.values}")
-        if any(v < 0 for v in self.values):
-            raise ValueError(f"negative column height in {self.values}")
-        if 0 not in self.values:
-            raise ValueError(f"a k-code needs an empty column: {self.values}")
+    def __init__(self, k: int, values: Iterable[int]):
+        values = tuple(int(v) for v in values)
+        if len(values) != k + 1:
+            raise ValueError(f"need {k + 1} values, got {values}")
+        if any(v < 0 for v in values):
+            raise ValueError(f"negative column height in {values}")
+        if 0 not in values:
+            raise ValueError(f"a k-code needs an empty column: {values}")
+        _set_code_k(self, k)
+        _set_values(self, values)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.values) == (other.k, other.values)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.k, self.values))
 
     @property
     def size(self) -> int:
@@ -79,6 +90,9 @@ class KCode:
 
     def as_dict(self) -> dict:
         return {"k": self.k, "values": list(self.values)}
+
+
+_set_code_k, _set_values = KCode.k.__set__, KCode.values.__set__
 
 
 def cyclically_decreasing_word(A: IndexSet) -> tuple[int, ...]:

@@ -22,11 +22,11 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .affine import (
     AffinePermutation,
     IndexSet,
+    _frozen,
     bruhat_leq,
     inverse,
     left_action,
@@ -174,7 +174,6 @@ def _family_fault(
     return None
 
 
-@dataclass(frozen=True)
 class ZSets:
     """The index-set families attached to u.
 
@@ -187,28 +186,44 @@ class ZSets:
     (near the identity it does not: every proper subset qualifies).
     """
 
-    u: AffinePermutation
-    plus: frozenset[frozenset[int]]
-    minus: frozenset[frozenset[int]]
-    plus_grassmannian: frozenset[frozenset[int]] | None
+    __slots__ = ("u", "plus", "minus", "plus_grassmannian")
 
-    def __post_init__(self):
-        families = (self.plus, self.minus, self.plus_grassmannian)
-        if self.plus_grassmannian is None:
+    def __init__(self, u, plus, minus, plus_grassmannian):
+        families = (plus, minus, plus_grassmannian)
+        if plus_grassmannian is None:
             families = families[:2]
-        fault = _family_fault(self.u, families, tuple(map(_bitset, families)))
+        fault = _family_fault(u, families, tuple(map(_bitset, families)))
         if fault is not None:
             raise RuntimeError(fault)
+        _set_u(self, u)
+        _set_plus(self, plus)
+        _set_minus(self, minus)
+        _set_plus_g(self, plus_grassmannian)
 
     @classmethod
     def _trusted(cls, u, plus, minus, plus_grassmannian) -> "ZSets":
         """Wrap families whose assertions `z_sets` has run on their bitsets."""
         zs = object.__new__(cls)
-        object.__setattr__(zs, "u", u)
-        object.__setattr__(zs, "plus", plus)
-        object.__setattr__(zs, "minus", minus)
-        object.__setattr__(zs, "plus_grassmannian", plus_grassmannian)
+        _set_u(zs, u)
+        _set_plus(zs, plus)
+        _set_minus(zs, minus)
+        _set_plus_g(zs, plus_grassmannian)
         return zs
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.u, self.plus, self.minus, self.plus_grassmannian) == (
+                other.u, other.plus, other.minus, other.plus_grassmannian)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.u, self.plus, self.minus, self.plus_grassmannian))
+
+    def __repr__(self):
+        return (f"ZSets(u={self.u!r}, plus={self.plus!r}, minus={self.minus!r}, "
+                f"plus_grassmannian={self.plus_grassmannian!r})")
 
     def as_dict(self) -> dict:
         """Each family as sorted member lists, by size and then lexicographically."""
@@ -220,6 +235,11 @@ class ZSets:
                 members.sort(key=len)  # stable, so lexicographic within a size
                 out[which] = members
         return out
+
+
+_set_u, _set_plus, _set_minus, _set_plus_g = (
+    ZSets.u.__set__, ZSets.plus.__set__, ZSets.minus.__set__, ZSets.plus_grassmannian.__set__
+)
 
 
 def _run_keys(u: AffinePermutation) -> tuple[list[int], list[int]]:
@@ -401,7 +421,6 @@ def minus_forbidden_indices(w: AffinePermutation) -> frozenset[int]:
     return frozenset(range(w.k + 1)) - row
 
 
-@dataclass(frozen=True)
 class Fiber:
     """Fiber of the Demazure action of d_A over u, stored by subset labels.
 
@@ -410,26 +429,40 @@ class Fiber:
     [intersection of members, A], which is asserted on construction.
     """
 
-    A: IndexSet
-    u: AffinePermutation
-    members: frozenset[frozenset[int]]
+    __slots__ = ("A", "u", "members")
 
-    def __post_init__(self):
-        amem = self.A.members
-        if any(not B <= amem for B in self.members):
-            raise RuntimeError(f"fiber labels {self.members} escape {self.A!r}")
-        if self.members:
-            bottom = frozenset.intersection(*self.members)
+    def __init__(self, A: IndexSet, u: AffinePermutation, members: frozenset[frozenset[int]]):
+        amem = A.members
+        if any(not B <= amem for B in members):
+            raise RuntimeError(f"fiber labels {members} escape {A!r}")
+        if members:
+            bottom = frozenset.intersection(*members)
             interval = {
                 bottom | frozenset(extra)
                 for r in range(len(amem - bottom) + 1)
                 for extra in itertools.combinations(sorted(amem - bottom), r)
             }
-            if self.members != frozenset(interval):
+            if members != frozenset(interval):
                 raise RuntimeError(
-                    f"fiber over {self.u!r} with A={self.A!r} is not the "
+                    f"fiber over {u!r} with A={A!r} is not the "
                     f"interval [{sorted(bottom)}, {sorted(amem)}]"
                 )
+        _set_fiber_A(self, A)
+        _set_fiber_u(self, u)
+        _set_fiber_members(self, members)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.A, self.u, self.members) == (other.A, other.u, other.members)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.A, self.u, self.members))
+
+    def __repr__(self):
+        return f"Fiber(A={self.A!r}, u={self.u!r}, members={self.members!r})"
 
     def elements(self) -> list[AffinePermutation]:
         return [
@@ -446,6 +479,11 @@ class Fiber:
             "u": self.u.as_dict(),
             "members": [sorted(B) for B in sorted(self.members, key=lambda b: (len(b), sorted(b)))],
         }
+
+
+_set_fiber_A, _set_fiber_u, _set_fiber_members = (
+    Fiber.A.__set__, Fiber.u.__set__, Fiber.members.__set__
+)
 
 
 def _below(B: IndexSet, u: AffinePermutation) -> AffinePermutation | None:

@@ -9,8 +9,9 @@ validate the defining invariant of each kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterable, Iterator
+
+from .affine import _frozen
 
 
 def _check_partition_shape(parts: tuple[int, ...]) -> None:
@@ -31,28 +32,38 @@ def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(cols)
 
 
-@dataclass(frozen=True)
 class KBoundedPartition:
     """Partition whose parts are all at most k."""
 
-    k: int
-    parts: tuple[int, ...]
+    __slots__ = ("k", "parts")
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        _check_partition_shape(self.parts)
-        if self.parts and self.parts[0] > self.k:
-            raise ValueError(f"part {self.parts[0]} exceeds bound k={self.k}")
+    def __init__(self, k: int, parts: Iterable[int]):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        parts = tuple(int(p) for p in parts)
+        _check_partition_shape(parts)
+        if parts and parts[0] > k:
+            raise ValueError(f"part {parts[0]} exceeds bound k={k}")
+        _set_bounded_k(self, k)
+        _set_bounded_parts(self, parts)
 
     @classmethod
     def _trusted(cls, k: int, parts: tuple[int, ...]) -> "KBoundedPartition":
         """Wrap parts already known to form a k-bounded partition."""
         lam = object.__new__(cls)
-        object.__setattr__(lam, "k", k)
-        object.__setattr__(lam, "parts", parts)
+        _set_bounded_k(lam, k)
+        _set_bounded_parts(lam, parts)
         return lam
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.parts) == (other.k, other.parts)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.k, self.parts))
 
     @property
     def size(self) -> int:
@@ -65,27 +76,41 @@ class KBoundedPartition:
         return {"k": self.k, "kind": "bounded", "parts": list(self.parts)}
 
 
-@dataclass(frozen=True)
+_set_bounded_k = KBoundedPartition.k.__set__
+_set_bounded_parts = KBoundedPartition.parts.__set__
+
+
 class CorePartition:
     """Partition none of whose cells has hook length exactly k+1."""
 
-    k: int
-    parts: tuple[int, ...]
+    __slots__ = ("k", "parts")
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        _check_partition_shape(self.parts)
-        n = self.k + 1
-        conj = conjugate(self.parts)
-        for i, p in enumerate(self.parts):
+    def __init__(self, k: int, parts: Iterable[int]):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        parts = tuple(int(p) for p in parts)
+        _check_partition_shape(parts)
+        n = k + 1
+        conj = conjugate(parts)
+        for i, p in enumerate(parts):
             for j in range(p):
                 if (p - j) + (conj[j] - i) - 1 == n:
                     raise ValueError(
-                        f"{self.parts} is not a {n}-core: cell ({i + 1},{j + 1}) "
+                        f"{parts} is not a {n}-core: cell ({i + 1},{j + 1}) "
                         f"has hook length {n}"
                     )
+        _set_core_k(self, k)
+        _set_core_parts(self, parts)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.parts) == (other.k, other.parts)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.k, self.parts))
 
     @property
     def size(self) -> int:
@@ -99,6 +124,9 @@ class CorePartition:
 
     def as_dict(self) -> dict:
         return {"k": self.k, "kind": "core", "parts": list(self.parts)}
+
+
+_set_core_k, _set_core_parts = CorePartition.k.__set__, CorePartition.parts.__set__
 
 
 def k_rectangle(t: int, k: int) -> KBoundedPartition:

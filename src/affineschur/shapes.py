@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import functools
 
-from dataclasses import dataclass
-
 from .affine import (
     AffinePermutation,
     IndexSet,
+    _frozen,
     from_word,
     left_action,
     left_growth,
@@ -212,19 +211,19 @@ def k_transpose(lam: KBoundedPartition) -> KBoundedPartition:
     return core_to_bounded(bounded_to_core(lam).conjugate())
 
 
-@dataclass(frozen=True)
 class WeakStrip:
     """A weak strip: top = d_A . base with the length increasing by |A|."""
 
-    base: KBoundedPartition
-    indices: IndexSet
-    top: KBoundedPartition
+    __slots__ = ("base", "indices", "top")
 
-    def __post_init__(self):
-        if not is_weak_strip(self.base, self.indices):
-            raise ValueError(f"{self.indices!r} is not a weak strip over {self.base!r}")
-        if strip_top(self.base, self.indices) != self.top:
-            raise ValueError(f"top {self.top!r} does not match d_A . {self.base!r}")
+    def __init__(self, base: KBoundedPartition, indices: IndexSet, top: KBoundedPartition):
+        if not is_weak_strip(base, indices):
+            raise ValueError(f"{indices!r} is not a weak strip over {base!r}")
+        if strip_top(base, indices) != top:
+            raise ValueError(f"top {top!r} does not match d_A . {base!r}")
+        _set_base(self, base)
+        _set_indices(self, indices)
+        _set_top(self, top)
 
     @classmethod
     def _trusted(
@@ -233,10 +232,23 @@ class WeakStrip:
         """Wrap a strip that `StripGrowth` grew, with the top read off its
         window; nothing is re-checked."""
         strip = object.__new__(cls)
-        object.__setattr__(strip, "base", base)
-        object.__setattr__(strip, "indices", indices)
-        object.__setattr__(strip, "top", top)
+        _set_base(strip, base)
+        _set_indices(strip, indices)
+        _set_top(strip, top)
         return strip
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.indices, self.top) == (other.base, other.indices, other.top)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.indices, self.top))
+
+    def __repr__(self):
+        return f"WeakStrip(base={self.base!r}, indices={self.indices!r}, top={self.top!r})"
 
     @property
     def size(self) -> int:
@@ -252,6 +264,11 @@ class WeakStrip:
             "A": list(self.indices.sorted()),
             "top": self.top.as_dict(),
         }
+
+
+_set_base, _set_indices, _set_top = (
+    WeakStrip.base.__set__, WeakStrip.indices.__set__, WeakStrip.top.__set__
+)
 
 
 def is_weak_strip(lam: KBoundedPartition, A: IndexSet) -> bool:

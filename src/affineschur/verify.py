@@ -47,7 +47,6 @@ from __future__ import annotations
 import bisect
 import copy
 import itertools
-from dataclasses import dataclass, field
 
 from . import symfunc
 from .affine import (
@@ -110,7 +109,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class CheckResult:
     """One named sweep: how many instances ran, and every failing witness.
 
@@ -118,9 +116,21 @@ class CheckResult:
     so a call site computes its witness values in the failing branch alone.
     """
 
-    name: str
-    instances: int = 0
-    failures: list[dict] = field(default_factory=list)
+    __slots__ = ("name", "instances", "failures")
+
+    def __init__(self, name: str, instances: int = 0, failures: list[dict] | None = None):
+        self.name, self.instances = name, instances
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.instances, self.failures) == (
+                other.name, other.instances, other.failures)
+        return NotImplemented
+
+    def __repr__(self):
+        return (f"CheckResult(name={self.name!r}, instances={self.instances!r}, "
+                f"failures={self.failures!r})")
 
     @property
     def ok(self) -> bool:

@@ -30,11 +30,11 @@ from affineschur.affine import (
     s_join_L,
     weak_leq,
 )
-from affineschur.kcode import code_rows, rd, ri
-from affineschur.orderlab import signed_fiber_table
+from affineschur.kcode import KCode, code_rows, rd, ri
+from affineschur.orderlab import Fiber, ZSets, fiber_X, signed_fiber_table, z_sets
 from affineschur.oracles import subword_lower_set
-from affineschur.partitions import kbounded_partitions
-from affineschur.shapes import bounded_to_perm, setvalued_strips, weak_strips
+from affineschur.partitions import CorePartition, KBoundedPartition, kbounded_partitions
+from affineschur.shapes import WeakStrip, bounded_to_perm, setvalued_strips, weak_strips
 
 
 def bfs_lengths(k, max_length):
@@ -362,6 +362,54 @@ def test_elements_are_immutable_and_have_no_dict():
             with pytest.raises(AttributeError):
                 setattr(x, name, value)
         assert (x.k, x.window, x.length, hash(x)) == before
+
+
+def test_value_types_are_immutable_hashable_values_without_a_dict():
+    u = from_word(2, [0])
+    lam = KBoundedPartition(2, (1,))
+    # each value twice: once from the checking constructor, once as the library builds it
+    pairs = [
+        (IndexSet(2, [1, 0]), IndexSet._trusted(2, frozenset({0, 1}))),
+        (ReducedWord(2, [1, 0]), reduced_word(from_word(2, [1, 0]))),
+        (KBoundedPartition(2, [2, 1]), KBoundedPartition._trusted(2, (2, 1))),
+        (CorePartition(2, [2]), CorePartition(2, (2,))),
+        (KCode(2, [1, 0, 0]), KCode(2, (1, 0, 0))),
+        (WeakStrip.build(lam, IndexSet(2, {1})), weak_strips(lam, 1)[0]),
+        (ZSets(u, z_sets(u).plus, z_sets(u).minus, z_sets(u).plus_grassmannian), z_sets(u)),
+        (Fiber(IndexSet(2, {0}), u, fiber_X(IndexSet(2, {0}), u).members),
+         fiber_X(IndexSet(2, {0}), u)),
+    ]
+    for made, built in pairs:
+        assert made is not built and made == built and hash(made) == hash(built)
+        assert not hasattr(made, "__dict__")
+        assert made.__eq__(object()) is NotImplemented
+        for name in (*type(made).__slots__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(made, name, None)
+            with pytest.raises(AttributeError):
+                delattr(made, name)
+        assert made == built
+    assert KBoundedPartition(2, (2,)) != CorePartition(2, (2,))
+    assert len({KBoundedPartition(2, (2,)), CorePartition(2, (2,))}) == 2
+
+
+def test_value_type_reprs_name_every_field():
+    u = identity(2)
+    lam = KBoundedPartition(2, (1,))
+    assert repr(ReducedWord(2, (1, 0))) == "ReducedWord(k=2, letters=(1, 0))"
+    assert repr(WeakStrip.build(lam, IndexSet(2, {1}))) == (
+        "WeakStrip(base=KBoundedPartition(k=2, parts=(1,)), indices=IndexSet(k=2, {1}), "
+        "top=KBoundedPartition(k=2, parts=(2,)))"
+    )
+    empty = frozenset({frozenset()})
+    assert repr(ZSets(u, empty, empty, None)) == (
+        "ZSets(u=AffinePermutation(k=2, window=(1, 2, 3)), plus=frozenset({frozenset()}), "
+        "minus=frozenset({frozenset()}), plus_grassmannian=None)"
+    )
+    assert repr(Fiber(IndexSet(2, {0}), u, frozenset())) == (
+        "Fiber(A=IndexSet(k=2, {0}), u=AffinePermutation(k=2, window=(1, 2, 3)), "
+        "members=frozenset())"
+    )
 
 
 def test_trusted_index_sets_pass_validation(monkeypatch):

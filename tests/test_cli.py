@@ -2,6 +2,8 @@
 
 import io
 import json
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -32,6 +34,17 @@ def test_parse_partition():
     assert parse_partition(3, None).parts == ()
     with pytest.raises(Exception):
         parse_partition(3, "x,y")
+
+
+def test_cli_import_loads_no_dataclasses_or_typing():
+    # -S: a site .pth may load typing itself, which would hide it from the check
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import affineschur.cli; print(*sys.modules)"
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert "affineschur.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"}
 
 
 def test_bij_text():

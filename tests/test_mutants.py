@@ -19,15 +19,16 @@ of set-valued Pieri growths and the `orderlab.fiber_X` memo are memos of
 the functions under test, so every mutant run starts them empty.
 """
 
-import dataclasses
 import functools
 from typing import Callable, NamedTuple
 
 import pytest
 
-from affineschur import orderlab, shapes, symfunc, verify
+from affineschur import kcode, orderlab, partitions, shapes, symfunc, verify
 from affineschur.affine import from_word
+from affineschur.kcode import KCode
 from affineschur.orderlab import Fiber
+from affineschur.partitions import KBoundedPartition
 from affineschur.symfunc import SymElt
 from affineschur.verify import (
     _BallOrder,
@@ -198,6 +199,21 @@ def _table_entry_one_step_short(original):
     return h_combination
 
 
+def _rectangle_one_row_short(original):
+    def k_rectangle(t, k):
+        return KBoundedPartition._trusted(k, original(t, k).parts[1:])  # k - t rows of t
+
+    return k_rectangle
+
+
+def _ri_columns_in_rd_order(original):
+    def ri(w):
+        # column m read at window position m, as in rd, not at position n-1-m
+        return KCode(w.k, original(w).values[::-1])
+
+    return ri
+
+
 def _fiber_without_lone_top_label(original):
     def fiber_X(A, u):
         fib = original(A, u)
@@ -224,7 +240,8 @@ def _minus_family_without_a_silent_member(original):
         for middle in sorted(zs.minus, key=lambda A: (len(A), sorted(A))):
             if middle and middle != top:
                 try:
-                    return dataclasses.replace(zs, minus=zs.minus - {middle})
+                    return orderlab.ZSets(zs.u, zs.plus, zs.minus - {middle},
+                                          zs.plus_grassmannian)
                 except RuntimeError:
                     continue
         return zs
@@ -452,6 +469,22 @@ MUTANTS = [
         frozenset({"product-support-above-weak-join"}),
     ),
     Mutant(
+        "k-rectangle-one-row-short",
+        partitions,
+        "k_rectangle",
+        _rectangle_one_row_short,
+        "factorization",
+        ((3, 4),),
+        frozenset(
+            {
+                "ideal-sum-rectangle-factorization",
+                "homogeneous-rectangle-factorization",
+                "rectangle-union-shifts-strips",
+                "rectangle-union-shifts-ie-labels",
+            }
+        ),
+    ),
+    Mutant(
         "fiber-X-without-lone-top-label",
         orderlab,
         "fiber_X",
@@ -498,6 +531,15 @@ MUTANTS = [
         "order-props",
         ((2, 4), (3, 4)),
         frozenset(),
+    ),
+    Mutant(
+        "ri-columns-in-rd-order",
+        kcode,
+        "ri",
+        _ri_columns_in_rd_order,
+        "order-props",
+        ((2, 4), (3, 4)),
+        frozenset({"kcode-round-trip-and-injective", "minus-family-confined-to-code-row"}),
     ),
     Mutant(
         "lifted-rows-by-the-next-letter",

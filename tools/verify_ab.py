@@ -35,15 +35,37 @@ PAIRS = 6
 SIDES = ("parent", "change")
 
 
-def run(tree: Path, cache: Path, suite: str, k: str, size: str) -> tuple[float, int, bytes]:
-    """Wall time, exit code and standard output of one verify run in `tree`,
+def tree_env(tree: Path, cache: Path) -> dict[str, str]:
+    """Environment of a fresh process of `tree`: its `src/` on PYTHONPATH,
     compiling into the bytecode cache `cache`."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
     env.update(PYTHONPATH=str(tree / "src"), PYTHONPYCACHEPREFIX=str(cache))
+    return env
+
+
+def pair_order(pair: int) -> tuple[str, ...]:
+    """The sides in the order pair number `pair` runs them: parent first on even pairs."""
+    return SIDES if pair % 2 == 0 else SIDES[::-1]
+
+
+def spread(values: list[float], digits: int = 3) -> str:
+    """'median M (min-max)' of a side's times."""
+    return (f"median {statistics.median(values):.{digits}f} "
+            f"({min(values):.{digits}f}-{max(values):.{digits}f})")
+
+
+def wins(times: dict[str, list[float]]) -> int:
+    """The pairs in which the change took less time than the parent."""
+    return sum(c < p for p, c in zip(times["parent"], times["change"]))
+
+
+def run(tree: Path, cache: Path, suite: str, k: str, size: str) -> tuple[float, int, bytes]:
+    """Wall time, exit code and standard output of one verify run in `tree`,
+    compiling into the bytecode cache `cache`."""
     argv = [sys.executable, "-m", "affineschur.cli", "--format", "json", "verify", suite,
             "--k", k, "--max-size", size]
     start = time.perf_counter()
-    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True)
+    done = subprocess.run(argv, cwd=tree, env=tree_env(tree, cache), capture_output=True)
     return time.perf_counter() - start, done.returncode, done.stdout
 
 
@@ -70,19 +92,15 @@ def compare(trees: dict[str, Path], caches: dict[str, Path], suite: str, config:
     for side in SIDES:
         run(trees[side], caches[side], suite, k, size)
     for pair in range(PAIRS):
-        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+        for side in pair_order(pair):
             seconds, code, out = run(trees[side], caches[side], suite, k, size)
             times[side].append(seconds)
             codes[side].add(code)
             outputs.add(out)
-    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
-    cells = [
-        f"{side} exit {sorted(codes[side])} median {statistics.median(times[side]):.3f} "
-        f"({min(times[side]):.3f}-{max(times[side]):.3f})"
-        for side in SIDES
-    ]
+    cells = [f"{side} exit {sorted(codes[side])} {spread(times[side])}" for side in SIDES]
     identical = "identical" if len(outputs) == 1 else "DIFFERENT"
-    print(f"({config}) json {identical}; " + "; ".join(cells) + f"; change wins {wins}/{PAIRS}")
+    print(f"({config}) json {identical}; " + "; ".join(cells)
+          + f"; change wins {wins(times)}/{PAIRS}")
 
 
 if __name__ == "__main__":
