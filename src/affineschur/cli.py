@@ -9,13 +9,11 @@ configuration, 3 internal error (one line on stderr).
 
 from __future__ import annotations
 
-import argparse
-import csv
 import itertools
-import json
 import sys
+from _json import encode_basestring_ascii  # the C writer json.encoder uses
 from collections.abc import Callable
-from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .affine import BALL_CAP, ball_size, from_word
 from .kcode import rd, ri, sh
@@ -168,6 +166,8 @@ def _emit(cfg: RunConfig, payload: dict, rows: Callable[[], list[dict]]) -> None
         return
     rows = rows()
     if cfg.fmt == "csv":
+        import csv
+
         if rows:
             fields = list(dict.fromkeys(key for row in rows for key in row))
             writer = csv.DictWriter(sys.stdout, fieldnames=fields, restval="")
@@ -382,6 +382,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     ])
     bad = [r for r in results if not r.ok]
     if bad and cfg.fmt != "json":
+        import json
+
         for r in bad:
             for witness in r.failures:
                 print(
@@ -392,64 +394,238 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     return 1 if bad else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="affineschur",
-        description="Exact affine Schubert combinatorics at desk scale.",
-    )
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
+PROG = "affineschur"
+DESCRIPTION = "Exact affine Schubert combinatorics at desk scale."
 
-    def common(p, need_lambda=True, need_r=False):
-        p.add_argument("--k", type=int, required=True)
-        if need_lambda:
-            p.add_argument("--lambda", dest="lam", default=None,
-                           help="comma-separated parts; empty as '0' or omitted")
-        if need_r:
-            p.add_argument("--r", type=int, default=None)
+# An option of the command line: (destination, conversion of its text, the
+# values it admits or None for any, default, help).  _REQUIRED as the
+# default marks an option that must be given.
+_REQUIRED = object()
+_K = ("k", int, None, _REQUIRED, None)
+_LAMBDA = ("lam", str, None, None, "comma-separated parts; empty as '0' or omitted")
+_R = ("r", int, None, None, None)
+_WORD = ("word", str, None, None, "letters of u, comma separated")
 
-    p = sub.add_parser("bij", help="round trips: bounded / core / word / codes")
-    common(p)
-    p.set_defaults(handler=cmd_bij)
+# command: (handler, summary, options by flag, positional as (destination,
+# choices) or None).  Every command and the top level also take -h/--help.
+COMMANDS = {
+    "bij": (cmd_bij, "round trips: bounded / core / word / codes",
+            {"--k": _K, "--lambda": _LAMBDA}, None),
+    "strips": (cmd_strips, "weak and set-valued strips over a shape",
+               {"--k": _K, "--lambda": _LAMBDA, "--r": _R}, None),
+    "pieri": (cmd_pieri, "one Pieri product in a chosen basis",
+              {"--k": _K, "--lambda": _LAMBDA, "--r": _R,
+               "--basis": ("basis", str, ("ks", "g"), "g", None)}, None),
+    "gtilde": (cmd_gtilde, "ideal-sum Pieri product, both closed forms",
+               {"--k": _K, "--lambda": _LAMBDA, "--r": _R}, None),
+    "table1": (cmd_table1, "signed fiber table of a Grassmannian element",
+               {"--k": _K, "--lambda": _LAMBDA, "--word": _WORD,
+                "--below": ("below", str, None, None, "filter rows by v <= w_mu")}, None),
+    "zsets": (cmd_zsets, "weak-strip index-set families of an element",
+              {"--k": _K, "--lambda": _LAMBDA, "--word": _WORD}, None),
+    "verify": (cmd_verify, "exhaustive verification sweeps",
+               {"--k": _K,
+                "--max-size": ("max_size", int, None, None,
+                               "degree cap (symmetric functions) or ball radius (orders)")},
+               ("suite", tuple(sorted(_VERIFY_SUITES)))),
+}
+# the options before the command, and the command as the top level's positional
+_TOP_OPTIONS = {"--format": ("format", str, ("text", "json", "csv"), "text", None)}
+_COMMAND = ("command", tuple(COMMANDS))
+_HELP_FLAGS = ("-h", "--help")
 
-    p = sub.add_parser("strips", help="weak and set-valued strips over a shape")
-    common(p, need_r=True)
-    p.set_defaults(handler=cmd_strips)
-
-    p = sub.add_parser("pieri", help="one Pieri product in a chosen basis")
-    common(p, need_r=True)
-    p.add_argument("--basis", choices=("ks", "g"), default="g")
-    p.set_defaults(handler=cmd_pieri)
-
-    p = sub.add_parser("gtilde", help="ideal-sum Pieri product, both closed forms")
-    common(p, need_r=True)
-    p.set_defaults(handler=cmd_gtilde)
-
-    p = sub.add_parser("table1", help="signed fiber table of a Grassmannian element")
-    common(p)
-    p.add_argument("--word", default=None, help="letters of u, comma separated")
-    p.add_argument("--below", default=None, help="filter rows by v <= w_mu")
-    p.set_defaults(handler=cmd_table1)
-
-    p = sub.add_parser("zsets", help="weak-strip index-set families of an element")
-    common(p)
-    p.add_argument("--word", default=None, help="letters of u, comma separated")
-    p.set_defaults(handler=cmd_zsets)
-
-    p = sub.add_parser("verify", help="exhaustive verification sweeps")
-    p.add_argument("suite", choices=sorted(_VERIFY_SUITES))
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-size", type=int, default=None,
-                   help="degree cap (symmetric functions) or ball radius (orders)")
-    p.set_defaults(handler=cmd_verify)
-    return parser
+# kinds of token that are not options: a value, and the first "--", after
+# which every token is a value
+_VALUE, _SEPARATOR = "value", "--"
 
 
-_PARSER = build_parser()
+def _level(command: str | None):
+    """The options, positional and name of a command, or of the top level
+    (None), whose positional is the command."""
+    if command is None:
+        return _TOP_OPTIONS, _COMMAND, PROG
+    _, _, options, positional = COMMANDS[command]
+    return options, positional, f"{PROG} {command}"
+
+
+def _metavar(dest: str, choices) -> str:
+    return "{" + ",".join(choices) + "}" if choices else dest.upper()
+
+
+def _usage(command: str | None) -> str:
+    options, positional, prog = _level(command)
+    words = ["usage:", prog, "[-h]"]
+    for flag, (dest, _, choices, default, _) in options.items():
+        given = f"{flag} {_metavar(dest, choices)}"
+        words.append(given if default is _REQUIRED else f"[{given}]")
+    if positional:
+        words.append(_metavar(*positional))
+    if command is None:
+        words.append("...")
+    return " ".join(words)
+
+
+def _help(command: str | None) -> str:
+    options, positional, _ = _level(command)
+    if command is None:
+        lines = [DESCRIPTION, "", "commands (--format goes before the command):"]
+        lines += [f"  {name:8}{summary}" for name, (_, summary, _, _) in COMMANDS.items()]
+    else:
+        lines = [COMMANDS[command][1]]
+        if positional:
+            lines += ["", "positional:", f"  {_metavar(*positional)}"]
+    rows = [("-h, --help", "show this help and exit")]
+    for flag, (dest, _, choices, default, text) in options.items():
+        rows.append((f"{flag} {_metavar(dest, choices)}",
+                     "required" if default is _REQUIRED else text or ""))
+    width = max(len(name) for name, _ in rows) + 2
+    lines += ["", "options:"] + [f"  {name:{width}}{text}".rstrip() for name, text in rows]
+    return _usage(command) + "\n\n" + "\n".join(lines)
+
+
+def _usage_error(command: str | None, message: str):
+    print(_usage(command), file=sys.stderr)
+    print(f"{PROG}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _negative_number(token: str) -> bool:
+    r"""Whether `token` matches argparse's `^-\d+$|^-\d*\.\d+$`, whose `$`
+    also matches before a final newline."""
+    body = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, fraction = body.partition(".")
+    return body.isdecimal() or bool(dot) and (not whole or whole.isdecimal()) and fraction.isdecimal()
+
+
+def _kind(token: str, options: dict, command: str | None):
+    """`_VALUE`, or the (flag, attached value or None) that `token` names
+    among `options` and -h/--help; flag None for an unknown option."""
+    if token[:1] != "-":
+        return _VALUE
+    if token in options or token in _HELP_FLAGS:
+        return token, None
+    if len(token) == 1:
+        return _VALUE
+    name, eq, value = token.partition("=")
+    value = value if eq else None
+    if eq and (name in options or name in _HELP_FLAGS):
+        return name, value
+    if token[1] == "-":  # a prefix of one long option
+        found = [flag for flag in ("--help", *options) if flag.startswith(name)]
+        if len(found) > 1:
+            _usage_error(command, f"ambiguous option: {token} could match {', '.join(found)}")
+        if found:
+            return found[0], value
+    elif token.startswith("-h"):  # -h with text attached
+        return "-h", token[2:]
+    if _negative_number(token) or " " in token:
+        return _VALUE
+    return None, None
+
+
+def _kinds(tokens: list[str], options: dict, command: str | None) -> list:
+    """The kind of each token, all read before any option is taken."""
+    kinds = []
+    for token in tokens:
+        if token == "--":
+            kinds.append(_SEPARATOR)
+            return kinds + [_VALUE] * (len(tokens) - len(kinds))
+        kinds.append(_kind(token, options, command))
+    return kinds
+
+
+def _parse_level(tokens: list[str], command: str | None, args, extras: list[str]) -> int:
+    """Store on `args` what `tokens` give the top level (`command` None) or
+    a command, in argv order, and collect unknown tokens in `extras`.  On
+    the top level, return the index after the command's name: the tokens
+    after it are the command's."""
+    options, positional, _ = _level(command)
+    for dest, _, _, default, _ in options.values():
+        if default is not _REQUIRED:
+            setattr(args, dest, default)
+    kinds = _kinds(tokens, options, command)
+    i, n = 0, len(tokens)
+    while i < n:
+        kind = kinds[i]
+        if kind is _VALUE or kind is _SEPARATOR:
+            if positional is None:
+                extras.append(tokens[i])
+                i += 1
+                continue
+            if command is None or kind is _VALUE:
+                value = tokens[i]
+                i += 1
+                if command is not None and i < n and kinds[i] is _SEPARATOR:
+                    i += 1  # a "--" just after the positional goes with it
+            elif i + 1 < n:  # "--" then the positional
+                value = tokens[i + 1]
+                i += 2
+            else:
+                extras.append(tokens[i])
+                i += 1
+                continue
+            dest, choices = positional
+            if value not in choices:
+                _usage_error(command, f"argument {dest}: invalid choice: {value!r}")
+            setattr(args, dest, value)
+            if command is None:
+                return i
+            positional = None
+            continue
+        flag, value = kind
+        i += 1
+        if flag is None:
+            extras.append(tokens[i - 1])
+            continue
+        if flag in _HELP_FLAGS:
+            # -h may carry more h's (-hh), as a run of short flags
+            if value is not None and (flag == "--help" or not value or value.strip("h")):
+                _usage_error(command, f"argument -h/--help: ignored explicit argument {value!r}")
+            print(_help(command))
+            raise SystemExit(0)
+        dest, convert, choices, _, _ = options[flag]
+        if value is None:
+            if i == n or kinds[i] is not _VALUE:
+                _usage_error(command, f"argument {flag}: expected one argument")
+            value = tokens[i]
+            i += 1
+        try:
+            value = convert(value)
+        except ValueError:
+            _usage_error(command, f"argument {flag}: invalid {convert.__name__} value: {value!r}")
+        if choices is not None and value not in choices:
+            _usage_error(command, f"argument {flag}: invalid choice: {value!r}")
+        setattr(args, dest, value)
+    missing = [flag for flag, (dest, _, _, default, _) in options.items()
+               if default is _REQUIRED and not hasattr(args, dest)]
+    if positional is not None:
+        missing.append(positional[0])
+    if missing:
+        _usage_error(command, "the following arguments are required: " + ", ".join(missing))
+    return i
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """Read a command line by the grammar of `COMMANDS`, as argparse did.
+
+    `--opt value` and `--opt=value` both work, as does any unique prefix of
+    a long option; a repeated option keeps its last value, and a negative
+    number is a value.  --format goes before the command and every other
+    option after it, in any order with verify's suite.  -h/--help prints
+    help and exits 0.  A usage error prints the usage line and
+    `affineschur: error: ...` on stderr and exits 2.
+    """
+    args, extras, tokens = SimpleNamespace(), [], list(argv)
+    start = _parse_level(tokens, None, args, extras)
+    _parse_level(tokens[start:], args.command, args, extras)
+    args.handler = COMMANDS[args.command][0]
+    if extras:
+        _usage_error(None, "unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         cfg = RunConfig(
             k=args.k,

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, determinism, exit codes."""
 
+import argparse
 import io
 import json
 import subprocess
@@ -14,7 +15,18 @@ from hypothesis import strategies as st
 
 from affineschur import cli
 from affineschur.affine import BALL_CAP, ball_size
-from affineschur.cli import main, parse_partition
+from affineschur.cli import (
+    _VERIFY_SUITES,
+    cmd_bij,
+    cmd_gtilde,
+    cmd_pieri,
+    cmd_strips,
+    cmd_table1,
+    cmd_verify,
+    cmd_zsets,
+    main,
+    parse_partition,
+)
 from affineschur.verify import ball_radii
 
 GTILDE_GOLDEN = Path(__file__).parent / "data" / "gtilde_golden.json"
@@ -36,7 +48,7 @@ def test_parse_partition():
         parse_partition(3, "x,y")
 
 
-def test_cli_import_loads_no_dataclasses_or_typing():
+def test_cli_import_loads_no_dataclasses_typing_argparse_csv_or_json():
     # -S: a site .pth may load typing itself, which would hide it from the check
     src = str(Path(cli.__file__).resolve().parents[1])
     code = f"import sys; sys.path.insert(0, {src!r}); import affineschur.cli; print(*sys.modules)"
@@ -45,6 +57,25 @@ def test_cli_import_loads_no_dataclasses_or_typing():
     loaded = set(done.stdout.split())
     assert "affineschur.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"}
+    assert not loaded & {"argparse", "gettext", "locale", "csv", "json"}
+
+
+def test_entry_path_reads_sys_argv():
+    src = str(Path(cli.__file__).resolve().parents[1])
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "affineschur.cli", *argv],
+                              capture_output=True, text=True, env={"PYTHONPATH": src})
+
+    done = run()
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage: affineschur ")
+    assert done.stderr.splitlines()[-1].startswith("affineschur: error: ")
+    for argv in (["-h"], ["bij", "-h"]):
+        done = run(*argv)
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.startswith("usage: affineschur ")
+    assert "--lambda" in done.stdout and "--format" not in done.stdout
 
 
 def test_bij_text():
@@ -297,6 +328,178 @@ def test_jobs_flag_is_rejected():
     with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
         main(["--jobs", "2", "verify", "pieri-sum", "--k", "2", "--max-size", "3"])
     assert exc.value.code == 2
+
+
+# The argparse grammar of the CLI before it read argv from `cli.COMMANDS`,
+# kept verbatim as the oracle of `cli.parse_args`.
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="affineschur",
+        description="Exact affine Schubert combinatorics at desk scale.",
+    )
+    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, need_lambda=True, need_r=False):
+        p.add_argument("--k", type=int, required=True)
+        if need_lambda:
+            p.add_argument("--lambda", dest="lam", default=None,
+                           help="comma-separated parts; empty as '0' or omitted")
+        if need_r:
+            p.add_argument("--r", type=int, default=None)
+
+    p = sub.add_parser("bij", help="round trips: bounded / core / word / codes")
+    common(p)
+    p.set_defaults(handler=cmd_bij)
+
+    p = sub.add_parser("strips", help="weak and set-valued strips over a shape")
+    common(p, need_r=True)
+    p.set_defaults(handler=cmd_strips)
+
+    p = sub.add_parser("pieri", help="one Pieri product in a chosen basis")
+    common(p, need_r=True)
+    p.add_argument("--basis", choices=("ks", "g"), default="g")
+    p.set_defaults(handler=cmd_pieri)
+
+    p = sub.add_parser("gtilde", help="ideal-sum Pieri product, both closed forms")
+    common(p, need_r=True)
+    p.set_defaults(handler=cmd_gtilde)
+
+    p = sub.add_parser("table1", help="signed fiber table of a Grassmannian element")
+    common(p)
+    p.add_argument("--word", default=None, help="letters of u, comma separated")
+    p.add_argument("--below", default=None, help="filter rows by v <= w_mu")
+    p.set_defaults(handler=cmd_table1)
+
+    p = sub.add_parser("zsets", help="weak-strip index-set families of an element")
+    common(p)
+    p.add_argument("--word", default=None, help="letters of u, comma separated")
+    p.set_defaults(handler=cmd_zsets)
+
+    p = sub.add_parser("verify", help="exhaustive verification sweeps")
+    p.add_argument("suite", choices=sorted(_VERIFY_SUITES))
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--max-size", type=int, default=None,
+                   help="degree cap (symmetric functions) or ball radius (orders)")
+    p.set_defaults(handler=cmd_verify)
+    return parser
+
+
+_PARSER = build_parser()
+
+
+ORACLE = build_parser()
+
+
+def outcome(parse, argv):
+    """The namespace `parse` makes of argv, as a dict, or the code it exits with."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["bij", "--k", "3"], "ok"),
+        (["bij", "--k=3", "--lambda=3,2,1"], "ok"),
+        (["--f", "csv", "bij", "--l", "2", "--k", "3"], "ok"),  # unique prefixes
+        (["--fo=json", "pieri", "--ba=ks", "--k", "3"], "ok"),
+        (["--format", "json", "--format", "csv", "bij", "--k", "2", "--k", "3"], "ok"),
+        (["strips", "--k", "-1", "--r", "-2", "--lambda", "-1"], "ok"),  # negative values
+        (["verify", "--max-size", "3", "fibers", "--k", "2"], "ok"),
+        (["verify", "--k", "2", "--", "fibers"], "ok"),
+        (["bij", "--=3", "--k", "3"], 2),  # a prefix of every long option
+        (["bij", "--bogus", "--k", "3"], 2),
+        (["bij", "--r", "1", "--k", "3"], 2),  # another command's option
+        (["bij", "--k", "3", "--format", "json"], 2),  # --format after the command
+        (["--format", "xml", "bij", "--k", "3"], 2),
+        (["pieri", "--k", "3", "--basis", "h"], 2),
+        (["verify", "sweep", "--k", "2"], 2),
+        (["bij", "--k", "three"], 2),
+        (["bij", "--k", "1.5"], 2),
+        (["bij", "--k"], 2),
+        (["bij", "--k", "--lambda", "1"], 2),
+        (["bij", "--lambda", "1"], 2),
+        (["verify", "--k", "2"], 2),
+        ([], 2),
+        (["verify", "fibers", "fibers", "--k", "2"], 2),
+        (["verify", "fibers", "--k", "2", "--"], 2),
+        (["--", "bij", "--k", "3"], 2),
+        (["-h"], 0),
+        (["--help", "bij"], 0),
+        (["--he"], 0),
+        (["bij", "-h"], 0),
+        (["verify", "--k", "x", "-h"], 2),  # an error before the help
+        (["verify", "--bogus", "-hh"], 0),  # an unknown option is reported last
+        (["bij", "-hx"], 2),
+        (["bij", "--help=1"], 2),
+        (["-h", "bij", "--=1"], 2),  # every token is read before any is taken
+    ],
+)
+def test_parse_args_matches_argparse_on_named_cases(argv, expected):
+    got = outcome(ORACLE.parse_args, argv)
+    assert (expected if isinstance(got, int) else "ok") == expected
+    assert outcome(cli.parse_args, argv) == got
+
+
+def _option_tokens(flag, values):
+    """`flag` or a unique prefix of it, with a value from `values`, as one
+    `--opt=value` token or two."""
+    spelling = st.sampled_from([flag[:end] for end in range(3, len(flag) + 1)])
+    return st.tuples(spelling, values, st.booleans()).map(
+        lambda t: [f"{t[0]}={t[1]}"] if t[2] else [t[0], t[1]]
+    )
+
+
+def _values(spec):
+    _, kind, choices, _, _ = spec
+    if choices:
+        return st.sampled_from([*choices, "bad"])
+    if kind is int:
+        return st.integers(-3, 9).map(str) | st.sampled_from(["x", "1.5", "", " 2", "+3", "1_0"])
+    return st.sampled_from(["3,2,1", "2,1", "0", "", "-1", "-x", "-h", "1 2"])
+
+
+FORMATS = _option_tokens("--format", st.sampled_from(["text", "json", "csv", "xml"]))
+# each command's options, as strategies for the tokens that give one
+OPTION_TOKENS = {
+    command: [(flag, _option_tokens(flag, _values(spec))) for flag, spec in options.items()]
+    for command, (_, _, options, _) in cli.COMMANDS.items()
+}
+NOISE = st.sampled_from(
+    ["--", "-", "", "-h", "--help", "-hh", "-hx", "--=1", "--bogus", "-x", "-1", "-.5",
+     "-1.", "-1\n", "- x", "--k", "--r=1", "--format", "json", "pieri-sum", "bij"]
+) | st.text(max_size=3)
+
+
+@st.composite
+def command_lines(draw):
+    """argv of the CLI's shape, some of it wrong: --format options, a command,
+    its options and positional in any order, and a few stray tokens."""
+    argv = [token for _ in range(draw(st.integers(0, 2))) for token in draw(FORMATS)]
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    pieces = [
+        draw(tokens)
+        for flag, tokens in OPTION_TOKENS[command]
+        for _ in range(draw(st.sampled_from([0, 1, 1, 2] if flag == "--k" else [0, 1, 2])))
+    ]
+    positional = cli.COMMANDS[command][3]
+    if positional:
+        pieces.append([draw(st.sampled_from([*positional[1], "bad"]))])
+    argv.append(command)
+    argv += [token for piece in draw(st.permutations(pieces)) for token in piece]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(NOISE))
+    return argv
+
+
+@settings(max_examples=250, deadline=None)
+@given(command_lines())
+def test_parse_args_matches_argparse(argv):
+    assert outcome(cli.parse_args, argv) == outcome(ORACLE.parse_args, argv)
 
 
 def test_json_reports_the_max_size_that_ran():

@@ -24,8 +24,8 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from affineschur import kcode, orderlab, partitions, shapes, symfunc, verify
-from affineschur.affine import from_word
+from affineschur import affine, kcode, orderlab, partitions, shapes, symfunc, verify
+from affineschur.affine import from_word, left_mul_s, reduced_word
 from affineschur.kcode import KCode
 from affineschur.orderlab import Fiber
 from affineschur.partitions import KBoundedPartition
@@ -254,6 +254,18 @@ def _plus_runs_never_starting_at_0(original):
         return [0] + original(key)[1:]
 
     return plus_limits
+
+
+def _demazure_keeping_the_smaller(original):
+    def demazure(x, y):
+        z = y
+        for i in reversed(reduced_word(x).letters):
+            sz = left_mul_s(z, i)
+            if sz.length < z.length:  # min(z, s_i z), the anti-Demazure step
+                z = sz
+        return z
+
+    return demazure
 
 
 def _left_parent_letter_one_off(original):
@@ -540,6 +552,18 @@ MUTANTS = [
         "order-props",
         ((2, 4), (3, 4)),
         frozenset({"kcode-round-trip-and-injective", "minus-family-confined-to-code-row"}),
+    ),
+    # Survivor: the sweeps build their Demazure values by steps of their own
+    # (`verify._hecke_values`), and no check compares them with
+    # `affine.demazure`, which only the tests call.
+    Mutant(
+        "demazure-step-keeping-the-smaller",
+        affine,
+        "demazure",
+        _demazure_keeping_the_smaller,
+        "order-props",
+        ((2, 4), (3, 4)),
+        frozenset(),
     ),
     Mutant(
         "lifted-rows-by-the-next-letter",
