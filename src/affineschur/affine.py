@@ -30,6 +30,7 @@ __all__ = [
     "left_growth",
     "LeftGrowth",
     "descents",
+    "least_left_descent",
     "bruhat_leq",
     "weak_leq",
     "demazure",
@@ -571,6 +572,26 @@ def descents(w: AffinePermutation, side: str = "right") -> frozenset[int]:
     return frozenset(out)
 
 
+def least_left_descent(w: AffinePermutation) -> int:
+    """min(descents(w, "left")), read off the window without building w^-1.
+
+    i is a left descent iff w^-1(i) > w^-1(i+1), where w(p) = x gives
+    w^-1(x mod n) = p - (x - x mod n) and w^-1(n) = w^-1(0) + n.  The
+    identity has no descent, so it raises.
+    """
+    n = w.k + 1
+    at = [0] * n
+    for pos, x in enumerate(w.window, start=1):
+        r = x % n
+        at[r] = pos - x + r
+    for i in range(n - 1):
+        if at[i] > at[i + 1]:
+            return i
+    if at[n - 1] > at[0] + n:
+        return n - 1
+    raise ValueError("the identity has no left descent")
+
+
 @functools.lru_cache(maxsize=None)
 def bruhat_leq(u: AffinePermutation, v: AffinePermutation) -> bool:
     """Strong (Bruhat) order comparison via the lifting property.
@@ -584,7 +605,7 @@ def bruhat_leq(u: AffinePermutation, v: AffinePermutation) -> bool:
         return False
     if u.length == v.length:
         return u == v
-    i = min(descents(v, "left"))
+    i = least_left_descent(v)
     sv = left_mul_s(v, i)
     su = left_mul_s(u, i)
     return bruhat_leq(su if su.length < u.length else u, sv)

@@ -3,9 +3,10 @@
 Each sweep pits a closed form against a brute-force oracle over explicit
 length balls or partition ranges and reports every counterexample with a
 JSON-able witness.  All identities are exact, so a sweep either finds
-nothing or the build is wrong; there is no tolerance anywhere.  A passing
-instance costs one count (`r.count() if ok else r.fail(...)`); its witness
-values are computed and turned into JSON only in `fail`.
+nothing or the build is wrong; there is no tolerance anywhere.  A check
+counts its passing instances in a local integer and adds them once
+(`r.count(passed)`); a failing instance's witness values are computed and
+turned into JSON only in `r.fail(...)`.
 
 A suite enumerates one length ball, at the largest radius it declares in
 `ball_radii`, and cuts every smaller ball from it as a prefix; the
@@ -57,16 +58,14 @@ from .affine import (
     descents,
     inverse,
     is_affine_reflection,
+    least_left_descent,
+    left_action,
     left_growth,
     left_mul_s,
     mul,
 )
-from .kcode import d_elem, eval_code, first_row, rd, ri
-from .oracles import (
-    proper_subsets,
-    saturated_chain_exists,
-    subword_lower_set,
-)
+from .kcode import d_elem, d_inverse_steps, d_steps, eval_code, first_row, rd, ri
+from .oracles import proper_subsets, subword_lower_set
 from .orderlab import (
     fiber_X,
     fiber_Y,
@@ -112,8 +111,9 @@ __all__ = [
 class CheckResult:
     """One named sweep: how many instances ran, and every failing witness.
 
-    A passing instance costs one `count`; a witness is built only in `fail`,
-    so a call site computes its witness values in the failing branch alone.
+    Passing instances are added by `count(n)`, once per check from a local
+    tally; each failing instance is one `fail`, which builds its witness,
+    so a call site computes witness values in the failing branch alone.
     """
 
     __slots__ = ("name", "instances", "failures")
@@ -136,8 +136,8 @@ class CheckResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def count(self) -> None:
-        self.instances += 1
+    def count(self, n: int = 1) -> None:
+        self.instances += n
 
     def fail(self, **witness) -> None:
         """Record a failing instance; elements and symmetric functions in the
@@ -291,6 +291,13 @@ class _BallOrder:
         """Position of w in the whole ball, None outside it."""
         return self._index.get(w.window)
 
+    def at(self, w: AffinePermutation) -> int:
+        """Position of w in the whole ball; outside it this raises."""
+        p = self._index.get(w.window)
+        if p is None:
+            raise ValueError(f"{w!r} lies outside the ball")
+        return p
+
     def lift(self, v: AffinePermutation) -> tuple[list[int], int]:
         """v as (letters, position q): stripping the least left descent of v,
         one letter at a time, until what is left lies in the ball leaves the
@@ -298,7 +305,7 @@ class _BallOrder:
         letters = []
         q = self._index.get(v.window)
         while q is None:
-            i = min(descents(v, "left"))
+            i = least_left_descent(v)
             letters.append(i)
             v = left_mul_s(v, i)
             q = self._index.get(v.window)
@@ -401,11 +408,6 @@ class _BallOrder:
             out = table[p] = [index.get(tuple(w), -1) for w in windows]
         return out
 
-    def members(self, row: int) -> list[AffinePermutation]:
-        """Elements of a row, in ball order."""
-        elements = self.elements
-        return [elements[i] for i in _positions(row)]
-
     def join(self, v: AffinePermutation, w: AffinePermutation) -> AffinePermutation | None:
         """Exact strong join of two ball elements, or None (`join_at`); same
         answers as `strong_join_in_ball`, and a radius below l(v) + l(w) raises."""
@@ -428,18 +430,6 @@ class _BallOrder:
         # length is incomparable to it, so it is the join or there is none
         m = (ubs & -ubs).bit_length() - 1
         return None if ubs & ~up[m] else m
-
-    def is_least_upper_bound(
-        self, candidate: AffinePermutation, v: AffinePermutation, w: AffinePermutation
-    ) -> bool:
-        """Whether `candidate` is the strong join, read off `join`: the radius
-        must reach l(v) + l(w) (subword property) or this raises; same
-        answers as `is_least_upper_bound_in_ball`."""
-        return self.join(v, w) == candidate
-
-    def meet_at(self, a: int, b: int) -> int | None:
-        """Position of the exact meet of the elements at a and b, or None."""
-        return self.meet_of(self._lifted(a) & self._lifted(b))
 
     def meet_of(self, common: int) -> int | None:
         """Position of the exact meet of the elements whose down rows AND to
@@ -710,9 +700,10 @@ def _join_seed_sets(
     """
 
     def groups(values):
-        us: dict[int | AffinePermutation, list[int]] = {}
+        """The u of each value, as a bitset built by OR while grouping."""
+        us: dict[int | AffinePermutation, int] = {}
         for u, value in enumerate(values):
-            us.setdefault(value, []).append(u)
+            us[value] = us.get(value, 0) | 1 << u
         return us.items()
 
     left, right = parents
@@ -735,13 +726,13 @@ def _join_seed_sets(
                     lowered[key] = ps
                 below = whole._lifted(q) & prefix  # the x are lowered inside the prefix
                 xs = _mask([x for x, p in enumerate(lowered[key]) if below >> p & 1])
-            spread.append((xs, _mask(us)))
+            spread.append((xs, us))
         dsets.append(_spread(spread, size))
     up = upper._up_rows()
     esets = []
     for x in range(size):
         values = _hecke_values(whole, right, x, up=False)  # each no longer than x
-        esets.append(_spread([(up[q], _mask(us)) for q, us in groups(values)], size))
+        esets.append(_spread([(up[q], us) for q, us in groups(values)], size))
     return dsets, esets
 
 
@@ -762,6 +753,46 @@ def _flip_images(order: _BallOrder, c: int) -> dict[int, int]:
     return images
 
 
+def _length_slices(lengths: list[int]) -> list[int]:
+    """slices[l], the positions of length l of a ball sorted by length, as a
+    bitset, for l up to one past its radius, where the slice is empty."""
+    slices, start = [], 0
+    for ell in range(lengths[-1] + 2):
+        end = bisect.bisect_right(lengths, ell)
+        slices.append((1 << end) - (1 << start))
+        start = end
+    return slices
+
+
+def _chain_gaps(
+    members: int, down: list[int], up: list[int], lengths: list[int], slices: list[int]
+) -> tuple[int, list[tuple[int, int]]]:
+    """The pairs x <= y of a set of ball positions, given as a bitset: how
+    many there are, and those with no first step of a saturated chain
+    inside the set, as (x, y), x outermost.
+
+    A first step is an element c of the set with x <= c <= y and
+    l(c) = l(x) + 1, one bit of up[x] & members & slices[l(x) + 1] & down[y]
+    (`_length_slices`).  Every pair x < y of the set has one exactly when
+    each such pair is joined by a saturated chain inside the set: given the
+    steps, go on from c <= y, by induction on l(y) - l(x); conversely a
+    chain's first element after x is one.  So one AND per pair replaces the
+    cover-by-cover chain search, which stays as the test oracle
+    `oracles.saturated_chain_exists`.  On a set without the chain property
+    the pairs flagged here are among those the chain search flags (a pair
+    with no first step has no chain), and some pair is flagged whenever
+    that search flags one (of the pairs it flags, one with l(y) - l(x)
+    least has no first step).
+    """
+    pairs, gaps = 0, []
+    for x in _positions(members):
+        above = up[x] & members
+        pairs += above.bit_count()
+        steps = above & slices[lengths[x] + 1]
+        gaps.extend((x, y) for y in _positions(above & ~(1 << x)) if not steps & down[y])
+    return pairs, gaps
+
+
 # ---------------------------------------------------------------------------
 # order-theoretic property suites
 # ---------------------------------------------------------------------------
@@ -775,22 +806,32 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     prefix of the one enumerated at the largest radius `ball_radii` declares.
 
     Every order question reads one of two tables.  Down-set questions (down
-    rows, weak down rows, meets, members) read `whole`: all below x is
+    rows, weak down rows, meets) read `whole`: all below x is
     shorter than x, so no order holding x answers them otherwise.  Up-set
     questions (up rows, left-up rows, joins) read `upper`, of radius
     max(L+3, 2 min(L,6)).  Strong comparisons are bits of lifted rows, read
-    from one list of them; only `bruhat-matches-subword-oracle`, whose
-    subject it is, calls `bruhat_leq`.  Meets and joins are
-    `meet_at`/`meet_of` and `join_at`, at positions.
+    from one list of them, `down`.  Meets are `meet_of` of the AND of two
+    rows, read off `down` where it holds them, and joins `join_at`, at
+    positions.
+
+    No instance makes a kernel product or an oracle search, and each check
+    adds its passing instances once, from a local tally.  The exceptions are
+    the two checks whose subject a kernel call is:
+    `bruhat-matches-subword-oracle` calls `bruhat_leq` and
+    `strong-covers-are-reflections` forms v u^-1.  The weak-interval chain
+    property is a first-step test per pair (`_chain_gaps`), with the chain
+    search `oracles.saturated_chain_exists` as its test oracle; u^-1 z and
+    w d_A^-1 are walks (`_quotient`), and d_A u, d_A^-1 u and d_A w are
+    `left_action` along the letters of d_A, placed in the whole ball.
 
     The six triple-ball checks (`weak-order-triple-splitting` through
     `demazure-monotone-in-actor`) and `generator-actions-preserve-meet-join`
-    make no kernel call per instance.  They read tables built once per sweep
-    along the ball's parents: Demazure values (`_hecke_tables`), products
-    (`_product_table`), inversion rows over the prefix of radius 2 t, t the
-    triple radius, with l(u v) = l(u) + l(v) - 2 |T_R(u) & T_L(v)| and
-    u <=_L v iff T_R(u) <= T_R(v) (`_inversion_rows`; Bjorner-Brenti, GTM 231,
-    Secs. 1.4 and 3.1), quotient walks (`_quotient`) and generator steps
+    read tables built once per sweep along the ball's parents: Demazure
+    values (`_hecke_tables`), products (`_product_table`), inversion rows
+    over the prefix of radius 2 t, t the triple radius, with
+    l(u v) = l(u) + l(v) - 2 |T_R(u) & T_L(v)| and u <=_L v iff
+    T_R(u) <= T_R(v) (`_inversion_rows`; Bjorner-Brenti, GTM 231, Secs. 1.4
+    and 3.1), quotient walks (`_quotient`) and generator steps
     (`_generator_steps`).  They need only a down-closed prefix, not a ball.
 
     The join-seed block (`half-strong-join-minimal`, `half-strong-meet-maximal`,
@@ -830,20 +871,29 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
         return bool(down[q] >> p & 1)
 
     r = CheckResult("bruhat-matches-subword-oracle")
+    passed = 0
     for v in subword_ball:
         lower_v = subword_lower_set(v)
         for u in subword_ball:
-            r.count() if bruhat_leq(u, v) == (u in lower_v) else r.fail(u=u, v=v)
+            if bruhat_leq(u, v) == (u in lower_v):
+                passed += 1
+            else:
+                r.fail(u=u, v=v)
+    r.count(passed)
     results.append(r)
 
     r = CheckResult("strong-covers-are-reflections")
+    passed = 0
     # pair_ball is a prefix of the whole ball, so its elements sit at their own indices
     for a, u in enumerate(pair_ball):
         for b, v in enumerate(pair_ball):
             if v.length != u.length + 1:
                 continue
-            by_reflection = is_affine_reflection(mul(v, inverse(u)))
-            r.count() if leq(a, b) == by_reflection else r.fail(u=u, v=v)
+            if leq(a, b) == is_affine_reflection(mul(v, inverse(u))):
+                passed += 1
+            else:
+                r.fail(u=u, v=v)
+    r.count(passed)
     results.append(r)
 
     # The tables of the six triple-ball checks and of the generator actions
@@ -851,18 +901,20 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     # the wide ball, and the inversion rows, over the prefix of radius 2 t.
     size = len(triple_ball)
     parents = whole.prefix(max(wide_radius, 2 * triple_radius)).parents()
-    words = [()]  # (i_1, ..., i_l) for u = s_{i_1} ... s_{i_l}, off the left parents
+    # the word and the inverse of every six-ball element, off the left parents
+    words = [()]  # (i_1, ..., i_l) for u = s_{i_1} ... s_{i_l}
     at_inverse = [0]  # (s_i u)^-1 = u^-1 s_i
-    for q, i in parents[0][: size - 1]:
+    for q, i in parents[0][: len(six_ball) - 1]:
         words.append((i,) + words[q])
         at_inverse.append(whole._neighbours("right", at_inverse[q])[i])
-    backwards = [word[::-1] for word in words]
-    dem_at, psi_at = _hecke_tables(whole, parents, size, at_inverse)
+    backwards = [word[::-1] for word in words[:size]]
+    dem_at, psi_at = _hecke_tables(whole, parents, size, at_inverse[:size])
     prod = _product_table(whole, parents[0], size)
     t_left, t_right = _inversion_rows(whole, parents, len(_prefix(elements, 2 * triple_radius)))
     psi = _generator_steps(whole, len(upper.elements), up=False)
 
     r = CheckResult("weak-order-triple-splitting")
+    passed = 0
     # z <=_L y z, y z <=_L x (y z), y <=_L x y and z <=_L (x y) z say that a
     # product is reduced, T_R & T_L = 0, even where x y z leaves the ball
     for a, x in enumerate(triple_ball):
@@ -873,10 +925,15 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
             for z, l_z, yz in zip(triple_ball, t_left, prod[b]):
                 lhs = not r_y & l_z and not r_x & t_left[yz]
                 rhs = y_le and not r_xy & l_z
-                r.count() if lhs == rhs else r.fail(x=x, y=y, z=z)
+                if lhs == rhs:
+                    passed += 1
+                else:
+                    r.fail(x=x, y=y, z=z)
+    r.count(passed)
     results.append(r)
 
     r = CheckResult("demazure-product-factors")
+    passed = 0
     # with z = x' y = x y', y <=_L z and x <=_R z hold iff the walks from z
     # to x' = z y^-1 and to y' = x^-1 z descend all the way
     for i, x in enumerate(triple_ball):
@@ -884,21 +941,29 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
             z = dem_at[j][i]
             xp = _quotient(whole, "right", z, backwards[j])
             yp = _quotient(whole, "left", z, words[i])
-            good = xp is not None and yp is not None and leq(xp, i) and leq(yp, j)
-            r.count() if good else r.fail(x=x, y=y, z=elements[z])
+            if xp is not None and yp is not None and leq(xp, i) and leq(yp, j):
+                passed += 1
+            else:
+                r.fail(x=x, y=y, z=elements[z])
+    r.count(passed)
     results.append(r)
 
     r = CheckResult("anti-demazure-factors")
+    passed = 0
     # with y = x'^-1 z, z <=_L y iff the walk from y^-1 to x' = z y^-1 descends
     for i, x in enumerate(triple_ball):
         for j, y in enumerate(triple_ball):
             z = psi_at[j][i]  # no longer than y, so in the triple ball
             xp = _quotient(whole, "left", at_inverse[j], backwards[z])
-            good = xp is not None and leq(xp, i)
-            r.count() if good else r.fail(x=x, y=y, z=elements[z])
+            if xp is not None and leq(xp, i):
+                passed += 1
+            else:
+                r.fail(x=x, y=y, z=elements[z])
+    r.count(passed)
     results.append(r)
 
     r = CheckResult("demazure-actions-monotone")
+    passed = 0
     # an anti-Demazure value is no longer than w, so it lies in the triple
     # ball; w <=_L demazure(x, w) and psi_apply(x, w) <=_L w are subset tests
     for i, x in enumerate(triple_ball):
@@ -914,68 +979,100 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
                 for letter in words[i]:
                     q = psi[letter][q]
                 good = leq(q, j)
-            r.count() if good else r.fail(x=x, w=w)
+            if good:
+                passed += 1
+            else:
+                r.fail(x=x, w=w)
+    r.count(passed)
     results.append(r)
 
     r = CheckResult("demazure-preserves-order")
+    passed = 0
     # the pairs v <= w of the triple ball, in the order of the loops over v and w
     pairs = sorted((v, w) for w in range(size) for v in _positions(down[w]))
     for i, x in enumerate(triple_ball):
+        dem_x, psi_x = [row[i] for row in dem_at], [row[i] for row in psi_at]
         for v, w in pairs:
-            good = leq(dem_at[v][i], dem_at[w][i]) and leq(psi_at[v][i], psi_at[w][i])
-            r.count() if good else r.fail(x=x, v=triple_ball[v], w=triple_ball[w])
+            if down[dem_x[w]] >> dem_x[v] & 1 and down[psi_x[w]] >> psi_x[v] & 1:
+                passed += 1
+            else:
+                r.fail(x=x, v=triple_ball[v], w=triple_ball[w])
+    r.count(passed)
     results.append(r)
 
     r = CheckResult("demazure-monotone-in-actor")
+    passed = 0
     for i, j in pairs:
-        x, y = triple_ball[i], triple_ball[j]
-        for t, w in enumerate(triple_ball):
-            good = leq(dem_at[t][i], dem_at[t][j]) and leq(psi_at[t][j], psi_at[t][i])
-            r.count() if good else r.fail(x=x, y=y, w=w)
+        for t, (dem_w, psi_w) in enumerate(zip(dem_at, psi_at)):
+            if down[dem_w[j]] >> dem_w[i] & 1 and down[psi_w[i]] >> psi_w[j] & 1:
+                passed += 1
+            else:
+                r.fail(x=triple_ball[i], y=triple_ball[j], w=triple_ball[t])
+    r.count(passed)
     results.append(r)
 
     r = CheckResult("generator-actions-preserve-meet-join")
+    passed = 0
     # phi_i(u) = demazure(s_i, u) = max(u, s_i u) and psi_i(u) = min(u, s_i u)
-    # as position lists; meets are read in `whole` and joins in `upper`.  Both
+    # as position lists; meets are read off `down` and joins in `upper`.  Both
     # maps are two-to-one, so each stepped pair is met or joined once per letter
     phi = _generator_steps(whole, len(pair_ball), up=True)
+    meet_of, join_at = whole.meet_of, upper.join_at
     # the meet and the join of a pair do not depend on i
     pairs = []
     for a, v in enumerate(pair_ball):
+        row_a = down[a]
         for b, w in enumerate(pair_ball):
-            pairs.append((v, w, a, b, whole.meet_at(a, b), upper.join_at(a, b)))
+            pairs.append((v, w, a, b, meet_of(row_a & down[b]), join_at(a, b)))
     for i, (phi_i, psi_i) in enumerate(zip(phi, psi)):
         stepped_meets, stepped_joins = {}, {}
         for v, w, a, b, m, top in pairs:
             if m is not None:
-                key = phi_i[a], phi_i[b]
+                pa, pb = phi_i[a], phi_i[b]
+                key = pa, pb
                 if key not in stepped_meets:
-                    stepped_meets[key] = whole.meet_at(*key)
-                good = stepped_meets[key] == phi_i[m]
-                r.count() if good else r.fail(kind="meet", i=i, v=v, w=w)
+                    stepped_meets[key] = meet_of(down[pa] & down[pb])
+                if stepped_meets[key] == phi_i[m]:
+                    passed += 1
+                else:
+                    r.fail(kind="meet", i=i, v=v, w=w)
             if top is not None:
                 key = psi_i[a], psi_i[b]
                 if key not in stepped_joins:
-                    stepped_joins[key] = upper.join_at(*key)
-                good = stepped_joins[key] == psi_i[top]
-                r.count() if good else r.fail(kind="join", i=i, v=v, w=w)
+                    stepped_joins[key] = join_at(*key)
+                if stepped_joins[key] == psi_i[top]:
+                    passed += 1
+                else:
+                    r.fail(kind="join", i=i, v=v, w=w)
+    r.count(passed)
     results.append(r)
 
     r = CheckResult("reduced-factorization-comparison")
-    for z in pair_ball:
-        # the u <=_R z, in ball order, with the positions of u and u^-1 z
-        factorizations = [
-            (elements[p], p, whole.position(mul(inverse(elements[p]), z)))
-            for p in _positions(whole.row("right-down", z))
-        ]
-        for u, a, x in factorizations:
-            for v, b, y in factorizations:
-                r.count() if leq(b, a) == leq(x, y) else r.fail(z=z, u=u, v=v)
+    passed = 0
+    for c, z in enumerate(pair_ball):
+        # the u <=_R z, in ball order, with the positions of u and u^-1 z: the
+        # left steps along the word of u descend from z to u^-1 z
+        factorizations = []
+        for a in _positions(whole.row("right-down", z)):
+            x = _quotient(whole, "left", c, words[a])
+            if x is None:
+                r.fail(z=z, u=elements[a], reason="u^-1 z is not a right factor of z")
+            else:
+                factorizations.append((a, x))
+        for a, x in factorizations:
+            row_a = down[a]
+            for b, y in factorizations:
+                if bool(row_a >> b & 1) == bool(down[y] >> x & 1):
+                    passed += 1
+                else:
+                    r.fail(z=z, u=elements[a], v=elements[b])
+    r.count(passed)
     results.append(r)
 
     r = CheckResult("half-strong-join-minimal")
     r2 = CheckResult("half-strong-meet-maximal")
     r3 = CheckResult("join-seed-minimal-both-forms")
+    passed = passed2 = passed3 = 0
     # s_join_L(x, y) = z y and meet_LS(x, y) = z^-1 x for the seed
     # z = psi_apply(y^-1, x, "right"), all three at positions (`_seed_tables`);
     # y <=_L z y and z^-1 x <=_L x are length sums.  The join-seed sets of
@@ -990,24 +1087,35 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     left_up = [upper.row("left-up", y) for y in seed_ball]
     left_down = [whole.row("left-down", x) for x in seed_ball]
     for x in range(n):
+        up_x, row_x = up_rows[x], left_down[x]
         for y in range(n):
             z, j, m = seeds[y][x], joins[y][x], meets[y][x]
             ok = down[j] >> x & 1 and lengths[z] + lengths[y] == lengths[j]
-            ok = ok and not up_rows[x] & left_up[y] & ~up_rows[j]
-            r.count() if ok else r.fail(x=elements[x], y=elements[y], join=elements[j])
+            if ok and not up_x & left_up[y] & ~up_rows[j]:
+                passed += 1
+            else:
+                r.fail(x=elements[x], y=elements[y], join=elements[j])
 
             ok = lengths[z] + lengths[m] == lengths[x] and down[y] >> m & 1
-            ok = ok and not left_down[x] & down[y] & ~down[m]
-            r2.count() if ok else r2.fail(x=elements[x], y=elements[y], meet=elements[m])
+            if ok and not row_x & down[y] & ~down[m]:
+                passed2 += 1
+            else:
+                r2.fail(x=elements[x], y=elements[y], meet=elements[m])
 
             dset = dsets[y][x]
-            ok = dset == esets[x][y] and dset >> z & 1 and not dset & ~up_rows[z]
-            r3.count() if ok else r3.fail(x=elements[x], y=elements[y], seed=elements[z])
+            if dset == esets[x][y] and dset >> z & 1 and not dset & ~up_rows[z]:
+                passed3 += 1
+            else:
+                r3.fail(x=elements[x], y=elements[y], seed=elements[z])
+    r.count(passed)
+    r2.count(passed2)
+    r3.count(passed3)
     results.extend([r, r2, r3])
 
     r = CheckResult("interval-flip-anti-isomorphism")
-    # the flip x -> z x^-1 at positions (`_flip_images`); meets are read in
-    # `whole` and joins in `upper`
+    passed = 0
+    # the flip x -> z x^-1 at positions (`_flip_images`); meets are read off
+    # `down` and joins in `upper`
     for c, z in enumerate(six_ball):
         left_row = whole.row("left-down", z)
         left_interval = _positions(left_row)
@@ -1015,76 +1123,103 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
         images = _flip_images(whole, c)
         for x in left_interval:
             fx = images[x]
-            ok = right_interval >> fx & 1 and lengths[fx] == lengths[c] - lengths[x]
-            r.count() if ok else r.fail(z=z, x=elements[x])
-        ok = _mask(sorted(set(images.values()))) == right_interval
-        r.count() if ok else r.fail(z=z, reason="flip is not onto the right interval")
+            if right_interval >> fx & 1 and lengths[fx] == lengths[c] - lengths[x]:
+                passed += 1
+            else:
+                r.fail(z=z, x=elements[x])
+        if _mask(sorted(set(images.values()))) == right_interval:
+            passed += 1
+        else:
+            r.fail(z=z, reason="flip is not onto the right interval")
         for x in left_interval:
+            row_x, fx = down[x], images[x]
             for y in left_interval:
-                ok = leq(x, y) == leq(images[y], images[x])
-                r.count() if ok else r.fail(z=z, x=elements[x], y=elements[y])
-                m = whole.meet_at(x, y)
+                fy = images[y]
+                if bool(down[y] >> x & 1) == bool(down[fx] >> fy & 1):
+                    passed += 1
+                else:
+                    r.fail(z=z, x=elements[x], y=elements[y])
+                m = meet_of(row_x & down[y])
                 if m is not None and left_row >> m & 1:
-                    ok = upper.join_at(images[x], images[y]) == images[m]
-                    r.count() if ok else r.fail(
-                        z=z, x=elements[x], y=elements[y], kind="meet-to-join"
-                    )
+                    if join_at(fx, fy) == images[m]:
+                        passed += 1
+                    else:
+                        r.fail(z=z, x=elements[x], y=elements[y], kind="meet-to-join")
+    r.count(passed)
     results.append(r)
 
     r = CheckResult("weak-interval-chain-property")
+    passed = 0
+    slices = _length_slices(lengths)
     for u in six_ball:
-        interval = frozenset(whole.members(whole.row("left-down", u)))
-        for x in interval:
-            for y in interval:
-                if whole.leq(x, y):
-                    ok = saturated_chain_exists(x, y, interval)
-                    r.count() if ok else r.fail(u=u, x=x, y=y)
+        pairs, gaps = _chain_gaps(whole.row("left-down", u), down, up_rows, lengths, slices)
+        passed += pairs - len(gaps)
+        for x, y in gaps:
+            r.fail(u=u, x=elements[x], y=elements[y])
+    r.count(passed)
     results.append(r)
 
-    results.extend(_verify_z_families(k, six_ball, upper, whole))
+    def down_row(p):
+        """Strong down row of the element at p, from `down` where it holds it."""
+        return down[p] if p < len(down) else whole._lifted(p)
+
+    inverses = [elements[p] for p in at_inverse]
+    results.extend(_verify_z_families(k, subsets, six_ball, inverses, upper, whole, down_row))
     results.extend(_verify_strongly_commutative(k, subsets, seed_ball))
     # the k-code ball is a quantifier range: its left-up rows stop at its radius
     kcode_order = whole.prefix(min(max_length, 6 if k <= 2 else 5))
     results.extend(_verify_kcode_props(k, subsets, kcode_order))
-    results.extend(_verify_strip_props(k, min(max_length + 1, 7), subsets, whole))
+    results.extend(_verify_strip_props(k, min(max_length + 1, 7), subsets, whole, down_row))
     return results
 
 
-def _verify_strip_props(k, max_size, subsets, whole) -> list[CheckResult]:
+def _verify_strip_props(k, max_size, subsets, whole, down_row) -> list[CheckResult]:
     forb = CheckResult("forbidden-index-never-in-a-strip")
     unique = CheckResult("unique-size-k-strip-adds-one-row")
     agree = CheckResult("strip-criteria-agree")
     meets = CheckResult("strip-meet-is-strip-of-intersection")
+    passed_forb = passed_unique = passed_agree = passed_meets = 0
     all_subsets = [IndexSet._trusted(k, A) for A in subsets]
     for lam in kbounded_partitions(k, max_size):
         fi = forbidden_index(lam)
         growth = StripGrowth(lam, k)
         strips_by_r = {r: growth.strips(r) for r in range(k + 1)}
-        ok = all(fi not in s.indices for r in strips_by_r.values() for s in r)
-        forb.count() if ok else forb.fail(lam=list(lam.parts), forbidden=fi)
+        if all(fi not in s.indices for r in strips_by_r.values() for s in r):
+            passed_forb += 1
+        else:
+            forb.fail(lam=list(lam.parts), forbidden=fi)
         top_k = strips_by_r[k]
-        ok = len(top_k) == 1 and top_k[0].top == union_sort(KBoundedPartition(k, (k,)), lam)
-        unique.count() if ok else unique.fail(lam=list(lam.parts))
-        ok = all(is_weak_strip(lam, A) == is_weak_strip_parabolic(lam, A) for A in all_subsets)
-        agree.count() if ok else agree.fail(lam=list(lam.parts))
+        if len(top_k) == 1 and top_k[0].top == union_sort(KBoundedPartition(k, (k,)), lam):
+            passed_unique += 1
+        else:
+            unique.fail(lam=list(lam.parts))
+        if all(is_weak_strip(lam, A) == is_weak_strip_parabolic(lam, A) for A in all_subsets):
+            passed_agree += 1
+        else:
+            agree.fail(lam=list(lam.parts))
         w = bounded_to_perm(lam)
         qualifying = [s.indices for r in strips_by_r.values() for s in r]
         # d_A w with its down row once per strip, d_C w (at its position: the
-        # whole ball holds it) and the strip test once per intersection C
-        below = [whole.row("down", mul(d_elem(A), w)) for A in qualifying]
+        # whole ball holds it) and the strip test once per intersection C;
+        # d_A w is `left_action` along the letters of d_A
+        below = [down_row(whole.at(left_action(w, d_steps(A)))) for A in qualifying]
         caps = {}
         for A, row_a in zip(qualifying, below):
             for B, row_b in zip(qualifying, below):
                 members = A.members & B.members
                 if members not in caps:
                     cap = IndexSet._trusted(k, members)
-                    cand = whole.position(mul(d_elem(cap), w))
+                    cand = whole.position(left_action(w, d_steps(cap)))
                     caps[members] = is_weak_strip(lam, cap), cand
                 is_strip, cand = caps[members]
-                ok = is_strip and whole.meet_of(row_a & row_b) == cand
-                meets.count() if ok else meets.fail(
-                    lam=list(lam.parts), A=list(A.sorted()), B=list(B.sorted())
-                )
+                if is_strip and whole.meet_of(row_a & row_b) == cand:
+                    passed_meets += 1
+                else:
+                    meets.fail(lam=list(lam.parts), A=list(A.sorted()), B=list(B.sorted()))
+    forb.count(passed_forb)
+    unique.count(passed_unique)
+    agree.count(passed_agree)
+    meets.count(passed_meets)
     return [forb, unique, agree, meets]
 
 
@@ -1104,65 +1239,136 @@ def _extends_toward(A: frozenset[int], B: frozenset[int], family) -> bool:
     return any(A | {i} in family for i in B - A)
 
 
-def _verify_z_families(k, elements, upper, whole) -> list[CheckResult]:
+def _verify_z_families(
+    k, subsets, elements, inverses, upper, whole, down_row
+) -> list[CheckResult]:
+    """Z-family checks over `elements`, whose inverses are `inverses`.
+
+    d_A u and d_A^-1 u are positions in the whole ball, reached by
+    `left_action` along the letters of d_A (`d_steps`, `d_inverse_steps`),
+    once per member A; a value outside the ball raises.  Meets are
+    `meet_of` on the down rows of the d_A u (`down_row`, once per member),
+    and joins `join_at`; the member whose bitmask is A & B is read by index.
+    """
     closure = CheckResult("z-families-closed-and-bounded")
     meets = CheckResult("plus-family-intersection-is-meet")
     joins = CheckResult("minus-family-intersection-is-join")
     chains = CheckResult("z-families-chain-property")
     confining = CheckResult("minus-family-confined-to-code-row")
-    for u in elements:
+    passed_meets = passed_joins = passed_chains = passed_confining = 0
+    # per index set: the letters of d_A and of d_A^-1, and A as a bitmask
+    letters = {}
+    for A in subsets:
+        index_set = IndexSet._trusted(k, A)
+        letters[A] = d_steps(index_set), d_inverse_steps(index_set), sum(1 << i for i in A)
+    absent = [-1] * (1 << (k + 1))  # -1: no member has this bitmask
+    meet_of, join_at = whole.meet_of, upper.join_at
+    for u, u_inverse in zip(elements, inverses):
         zs = z_sets(u)  # construction asserts closure and maxima
-        closure.count()
-        # d_A u, up to min(L, 6) + k long, at its position in the whole ball,
-        # and d_A^-1 u, once per member A; closed under intersection
-        plus = {A: whole.position(mul(d_elem(IndexSet._trusted(k, A)), u)) for A in zs.plus}
-        for A, B in itertools.combinations(sorted(zs.plus, key=sorted), 2):
-            m = whole.meet_at(plus[A], plus[B])
-            meets.count() if m == plus[A & B] else meets.fail(u=u, A=sorted(A), B=sorted(B))
-        minus = {A: mul(inverse(d_elem(IndexSet._trusted(k, A))), u) for A in zs.minus}
-        for A, B in itertools.combinations(sorted(zs.minus, key=sorted), 2):
-            ok = upper.is_least_upper_bound(minus[A & B], minus[A], minus[B])
-            joins.count() if ok else joins.fail(u=u, A=sorted(A), B=sorted(B))
+        # d_A u, up to min(L, 6) + k long, and its down row; closed under intersection
+        plus = sorted(zs.plus, key=sorted)
+        bits = [letters[A][2] for A in plus]
+        at = absent.copy()
+        rows = []
+        for A, bit in zip(plus, bits):
+            at[bit] = p = whole.at(left_action(u, letters[A][0]))
+            rows.append(down_row(p))
+        for a, (row_a, bit_a) in enumerate(zip(rows, bits)):
+            for b in range(a + 1, len(plus)):
+                if meet_of(row_a & rows[b]) == at[bit_a & bits[b]]:
+                    passed_meets += 1
+                else:
+                    meets.fail(u=u, A=sorted(plus[a]), B=sorted(plus[b]))
+        # d_A^-1 u, no longer than u
+        minus = sorted(zs.minus, key=sorted)
+        bits = [letters[A][2] for A in minus]
+        at = absent.copy()
+        for A, bit in zip(minus, bits):
+            at[bit] = whole.at(left_action(u, letters[A][1]))
+        for a, bit_a in enumerate(bits):
+            for b in range(a + 1, len(minus)):
+                if join_at(at[bit_a], at[bits[b]]) == at[bit_a & bits[b]]:
+                    passed_joins += 1
+                else:
+                    joins.fail(u=u, A=sorted(minus[a]), B=sorted(minus[b]))
         for fam in (zs.plus, zs.minus):
             for A in fam:
                 for B in fam:
                     if A < B:
-                        ok = _extends_toward(A, B, fam)
-                        chains.count() if ok else chains.fail(u=u, A=sorted(A), B=sorted(B))
-        row = first_row(ri(inverse(u)), increasing=True)
+                        if _extends_toward(A, B, fam):
+                            passed_chains += 1
+                        else:
+                            chains.fail(u=u, A=sorted(A), B=sorted(B))
+        row = first_row(ri(u_inverse), increasing=True)
         forb = minus_forbidden_indices(u)
-        ok = all(A <= row for A in zs.minus) and forb == frozenset(range(k + 1)) - row
-        confining.count() if ok else confining.fail(u=u, row=sorted(row))
+        if all(A <= row for A in zs.minus) and forb == frozenset(range(k + 1)) - row:
+            passed_confining += 1
+        else:
+            confining.fail(u=u, row=sorted(row))
+    closure.count(len(elements))
+    meets.count(passed_meets)
+    joins.count(passed_joins)
+    chains.count(passed_chains)
+    confining.count(passed_confining)
     return [closure, meets, joins, chains, confining]
 
 
 def _verify_strongly_commutative(k, subsets, zb) -> list[CheckResult]:
+    """Strongly disjoint d_A, d_B commute, and split z <=_L d_A d_B z.
+
+    A is strongly disjoint from B when it misses B and B's residues
+    shifted by one either way, a bitmask test.  Products are `left_action`
+    along the letters of d_A; l(a z) is formed once per z and per d_A or
+    product a = d_A d_B, not per pair.
+    """
     disj = CheckResult("strongly-disjoint-elements-commute")
     split = CheckResult("strongly-commutative-splitting")
     n = k + 1
+    full = (1 << n) - 1
     nonempty = [A for A in subsets if A]
+    bits = [sum(1 << i for i in A) for A in nonempty]
+    near = [b | (b << 1 | b >> k) & full | (b >> 1 | b << k) & full for b in bits]
     pairs = [
         (A, B)
-        for A in nonempty
-        for B in nonempty
-        if all((i - j) % n not in (0, 1, n - 1) for i in A for j in B)
+        for A, bit in zip(nonempty, bits)
+        for B, around in zip(nonempty, near)
+        if not bit & around
     ]
+    d, steps = {}, {}
+    for A in {A for A, _ in pairs}:
+        index_set = IndexSet._trusted(k, A)
+        d[A], steps[A] = d_elem(index_set), d_steps(index_set)
+    passed = 0
+    products: dict[AffinePermutation, int] = {}  # d_A d_B -> its index
+    words = []  # the letters of each product, those of d_B first
+    at_product = []  # the index and length of each pair's product
     for A, B in pairs:
-        x = d_elem(IndexSet._trusted(k, A))
-        y = d_elem(IndexSet._trusted(k, B))
-        ok = mul(x, y) == mul(y, x) and mul(x, y).length == x.length + y.length
-        disj.count() if ok else disj.fail(A=sorted(A), B=sorted(B))
+        x, y = d[A], d[B]
+        xy = left_action(y, steps[A])
+        if xy == left_action(x, steps[B]) and xy.length == x.length + y.length:
+            passed += 1
+        else:
+            disj.fail(A=sorted(A), B=sorted(B))
+        if xy not in products:
+            products[xy] = len(words)
+            words.append(steps[B] + steps[A])
+        at_product.append((products[xy], xy.length))
+    disj.count(passed)
     # z <=_L a z iff l(a) + l(z) = l(a z), and a z <=_L z iff l(a) + l(a z) = l(z)
-    for A, B in pairs:
-        x = d_elem(IndexSet._trusted(k, A))
-        y = d_elem(IndexSet._trusted(k, B))
-        xy = mul(x, y)
-        a, b, ab = x.length, y.length, xy.length
-        for z in zb:
-            c, xz, yz, xyz = z.length, mul(x, z).length, mul(y, z).length, mul(xy, z).length
+    passed = 0
+    by_set = [{A: left_action(z, steps[A]).length for A in steps} for z in zb]
+    by_product = [[left_action(z, word).length for word in words] for z in zb]
+    for (A, B), (xy, ab) in zip(pairs, at_product):
+        a, b = d[A].length, d[B].length
+        for z, set_lengths, product_lengths in zip(zb, by_set, by_product):
+            c, xz, yz, xyz = z.length, set_lengths[A], set_lengths[B], product_lengths[xy]
             up = (ab + c == xyz) == (a + c == xz and b + c == yz)
             dn = (ab + xyz == c) == (a + xz == c and b + yz == c)
-            split.count() if up and dn else split.fail(A=sorted(A), B=sorted(B), z=z)
+            if up and dn:
+                passed += 1
+            else:
+                split.fail(A=sorted(A), B=sorted(B), z=z)
+    split.count(passed)
     return [disj, split]
 
 
@@ -1172,9 +1378,12 @@ def _verify_kcode_props(k, subsets, order) -> list[CheckResult]:
     mono = CheckResult("kcodes-monotone-in-weak-order")
     dom = CheckResult("dominance-reads-off-code")
     rowmax = CheckResult("bottom-row-is-inclusion-maximal")
+    passed_bij = passed_mono = passed_dom = passed_rowmax = 0
+    steps = {A: d_steps(IndexSet._trusted(k, A)) for A in subsets}
     seen = {}
     codes = []
-    for w in elems:
+    # elems is a prefix of the whole ball, so its elements sit at their own indices
+    for p, w in enumerate(elems):
         code = rd(w)
         cod2 = ri(w)
         codes.append((code, cod2))
@@ -1184,26 +1393,38 @@ def _verify_kcode_props(k, subsets, order) -> list[CheckResult]:
             and code.size == w.length == cod2.size
             and seen.setdefault(code.values, w) == w
         )
-        bij.count() if ok else bij.fail(w=w)
+        if ok:
+            passed_bij += 1
+        else:
+            bij.fail(w=w)
+        right = descents(w, "right")
         for i in range(k + 1):
             cyc = [code.values[(i + t) % (k + 1)] for t in range(k + 1)]
             by_code = all(
                 cyc[t] >= cyc[t + 1] for t in range(k)
             ) and code.values[(i - 1) % (k + 1)] == 0
-            by_descent = descents(w, "right") <= {i}
-            dom.count() if by_code == by_descent else dom.fail(w=w, i=i)
+            if by_code == (right <= {i}):
+                passed_dom += 1
+            else:
+                dom.fail(w=w, i=i)
         row = first_row(code)
-        bigger = [A for A in subsets if row < A]
-        ok = all(
-            mul(w, inverse(d_elem(IndexSet._trusted(k, A)))).length != w.length - len(A)
-            for A in bigger
-        )
-        rowmax.count() if ok else rowmax.fail(w=w)
+        # l(w d_A^-1) = l(w) - |A| iff the right steps along the letters of
+        # d_A all shorten w
+        if all(_quotient(order, "right", p, steps[A]) is None for A in subsets if row < A):
+            passed_rowmax += 1
+        else:
+            rowmax.fail(w=w)
     for x, (cx, ix) in zip(elems, codes):
         for q in _positions(order.row("left-up", x)):
             cy, iy = codes[q]
-            ok = cy.contains(cx) and iy.contains(ix)
-            mono.count() if ok else mono.fail(x=x, y=elems[q])
+            if cy.contains(cx) and iy.contains(ix):
+                passed_mono += 1
+            else:
+                mono.fail(x=x, y=elems[q])
+    bij.count(passed_bij)
+    mono.count(passed_mono)
+    dom.count(passed_dom)
+    rowmax.count(passed_rowmax)
     return [bij, mono, dom, rowmax]
 
 

@@ -21,6 +21,7 @@ from affineschur.affine import (
     identity,
     inverse,
     is_affine_reflection,
+    least_left_descent,
     left_mul_s,
     meet_LS,
     mul,
@@ -113,6 +114,15 @@ def test_descents():
         assert len(descents(w, "right")) <= 2
     with pytest.raises(ValueError):
         descents(e, "up")
+
+
+def test_least_left_descent_reads_the_window():
+    """The least left descent, read off the window, is min(descents(w, "left"))."""
+    for k in (1, 2, 3, 4):
+        for w in ball(k, 5)[1:]:
+            assert least_left_descent(w) == min(descents(w, "left")), w
+        with pytest.raises(ValueError, match="identity"):
+            least_left_descent(identity(k))
 
 
 def test_bruhat_examples():

@@ -117,6 +117,13 @@ def _quotient_accepting_ascents(original):
     return quotient
 
 
+def _slices_one_length_too_long(original):
+    def length_slices(lengths):
+        return original(lengths)[1:]  # slices[l] holds the positions of length l + 1
+
+    return length_slices
+
+
 def _psi_one_letter_off(original):
     def generator_steps(order, size, up):
         steps = original(order, size, up)
@@ -339,10 +346,10 @@ MUTANTS = [
         ((2, 4), (3, 4)),
         frozenset({"demazure-actions-monotone", "join-seed-minimal-both-forms"}),
     ),
-    # Survivor: every quotient walk of the triple-ball checks starts at a
-    # Demazure or anti-Demazure value, which is above its factor in the weak
-    # order, so the walk always descends and its failure branch never runs
-    # unless a value table is wrong.
+    # The walks of the triple-ball checks and of the factorization check
+    # always descend, but `bottom-row-is-inclusion-maximal` asks whether
+    # w d_A^-1 is |A| shorter than w for A above the bottom row, where the
+    # walk must stop at an ascent.
     Mutant(
         "quotient-walk-accepting-ascents",
         verify,
@@ -350,7 +357,16 @@ MUTANTS = [
         _quotient_accepting_ascents,
         "order-props",
         ((2, 4), (3, 4)),
-        frozenset(),
+        frozenset({"bottom-row-is-inclusion-maximal"}),
+    ),
+    Mutant(
+        "cover-slice-one-length-too-long",
+        verify,
+        "_length_slices",
+        _slices_one_length_too_long,
+        "order-props",
+        ((2, 4), (3, 4)),
+        frozenset({"weak-interval-chain-property"}),
     ),
     Mutant(
         "pieri-kk-lower-signs-flipped/factorization",

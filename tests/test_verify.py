@@ -43,6 +43,7 @@ from affineschur.symfunc import SymElt
 from affineschur.verify import (
     CheckResult,
     _BallOrder,
+    _chain_gaps,
     _extends_toward,
     _flip_images,
     _generator_steps,
@@ -50,7 +51,9 @@ from affineschur.verify import (
     _hecke_values,
     _inversion_rows,
     _join_seed_sets,
+    _length_slices,
     _mask,
+    _positions,
     _prefix,
     _product_table,
     _quotient,
@@ -182,9 +185,7 @@ def test_a_join_that_a_short_ball_would_certify_is_refused_in_a_wide_one():
     wide = ball(4, 8)
     assert _BallOrder(wide).join(v, w) is None
     assert strong_join_in_ball(v, w, wide) is None
-    assert not _BallOrder(wide).is_least_upper_bound(
-        affine.AffinePermutation(4, [0, 7, 1, 3, 4]), v, w
-    )
+    assert _BallOrder(wide).join(v, w) != affine.AffinePermutation(4, [0, 7, 1, 3, 4])
     with pytest.raises(ValueError, match="need radius 8"):
         _BallOrder(ball(4, 7)).join(v, w)
 
@@ -227,9 +228,54 @@ def test_one_step_extensions_decide_the_chain_property():
     assert pairs > 10_000 and verdicts > 0, pairs
 
 
+def _chain_search(elements, members):
+    """The pairs x <= y of a set of ball positions, and those that no
+    saturated chain inside the set joins, by `saturated_chain_exists`."""
+    allowed = frozenset(elements[p] for p in _positions(members))
+    pairs, gaps = 0, set()
+    for x in _positions(members):
+        for y in _positions(members):
+            if bruhat_leq(elements[x], elements[y]):
+                pairs += 1
+                if not saturated_chain_exists(elements[x], elements[y], allowed):
+                    gaps.add((x, y))
+    return pairs, gaps
+
+
+def test_first_steps_decide_the_weak_interval_chain_property():
+    # every left-weak interval agrees with the chain search; on an interval
+    # with a member dropped, the first-step rule flags only pairs the chain
+    # search flags, and some pair exactly when the chain search flags one
+    rng = random.Random(39)
+    pairs = verdicts = 0
+    for k in (1, 2, 3, 4):
+        elements = ball(k, 4)
+        order = _BallOrder(elements)
+        down = [order._lifted(p) for p in range(len(elements))]
+        up, lengths = order._up_rows(), order._lengths
+        slices = _length_slices(lengths)
+        for u in elements:
+            interval = order.row("left-down", u)
+            assert _chain_gaps(interval, down, up, lengths, slices) == (
+                _chain_search(elements, interval)[0], [])
+            damaged = interval & ~(1 << rng.choice(_positions(interval)))
+            count, gaps = _chain_gaps(damaged, down, up, lengths, slices)
+            searched, chains = _chain_search(elements, damaged)
+            assert count == searched and len(set(gaps)) == len(gaps), u
+            assert set(gaps) <= chains and bool(gaps) == bool(chains), u
+            pairs += count
+            verdicts += bool(chains)
+    assert pairs > 3_000 and verdicts > 50, (pairs, verdicts)
+
+
+def test_verify_runs_no_chain_search():
+    """The chain search is the test oracle of `_chain_gaps`, not a sweep step."""
+    assert not hasattr(verify, "saturated_chain_exists")
+
+
 def _meet(order, v, w):
-    """The meet of two ball elements, as an element, by `meet_at`."""
-    m = order.meet_at(order.position(v), order.position(w))
+    """The meet of two ball elements, as an element, by `meet_of`."""
+    m = order.meet_of(order.row("down", v) & order.row("down", w))
     return None if m is None else order.elements[m]
 
 
@@ -243,7 +289,7 @@ def _assert_rows_match_oracles(order, pairs, candidates):
         assert order.join(v, w) == strong_join_in_ball(v, w, universe), (v, w)
         assert _meet(order, v, w) == strong_meet(v, w, universe), (v, w)
         for c in candidates(v, w):
-            assert order.is_least_upper_bound(c, v, w) == is_least_upper_bound_in_ball(
+            assert (order.join(v, w) == c) == is_least_upper_bound_in_ball(
                 c, v, w, universe
             ), (c, v, w)
 
@@ -527,7 +573,6 @@ def test_ball_order_on_a_tight_universe():
         for query in (
             lambda: order.join(v, w),
             lambda: strong_join_in_ball(v, w, small),
-            lambda: order.is_least_upper_bound(c, v, w),
             lambda: is_least_upper_bound_in_ball(c, v, w, small),
         ):
             with pytest.raises(ValueError, match="need radius"):
@@ -543,7 +588,7 @@ def test_ball_order_candidate_outside_the_ball():
     # some of these are common upper bounds, so their up rows are consulted
     assert any(bruhat_leq(v, c) and bruhat_leq(w, c) for c in outside)
     for c in outside:
-        assert order.is_least_upper_bound(c, v, w) == is_least_upper_bound_in_ball(
+        assert (order.join(v, w) == c) == is_least_upper_bound_in_ball(
             c, v, w, order.elements
         )
 
@@ -923,6 +968,35 @@ def test_order_props_forms_no_kernel_product_per_triple(monkeypatch):
     monkeypatch.setattr(verify, "mul", counting)
     verify_order_props(2, 5)
     assert len(calls) < 1500
+
+
+def test_order_props_forms_kernel_products_only_where_they_are_the_subject(monkeypatch):
+    """`strong-covers-are-reflections` forms v u^-1 per instance, since that
+    is what it checks; every other instance reads the sweep's tables.  d_A
+    is formed once per index set at most, and no instance compares two
+    elements by `_BallOrder.leq`."""
+    calls = {"mul": 0, "inverse": 0, "d_elem": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+
+    def refusing(*args):
+        raise AssertionError("an instance loop compared by an element method")
+
+    monkeypatch.setattr(_BallOrder, "leq", refusing)
+    k = 3
+    results = {r.name: r for r in verify_order_props(k, 4)}
+    covers = results["strong-covers-are-reflections"].instances
+    assert calls["mul"] == calls["inverse"] == covers > 0
+    assert results["strongly-disjoint-elements-commute"].instances > 0
+    assert 0 < calls["d_elem"] <= len(proper_subsets(k))
 
 
 def test_order_props_transposes_one_table(monkeypatch):
