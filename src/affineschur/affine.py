@@ -719,7 +719,8 @@ def ball(k: int, max_length: int, cap: int = BALL_CAP) -> list[AffinePermutation
     """All elements of length <= max_length, sorted by (length, window).
 
     Breadth-first search by left multiplication; raises BallCapExceeded
-    when more than `cap` elements would be produced.
+    when more than `cap` elements would be produced, and RuntimeError when
+    the count is not Bott's (`ball_size`), so a sweep never gets a short ball.
     """
     if max_length < 0:
         raise ValueError(f"max_length must be >= 0, got {max_length}")
@@ -738,6 +739,9 @@ def ball(k: int, max_length: int, cap: int = BALL_CAP) -> list[AffinePermutation
                         )
                     nxt.append(u)
         frontier = nxt
+    if len(seen) != ball_size(k, max_length):
+        raise RuntimeError(f"ball(k={k}, L={max_length}) holds {len(seen)} elements, "
+                           f"not the {ball_size(k, max_length)} of Bott's formula")
     return sorted(seen, key=lambda w: (w.length, w.window))
 
 

@@ -1,4 +1,4 @@
-"""Structure of weak strips and fibers of the Demazure action.
+"""Weak strips, fibers of the Demazure action, and the orders of a length ball.
 
 For a fixed u, the families of index sets A with d_A u >=_L u (the plus
 side) and with d_A^{-1} u <=_L u (the minus side) are closed under
@@ -15,10 +15,35 @@ bottoms, each child decided by one generator step on its parent's window.
 The closure of a family is decided by bitset transforms over all 2^(k+1)
 residue masks.  The subset scan `oracles.z_sets_by_scan`, the pair scan
 and the products are the test oracles in `oracles`.
+
+The strong and weak orders of a length ball (`_BallOrder`), and the
+tables read along it, serve the `verify` suites.  A suite enumerates one
+ball, at the largest radius it declares in `verify.ball_radii`, and cuts
+every smaller ball from it as a prefix (`_prefix`).  A map over a
+whole ball, such as u -> demazure(u, y) or u -> psi_apply(u^-1, x), is
+built by one generator step per element from its parent's value
+(`_BallOrder.parents`, `_hecke_values`), not by one kernel call per pair;
+the per-pair calls are its test oracle.  Its values are positions in the
+ball, stepped along the ball's step table, and only values that leave the
+ball are elements.  The strong order rows are lifted the same way, with
+`bruhat_leq` as their test oracle, and exist only for the elements an
+order holds.  All below x is shorter than x, so down rows and meets are
+read in the whole ball; only up rows and joins depend on a radius.
+
+So a check computes each product, Demazure value and order row once per
+element or index set and reads its instances off them: two values in the
+ball compare by one bit of a lifted row, and a weak comparison is a test
+of inversion rows (`_inversion_rows`), l(u v) = l(u) + l(v) iff
+T_R(u) & T_L(v) = 0, or the length sum l(a) + l(x) = l(a x) where a x is
+formed anyway.  The per-pair kernel calls, `mul` and the memoised
+`demazure`, `psi_apply`, `weak_leq` and `bruhat_leq`, stay the oracles
+these readings are tested against.
 """
 
 from __future__ import annotations
 
+import bisect
+import copy
 import functools
 import itertools
 from collections.abc import Sequence
@@ -29,8 +54,10 @@ from .affine import (
     _frozen,
     bruhat_leq,
     inverse,
+    least_left_descent,
     left_action,
     left_growth,
+    left_mul_s,
     meet_LS,
     mul,
     reduced_word,
@@ -569,3 +596,588 @@ def signed_fiber_table(
             rows.append((v, A, sign))
     rows.sort(key=lambda r: (len(r[1]), r[1].sorted(), r[0].length, r[0].window))
     return rows
+
+
+def _prefix(elements: list[AffinePermutation], radius: int) -> list[AffinePermutation]:
+    """`ball(k, radius)`, cut from a `ball()` list, which is sorted by (length,
+    window); a radius beyond the list's own was never declared, so it raises."""
+    if radius > elements[-1].length:
+        raise ValueError(f"ball radius {radius} is not declared in ball_radii")
+    return elements[: bisect.bisect_right(elements, radius, key=lambda w: w.length)]
+
+
+def _mask(positions: list[int]) -> int:
+    """Bitset with the given bits set, built in time linear in its size."""
+    if not positions:
+        return 0
+    buf = bytearray(positions[-1] // 8 + 1)
+    for i in positions:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+# the set bits of each byte value, so that a byte costs one step per set bit
+_BYTE_BITS = [tuple(j for j in range(8) if byte >> j & 1) for byte in range(256)]
+
+
+def _positions(row: int) -> list[int]:
+    """Positions of the set bits of a bitset, in increasing order."""
+    data = row.to_bytes((row.bit_length() + 7) // 8, "little")
+    return [8 * b + j for b, byte in enumerate(data) if byte for j in _BYTE_BITS[byte]]
+
+
+# weak row kind -> (side of its generator steps, whether the row lies above x)
+_WEAK = {
+    "left-up": ("left", True),
+    "left-down": ("left", False),
+    "right-down": ("right", False),
+}
+
+
+class _BallOrder:
+    """Strong and weak order relations over one length ball, as bitset rows.
+
+    The ball is kept as `ball()` returns it, sorted by (length, window), and
+    bit i of a row stands for its i-th element.  A row of x is one Python
+    int.  Joins, meets and least upper bounds then become ANDs and subset
+    tests of rows, and give the same answers as the scans in `oracles` over
+    the same universe.
+
+    The strong down row of a ball element is lifted, the first time it or
+    an element above it is asked for: for x = s_i y with y its left parent,
+    [e, x] = [e, y] u s_i [e, y] (lifting property, Bjorner-Brenti, GTM 231,
+    Prop. 2.2.7), so the down row of x is the row of y OR its image under
+    the left step s_i, which stays in the ball.  The up rows are the
+    transpose of the down rows, built on the first request (`_up_rows`).
+    An element beyond the order's own elements is longer than all
+    of them, and has no down row (asking raises).  Comparing a ball
+    element with it needs no row of it: `lift` strips its least left
+    descents until it lies in the ball, and `lower` takes the ball element
+    through the same letters to a bit of the lifted row.
+
+    A weak row is a search along generator steps: a left weak cover is
+    u -> s_i u with the length up by one, so every z with x <=_L z and
+    l(z) <= radius is reached through ball elements, and so are the lower
+    sets and the right side; x must lie in the ball.  The steps are read
+    from a table of the positions of s_i u and u s_i, built per element as
+    the searches and the lifting reach it.
+
+    `prefix(r)` gives the order over the elements of length <= r, which
+    keep their positions there.  It shares the index, the step table and
+    the down rows, and answers only for its own elements.  Its down-set
+    answers are the whole ball's, since all below x is shorter than x; its
+    up rows, left-up rows and joins stop at r.
+    """
+
+    def __init__(self, elements: list[AffinePermutation]):
+        self.elements = elements
+        self.radius = elements[-1].length
+        self._rows: dict[tuple, int] = {}  # weak rows, by (kind, x)
+        self._up: list[int] | None = None
+        # shared with every prefix
+        self._ball = elements
+        self._index = {w.window: i for i, w in enumerate(elements)}  # by window
+        self._lengths = [w.length for w in elements]
+        self._steps: dict[str, dict[int, list[int]]] = {"left": {}, "right": {}}
+        self._down: dict[int, int] = {0: 1}  # the identity comes first
+
+    def prefix(self, radius: int) -> _BallOrder:
+        """The order over `_prefix(self.elements, radius)`, sharing this one's tables."""
+        view = copy.copy(self)
+        view.elements = _prefix(self.elements, radius)
+        view.radius = view.elements[-1].length
+        view._rows = {}
+        view._up = None
+        return view
+
+    def row(self, kind: str, x: AffinePermutation) -> int:
+        if kind in _WEAK:
+            if (kind, x) not in self._rows:
+                self._rows[kind, x] = self._weak_row(*_WEAK[kind], x)
+            return self._rows[kind, x]
+        i = self._index.get(x.window, len(self._ball))
+        if i >= len(self.elements):
+            raise ValueError(f"strong down rows are lifted inside the ball; {x!r} is outside")
+        return self._lifted(i)
+
+    def position(self, w: AffinePermutation) -> int | None:
+        """Position of w in the whole ball, None outside it."""
+        return self._index.get(w.window)
+
+    def at(self, w: AffinePermutation) -> int:
+        """Position of w in the whole ball; outside it this raises."""
+        p = self._index.get(w.window)
+        if p is None:
+            raise ValueError(f"{w!r} lies outside the ball")
+        return p
+
+    def lift(self, v: AffinePermutation) -> tuple[list[int], int]:
+        """v as (letters, position q): stripping the least left descent of v,
+        one letter at a time, until what is left lies in the ball leaves the
+        element at q; a ball element has no letters."""
+        letters = []
+        q = self._index.get(v.window)
+        while q is None:
+            i = least_left_descent(v)
+            letters.append(i)
+            v = left_mul_s(v, i)
+            q = self._index.get(v.window)
+        return letters, q
+
+    def lower(self, p: int, letters: list[int]) -> int:
+        """Position that x, the element at p, reaches through the letters of
+        `lift(v)`, each step kept when it shortens x.  For s a left descent
+        of v, x <= v iff min(x, s x) <= s v (the recursion of `bruhat_leq`),
+        so x <= v iff that position is in the down row of the lift's."""
+        lengths = self._lengths
+        for i in letters:
+            t = self._neighbours("left", p)[i]
+            if t >= 0 and lengths[t] < lengths[p]:
+                p = t
+        return p
+
+    def _lifted(self, p: int) -> int:
+        """Strong down row of the element at position p of the whole ball,
+        lifted from those of its left ancestors that have none yet."""
+        rows = self._down
+        row = rows.get(p)
+        if row is None:
+            chain = []
+            while row is None:
+                q, i = self._parent("left", p)
+                chain.append((p, i))
+                p = q
+                row = rows.get(p)
+            lengths = self._lengths
+            for p, i in reversed(chain):
+                # every element below p is at most as long as p
+                end = bisect.bisect_right(lengths, lengths[p])
+                buf = bytearray(row.to_bytes((end + 7) // 8, "little"))
+                for z in _positions(row):
+                    t = self._neighbours("left", z)[i]
+                    buf[t >> 3] |= 1 << (t & 7)
+                row = rows[p] = int.from_bytes(buf, "little")
+        return row
+
+    def _up_rows(self) -> list[int]:
+        if self._up is None:
+            self._up = _transpose([self._lifted(p) for p in range(len(self.elements))])
+        return self._up
+
+    def _weak_row(self, side: str, above: bool, x: AffinePermutation) -> int:
+        size = len(self.elements)
+        start = self._index.get(x.window, size)
+        if start >= size:
+            raise ValueError(f"weak rows are searched inside the ball; {x!r} is outside")
+        lengths = self._lengths
+        seen = {start}
+        todo = [start]
+        while todo:
+            p = todo.pop()
+            for q in self._neighbours(side, p):
+                if 0 <= q < size and (lengths[q] > lengths[p]) == above and q not in seen:
+                    seen.add(q)
+                    todo.append(q)
+        return _mask(sorted(seen))
+
+    def _neighbours(self, side: str, p: int) -> list[int]:
+        """Positions of s_i u (left) or u s_i (right) for u at position p and
+        i = 0..k, with -1 for an element outside the whole ball."""
+        table = self._steps[side]
+        out = table.get(p)
+        if out is None:
+            win = self._ball[p].window
+            n = len(win)
+            windows = []
+            if side == "left":  # s_i adds one to residue i, takes one from i+1
+                at = [0] * n
+                for pos, v in enumerate(win):
+                    at[v % n] = pos
+                for i in range(n):
+                    w = list(win)
+                    w[at[i]] += 1
+                    w[at[(i + 1) % n]] -= 1
+                    windows.append(w)
+            else:  # s_i swaps window positions i and i+1, cyclically for i = 0
+                w = list(win)
+                w[0], w[-1] = win[-1] - n, win[0] + n
+                windows.append(w)
+                for i in range(1, n):
+                    w = list(win)
+                    w[i - 1], w[i] = win[i], win[i - 1]
+                    windows.append(w)
+            index = self._index
+            out = table[p] = [index.get(tuple(w), -1) for w in windows]
+        return out
+
+    def join_at(self, a: int, b: int) -> int | None:
+        """Position of the exact strong join of the elements at a and b, or None.
+
+        Every minimal common upper bound is at most l(v) + l(w) long (subword
+        property, Bjorner-Brenti, GTM 231, Thm 2.2.2); a smaller radius raises.
+        """
+        lengths = self._lengths
+        if lengths[a] + lengths[b] > self.radius:
+            v, w = self._ball[a], self._ball[b]
+            raise ValueError(f"joins of {v!r} and {w!r} need radius {lengths[a] + lengths[b]}")
+        up = self._up_rows()
+        ubs = up[a] & up[b]
+        # the first common upper bound is a shortest one; any other of its
+        # length is incomparable to it, so it is the join or there is none
+        m = (ubs & -ubs).bit_length() - 1
+        return None if ubs & ~up[m] else m
+
+    def meet_of(self, common: int) -> int | None:
+        """Position of the exact meet of the elements whose down rows AND to
+        `common`, or None."""
+        # the last common lower bound is a longest one; any other of its
+        # length is incomparable to it, so it is the meet or there is none
+        m = common.bit_length() - 1
+        return None if common & ~self._lifted(m) else m
+
+    def _parent(self, side: str, p: int) -> tuple[int, int]:
+        return next((q, i) for i, q in enumerate(self._neighbours(side, p)) if 0 <= q < p)
+
+    def parents(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Left and right parents of every element of the ball but e.
+
+        Entry t of each list belongs to element t+1 and holds (position of
+        the parent, letter): the left parent of u is s_i u for the least left
+        descent i, the right parent u s_j for the least right descent j.  The
+        ball is closed downwards and sorted by length, so every parent comes
+        earlier, and a step to an earlier position is a descent.
+        `reduced_word` strips the least left descent first, so the left
+        parents of u spell its reduced word and the right parents that of
+        u^-1.
+        """
+        left, right = (
+            [self._parent(side, p) for p in range(1, len(self.elements))]
+            for side in ("left", "right")
+        )
+        return left, right
+
+
+def _transpose(rows: list[int]) -> list[int]:
+    """Column bitsets of a square bit matrix given by its rows."""
+    columns: list[list[int]] = [[] for _ in rows]
+    for p, row in enumerate(rows):
+        for z in _positions(row):
+            columns[z].append(p)
+    return [_mask(ps) for ps in columns]
+
+
+def _hecke_values(
+    order: _BallOrder, parents: list[tuple[int, int]], start: int, up: bool
+) -> list[int | AffinePermutation]:
+    """A 0-Hecke map over a ball, one generator step per element.
+
+    The identity maps to the element at position `start` of the ball; an
+    element whose parent maps to z, by the letter i, maps to max(z, s_i z)
+    if `up` and to min(z, s_i z) otherwise.  Over the left parents from y
+    this is u -> demazure(u, y), over the right parents from x it is
+    u -> psi_apply(u^-1, x, "left"), or u -> demazure(u^-1, x) if `up`: the
+    same letters in the same order as those calls apply, with every prefix
+    shared.
+
+    A value is its position in `order`'s whole ball, stepped along the
+    step table (`_neighbours`).  Only an `up` step leaves the ball, which
+    is closed downwards; such a value, and every later `up` value from it,
+    is an element.
+    """
+    lengths, ball = order._lengths, order._ball
+    values: list[int | AffinePermutation] = [start]
+    for p, i in parents:
+        z = values[p]
+        if type(z) is int:
+            t = order._neighbours("left", z)[i]
+            if t < 0:  # s_i z is longer than z and outside the ball
+                values.append(left_mul_s(ball[z], i) if up else z)
+            else:
+                values.append(t if (lengths[t] > lengths[z]) == up else z)
+        else:
+            sz = left_mul_s(z, i)
+            values.append(sz if sz.length > z.length else z)
+    return values
+
+
+def _hecke_tables(
+    order: _BallOrder,
+    parents: tuple[list[tuple[int, int]], list[tuple[int, int]]],
+    size: int,
+    at_inverse: list[int],
+) -> tuple[list[list[int | AffinePermutation]], list[list[int | AffinePermutation]]]:
+    """Demazure and anti-Demazure values over the first `size` elements of
+    `order`'s ball, by `_hecke_values`.
+
+    `parents` are the ball's (`_BallOrder.parents`), and `at_inverse[i]` is
+    the position of the inverse of element i.  The first size - 1 parents
+    belong to the prefix, so for its j-th element w, dem[j][i] is
+    demazure(u, w) and psi[j][i] is psi_apply(u, w, "left") for u its i-th
+    element, the latter read at the position of u^-1.
+    """
+    left, right = (side[: size - 1] for side in parents)
+    dem = [_hecke_values(order, left, w, up=True) for w in range(size)]
+    psi = []
+    for w in range(size):
+        values = _hecke_values(order, right, w, up=False)
+        psi.append([values[q] for q in at_inverse])
+    return dem, psi
+
+
+def _inversion_rows(
+    order: _BallOrder,
+    parents: tuple[list[tuple[int, int]], list[tuple[int, int]]],
+    size: int,
+) -> tuple[list[int], list[int]]:
+    """Left and right inversion sets of the first `size` elements of
+    `order`'s ball, as bitsets over an index of affine reflections.
+
+    T_L(u) = {t : l(t u) < l(u)} and T_R(u) = {t : l(u t) < l(u)}.  For u s_j
+    longer than u, T_L(u s_j) is T_L(u) with u s_j u^-1 added, and for s_i u
+    longer than u, T_R(s_i u) is T_R(u) with u^-1 s_i u added (Bjorner-Brenti,
+    GTM 231, Sec. 1.4), so each row is its right (left) parent's row and one
+    bit; `parents` are the ball's (`_BallOrder.parents`).  Then
+    l(u v) = l(u) + l(v) - 2 |T_R(u) & T_L(v)|, and u <=_L v iff T_R(u) is a
+    subset of T_R(v) (ibid., Sec. 3.1).  The reflection that swaps a + m n
+    and b + m n for every m is labelled by (a, b), a < b, shifted so that
+    1 <= a <= n.  The prefix need only be closed downwards.
+    """
+    ball, (left, right) = order._ball, parents
+    n = len(ball[0].window)
+    index: dict[tuple[int, int], int] = {}
+
+    def bit(a: int, b: int) -> int:
+        a, b = min(a, b), max(a, b)
+        shift = (a - 1) // n * n
+        return 1 << index.setdefault((a - shift, b - shift), len(index))
+
+    t_left, t_right = [0], [0]
+    for (r, j), (q, i) in zip(right[: size - 1], left[: size - 1]):
+        # u s_j u^-1 swaps u(j) and u(j+1), where u(0) = u(n) - n
+        win = ball[r].window
+        t = bit(win[-1] - n, win[0]) if j == 0 else bit(win[j - 1], win[j])
+        t_left.append(t_left[r] | t)
+        # u^-1 s_i u swaps u^-1(i) and u^-1(i+1); u(c) = v gives
+        # u^-1(v + m n) = c + m n
+        offset = {v % n: c + 1 - v for c, v in enumerate(ball[q].window)}
+        t_right.append(t_right[q] | bit(i + offset[i], i + 1 + offset[(i + 1) % n]))
+    return t_left, t_right
+
+
+def _product_table(
+    order: _BallOrder, left: list[tuple[int, int]], size: int
+) -> list[list[int]]:
+    """prod[y][z], the position of y z for y and z among the first `size`
+    elements of `order`'s ball.
+
+    `left` are the ball's left parents (`_BallOrder.parents`): for y = s_i y',
+    y z = s_i (y' z) is one left step from the row of y'.  Each entry is at
+    most twice the prefix's radius long, so a ball of that radius holds it.
+    """
+    prod = [list(range(size))]
+    for q, i in left[: size - 1]:
+        prod.append([order._neighbours("left", p)[i] for p in prod[q]])
+    return prod
+
+
+def _quotient(order: _BallOrder, side: str, p: int, letters) -> int | None:
+    """Position that the element u at p reaches by one generator step per
+    letter on `side`, or None at the first step that does not shorten it.
+
+    Each step changes the length by one.  So for a = s_{i_1} ... s_{i_l}
+    reduced, the right steps i_l, ..., i_1 reach u a^-1 and all shorten iff
+    a <=_L u, and the left steps i_1, ..., i_l reach a^-1 u and all shorten
+    iff a <=_R u.  Shorter elements come earlier in any ball that holds u.
+    """
+    for i in letters:
+        t = order._neighbours(side, p)[i]
+        if not 0 <= t < p:
+            return None
+        p = t
+    return p
+
+
+def _generator_steps(order: _BallOrder, size: int, up: bool) -> list[list[int]]:
+    """phi_i(u) = max(u, s_i u) if `up`, else psi_i(u) = min(u, s_i u), as
+    positions: steps[i][p] for every letter i and the element u at each
+    p < size of `order`'s ball.
+
+    A psi_i value is no longer than u, so it lies in the prefix, which is
+    closed downwards; a phi_i value outside the ball raises.
+    """
+    columns = list(zip(*(order._neighbours("left", p) for p in range(size))))
+    if up and any(t < 0 for column in columns for t in column):
+        raise ValueError("a generator step leaves the ball")
+    # the ball is sorted by length, so s_i u is longer than u iff it comes later
+    return [
+        [t if (t > p if up else 0 <= t < p) else p for p, t in enumerate(column)]
+        for column in columns
+    ]
+
+
+def _seed_tables(
+    order: _BallOrder, right: list[tuple[int, int]], size: int
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Positions of the join seed z = psi_apply(y^-1, x, "right"), of z y and
+    of z^-1 x, for x and y among the first `size` elements of `order`'s
+    ball, as tables indexed [y][x].
+
+    `right` are the ball's right parents (`_BallOrder.parents`).
+    `reduced_word(y^-1)` starts with the least right descent j of y, whose
+    right parent is y' = y s_j, so z(x, y) = z(x', y') with x' = min(x, x s_j),
+    z y = (z(x', y') y') s_j, and z^-1 x is z(x', y')^-1 x' times s_j when
+    x' = x s_j, else itself: one right step per entry from the parent's row.
+    Each entry is at most l(x) + l(y) long, so it lies in a ball of twice
+    the prefix's radius.
+    """
+    # x' = min(x, x s_j) by j; an x s_j shorter than x lies in the ball, earlier
+    mins = [
+        [t if 0 <= t < x else x for t in order._neighbours("right", x)] for x in range(size)
+    ]
+    seeds, joins, meets = [list(range(size))], [list(range(size))], [[0] * size]
+    for q, j in right[: size - 1]:
+        s_row, j_row, m_row = seeds[q], joins[q], meets[q]
+        seed, join, meet = [], [], []
+        for x in range(size):
+            p = mins[x][j]
+            seed.append(s_row[p])
+            join.append(order._neighbours("right", j_row[p])[j])
+            meet.append(m_row[p] if p == x else order._neighbours("right", m_row[p])[j])
+        seeds.append(seed)
+        joins.append(join)
+        meets.append(meet)
+    return seeds, joins, meets
+
+
+def _spread(groups: list[tuple[int, int]], size: int) -> list[int]:
+    """For each i < size, the OR of the rows of the groups whose mask holds i.
+
+    `groups` are (mask, row) pairs with disjoint rows.  A group is ORed
+    into the i its mask holds, or, when those are more than half, into
+    the i it does not hold, as a row to take out of the union of such
+    groups: the rows are disjoint, so that is exact.
+    """
+    everyone = (1 << size) - 1
+    held = [0] * size
+    missed = [0] * size
+    dense = 0
+    for mask, row in groups:
+        mask &= everyone
+        if 2 * mask.bit_count() <= size:
+            for i in _positions(mask):
+                held[i] |= row
+        else:
+            dense |= row
+            for i in _positions(everyone & ~mask):
+                missed[i] |= row
+    return [h | dense & ~m for h, m in zip(held, missed)]
+
+
+def _join_seed_sets(
+    whole: _BallOrder,
+    upper: _BallOrder,
+    parents: tuple[list[tuple[int, int]], list[tuple[int, int]]],
+    size: int,
+    psi: list[list[int]],
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The join-seed sets, both forms, as rows over the ball of `parents`,
+    for x and y among the first `size` elements of `whole`'s ball:
+    dsets[y][x] holds the u with x <= demazure(u, y), and esets[x][y] the
+    u with psi_apply(u^-1, x, "left") <= y.
+
+    The u are grouped by their value (`_hecke_values`), and each group is
+    spread (`_spread`) over every x below its value at once, read off the
+    value's down row, or over every y above it, read off its up row in
+    `upper`.  A Demazure value outside the whole ball is lifted into it
+    (`lift`), and compared with every x at once: the x are lowered through
+    the lift's letters, as `lower` does, by the psi_i lists `psi`
+    (`_generator_steps` over at least the prefix), once per distinct
+    letter sequence.
+    """
+
+    def groups(values):
+        """The u of each value, as a bitset built by OR while grouping."""
+        us: dict[int | AffinePermutation, int] = {}
+        for u, value in enumerate(values):
+            us[value] = us.get(value, 0) | 1 << u
+        return us.items()
+
+    left, right = parents
+    lowered: dict[tuple[int, ...], list[int]] = {}  # letters -> where each x goes
+    prefix = (1 << size) - 1
+    dsets = []
+    for y in range(size):
+        spread = []
+        for value, us in groups(_hecke_values(whole, left, y, up=True)):
+            if type(value) is int:
+                xs = whole._lifted(value)
+            else:
+                letters, q = whole.lift(value)
+                key = tuple(letters)
+                if key not in lowered:
+                    ps = list(range(size))
+                    for i in letters:
+                        step = psi[i]
+                        ps = [step[p] for p in ps]
+                    lowered[key] = ps
+                below = whole._lifted(q) & prefix  # the x are lowered inside the prefix
+                xs = _mask([x for x, p in enumerate(lowered[key]) if below >> p & 1])
+            spread.append((xs, us))
+        dsets.append(_spread(spread, size))
+    up = upper._up_rows()
+    esets = []
+    for x in range(size):
+        values = _hecke_values(whole, right, x, up=False)  # each no longer than x
+        esets.append(_spread([(up[q], us) for q, us in groups(values)], size))
+    return dsets, esets
+
+
+def _flip_images(order: _BallOrder, c: int) -> dict[int, int]:
+    """The interval flip x -> z x^-1 (`affine.flip`) at positions, for z the
+    element at c and every x <=_L z, keyed by the position of x.
+
+    z maps to e.  For x = s_i x' with x' <=_L z longer than x,
+    z x^-1 = (z x'^-1) s_i, one right step from the image of x'; the
+    interval is taken longest first, so x' has its image already.
+    """
+    left_row = order.row("left-down", order._ball[c])
+    images = {c: 0}  # z is the longest, and last, element of its interval
+    for x in reversed(_positions(left_row)[:-1]):
+        steps = enumerate(order._neighbours("left", x))
+        i, t = next((i, t) for i, t in steps if t > x and left_row >> t & 1)
+        images[x] = order._neighbours("right", images[t])[i]
+    return images
+
+
+def _fiber_scan(gball: list[AffinePermutation], max_length: int) -> dict:
+    """(A, u) -> the v with d_A * v = u, for every index set A and every u in
+    `gball`, the Grassmannian elements of length <= max_length; its test
+    oracle is one Demazure product per (A, v) of the whole ball.
+
+    Each left Demazure step z -> max(z, s_i z) is z or a left weak cover, so
+    v <=_L d_A * v = u.  If u = a v, l(u) = l(a) + l(v), and s is a right
+    descent of v, then l(u s) <= l(a) + l(v s) < l(u): s is one of u.  So v
+    is Grassmannian whenever u is, and the "max" growth of each Grassmannian
+    v (`left_growth`) lists every such A beside d_A * v.
+    """
+    scan = {}
+    for v in gball:
+        for members, win, dl in itertools.chain.from_iterable(left_growth(v.window, "max", v.k)):
+            if v.length + dl <= max_length:
+                u = AffinePermutation._trusted(v.k, tuple(win), v.length + dl)
+                scan.setdefault((members, u), set()).add(v)
+    return scan
+
+
+def _growth_steps(order: _BallOrder, w: AffinePermutation) -> tuple[list, list]:
+    """(|A|, position of d_A^-1 w) for the A with l(d_A^-1 w) = l(w) - |A|, and
+    (|A|, letters, down row) of d_A w lifted into the ball (`lift`) for the A
+    with l(d_A w) = l(w) + |A|, off the growth levels of w (`left_growth`)."""
+    k = w.k
+    grown = itertools.chain.from_iterable(left_growth(w.window, "descent", k))
+    down = [(len(A), order._index[tuple(win)]) for A, win, _ in grown]
+    up = []
+    for A, win, dl in itertools.chain.from_iterable(left_growth(w.window, "ascent", k)):
+        letters, q = order.lift(AffinePermutation._trusted(k, tuple(win), w.length + dl))
+        up.append((len(A), letters, order._lifted(q)))
+    return down, up

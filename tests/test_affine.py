@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affineschur import affine
 from affineschur.affine import (
     AffinePermutation,
     IndexSet,
@@ -36,6 +37,7 @@ from affineschur.orderlab import Fiber, ZSets, fiber_X, signed_fiber_table, z_se
 from affineschur.oracles import subword_lower_set
 from affineschur.partitions import CorePartition, KBoundedPartition, kbounded_partitions
 from affineschur.shapes import WeakStrip, bounded_to_perm, setvalued_strips, weak_strips
+from affineschur.verify import verify_fibers
 
 
 def bfs_lengths(k, max_length):
@@ -291,6 +293,22 @@ def test_ball_cap():
 
     with pytest.raises(BallCapExceeded):
         ball(2, 6, cap=10)
+
+
+def test_a_ball_that_loses_elements_raises(monkeypatch):
+    """With the length update of `left_mul_s` inverted, the search stops at
+    the identity; the count against Bott's formula makes `ball`, and a sweep
+    over it, raise instead of passing on a one-element ball."""
+
+    def inverted(w, i):
+        u = left_mul_s(w, i)
+        return AffinePermutation._trusted(w.k, u.window, 2 * w.length - u.length)
+
+    monkeypatch.setattr(affine, "left_mul_s", inverted)
+    with pytest.raises(RuntimeError, match="holds 1 elements, not the 31"):
+        ball(2, 4)
+    with pytest.raises(RuntimeError, match="Bott's formula"):
+        verify_fibers(2, 4)
 
 
 def test_index_set_validation():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from affineschur import affine, cli, symfunc, verify
+from affineschur import affine, cli, orderlab, symfunc, verify
 from affineschur.affine import (
     IndexSet,
     ball,
@@ -36,28 +36,33 @@ from affineschur.oracles import (
     strong_meet,
     subset_chain_exists,
 )
-from affineschur.orderlab import find_A0, z_sets
-from affineschur.partitions import KBoundedPartition, k_rectangle, kbounded_partitions, union_sort
-from affineschur.shapes import bounded_to_perm
-from affineschur.symfunc import SymElt
-from affineschur.verify import (
-    CheckResult,
+from affineschur.orderlab import (
     _BallOrder,
-    _chain_gaps,
-    _extends_toward,
+    _fiber_scan,
     _flip_images,
     _generator_steps,
+    _growth_steps,
     _hecke_tables,
     _hecke_values,
     _inversion_rows,
     _join_seed_sets,
-    _length_slices,
     _mask,
     _positions,
     _prefix,
     _product_table,
     _quotient,
     _seed_tables,
+    find_A0,
+    z_sets,
+)
+from affineschur.partitions import KBoundedPartition, k_rectangle, kbounded_partitions, union_sort
+from affineschur.shapes import bounded_to_perm
+from affineschur.symfunc import SymElt
+from affineschur.verify import (
+    CheckResult,
+    _chain_gaps,
+    _extends_toward,
+    _length_slices,
     ball_radii,
     verify_factorization,
     verify_fibers,
@@ -183,11 +188,11 @@ def test_a_join_that_a_short_ball_would_certify_is_refused_in_a_wide_one():
     v = affine.AffinePermutation(4, [0, 1, 7, 3, 4])
     w = affine.AffinePermutation(4, [0, 6, 2, 3, 4])
     wide = ball(4, 8)
-    assert _BallOrder(wide).join(v, w) is None
+    assert _join(_BallOrder(wide), v, w) is None
     assert strong_join_in_ball(v, w, wide) is None
-    assert _BallOrder(wide).join(v, w) != affine.AffinePermutation(4, [0, 7, 1, 3, 4])
+    assert _join(_BallOrder(wide), v, w) != affine.AffinePermutation(4, [0, 7, 1, 3, 4])
     with pytest.raises(ValueError, match="need radius 8"):
-        _BallOrder(ball(4, 7)).join(v, w)
+        _join(_BallOrder(ball(4, 7)), v, w)
 
 
 def test_chain_helpers():
@@ -279,6 +284,21 @@ def _meet(order, v, w):
     return None if m is None else order.elements[m]
 
 
+def _join(order, v, w):
+    """The join of two ball elements, as an element, by `join_at`; an
+    element outside the ball has no position, and `at` raises."""
+    m = order.join_at(order.at(v), order.at(w))
+    return None if m is None else order.elements[m]
+
+
+def _leq(order, u, v):
+    """u <= v in the strong order, as the sweeps compare: v is lifted into
+    the ball (`lift`), u lowered through the same letters (`lower`), and one
+    bit of the lift's row decides.  u must lie in the ball (`at`)."""
+    letters, q = order.lift(v)
+    return bool(order._lifted(q) >> order.lower(order.at(u), letters) & 1)
+
+
 def _up_row(order, x):
     return order._up_rows()[order.position(x)]
 
@@ -286,10 +306,10 @@ def _up_row(order, x):
 def _assert_rows_match_oracles(order, pairs, candidates):
     universe = order.elements
     for v, w in pairs:
-        assert order.join(v, w) == strong_join_in_ball(v, w, universe), (v, w)
+        assert _join(order, v, w) == strong_join_in_ball(v, w, universe), (v, w)
         assert _meet(order, v, w) == strong_meet(v, w, universe), (v, w)
         for c in candidates(v, w):
-            assert (order.join(v, w) == c) == is_least_upper_bound_in_ball(
+            assert (_join(order, v, w) == c) == is_least_upper_bound_in_ball(
                 c, v, w, universe
             ), (c, v, w)
 
@@ -302,7 +322,7 @@ def test_ball_order_agrees_with_oracles(k, L):
     def candidates(v, w):
         # the join when there is one, an upper bound that may leave the
         # ball, and an element that is usually no upper bound at all
-        j = order.join(v, w)
+        j = _join(order, v, w)
         return [c for c in (j, demazure(v, w), w) if c is not None]
 
     _assert_rows_match_oracles(
@@ -350,7 +370,7 @@ def test_lifted_strong_rows_equal_the_bruhat_scan(k, L):
         assert order.row("down", x) == scan["down"], x
         assert _up_row(order, x) == scan["up"], x
         for z in elements:
-            assert order.leq(z, x) == bruhat_leq(z, x), (z, x)
+            assert _leq(order, z, x) == bruhat_leq(z, x), (z, x)
 
 
 def test_prefix_orders_read_the_shared_table():
@@ -373,11 +393,11 @@ def test_prefix_orders_read_the_shared_table():
         pairs = [(v, w) for v in alone.elements for w in alone.elements]
         for v, w in pairs[::7]:
             if v.length + w.length <= radius:
-                assert view.join(v, w) == alone.join(v, w)
+                assert _join(view, v, w) == _join(alone, v, w)
             else:  # neither order holds every minimal common upper bound
                 for order in (view, alone):
                     with pytest.raises(ValueError, match="need radius"):
-                        order.join(v, w)
+                        _join(order, v, w)
             assert _meet(view, v, w) == _meet(alone, v, w)
     five = whole.prefix(5)
     for x in whole.elements[len(five.elements) :]:
@@ -388,7 +408,8 @@ def test_prefix_orders_read_the_shared_table():
 @pytest.mark.parametrize("k", [2, 3])
 def test_elements_outside_the_ball(k):
     """They have no down row, and comparing a ball element with them lifts
-    into the ball; an outside element shorter than the other raises."""
+    into the ball; an outside element has no position to lower, so
+    comparing it with a longer one raises."""
     elements = ball(k, 3)
     order = _BallOrder(elements)
     for x in ball(k, 6)[len(elements) :]:
@@ -397,16 +418,13 @@ def test_elements_outside_the_ball(k):
         letters, q = order.lift(x)
         assert len(letters) == x.length - 3 and elements[q].length == 3
         for z in elements:
-            assert order.leq(z, x) == bruhat_leq(z, x) and not order.leq(x, z)
-    # two elements outside the ball: equal lengths compare by equality
+            assert _leq(order, z, x) == bruhat_leq(z, x), (z, x)
     outside = ball(k, 5)[len(elements) :]
     for u in outside:
         for v in outside:
             if u.length < v.length:
                 with pytest.raises(ValueError, match="outside"):
-                    order.leq(u, v)
-            else:
-                assert order.leq(u, v) == (u == v), (u, v)
+                    _leq(order, u, v)
 
 
 def test_a_prefix_meet_refuses_an_operand_beyond_its_radius():
@@ -571,7 +589,7 @@ def test_ball_order_on_a_tight_universe():
     for v, w in beyond:  # both sides raise rather than guess
         c = demazure(v, w)
         for query in (
-            lambda: order.join(v, w),
+            lambda: _join(order, v, w),
             lambda: strong_join_in_ball(v, w, small),
             lambda: is_least_upper_bound_in_ball(c, v, w, small),
         ):
@@ -588,7 +606,7 @@ def test_ball_order_candidate_outside_the_ball():
     # some of these are common upper bounds, so their up rows are consulted
     assert any(bruhat_leq(v, c) and bruhat_leq(w, c) for c in outside)
     for c in outside:
-        assert (order.join(v, w) == c) == is_least_upper_bound_in_ball(
+        assert (_join(order, v, w) == c) == is_least_upper_bound_in_ball(
             c, v, w, order.elements
         )
 
@@ -644,7 +662,7 @@ def _fiber_scan_by_ball(k, L):
 def test_grown_fiber_scan_equals_the_whole_ball_scan(k, L):
     """d_A * v grown from the Grassmannian v only, against the whole ball."""
     gball = [w for w in ball(k, L) if w.is_grassmannian()]
-    assert verify._fiber_scan(gball, L) == _fiber_scan_by_ball(k, L)
+    assert _fiber_scan(gball, L) == _fiber_scan_by_ball(k, L)
 
 
 def test_fibers_call_no_bruhat_leq_transpose_or_hecke_pass(monkeypatch):
@@ -655,8 +673,8 @@ def test_fibers_call_no_bruhat_leq_transpose_or_hecke_pass(monkeypatch):
         raise AssertionError("called")
 
     monkeypatch.setattr(verify, "bruhat_leq", refusing)
-    monkeypatch.setattr(verify, "_transpose", refusing)
-    monkeypatch.setattr(verify, "_hecke_values", refusing)
+    monkeypatch.setattr(orderlab, "_transpose", refusing)
+    monkeypatch.setattr(orderlab, "_hecke_values", refusing)
     monkeypatch.setattr(_BallOrder, "parents", refusing)
     for k, L in [(2, 6), (3, 5), (4, 4)]:
         assert all(r.ok for r in verify_fibers(k, L))
@@ -757,7 +775,7 @@ def test_a0_conditions_read_every_r_off_one_pass():
     elements = ball(k, 4)
     order = _BallOrder(elements)
     gball = [w for w in elements if w.is_grassmannian()]
-    steps = {g: verify._growth_steps(order, g) for g in gball}
+    steps = {g: _growth_steps(order, g) for g in gball}
     # some d_A w leave the ball, and are lifted into it
     assert any(letters for g in gball for _, letters, _ in steps[g][1])
     for u in gball:
@@ -973,8 +991,7 @@ def test_order_props_forms_no_kernel_product_per_triple(monkeypatch):
 def test_order_props_forms_kernel_products_only_where_they_are_the_subject(monkeypatch):
     """`strong-covers-are-reflections` forms v u^-1 per instance, since that
     is what it checks; every other instance reads the sweep's tables.  d_A
-    is formed once per index set at most, and no instance compares two
-    elements by `_BallOrder.leq`."""
+    is formed once per index set at most."""
     calls = {"mul": 0, "inverse": 0, "d_elem": 0}
 
     def counting(name, fn):
@@ -987,10 +1004,6 @@ def test_order_props_forms_kernel_products_only_where_they_are_the_subject(monke
     for name in calls:
         monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
 
-    def refusing(*args):
-        raise AssertionError("an instance loop compared by an element method")
-
-    monkeypatch.setattr(_BallOrder, "leq", refusing)
     k = 3
     results = {r.name: r for r in verify_order_props(k, 4)}
     covers = results["strong-covers-are-reflections"].instances
@@ -1002,13 +1015,13 @@ def test_order_props_forms_kernel_products_only_where_they_are_the_subject(monke
 def test_order_props_transposes_one_table(monkeypatch):
     """Every up row is read from one view, so one transpose serves the sweep."""
     sizes = []
-    transpose = verify._transpose
+    transpose = orderlab._transpose
 
     def counting(rows):
         sizes.append(len(rows))
         return transpose(rows)
 
-    monkeypatch.setattr(verify, "_transpose", counting)
+    monkeypatch.setattr(orderlab, "_transpose", counting)
     verify_order_props(2, 5)
     assert len(sizes) == 1
 
