@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from _json import encode_basestring_ascii  # the C writer json.encoder uses
+from _json import encode_basestring_ascii, make_encoder  # the C writers json.encoder uses
 from collections.abc import Callable
 from types import SimpleNamespace
 
@@ -109,10 +109,27 @@ _JSON_SCALARS = {
 }
 
 
-def _one_scalar_type(values):
-    """How `_json_text` writes the values, when they all have one scalar type."""
-    kinds = set(map(type, values))
-    return _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+def _int_rows_text(rows: list[list[int]], indent: str) -> str:
+    """`_json_text` of a list of int lists, by the C encoder of `_json`.
+
+    The encoder writes the rows without indentation (it ignores an indent),
+    but with the item separator "," and the indent of a row's items, so
+    only the row separators and the brackets remain to be moved: no int's
+    text holds a bracket or a comma, so each is one replacement.
+    """
+    inner = indent + "  "
+    deeper = inner + "  "
+    encode = make_encoder(
+        None, None, encode_basestring_ascii, None, ": ", "," + deeper, False, False, False
+    )
+    body = (
+        "".join(encode(rows, 0))[1:-1]
+        .replace("]," + deeper, "]," + inner)  # between rows
+        .replace("]", inner + "]")
+        .replace("[", "[" + deeper)
+        .replace("[" + deeper + inner + "]", "[]")  # an empty row
+    )
+    return "[" + inner + body + indent + "]"
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -122,7 +139,7 @@ def _json_text(value, indent: str = "\n") -> str:
     This writer takes exactly the types CLI payloads hold (dicts with str
     keys, lists, str, int, bool and None) and raises TypeError for any
     other.  A list of scalars of one type is written with one join, and a
-    list of lists whose scalars all have one type with one join per row.
+    list of int lists by the C encoder (`_int_rows_text`).
     """
     kind = type(value)
     scalar = _JSON_SCALARS.get(kind)
@@ -137,13 +154,8 @@ def _json_text(value, indent: str = "\n") -> str:
         scalar = _JSON_SCALARS.get(only)
         if scalar is not None:
             items = map(scalar, value)
-        elif only is list and (cell := _one_scalar_type(itertools.chain.from_iterable(value))):
-            deeper = inner + "  "
-            comma = "," + deeper
-            items = [
-                "[" + deeper + comma.join(map(cell, row)) + inner + "]" if row else "[]"
-                for row in value
-            ]
+        elif only is list and set(map(type, itertools.chain.from_iterable(value))) == {int}:
+            return _int_rows_text(value, indent)
         else:
             items = [_json_text(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"

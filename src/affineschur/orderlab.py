@@ -8,10 +8,11 @@ and always forms a full interval in the boolean lattice.
 
 The plus and minus families and the weak-strip labels are read off a few
 limits per residue, computed once from the window of u (the run lemma of
-`z_sets`), and enumerated run by run, so no subset outside a family is
-tried and no window is stepped.  The fiber labels are grown from the
-empty set one residue at a time (`affine.left_growth`), adding run
-bottoms, each child decided by one generator step on its parent's window.
+`z_sets`), and enumerated run by run, as bitsets over residue masks, so no
+subset outside a family is tried and no window is stepped.  The fiber
+labels are grown from the empty set one residue at a time
+(`affine.left_growth`), adding run bottoms, each child decided by one
+generator step on its parent's window.
 The closure of a family is decided by bitset transforms over all 2^(k+1)
 residue masks.  The subset scan `oracles.z_sets_by_scan`, the pair scan
 and the products are the test oracles in `oracles`.
@@ -166,21 +167,17 @@ _FAMILY_NAMES = (
 )
 
 
-def _family_fault(
-    u: AffinePermutation,
-    families: tuple[frozenset[frozenset[int]], ...],
-    bitsets: tuple[int, ...],
-) -> str | None:
+def _family_fault(u: AffinePermutation, bitsets: Sequence[int]) -> str | None:
     """The first assertion of `ZSets` that its families fail, or None.
 
-    families are plus, minus and, when it is present, the Grassmannian plus
-    family; bitsets holds the same families by `_bitset`.  Each family is
+    bitsets holds plus, minus and, when it is present, the Grassmannian
+    plus family, each as a bitset over residue masks.  Each family is
     closed under intersection and proper union, decided by `_closure_gaps`
-    in O((k+1)^2) bitset operations; only a broken family pays for the pair
-    scan, `oracles.closure_failure_by_pairs`, which names the first failing
-    pair.  Minus and Grassmannian plus have a maximum, the union of their
-    members; plus has one unless its members cover every residue.  The
-    union holds residue i iff the family meets has[i].
+    in O((k+1)^2) bitset operations; only a broken family is decoded, for
+    the pair scan `oracles.closure_failure_by_pairs`, which names the first
+    failing pair.  Minus and Grassmannian plus have a maximum, the union of
+    their members; plus has one unless its members cover every residue.
+    The union holds residue i iff the family meets has[i].
     """
     k = u.k
     has = _residue_patterns(k + 1)
@@ -191,7 +188,7 @@ def _family_fault(
         name, title = _FAMILY_NAMES[i]
         if kind == "closed":
             if gaps[i] != (0, 0):
-                return closure_failure_by_pairs(name, families[i], k) or (
+                return closure_failure_by_pairs(name, _family(bitsets[i]), k) or (
                     f"{name}: closure transforms disagree with the pair scan"
                 )
             continue
@@ -199,6 +196,43 @@ def _family_fault(
         if not bitsets[i] >> union & 1 and (i or union != (1 << (k + 1)) - 1):
             return f"{title} of {u!r} has no maximum"
     return None
+
+
+def _residue_lists(masks: list[int]) -> list[list[int]]:
+    """The residues of each mask, in increasing order.
+
+    A mask below 2^9, the masks of k <= 8, costs one or two lookups in
+    `_BYTE_BITS`.
+    """
+    return [
+        list(_BYTE_BITS[m]) if m < 256
+        else [*_BYTE_BITS[m & 255], 8] if m < 512
+        else _positions(m)
+        for m in masks
+    ]
+
+
+def _family(bits: int) -> frozenset[frozenset[int]]:
+    """The family that a bitset over residue masks stands for; `_bitset`
+    inverted."""
+    return frozenset(map(frozenset, _residue_lists(_positions(bits))))
+
+
+@functools.lru_cache(maxsize=None)
+def _size_lex_keys(n: int) -> tuple[int, ...]:
+    """keys[m]: a sort key of the residue mask m that orders the 2^n masks
+    as `ZSets.as_dict` lists them, by size and then lexicographically.
+
+    keys[m] adds 2^n for each residue of m and 2^(n-1-r) for each residue
+    r outside it: the size term dominates, and of two masks of one size
+    the one holding the least residue where they differ misses fewer of the
+    heavier terms.  Built one residue at a time: after step r, the second
+    half of the list holds the masks with residue r.  Memoised per n.
+    """
+    keys = [0]
+    for r in range(n):
+        keys = [key + (1 << (n - 1 - r)) for key in keys] + [key + (1 << n) for key in keys]
+    return tuple(keys)
 
 
 class ZSets:
@@ -211,42 +245,57 @@ class ZSets:
     Grassmannian plus family also carry a unique maximum.  The bare plus
     family has one exactly when the union of its members stays proper
     (near the identity it does not: every proper subset qualifies).
+
+    Each family is held as its bitset over residue masks (`plus_bits`,
+    `minus_bits`, and `plus_grassmannian_bits`, None unless u is
+    0-dominant).  Reading `plus`, `minus` or `plus_grassmannian` decodes a
+    frozenset of frozensets on each read, so a caller that tests many
+    members binds it once; `as_dict` writes the member lists from the bits.
     """
 
-    __slots__ = ("u", "plus", "minus", "plus_grassmannian")
+    __slots__ = ("u", "plus_bits", "minus_bits", "plus_grassmannian_bits")
 
     def __init__(self, u, plus, minus, plus_grassmannian):
-        families = (plus, minus, plus_grassmannian)
-        if plus_grassmannian is None:
-            families = families[:2]
-        fault = _family_fault(u, families, tuple(map(_bitset, families)))
+        bitsets = [_bitset(plus), _bitset(minus)]
+        if plus_grassmannian is not None:
+            bitsets.append(_bitset(plus_grassmannian))
+        fault = _family_fault(u, bitsets)
         if fault is not None:
             raise RuntimeError(fault)
-        _set_u(self, u)
-        _set_plus(self, plus)
-        _set_minus(self, minus)
-        _set_plus_g(self, plus_grassmannian)
+        _set_bits(self, u, *bitsets)
 
     @classmethod
-    def _trusted(cls, u, plus, minus, plus_grassmannian) -> "ZSets":
-        """Wrap families whose assertions `z_sets` has run on their bitsets."""
+    def _trusted(cls, u, *bitsets) -> "ZSets":
+        """Wrap family bitsets whose assertions `z_sets` has run."""
         zs = object.__new__(cls)
-        _set_u(zs, u)
-        _set_plus(zs, plus)
-        _set_minus(zs, minus)
-        _set_plus_g(zs, plus_grassmannian)
+        _set_bits(zs, u, *bitsets)
         return zs
 
     __setattr__ = __delattr__ = _frozen
 
+    @property
+    def plus(self) -> frozenset[frozenset[int]]:
+        return _family(self.plus_bits)
+
+    @property
+    def minus(self) -> frozenset[frozenset[int]]:
+        return _family(self.minus_bits)
+
+    @property
+    def plus_grassmannian(self) -> frozenset[frozenset[int]] | None:
+        bits = self.plus_grassmannian_bits
+        return None if bits is None else _family(bits)
+
+    def _key(self):
+        return (self.u, self.plus_bits, self.minus_bits, self.plus_grassmannian_bits)
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.u, self.plus, self.minus, self.plus_grassmannian) == (
-                other.u, other.plus, other.minus, other.plus_grassmannian)
+            return self._key() == other._key()
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.u, self.plus, self.minus, self.plus_grassmannian))
+        return hash(self._key())
 
     def __repr__(self):
         return (f"ZSets(u={self.u!r}, plus={self.plus!r}, minus={self.minus!r}, "
@@ -255,17 +304,28 @@ class ZSets:
     def as_dict(self) -> dict:
         """Each family as sorted member lists, by size and then lexicographically."""
         out = {"u": self.u.as_dict()}
+        rank = _size_lex_keys(self.u.k + 1).__getitem__
         for which in ("plus", "minus", "plus_grassmannian"):
-            fam = getattr(self, which)
-            if fam is not None:
-                members = sorted(map(sorted, fam))
-                members.sort(key=len)  # stable, so lexicographic within a size
-                out[which] = members
+            bits = getattr(self, which + "_bits")
+            if bits is not None:
+                masks = _positions(bits)
+                masks.sort(key=rank)
+                out[which] = _residue_lists(masks)
         return out
 
 
+def _set_bits(zs: ZSets, u, plus_bits, minus_bits, plus_grassmannian_bits=None) -> None:
+    _set_u(zs, u)
+    _set_plus(zs, plus_bits)
+    _set_minus(zs, minus_bits)
+    _set_plus_g(zs, plus_grassmannian_bits)
+
+
 _set_u, _set_plus, _set_minus, _set_plus_g = (
-    ZSets.u.__set__, ZSets.plus.__set__, ZSets.minus.__set__, ZSets.plus_grassmannian.__set__
+    ZSets.u.__set__,
+    ZSets.plus_bits.__set__,
+    ZSets.minus_bits.__set__,
+    ZSets.plus_grassmannian_bits.__set__,
 )
 
 
@@ -326,11 +386,11 @@ def _grassmannian_limits(up: list[int], pos: list[int], window) -> list[int]:
     return limits
 
 
-def _run_family(limits: list[int], reflected: bool = False) -> tuple[int, list[frozenset[int]]]:
+def _run_family(limits: list[int], reflected: bool = False) -> int:
     """The proper subsets of the residues 0..n-1 whose every maximal cyclic
-    run [b, b+L-1] has L <= limits[b], as a bitset over residue masks and
-    as a list of members; reflected, the mirror images r -> n-1-r of those
-    subsets, whose every run [t-L+1, t] has L <= limits[n-1-t].
+    run [b, b+L-1] has L <= limits[b], as a bitset over residue masks;
+    reflected, the mirror images r -> n-1-r of those subsets, whose every
+    run [t-L+1, t] has L <= limits[n-1-t].
 
     A subset either misses residue 0, and is then a subset of the line
     1..n-1, or has one run [b, t] through 0 (b <= 0 <= t as integers), and
@@ -344,43 +404,36 @@ def _run_family(limits: list[int], reflected: bool = False) -> tuple[int, list[f
     rest is shifted by r.
     """
     n = len(limits)
-    runs = []  # runs[b]: (length, mask, members) of each run allowed at b
+    runs = []  # runs[b]: (length, mask) of each run allowed at b
     for b, limit in enumerate(limits):
-        row, mask, members = [], 0, ()
+        row, mask = [], 0
         for d in range(limit):
-            r = (n - 1 - b - d if reflected else b + d) % n
-            mask |= 1 << r
-            members += (r,)
-            row.append((d + 1, mask, frozenset(members)))
+            mask |= 1 << ((n - 1 - b - d if reflected else b + d) % n)
+            row.append((d + 1, mask))
         runs.append(row)
-    empty = (1, [frozenset()])
-    bits, sets = 0, []
+    bits = 0
     for b in range(1, 1 - n, -1):
         # b = 1: residue 0 is missed; b <= 0: the run through 0 starts at b
         # (runs[b] is runs[b % n]), and its shortest comes first
         if b == 1:
-            heads = [(0, None, 1)]
+            heads = [(0, 1)]
         else:
-            heads = [(m, f, b + L + 1) for L, m, f in runs[b][-b:]]
+            heads = [(m, b + L + 1) for L, m in runs[b][-b:]]
             if not heads:
                 continue
         j = b + n - 2  # the line ends before the gap at b-1
-        tails = [empty] * (j + 3)
-        for i in range(j, heads[0][2] - 1, -1):
-            tail_bits, tail_sets = tails[i + 1]
-            for L, rm, rf in runs[i][: j + 1 - i]:
-                rest_bits, rest_sets = tails[i + L + 1]
-                tail_bits |= rest_bits << rm
-                tail_sets = tail_sets + [rf | f for f in rest_sets]
-            tails[i] = tail_bits, tail_sets
-        for hm, hf, start in heads:
-            rest_bits, rest_sets = tails[start]
-            bits |= rest_bits << hm
-            sets += rest_sets if hf is None else [hf | f for f in rest_sets]
-    return bits, sets
+        tails = [1] * (j + 3)  # bit 0: the empty subset
+        for i in range(j, heads[0][1] - 1, -1):
+            tail = tails[i + 1]
+            for L, rm in runs[i][: j + 1 - i]:
+                tail |= tails[i + L + 1] << rm
+            tails[i] = tail
+        for hm, start in heads:
+            bits |= tails[start] << hm
+    return bits
 
 
-def _minus_family(key: list[int]) -> tuple[int, list[frozenset[int]]]:
+def _minus_family(key: list[int]) -> int:
     """The minus family: the runs [x-L, x-1] with L <= down[x].
 
     Enumerated in the mirror image r -> n-1-r, where a run's bottom b is
@@ -409,19 +462,17 @@ def z_sets(u: AffinePermutation) -> ZSets:
     a second limit per bottom (`_grassmannian_limits`).  Closure under
     intersection and proper union follows by transitivity of <; the
     assertions of `ZSets` still run, on the family bitsets that the
-    enumeration builds beside the members.
+    enumeration builds, and the families stay bitsets in the result.
     """
     key, pos = _run_keys(u)
     up = _plus_limits(key)
-    found = [_run_family(up), _minus_family(key)]
+    bitsets = [_run_family(up), _minus_family(key)]
     if u.is_grassmannian():
-        found.append(_run_family(_grassmannian_limits(up, pos, u.window)))
-    families = tuple(frozenset(sets) for _, sets in found)
-    fault = _family_fault(u, families, tuple(bits for bits, _ in found))
+        bitsets.append(_run_family(_grassmannian_limits(up, pos, u.window)))
+    fault = _family_fault(u, bitsets)
     if fault is not None:
         raise RuntimeError(fault)
-    plus_g = families[2] if len(families) == 3 else None
-    return ZSets._trusted(u, families[0], families[1], plus_g)
+    return ZSets._trusted(u, *bitsets)
 
 
 def forbidden_index(lam: KBoundedPartition) -> int:
@@ -585,9 +636,8 @@ def signed_fiber_table(
     rows = []
     # a nonempty fiber is the interval [bottom, A], so it holds A itself:
     # only the A of the minus family of u can have one
-    _, minus = _minus_family(_run_keys(u)[0])
-    for members in minus:
-        A = IndexSet._trusted(u.k, members)
+    for members in _residue_lists(_positions(_minus_family(_run_keys(u)[0]))):
+        A = IndexSet._trusted(u.k, frozenset(members))
         for B in fiber_X(A, u).members:
             v = _below(IndexSet._trusted(u.k, B), u)
             if w is not None and not bruhat_leq(v, w):
@@ -649,9 +699,9 @@ class _BallOrder:
     Prop. 2.2.7), so the down row of x is the row of y OR its image under
     the left step s_i, which stays in the ball.  The up rows are the
     transpose of the down rows, built on the first request (`_up_rows`).
-    An element beyond the order's own elements is longer than all
-    of them, and has no down row (asking raises).  Comparing a ball
-    element with it needs no row of it: `lift` strips its least left
+    An element outside the ball is longer than all of its elements,
+    and has no position, so no down row.  Comparing a ball element with
+    it needs no row of it: `lift` strips its least left
     descents until it lies in the ball, and `lower` takes the ball element
     through the same letters to a bit of the lifted row.
 
@@ -691,14 +741,10 @@ class _BallOrder:
         return view
 
     def row(self, kind: str, x: AffinePermutation) -> int:
-        if kind in _WEAK:
-            if (kind, x) not in self._rows:
-                self._rows[kind, x] = self._weak_row(*_WEAK[kind], x)
-            return self._rows[kind, x]
-        i = self._index.get(x.window, len(self._ball))
-        if i >= len(self.elements):
-            raise ValueError(f"strong down rows are lifted inside the ball; {x!r} is outside")
-        return self._lifted(i)
+        """The weak row of x of a kind of `_WEAK`; strong down rows are `_lifted`."""
+        if (kind, x) not in self._rows:
+            self._rows[kind, x] = self._weak_row(*_WEAK[kind], x)
+        return self._rows[kind, x]
 
     def position(self, w: AffinePermutation) -> int | None:
         """Position of w in the whole ball, None outside it."""

@@ -26,6 +26,7 @@ oracles.
 
 from __future__ import annotations
 
+import bisect
 import functools
 
 from .affine import (
@@ -151,15 +152,24 @@ def perm_to_bounded(w: AffinePermutation) -> KBoundedPartition:
 
     The window of a Grassmannian element is increasing, so in the count of
     `kcode.rd` no earlier window position contributes to column p, and a
-    later one q contributes (w(q) - w(p)) // n.  Test oracles: `sh(rd(w))`
-    and `oracles.core_by_residue_action`."""
+    later one q contributes (w(q) - w(p)) // n.  With w(q) = n a_q + r_q,
+    0 <= r_q < n, that is a_q - a_p - [r_q < r_p], so one right-to-left
+    pass sums the a_q of the later positions and counts, by bisection in
+    their sorted residues, those below r_p.  Test oracles: `sh(rd(w))` and
+    `oracles.core_by_residue_action`."""
     if not w.is_grassmannian():
         raise ValueError(f"{w!r} is not affine Grassmannian")
     n = w.k + 1
-    win = w.window
-    return _column_shape(
-        w.k, [sum((wq - wp) // n for wq in win[p + 1 :]) for p, wp in enumerate(win)]
-    )
+    heights = []  # in reverse order, which the shape does not see
+    residues: list[int] = []  # of the later positions, sorted
+    total = 0  # the a_q of the later positions
+    for later, x in enumerate(reversed(w.window)):
+        a, r = divmod(x, n)
+        i = bisect.bisect_left(residues, r)
+        heights.append(total - later * a - i)
+        residues.insert(i, r)
+        total += a
+    return _column_shape(w.k, heights)
 
 
 def _slide_row(heights: list[int], p: int, k: int) -> int:

@@ -641,20 +641,28 @@ def _verify_strip_props(k, max_size, subsets, whole, down_row) -> list[CheckResu
     return [forb, unique, agree, meets]
 
 
-def _extends_toward(A: frozenset[int], B: frozenset[int], family) -> bool:
+def _extends_toward(a: int, b: int, family: int) -> bool:
     """Some i in B - A has A | {i} in the family.
 
-    A family passes this test on every pair A < B of its members exactly
-    when each such pair is joined by a chain inside the family that adds
-    one index at a time, the `z-families-chain-property`: given the test,
-    take such an i and go on from A | {i} < B, by induction on |B - A|;
-    conversely the first step of a chain is such an i.  So one pass over
-    B - A replaces the breadth-first chain search, which stays as the
-    oracle `oracles.subset_chain_exists`.  On a broken family the pairs
-    it flags are among those the chain search flags (a pair with no first
-    step has no chain), and it flags at least one when that search does.
+    A and B are residue masks, A a proper subset of B, and the family is a
+    bitset over residue masks, as `ZSets` holds it.  A family passes this
+    test on every pair A < B of its members exactly when each such pair is
+    joined by a chain inside the family that adds one index at a time, the
+    `z-families-chain-property`: given the test, take such an i and go on
+    from A | {i} < B, by induction on |B - A|; conversely the first step of
+    a chain is such an i.  So one pass over B - A replaces the
+    breadth-first chain search, which stays as the oracle
+    `oracles.subset_chain_exists`.  On a broken family the pairs it flags
+    are among those the chain search flags (a pair with no first step has
+    no chain), and it flags at least one when that search does.
     """
-    return any(A | {i} in family for i in B - A)
+    rest = b ^ a
+    while rest:
+        bit = rest & -rest  # {i} for the least i left in B - A
+        if family >> (a | bit) & 1:
+            return True
+        rest ^= bit
+    return False
 
 
 def _verify_z_families(
@@ -662,11 +670,13 @@ def _verify_z_families(
 ) -> list[CheckResult]:
     """Z-family checks over `elements`, whose inverses are `inverses`.
 
-    d_A u and d_A^-1 u are positions in the whole ball, reached by
-    `left_action` along the letters of d_A (`d_steps`, `d_inverse_steps`),
-    once per member A; a value outside the ball raises.  Meets are
-    `meet_of` on the down rows of the d_A u (`down_row`, once per member),
-    and joins `join_at`; the member whose bitmask is A & B is read by index.
+    The families are read as `ZSets` holds them, bitsets over residue
+    masks, and an index set A is its mask throughout.  d_A u and d_A^-1 u
+    are positions in the whole ball, reached by `left_action` along the
+    letters of d_A (`d_steps`, `d_inverse_steps`), once per member A; a
+    value outside the ball raises.  Meets are `meet_of` on the down rows of
+    the d_A u (`down_row`, once per member), and joins `join_at`; the member
+    whose mask is A & B is read by index.
     """
     closure = CheckResult("z-families-closed-and-bounded")
     meets = CheckResult("plus-family-intersection-is-meet")
@@ -674,52 +684,51 @@ def _verify_z_families(
     chains = CheckResult("z-families-chain-property")
     confining = CheckResult("minus-family-confined-to-code-row")
     passed_meets = passed_joins = passed_chains = passed_confining = 0
-    # per index set: the letters of d_A and of d_A^-1, and A as a bitmask
+    # per index set, by its mask: the letters of d_A and of d_A^-1
     letters = {}
     for A in subsets:
         index_set = IndexSet._trusted(k, A)
-        letters[A] = d_steps(index_set), d_inverse_steps(index_set), sum(1 << i for i in A)
-    absent = [-1] * (1 << (k + 1))  # -1: no member has this bitmask
+        letters[sum(1 << i for i in A)] = d_steps(index_set), d_inverse_steps(index_set)
+    absent = [-1] * (1 << (k + 1))  # -1: no member has this mask
     meet_of, join_at = whole.meet_of, upper.join_at
     for u, u_inverse in zip(elements, inverses):
         zs = z_sets(u)  # construction asserts closure and maxima
         # d_A u, up to min(L, 6) + k long, and its down row; closed under intersection
-        plus = sorted(zs.plus, key=sorted)
-        bits = [letters[A][2] for A in plus]
+        plus = _positions(zs.plus_bits)
         at = absent.copy()
         rows = []
-        for A, bit in zip(plus, bits):
-            at[bit] = p = whole.at(left_action(u, letters[A][0]))
+        for a in plus:
+            at[a] = p = whole.at(left_action(u, letters[a][0]))
             rows.append(down_row(p))
-        for a, (row_a, bit_a) in enumerate(zip(rows, bits)):
-            for b in range(a + 1, len(plus)):
-                if meet_of(row_a & rows[b]) == at[bit_a & bits[b]]:
+        for i, (row_a, a) in enumerate(zip(rows, plus)):
+            for j in range(i + 1, len(plus)):
+                if meet_of(row_a & rows[j]) == at[a & plus[j]]:
                     passed_meets += 1
                 else:
-                    meets.fail(u=u, A=sorted(plus[a]), B=sorted(plus[b]))
+                    meets.fail(u=u, A=_positions(a), B=_positions(plus[j]))
         # d_A^-1 u, no longer than u
-        minus = sorted(zs.minus, key=sorted)
-        bits = [letters[A][2] for A in minus]
+        minus = _positions(zs.minus_bits)
         at = absent.copy()
-        for A, bit in zip(minus, bits):
-            at[bit] = whole.at(left_action(u, letters[A][1]))
-        for a, bit_a in enumerate(bits):
-            for b in range(a + 1, len(minus)):
-                if join_at(at[bit_a], at[bits[b]]) == at[bit_a & bits[b]]:
+        for a in minus:
+            at[a] = whole.at(left_action(u, letters[a][1]))
+        for i, a in enumerate(minus):
+            for j in range(i + 1, len(minus)):
+                if join_at(at[a], at[minus[j]]) == at[a & minus[j]]:
                     passed_joins += 1
                 else:
-                    joins.fail(u=u, A=sorted(minus[a]), B=sorted(minus[b]))
-        for fam in (zs.plus, zs.minus):
-            for A in fam:
-                for B in fam:
-                    if A < B:
-                        if _extends_toward(A, B, fam):
+                    joins.fail(u=u, A=_positions(a), B=_positions(minus[j]))
+        for family, masks in ((zs.plus_bits, plus), (zs.minus_bits, minus)):
+            for i, a in enumerate(masks):
+                for b in masks[i + 1 :]:  # a proper superset of A has a larger mask
+                    if a & b == a:
+                        if _extends_toward(a, b, family):
                             passed_chains += 1
                         else:
-                            chains.fail(u=u, A=sorted(A), B=sorted(B))
+                            chains.fail(u=u, A=_positions(a), B=_positions(b))
         row = first_row(ri(u_inverse), increasing=True)
+        outside = (1 << (k + 1)) - 1 - sum(1 << i for i in row)
         forb = minus_forbidden_indices(u)
-        if all(A <= row for A in zs.minus) and forb == frozenset(range(k + 1)) - row:
+        if not any(a & outside for a in minus) and forb == frozenset(range(k + 1)) - row:
             passed_confining += 1
         else:
             confining.fail(u=u, row=sorted(row))
@@ -867,7 +876,7 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
     steps = {g: _growth_steps(order, g) for g in gball}
     scan = _fiber_scan(gball, max_length)
     for u in gball:
-        zs = z_sets(u)
+        minus = z_sets(u).minus  # decoded once per u
         occupied = []  # the A with a nonempty fiber over u
         for members in subsets:
             A = IndexSet._trusted(k, members)
@@ -893,15 +902,15 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
                         convex.count() if ok else convex.fail(u=u, A=sorted(members), v=v)
             for B, C in itertools.combinations(sorted(fib.members, key=sorted), 2):
                 caps.count() if B & C in fib.members else caps.fail(u=u, A=sorted(members))
-            if members in zs.minus:
+            if members in minus:
                 for i in members:
                     Ap = members - {i}
-                    if Ap in zs.minus:
+                    if Ap in minus:
                         ok = Ap in fib.members
                         covers.count() if ok else covers.fail(u=u, A=sorted(members), i=i)
                 for B in subsets:
-                    if B <= members and B in zs.minus:
-                        ok = _seven_way_agreement(k, u, members, B, fib, zs)
+                    if B <= members and B in minus:
+                        ok = _seven_way_agreement(members, B, fib, minus)
                         seven.count() if ok else seven.fail(u=u, A=sorted(members), B=sorted(B))
         for w in gball:
             found = find_A0(u, w)
@@ -922,19 +931,20 @@ def verify_fibers(k: int, max_length: int) -> list[CheckResult]:
     return [labels, convex, caps, covers, seven, singles, a0r]
 
 
-def _seven_way_agreement(k, u, A, B, fib, zs) -> bool:
-    """The seven equivalent membership tests for B inside the fiber of A."""
+def _seven_way_agreement(A, B, fib, minus) -> bool:
+    """The seven equivalent membership tests for B inside the fiber of A;
+    minus is the minus family of the fiber's element."""
     between = [
         B | frozenset(extra)
         for r in range(len(A - B) + 1)
         for extra in itertools.combinations(sorted(A - B), r)
     ]
     c1 = B in fib.members
-    c2 = all(B | {i} in zs.minus for i in A - B)
+    c2 = all(B | {i} in minus for i in A - B)
     c3 = all(B | {i} in fib.members for i in A - B)
-    c4 = all(A - {i} in zs.minus for i in A - B)
+    c4 = all(A - {i} in minus for i in A - B)
     c5 = all(A - {i} in fib.members for i in A - B)
-    c6 = all(C in zs.minus for C in between)
+    c6 = all(C in minus for C in between)
     c7 = all(C in fib.members for C in between)
     return len({c1, c2, c3, c4, c5, c6, c7}) == 1
 

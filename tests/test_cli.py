@@ -271,6 +271,11 @@ json_payloads = st.recursive(
 @example([[], []])
 @example([[1, "a"], [True], []])
 @example([["a"], [1]])
+@example([[]])
+@example([[-1, 0], []])
+@example([["a", "b"], [], ["c"]])
+@example({"u": {"plus": [[], [0], [-3, 10**30]], "minus": [[1], []]}, "k": 8})
+@example([[r for r in range(9) if i >> r & 1] for i in range(400)])
 def test_json_writer_matches_stdlib(payload):
     assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
@@ -286,6 +291,8 @@ def test_json_writer_matches_stdlib(payload):
         {"a": {"b": b"x"}},
         [[1.5]],
         [[(1, 2)]],
+        [[0, 1], [1.5]],
+        [[0], [(1, 2)]],
     ],
 )
 def test_json_writer_rejects_other_types(payload):

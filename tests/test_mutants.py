@@ -275,6 +275,16 @@ def _minus_family_without_a_silent_member(original):
     return z_sets
 
 
+def _minus_decoded_without_residue_k(original):
+    # ZSets holds its families as bitsets over residue masks; the slip is in
+    # the decode that `minus` runs on each read
+    def minus(self):
+        k = self.u.k
+        return frozenset(A - {k} for A in original.__get__(self))
+
+    return property(minus)
+
+
 def _plus_runs_never_starting_at_0(original):
     def plus_limits(key):
         return [0] + original(key)[1:]
@@ -607,6 +617,26 @@ MUTANTS = [
         "order-props",
         ((2, 4), (3, 4)),
         frozenset({"z-families-chain-property"}),
+    ),
+    Mutant(
+        "minus-decode-dropping-residue-k/fibers",
+        orderlab.ZSets,
+        "minus",
+        _minus_decoded_without_residue_k,
+        "fibers",
+        ((2, 4), (3, 4)),
+        frozenset({"corank-one-subsets-stay-in-fiber", "membership-characterizations-agree"}),
+    ),
+    # Survivor: order-props reads the Z-families as the bitsets that ZSets
+    # holds, so a slip in decoding them never reaches its checks.
+    Mutant(
+        "minus-decode-dropping-residue-k/order-props",
+        orderlab.ZSets,
+        "minus",
+        _minus_decoded_without_residue_k,
+        "order-props",
+        ((2, 4), (3, 4)),
+        frozenset(),
     ),
     # Survivor: without runs that start at residue 0, the plus family keeps
     # the members A with 0 in A only if k is in A; that family is still

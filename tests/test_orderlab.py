@@ -15,6 +15,7 @@ from affineschur.affine import (
     grassmannian_ball,
     identity,
     inverse,
+    left_mul_s,
     mul,
 )
 from affineschur.kcode import d_elem
@@ -226,19 +227,35 @@ def test_a_run_limit_that_breaks_closure_is_reported(monkeypatch):
         orderlab.ZSets(identity(3), spaced, frozenset({frozenset()}), None)
 
 
+def _random_word_elements(k, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        u = identity(k)
+        for _ in range(rng.randint(0, 40)):
+            u = left_mul_s(u, rng.randint(0, k))
+        yield u
+
+
 def test_as_dict_lists_members_by_size_then_lexicographically():
+    """On samples of ball(k, 3), every element of ball(k, 5) for k <= 4, and
+    seeded words at k = 8."""
     rng = random.Random(5)
-    for k in (2, 4, 8):
-        for w in rng.sample(ball(k, 3), 6):
-            zs = z_sets(w)
-            blob = zs.as_dict()
-            for which in ("plus", "minus", "plus_grassmannian"):
-                fam = getattr(zs, which)
-                if fam is None:
-                    assert which not in blob
-                    continue
-                assert blob[which] == sorted(map(sorted, fam), key=lambda a: (len(a), a))
-                assert all(type(a) is list for a in blob[which])
+    elements = [w for k in (2, 4, 8) for w in rng.sample(ball(k, 3), 6)]
+    elements += [u for k in (1, 2, 3, 4) for u in ball(k, 5)]
+    elements += _random_word_elements(8, 200, 41)
+    grassmannian = 0
+    for w in elements:
+        zs = z_sets(w)
+        blob = zs.as_dict()
+        grassmannian += zs.plus_grassmannian is not None
+        for which in ("plus", "minus", "plus_grassmannian"):
+            fam = getattr(zs, which)
+            if fam is None:
+                assert which not in blob
+                continue
+            assert blob[which] == sorted(map(sorted, fam), key=lambda a: (len(a), a)), (w, which)
+            assert all(type(a) is list for a in blob[which])
+    assert len(elements) > 600 and grassmannian > 0
 
 
 def _closed_by_transforms(fam, k):

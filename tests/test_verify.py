@@ -210,6 +210,11 @@ def _failing_pairs(rule, fam):
     return {(A, B) for A in fam for B in fam if A < B and not rule(A, B, fam)}
 
 
+def _one_step(A, B, fam):
+    """`_extends_toward` on sets, through the masks that it reads."""
+    return _extends_toward(_mask(sorted(A)), _mask(sorted(B)), orderlab._bitset(fam))
+
+
 def test_one_step_extensions_decide_the_chain_property():
     # every pair of every Z-family agrees; on a family with a member
     # dropped, the one-step rule flags only pairs the chain search flags,
@@ -222,11 +227,11 @@ def test_one_step_extensions_decide_the_chain_property():
             for fam in (zs.plus, zs.minus, zs.plus_grassmannian):
                 if fam is None:
                     continue
-                assert _failing_pairs(_extends_toward, fam) == set()
+                assert _failing_pairs(_one_step, fam) == set()
                 assert _failing_pairs(subset_chain_exists, fam) == set()
                 pairs += sum(A < B for A in fam for B in fam)
                 damaged = fam - {rng.choice(sorted(fam, key=sorted))}
-                one_step = _failing_pairs(_extends_toward, damaged)
+                one_step = _failing_pairs(_one_step, damaged)
                 chains = _failing_pairs(subset_chain_exists, damaged)
                 assert one_step <= chains and bool(one_step) == bool(chains), (u, damaged)
                 verdicts += bool(chains)
@@ -278,9 +283,14 @@ def test_verify_runs_no_chain_search():
     assert not hasattr(verify, "saturated_chain_exists")
 
 
+def _down_row(order, x):
+    """The strong down row of a ball element, lifted at its position."""
+    return order._lifted(order.at(x))
+
+
 def _meet(order, v, w):
     """The meet of two ball elements, as an element, by `meet_of`."""
-    m = order.meet_of(order.row("down", v) & order.row("down", w))
+    m = order.meet_of(_down_row(order, v) & _down_row(order, w))
     return None if m is None else order.elements[m]
 
 
@@ -367,7 +377,7 @@ def test_lifted_strong_rows_equal_the_bruhat_scan(k, L):
     # longest first, so that each row is lifted through ancestors without rows
     for x in reversed(elements):
         scan = _strong_scan(elements, x)
-        assert order.row("down", x) == scan["down"], x
+        assert _down_row(order, x) == scan["down"], x
         assert _up_row(order, x) == scan["up"], x
         for z in elements:
             assert _leq(order, z, x) == bruhat_leq(z, x), (z, x)
@@ -381,14 +391,21 @@ def test_prefix_orders_read_the_shared_table():
         view, alone = whole.prefix(radius), _BallOrder(ball(2, radius))
         assert view.elements == alone.elements and view.radius == alone.radius
         for x in alone.elements:
-            for kind in ("down", "left-up", "left-down", "right-down"):
+            for kind in ("left-up", "left-down", "right-down"):
                 assert view.row(kind, x) == alone.row(kind, x), (radius, kind, x)
+            assert _down_row(view, x) == _down_row(alone, x), (radius, x)
             assert _up_row(view, x) == _up_row(alone, x), (radius, x)
-        # past the prefix, inside the whole ball or not, there is no down row
-        for x in whole.elements[len(alone.elements) :] + outside:
+        # past the prefix the view reads the whole ball's down rows, which
+        # a ball of its radius does not hold; outside the whole ball no
+        # order has a position
+        for x in whole.elements[len(alone.elements) :]:
+            assert _down_row(view, x) == _down_row(whole, x), (radius, x)
+            with pytest.raises(ValueError, match="outside"):
+                _down_row(alone, x)
+        for x in outside:
             for order in (view, alone):
                 with pytest.raises(ValueError, match="outside"):
-                    order.row("down", x)
+                    _down_row(order, x)
         assert view.parents() == alone.parents()
         pairs = [(v, w) for v in alone.elements for w in alone.elements]
         for v, w in pairs[::7]:
@@ -414,7 +431,7 @@ def test_elements_outside_the_ball(k):
     order = _BallOrder(elements)
     for x in ball(k, 6)[len(elements) :]:
         with pytest.raises(ValueError, match="outside"):
-            order.row("down", x)
+            _down_row(order, x)
         letters, q = order.lift(x)
         assert len(letters) == x.length - 3 and elements[q].length == 3
         for z in elements:
@@ -427,15 +444,18 @@ def test_elements_outside_the_ball(k):
                     _leq(order, u, v)
 
 
-def test_a_prefix_meet_refuses_an_operand_beyond_its_radius():
-    """A meet reads down rows, and a prefix has none beyond its radius."""
+def test_a_prefix_meet_reads_the_whole_balls_down_rows():
+    """A meet reads down rows, and a prefix reads those of the whole ball,
+    past its radius too; a ball of that radius has none there."""
     whole = _BallOrder(ball(3, 6))
     view = whole.prefix(4)
+    alone = _BallOrder(ball(3, 4))
     v = ball(3, 4)[-1]
     for w in whole.elements[len(view.elements) :]:
         assert _meet(whole, v, w) == strong_meet(v, w, whole.elements)
+        assert _meet(view, v, w) == _meet(whole, v, w)
         with pytest.raises(ValueError, match="outside"):
-            view.row("down", w)
+            _meet(alone, v, w)
 
 
 def test_pieri_sum_builds_no_strong_table(monkeypatch):

@@ -1,38 +1,62 @@
-"""Time `affineschur verify` in two trees, in alternating fresh-process pairs.
+"""Time `affineschur` CLI calls in two trees, in alternating fresh-process pairs.
 
 Usage (from the repository root):
 
     python3 tools/verify_ab.py PARENT CHANGE SUITE k,L [k,L ...]
+    python3 tools/verify_ab.py PARENT CHANGE -- ARGV...
 
-PARENT and CHANGE are checkouts of the package (each with its `src/`).  For
-each configuration k,L the tool runs
+PARENT and CHANGE are checkouts of the package (each with its `src/`).  In
+the first form, each configuration k,L is the call
 
     python3 -m affineschur.cli --format json verify SUITE --k K --max-size L
 
-PAIRS times in each tree, in a fresh process with that tree's `src/` on
-PYTHONPATH, the parent first on even pairs and the change first on odd
-ones.  Each tree compiles into a bytecode cache of its own, fresh for this
-invocation (PYTHONPYCACHEPREFIX, with PYTHONDONTWRITEBYTECODE unset), and
-one untimed warm-up run per tree and configuration fills it before the
-timed pairs, so a stale `__pycache__` in either tree charges neither side
-for compiling.  It prints one line per configuration: the exit codes of
-each side, whether every JSON output of both sides is byte-identical, each
-side's median and min-max wall time, and the number of pairs the change
-won.
+and in the second the one call is any CLI argv after `--`, such as
+`zsets --k 8 --lambda 1`, with `--format json` put in front.  Each call
+runs PAIRS times in each tree, in a fresh process with that
+tree's `src/` on PYTHONPATH, the parent first on even pairs and the change
+first on odd ones.  The process imports `affineschur.cli` and times
+`cli.main` on the call's argv, from entry to return, output included; the
+interpreter's start-up and the package import, some 50 ms that
+`startup_ab.py` times, are left out, so a change of a fraction of a
+millisecond in one query can show.  Each tree compiles into a
+bytecode cache of its own, fresh for this invocation (PYTHONPYCACHEPREFIX,
+with PYTHONDONTWRITEBYTECODE unset), and one untimed warm-up run per tree
+and call fills it before the timed pairs, so a stale `__pycache__` in
+either tree charges neither side for compiling.  It prints one line per
+call: the exit codes of each side, whether every JSON output of both sides
+is byte-identical, each side's median and min-max time in milliseconds,
+and the number of pairs the change won.  A run whose time cannot be read,
+such as one that failed to import the tree, has an infinite time: it loses
+its pair, and its exit code shows in the line.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-PAIRS = 6
+PAIRS = 10
 SIDES = ("parent", "change")
+
+# a fresh process that times one `cli.main` call and reports the seconds
+# as the last line of its standard error
+CHILD = """\
+import sys, time
+import affineschur.cli as cli
+start = time.perf_counter()
+try:
+    code = cli.main(sys.argv[1:])
+finally:
+    seconds = time.perf_counter() - start
+    sys.stdout.flush()
+    print(seconds, file=sys.stderr)
+sys.exit(code)
+"""
 
 
 def tree_env(tree: Path, cache: Path) -> dict[str, str]:
@@ -59,47 +83,66 @@ def wins(times: dict[str, list[float]]) -> int:
     return sum(c < p for p, c in zip(times["parent"], times["change"]))
 
 
-def run(tree: Path, cache: Path, suite: str, k: str, size: str) -> tuple[float, int, bytes]:
-    """Wall time, exit code and standard output of one verify run in `tree`,
-    compiling into the bytecode cache `cache`."""
-    argv = [sys.executable, "-m", "affineschur.cli", "--format", "json", "verify", suite,
-            "--k", k, "--max-size", size]
-    start = time.perf_counter()
+def run(tree: Path, cache: Path, call: list[str]) -> tuple[float, int, bytes]:
+    """Milliseconds in `cli.main`, exit code and standard output of the CLI call
+    `call` (the argv after `--format json`) in `tree`, compiling into the
+    bytecode cache `cache`; infinite when the child reported no time."""
+    argv = [sys.executable, "-c", CHILD, "--format", "json", *call]
     done = subprocess.run(argv, cwd=tree, env=tree_env(tree, cache), capture_output=True)
-    return time.perf_counter() - start, done.returncode, done.stdout
+    try:
+        seconds = float(done.stderr.splitlines()[-1])
+    except (IndexError, ValueError):
+        seconds = math.inf
+    return 1000 * seconds, done.returncode, done.stdout
+
+
+def calls(args: list[str]) -> tuple[str, list[tuple[str, list[str]]]] | None:
+    """The title and the (label, call) pairs that the arguments after the
+    two trees name, or None when they name none."""
+    if args[:1] == ["--"]:
+        call = args[1:]
+        return (" ".join(call), [("", call)]) if call else None
+    if len(args) < 2:
+        return None
+    suite, configs = args[0], args[1:]
+    return suite, [
+        (f"({config}) ", ["verify", suite, "--k", k, "--max-size", size])
+        for config in configs
+        for k, size in [config.split(",")]
+    ]
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) < 4:
+    named = calls(argv[2:]) if len(argv) >= 3 else None
+    if named is None:
         print(__doc__, file=sys.stderr)
         return 2
     trees = dict(zip(SIDES, (Path(argv[0]).resolve(), Path(argv[1]).resolve())))
-    suite, configs = argv[2], argv[3:]
+    title, todo = named
     with tempfile.TemporaryDirectory() as tmp:
         caches = {side: Path(tmp) / side for side in SIDES}
-        print(f"{suite}: {PAIRS} alternating pairs per configuration, wall seconds")
-        for config in configs:
-            compare(trees, caches, suite, config)
+        print(f"{title}: {PAIRS} alternating pairs per call, milliseconds in cli.main")
+        for label, call in todo:
+            compare(trees, caches, label, call)
     return 0
 
 
-def compare(trees: dict[str, Path], caches: dict[str, Path], suite: str, config: str) -> None:
-    """Print the line of one configuration, after one warm-up run per tree."""
-    k, size = config.split(",")
+def compare(trees: dict[str, Path], caches: dict[str, Path], label: str, call: list[str]) -> None:
+    """Print the line of one call, after one warm-up run per tree."""
     times = {side: [] for side in SIDES}
     codes = {side: set() for side in SIDES}
     outputs = set()
     for side in SIDES:
-        run(trees[side], caches[side], suite, k, size)
+        run(trees[side], caches[side], call)
     for pair in range(PAIRS):
         for side in pair_order(pair):
-            seconds, code, out = run(trees[side], caches[side], suite, k, size)
+            seconds, code, out = run(trees[side], caches[side], call)
             times[side].append(seconds)
             codes[side].add(code)
             outputs.add(out)
     cells = [f"{side} exit {sorted(codes[side])} {spread(times[side])}" for side in SIDES]
     identical = "identical" if len(outputs) == 1 else "DIFFERENT"
-    print(f"({config}) json {identical}; " + "; ".join(cells)
+    print(f"{label}json {identical}; " + "; ".join(cells)
           + f"; change wins {wins(times)}/{PAIRS}")
 
 
