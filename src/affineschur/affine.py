@@ -21,7 +21,6 @@ __all__ = [
     "BALL_CAP",
     "identity",
     "from_word",
-    "length",
     "mul",
     "inverse",
     "left_mul_s",
@@ -40,7 +39,6 @@ __all__ = [
     "flip",
     "ball",
     "ball_size",
-    "grassmannian_ball",
     "reduced_word",
     "longest_finite_element",
     "is_affine_reflection",
@@ -530,10 +528,6 @@ def from_word(k: int, word: Iterable[int]) -> AffinePermutation:
     return w
 
 
-def length(w: AffinePermutation) -> int:
-    return w.length
-
-
 def mul(u: AffinePermutation, v: AffinePermutation) -> AffinePermutation:
     """Composition of window functions, (uv)(i) = u(v(i))."""
     k = u.k
@@ -715,15 +709,19 @@ def flip(z: AffinePermutation, x: AffinePermutation) -> AffinePermutation:
     return y
 
 
-def ball(k: int, max_length: int, cap: int = BALL_CAP) -> list[AffinePermutation]:
+def ball(k: int, max_length: int) -> list[AffinePermutation]:
     """All elements of length <= max_length, sorted by (length, window).
 
-    Breadth-first search by left multiplication; raises BallCapExceeded
-    when more than `cap` elements would be produced, and RuntimeError when
-    the count is not Bott's (`ball_size`), so a sweep never gets a short ball.
+    Breadth-first search by left multiplication.  Bott's formula
+    (`ball_size`) counts the ball first: a count over BALL_CAP raises
+    BallCapExceeded before any element is enumerated, and a search that
+    finds another count raises RuntimeError, so a sweep never gets a short
+    ball.
     """
-    if max_length < 0:
-        raise ValueError(f"max_length must be >= 0, got {max_length}")
+    size = ball_size(k, max_length)
+    if size > BALL_CAP:
+        raise BallCapExceeded(f"ball(k={k}, L={max_length}) of {size:,} elements "
+                              f"exceeds cap={BALL_CAP:,}")
     seen = {identity(k)}
     frontier = [identity(k)]
     for _ in range(max_length):
@@ -733,15 +731,11 @@ def ball(k: int, max_length: int, cap: int = BALL_CAP) -> list[AffinePermutation
                 u = left_mul_s(w, i)
                 if u.length == w.length + 1 and u not in seen:
                     seen.add(u)
-                    if len(seen) > cap:
-                        raise BallCapExceeded(
-                            f"ball(k={k}, L={max_length}) exceeds cap={cap}"
-                        )
                     nxt.append(u)
         frontier = nxt
-    if len(seen) != ball_size(k, max_length):
+    if len(seen) != size:
         raise RuntimeError(f"ball(k={k}, L={max_length}) holds {len(seen)} elements, "
-                           f"not the {ball_size(k, max_length)} of Bott's formula")
+                           f"not the {size} of Bott's formula")
     return sorted(seen, key=lambda w: (w.length, w.window))
 
 
@@ -762,11 +756,6 @@ def ball_size(k: int, max_length: int) -> int:
         for d in range(i, max_length + 1):
             coeffs[d] += coeffs[d - i]
     return sum(coeffs)
-
-
-def grassmannian_ball(k: int, max_length: int, cap: int = BALL_CAP) -> list[AffinePermutation]:
-    """All 0-dominant (affine Grassmannian) elements of length <= max_length."""
-    return [w for w in ball(k, max_length, cap) if w.is_grassmannian()]
 
 
 @functools.lru_cache(maxsize=None)

@@ -43,6 +43,7 @@ from .affine import (
     weak_leq,
 )
 from .kcode import KCode, d_elem, d_inverse_steps, d_steps, u_elem
+from .orderlab import proper_subsets
 from .partitions import (
     CorePartition,
     KBoundedPartition,
@@ -77,7 +78,6 @@ __all__ = [
     "d_demazure",
     "d_inverse_mul",
     "closure_failure_by_pairs",
-    "proper_subsets",
     "z_sets_by_scan",
     "weak_strips_by_scan",
     "pieri_kk_by_strips",
@@ -362,16 +362,6 @@ def closure_failure_by_pairs(
             if u != full and u not in masks:
                 return f"{name} not closed under proper union: {A}, {B}"
     return None
-
-
-def proper_subsets(k: int) -> list[frozenset[int]]:
-    """Every proper subset of the residues 0..k, by size."""
-    out = []
-    for r in range(k + 1):
-        out.extend(
-            frozenset(c) for c in itertools.combinations(range(k + 1), r)
-        )
-    return out
 
 
 def z_sets_by_scan(

@@ -64,7 +64,6 @@ from .affine import (
     reduced_word,
 )
 from .kcode import d_elem, d_inverse_steps, d_steps, first_row, ri
-from .oracles import closure_failure_by_pairs
 from .partitions import KBoundedPartition
 from .shapes import bounded_to_core
 
@@ -78,7 +77,17 @@ __all__ = [
     "fiber_Y",
     "find_A0",
     "signed_fiber_table",
+    "proper_subsets",
 ]
+
+
+def proper_subsets(k: int) -> list[frozenset[int]]:
+    """Every proper subset of the residues 0..k, by size: the range the
+    sweeps quantify over."""
+    out = []
+    for r in range(k + 1):
+        out.extend(frozenset(c) for c in itertools.combinations(range(k + 1), r))
+    return out
 
 
 def _residue_patterns(n: int) -> list[int]:
@@ -188,6 +197,8 @@ def _family_fault(u: AffinePermutation, bitsets: Sequence[int]) -> str | None:
         name, title = _FAMILY_NAMES[i]
         if kind == "closed":
             if gaps[i] != (0, 0):
+                from .oracles import closure_failure_by_pairs
+
                 return closure_failure_by_pairs(name, _family(bitsets[i]), k) or (
                     f"{name}: closure transforms disagree with the pair scan"
                 )
@@ -218,8 +229,7 @@ def _family(bits: int) -> frozenset[frozenset[int]]:
     return frozenset(map(frozenset, _residue_lists(_positions(bits))))
 
 
-@functools.lru_cache(maxsize=None)
-def _size_lex_keys(n: int) -> tuple[int, ...]:
+def _size_lex_keys(n: int) -> list[int]:
     """keys[m]: a sort key of the residue mask m that orders the 2^n masks
     as `ZSets.as_dict` lists them, by size and then lexicographically.
 
@@ -227,12 +237,12 @@ def _size_lex_keys(n: int) -> tuple[int, ...]:
     r outside it: the size term dominates, and of two masks of one size
     the one holding the least residue where they differ misses fewer of the
     heavier terms.  Built one residue at a time: after step r, the second
-    half of the list holds the masks with residue r.  Memoised per n.
+    half of the list holds the masks with residue r.
     """
     keys = [0]
     for r in range(n):
         keys = [key + (1 << (n - 1 - r)) for key in keys] + [key + (1 << n) for key in keys]
-    return tuple(keys)
+    return keys
 
 
 class ZSets:

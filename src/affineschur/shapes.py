@@ -56,7 +56,6 @@ __all__ = [
     "bounded_to_core",
     "bounded_to_perm",
     "core_action",
-    "perm_to_core",
     "perm_to_bounded",
     "k_transpose",
     "k_rectangle",
@@ -138,11 +137,6 @@ def bounded_to_perm(lam: KBoundedPartition) -> AffinePermutation:
     if w.length != lam.size:
         raise RuntimeError(f"reading word of {lam!r} is not reduced")
     return w
-
-
-def perm_to_core(w: AffinePermutation) -> CorePartition:
-    """The (k+1)-core of a Grassmannian element, through its bounded partition."""
-    return bounded_to_core(perm_to_bounded(w))
 
 
 @functools.lru_cache(maxsize=None)

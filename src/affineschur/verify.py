@@ -45,7 +45,7 @@ from .affine import (
     mul,
 )
 from .kcode import d_elem, d_inverse_steps, d_steps, eval_code, first_row, rd, ri
-from .oracles import proper_subsets, subword_lower_set
+from .oracles import subword_lower_set
 from .orderlab import (
     _BallOrder,
     _fiber_scan,
@@ -66,6 +66,7 @@ from .orderlab import (
     find_A0,
     minus_forbidden_indices,
     forbidden_index,
+    proper_subsets,
     z_sets,
 )
 from .partitions import KBoundedPartition, k_rectangle, kbounded_partitions, union_sort
@@ -107,9 +108,8 @@ class CheckResult:
 
     __slots__ = ("name", "instances", "failures")
 
-    def __init__(self, name: str, instances: int = 0, failures: list[dict] | None = None):
-        self.name, self.instances = name, instances
-        self.failures = [] if failures is None else failures
+    def __init__(self, name: str):
+        self.name, self.instances, self.failures = name, 0, []
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -18,7 +18,6 @@ from affineschur.affine import (
     descents,
     flip,
     from_word,
-    grassmannian_ball,
     identity,
     inverse,
     is_affine_reflection,
@@ -283,16 +282,34 @@ def test_flip_is_anti_isomorphism():
 
 def test_ball_examples():
     assert ball(3, 0) == [identity(3)]
-    assert len(grassmannian_ball(3, 4)) == 11
+    assert len([w for w in ball(3, 4) if w.is_grassmannian()]) == 11
     for L in range(7):
         assert len(ball(1, L)) == 2 * L + 1
 
 
-def test_ball_cap():
+def test_ball_cap(monkeypatch):
     from affineschur.affine import BallCapExceeded
 
+    monkeypatch.setattr(affine, "BALL_CAP", 10)
     with pytest.raises(BallCapExceeded):
-        ball(2, 6, cap=10)
+        ball(2, 6)
+
+
+def test_an_over_cap_ball_raises_before_any_step(monkeypatch):
+    """The cap is checked against Bott's count, so not one generator step runs."""
+    from affineschur.affine import BallCapExceeded
+
+    steps = []
+
+    def counted(w, i):
+        steps.append(i)
+        return left_mul_s(w, i)
+
+    monkeypatch.setattr(affine, "left_mul_s", counted)
+    monkeypatch.setattr(affine, "BALL_CAP", ball_size(2, 6) - 1)
+    with pytest.raises(BallCapExceeded, match="of 64 elements exceeds cap=63"):
+        ball(2, 6)
+    assert steps == []
 
 
 def test_a_ball_that_loses_elements_raises(monkeypatch):

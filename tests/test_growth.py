@@ -17,9 +17,8 @@ from affineschur.affine import (
     left_mul_s,
 )
 from affineschur.kcode import d_inverse_steps, d_steps
-from affineschur.orderlab import fiber_X, signed_fiber_table, z_sets
+from affineschur.orderlab import fiber_X, proper_subsets, signed_fiber_table, z_sets
 from affineschur.oracles import (
-    proper_subsets,
     setvalued_strips_by_scan,
     weak_strips_by_scan,
     z_sets_by_scan,

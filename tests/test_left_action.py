@@ -10,7 +10,6 @@ from affineschur.affine import (
     AffinePermutation,
     IndexSet,
     ball,
-    grassmannian_ball,
     identity,
     left_action,
     left_mul_s,
@@ -214,6 +213,6 @@ def test_strips_equal_product_routes_at_k8():
 def test_fibers_on_grassmannian_elements_at_k5():
     rng = random.Random(5)
     sets = list(proper_index_sets(5))
-    for u in rng.sample(grassmannian_ball(5, 7), 6):
+    for u in rng.sample([w for w in ball(5, 7) if w.is_grassmannian()], 6):
         for A in rng.sample(sets, 12):
             assert fiber_X(A, u).members == fiber_by_products(A, u)

@@ -30,7 +30,6 @@ from affineschur.oracles import (
     gtilde_factorize_check,
     is_least_upper_bound_in_ball,
     kschur_rectangle_check,
-    proper_subsets,
     saturated_chain_exists,
     strong_join_in_ball,
     strong_meet,
@@ -53,6 +52,7 @@ from affineschur.orderlab import (
     _quotient,
     _seed_tables,
     find_A0,
+    proper_subsets,
     z_sets,
 )
 from affineschur.partitions import KBoundedPartition, k_rectangle, kbounded_partitions, union_sort
