@@ -19,17 +19,20 @@ and the products are the test oracles in `oracles`.
 
 The strong and weak orders of a length ball (`_BallOrder`), and the
 tables read along it, serve the `verify` suites.  A suite enumerates one
-ball, at the largest radius it declares in `verify.ball_radii`, and cuts
-every smaller ball from it as a prefix (`_prefix`).  A map over a
-whole ball, such as u -> demazure(u, y) or u -> psi_apply(u^-1, x), is
-built by one generator step per element from its parent's value
-(`_BallOrder.parents`, `_hecke_values`), not by one kernel call per pair;
-the per-pair calls are its test oracle.  Its values are positions in the
-ball, stepped along the ball's step table, and only values that leave the
-ball are elements.  The strong order rows are lifted the same way, with
-`bruhat_leq` as their test oracle, and exist only for the elements an
-order holds.  All below x is shorter than x, so down rows and meets are
-read in the whole ball; only up rows and joins depend on a radius.
+ball, at a radius it declares in `verify.ball_radii`, and cuts every
+smaller ball from it as a prefix (`_prefix`).  `order-props` extends it by
+the down-closure of the elements beyond it that it asks about
+(`_down_closure`), which is much smaller than the ball that would hold
+them.  A map over a whole ball, such as u -> demazure(u, y) or
+u -> psi_apply(u^-1, x), is built by one generator step per element from
+its parent's value (`_BallOrder.parents`, `_hecke_values`), not by one
+kernel call per pair; the per-pair calls are its test oracle.  Its values
+are positions in the order, stepped along its step table, and only values
+that leave it are elements.  The strong order rows are lifted the same
+way, with `bruhat_leq` as their test oracle, and exist only for the
+elements an order holds.  All below x is shorter than x, so down rows and
+meets are read in any down-closed order that holds x; only up rows and
+joins depend on a radius.
 
 So a check computes each product, Demazure value and order row once per
 element or index set and reads its instances off them: two values in the
@@ -47,7 +50,7 @@ import bisect
 import copy
 import functools
 import itertools
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .affine import (
     AffinePermutation,
@@ -666,6 +669,91 @@ def _prefix(elements: list[AffinePermutation], radius: int) -> list[AffinePermut
     return elements[: bisect.bisect_right(elements, radius, key=lambda w: w.length)]
 
 
+def _pair_terms(win: tuple[int, ...] | list[int], p: int, q: int) -> int:
+    """The terms of the affine inversion formula (`affine._inversion_length`)
+    of the window pairs that hold position p or q."""
+    n = len(win)
+    wp, wq = win[p], win[q]
+    total = abs((wq - wp) // n if p < q else (wp - wq) // n)
+    for j, wj in enumerate(win):
+        if j != p and j != q:
+            total += abs((wj - wp) // n if p < j else (wp - wj) // n)
+            total += abs((wj - wq) // n if q < j else (wq - wj) // n)
+    return total
+
+
+def _lower_covers(win: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Windows of the elements that the element w with window `win` covers
+    in the strong order.
+
+    They are among the w t_ab, t_ab the affine reflection that swaps a + m n
+    and b + m n for every m, with a < b and w(a) > w(b), each of them below
+    w (Bjorner-Brenti, GTM 231, Sec. 8.3); take a in the window.  If some c
+    strictly between a and b has w(b) < w(c) < w(a), then c is congruent to
+    neither, and w t_ab < w t_ac t_cb < w t_ac < w, so w t_ab is no cover:
+    at the positions a, c, b these four hold (w(b), w(c), w(a)),
+    (w(c), w(b), w(a)), (w(c), w(a), w(b)) and (w(a), w(c), w(b)), and each
+    swaps an inversion of the next.  So scanning b upward from a, with top
+    the largest value below w(a) seen since a, only a b with
+    top < w(b) < w(a) is tried, and it is kept when the swap takes exactly
+    one from the length, read off the inversion-formula terms of the two
+    positions it changes (`_pair_terms`): the first test alone keeps some
+    w t_ab with b - a > n that are three shorter.  No b at or past the
+    period whose least value reaches w(a), and none once top = w(a) - 1,
+    can pass.
+    """
+    n = len(win)
+    least = min(win)
+    covers = []
+    for a, wa in enumerate(win):
+        top = least - 1  # below every value
+        b = a + 1
+        while top < wa - 1 and b // n * n + least < wa:
+            m, c = divmod(b, n)
+            wb = win[c] + m * n
+            if top < wb < wa:
+                top = wb
+                cover = list(win)
+                cover[a], cover[c] = wb, wa - m * n  # the swap, and its period
+                if _pair_terms(win, a, c) - _pair_terms(cover, a, c) == 1:
+                    covers.append(tuple(cover))
+            b += 1
+    return covers
+
+
+def _down_closure(
+    elements: list[AffinePermutation], extras: Iterable[AffinePermutation]
+) -> list[AffinePermutation]:
+    """`elements`, a ball as `ball()` returns it, followed by every element
+    longer than its radius that lies below one of `extras`, sorted by
+    (length, window): a down-closed list whose prefix up to that radius is
+    the ball.
+
+    The part beyond the ball is closed one length at a time, longest first,
+    by lower covers (`_lower_covers`): every element below x is reached from
+    x through covers, each one shorter, and the covers no longer than the
+    radius are ball elements already.  Only windows are kept, one per
+    element, so the memory is linear in the size of the result.
+    """
+    k, radius = elements[0].k, elements[-1].length
+    levels: dict[int, set[tuple[int, ...]]] = {}
+    for w in extras:
+        if w.length > radius:
+            levels.setdefault(w.length, set()).add(w.window)
+    closed = []
+    for ell in range(max(levels, default=radius), radius, -1):
+        level = levels.pop(ell, set())
+        if ell - 1 > radius:
+            below = levels.setdefault(ell - 1, set())
+            for win in level:
+                below.update(_lower_covers(win))
+        closed.extend(
+            AffinePermutation._trusted(k, win, ell) for win in sorted(level, reverse=True)
+        )
+    closed.reverse()
+    return elements + closed
+
+
 def _mask(positions: list[int]) -> int:
     """Bitset with the given bits set, built in time linear in its size."""
     if not positions:
@@ -695,43 +783,46 @@ _WEAK = {
 
 
 class _BallOrder:
-    """Strong and weak order relations over one length ball, as bitset rows.
+    """Strong and weak order relations over a down-closed set, as bitset rows.
 
-    The ball is kept as `ball()` returns it, sorted by (length, window), and
-    bit i of a row stands for its i-th element.  A row of x is one Python
-    int.  Joins, meets and least upper bounds then become ANDs and subset
-    tests of rows, and give the same answers as the scans in `oracles` over
-    the same universe.
+    The elements are kept sorted by (length, window), and bit i of a row
+    stands for the i-th.  They are a ball as `ball()` returns it, or a
+    `_down_closure`: down-closed, and a ball up to `radius`, the length up
+    to which every element is held (by default the longest).  A row of x is
+    one Python int.  Joins, meets and least upper bounds then become ANDs
+    and subset tests of rows, and give the same answers as the scans in
+    `oracles` over the same universe.
 
-    The strong down row of a ball element is lifted, the first time it or
-    an element above it is asked for: for x = s_i y with y its left parent,
+    The strong down row of an element is lifted, the first time it or an
+    element above it is asked for: for x = s_i y with y its left parent,
     [e, x] = [e, y] u s_i [e, y] (lifting property, Bjorner-Brenti, GTM 231,
     Prop. 2.2.7), so the down row of x is the row of y OR its image under
-    the left step s_i, which stays in the ball.  The up rows are the
-    transpose of the down rows, built on the first request (`_up_rows`).
-    An element outside the ball is longer than all of its elements,
-    and has no position, so no down row.  Comparing a ball element with
-    it needs no row of it: `lift` strips its least left
-    descents until it lies in the ball, and `lower` takes the ball element
-    through the same letters to a bit of the lifted row.
+    the left step s_i, which stays in any down-closed set.  The up rows are
+    the transpose of the down rows, built on the first request
+    (`_up_rows`); they hold all above x only up to `radius`.  An element
+    outside the order has no position, so no down row.  Comparing an
+    element of the order with it needs no row of it: `lift` strips its
+    least left descents until it lies in the order, and `lower` takes the
+    element through the same letters to a bit of the lifted row.
 
     A weak row is a search along generator steps: a left weak cover is
     u -> s_i u with the length up by one, so every z with x <=_L z and
-    l(z) <= radius is reached through ball elements, and so are the lower
-    sets and the right side; x must lie in the ball.  The steps are read
-    from a table of the positions of s_i u and u s_i, built per element as
-    the searches and the lifting reach it.
+    l(z) <= radius is reached through the ball's elements, and so are the
+    lower sets and the right side; x must lie in the order.  The steps are
+    read from a table of the positions of s_i u and u s_i, built per
+    element as the searches and the lifting reach it.
 
-    `prefix(r)` gives the order over the elements of length <= r, which
-    keep their positions there.  It shares the index, the step table and
-    the down rows, and answers only for its own elements.  Its down-set
-    answers are the whole ball's, since all below x is shorter than x; its
-    up rows, left-up rows and joins stop at r.
+    `prefix(r)`, for r up to `radius`, gives the order over the elements of
+    length <= r, the ball of radius r, which keep their positions there.
+    It shares the index, the step table and the down rows, and answers only
+    for its own elements.  Its down-set answers are the whole order's,
+    since all below x is shorter than x; its up rows, left-up rows and
+    joins stop at r.
     """
 
-    def __init__(self, elements: list[AffinePermutation]):
+    def __init__(self, elements: list[AffinePermutation], radius: int | None = None):
         self.elements = elements
-        self.radius = elements[-1].length
+        self.radius = elements[-1].length if radius is None else radius
         self._rows: dict[tuple, int] = {}  # weak rows, by (kind, x)
         self._up: list[int] | None = None
         # shared with every prefix
@@ -742,7 +833,10 @@ class _BallOrder:
         self._down: dict[int, int] = {0: 1}  # the identity comes first
 
     def prefix(self, radius: int) -> _BallOrder:
-        """The order over `_prefix(self.elements, radius)`, sharing this one's tables."""
+        """The order over `_prefix(self.elements, radius)`, sharing this one's
+        tables; a radius beyond this order's own raises."""
+        if radius > self.radius:
+            raise ValueError(f"ball radius {radius} exceeds the order's radius {self.radius}")
         view = copy.copy(self)
         view.elements = _prefix(self.elements, radius)
         view.radius = view.elements[-1].length
@@ -757,20 +851,20 @@ class _BallOrder:
         return self._rows[kind, x]
 
     def position(self, w: AffinePermutation) -> int | None:
-        """Position of w in the whole ball, None outside it."""
+        """Position of w in the whole order, None outside it."""
         return self._index.get(w.window)
 
     def at(self, w: AffinePermutation) -> int:
-        """Position of w in the whole ball; outside it this raises."""
+        """Position of w in the whole order; outside it this raises."""
         p = self._index.get(w.window)
         if p is None:
-            raise ValueError(f"{w!r} lies outside the ball")
+            raise ValueError(f"{w!r} lies outside the order")
         return p
 
     def lift(self, v: AffinePermutation) -> tuple[list[int], int]:
         """v as (letters, position q): stripping the least left descent of v,
-        one letter at a time, until what is left lies in the ball leaves the
-        element at q; a ball element has no letters."""
+        one letter at a time, until what is left lies in the order leaves the
+        element at q; an element of the order has no letters."""
         letters = []
         q = self._index.get(v.window)
         while q is None:
@@ -793,7 +887,7 @@ class _BallOrder:
         return p
 
     def _lifted(self, p: int) -> int:
-        """Strong down row of the element at position p of the whole ball,
+        """Strong down row of the element at position p of the whole order,
         lifted from those of its left ancestors that have none yet."""
         rows = self._down
         row = rows.get(p)
@@ -824,7 +918,7 @@ class _BallOrder:
         size = len(self.elements)
         start = self._index.get(x.window, size)
         if start >= size:
-            raise ValueError(f"weak rows are searched inside the ball; {x!r} is outside")
+            raise ValueError(f"weak rows are searched inside the order; {x!r} is outside")
         lengths = self._lengths
         seen = {start}
         todo = [start]
@@ -838,7 +932,7 @@ class _BallOrder:
 
     def _neighbours(self, side: str, p: int) -> list[int]:
         """Positions of s_i u (left) or u s_i (right) for u at position p and
-        i = 0..k, with -1 for an element outside the whole ball."""
+        i = 0..k, with -1 for an element outside the whole order."""
         table = self._steps[side]
         out = table.get(p)
         if out is None:
@@ -935,9 +1029,9 @@ def _hecke_values(
     same letters in the same order as those calls apply, with every prefix
     shared.
 
-    A value is its position in `order`'s whole ball, stepped along the
-    step table (`_neighbours`).  Only an `up` step leaves the ball, which
-    is closed downwards; such a value, and every later `up` value from it,
+    A value is its position in the whole `order`, stepped along the step
+    table (`_neighbours`).  Only an `up` step leaves the order, which is
+    closed downwards; such a value, and every later `up` value from it,
     is an element.
     """
     lengths, ball = order._lengths, order._ball
@@ -946,7 +1040,7 @@ def _hecke_values(
         z = values[p]
         if type(z) is int:
             t = order._neighbours("left", z)[i]
-            if t < 0:  # s_i z is longer than z and outside the ball
+            if t < 0:  # s_i z is longer than z and outside the order
                 values.append(left_mul_s(ball[z], i) if up else z)
             else:
                 values.append(t if (lengths[t] > lengths[z]) == up else z)
@@ -1144,11 +1238,12 @@ def _join_seed_sets(
     The u are grouped by their value (`_hecke_values`), and each group is
     spread (`_spread`) over every x below its value at once, read off the
     value's down row, or over every y above it, read off its up row in
-    `upper`.  A Demazure value outside the whole ball is lifted into it
+    `upper`.  A Demazure value outside the whole order is lifted into it
     (`lift`), and compared with every x at once: the x are lowered through
     the lift's letters, as `lower` does, by the psi_i lists `psi`
     (`_generator_steps` over at least the prefix), once per distinct
-    letter sequence.
+    letter sequence, and the x below it are kept by its window, since many
+    y share it.
     """
 
     def groups(values):
@@ -1160,6 +1255,7 @@ def _join_seed_sets(
 
     left, right = parents
     lowered: dict[tuple[int, ...], list[int]] = {}  # letters -> where each x goes
+    outside: dict[tuple[int, ...], int] = {}  # window of a value outside -> its x
     prefix = (1 << size) - 1
     dsets = []
     for y in range(size):
@@ -1168,16 +1264,19 @@ def _join_seed_sets(
             if type(value) is int:
                 xs = whole._lifted(value)
             else:
-                letters, q = whole.lift(value)
-                key = tuple(letters)
-                if key not in lowered:
-                    ps = list(range(size))
-                    for i in letters:
-                        step = psi[i]
-                        ps = [step[p] for p in ps]
-                    lowered[key] = ps
-                below = whole._lifted(q) & prefix  # the x are lowered inside the prefix
-                xs = _mask([x for x, p in enumerate(lowered[key]) if below >> p & 1])
+                xs = outside.get(value.window)
+                if xs is None:
+                    letters, q = whole.lift(value)
+                    key = tuple(letters)
+                    if key not in lowered:
+                        ps = list(range(size))
+                        for i in letters:
+                            step = psi[i]
+                            ps = [step[p] for p in ps]
+                        lowered[key] = ps
+                    below = whole._lifted(q) & prefix  # the x are lowered inside the prefix
+                    xs = _mask([x for x, p in enumerate(lowered[key]) if below >> p & 1])
+                    outside[value.window] = xs
             spread.append((xs, us))
         dsets.append(_spread(spread, size))
     up = upper._up_rows()

@@ -10,8 +10,10 @@ from a local tally (`r.count(passed)`); the other suites call `r.count()`
 once per passing instance.
 
 This module holds the suites and their check predicates.  The order
-suites read tables built once per sweep over one length ball, by
-`orderlab._BallOrder` and the functions beside it (see `orderlab`).
+suites read tables built once per sweep by `orderlab._BallOrder` and the
+functions beside it (see `orderlab`): `fibers` over one length ball, and
+`order-props` over one ball and the down-closure of what it asks beyond
+it (`orderlab._down_closure`).
 
 The symmetric-function suites share work too: each partition's
 weak strips are grown once, to level k (`shapes.StripGrowth`), and every r
@@ -48,6 +50,7 @@ from .kcode import d_elem, d_inverse_steps, d_steps, eval_code, first_row, rd, r
 from .oracles import subword_lower_set
 from .orderlab import (
     _BallOrder,
+    _down_closure,
     _fiber_scan,
     _flip_images,
     _generator_steps,
@@ -156,16 +159,22 @@ def _json(value):
 def ball_radii(suite: str, k: int, max_size: int) -> tuple[int, ...]:
     """Radii of the length balls a verify suite builds its order rows over.
 
-    The only place that knows how large a suite's balls get: the suite
-    enumerates one ball, at the largest of these radii, and cuts every
-    smaller ball from it with `_prefix`; the CLI sizes them before any work
-    starts.  A join of v and w needs radius l(v) + l(w), the most a minimal
-    common upper bound is long (subword property, Bjorner-Brenti, GTM 231,
-    Thm 2.2.2); the joins of order-props join elements up to min(max_size, 6).
+    The only place that knows how large a suite's balls get; the CLI sizes
+    them before any work starts.  `fibers` enumerates one ball, at its
+    radius.  `order-props` enumerates one, at the larger of its wide radius
+    and the radius of its joins, and cuts every smaller ball from it with
+    `_prefix`.  A join of v and w needs radius l(v) + l(w), the most a
+    minimal common upper bound is long (subword property, Bjorner-Brenti,
+    GTM 231, Thm 2.2.2); the joins of order-props join elements up to
+    min(max_size, 6).  Its strip radius bounds the rest of its order, the
+    down-closure of the d_A w_lam of its weak strips and of the d_A u of
+    its Z-families (`orderlab._down_closure`), which is no ball: each of
+    those is at most min(max_size + 1, 7) + k long.
     """
     if suite == "order-props":
-        # the wide ball of verify_order_props, that of _verify_strip_props, and
-        # that of its joins and least upper bounds
+        # the wide ball of verify_order_props, the bound of the elements
+        # _verify_strip_props asks, and the ball of its joins and least
+        # upper bounds
         return (max_size + 3, min(max_size + 1, 7) + k + 1, 2 * min(max_size, 6))
     if suite == "fibers":
         return (max_size,)
@@ -224,15 +233,23 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
 
     Quantifier ranges scale with max_length but are clamped per suite so
     the triple-quantified checks stay within desk scale.  Every ball is a
-    prefix of the one enumerated at the largest radius `ball_radii` declares.
+    prefix of the one enumerated at radius R = max(L+3, 2 min(L,6)), the
+    larger of the wide and the join radius of `ball_radii`.
 
     Every order question reads one of two tables.  Down-set questions (down
-    rows, weak down rows, meets) read `whole`: all below x is shorter than
-    x, so no order holding x answers them otherwise.  Up-set questions (up
-    rows, left-up rows, joins) read `upper`, of radius max(L+3, 2 min(L,6)).
-    Strong comparisons are bits of lifted rows, read from one list of them,
-    `down`.  Meets are `meet_of` of the AND of two rows, read off `down`
-    where it holds them, and joins `join_at`, at positions.
+    rows, weak down rows, meets) read `whole`, the order over D: the ball
+    of radius R, then every element below a d_A w_lam of a weak strip or a
+    d_A u of a plus family that is longer than R (`_asked_beyond`), sorted
+    by (length, window) (`_down_closure`).  A down-set question has the
+    same answer in every down-closed set that holds x, since all below x
+    is shorter than x and lifting stays inside the lower interval
+    (Bjorner-Brenti, GTM 231, Prop. 2.2.7), and D is down-closed.  The
+    Z-families and the weak strips are built once, for D and for the
+    checks that read them.  Up-set questions (up rows, left-up rows, joins)
+    read `upper`, the ball of radius R, D's prefix.  Strong comparisons are
+    bits of lifted rows, read from one list of them, `down`.  Meets are
+    `meet_of` of the AND of two rows, read off `down` where it holds them,
+    and joins `join_at`, at positions.
 
     No instance makes a kernel product or an oracle search, but the two
     checks whose subject a kernel call is: `bruhat-matches-subword-oracle`
@@ -242,7 +259,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     (`_chain_gaps`), with the chain search `oracles.saturated_chain_exists`
     as its test oracle; u^-1 z and w d_A^-1 are walks (`_quotient`), and
     d_A u, d_A^-1 u and d_A w are `left_action` along the letters of d_A,
-    placed in the whole ball.
+    placed in D.
 
     The six triple-ball checks (`weak-order-triple-splitting` through
     `demazure-monotone-in-actor`) and `generator-actions-preserve-meet-join`
@@ -267,17 +284,29 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     and >=_L y, below z, and at most l(x) + l(y) <= 2 min(L,4) long.  So a
     z not above j has one in `upper` below it that is not above j either.
     """
-    wide_radius, strip_radius, upper_radius = ball_radii("order-props", k, max_length)
-    elements = ball(k, max(wide_radius, strip_radius, upper_radius))
+    wide_radius, _, upper_radius = ball_radii("order-props", k, max_length)
+    radius = max(wide_radius, upper_radius)
+    elements = ball(k, radius)
     triple_radius = min(max_length, 4 if k <= 2 else 3)
     triple_ball = _prefix(elements, triple_radius)
     seed_ball = _prefix(elements, min(max_length, 4))
     pair_ball = _prefix(elements, min(max_length, 5))
     six_ball = _prefix(elements, min(max_length, 6))
     subword_ball = _prefix(elements, min(max_length, 7 if k <= 2 else 6))
-    whole = _BallOrder(elements)
-    upper = whole.prefix(max(wide_radius, upper_radius))
     subsets = proper_subsets(k)
+    # per index set, by its mask: the letters of d_A and of d_A^-1
+    letters = {}
+    for A in subsets:
+        index_set = IndexSet._trusted(k, A)
+        letters[sum(1 << i for i in A)] = d_steps(index_set), d_inverse_steps(index_set)
+    # the Z-families of the six ball and the weak strips, built once for the
+    # checks that read them and for what they ask beyond the ball
+    families = [z_sets(u) for u in six_ball]  # construction asserts closure and maxima
+    growths = [StripGrowth(lam, k) for lam in kbounded_partitions(k, min(max_length + 1, 7))]
+    beyond = _asked_beyond(radius, letters, six_ball, families, growths)
+    whole = _BallOrder(_down_closure(elements, beyond), radius)
+    elements = whole.elements
+    upper = whole.prefix(radius)
     results = []
 
     # strong comparisons are bits of the lifted down rows, which `upper`
@@ -582,25 +611,48 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
         return down[p] if p < len(down) else whole._lifted(p)
 
     inverses = [elements[p] for p in at_inverse]
-    results.extend(_verify_z_families(k, subsets, six_ball, inverses, upper, whole, down_row))
+    results.extend(
+        _verify_z_families(k, letters, six_ball, families, inverses, upper, whole, down_row)
+    )
     results.extend(_verify_strongly_commutative(k, subsets, seed_ball))
     # the k-code ball is a quantifier range: its left-up rows stop at its radius
     kcode_order = whole.prefix(min(max_length, 6 if k <= 2 else 5))
     results.extend(_verify_kcode_props(k, subsets, kcode_order))
-    results.extend(_verify_strip_props(k, min(max_length + 1, 7), subsets, whole, down_row))
+    results.extend(_verify_strip_props(k, growths, subsets, whole, down_row))
     return results
 
 
-def _verify_strip_props(k, max_size, subsets, whole, down_row) -> list[CheckResult]:
+def _asked_beyond(radius, letters, six_ball, families, growths):
+    """The elements longer than `radius` whose down rows the sweep reads:
+    every d_A u of a plus-family member A of a u of `six_ball`, and every
+    d_A w_lam of a weak strip of a growth of `growths`.
+
+    Both are steps up in the left weak order, so l(d_A u) = l(u) + |A| and
+    l(d_A w_lam) = |lam| + |A|, and only those longer than the radius are
+    formed, by `left_action` along the letters of d_A.
+    """
+    for u, zs in zip(six_ball, families):
+        for a in _positions(zs.plus_bits):
+            if u.length + a.bit_count() > radius:
+                yield left_action(u, letters[a][0])
+    for growth in growths:
+        lam = growth.lam
+        w = bounded_to_perm(lam)
+        for r in range(max(radius - lam.size + 1, 0), lam.k + 1):
+            for A in growth.sets(r):
+                yield left_action(w, letters[sum(1 << i for i in A)][0])
+
+
+def _verify_strip_props(k, growths, subsets, whole, down_row) -> list[CheckResult]:
     forb = CheckResult("forbidden-index-never-in-a-strip")
     unique = CheckResult("unique-size-k-strip-adds-one-row")
     agree = CheckResult("strip-criteria-agree")
     meets = CheckResult("strip-meet-is-strip-of-intersection")
     passed_forb = passed_unique = passed_agree = passed_meets = 0
     all_subsets = [IndexSet._trusted(k, A) for A in subsets]
-    for lam in kbounded_partitions(k, max_size):
+    for growth in growths:
+        lam = growth.lam
         fi = forbidden_index(lam)
-        growth = StripGrowth(lam, k)
         strips_by_r = {r: growth.strips(r) for r in range(k + 1)}
         if all(fi not in s.indices for r in strips_by_r.values() for s in r):
             passed_forb += 1
@@ -617,9 +669,10 @@ def _verify_strip_props(k, max_size, subsets, whole, down_row) -> list[CheckResu
             agree.fail(lam=list(lam.parts))
         w = bounded_to_perm(lam)
         qualifying = [s.indices for r in strips_by_r.values() for s in r]
-        # d_A w with its down row once per strip, d_C w (at its position: the
-        # whole ball holds it) and the strip test once per intersection C;
-        # d_A w is `left_action` along the letters of d_A
+        # d_A w with its down row once per strip, d_C w (at its position, None
+        # outside D) and the strip test once per intersection C; d_A w is
+        # `left_action` along the letters of d_A.  A strip d_C w is a reduced
+        # subword product of d_A w, so it lies below it, in D
         below = [down_row(whole.at(left_action(w, d_steps(A)))) for A in qualifying]
         caps = {}
         for A, row_a in zip(qualifying, below):
@@ -666,17 +719,20 @@ def _extends_toward(a: int, b: int, family: int) -> bool:
 
 
 def _verify_z_families(
-    k, subsets, elements, inverses, upper, whole, down_row
+    k, letters, elements, families, inverses, upper, whole, down_row
 ) -> list[CheckResult]:
-    """Z-family checks over `elements`, whose inverses are `inverses`.
+    """Z-family checks over `elements`, whose Z-families are `families` and
+    whose inverses are `inverses`; `letters` maps the mask of each index set
+    A to the letters of d_A and of d_A^-1.
 
     The families are read as `ZSets` holds them, bitsets over residue
     masks, and an index set A is its mask throughout.  d_A u and d_A^-1 u
-    are positions in the whole ball, reached by `left_action` along the
-    letters of d_A (`d_steps`, `d_inverse_steps`), once per member A; a
-    value outside the ball raises.  Meets are `meet_of` on the down rows of
-    the d_A u (`down_row`, once per member), and joins `join_at`; the member
-    whose mask is A & B is read by index.
+    are positions in `whole`, reached by `left_action` along the letters of
+    d_A (`d_steps`, `d_inverse_steps`), once per member A; a value outside
+    its order raises.  d_{A & B} u is the meet of d_A u and d_B u exactly
+    when the AND of their down rows (`down_row`, once per member) is its
+    down row: a common lower bound that holds every other one.  Joins are
+    `join_at`.  The member whose mask is A & B is read by index.
     """
     closure = CheckResult("z-families-closed-and-bounded")
     meets = CheckResult("plus-family-intersection-is-meet")
@@ -684,25 +740,19 @@ def _verify_z_families(
     chains = CheckResult("z-families-chain-property")
     confining = CheckResult("minus-family-confined-to-code-row")
     passed_meets = passed_joins = passed_chains = passed_confining = 0
-    # per index set, by its mask: the letters of d_A and of d_A^-1
-    letters = {}
-    for A in subsets:
-        index_set = IndexSet._trusted(k, A)
-        letters[sum(1 << i for i in A)] = d_steps(index_set), d_inverse_steps(index_set)
     absent = [-1] * (1 << (k + 1))  # -1: no member has this mask
-    meet_of, join_at = whole.meet_of, upper.join_at
-    for u, u_inverse in zip(elements, inverses):
-        zs = z_sets(u)  # construction asserts closure and maxima
-        # d_A u, up to min(L, 6) + k long, and its down row; closed under intersection
+    join_at = upper.join_at
+    for u, zs, u_inverse in zip(elements, families, inverses):
+        # the down row of d_A u, up to min(L, 6) + k long; closed under intersection
         plus = _positions(zs.plus_bits)
-        at = absent.copy()
+        row_at = absent.copy()
         rows = []
         for a in plus:
-            at[a] = p = whole.at(left_action(u, letters[a][0]))
-            rows.append(down_row(p))
+            row_at[a] = row = down_row(whole.at(left_action(u, letters[a][0])))
+            rows.append(row)
         for i, (row_a, a) in enumerate(zip(rows, plus)):
             for j in range(i + 1, len(plus)):
-                if meet_of(row_a & rows[j]) == at[a & plus[j]]:
+                if row_a & rows[j] == row_at[a & plus[j]]:
                     passed_meets += 1
                 else:
                     meets.fail(u=u, A=_positions(a), B=_positions(plus[j]))

@@ -325,6 +325,16 @@ def _left_parent_letter_one_off(original):
     return _parent
 
 
+def _down_closure_without_its_covers(original):
+    def down_closure(elements, extras):
+        # what the sweep asks beyond the ball, but not what lies below it
+        radius = elements[-1].length
+        beyond = {w for w in extras if w.length > radius}
+        return elements + sorted(beyond, key=lambda w: (w.length, w.window))
+
+    return down_closure
+
+
 MUTANTS = [
     Mutant(
         "meet_of-without-meet-test",
@@ -671,6 +681,18 @@ MUTANTS = [
         "order-props",
         ((2, 4), (3, 4)),
         frozenset(),
+    ),
+    # Only at (5,1): the order lacks elements below what the sweep asks,
+    # and at the other small configurations where it goes beyond the ball a
+    # lifted row steps outside it and the sweep raises instead.
+    Mutant(
+        "down-closure-without-its-lower-covers",
+        orderlab,
+        "_down_closure",
+        _down_closure_without_its_covers,
+        "order-props",
+        ((5, 1),),
+        frozenset({"strip-meet-is-strip-of-intersection"}),
     ),
     Mutant(
         "lifted-rows-by-the-next-letter",

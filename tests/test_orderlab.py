@@ -6,8 +6,9 @@ import re
 
 import pytest
 
-from affineschur import orderlab
+from affineschur import orderlab, verify
 from affineschur.affine import (
+    AffinePermutation,
     IndexSet,
     ball,
     bruhat_leq,
@@ -28,7 +29,7 @@ from affineschur.orderlab import (
     signed_fiber_table,
     z_sets,
 )
-from affineschur.oracles import closure_failure_by_pairs, strong_meet
+from affineschur.oracles import closure_failure_by_pairs, d_mul, strong_meet, subword_lower_set
 from affineschur.partitions import KBoundedPartition, kbounded_partitions
 from affineschur.shapes import bounded_to_perm, is_weak_strip, strip_top, weak_strips
 
@@ -303,3 +304,70 @@ def test_closure_gaps_side_by_side_equal_one_at_a_time():
         fams = [rng.getrandbits(1 << n) for _ in range(4)] + [0, (1 << (1 << n)) - 1]
         alone = [orderlab._closure_gaps([f], has)[0] for f in fams]
         assert orderlab._closure_gaps(fams, has) == alone
+
+
+def _asked_by_order_props(k, L):
+    """Every element whose order rows `verify_order_props` reads at (k, L),
+    by the per-pair products of `oracles`: d_A u for A in the plus family of
+    each u of the six ball, and d_A w_lam and d_C w_lam for every weak strip
+    A over each lam of its strip sweep and every C = A & B of two of them
+    that labels a strip."""
+    asked = [d_mul(IndexSet(k, A), u) for u in ball(k, min(L, 6)) for A in z_sets(u).plus]
+    for lam in kbounded_partitions(k, min(L + 1, 7)):
+        w = bounded_to_perm(lam)
+        strips = [s.indices for r in range(k + 1) for s in weak_strips(lam, r)]
+        asked += [d_mul(A, w) for A in strips]
+        for A, B in itertools.product(strips, repeat=2):
+            cap = IndexSet(k, A.members & B.members)
+            if is_weak_strip(lam, cap):
+                asked.append(d_mul(cap, w))
+    return asked
+
+
+@pytest.mark.parametrize("k,L", [(1, 2), (2, 2), (3, 0), (3, 1), (4, 1)])
+def test_down_closure_is_the_ball_and_what_lies_below_the_asked(monkeypatch, k, L):
+    """The order of `verify_order_props` is down-closed, holds everything
+    the sweep asks, and is the ball up to its radius: checked against the
+    subword lower sets."""
+    built = []
+
+    def recording(elements, extras):
+        built.append(orderlab._down_closure(elements, extras))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "_down_closure", recording)
+    assert all(r.ok for r in verify.verify_order_props(k, L))
+    [elements] = built
+    wide, _, upper = verify.ball_radii("order-props", k, L)
+    radius = max(wide, upper)
+    asked = _asked_by_order_props(k, L)
+    # every element once, with its own length, sorted by (length, window)
+    assert len(set(elements)) == len(elements)
+    assert all(AffinePermutation(k, w.window).length == w.length for w in elements)
+    assert elements == sorted(elements, key=lambda w: (w.length, w.window))
+    # down-closed, and no more than the ball and the lower sets of the asked
+    held = set(elements)
+    lower_sets = [subword_lower_set(v) for v in asked]
+    assert all(subword_lower_set(w) <= held for w in elements)
+    assert held == set(ball(k, radius)).union(*lower_sets)
+    assert set(asked) <= held
+    for r in range(radius + 1):
+        assert orderlab._prefix(elements, r) == ball(k, r)
+    # the builder alone, given the asked elements, builds the same order
+    assert orderlab._down_closure(ball(k, radius), asked) == elements
+    if (k, L) in ((3, 0), (3, 1), (4, 1)):  # beyond the radius D is not a ball
+        longest = elements[-1].length
+        assert longest > radius and len(elements) < len(ball(k, longest))
+
+
+def test_lower_covers_are_the_strong_covers():
+    """Against the covers read off `bruhat_leq` over a ball."""
+    for k, L in [(1, 7), (2, 6), (3, 5), (4, 4)]:
+        elements = ball(k, L)
+        for w in elements:
+            covers = [AffinePermutation(k, c) for c in orderlab._lower_covers(w.window)]
+            assert all(c.length == w.length - 1 for c in covers)
+            assert sorted(covers, key=lambda c: c.window) == [
+                z for z in sorted(elements, key=lambda c: c.window)
+                if z.length == w.length - 1 and bruhat_leq(z, w)
+            ], w

@@ -95,8 +95,6 @@ def test_perm_to_core_examples():
     assert bounded_to_core(perm_to_bounded(identity(3))).parts == ()
     assert bounded_to_core(perm_to_bounded(from_word(3, [0, 3, 1, 0]))).parts == (2, 2)
     with pytest.raises(ValueError):
-        bounded_to_core(perm_to_bounded(from_word(3, [1])))
-    with pytest.raises(ValueError):
         perm_to_bounded(from_word(3, [1]))
     with pytest.raises(ValueError):
         core_by_residue_action(from_word(3, [1]))

@@ -724,17 +724,31 @@ def test_symmetric_function_suites_behaviour_lock():
     ],
 )
 def test_ball_radii_cover_every_ball_a_sweep_builds(monkeypatch, suite, fn, k, size):
-    seen = []
+    seen, orders = [], []
 
     def recording(k, max_length, *args, **kwargs):
         seen.append(max_length)
         return ball(k, max_length, *args, **kwargs)
 
+    def recording_order(elements, *args):
+        orders.append(elements)
+        return _BallOrder(elements, *args)
+
     monkeypatch.setattr(verify, "ball", recording)
+    monkeypatch.setattr(verify, "_BallOrder", recording_order)
     fn(k, size)
     radii = ball_radii(suite, k, size)
-    # one enumeration per suite, at the largest declared radius
-    assert seen == ([max(radii)] if radii else [])
+    if suite == "order-props":
+        # one enumeration, at the radius of the quantifier balls and the up
+        # rows; beyond it the order holds only the down-closure of what the
+        # strip and Z-family checks ask, which the strip radius bounds
+        wide, strip, upper = radii
+        assert seen == [max(wide, upper)]
+        [elements] = orders
+        assert all(w.length <= strip for w in elements if w.length > max(wide, upper))
+    else:
+        # one enumeration per suite, at the largest declared radius
+        assert seen == ([max(radii)] if radii else [])
 
 
 def test_prefix_is_the_smaller_ball_and_refuses_a_larger_one():
