@@ -411,36 +411,10 @@ def left_growth(
     leaves the parent's window, shared.  The length change is +|A|, -|A|,
     or in "max" the number of steps that went up.  The full residue set has
     no run top or bottom, so it is never reached.  Each level is one
-    `_grow_level` step.
+    `LeftGrowth.grow`.
     """
-    level, residues, ascent, is_max = _growth_start(window, mode, within)
-    guard = _guards(len(window), ascent)
-    levels = [[(frozenset(), level[0][2], 0)]]
-    for _ in range(size):
-        level = _grow_level(level, residues, guard, ascent, is_max)
-        levels.append([(members, win, dl) for _, members, win, _, dl in level])
-    return levels
-
-
-def _growth_start(window: Sequence[int], mode: str, within: Iterable[int] | None):
-    """The first level of a growth in `mode`, its residues and its direction."""
-    if mode not in LEFT_MODES[1:]:
-        raise ValueError(f"mode must be one of {LEFT_MODES[1:]}, got {mode!r}")
-    n = len(window)
-    win = list(window)
-    is_max = mode == "max"
-    if is_max and any(x > y for x, y in zip(win, win[1:])):
-        raise ValueError(f"max growth needs an increasing window, got {win}")
-    pos = [0] * n
-    for p, x in enumerate(win):
-        pos[x % n] = p
-    residues = range(n) if within is None else sorted(within)
-    return [(0, frozenset(), win, pos, 0)], residues, mode != "descent", is_max
-
-
-def _guards(n: int, ascent: bool) -> list[int]:
-    # a may join A when its neighbour above (ascent, max) or below (descent) is out
-    return [1 << a | 1 << ((a + 1) % n if ascent else (a - 1) % n) for a in range(n)]
+    growth = LeftGrowth(window, mode, within)
+    return [[(frozenset(), list(window), 0)], *(growth.grow() for _ in range(size))]
 
 
 def _grow_level(level: list, residues, guard: list[int], ascent: bool, is_max: bool) -> list:
@@ -478,7 +452,8 @@ def _grow_level(level: list, residues, guard: list[int], ascent: bool, is_max: b
 
 class LeftGrowth:
     """`left_growth` one level at a time, for a caller that keeps the
-    growth between levels: `grow` returns the next level.
+    growth between levels: `grow` returns the next level, adding only
+    residues of `within` (all by default).
 
     Only the deepest level grown is kept, so a caller that wants one level
     grows no further than it, and one that wants more goes on from there.
@@ -489,9 +464,23 @@ class LeftGrowth:
 
     __slots__ = ("depth", "_level", "_parked", "_residues", "_guard", "_ascent", "_max")
 
-    def __init__(self, window: Sequence[int], mode: str):
-        self._level, self._residues, self._ascent, self._max = _growth_start(window, mode, None)
-        self._guard = _guards(len(window), self._ascent)
+    def __init__(self, window: Sequence[int], mode: str, within: Iterable[int] | None = None):
+        if mode not in LEFT_MODES[1:]:
+            raise ValueError(f"mode must be one of {LEFT_MODES[1:]}, got {mode!r}")
+        n = len(window)
+        win = list(window)
+        self._max = mode == "max"
+        if self._max and any(x > y for x, y in zip(win, win[1:])):
+            raise ValueError(f"max growth needs an increasing window, got {win}")
+        pos = [0] * n
+        for p, x in enumerate(win):
+            pos[x % n] = p
+        self._level = [(0, frozenset(), win, pos, 0)]
+        self._residues = range(n) if within is None else sorted(within)
+        self._ascent = mode != "descent"
+        # a may join A when its neighbour above (ascent, max) or below (descent) is out
+        step = 1 if self._ascent else -1
+        self._guard = [1 << a | 1 << (a + step) % n for a in range(n)]
         self._parked = False
         self.depth = 0
 

@@ -20,10 +20,11 @@ and the products are the test oracles in `oracles`.
 The strong and weak orders of a length ball (`_BallOrder`), and the
 tables read along it, serve the `verify` suites.  A suite enumerates one
 ball, at a radius it declares in `verify.ball_radii`, and cuts every
-smaller ball from it as a prefix (`_prefix`).  `order-props` extends it by
-the down-closure of the elements beyond it that it asks about
-(`_down_closure`), which is much smaller than the ball that would hold
-them.  A map over a whole ball, such as u -> demazure(u, y) or
+smaller ball that it quantifies over from it as a prefix (`_prefix`).
+`order-props` extends it by the down-closure of the elements beyond it
+that it asks about (`_down_closure`), which is much smaller than the
+ball that would hold them, and builds one order over the result.  A map
+over a whole ball, such as u -> demazure(u, y) or
 u -> psi_apply(u^-1, x), is built by one generator step per element from
 its parent's value (`_BallOrder.parents`, `_hecke_values`), not by one
 kernel call per pair; the per-pair calls are its test oracle.  Its values
@@ -32,7 +33,7 @@ that leave it are elements.  The strong order rows are lifted the same
 way, with `bruhat_leq` as their test oracle, and exist only for the
 elements an order holds.  All below x is shorter than x, so down rows and
 meets are read in any down-closed order that holds x; only up rows and
-joins depend on a radius.
+joins depend on a radius, and an order answers them up to its own.
 
 So a check computes each product, Demazure value and order row once per
 element or index set and reads its instances off them: two values in the
@@ -47,7 +48,6 @@ these readings are tested against.
 from __future__ import annotations
 
 import bisect
-import copy
 import functools
 import itertools
 from collections.abc import Iterable, Sequence
@@ -108,14 +108,6 @@ def _residue_patterns(n: int) -> list[int]:
             width *= 2
         has.append(pattern)
     return has
-
-
-def _bitset(fam: frozenset[frozenset[int]]) -> int:
-    """The family as a bitset over residue masks."""
-    bits = 0
-    for A in fam:
-        bits |= 1 << sum(1 << i for i in A)
-    return bits
 
 
 def _closure_gaps(fams: Sequence[int], has: list[int]) -> list[tuple[int, int]]:
@@ -227,8 +219,8 @@ def _residue_lists(masks: list[int]) -> list[list[int]]:
 
 
 def _family(bits: int) -> frozenset[frozenset[int]]:
-    """The family that a bitset over residue masks stands for; `_bitset`
-    inverted."""
+    """The family that a bitset over residue masks stands for: bit m for
+    the residue mask m."""
     return frozenset(map(frozenset, _residue_lists(_positions(bits))))
 
 
@@ -259,30 +251,27 @@ class ZSets:
     family has one exactly when the union of its members stays proper
     (near the identity it does not: every proper subset qualifies).
 
-    Each family is held as its bitset over residue masks (`plus_bits`,
-    `minus_bits`, and `plus_grassmannian_bits`, None unless u is
-    0-dominant).  Reading `plus`, `minus` or `plus_grassmannian` decodes a
-    frozenset of frozensets on each read, so a caller that tests many
-    members binds it once; `as_dict` writes the member lists from the bits.
+    Each family is given and held as its bitset over residue masks, bit m
+    for the mask m (`plus_bits`, `minus_bits`, and `plus_grassmannian_bits`,
+    None unless u is 0-dominant).  Reading `plus`, `minus` or
+    `plus_grassmannian` decodes a frozenset of frozensets on each read, so
+    a caller that tests many members binds it once; `as_dict` writes the
+    member lists from the bits.
     """
 
     __slots__ = ("u", "plus_bits", "minus_bits", "plus_grassmannian_bits")
 
-    def __init__(self, u, plus, minus, plus_grassmannian):
-        bitsets = [_bitset(plus), _bitset(minus)]
-        if plus_grassmannian is not None:
-            bitsets.append(_bitset(plus_grassmannian))
+    def __init__(self, u, plus_bits, minus_bits, plus_grassmannian_bits=None):
+        bitsets = [plus_bits, minus_bits]
+        if plus_grassmannian_bits is not None:
+            bitsets.append(plus_grassmannian_bits)
         fault = _family_fault(u, bitsets)
         if fault is not None:
             raise RuntimeError(fault)
-        _set_bits(self, u, *bitsets)
-
-    @classmethod
-    def _trusted(cls, u, *bitsets) -> "ZSets":
-        """Wrap family bitsets whose assertions `z_sets` has run."""
-        zs = object.__new__(cls)
-        _set_bits(zs, u, *bitsets)
-        return zs
+        _set_u(self, u)
+        _set_plus(self, plus_bits)
+        _set_minus(self, minus_bits)
+        _set_plus_g(self, plus_grassmannian_bits)
 
     __setattr__ = __delattr__ = _frozen
 
@@ -325,13 +314,6 @@ class ZSets:
                 masks.sort(key=rank)
                 out[which] = _residue_lists(masks)
         return out
-
-
-def _set_bits(zs: ZSets, u, plus_bits, minus_bits, plus_grassmannian_bits=None) -> None:
-    _set_u(zs, u)
-    _set_plus(zs, plus_bits)
-    _set_minus(zs, minus_bits)
-    _set_plus_g(zs, plus_grassmannian_bits)
 
 
 _set_u, _set_plus, _set_minus, _set_plus_g = (
@@ -482,10 +464,7 @@ def z_sets(u: AffinePermutation) -> ZSets:
     bitsets = [_run_family(up), _minus_family(key)]
     if u.is_grassmannian():
         bitsets.append(_run_family(_grassmannian_limits(up, pos, u.window)))
-    fault = _family_fault(u, bitsets)
-    if fault is not None:
-        raise RuntimeError(fault)
-    return ZSets._trusted(u, *bitsets)
+    return ZSets(u, *bitsets)
 
 
 def forbidden_index(lam: KBoundedPartition) -> int:
@@ -788,74 +767,64 @@ class _BallOrder:
     The elements are kept sorted by (length, window), and bit i of a row
     stands for the i-th.  They are a ball as `ball()` returns it, or a
     `_down_closure`: down-closed, and a ball up to `radius`, the length up
-    to which every element is held (by default the longest).  A row of x is
-    one Python int.  Joins, meets and least upper bounds then become ANDs
-    and subset tests of rows, and give the same answers as the scans in
-    `oracles` over the same universe.
+    to which every element is held (by default the longest).  The first
+    `within` elements are that ball.  A row of x is one Python int.  Joins,
+    meets and least upper bounds then become ANDs and subset tests of rows,
+    and give the same answers as the scans in `oracles` over the same
+    universe.
+
+    Down-set questions (down rows, meets, left-down and right-down rows)
+    are answered over every element: all below x is shorter than x, so
+    their answers are the same in every down-closed set that holds x.
+    Up-set questions (up rows, left-up rows, joins) are answered over the
+    ball only: an up row holds all above x up to `radius`, and a join that
+    needs a larger radius raises.
 
     The strong down row of an element is lifted, the first time it or an
     element above it is asked for: for x = s_i y with y its left parent,
     [e, x] = [e, y] u s_i [e, y] (lifting property, Bjorner-Brenti, GTM 231,
     Prop. 2.2.7), so the down row of x is the row of y OR its image under
     the left step s_i, which stays in any down-closed set.  The up rows are
-    the transpose of the down rows, built on the first request
-    (`_up_rows`); they hold all above x only up to `radius`.  An element
-    outside the order has no position, so no down row.  Comparing an
-    element of the order with it needs no row of it: `lift` strips its
-    least left descents until it lies in the order, and `lower` takes the
-    element through the same letters to a bit of the lifted row.
+    the transpose of the ball's down rows, built on the first request
+    (`_up_rows`).  An element outside the order has no position, so no
+    down row.  Comparing an element of the order with it needs no row of
+    it: `lift` strips its least left descents until it lies in the order,
+    and `lower` takes the element through the same letters to a bit of the
+    lifted row.
 
     A weak row is a search along generator steps: a left weak cover is
     u -> s_i u with the length up by one, so every z with x <=_L z and
     l(z) <= radius is reached through the ball's elements, and so are the
-    lower sets and the right side; x must lie in the order.  The steps are
-    read from a table of the positions of s_i u and u s_i, built per
-    element as the searches and the lifting reach it.
-
-    `prefix(r)`, for r up to `radius`, gives the order over the elements of
-    length <= r, the ball of radius r, which keep their positions there.
-    It shares the index, the step table and the down rows, and answers only
-    for its own elements.  Its down-set answers are the whole order's,
-    since all below x is shorter than x; its up rows, left-up rows and
-    joins stop at r.
+    lower sets and the right side.  The steps are read from a table of the
+    positions of s_i u and u s_i, built per element as the searches and the
+    lifting reach it.
     """
 
     def __init__(self, elements: list[AffinePermutation], radius: int | None = None):
         self.elements = elements
         self.radius = elements[-1].length if radius is None else radius
-        self._rows: dict[tuple, int] = {}  # weak rows, by (kind, x)
-        self._up: list[int] | None = None
-        # shared with every prefix
-        self._ball = elements
-        self._index = {w.window: i for i, w in enumerate(elements)}  # by window
         self._lengths = [w.length for w in elements]
+        self.within = bisect.bisect_right(self._lengths, self.radius)
+        self._index = {w.window: i for i, w in enumerate(elements)}  # by window
         self._steps: dict[str, dict[int, list[int]]] = {"left": {}, "right": {}}
         self._down: dict[int, int] = {0: 1}  # the identity comes first
+        self._up: list[int] | None = None
+        self._rows: dict[tuple[str, int], int] = {}  # weak rows, by (kind, position)
 
-    def prefix(self, radius: int) -> _BallOrder:
-        """The order over `_prefix(self.elements, radius)`, sharing this one's
-        tables; a radius beyond this order's own raises."""
-        if radius > self.radius:
-            raise ValueError(f"ball radius {radius} exceeds the order's radius {self.radius}")
-        view = copy.copy(self)
-        view.elements = _prefix(self.elements, radius)
-        view.radius = view.elements[-1].length
-        view._rows = {}
-        view._up = None
-        return view
-
-    def row(self, kind: str, x: AffinePermutation) -> int:
-        """The weak row of x of a kind of `_WEAK`; strong down rows are `_lifted`."""
-        if (kind, x) not in self._rows:
-            self._rows[kind, x] = self._weak_row(*_WEAK[kind], x)
-        return self._rows[kind, x]
+    def row(self, kind: str, p: int) -> int:
+        """The weak row of a kind of `_WEAK` of the element at position p;
+        strong down rows are `_lifted`."""
+        key = kind, p
+        if key not in self._rows:
+            self._rows[key] = self._weak_row(*_WEAK[kind], p)
+        return self._rows[key]
 
     def position(self, w: AffinePermutation) -> int | None:
-        """Position of w in the whole order, None outside it."""
+        """Position of w in the order, None outside it."""
         return self._index.get(w.window)
 
     def at(self, w: AffinePermutation) -> int:
-        """Position of w in the whole order; outside it this raises."""
+        """Position of w in the order; outside it this raises."""
         p = self._index.get(w.window)
         if p is None:
             raise ValueError(f"{w!r} lies outside the order")
@@ -887,8 +856,8 @@ class _BallOrder:
         return p
 
     def _lifted(self, p: int) -> int:
-        """Strong down row of the element at position p of the whole order,
-        lifted from those of its left ancestors that have none yet."""
+        """Strong down row of the element at position p, lifted from those
+        of its left ancestors that have none yet."""
         rows = self._down
         row = rows.get(p)
         if row is None:
@@ -911,14 +880,14 @@ class _BallOrder:
 
     def _up_rows(self) -> list[int]:
         if self._up is None:
-            self._up = _transpose([self._lifted(p) for p in range(len(self.elements))])
+            self._up = _transpose([self._lifted(p) for p in range(self.within)])
         return self._up
 
-    def _weak_row(self, side: str, above: bool, x: AffinePermutation) -> int:
-        size = len(self.elements)
-        start = self._index.get(x.window, size)
-        if start >= size:
-            raise ValueError(f"weak rows are searched inside the order; {x!r} is outside")
+    def _weak_row(self, side: str, above: bool, start: int) -> int:
+        size = self.within if above else len(self.elements)
+        if not 0 <= start < size:
+            kind = "up" if above else "down"
+            raise ValueError(f"{kind} rows search the first {size} elements; {start} is outside")
         lengths = self._lengths
         seen = {start}
         todo = [start]
@@ -932,11 +901,11 @@ class _BallOrder:
 
     def _neighbours(self, side: str, p: int) -> list[int]:
         """Positions of s_i u (left) or u s_i (right) for u at position p and
-        i = 0..k, with -1 for an element outside the whole order."""
+        i = 0..k, with -1 for an element outside the order."""
         table = self._steps[side]
         out = table.get(p)
         if out is None:
-            win = self._ball[p].window
+            win = self.elements[p].window
             n = len(win)
             windows = []
             if side == "left":  # s_i adds one to residue i, takes one from i+1
@@ -968,7 +937,7 @@ class _BallOrder:
         """
         lengths = self._lengths
         if lengths[a] + lengths[b] > self.radius:
-            v, w = self._ball[a], self._ball[b]
+            v, w = self.elements[a], self.elements[b]
             raise ValueError(f"joins of {v!r} and {w!r} need radius {lengths[a] + lengths[b]}")
         up = self._up_rows()
         ubs = up[a] & up[b]
@@ -988,8 +957,8 @@ class _BallOrder:
     def _parent(self, side: str, p: int) -> tuple[int, int]:
         return next((q, i) for i, q in enumerate(self._neighbours(side, p)) if 0 <= q < p)
 
-    def parents(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """Left and right parents of every element of the ball but e.
+    def parents(self, size: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Left and right parents of the first `size` elements but e.
 
         Entry t of each list belongs to element t+1 and holds (position of
         the parent, letter): the left parent of u is s_i u for the least left
@@ -1001,8 +970,7 @@ class _BallOrder:
         u^-1.
         """
         left, right = (
-            [self._parent(side, p) for p in range(1, len(self.elements))]
-            for side in ("left", "right")
+            [self._parent(side, p) for p in range(1, size)] for side in ("left", "right")
         )
         return left, right
 
@@ -1029,19 +997,19 @@ def _hecke_values(
     same letters in the same order as those calls apply, with every prefix
     shared.
 
-    A value is its position in the whole `order`, stepped along the step
-    table (`_neighbours`).  Only an `up` step leaves the order, which is
-    closed downwards; such a value, and every later `up` value from it,
-    is an element.
+    A value is its position in `order`, stepped along the step table
+    (`_neighbours`).  Only an `up` step leaves the order, which is closed
+    downwards; such a value, and every later `up` value from it, is an
+    element.
     """
-    lengths, ball = order._lengths, order._ball
+    lengths, elements = order._lengths, order.elements
     values: list[int | AffinePermutation] = [start]
     for p, i in parents:
         z = values[p]
         if type(z) is int:
             t = order._neighbours("left", z)[i]
             if t < 0:  # s_i z is longer than z and outside the order
-                values.append(left_mul_s(ball[z], i) if up else z)
+                values.append(left_mul_s(elements[z], i) if up else z)
             else:
                 values.append(t if (lengths[t] > lengths[z]) == up else z)
         else:
@@ -1092,8 +1060,8 @@ def _inversion_rows(
     and b + m n for every m is labelled by (a, b), a < b, shifted so that
     1 <= a <= n.  The prefix need only be closed downwards.
     """
-    ball, (left, right) = order._ball, parents
-    n = len(ball[0].window)
+    elements, (left, right) = order.elements, parents
+    n = len(elements[0].window)
     index: dict[tuple[int, int], int] = {}
 
     def bit(a: int, b: int) -> int:
@@ -1104,12 +1072,12 @@ def _inversion_rows(
     t_left, t_right = [0], [0]
     for (r, j), (q, i) in zip(right[: size - 1], left[: size - 1]):
         # u s_j u^-1 swaps u(j) and u(j+1), where u(0) = u(n) - n
-        win = ball[r].window
+        win = elements[r].window
         t = bit(win[-1] - n, win[0]) if j == 0 else bit(win[j - 1], win[j])
         t_left.append(t_left[r] | t)
         # u^-1 s_i u swaps u^-1(i) and u^-1(i+1); u(c) = v gives
         # u^-1(v + m n) = c + m n
-        offset = {v % n: c + 1 - v for c, v in enumerate(ball[q].window)}
+        offset = {v % n: c + 1 - v for c, v in enumerate(elements[q].window)}
         t_right.append(t_right[q] | bit(i + offset[i], i + 1 + offset[(i + 1) % n]))
     return t_left, t_right
 
@@ -1224,26 +1192,25 @@ def _spread(groups: list[tuple[int, int]], size: int) -> list[int]:
 
 
 def _join_seed_sets(
-    whole: _BallOrder,
-    upper: _BallOrder,
+    order: _BallOrder,
     parents: tuple[list[tuple[int, int]], list[tuple[int, int]]],
     size: int,
     psi: list[list[int]],
 ) -> tuple[list[list[int]], list[list[int]]]:
     """The join-seed sets, both forms, as rows over the ball of `parents`,
-    for x and y among the first `size` elements of `whole`'s ball:
+    for x and y among the first `size` elements of `order`:
     dsets[y][x] holds the u with x <= demazure(u, y), and esets[x][y] the
     u with psi_apply(u^-1, x, "left") <= y.
 
     The u are grouped by their value (`_hecke_values`), and each group is
     spread (`_spread`) over every x below its value at once, read off the
-    value's down row, or over every y above it, read off its up row in
-    `upper`.  A Demazure value outside the whole order is lifted into it
-    (`lift`), and compared with every x at once: the x are lowered through
-    the lift's letters, as `lower` does, by the psi_i lists `psi`
-    (`_generator_steps` over at least the prefix), once per distinct
-    letter sequence, and the x below it are kept by its window, since many
-    y share it.
+    value's down row, or over every y above it, read off its up row (each
+    value is no longer than x, so it lies in the order's ball).  A Demazure
+    value outside the order is lifted into it (`lift`), and compared with
+    every x at once: the x are lowered through the lift's letters, as
+    `lower` does, by the psi_i lists `psi` (`_generator_steps` over at
+    least the first `size` elements), once per distinct letter sequence,
+    and the x below it are kept by its window, since many y share it.
     """
 
     def groups(values):
@@ -1260,13 +1227,13 @@ def _join_seed_sets(
     dsets = []
     for y in range(size):
         spread = []
-        for value, us in groups(_hecke_values(whole, left, y, up=True)):
+        for value, us in groups(_hecke_values(order, left, y, up=True)):
             if type(value) is int:
-                xs = whole._lifted(value)
+                xs = order._lifted(value)
             else:
                 xs = outside.get(value.window)
                 if xs is None:
-                    letters, q = whole.lift(value)
+                    letters, q = order.lift(value)
                     key = tuple(letters)
                     if key not in lowered:
                         ps = list(range(size))
@@ -1274,15 +1241,15 @@ def _join_seed_sets(
                             step = psi[i]
                             ps = [step[p] for p in ps]
                         lowered[key] = ps
-                    below = whole._lifted(q) & prefix  # the x are lowered inside the prefix
+                    below = order._lifted(q) & prefix  # the x are lowered inside the prefix
                     xs = _mask([x for x, p in enumerate(lowered[key]) if below >> p & 1])
                     outside[value.window] = xs
             spread.append((xs, us))
         dsets.append(_spread(spread, size))
-    up = upper._up_rows()
+    up = order._up_rows()
     esets = []
     for x in range(size):
-        values = _hecke_values(whole, right, x, up=False)  # each no longer than x
+        values = _hecke_values(order, right, x, up=False)  # each no longer than x
         esets.append(_spread([(up[q], us) for q, us in groups(values)], size))
     return dsets, esets
 
@@ -1295,7 +1262,7 @@ def _flip_images(order: _BallOrder, c: int) -> dict[int, int]:
     z x^-1 = (z x'^-1) s_i, one right step from the image of x'; the
     interval is taken longest first, so x' has its image already.
     """
-    left_row = order.row("left-down", order._ball[c])
+    left_row = order.row("left-down", c)
     images = {c: 0}  # z is the longest, and last, element of its interval
     for x in reversed(_positions(left_row)[:-1]):
         steps = enumerate(order._neighbours("left", x))

@@ -40,13 +40,7 @@ from .affine import (
     mul,
 )
 from .kcode import _column_shape, d_elem, d_steps
-from .partitions import (
-    CorePartition,
-    KBoundedPartition,
-    conjugate,
-    k_rectangle,
-    union_sort,
-)
+from .partitions import CorePartition, KBoundedPartition, conjugate
 
 __all__ = [
     "WeakStrip",
@@ -58,8 +52,6 @@ __all__ = [
     "core_action",
     "perm_to_bounded",
     "k_transpose",
-    "k_rectangle",
-    "union_sort",
     "is_weak_strip",
     "is_weak_strip_parabolic",
     "weak_strips",

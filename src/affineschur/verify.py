@@ -169,7 +169,10 @@ def ball_radii(suite: str, k: int, max_size: int) -> tuple[int, ...]:
     min(max_size, 6).  Its strip radius bounds the rest of its order, the
     down-closure of the d_A w_lam of its weak strips and of the d_A u of
     its Z-families (`orderlab._down_closure`), which is no ball: each of
-    those is at most min(max_size + 1, 7) + k long.
+    those is at most min(max_size + 1, 7) + k long, one shorter than the
+    strip radius.  No sweep reads the strip radius; only the CLI guard
+    (`cli.check_ball_sizes`) sizes a ball of it, and it stays as it is so
+    that no configuration changes admission until the guard is redrawn.
     """
     if suite == "order-props":
         # the wide ball of verify_order_props, the bound of the elements
@@ -236,20 +239,20 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     prefix of the one enumerated at radius R = max(L+3, 2 min(L,6)), the
     larger of the wide and the join radius of `ball_radii`.
 
-    Every order question reads one of two tables.  Down-set questions (down
-    rows, weak down rows, meets) read `whole`, the order over D: the ball
-    of radius R, then every element below a d_A w_lam of a weak strip or a
+    Every order question reads one order, `whole`, over D: the ball of
+    radius R, then every element below a d_A w_lam of a weak strip or a
     d_A u of a plus family that is longer than R (`_asked_beyond`), sorted
-    by (length, window) (`_down_closure`).  A down-set question has the
-    same answer in every down-closed set that holds x, since all below x
-    is shorter than x and lifting stays inside the lower interval
-    (Bjorner-Brenti, GTM 231, Prop. 2.2.7), and D is down-closed.  The
-    Z-families and the weak strips are built once, for D and for the
-    checks that read them.  Up-set questions (up rows, left-up rows, joins)
-    read `upper`, the ball of radius R, D's prefix.  Strong comparisons are
-    bits of lifted rows, read from one list of them, `down`.  Meets are
-    `meet_of` of the AND of two rows, read off `down` where it holds them,
-    and joins `join_at`, at positions.
+    by (length, window) (`_down_closure`).  Its down-set questions (down
+    rows, weak down rows, meets) range over all of D: such a question has
+    the same answer in every down-closed set that holds x, since all below
+    x is shorter than x and lifting stays inside the lower interval
+    (Bjorner-Brenti, GTM 231, Prop. 2.2.7), and D is down-closed.  Its
+    up-set questions (up rows, left-up rows, joins) range over the ball of
+    radius R, D's first `within` elements.  The Z-families and the weak
+    strips are built once, for D and for the checks that read them.
+    Strong comparisons are bits of lifted rows, read from one list of
+    them, `down`.  Meets are `meet_of` of the AND of two rows, read off
+    `down` where it holds them, and joins `join_at`, at positions.
 
     No instance makes a kernel product or an oracle search, but the two
     checks whose subject a kernel call is: `bruhat-matches-subword-oracle`
@@ -278,14 +281,15 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     the kernel; `psi_apply`, `s_join_L`, `meet_LS` and `flip` are their
     test oracles.
 
-    `upper` decides `half-strong-join-minimal`: take z = a y reduced, with
-    x <= z and y <=_L z.  x is a subword product of word(a) word(y); with Q
-    the letters of a it uses, then word(y), dem(Q) = dem(Q_a) * y is >= x
-    and >=_L y, below z, and at most l(x) + l(y) <= 2 min(L,4) long.  So a
-    z not above j has one in `upper` below it that is not above j either.
+    The ball of radius R decides `half-strong-join-minimal`: take z = a y
+    reduced, with x <= z and y <=_L z.  x is a subword product of
+    word(a) word(y); with Q the letters of a it uses, then word(y),
+    dem(Q) = dem(Q_a) * y is >= x and >=_L y, below z, and at most
+    l(x) + l(y) <= 2 min(L,4) long.  So a z not above j has one in that
+    ball below it that is not above j either.
     """
-    wide_radius, _, upper_radius = ball_radii("order-props", k, max_length)
-    radius = max(wide_radius, upper_radius)
+    wide_radius, _, join_radius = ball_radii("order-props", k, max_length)
+    radius = max(wide_radius, join_radius)
     elements = ball(k, radius)
     triple_radius = min(max_length, 4 if k <= 2 else 3)
     triple_ball = _prefix(elements, triple_radius)
@@ -306,12 +310,11 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     beyond = _asked_beyond(radius, letters, six_ball, families, growths)
     whole = _BallOrder(_down_closure(elements, beyond), radius)
     elements = whole.elements
-    upper = whole.prefix(radius)
     results = []
 
-    # strong comparisons are bits of the lifted down rows, which `upper`
+    # strong comparisons are bits of the lifted down rows, which the ball
     # lifts for its up rows anyway
-    down = [whole._lifted(p) for p in range(len(upper.elements))]
+    down = [whole._lifted(p) for p in range(whole.within)]
 
     def leq(p, q):
         """Whether the element at ball position p is <= the one at q."""
@@ -344,10 +347,10 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     results.append(r)
 
     # The tables of the six triple-ball checks and of the generator actions
-    # (see the docstring).  One parents() call serves the Hecke maps, over
+    # (see the docstring).  One `parents` call serves the Hecke maps, over
     # the wide ball, and the inversion rows, over the prefix of radius 2 t.
     size = len(triple_ball)
-    parents = whole.prefix(max(wide_radius, 2 * triple_radius)).parents()
+    parents = whole.parents(len(_prefix(elements, max(wide_radius, 2 * triple_radius))))
     # the word and the inverse of every six-ball element, off the left parents
     words = [()]  # (i_1, ..., i_l) for u = s_{i_1} ... s_{i_l}
     at_inverse = [0]  # (s_i u)^-1 = u^-1 s_i
@@ -358,7 +361,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     dem_at, psi_at = _hecke_tables(whole, parents, size, at_inverse[:size])
     prod = _product_table(whole, parents[0], size)
     t_left, t_right = _inversion_rows(whole, parents, len(_prefix(elements, 2 * triple_radius)))
-    psi = _generator_steps(whole, len(upper.elements), up=False)
+    psi = _generator_steps(whole, whole.within, up=False)
 
     r = CheckResult("weak-order-triple-splitting")
     passed = 0
@@ -461,10 +464,10 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     r = CheckResult("generator-actions-preserve-meet-join")
     passed = 0
     # phi_i(u) = demazure(s_i, u) = max(u, s_i u) and psi_i(u) = min(u, s_i u)
-    # as position lists; meets are read off `down` and joins in `upper`.  Both
+    # as position lists; meets are read off `down` and joins in the ball.  Both
     # maps are two-to-one, so each stepped pair is met or joined once per letter
     phi = _generator_steps(whole, len(pair_ball), up=True)
-    meet_of, join_at = whole.meet_of, upper.join_at
+    meet_of, join_at = whole.meet_of, whole.join_at
     # the meet and the join of a pair do not depend on i
     pairs = []
     for a, v in enumerate(pair_ball):
@@ -500,7 +503,7 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
         # the u <=_R z, in ball order, with the positions of u and u^-1 z: the
         # left steps along the word of u descend from z to u^-1 z
         factorizations = []
-        for a in _positions(whole.row("right-down", z)):
+        for a in _positions(whole.row("right-down", c)):
             x = _quotient(whole, "left", c, words[a])
             if x is None:
                 r.fail(z=z, u=elements[a], reason="u^-1 z is not a right factor of z")
@@ -528,11 +531,11 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     seeds, joins, meets = _seed_tables(whole, parents[1], n)
     wide = len(_prefix(elements, wide_radius))
     hecke_parents = tuple(side[: wide - 1] for side in parents)
-    dsets, esets = _join_seed_sets(whole, upper, hecke_parents, n, psi)
-    up_rows = upper._up_rows()
+    dsets, esets = _join_seed_sets(whole, hecke_parents, n, psi)
+    up_rows = whole._up_rows()
     lengths = whole._lengths
-    left_up = [upper.row("left-up", y) for y in seed_ball]
-    left_down = [whole.row("left-down", x) for x in seed_ball]
+    left_up = [whole.row("left-up", y) for y in range(n)]
+    left_down = [whole.row("left-down", x) for x in range(n)]
     for x in range(n):
         up_x, row_x = up_rows[x], left_down[x]
         for y in range(n):
@@ -562,11 +565,11 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     r = CheckResult("interval-flip-anti-isomorphism")
     passed = 0
     # the flip x -> z x^-1 at positions (`_flip_images`); meets are read off
-    # `down` and joins in `upper`
+    # `down` and joins in the ball
     for c, z in enumerate(six_ball):
-        left_row = whole.row("left-down", z)
+        left_row = whole.row("left-down", c)
         left_interval = _positions(left_row)
-        right_interval = whole.row("right-down", z)
+        right_interval = whole.row("right-down", c)
         images = _flip_images(whole, c)
         for x in left_interval:
             fx = images[x]
@@ -598,8 +601,8 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     r = CheckResult("weak-interval-chain-property")
     passed = 0
     slices = _length_slices(lengths)
-    for u in six_ball:
-        pairs, gaps = _chain_gaps(whole.row("left-down", u), down, up_rows, lengths, slices)
+    for c, u in enumerate(six_ball):
+        pairs, gaps = _chain_gaps(whole.row("left-down", c), down, up_rows, lengths, slices)
         passed += pairs - len(gaps)
         for x, y in gaps:
             r.fail(u=u, x=elements[x], y=elements[y])
@@ -612,11 +615,11 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
 
     inverses = [elements[p] for p in at_inverse]
     results.extend(
-        _verify_z_families(k, letters, six_ball, families, inverses, upper, whole, down_row)
+        _verify_z_families(k, letters, six_ball, families, inverses, whole, down_row)
     )
     results.extend(_verify_strongly_commutative(k, subsets, seed_ball))
     # the k-code ball is a quantifier range: its left-up rows stop at its radius
-    kcode_order = whole.prefix(min(max_length, 6 if k <= 2 else 5))
+    kcode_order = _BallOrder(_prefix(elements, min(max_length, 6 if k <= 2 else 5)))
     results.extend(_verify_kcode_props(k, subsets, kcode_order))
     results.extend(_verify_strip_props(k, growths, subsets, whole, down_row))
     return results
@@ -719,7 +722,7 @@ def _extends_toward(a: int, b: int, family: int) -> bool:
 
 
 def _verify_z_families(
-    k, letters, elements, families, inverses, upper, whole, down_row
+    k, letters, elements, families, inverses, whole, down_row
 ) -> list[CheckResult]:
     """Z-family checks over `elements`, whose Z-families are `families` and
     whose inverses are `inverses`; `letters` maps the mask of each index set
@@ -741,7 +744,7 @@ def _verify_z_families(
     confining = CheckResult("minus-family-confined-to-code-row")
     passed_meets = passed_joins = passed_chains = passed_confining = 0
     absent = [-1] * (1 << (k + 1))  # -1: no member has this mask
-    join_at = upper.join_at
+    join_at = whole.join_at
     for u, zs, u_inverse in zip(elements, families, inverses):
         # the down row of d_A u, up to min(L, 6) + k long; closed under intersection
         plus = _positions(zs.plus_bits)
@@ -859,7 +862,6 @@ def _verify_kcode_props(k, subsets, order) -> list[CheckResult]:
     steps = {A: d_steps(IndexSet._trusted(k, A)) for A in subsets}
     seen = {}
     codes = []
-    # elems is a prefix of the whole ball, so its elements sit at their own indices
     for p, w in enumerate(elems):
         code = rd(w)
         cod2 = ri(w)
@@ -891,8 +893,8 @@ def _verify_kcode_props(k, subsets, order) -> list[CheckResult]:
             passed_rowmax += 1
         else:
             rowmax.fail(w=w)
-    for x, (cx, ix) in zip(elems, codes):
-        for q in _positions(order.row("left-up", x)):
+    for p, (x, (cx, ix)) in enumerate(zip(elems, codes)):
+        for q in _positions(order.row("left-up", p)):
             cy, iy = codes[q]
             if cy.contains(cx) and iy.contains(ix):
                 passed_mono += 1

@@ -420,7 +420,8 @@ def test_value_types_are_immutable_hashable_values_without_a_dict():
         (CorePartition(2, [2]), CorePartition(2, (2,))),
         (KCode(2, [1, 0, 0]), KCode(2, (1, 0, 0))),
         (WeakStrip.build(lam, IndexSet(2, {1})), weak_strips(lam, 1)[0]),
-        (ZSets(u, z_sets(u).plus, z_sets(u).minus, z_sets(u).plus_grassmannian), z_sets(u)),
+        (ZSets(u, z_sets(u).plus_bits, z_sets(u).minus_bits, z_sets(u).plus_grassmannian_bits),
+         z_sets(u)),
         (Fiber(IndexSet(2, {0}), u, fiber_X(IndexSet(2, {0}), u).members),
          fiber_X(IndexSet(2, {0}), u)),
     ]
@@ -446,8 +447,8 @@ def test_value_type_reprs_name_every_field():
         "WeakStrip(base=KBoundedPartition(k=2, parts=(1,)), indices=IndexSet(k=2, {1}), "
         "top=KBoundedPartition(k=2, parts=(2,)))"
     )
-    empty = frozenset({frozenset()})
-    assert repr(ZSets(u, empty, empty, None)) == (
+    empty = 1  # the family whose one member is the empty set, bit 0 for its mask
+    assert repr(ZSets(u, empty, empty)) == (
         "ZSets(u=AffinePermutation(k=2, window=(1, 2, 3)), plus=frozenset({frozenset()}), "
         "minus=frozenset({frozenset()}), plus_grassmannian=None)"
     )

@@ -107,7 +107,7 @@ def _seeds_one_right_step_off(original):
 def _inversion_rows_without_s0(original):
     def inversion_rows(order, parents, size):
         t_left, t_right = original(order, parents, size)
-        s0 = t_left[order.position(from_word(order._ball[0].k, [0]))]  # T_L(s_0) = {s_0}
+        s0 = t_left[order.position(from_word(order.elements[0].k, [0]))]  # T_L(s_0) = {s_0}
         return [row & ~s0 for row in t_left], [row & ~s0 for row in t_right]
 
     return inversion_rows
@@ -266,8 +266,8 @@ def _minus_family_without_a_silent_member(original):
         for middle in sorted(zs.minus, key=lambda A: (len(A), sorted(A))):
             if middle and middle != top:
                 try:
-                    return orderlab.ZSets(zs.u, zs.plus, zs.minus - {middle},
-                                          zs.plus_grassmannian)
+                    minus = zs.minus_bits & ~(1 << sum(1 << i for i in middle))
+                    return orderlab.ZSets(zs.u, zs.plus_bits, minus, zs.plus_grassmannian_bits)
                 except RuntimeError:
                     continue
         return zs
@@ -319,7 +319,7 @@ def _left_parent_letter_one_off(original):
     def _parent(self, side, p):
         q, i = original(self, side, p)
         if side == "left":  # the lifted row of p takes the image under s_{i+1}
-            i = (i + 1) % (self._ball[0].k + 1)
+            i = (i + 1) % (self.elements[0].k + 1)
         return q, i
 
     return _parent

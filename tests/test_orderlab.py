@@ -209,7 +209,7 @@ def test_family_closure_failure_is_reported(dropped, message):
     zs = z_sets(identity(3))
     assert zs.plus == frozenset(proper_subsets(3))
     with pytest.raises(RuntimeError, match=re.escape(message)):
-        orderlab.ZSets(zs.u, zs.plus - {dropped}, zs.minus, zs.plus_grassmannian)
+        orderlab.ZSets(zs.u, zs.plus_bits & ~(1 << _mask(dropped)), zs.minus_bits)
 
 
 def test_a_run_limit_that_breaks_closure_is_reported(monkeypatch):
@@ -226,7 +226,7 @@ def test_a_run_limit_that_breaks_closure_is_reported(monkeypatch):
     assert A in spaced and B in spaced and A | B not in spaced
     # the checking constructor refuses the same family with the same report
     with pytest.raises(RuntimeError, match=re.escape(message)):
-        orderlab.ZSets(identity(3), spaced, frozenset({frozenset()}), None)
+        orderlab.ZSets(identity(3), _bits(spaced), _bits({frozenset()}))
 
 
 def _random_word_elements(k, count, seed):
@@ -260,9 +260,19 @@ def test_as_dict_lists_members_by_size_then_lexicographically():
     assert len(elements) > 600 and grassmannian > 0
 
 
+def _mask(A):
+    """The residue mask of an index set."""
+    return sum(1 << i for i in A)
+
+
+def _bits(fam):
+    """A family of index sets as `ZSets` holds it: bit m for each member of mask m."""
+    return sum(1 << _mask(A) for A in fam)
+
+
 def _closed_by_transforms(fam, k):
     has = orderlab._residue_patterns(k + 1)
-    return orderlab._closure_gaps([orderlab._bitset(fam)], has) == [(0, 0)]
+    return orderlab._closure_gaps([_bits(fam)], has) == [(0, 0)]
 
 
 def test_closure_transforms_equal_pair_scan_exhaustively():
@@ -338,8 +348,8 @@ def test_down_closure_is_the_ball_and_what_lies_below_the_asked(monkeypatch, k, 
     monkeypatch.setattr(verify, "_down_closure", recording)
     assert all(r.ok for r in verify.verify_order_props(k, L))
     [elements] = built
-    wide, _, upper = verify.ball_radii("order-props", k, L)
-    radius = max(wide, upper)
+    wide, _, joins = verify.ball_radii("order-props", k, L)
+    radius = max(wide, joins)
     asked = _asked_by_order_props(k, L)
     # every element once, with its own length, sorted by (length, window)
     assert len(set(elements)) == len(elements)

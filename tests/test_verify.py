@@ -212,7 +212,8 @@ def _failing_pairs(rule, fam):
 
 def _one_step(A, B, fam):
     """`_extends_toward` on sets, through the masks that it reads."""
-    return _extends_toward(_mask(sorted(A)), _mask(sorted(B)), orderlab._bitset(fam))
+    family = _mask(sorted(_mask(sorted(C)) for C in fam))
+    return _extends_toward(_mask(sorted(A)), _mask(sorted(B)), family)
 
 
 def test_one_step_extensions_decide_the_chain_property():
@@ -264,8 +265,8 @@ def test_first_steps_decide_the_weak_interval_chain_property():
         down = [order._lifted(p) for p in range(len(elements))]
         up, lengths = order._up_rows(), order._lengths
         slices = _length_slices(lengths)
-        for u in elements:
-            interval = order.row("left-down", u)
+        for c, u in enumerate(elements):
+            interval = order.row("left-down", c)
             assert _chain_gaps(interval, down, up, lengths, slices) == (
                 _chain_search(elements, interval)[0], [])
             damaged = interval & ~(1 << rng.choice(_positions(interval)))
@@ -356,10 +357,10 @@ def test_weak_rows_equal_the_weak_order_scan(k, L):
         "left-down": lambda x, z: weak_leq(z, x, "left"),
         "right-down": lambda x, z: weak_leq(z, x, "right"),
     }
-    for x in elements:
+    for p, x in enumerate(elements):
         for kind, related in relations.items():
             scan = _mask([i for i, z in enumerate(elements) if related(x, z)])
-            assert order.row(kind, x) == scan, (kind, x)
+            assert order.row(kind, p) == scan, (kind, x)
 
 
 def _strong_scan(elements, x):
@@ -383,43 +384,58 @@ def test_lifted_strong_rows_equal_the_bruhat_scan(k, L):
             assert _leq(order, z, x) == bruhat_leq(z, x), (z, x)
 
 
-def test_prefix_orders_read_the_shared_table():
-    """Rows of a prefix equal those of an order built on the prefix alone."""
-    whole = _BallOrder(ball(2, 7))
-    outside = [w for w in ball(2, 9) if w.length > 7]
-    for radius in (3, 5, 7):
-        view, alone = whole.prefix(radius), _BallOrder(ball(2, radius))
-        assert view.elements == alone.elements and view.radius == alone.radius
-        for x in alone.elements:
-            for kind in ("left-up", "left-down", "right-down"):
-                assert view.row(kind, x) == alone.row(kind, x), (radius, kind, x)
-            assert _down_row(view, x) == _down_row(alone, x), (radius, x)
-            assert _up_row(view, x) == _up_row(alone, x), (radius, x)
-        # past the prefix the view reads the whole ball's down rows, which
-        # a ball of its radius does not hold; outside the whole ball no
-        # order has a position
-        for x in whole.elements[len(alone.elements) :]:
-            assert _down_row(view, x) == _down_row(whole, x), (radius, x)
-            with pytest.raises(ValueError, match="outside"):
-                _down_row(alone, x)
-        for x in outside:
-            for order in (view, alone):
-                with pytest.raises(ValueError, match="outside"):
-                    _down_row(order, x)
-        assert view.parents() == alone.parents()
-        pairs = [(v, w) for v in alone.elements for w in alone.elements]
-        for v, w in pairs[::7]:
-            if v.length + w.length <= radius:
-                assert _join(view, v, w) == _join(alone, v, w)
+@pytest.mark.parametrize("k,L", [(3, 0), (3, 1), (4, 1)])
+def test_an_order_over_a_down_closure_answers_up_sets_in_its_ball(monkeypatch, k, L):
+    """The order of `verify_order_props` over D, the ball of radius R and
+    what lies below the elements the sweep asks past it, which is no ball
+    here: its up rows, left-up rows and joins are those of the order over
+    the ball, its down rows and meets range over all of D as `bruhat_leq`
+    and `strong_meet` say, and a join that needs a radius past R raises.
+    The quantifier balls cut from D (`_prefix`) are balls up to R, and a
+    radius past D is refused."""
+    built = []
+
+    def recording(elements, *args):
+        built.append((elements, *args))
+        return _BallOrder(elements, *args)
+
+    monkeypatch.setattr(verify, "_BallOrder", recording)
+    verify_order_props(k, L)
+    elements, radius = built[0]
+    order, alone = _BallOrder(elements, radius), _BallOrder(ball(k, radius))
+    longest = elements[-1].length
+    assert longest > radius and len(elements) < len(ball(k, longest))
+    for r in range(radius + 1):
+        assert _prefix(elements, r) == ball(k, r)
+    with pytest.raises(ValueError, match="not declared in ball_radii"):
+        _prefix(elements, longest + 1)
+
+    n = order.within
+    assert elements[:n] == alone.elements
+    assert order._up_rows() == alone._up_rows()
+    for p in range(n):
+        assert order.row("left-up", p) == alone.row("left-up", p), p
+    lengths = order._lengths
+    for a in range(n):
+        for b in range(n):
+            if lengths[a] + lengths[b] <= radius:
+                assert order.join_at(a, b) == alone.join_at(a, b), (a, b)
             else:  # neither order holds every minimal common upper bound
-                for order in (view, alone):
+                for each in (order, alone):
                     with pytest.raises(ValueError, match="need radius"):
-                        _join(order, v, w)
-            assert _meet(view, v, w) == _meet(alone, v, w)
-    five = whole.prefix(5)
-    for x in whole.elements[len(five.elements) :]:
+                        each.join_at(a, b)
+    with pytest.raises(ValueError, match="outside"):
+        order.row("left-up", n)
+
+    # past the ball, down rows and meets are D's, which the ball has not
+    for p, x in enumerate(elements):
+        scan = _mask([q for q, z in enumerate(elements) if bruhat_leq(z, x)])
+        assert order._lifted(p) == scan, x
+    for v in elements[n:]:
         with pytest.raises(ValueError, match="outside"):
-            five.row("left-up", x)
+            _down_row(alone, v)
+        for w in elements[::3]:
+            assert _meet(order, v, w) == strong_meet(v, w, elements), (v, w)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -442,20 +458,6 @@ def test_elements_outside_the_ball(k):
             if u.length < v.length:
                 with pytest.raises(ValueError, match="outside"):
                     _leq(order, u, v)
-
-
-def test_a_prefix_meet_reads_the_whole_balls_down_rows():
-    """A meet reads down rows, and a prefix reads those of the whole ball,
-    past its radius too; a ball of that radius has none there."""
-    whole = _BallOrder(ball(3, 6))
-    view = whole.prefix(4)
-    alone = _BallOrder(ball(3, 4))
-    v = ball(3, 4)[-1]
-    for w in whole.elements[len(view.elements) :]:
-        assert _meet(whole, v, w) == strong_meet(v, w, whole.elements)
-        assert _meet(view, v, w) == _meet(whole, v, w)
-        with pytest.raises(ValueError, match="outside"):
-            _meet(alone, v, w)
 
 
 def test_pieri_sum_builds_no_strong_table(monkeypatch):
@@ -568,9 +570,11 @@ def test_factorization_forms_each_pieri_product_once_per_sweep(monkeypatch):
 def test_weak_row_of_an_element_outside_the_ball_raises():
     order = _BallOrder(ball(2, 3))
     outside = from_word(2, [0, 1, 2, 0])
+    assert order.position(outside) is None  # so it has no row to ask for
     for kind in ("left-up", "left-down", "right-down"):
-        with pytest.raises(ValueError, match="outside"):
-            order.row(kind, outside)
+        for p in (-1, len(order.elements)):
+            with pytest.raises(ValueError, match="outside"):
+                order.row(kind, p)
 
 
 def test_pieri_sum_joins_leave_no_weak_order_memo():
@@ -742,26 +746,19 @@ def test_ball_radii_cover_every_ball_a_sweep_builds(monkeypatch, suite, fn, k, s
         # one enumeration, at the radius of the quantifier balls and the up
         # rows; beyond it the order holds only the down-closure of what the
         # strip and Z-family checks ask, which the strip radius bounds
-        wide, strip, upper = radii
-        assert seen == [max(wide, upper)]
-        [elements] = orders
-        assert all(w.length <= strip for w in elements if w.length > max(wide, upper))
+        wide, strip, joins = radii
+        assert seen == [max(wide, joins)]
+        elements, kcode = orders  # and the k-code ball's own order
+        assert all(w.length <= strip for w in elements if w.length > max(wide, joins))
+        assert kcode == _prefix(elements, kcode[-1].length)
     else:
         # one enumeration per suite, at the largest declared radius
         assert seen == ([max(radii)] if radii else [])
 
 
-def test_prefix_is_the_smaller_ball_and_refuses_a_larger_one():
-    elements = ball(2, 4)
-    for radius in range(5):
-        assert _prefix(elements, radius) == ball(2, radius)
-    with pytest.raises(ValueError, match="not declared in ball_radii"):
-        _prefix(elements, 5)
-
-
 def _values_as_elements(order, values):
     """The elements that `_hecke_values` positions stand for."""
-    return [order._ball[v] if type(v) is int else v for v in values]
+    return [order.elements[v] if type(v) is int else v for v in values]
 
 
 @pytest.mark.parametrize("k,L", [(1, 4), (2, 5), (3, 4)])
@@ -769,7 +766,7 @@ def test_hecke_recurrences_match_the_per_pair_products(k, L):
     """One generator step per ball element gives what the per-pair calls give."""
     elements = ball(k, L)
     order = _BallOrder(elements)
-    left, right = order.parents()
+    left, right = order.parents(len(elements))
     left_the_ball = 0
     for start, x in enumerate(_prefix(elements, 4)):
         up_left = _hecke_values(order, left, start, up=True)
@@ -838,14 +835,14 @@ def test_triple_ball_tables_match_the_per_pair_products(k, L):
     joins, holds them all.  The inversion rows, the products, the quotient
     walks and the generator steps against the kernel, over the prefix of
     radius 2 t, t the triple radius."""
-    wide_radius, strip_radius, upper_radius = ball_radii("order-props", k, L)
-    elements = ball(k, max(wide_radius, strip_radius, upper_radius))
+    wide_radius, strip_radius, join_radius = ball_radii("order-props", k, L)
+    elements = ball(k, max(wide_radius, strip_radius, join_radius))
     whole = _BallOrder(elements)
     triple_radius = min(L, 4 if k <= 2 else 3)
     triple_ball = _prefix(elements, triple_radius)
     double = _prefix(elements, 2 * triple_radius)
     at_inverse = [whole.position(inverse(x)) for x in triple_ball]
-    parents = whole.prefix(max(wide_radius, 2 * triple_radius)).parents()
+    parents = whole.parents(len(_prefix(elements, max(wide_radius, 2 * triple_radius))))
     dem, psi = _hecke_tables(whole, parents, len(triple_ball), at_inverse)
     for j, w in enumerate(triple_ball):
         assert _values_as_elements(whole, dem[j]) == [demazure(x, w) for x in triple_ball], w
@@ -895,20 +892,20 @@ def test_triple_ball_tables_match_the_per_pair_products(k, L):
 
 
 def _join_seed_setup(k, L):
-    """The orders, 0-Hecke parents and seed-ball size of the join-seed block."""
+    """The order, 0-Hecke parents and seed-ball size of the join-seed block;
+    the order's up rows stop at the radius of its joins."""
     radii = ball_radii("order-props", k, L)
     elements = ball(k, max(radii))
-    whole = _BallOrder(elements)
-    upper = whole.prefix(max(radii[0], radii[2]))
-    parents = whole.prefix(radii[0]).parents()
-    return whole, upper, parents, len(_prefix(elements, min(L, 4)))
+    whole = _BallOrder(elements, max(radii[0], radii[2]))
+    parents = whole.parents(len(_prefix(elements, radii[0])))
+    return whole, parents, len(_prefix(elements, min(L, 4)))
 
 
 @pytest.mark.parametrize("k,L", [(2, 5), (3, 4)])
 def test_seed_tables_equal_the_right_anti_demazure_seed(k, L):
     """One right step per entry from the right parent's row gives the seed,
     and so the half-strong join and meet, of every pair of the seed ball."""
-    whole, _, parents, n = _join_seed_setup(k, L)
+    whole, parents, n = _join_seed_setup(k, L)
     seeds, joins, meets = _seed_tables(whole, parents[1], n)
     elements = whole.elements
     for y in elements[:n]:
@@ -924,8 +921,8 @@ def test_seed_tables_equal_the_right_anti_demazure_seed(k, L):
 def test_join_seed_sets_equal_the_per_group_scan(k, L):
     """The spread rows against one order test per (x, y, value group), with
     the values from the per-pair `demazure` and `psi_apply` calls."""
-    whole, upper, parents, n = _join_seed_setup(k, L)
-    dsets, esets = _join_seed_sets(whole, upper, parents, n, _generator_steps(whole, n, up=False))
+    whole, parents, n = _join_seed_setup(k, L)
+    dsets, esets = _join_seed_sets(whole, parents, n, _generator_steps(whole, n, up=False))
     domain, seed_ball = whole.elements[: len(parents[0]) + 1], whole.elements[:n]
 
     def groups(value_of):
@@ -990,13 +987,14 @@ def test_join_seed_reads_the_half_strong_join_and_meet_off_one_seed():
 
 @pytest.mark.parametrize("k,L", [(2, 5), (3, 5)])
 def test_left_up_rows_of_the_kcode_ball_equal_weak_leq(k, L):
-    """The k-code ball is a prefix view; its rows stop at its own radius."""
-    whole = _BallOrder(ball(k, max(ball_radii("order-props", k, L))))
-    kcode_order = whole.prefix(min(L, 6 if k <= 2 else 5))
+    """The k-code ball gets an order of its own, cut from the sweep's ball;
+    its rows stop at its own radius."""
+    elements = ball(k, max(ball_radii("order-props", k, L)))
+    kcode_order = _BallOrder(_prefix(elements, min(L, 6 if k <= 2 else 5)))
     elements = kcode_order.elements
-    for x in elements:
+    for p, x in enumerate(elements):
         scan = _mask([q for q, y in enumerate(elements) if weak_leq(x, y, "left")])
-        assert kcode_order.row("left-up", x) == scan, x
+        assert kcode_order.row("left-up", p) == scan, x
 
 
 def test_triple_ball_checks_make_no_memoised_call_per_instance():
@@ -1047,7 +1045,7 @@ def test_order_props_forms_kernel_products_only_where_they_are_the_subject(monke
 
 
 def test_order_props_transposes_one_table(monkeypatch):
-    """Every up row is read from one view, so one transpose serves the sweep."""
+    """Every up row is read from one order, so one transpose serves the sweep."""
     sizes = []
     transpose = orderlab._transpose
 

@@ -25,9 +25,12 @@ and call fills it before the timed pairs, so a stale `__pycache__` in
 either tree charges neither side for compiling.  It prints one line per
 call: the exit codes of each side, whether every JSON output of both sides
 is byte-identical, each side's median and min-max time in milliseconds,
-and the number of pairs the change won.  A run whose time cannot be read,
-such as one that failed to import the tree, has an infinite time: it loses
-its pair, and its exit code shows in the line.
+each side's median peak RSS in MB (the child's
+`resource.getrusage(RUSAGE_SELF).ru_maxrss` once `cli.main` returns, the
+import included), and the number of pairs the change won.  A run whose
+time cannot be read, such as one that failed to import the tree, has an
+infinite time and peak RSS: it loses its pair, and its exit code shows in
+the line.
 """
 
 from __future__ import annotations
@@ -44,9 +47,10 @@ PAIRS = 10
 SIDES = ("parent", "change")
 
 # a fresh process that times one `cli.main` call and reports the seconds
-# as the last line of its standard error
+# and its peak RSS in MB (ru_maxrss counts KB on Linux) as the last line
+# of its standard error
 CHILD = """\
-import sys, time
+import resource, sys, time
 import affineschur.cli as cli
 start = time.perf_counter()
 try:
@@ -54,7 +58,8 @@ try:
 finally:
     seconds = time.perf_counter() - start
     sys.stdout.flush()
-    print(seconds, file=sys.stderr)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(seconds, peak, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -83,17 +88,18 @@ def wins(times: dict[str, list[float]]) -> int:
     return sum(c < p for p, c in zip(times["parent"], times["change"]))
 
 
-def run(tree: Path, cache: Path, call: list[str]) -> tuple[float, int, bytes]:
-    """Milliseconds in `cli.main`, exit code and standard output of the CLI call
-    `call` (the argv after `--format json`) in `tree`, compiling into the
-    bytecode cache `cache`; infinite when the child reported no time."""
+def run(tree: Path, cache: Path, call: list[str]) -> tuple[float, float, int, bytes]:
+    """Milliseconds in `cli.main`, peak RSS in MB, exit code and standard
+    output of the CLI call `call` (the argv after `--format json`) in
+    `tree`, compiling into the bytecode cache `cache`; time and RSS are
+    infinite when the child reported neither."""
     argv = [sys.executable, "-c", CHILD, "--format", "json", *call]
     done = subprocess.run(argv, cwd=tree, env=tree_env(tree, cache), capture_output=True)
     try:
-        seconds = float(done.stderr.splitlines()[-1])
+        seconds, peak = map(float, done.stderr.splitlines()[-1].split())
     except (IndexError, ValueError):
-        seconds = math.inf
-    return 1000 * seconds, done.returncode, done.stdout
+        seconds = peak = math.inf
+    return 1000 * seconds, peak, done.returncode, done.stdout
 
 
 def calls(args: list[str]) -> tuple[str, list[tuple[str, list[str]]]] | None:
@@ -130,17 +136,23 @@ def main(argv: list[str]) -> int:
 def compare(trees: dict[str, Path], caches: dict[str, Path], label: str, call: list[str]) -> None:
     """Print the line of one call, after one warm-up run per tree."""
     times = {side: [] for side in SIDES}
+    peaks = {side: [] for side in SIDES}
     codes = {side: set() for side in SIDES}
     outputs = set()
     for side in SIDES:
         run(trees[side], caches[side], call)
     for pair in range(PAIRS):
         for side in pair_order(pair):
-            seconds, code, out = run(trees[side], caches[side], call)
+            seconds, peak, code, out = run(trees[side], caches[side], call)
             times[side].append(seconds)
+            peaks[side].append(peak)
             codes[side].add(code)
             outputs.add(out)
-    cells = [f"{side} exit {sorted(codes[side])} {spread(times[side])}" for side in SIDES]
+    cells = [
+        f"{side} exit {sorted(codes[side])} {spread(times[side])}"
+        f" peak {statistics.median(peaks[side]):.1f} MB"
+        for side in SIDES
+    ]
     identical = "identical" if len(outputs) == 1 else "DIFFERENT"
     print(f"{label}json {identical}; " + "; ".join(cells)
           + f"; change wins {wins(times)}/{PAIRS}")
