@@ -19,9 +19,11 @@ strips, and their run-top parents, are visited, and a weak strip carries
 its top, read off its window.  One weak growth of a partition is a value,
 `StripGrowth`: it holds the strips of every size up to its level and the
 top of any intersection of them, so the Pieri forms and the sweeps grow
-each partition once for all sizes.  The subset scans, `strip_top` and the
-full products `oracles.d_mul` and `oracles.d_demazure` are the test
-oracles.
+each partition once for all sizes.  Its readers read a size as one table
+from index set to top, `StripGrowth.tops(r)`; `WeakStrip` values are built
+from that table only where strips are asked for as such.  The subset
+scans, `strip_top` and the full products `oracles.d_mul` and
+`oracles.d_demazure` are the test oracles.
 """
 
 from __future__ import annotations
@@ -302,10 +304,11 @@ class StripGrowth:
     that of the top d_A w_lam, of length |lam| + |A|.  A top is read off
     its window on first use and kept, so a size reads only its own level,
     and no top is read twice, whether for a strip or for an intersection.
-    The strips of a size are built once too, and every reader shares them.
+    Every reader of the grown strips of a size reads them as one table
+    from index set to top, `tops(r)`.
     """
 
-    __slots__ = ("lam", "_levels", "_windows", "_tops", "_strips")
+    __slots__ = ("lam", "_levels", "_windows", "_tops")
 
     def __init__(self, lam: KBoundedPartition, size: int):
         if not 0 <= size <= lam.k:
@@ -315,22 +318,25 @@ class StripGrowth:
         # every grown set's window, gathered on the first top asked for by set
         self._windows: dict[frozenset[int], list[int]] | None = None
         self._tops: dict[frozenset[int], KBoundedPartition] = {}
-        self._strips: dict[int, list[WeakStrip]] = {}
+
+    def tops(self, r: int) -> dict[frozenset[int], KBoundedPartition]:
+        """Index set -> top for every weak strip of size r over lam, in no
+        order: a new table, whose tops the growth keeps for later reads."""
+        table, tops = {}, self._tops
+        for A, win, _ in self._levels[r]:
+            top = tops.get(A)
+            table[A] = self._read_top(A, win) if top is None else top
+        return table
 
     def strips(self, r: int) -> list[WeakStrip]:
-        """All weak strips of size r over lam, sorted by index set; the
-        list is shared, not to be changed."""
-        out = self._strips.get(r)
-        if out is None:
-            lam, tops = self.lam, self._tops
-            out = []
-            for A, win, _ in self._levels[r]:
-                top = tops.get(A)
-                if top is None:
-                    top = self._read_top(A, win)
-                out.append(WeakStrip._trusted(lam, IndexSet._trusted(lam.k, A), top))
-            out.sort(key=lambda s: s.indices.sorted())
-            self._strips[r] = out
+        """All weak strips of size r over lam, sorted by index set: the
+        table `tops(r)` as `WeakStrip`s."""
+        lam = self.lam
+        out = [
+            WeakStrip._trusted(lam, IndexSet._trusted(lam.k, A), top)
+            for A, top in self.tops(r).items()
+        ]
+        out.sort(key=lambda s: s.indices.sorted())
         return out
 
     def sets(self, r: int) -> list[frozenset[int]]:

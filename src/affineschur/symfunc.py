@@ -8,12 +8,15 @@ are arbitrary-precision integers throughout: both basis changes to h are
 unit lower-triangular in the term order, which is asserted, so they are
 inverted by integer forward substitution.  The weak-strip rules read every
 strip top off the windows of the growth from w_lam w_0 (`shapes.StripGrowth`):
-both forms of the gtilde Pieri rule are reads of one growth, so a sweep that
-grows a partition once to level k reads every r from it.  The set-valued
-rule reads every r off one Demazure growth of w_lam, extended on demand,
-and each partition's strong ideal is searched once, as plain parts, for
-every reader.  Their dict results are put in the term order only where it
-reaches output.
+the ks rule and the union form of the gtilde Pieri rule read the table of
+tops of a level, `StripGrowth.tops(r)`, and the inclusion-exclusion form
+reads index sets and the tops of their intersections, so a sweep that grows
+a partition once to level k reads every r from it.  The set-valued rule
+reads every r off one Demazure growth of w_lam, extended on demand.  Both
+Pieri rules keep their rows in one table per partition, keyed by
+(k, parts), and each partition's strong ideal is searched once, as plain
+parts, for every reader.  Their dict results are put in the term order
+only where it reaches output.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import itertools
 
 from .affine import AffinePermutation, LeftGrowth
 from .partitions import KBoundedPartition
-from .shapes import StripGrowth, _core_rows, bounded_to_perm, perm_to_bounded, weak_strips
+from .shapes import StripGrowth, _core_rows, bounded_to_perm, perm_to_bounded
 
 __all__ = [
     "BASES",
@@ -178,18 +181,18 @@ class SymElt:
         }
 
 
-# Both Pieri rules are memoised per (lam, r), pieri_kk through the growth of
-# lam: a product sweep asks for the same few hundred strip sums tens of
-# thousands of times.  The results are frozen, so every caller can share them.
-@functools.lru_cache(maxsize=None)
+# Both Pieri rules read rows from a memo of one row table per partition,
+# keyed by (k, parts): a product sweep asks for the same few hundred strip
+# sums tens of thousands of times, and a Pieri step reads a row per term
+# without building a partition.  The rows are frozen, so every caller can
+# share them.
 def pieri_kschur(lam: KBoundedPartition, r: int) -> SymElt:
-    """h_r times the homogeneous basis element of lam: sum over weak strips."""
-    if not 0 <= r <= lam.k:
-        raise ValueError(f"need 0 <= r <= k, got r={r}, k={lam.k}")
-    acc: dict[tuple[int, ...], int] = {}
-    for strip in weak_strips(lam, r):
-        acc[strip.top.parts] = acc.get(strip.top.parts, 0) + 1
-    return SymElt._trusted(lam.k, "ks", acc)
+    """h_r times the homogeneous basis element of lam: sum over weak strips.
+
+    Each top of a size-r strip adds 1 at its shape; the row is read off the
+    table `shapes.StripGrowth.tops` and kept (`_WeakRows`).
+    """
+    return _weak_rows(lam.k, lam.parts)[r]
 
 
 def pieri_kk(lam: KBoundedPartition, r: int) -> SymElt:
@@ -201,7 +204,35 @@ def pieri_kk(lam: KBoundedPartition, r: int) -> SymElt:
     (`_SetValuedRows`), which every r shares; the per-r scan
     `oracles.pieri_kk_by_strips` is its test oracle.
     """
-    return _set_valued_rows(lam)[r]
+    return _set_valued_rows(lam.k, lam.parts)[r]
+
+
+class _WeakRows(dict):
+    """r -> pieri_kschur(lam, r), each row counting the tops of the size-r
+    weak strips in the table of a growth of lam to level r.
+
+    The growth is dropped once its row is read, so the memo holds rows
+    only; `StripGrowth` rejects an r outside 0..k.
+    """
+
+    __slots__ = ("lam",)
+
+    def __init__(self, lam: KBoundedPartition):
+        super().__init__()
+        self.lam = lam
+
+    def __missing__(self, r: int) -> SymElt:
+        acc: dict[tuple[int, ...], int] = {}
+        for top in StripGrowth(self.lam, r).tops(r).values():
+            acc[top.parts] = acc.get(top.parts, 0) + 1
+        row = self[r] = SymElt._trusted(self.lam.k, "ks", acc)
+        return row
+
+
+@functools.lru_cache(maxsize=None)
+def _weak_rows(k: int, parts: tuple[int, ...]) -> _WeakRows:
+    """The memo of `pieri_kschur`: one row table per partition."""
+    return _WeakRows(KBoundedPartition._trusted(k, parts))
 
 
 class _SetValuedRows(dict):
@@ -250,9 +281,9 @@ class _SetValuedRows(dict):
 
 
 @functools.lru_cache(maxsize=None)
-def _set_valued_rows(lam: KBoundedPartition) -> _SetValuedRows:
-    """The memo of `pieri_kk`: one growth per partition."""
-    return _SetValuedRows(lam)
+def _set_valued_rows(k: int, parts: tuple[int, ...]) -> _SetValuedRows:
+    """The memo of `pieri_kk`: one row table, and one growth, per partition."""
+    return _SetValuedRows(KBoundedPartition._trusted(k, parts))
 
 
 def h_mult(elt: SymElt, r: int) -> SymElt:
@@ -260,20 +291,21 @@ def h_mult(elt: SymElt, r: int) -> SymElt:
     return h_monomial_mult(elt, (r,))
 
 
-def _pieri_rule(basis: str):
+def _pieri_rows(basis: str):
+    """The row memo of the basis's Pieri rule, keyed by (k, parts)."""
     if basis == "ks":
-        return pieri_kschur
+        return _weak_rows
     if basis == "g":
-        return pieri_kk
+        return _set_valued_rows
     raise ValueError("h_mult needs the ks or g basis")
 
 
-def _pieri_step(terms: dict, rule, k: int, r: int) -> dict[tuple[int, ...], int]:
-    """The terms (a plain dict) times h_r by the memoised Pieri rule."""
+def _pieri_step(terms: dict, rows, k: int, r: int) -> dict[tuple[int, ...], int]:
+    """The terms (a plain dict) times h_r, one memoised row per term."""
     acc: dict[tuple[int, ...], int] = {}
     for p, c in terms.items():
         if c:
-            _accumulate(acc, rule(KBoundedPartition._trusted(k, p), r)._terms, c)
+            _accumulate(acc, rows(k, p)[r]._terms, c)
     return acc
 
 
@@ -285,10 +317,10 @@ def h_monomial_mult(elt: SymElt, parts: tuple[int, ...]) -> SymElt:
     steps = [r for r in sorted(parts, reverse=True) if r]
     if not steps:
         return elt
-    rule = _pieri_rule(elt.basis)
+    rows = _pieri_rows(elt.basis)
     acc = elt._terms
     for r in steps:
-        acc = _pieri_step(acc, rule, elt.k, r)
+        acc = _pieri_step(acc, rows, elt.k, r)
     return SymElt._trusted(elt.k, elt.basis, acc)
 
 
@@ -368,7 +400,7 @@ def _h_combination(in_h: dict, table: dict, basis: str, k: int) -> dict[tuple[in
     entry for nu less its last part (h_{nu_1} is applied first), and is kept
     in the table, so products that share a table form each b h_nu once.
     """
-    rule = _pieri_rule(basis)
+    rows = _pieri_rows(basis)
     acc: dict[tuple[int, ...], int] = {}
     for nu, c in in_h.items():
         if not c:
@@ -380,7 +412,7 @@ def _h_combination(in_h: dict, table: dict, basis: str, k: int) -> dict[tuple[in
                 n -= 1
             entry = table[nu[:n]]
             for i in range(n, len(nu)):
-                entry = table[nu[: i + 1]] = _pieri_step(entry, rule, k, nu[i])
+                entry = table[nu[: i + 1]] = _pieri_step(entry, rows, k, nu[i])
         _accumulate(acc, entry, c)
     return acc
 
@@ -491,7 +523,7 @@ def _gtilde_pieri_union(growth: StripGrowth, r: int) -> SymElt:
     return SymElt._trusted(
         growth.lam.k,
         "g",
-        {mu: 1 for strip in growth.strips(r) for mu in strong_ideal_parts(strip.top)},
+        {mu: 1 for top in growth.tops(r).values() for mu in strong_ideal_parts(top)},
     )
 
 
@@ -520,8 +552,10 @@ def gtilde_pieri_ie(lam: KBoundedPartition, r: int) -> dict[tuple[int, ...], int
 def _gtilde_pieri_ie(growth: StripGrowth, r: int) -> dict[tuple[int, ...], int]:
     """`gtilde_pieri_ie` of the growth's partition at r <= its level, in no
     order.  The collections are summed per intersection first, so a top is
-    asked for once per set the sum meets."""
+    asked for once per set the sum meets; a lone strip is its own sum."""
     strips = growth.sets(r)
+    if len(strips) == 1:
+        return {growth.top(strips[0]).parts: 1}
     counts: dict[frozenset[int], int] = {}
     for m in range(1, len(strips) + 1):
         sign = (-1) ** (m - 1)

@@ -1122,8 +1122,8 @@ def verify_factorization(k: int, max_size: int) -> list[CheckResult]:
     for lam in lams:
         top.count() if kschur_top_degree_check(lam) else top.fail(lam=list(lam.parts))
 
-    # the strips, their tops and the IE labels of lam do not depend on t;
-    # each partition is grown once, to level k
+    # the strip tops and the IE labels of lam do not depend on t; each
+    # partition is grown once, to level k, and only its tables are kept
     small = {}
     for lam in lams:
         growth = StripGrowth(lam, k)
@@ -1132,16 +1132,19 @@ def verify_factorization(k: int, max_size: int) -> list[CheckResult]:
                 (KBoundedPartition._trusted(k, parts), c)
                 for parts, c in _gtilde_pieri_ie(growth, r).items()
             ]
-            small[lam, r] = (growth.strips(r), labels)
+            small[lam, r] = (growth.tops(r), labels)
+    n = k + 1
     for t, rect in rects.items():
         for lam in lams:
             big = StripGrowth(union_sort(rect, lam), k)
             for r in range(0, k + 1):
-                small_strips, ie_small = small[lam, r]
-                shifted = {s.indices.shift(t): s.top for s in small_strips}
-                big_tops = {s.indices: s.top for s in big.strips(r)}
-                ok = shifted.keys() == big_tops.keys() and all(
-                    union_sort(rect, top) == big_tops[A] for A, top in shifted.items()
+                small_tops, ie_small = small[lam, r]
+                big_tops = big.tops(r)
+                # rotation by t is injective, so equal sizes and every rotated
+                # set found with the shifted top make the tables equal
+                ok = len(small_tops) == len(big_tops) and all(
+                    union_sort(rect, top) == big_tops.get(frozenset((i + t) % n for i in A))
+                    for A, top in small_tops.items()
                 )
                 shift.count() if ok else shift.fail(lam=list(lam.parts), t=t, r=r)
                 ie_big = _gtilde_pieri_ie(big, r)

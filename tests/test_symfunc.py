@@ -24,7 +24,7 @@ from affineschur.partitions import (
     kbounded_partitions,
     union_sort,
 )
-from affineschur.shapes import StripGrowth, bounded_to_perm, strip_top, weak_strips
+from affineschur.shapes import StripGrowth, WeakStrip, bounded_to_perm, strip_top, weak_strips
 from affineschur.symfunc import (
     SymElt,
     _gtilde_pieri_ie,
@@ -349,6 +349,27 @@ def test_one_growth_reads_every_level():
         check(lam)
 
 
+def test_strip_tables_are_the_subset_scan():
+    # the table of each level is the scan with each top walked by strip_top,
+    # the strips are the table sorted, and a level with one strip is its
+    # own inclusion-exclusion sum
+    lone = 0
+    for k in range(1, 5):
+        for lam in kbounded_partitions(k, 6):
+            growth = StripGrowth(lam, k)
+            for r in range(k + 1):
+                scan = weak_strips_by_scan(lam, r)
+                table = growth.tops(r)
+                assert table == {A.members: strip_top(lam, A) for A in scan}, (lam, r)
+                assert growth.strips(r) == [
+                    WeakStrip(lam, A, table[A.members]) for A in scan
+                ], (lam, r)
+                if len(scan) == 1:
+                    lone += 1
+                    assert _gtilde_pieri_ie(growth, r) == ie_by_strip_tops(lam, r), (lam, r)
+    assert lone > 0
+
+
 def test_a_growth_raises_on_a_set_it_did_not_grow():
     # over (3,2,1) the strips are {}, {1}, {3}, {1,2}, {1,3} and {1,2,3}
     lam = P(3, 3, 2, 1)
@@ -474,14 +495,24 @@ def test_product_commutes():
     assert product_g(a, b) == product_g(b, a)
 
 
+def kschur_by_scan(lam, r):
+    """The weak-strip Pieri rule over the subset scan, each top walked by
+    `strip_top`."""
+    acc = {}
+    for A in weak_strips_by_scan(lam, r):
+        top = strip_top(lam, A).parts
+        acc[top] = acc.get(top, 0) + 1
+    return SymElt(lam.k, "ks", tuple(acc.items()))
+
+
 def test_memoised_pieri_rules_match_the_uncached_rules():
-    # pieri_kk is memoised through its growth, and the per-r strip rule is
-    # its uncached form
+    # both rules read their row memos, and the per-r strip rules are their
+    # uncached forms
     for k in range(1, 5):
         for lam in kbounded_partitions(k, 6):
             for rule, uncached, rs in (
                 (pieri_kk, pieri_kk_by_strips, range(1, k + 1)),
-                (pieri_kschur, pieri_kschur.__wrapped__, range(k + 1)),
+                (pieri_kschur, kschur_by_scan, range(k + 1)),
             ):
                 for r in rs:
                     got = rule(lam, r)
@@ -629,8 +660,8 @@ def test_kbounded_partitions_pass_validation():
 
 def test_pieri_memos_can_be_cleared():
     # benchmark sessions empty every memo they find by its cache_clear
-    # attribute; pieri_kk keeps its rows in the memo of its growths
-    for rule, memo in ((pieri_kk, symfunc._set_valued_rows), (pieri_kschur, pieri_kschur)):
+    # attribute; both rules keep their rows in a memo keyed by parts
+    for rule, memo in ((pieri_kk, symfunc._set_valued_rows), (pieri_kschur, symfunc._weak_rows)):
         rule(P(3, 2, 1), 1)
         assert memo.cache_info().currsize > 0
         memo.cache_clear()
