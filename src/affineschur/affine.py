@@ -187,11 +187,6 @@ class IndexSet:
     def __iter__(self):
         return iter(self.sorted())
 
-    def shift(self, t: int) -> "IndexSet":
-        """Rotate every residue by t; a rotation of a proper subset is proper."""
-        n = self.k + 1
-        return IndexSet._trusted(self.k, frozenset((i + t) % n for i in self.members))
-
     def __repr__(self):
         return f"IndexSet(k={self.k}, {{{', '.join(map(str, self.sorted()))}}})"
 

@@ -13,10 +13,10 @@ tops of a level, `StripGrowth.tops(r)`, and the inclusion-exclusion form
 reads index sets and the tops of their intersections, so a sweep that grows
 a partition once to level k reads every r from it.  The set-valued rule
 reads every r off one Demazure growth of w_lam, extended on demand.  Both
-Pieri rules keep their rows in one table per partition, keyed by
-(k, parts), and each partition's strong ideal is searched once, as plain
-parts, for every reader.  Their dict results are put in the term order
-only where it reaches output.
+Pieri rules keep their rows in memos keyed by the partition's (k, parts),
+and each partition's strong ideal is searched once, as plain parts, for
+every reader.  Their dict results are put in the term order only where it
+reaches output.
 """
 
 from __future__ import annotations
@@ -181,18 +181,16 @@ class SymElt:
         }
 
 
-# Both Pieri rules read rows from a memo of one row table per partition,
-# keyed by (k, parts): a product sweep asks for the same few hundred strip
-# sums tens of thousands of times, and a Pieri step reads a row per term
-# without building a partition.  The rows are frozen, so every caller can
-# share them.
+# Both Pieri rules are memoised per partition, keyed by (k, parts): a product
+# sweep asks for the same few hundred strip sums tens of thousands of times.
+# The rows are frozen, so every caller can share them.
 def pieri_kschur(lam: KBoundedPartition, r: int) -> SymElt:
     """h_r times the homogeneous basis element of lam: sum over weak strips.
 
     Each top of a size-r strip adds 1 at its shape; the row is read off the
-    table `shapes.StripGrowth.tops` and kept (`_WeakRows`).
+    table `shapes.StripGrowth.tops` and kept (`_weak_row`).
     """
-    return _weak_rows(lam.k, lam.parts)[r]
+    return _weak_row(lam.k, lam.parts, r)
 
 
 def pieri_kk(lam: KBoundedPartition, r: int) -> SymElt:
@@ -207,32 +205,15 @@ def pieri_kk(lam: KBoundedPartition, r: int) -> SymElt:
     return _set_valued_rows(lam.k, lam.parts)[r]
 
 
-class _WeakRows(dict):
-    """r -> pieri_kschur(lam, r), each row counting the tops of the size-r
-    weak strips in the table of a growth of lam to level r.
-
-    The growth is dropped once its row is read, so the memo holds rows
-    only; `StripGrowth` rejects an r outside 0..k.
-    """
-
-    __slots__ = ("lam",)
-
-    def __init__(self, lam: KBoundedPartition):
-        super().__init__()
-        self.lam = lam
-
-    def __missing__(self, r: int) -> SymElt:
-        acc: dict[tuple[int, ...], int] = {}
-        for top in StripGrowth(self.lam, r).tops(r).values():
-            acc[top.parts] = acc.get(top.parts, 0) + 1
-        row = self[r] = SymElt._trusted(self.lam.k, "ks", acc)
-        return row
-
-
 @functools.lru_cache(maxsize=None)
-def _weak_rows(k: int, parts: tuple[int, ...]) -> _WeakRows:
-    """The memo of `pieri_kschur`: one row table per partition."""
-    return _WeakRows(KBoundedPartition._trusted(k, parts))
+def _weak_row(k: int, parts: tuple[int, ...], r: int) -> SymElt:
+    """The memo of `pieri_kschur`: the tops of the size-r weak strips over
+    the partition, counted off a growth that is dropped once read;
+    `StripGrowth` rejects an r outside 0..k."""
+    acc: dict[tuple[int, ...], int] = {}
+    for top in StripGrowth(KBoundedPartition._trusted(k, parts), r).tops(r).values():
+        acc[top.parts] = acc.get(top.parts, 0) + 1
+    return SymElt._trusted(k, "ks", acc)
 
 
 class _SetValuedRows(dict):
@@ -291,21 +272,20 @@ def h_mult(elt: SymElt, r: int) -> SymElt:
     return h_monomial_mult(elt, (r,))
 
 
-def _pieri_rows(basis: str):
-    """The row memo of the basis's Pieri rule, keyed by (k, parts)."""
+def _pieri_rule(basis: str):
     if basis == "ks":
-        return _weak_rows
+        return pieri_kschur
     if basis == "g":
-        return _set_valued_rows
+        return pieri_kk
     raise ValueError("h_mult needs the ks or g basis")
 
 
-def _pieri_step(terms: dict, rows, k: int, r: int) -> dict[tuple[int, ...], int]:
-    """The terms (a plain dict) times h_r, one memoised row per term."""
+def _pieri_step(terms: dict, rule, k: int, r: int) -> dict[tuple[int, ...], int]:
+    """The terms (a plain dict) times h_r by the memoised Pieri rule."""
     acc: dict[tuple[int, ...], int] = {}
     for p, c in terms.items():
         if c:
-            _accumulate(acc, rows(k, p)[r]._terms, c)
+            _accumulate(acc, rule(KBoundedPartition._trusted(k, p), r)._terms, c)
     return acc
 
 
@@ -317,10 +297,10 @@ def h_monomial_mult(elt: SymElt, parts: tuple[int, ...]) -> SymElt:
     steps = [r for r in sorted(parts, reverse=True) if r]
     if not steps:
         return elt
-    rows = _pieri_rows(elt.basis)
+    rule = _pieri_rule(elt.basis)
     acc = elt._terms
     for r in steps:
-        acc = _pieri_step(acc, rows, elt.k, r)
+        acc = _pieri_step(acc, rule, elt.k, r)
     return SymElt._trusted(elt.k, elt.basis, acc)
 
 
@@ -400,7 +380,7 @@ def _h_combination(in_h: dict, table: dict, basis: str, k: int) -> dict[tuple[in
     entry for nu less its last part (h_{nu_1} is applied first), and is kept
     in the table, so products that share a table form each b h_nu once.
     """
-    rows = _pieri_rows(basis)
+    rule = _pieri_rule(basis)
     acc: dict[tuple[int, ...], int] = {}
     for nu, c in in_h.items():
         if not c:
@@ -412,7 +392,7 @@ def _h_combination(in_h: dict, table: dict, basis: str, k: int) -> dict[tuple[in
                 n -= 1
             entry = table[nu[:n]]
             for i in range(n, len(nu)):
-                entry = table[nu[: i + 1]] = _pieri_step(entry, rows, k, nu[i])
+                entry = table[nu[: i + 1]] = _pieri_step(entry, rule, k, nu[i])
         _accumulate(acc, entry, c)
     return acc
 
@@ -552,10 +532,8 @@ def gtilde_pieri_ie(lam: KBoundedPartition, r: int) -> dict[tuple[int, ...], int
 def _gtilde_pieri_ie(growth: StripGrowth, r: int) -> dict[tuple[int, ...], int]:
     """`gtilde_pieri_ie` of the growth's partition at r <= its level, in no
     order.  The collections are summed per intersection first, so a top is
-    asked for once per set the sum meets; a lone strip is its own sum."""
+    asked for once per set the sum meets."""
     strips = growth.sets(r)
-    if len(strips) == 1:
-        return {growth.top(strips[0]).parts: 1}
     counts: dict[frozenset[int], int] = {}
     for m in range(1, len(strips) + 1):
         sign = (-1) ** (m - 1)

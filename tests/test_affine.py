@@ -334,7 +334,6 @@ def test_index_set_validation():
     with pytest.raises(ValueError):
         IndexSet(3, frozenset({4}))
     assert IndexSet(3, frozenset({2, 0})).sorted() == (0, 2)
-    assert IndexSet(3, frozenset({2, 3})).shift(1).sorted() == (0, 3)
 
 
 words = st.lists(st.integers(min_value=0, max_value=3), max_size=12)
@@ -476,13 +475,9 @@ def test_trusted_index_sets_pass_validation(monkeypatch):
     for lam in kbounded_partitions(3, 6):
         w = bounded_to_perm(lam)
         for r in range(4):
-            for s in weak_strips(lam, r):
-                for t in range(4):
-                    s.indices.shift(t)
+            weak_strips(lam, r)
             if r:
-                for A, _ in setvalued_strips(w, r):
-                    for t in range(4):
-                        A.shift(t)
+                setvalued_strips(w, r)
     assert len(made) > 1000
     for A in made:
         assert IndexSet(A.k, A.members) == A

@@ -351,9 +351,7 @@ def test_one_growth_reads_every_level():
 
 def test_strip_tables_are_the_subset_scan():
     # the table of each level is the scan with each top walked by strip_top,
-    # the strips are the table sorted, and a level with one strip is its
-    # own inclusion-exclusion sum
-    lone = 0
+    # and the strips are the table sorted
     for k in range(1, 5):
         for lam in kbounded_partitions(k, 6):
             growth = StripGrowth(lam, k)
@@ -364,10 +362,6 @@ def test_strip_tables_are_the_subset_scan():
                 assert growth.strips(r) == [
                     WeakStrip(lam, A, table[A.members]) for A in scan
                 ], (lam, r)
-                if len(scan) == 1:
-                    lone += 1
-                    assert _gtilde_pieri_ie(growth, r) == ie_by_strip_tops(lam, r), (lam, r)
-    assert lone > 0
 
 
 def test_a_growth_raises_on_a_set_it_did_not_grow():
@@ -661,7 +655,7 @@ def test_kbounded_partitions_pass_validation():
 def test_pieri_memos_can_be_cleared():
     # benchmark sessions empty every memo they find by its cache_clear
     # attribute; both rules keep their rows in a memo keyed by parts
-    for rule, memo in ((pieri_kk, symfunc._set_valued_rows), (pieri_kschur, symfunc._weak_rows)):
+    for rule, memo in ((pieri_kk, symfunc._set_valued_rows), (pieri_kschur, symfunc._weak_row)):
         rule(P(3, 2, 1), 1)
         assert memo.cache_info().currsize > 0
         memo.cache_clear()

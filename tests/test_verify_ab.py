@@ -15,13 +15,3 @@ def test_run_reads_the_childs_time_and_peak_rss(tmp_path):
     assert code == 0 and out.startswith(b"{")
     assert math.isfinite(ms) and ms > 0
     assert math.isfinite(peak_mb) and peak_mb > 0
-
-
-def test_one_workload_pair_of_this_tree_against_itself(tmp_path):
-    # one tree on both sides compiles into one bytecode cache
-    trees = {side: ROOT for side in verify_ab.SIDES}
-    caches = {side: tmp_path for side in verify_ab.SIDES}
-    line = verify_ab.compare_workload(trees, caches, "factorization-sweep", pairs=1)
-    assert line.startswith("factorization-sweep: parent failed 0 p50 "), line
-    assert "; change failed 0 p50 " in line and "inf" not in line, line
-    assert line.endswith("/1"), line

@@ -4,7 +4,6 @@ Usage (from the repository root):
 
     python3 tools/verify_ab.py PARENT CHANGE SUITE k,L [k,L ...]
     python3 tools/verify_ab.py PARENT CHANGE -- ARGV...
-    python3 tools/verify_ab.py PARENT CHANGE --workload NAME [NAME ...]
 
 PARENT and CHANGE are checkouts of the package (each with its `src/`).  In
 the first form, each configuration k,L is the call
@@ -32,17 +31,6 @@ import included), and the number of pairs the change won.  A run whose
 time cannot be read, such as one that failed to import the tree, has an
 infinite time and peak RSS: it loses its pair, and its exit code shows in
 the line.
-
-In the third form each run is one query session of a benchmark workload
-(`schurbench/workloads.py`), run by the tree's own `schurbench/session.py`:
-the seed-1 query list of round 0 through `session.run_ops`, with no pacer,
-so each op's latency is measured, not rescaled, and with every memo emptied
-before each call, as in a session.  Each tree's session is imported only in
-that tree's child process, so no process ever holds both trees.  The line
-of a workload gives each side's failed ops, median p50 and p95 op latency
-(the nearest-rank percentile of `schurbench/run.py`) and median summed
-latency in milliseconds, and median peak RSS, and the pairs the change won
-on p50 and on the sum.
 """
 
 from __future__ import annotations
@@ -76,24 +64,6 @@ sys.exit(code)
 """
 
 
-# a fresh process that runs the query list of one workload, named by its
-# argument, through the session module of the tree it starts in, and reports
-# the p50, p95 and summed op latency in ms, the failed ops and its peak RSS
-# in MB as the last line of its standard error
-WORKLOAD_CHILD = """\
-import resource, sys
-sys.path.insert(0, "schurbench")
-import session, workloads
-from run import percentile
-results = session.run_ops(workloads.session_ops(sys.argv[1], 1, 0, "queries"))
-latencies = [1000 * result["latency_s"] for result in results]
-failed = sum(not result["ok"] for result in results)
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(percentile(latencies, 50), percentile(latencies, 95), sum(latencies), failed, peak,
-      file=sys.stderr)
-"""
-
-
 def tree_env(tree: Path, cache: Path) -> dict[str, str]:
     """Environment of a fresh process of `tree`: its `src/` on PYTHONPATH,
     compiling into the bytecode cache `cache`."""
@@ -118,48 +88,18 @@ def wins(times: dict[str, list[float]]) -> int:
     return sum(c < p for p, c in zip(times["parent"], times["change"]))
 
 
-def child(tree: Path, cache: Path, code: str, args: list[str]) -> tuple[list[float], int, bytes]:
-    """The numbers on the last line of standard error, the exit code and the
-    standard output of the child program `code` run with `args` in `tree`,
-    compiling into the bytecode cache `cache`; no numbers when the last
-    line holds none."""
-    argv = [sys.executable, "-c", code, *args]
-    done = subprocess.run(argv, cwd=tree, env=tree_env(tree, cache), capture_output=True)
-    try:
-        numbers = list(map(float, done.stderr.splitlines()[-1].split()))
-    except (IndexError, ValueError):
-        numbers = []
-    return numbers, done.returncode, done.stdout
-
-
 def run(tree: Path, cache: Path, call: list[str]) -> tuple[float, float, int, bytes]:
     """Milliseconds in `cli.main`, peak RSS in MB, exit code and standard
     output of the CLI call `call` (the argv after `--format json`) in
     `tree`, compiling into the bytecode cache `cache`; time and RSS are
     infinite when the child reported neither."""
-    numbers, code, out = child(tree, cache, CHILD, ["--format", "json", *call])
-    seconds, peak = numbers if len(numbers) == 2 else (math.inf, math.inf)
-    return 1000 * seconds, peak, code, out
-
-
-def run_workload(tree: Path, cache: Path, name: str) -> tuple[float, ...]:
-    """p50, p95 and summed op latency in ms, failed ops and peak RSS in MB
-    of one query session of the workload `name` in `tree`; all infinite
-    when the child reported none."""
-    numbers, _, _ = child(tree, cache, WORKLOAD_CHILD, [name])
-    return tuple(numbers) if len(numbers) == 5 else (math.inf,) * 5
-
-
-def sample(trees: dict[str, Path], caches: dict[str, Path], measure, pairs: int = PAIRS):
-    """`measure(tree, cache)` of each side in `pairs` alternating pairs,
-    after one untimed warm-up run per tree; side -> results in pair order."""
-    for side in SIDES:
-        measure(trees[side], caches[side])
-    results = {side: [] for side in SIDES}
-    for pair in range(pairs):
-        for side in pair_order(pair):
-            results[side].append(measure(trees[side], caches[side]))
-    return results
+    argv = [sys.executable, "-c", CHILD, "--format", "json", *call]
+    done = subprocess.run(argv, cwd=tree, env=tree_env(tree, cache), capture_output=True)
+    try:
+        seconds, peak = map(float, done.stderr.splitlines()[-1].split())
+    except (IndexError, ValueError):
+        seconds = peak = math.inf
+    return 1000 * seconds, peak, done.returncode, done.stdout
 
 
 def calls(args: list[str]) -> tuple[str, list[tuple[str, list[str]]]] | None:
@@ -179,56 +119,43 @@ def calls(args: list[str]) -> tuple[str, list[tuple[str, list[str]]]] | None:
 
 
 def main(argv: list[str]) -> int:
-    workloads = argv[3:] if argv[2:3] == ["--workload"] else []
-    named = calls(argv[2:]) if len(argv) >= 3 and not workloads else None
-    if named is None and not workloads:
+    named = calls(argv[2:]) if len(argv) >= 3 else None
+    if named is None:
         print(__doc__, file=sys.stderr)
         return 2
     trees = dict(zip(SIDES, (Path(argv[0]).resolve(), Path(argv[1]).resolve())))
+    title, todo = named
     with tempfile.TemporaryDirectory() as tmp:
         caches = {side: Path(tmp) / side for side in SIDES}
-        if workloads:
-            print(f"{PAIRS} alternating pairs per workload, seed-1 query list, unpaced ms")
-            for name in workloads:
-                print(compare_workload(trees, caches, name))
-            return 0
-        title, todo = named
         print(f"{title}: {PAIRS} alternating pairs per call, milliseconds in cli.main")
         for label, call in todo:
-            print(compare(trees, caches, label, call))
+            compare(trees, caches, label, call)
     return 0
 
 
-def compare(trees: dict[str, Path], caches: dict[str, Path], label: str, call: list[str]) -> str:
-    """The line of one call, after one warm-up run per tree."""
-    runs = sample(trees, caches, lambda tree, cache: run(tree, cache, call))
-    times = {side: [ms for ms, _, _, _ in runs[side]] for side in SIDES}
-    outputs = {out for side in SIDES for _, _, _, out in runs[side]}
+def compare(trees: dict[str, Path], caches: dict[str, Path], label: str, call: list[str]) -> None:
+    """Print the line of one call, after one warm-up run per tree."""
+    times = {side: [] for side in SIDES}
+    peaks = {side: [] for side in SIDES}
+    codes = {side: set() for side in SIDES}
+    outputs = set()
+    for side in SIDES:
+        run(trees[side], caches[side], call)
+    for pair in range(PAIRS):
+        for side in pair_order(pair):
+            seconds, peak, code, out = run(trees[side], caches[side], call)
+            times[side].append(seconds)
+            peaks[side].append(peak)
+            codes[side].add(code)
+            outputs.add(out)
     cells = [
-        f"{side} exit {sorted({code for _, _, code, _ in runs[side]})} {spread(times[side])}"
-        f" peak {statistics.median(peak for _, peak, _, _ in runs[side]):.1f} MB"
+        f"{side} exit {sorted(codes[side])} {spread(times[side])}"
+        f" peak {statistics.median(peaks[side]):.1f} MB"
         for side in SIDES
     ]
     identical = "identical" if len(outputs) == 1 else "DIFFERENT"
-    return (f"{label}json {identical}; " + "; ".join(cells)
-            + f"; change wins {wins(times)}/{PAIRS}")
-
-
-def compare_workload(trees: dict[str, Path], caches: dict[str, Path], name: str,
-                     pairs: int = PAIRS) -> str:
-    """The line of one workload, after one warm-up run per tree."""
-    runs = sample(trees, caches, lambda tree, cache: run_workload(tree, cache, name), pairs)
-    columns = {side: list(zip(*runs[side])) for side in SIDES}  # p50, p95, sum, failed, peak
-    cells = [
-        f"{side} failed {max(failed):g} p50 {statistics.median(p50):.3f}"
-        f" p95 {statistics.median(p95):.3f} sum {statistics.median(total):.1f}"
-        f" peak {statistics.median(peak):.1f} MB"
-        for side in SIDES
-        for p50, p95, total, failed, peak in [columns[side]]
-    ]
-    won = [wins({side: columns[side][i] for side in SIDES}) for i in (0, 2)]
-    return (f"{name}: " + "; ".join(cells)
-            + f"; change wins p50 {won[0]}/{pairs}, sum {won[1]}/{pairs}")
+    print(f"{label}json {identical}; " + "; ".join(cells)
+          + f"; change wins {wins(times)}/{PAIRS}")
 
 
 if __name__ == "__main__":
