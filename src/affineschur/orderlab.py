@@ -955,7 +955,10 @@ class _BallOrder:
         return None if common & ~self._lifted(m) else m
 
     def _parent(self, side: str, p: int) -> tuple[int, int]:
-        return next((q, i) for i, q in enumerate(self._neighbours(side, p)) if 0 <= q < p)
+        for i, q in enumerate(self._neighbours(side, p)):
+            if 0 <= q < p:
+                return q, i
+        raise RuntimeError(f"the element at {p} has no {side} parent in the order")
 
     def parents(self, size: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """Left and right parents of the first `size` elements but e.

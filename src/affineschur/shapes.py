@@ -20,9 +20,9 @@ its top, read off its window.  One weak growth of a partition is a value,
 `StripGrowth`: it holds the strips of every size up to its level and the
 top of any intersection of them, so the Pieri forms and the sweeps grow
 each partition once for all sizes.  Its readers read a size as one table
-from index set to top, `StripGrowth.tops(r)`; `WeakStrip` values are built
-from that table only where strips are asked for as such.  The subset
-scans, `strip_top` and the full products `oracles.d_mul` and
+from index set to top, `StripGrowth.tops(r)`, or all sizes as one table
+to d_A w_lam, `perms()`; only `weak_strips` builds `WeakStrip` values.
+The subset scans, `strip_top` and the full products `oracles.d_mul` and
 `oracles.d_demazure` are the test oracles.
 """
 
@@ -304,8 +304,8 @@ class StripGrowth:
     that of the top d_A w_lam, of length |lam| + |A|.  A top is read off
     its window on first use and kept, so a size reads only its own level,
     and no top is read twice, whether for a strip or for an intersection.
-    Every reader of the grown strips of a size reads them as one table
-    from index set to top, `tops(r)`.
+    The grown strips are read as tables keyed by index set: `tops(r)`, to
+    the top partition, and `perms()`, to d_A w_lam for every size at once.
     """
 
     __slots__ = ("lam", "_levels", "_windows", "_tops")
@@ -328,16 +328,11 @@ class StripGrowth:
             table[A] = self._read_top(A, win) if top is None else top
         return table
 
-    def strips(self, r: int) -> list[WeakStrip]:
-        """All weak strips of size r over lam, sorted by index set: the
-        table `tops(r)` as `WeakStrip`s."""
-        lam = self.lam
-        out = [
-            WeakStrip._trusted(lam, IndexSet._trusted(lam.k, A), top)
-            for A, top in self.tops(r).items()
-        ]
-        out.sort(key=lambda s: s.indices.sorted())
-        return out
+    def perms(self) -> dict[frozenset[int], AffinePermutation]:
+        """Index set -> d_A w_lam for every weak strip over lam of size up to
+        the level, the sizes in ascending order: a new table, each top the
+        grown window reversed, of length |lam| + |A|, with no top read."""
+        return {A: self._perm(A, win) for level in self._levels for A, win, _ in level}
 
     def sets(self, r: int) -> list[frozenset[int]]:
         """The index sets of the size-r strips, in no order."""
@@ -353,17 +348,23 @@ class StripGrowth:
             top = self._read_top(A, self._windows[A])
         return top
 
-    def _read_top(self, A: frozenset[int], win: list[int]) -> KBoundedPartition:
+    def _perm(self, A: frozenset[int], win: list[int]) -> AffinePermutation:
         lam = self.lam
-        grown = AffinePermutation._trusted(lam.k, tuple(win[::-1]), lam.size + len(A))
-        top = self._tops[A] = perm_to_bounded(grown)
+        return AffinePermutation._trusted(lam.k, tuple(win[::-1]), lam.size + len(A))
+
+    def _read_top(self, A: frozenset[int], win: list[int]) -> KBoundedPartition:
+        top = self._tops[A] = perm_to_bounded(self._perm(A, win))
         return top
 
 
 def weak_strips(lam: KBoundedPartition, r: int) -> list[WeakStrip]:
-    """All weak strips of size r over lam, sorted by index set: level r of
-    a `StripGrowth` up to r."""
-    return StripGrowth(lam, r).strips(r)
+    """All weak strips of size r over lam, sorted by index set: the table
+    `tops(r)` of a `StripGrowth` up to r, as `WeakStrip`s."""
+    table = StripGrowth(lam, r).tops(r)
+    return [
+        WeakStrip._trusted(lam, IndexSet._trusted(lam.k, A), table[A])
+        for A in sorted(table, key=sorted)
+    ]
 
 
 def strip_top(lam: KBoundedPartition, A: IndexSet) -> KBoundedPartition:

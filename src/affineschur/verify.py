@@ -73,7 +73,7 @@ from .orderlab import (
     z_sets,
 )
 from .partitions import KBoundedPartition, k_rectangle, kbounded_partitions, union_sort
-from .shapes import StripGrowth, bounded_to_perm, is_weak_strip, is_weak_strip_parabolic
+from .shapes import StripGrowth, bounded_to_perm, is_weak_strip
 from .symfunc import (
     SymElt,
     _accumulate,
@@ -261,8 +261,8 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     weak-interval chain property is a first-step test per pair
     (`_chain_gaps`), with the chain search `oracles.saturated_chain_exists`
     as its test oracle; u^-1 z and w d_A^-1 are walks (`_quotient`), and
-    d_A u, d_A^-1 u and d_A w are `left_action` along the letters of d_A,
-    placed in D.
+    d_A u and d_A^-1 u are `left_action` along the letters of d_A, and
+    d_A w_lam is read off its growth (`StripGrowth.perms`), placed in D.
 
     The six triple-ball checks (`weak-order-triple-splitting` through
     `demazure-monotone-in-actor`) and `generator-actions-preserve-meet-join`
@@ -307,7 +307,8 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     # checks that read them and for what they ask beyond the ball
     families = [z_sets(u) for u in six_ball]  # construction asserts closure and maxima
     growths = [StripGrowth(lam, k) for lam in kbounded_partitions(k, min(max_length + 1, 7))]
-    beyond = _asked_beyond(radius, letters, six_ball, families, growths)
+    tables = [growth.perms() for growth in growths]
+    beyond = _asked_beyond(radius, letters, six_ball, families, tables)
     whole = _BallOrder(_down_closure(elements, beyond), radius)
     elements = whole.elements
     results = []
@@ -621,75 +622,69 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     # the k-code ball is a quantifier range: its left-up rows stop at its radius
     kcode_order = _BallOrder(_prefix(elements, min(max_length, 6 if k <= 2 else 5)))
     results.extend(_verify_kcode_props(k, subsets, kcode_order))
-    results.extend(_verify_strip_props(k, growths, subsets, whole, down_row))
+    results.extend(_verify_strip_props(k, growths, tables, subsets, whole, down_row))
     return results
 
 
-def _asked_beyond(radius, letters, six_ball, families, growths):
+def _asked_beyond(radius, letters, six_ball, families, tables):
     """The elements longer than `radius` whose down rows the sweep reads:
     every d_A u of a plus-family member A of a u of `six_ball`, and every
-    d_A w_lam of a weak strip of a growth of `growths`.
+    d_A w_lam of a weak strip of a table of `tables` (`StripGrowth.perms`).
 
     Both are steps up in the left weak order, so l(d_A u) = l(u) + |A| and
-    l(d_A w_lam) = |lam| + |A|, and only those longer than the radius are
+    l(d_A w_lam) = |lam| + |A|.  Only the d_A u longer than the radius are
     formed, by `left_action` along the letters of d_A.
     """
     for u, zs in zip(six_ball, families):
         for a in _positions(zs.plus_bits):
             if u.length + a.bit_count() > radius:
                 yield left_action(u, letters[a][0])
-    for growth in growths:
-        lam = growth.lam
-        w = bounded_to_perm(lam)
-        for r in range(max(radius - lam.size + 1, 0), lam.k + 1):
-            for A in growth.sets(r):
-                yield left_action(w, letters[sum(1 << i for i in A)][0])
+    for table in tables:
+        yield from (v for v in table.values() if v.length > radius)
 
 
-def _verify_strip_props(k, growths, subsets, whole, down_row) -> list[CheckResult]:
+def _verify_strip_props(k, growths, tables, subsets, whole, down_row) -> list[CheckResult]:
+    """Weak-strip checks that read each growth's table in `tables`, index
+    set -> d_A w_lam (`StripGrowth.perms`), and its one size-k top.
+
+    `strip-criteria-agree` compares `is_weak_strip` with the parabolic
+    criterion as the growth, which the Pieri rules run on, decides it:
+    membership in the table.  Each d_A w_lam is placed in `whole` once
+    (`whole.at` raises outside it), and A, B meet at the position of A & B,
+    which fails where A & B is no strip.  Strips go by size, then index set.
+    """
     forb = CheckResult("forbidden-index-never-in-a-strip")
     unique = CheckResult("unique-size-k-strip-adds-one-row")
     agree = CheckResult("strip-criteria-agree")
     meets = CheckResult("strip-meet-is-strip-of-intersection")
     passed_forb = passed_unique = passed_agree = passed_meets = 0
     all_subsets = [IndexSet._trusted(k, A) for A in subsets]
-    for growth in growths:
+    for growth, table in zip(growths, tables):
         lam = growth.lam
         fi = forbidden_index(lam)
-        strips_by_r = {r: growth.strips(r) for r in range(k + 1)}
-        if all(fi not in s.indices for r in strips_by_r.values() for s in r):
+        if all(fi not in A for A in table):
             passed_forb += 1
         else:
             forb.fail(lam=list(lam.parts), forbidden=fi)
-        top_k = strips_by_r[k]
-        if len(top_k) == 1 and top_k[0].top == union_sort(KBoundedPartition(k, (k,)), lam):
+        top_k = list(growth.tops(k).values())
+        if top_k == [union_sort(KBoundedPartition(k, (k,)), lam)]:
             passed_unique += 1
         else:
             unique.fail(lam=list(lam.parts))
-        if all(is_weak_strip(lam, A) == is_weak_strip_parabolic(lam, A) for A in all_subsets):
+        if all(is_weak_strip(lam, A) == (A.members in table) for A in all_subsets):
             passed_agree += 1
         else:
             agree.fail(lam=list(lam.parts))
-        w = bounded_to_perm(lam)
-        qualifying = [s.indices for r in strips_by_r.values() for s in r]
-        # d_A w with its down row once per strip, d_C w (at its position, None
-        # outside D) and the strip test once per intersection C; d_A w is
-        # `left_action` along the letters of d_A.  A strip d_C w is a reduced
-        # subword product of d_A w, so it lies below it, in D
-        below = [down_row(whole.at(left_action(w, d_steps(A)))) for A in qualifying]
-        caps = {}
-        for A, row_a in zip(qualifying, below):
-            for B, row_b in zip(qualifying, below):
-                members = A.members & B.members
-                if members not in caps:
-                    cap = IndexSet._trusted(k, members)
-                    cand = whole.position(left_action(w, d_steps(cap)))
-                    caps[members] = is_weak_strip(lam, cap), cand
-                is_strip, cand = caps[members]
-                if is_strip and whole.meet_of(row_a & row_b) == cand:
+        strips = sorted(table, key=lambda A: (len(A), sorted(A)))
+        at = {A: whole.at(table[A]) for A in strips}
+        below = [down_row(at[A]) for A in strips]
+        for A, row_a in zip(strips, below):
+            for B, row_b in zip(strips, below):
+                cap = at.get(A & B)
+                if cap is not None and whole.meet_of(row_a & row_b) == cap:
                     passed_meets += 1
                 else:
-                    meets.fail(lam=list(lam.parts), A=list(A.sorted()), B=list(B.sorted()))
+                    meets.fail(lam=list(lam.parts), A=sorted(A), B=sorted(B))
     forb.count(passed_forb)
     unique.count(passed_unique)
     agree.count(passed_agree)

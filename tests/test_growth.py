@@ -25,6 +25,7 @@ from affineschur.oracles import (
 )
 from affineschur.partitions import kbounded_partitions
 from affineschur.shapes import (
+    StripGrowth,
     WeakStrip,
     bounded_to_perm,
     is_weak_strip,
@@ -52,6 +53,24 @@ def test_weak_strips_equal_subset_scan():
                     # the grown top, replayed through the validating constructor
                     assert WeakStrip(lam, A, s.top) == s
                     assert s.top == strip_top(lam, A), (lam, A)
+
+
+def test_strip_perms_are_the_subset_scan_walked():
+    # one table for every size: the scan of each size, each set mapped to
+    # d_A w_lam as the walk along the letters of d_A gives it, with its length
+    for k in range(1, 5):
+        for lam in kbounded_partitions(k, 6):
+            w = bounded_to_perm(lam)
+            table = StripGrowth(lam, k).perms()
+            sizes = [len(A) for A in table]
+            assert sizes == sorted(sizes), lam
+            for r in range(k + 1):
+                scan = weak_strips_by_scan(lam, r)
+                assert {A for A in table if len(A) == r} == {A.members for A in scan}, (lam, r)
+                for A in scan:
+                    v = table[A.members]
+                    assert v == left_action(w, d_steps(A)), (lam, A)
+                    assert v.length == lam.size + r == AffinePermutation(k, v.window).length
 
 
 def test_setvalued_strips_equal_subset_scan():

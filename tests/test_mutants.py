@@ -309,19 +309,21 @@ def _demazure_keeping_the_smaller(original):
     return demazure
 
 
-def _tops_without_the_last(original):
-    def tops(self, r):
-        # the entry of the largest sorted index set is dropped; a lone strip
-        # stays: without the one strip of h_2 over the empty partition the
-        # h-basis transitions are not unitriangular, and the suites raise
-        # instead of failing a check
-        out = original(self, r)
-        if r < 2 or len(out) < 2:
-            return out
-        last = max(out, key=sorted)
-        return {A: top for A, top in out.items() if A != last}
+def _without_the_last_strips(original):
+    def reader(self, *args):
+        # of each size r >= 2 that holds more than one strip, the entry of
+        # the largest sorted index set is dropped; a lone strip stays:
+        # without the one strip of h_2 over the empty partition the h-basis
+        # transitions are not unitriangular, and the suites raise instead
+        # of failing a check
+        out = original(self, *args)
+        by_size = {}
+        for A in out:
+            by_size.setdefault(len(A), []).append(A)
+        last = {max(level, key=sorted) for r, level in by_size.items() if r >= 2 and len(level) > 1}
+        return {A: value for A, value in out.items() if A not in last}
 
-    return tops
+    return reader
 
 
 def _left_parent_letter_one_off(original):
@@ -576,7 +578,7 @@ MUTANTS = [
         "strip-growth-dropping-its-last-strip/factorization",
         shapes.StripGrowth,
         "tops",
-        _tops_without_the_last,
+        _without_the_last_strips,
         "factorization",
         ((3, 4),),
         frozenset(
@@ -591,7 +593,7 @@ MUTANTS = [
         "strip-growth-dropping-its-last-strip/pieri-sum",
         shapes.StripGrowth,
         "tops",
-        _tops_without_the_last,
+        _without_the_last_strips,
         "pieri-sum",
         ((3, 4),),
         frozenset(
@@ -601,6 +603,18 @@ MUTANTS = [
                 "product-support-above-weak-join",
             }
         ),
+    ),
+    # Only at (3,4): at k = 2 the one size-2 strip is a lone strip and
+    # stays.  Only the comparison of the two strip criteria sees the
+    # dropped strip.
+    Mutant(
+        "strip-growth-dropping-its-last-strip/order-props",
+        shapes.StripGrowth,
+        "perms",
+        _without_the_last_strips,
+        "order-props",
+        ((3, 4),),
+        frozenset({"strip-criteria-agree"}),
     ),
     Mutant(
         "fiber-X-without-lone-top-label",
