@@ -309,6 +309,30 @@ def right_mul_s(w: AffinePermutation, i: int) -> AffinePermutation:
     return AffinePermutation._trusted(w.k, tuple(win), ell)
 
 
+def _left_steps(window: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The windows of s_0 w, ..., s_k w, for w with window `window`.
+
+    s_i adds one to the value of residue i and takes one from the value of
+    residue i+1, read off a residue -> position table (the step of
+    `left_action`).  One copy of the window is edited in place and
+    restored after each letter, so a step costs one tuple.  Each step
+    changes the length by one; the length itself is left to the caller.
+    """
+    n = len(window)
+    pos = [0] * n
+    for p, x in enumerate(window):
+        pos[x % n] = p
+    win = list(window)
+    steps = []
+    for i in range(n):
+        p, q = pos[i], pos[i + 1 if i + 1 < n else 0]
+        x, y = win[p], win[q]
+        win[p], win[q] = x + 1, y - 1
+        steps.append(tuple(win))
+        win[p], win[q] = x, y
+    return steps
+
+
 LEFT_MODES = ("plain", "ascent", "descent", "max")
 
 
@@ -696,7 +720,10 @@ def flip(z: AffinePermutation, x: AffinePermutation) -> AffinePermutation:
 def ball(k: int, max_length: int) -> list[AffinePermutation]:
     """All elements of length <= max_length, sorted by (length, window).
 
-    Breadth-first search by left multiplication.  Bott's formula
+    Breadth-first search over windows, one level per length: the windows
+    one left step from a level (`_left_steps`) that no earlier level
+    holds are the next level, since each step changes the length by one.
+    One trusted value is built per element, at the end.  Bott's formula
     (`ball_size`) counts the ball first: a count over BALL_CAP raises
     BallCapExceeded before any element is enumerated, and a search that
     finds another count raises RuntimeError, so a sweep never gets a short
@@ -706,21 +733,23 @@ def ball(k: int, max_length: int) -> list[AffinePermutation]:
     if size > BALL_CAP:
         raise BallCapExceeded(f"ball(k={k}, L={max_length}) of {size:,} elements "
                               f"exceeds cap={BALL_CAP:,}")
-    seen = {identity(k)}
-    frontier = [identity(k)]
+    level = [identity(k).window]
+    seen = set(level)
+    levels = [level]
     for _ in range(max_length):
         nxt = []
-        for w in frontier:
-            for i in range(k + 1):
-                u = left_mul_s(w, i)
-                if u.length == w.length + 1 and u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
+        for win in level:
+            for step in _left_steps(win):
+                if step not in seen:
+                    seen.add(step)
+                    nxt.append(step)
+        level = nxt
+        levels.append(level)
     if len(seen) != size:
         raise RuntimeError(f"ball(k={k}, L={max_length}) holds {len(seen)} elements, "
                            f"not the {size} of Bott's formula")
-    return sorted(seen, key=lambda w: (w.length, w.window))
+    trusted = AffinePermutation._trusted
+    return [trusted(k, win, ell) for ell, level in enumerate(levels) for win in sorted(level)]
 
 
 def ball_size(k: int, max_length: int) -> int:

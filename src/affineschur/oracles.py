@@ -1,6 +1,8 @@
 """Brute-force comparators for order-theoretic claims.
 
-Everything here enumerates; nothing is clever.  Lower bounds in the strong
+Everything here enumerates; nothing is clever.  The breadth-first search
+by `left_mul_s`, one value per step, is the oracle of `affine.ball`, the
+search over windows.  Lower bounds in the strong
 order live inside the length ball of the elements involved, so meets are
 decided exactly.  Upper bounds are unbounded in an infinite group, but every
 minimal common upper bound of v and w is at most l(v) + l(w) long (subword
@@ -36,8 +38,10 @@ from .affine import (
     bruhat_leq,
     demazure,
     from_word,
+    identity,
     inverse,
     left_action,
+    left_mul_s,
     mul,
     reduced_word,
     weak_leq,
@@ -62,6 +66,7 @@ from .shapes import (
 from .symfunc import SymElt, gtilde, h_monomial_mult, product_g, product_ks
 
 __all__ = [
+    "ball_by_left_mul_s",
     "subword_lower_set",
     "bruhat_lower_set",
     "strong_meet",
@@ -86,6 +91,24 @@ __all__ = [
     "gtilde_factorize_check",
     "kschur_rectangle_check",
 ]
+
+
+def ball_by_left_mul_s(k: int, max_length: int) -> list[AffinePermutation]:
+    """All elements of length <= max_length, sorted by (length, window):
+    breadth-first search by left multiplication, keeping s_i w when it is
+    one longer than w and new."""
+    seen = {identity(k)}
+    frontier = [identity(k)]
+    for _ in range(max_length):
+        nxt = []
+        for w in frontier:
+            for i in range(k + 1):
+                u = left_mul_s(w, i)
+                if u.length == w.length + 1 and u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return sorted(seen, key=lambda w: (w.length, w.window))
 
 
 def subword_lower_set(v: AffinePermutation) -> frozenset[AffinePermutation]:

@@ -28,7 +28,7 @@ over a whole ball, such as u -> demazure(u, y) or
 u -> psi_apply(u^-1, x), is built by one generator step per element from
 its parent's value (`_BallOrder.parents`, `_hecke_values`), not by one
 kernel call per pair; the per-pair calls are its test oracle.  Its values
-are positions in the order, stepped along its step table, and only values
+are positions in the order, stepped along its step lists, and only values
 that leave it are elements.  The strong order rows are lifted the same
 way, with `bruhat_leq` as their test oracle, and exist only for the
 elements an order holds.  All below x is shorter than x, so down rows and
@@ -50,12 +50,13 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .affine import (
     AffinePermutation,
     IndexSet,
     _frozen,
+    _left_steps,
     bruhat_leq,
     inverse,
     least_left_descent,
@@ -68,7 +69,7 @@ from .affine import (
 )
 from .kcode import d_elem, d_inverse_steps, d_steps, first_row, ri
 from .partitions import KBoundedPartition
-from .shapes import bounded_to_core
+from .shapes import _core_rows
 
 __all__ = [
     "ZSets",
@@ -470,14 +471,15 @@ def z_sets(u: AffinePermutation) -> ZSets:
 def forbidden_index(lam: KBoundedPartition) -> int:
     """The residue that never appears in a weak-strip index set over lam.
 
-    It is the residue of the rightmost box in the first row of the core;
-    the empty shape degenerates to k, matching its unique size-k strip
-    d_{{0,...,k-1}} . empty.
+    It is the residue of the rightmost box in the first row of the core,
+    read off the row sliding (`shapes._core_rows`) without building the
+    validated core; the empty shape degenerates to k, matching its unique
+    size-k strip d_{{0,...,k-1}} . empty.
     """
-    core = bounded_to_core(lam)
-    if not core.parts:
+    rows = _core_rows(lam)
+    if not rows:
         return lam.k
-    return (core.parts[0] - 1) % (lam.k + 1)
+    return (rows[0] - 1) % (lam.k + 1)
 
 
 def minus_forbidden_indices(w: AffinePermutation) -> frozenset[int]:
@@ -795,9 +797,15 @@ class _BallOrder:
     A weak row is a search along generator steps: a left weak cover is
     u -> s_i u with the length up by one, so every z with x <=_L z and
     l(z) <= radius is reached through the ball's elements, and so are the
-    lower sets and the right side.  The steps are read from a table of the
-    positions of s_i u and u s_i, built per element as the searches and the
-    lifting reach it.
+    lower sets and the right side.  Every generator step of every reader
+    (searches, lifting, walks, parents and the tables of this module) is
+    read from the step lists `left` and `right`, indexed by position:
+    entry p holds the positions of s_i u (left) or u s_i (right) for u at
+    p and i = 0..k, -1 for an element outside the order.  An entry is
+    built the first time it is read, by `fill_left` or `fill_right`, which
+    edit one copy of the window in place; until then it is None, so a
+    reader takes `left[p] or order.fill_left(p)`.  A sweep that reads
+    few entries of a large order keeps only those.
     """
 
     def __init__(self, elements: list[AffinePermutation], radius: int | None = None):
@@ -806,7 +814,8 @@ class _BallOrder:
         self._lengths = [w.length for w in elements]
         self.within = bisect.bisect_right(self._lengths, self.radius)
         self._index = {w.window: i for i, w in enumerate(elements)}  # by window
-        self._steps: dict[str, dict[int, list[int]]] = {"left": {}, "right": {}}
+        self.left: list[list[int] | None] = [None] * len(elements)
+        self.right: list[list[int] | None] = [None] * len(elements)
         self._down: dict[int, int] = {0: 1}  # the identity comes first
         self._up: list[int] | None = None
         self._rows: dict[tuple[str, int], int] = {}  # weak rows, by (kind, position)
@@ -848,11 +857,23 @@ class _BallOrder:
         `lift(v)`, each step kept when it shortens x.  For s a left descent
         of v, x <= v iff min(x, s x) <= s v (the recursion of `bruhat_leq`),
         so x <= v iff that position is in the down row of the lift's."""
-        lengths = self._lengths
+        lengths, left = self._lengths, self.left
         for i in letters:
-            t = self._neighbours("left", p)[i]
+            t = (left[p] or self.fill_left(p))[i]
             if t >= 0 and lengths[t] < lengths[p]:
                 p = t
+        return p
+
+    def walk(self, p: int, letters) -> int:
+        """Position of s_{i_m} ... s_{i_1} u, for u the element at p and the
+        letters i_1, ..., i_m, first letter first (as `left_action` reads
+        them); a step that leaves the order raises, as `at` does."""
+        left = self.left
+        for i in letters:
+            t = (left[p] or self.fill_left(p))[i]
+            if t < 0:
+                raise ValueError(f"s_{i} {self.elements[p]!r} lies outside the order")
+            p = t
         return p
 
     def _lifted(self, p: int) -> int:
@@ -867,13 +888,13 @@ class _BallOrder:
                 chain.append((p, i))
                 p = q
                 row = rows.get(p)
-            lengths = self._lengths
+            lengths, left, fill = self._lengths, self.left, self.fill_left
             for p, i in reversed(chain):
                 # every element below p is at most as long as p
                 end = bisect.bisect_right(lengths, lengths[p])
                 buf = bytearray(row.to_bytes((end + 7) // 8, "little"))
                 for z in _positions(row):
-                    t = self._neighbours("left", z)[i]
+                    t = (left[z] or fill(z))[i]
                     buf[t >> 3] |= 1 << (t & 7)
                 row = rows[p] = int.from_bytes(buf, "little")
         return row
@@ -889,45 +910,43 @@ class _BallOrder:
             kind = "up" if above else "down"
             raise ValueError(f"{kind} rows search the first {size} elements; {start} is outside")
         lengths = self._lengths
+        steps, fill = self.side(side)
         seen = {start}
         todo = [start]
         while todo:
             p = todo.pop()
-            for q in self._neighbours(side, p):
+            for q in steps[p] or fill(p):
                 if 0 <= q < size and (lengths[q] > lengths[p]) == above and q not in seen:
                     seen.add(q)
                     todo.append(q)
         return _mask(sorted(seen))
 
-    def _neighbours(self, side: str, p: int) -> list[int]:
-        """Positions of s_i u (left) or u s_i (right) for u at position p and
-        i = 0..k, with -1 for an element outside the order."""
-        table = self._steps[side]
-        out = table.get(p)
-        if out is None:
-            win = self.elements[p].window
-            n = len(win)
-            windows = []
-            if side == "left":  # s_i adds one to residue i, takes one from i+1
-                at = [0] * n
-                for pos, v in enumerate(win):
-                    at[v % n] = pos
-                for i in range(n):
-                    w = list(win)
-                    w[at[i]] += 1
-                    w[at[(i + 1) % n]] -= 1
-                    windows.append(w)
-            else:  # s_i swaps window positions i and i+1, cyclically for i = 0
-                w = list(win)
-                w[0], w[-1] = win[-1] - n, win[0] + n
-                windows.append(w)
-                for i in range(1, n):
-                    w = list(win)
-                    w[i - 1], w[i] = win[i], win[i - 1]
-                    windows.append(w)
-            index = self._index
-            out = table[p] = [index.get(tuple(w), -1) for w in windows]
-        return out
+    def side(self, side: str) -> tuple[list[list[int] | None], Callable[[int], list[int]]]:
+        """The step list of a side, "left" or "right", and its builder."""
+        return (self.left, self.fill_left) if side == "left" else (self.right, self.fill_right)
+
+    def fill_left(self, p: int) -> list[int]:
+        """Build, keep and return entry p of `left` (`affine._left_steps`)."""
+        get = self._index.get
+        row = self.left[p] = [get(step, -1) for step in _left_steps(self.elements[p].window)]
+        return row
+
+    def fill_right(self, p: int) -> list[int]:
+        """Build, keep and return entry p of `right`: s_i swaps window
+        positions i and i+1, cyclically for i = 0, one copy of the window
+        edited in place and restored after each letter."""
+        win = self.elements[p].window
+        n, get = len(win), self._index.get
+        w = list(win)
+        w[0], w[-1] = win[-1] - n, win[0] + n
+        row = [get(tuple(w), -1)]
+        w[0], w[-1] = win[0], win[-1]
+        for i in range(1, n):
+            w[i - 1], w[i] = win[i], win[i - 1]
+            row.append(get(tuple(w), -1))
+            w[i - 1], w[i] = win[i - 1], win[i]
+        self.right[p] = row
+        return row
 
     def join_at(self, a: int, b: int) -> int | None:
         """Position of the exact strong join of the elements at a and b, or None.
@@ -955,7 +974,8 @@ class _BallOrder:
         return None if common & ~self._lifted(m) else m
 
     def _parent(self, side: str, p: int) -> tuple[int, int]:
-        for i, q in enumerate(self._neighbours(side, p)):
+        steps, fill = self.side(side)
+        for i, q in enumerate(steps[p] or fill(p)):
             if 0 <= q < p:
                 return q, i
         raise RuntimeError(f"the element at {p} has no {side} parent in the order")
@@ -1000,17 +1020,18 @@ def _hecke_values(
     same letters in the same order as those calls apply, with every prefix
     shared.
 
-    A value is its position in `order`, stepped along the step table
-    (`_neighbours`).  Only an `up` step leaves the order, which is closed
-    downwards; such a value, and every later `up` value from it, is an
-    element.
+    A value is its position in `order`, stepped along its left step list
+    (`_BallOrder.left`).  Only an `up` step leaves the order, which is
+    closed downwards; such a value, and every later `up` value from it, is
+    an element.
     """
     lengths, elements = order._lengths, order.elements
+    left, fill = order.left, order.fill_left
     values: list[int | AffinePermutation] = [start]
     for p, i in parents:
         z = values[p]
         if type(z) is int:
-            t = order._neighbours("left", z)[i]
+            t = (left[z] or fill(z))[i]
             if t < 0:  # s_i z is longer than z and outside the order
                 values.append(left_mul_s(elements[z], i) if up else z)
             else:
@@ -1095,9 +1116,10 @@ def _product_table(
     y z = s_i (y' z) is one left step from the row of y'.  Each entry is at
     most twice the prefix's radius long, so a ball of that radius holds it.
     """
+    steps, fill = order.left, order.fill_left
     prod = [list(range(size))]
     for q, i in left[: size - 1]:
-        prod.append([order._neighbours("left", p)[i] for p in prod[q]])
+        prod.append([(steps[p] or fill(p))[i] for p in prod[q]])
     return prod
 
 
@@ -1110,8 +1132,9 @@ def _quotient(order: _BallOrder, side: str, p: int, letters) -> int | None:
     a <=_L u, and the left steps i_1, ..., i_l reach a^-1 u and all shorten
     iff a <=_R u.  Shorter elements come earlier in any ball that holds u.
     """
+    steps, fill = order.side(side)
     for i in letters:
-        t = order._neighbours(side, p)[i]
+        t = (steps[p] or fill(p))[i]
         if not 0 <= t < p:
             return None
         p = t
@@ -1126,7 +1149,8 @@ def _generator_steps(order: _BallOrder, size: int, up: bool) -> list[list[int]]:
     A psi_i value is no longer than u, so it lies in the prefix, which is
     closed downwards; a phi_i value outside the ball raises.
     """
-    columns = list(zip(*(order._neighbours("left", p) for p in range(size))))
+    left, fill = order.left, order.fill_left
+    columns = list(zip(*(left[p] or fill(p) for p in range(size))))
     if up and any(t < 0 for column in columns for t in column):
         raise ValueError("a generator step leaves the ball")
     # the ball is sorted by length, so s_i u is longer than u iff it comes later
@@ -1151,10 +1175,9 @@ def _seed_tables(
     Each entry is at most l(x) + l(y) long, so it lies in a ball of twice
     the prefix's radius.
     """
+    steps, fill = order.right, order.fill_right
     # x' = min(x, x s_j) by j; an x s_j shorter than x lies in the ball, earlier
-    mins = [
-        [t if 0 <= t < x else x for t in order._neighbours("right", x)] for x in range(size)
-    ]
+    mins = [[t if 0 <= t < x else x for t in steps[x] or fill(x)] for x in range(size)]
     seeds, joins, meets = [list(range(size))], [list(range(size))], [[0] * size]
     for q, j in right[: size - 1]:
         s_row, j_row, m_row = seeds[q], joins[q], meets[q]
@@ -1162,8 +1185,10 @@ def _seed_tables(
         for x in range(size):
             p = mins[x][j]
             seed.append(s_row[p])
-            join.append(order._neighbours("right", j_row[p])[j])
-            meet.append(m_row[p] if p == x else order._neighbours("right", m_row[p])[j])
+            z = j_row[p]
+            join.append((steps[z] or fill(z))[j])
+            z = m_row[p]
+            meet.append(z if p == x else (steps[z] or fill(z))[j])
         seeds.append(seed)
         joins.append(join)
         meets.append(meet)
@@ -1265,12 +1290,14 @@ def _flip_images(order: _BallOrder, c: int) -> dict[int, int]:
     z x^-1 = (z x'^-1) s_i, one right step from the image of x'; the
     interval is taken longest first, so x' has its image already.
     """
+    left, right = order.left, order.right
     left_row = order.row("left-down", c)
     images = {c: 0}  # z is the longest, and last, element of its interval
     for x in reversed(_positions(left_row)[:-1]):
-        steps = enumerate(order._neighbours("left", x))
+        steps = enumerate(left[x] or order.fill_left(x))
         i, t = next((i, t) for i, t in steps if t > x and left_row >> t & 1)
-        images[x] = order._neighbours("right", images[t])[i]
+        y = images[t]
+        images[x] = (right[y] or order.fill_right(y))[i]
     return images
 
 

@@ -261,8 +261,8 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     weak-interval chain property is a first-step test per pair
     (`_chain_gaps`), with the chain search `oracles.saturated_chain_exists`
     as its test oracle; u^-1 z and w d_A^-1 are walks (`_quotient`), and
-    d_A u and d_A^-1 u are `left_action` along the letters of d_A, and
-    d_A w_lam is read off its growth (`StripGrowth.perms`), placed in D.
+    so are d_A u and d_A^-1 u, along the letters of d_A (`_BallOrder.walk`),
+    and d_A w_lam is read off its growth (`StripGrowth.perms`), placed in D.
 
     The six triple-ball checks (`weak-order-triple-splitting` through
     `demazure-monotone-in-actor`) and `generator-actions-preserve-meet-join`
@@ -355,9 +355,11 @@ def verify_order_props(k: int, max_length: int) -> list[CheckResult]:
     # the word and the inverse of every six-ball element, off the left parents
     words = [()]  # (i_1, ..., i_l) for u = s_{i_1} ... s_{i_l}
     at_inverse = [0]  # (s_i u)^-1 = u^-1 s_i
+    right = whole.right
     for q, i in parents[0][: len(six_ball) - 1]:
         words.append((i,) + words[q])
-        at_inverse.append(whole._neighbours("right", at_inverse[q])[i])
+        r = at_inverse[q]
+        at_inverse.append((right[r] or whole.fill_right(r))[i])
     backwards = [word[::-1] for word in words[:size]]
     dem_at, psi_at = _hecke_tables(whole, parents, size, at_inverse[:size])
     prod = _product_table(whole, parents[0], size)
@@ -724,13 +726,15 @@ def _verify_z_families(
     A to the letters of d_A and of d_A^-1.
 
     The families are read as `ZSets` holds them, bitsets over residue
-    masks, and an index set A is its mask throughout.  d_A u and d_A^-1 u
-    are positions in `whole`, reached by `left_action` along the letters of
-    d_A (`d_steps`, `d_inverse_steps`), once per member A; a value outside
-    its order raises.  d_{A & B} u is the meet of d_A u and d_B u exactly
-    when the AND of their down rows (`down_row`, once per member) is its
-    down row: a common lower bound that holds every other one.  Joins are
-    `join_at`.  The member whose mask is A & B is read by index.
+    masks, and an index set A is its mask throughout.  `elements` are a
+    prefix of `whole`, so u sits at its own index there.  d_A u and
+    d_A^-1 u are positions in `whole`, walks (`_BallOrder.walk`) from
+    that of u along the letters of d_A (`d_steps`, `d_inverse_steps`),
+    once per member A; a walk that leaves the order raises.  d_{A & B} u
+    is the meet of d_A u and d_B u exactly when the AND of their down rows
+    (`down_row`, once per member) is its down row: a common lower bound
+    that holds every other one.  Joins are `join_at`.  The member whose
+    mask is A & B is read by index.
     """
     closure = CheckResult("z-families-closed-and-bounded")
     meets = CheckResult("plus-family-intersection-is-meet")
@@ -739,14 +743,14 @@ def _verify_z_families(
     confining = CheckResult("minus-family-confined-to-code-row")
     passed_meets = passed_joins = passed_chains = passed_confining = 0
     absent = [-1] * (1 << (k + 1))  # -1: no member has this mask
-    join_at = whole.join_at
-    for u, zs, u_inverse in zip(elements, families, inverses):
+    join_at, walk = whole.join_at, whole.walk
+    for c, (u, zs, u_inverse) in enumerate(zip(elements, families, inverses)):
         # the down row of d_A u, up to min(L, 6) + k long; closed under intersection
         plus = _positions(zs.plus_bits)
         row_at = absent.copy()
         rows = []
         for a in plus:
-            row_at[a] = row = down_row(whole.at(left_action(u, letters[a][0])))
+            row_at[a] = row = down_row(walk(c, letters[a][0]))
             rows.append(row)
         for i, (row_a, a) in enumerate(zip(rows, plus)):
             for j in range(i + 1, len(plus)):
@@ -758,7 +762,7 @@ def _verify_z_families(
         minus = _positions(zs.minus_bits)
         at = absent.copy()
         for a in minus:
-            at[a] = whole.at(left_action(u, letters[a][1]))
+            at[a] = walk(c, letters[a][1])
         for i, a in enumerate(minus):
             for j in range(i + 1, len(minus)):
                 if join_at(at[a], at[minus[j]]) == at[a & minus[j]]:

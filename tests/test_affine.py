@@ -33,7 +33,7 @@ from affineschur.affine import (
 )
 from affineschur.kcode import KCode, code_rows, rd, ri
 from affineschur.orderlab import Fiber, ZSets, fiber_X, signed_fiber_table, z_sets
-from affineschur.oracles import subword_lower_set
+from affineschur.oracles import ball_by_left_mul_s, subword_lower_set
 from affineschur.partitions import CorePartition, KBoundedPartition, kbounded_partitions
 from affineschur.shapes import WeakStrip, bounded_to_perm, setvalued_strips, weak_strips
 from affineschur.verify import verify_fibers
@@ -295,17 +295,28 @@ def test_ball_cap(monkeypatch):
         ball(2, 6)
 
 
+def test_ball_is_the_search_by_left_mul_s():
+    """The search over windows gives the elements, order and lengths of the
+    search by `left_mul_s`, one value per step."""
+    for k, top in [(1, 6), (2, 6), (3, 6), (4, 6), (8, 3)]:
+        for L in range(top + 1):
+            got, want = ball(k, L), ball_by_left_mul_s(k, L)
+            assert got == want, (k, L)
+            assert [w.length for w in got] == [w.length for w in want], (k, L)
+
+
 def test_an_over_cap_ball_raises_before_any_step(monkeypatch):
     """The cap is checked against Bott's count, so not one generator step runs."""
     from affineschur.affine import BallCapExceeded
 
     steps = []
 
-    def counted(w, i):
-        steps.append(i)
-        return left_mul_s(w, i)
+    def counted(window):
+        steps.append(window)
+        return original(window)
 
-    monkeypatch.setattr(affine, "left_mul_s", counted)
+    original = affine._left_steps
+    monkeypatch.setattr(affine, "_left_steps", counted)
     monkeypatch.setattr(affine, "BALL_CAP", ball_size(2, 6) - 1)
     with pytest.raises(BallCapExceeded, match="of 64 elements exceeds cap=63"):
         ball(2, 6)
@@ -313,15 +324,15 @@ def test_an_over_cap_ball_raises_before_any_step(monkeypatch):
 
 
 def test_a_ball_that_loses_elements_raises(monkeypatch):
-    """With the length update of `left_mul_s` inverted, the search stops at
-    the identity; the count against Bott's formula makes `ball`, and a sweep
-    over it, raise instead of passing on a one-element ball."""
+    """With the edits of the left-step rule lost, every step gives w back and
+    the search stops at the identity; the count against Bott's formula makes
+    `ball`, and a sweep over it, raise instead of passing on a one-element
+    ball."""
 
-    def inverted(w, i):
-        u = left_mul_s(w, i)
-        return AffinePermutation._trusted(w.k, u.window, 2 * w.length - u.length)
+    def unedited(window):
+        return [window] * len(window)
 
-    monkeypatch.setattr(affine, "left_mul_s", inverted)
+    monkeypatch.setattr(affine, "_left_steps", unedited)
     with pytest.raises(RuntimeError, match="holds 1 elements, not the 31"):
         ball(2, 4)
     with pytest.raises(RuntimeError, match="Bott's formula"):

@@ -96,7 +96,7 @@ def _seeds_one_right_step_off(original):
         seeds, joins, meets = original(order, right, size)
 
         def off(z):
-            t = order._neighbours("right", z)[0]
+            t = (order.right[z] or order.fill_right(z))[0]
             return z if t < 0 else t
 
         return [[off(z) for z in row] for row in seeds], joins, meets
@@ -116,7 +116,7 @@ def _inversion_rows_without_s0(original):
 def _products_one_left_step_down(original):
     def product_table(order, left, size):
         def off(p):  # s_0 u where that is shorter, so the entry stays in the rows
-            t = order._neighbours("left", p)[0]
+            t = (order.left[p] or order.fill_left(p))[0]
             return t if 0 <= t < p else p
 
         return [[off(p) for p in row] for row in original(order, left, size)]
@@ -126,14 +126,27 @@ def _products_one_left_step_down(original):
 
 def _quotient_accepting_ascents(original):
     def quotient(order, side, p, letters):
+        steps, fill = order.side(side)
         for i in letters:
-            t = order._neighbours(side, p)[i]
+            t = (steps[p] or fill(p))[i]
             if t < 0:
                 return None
             p = t  # a longer element too
         return p
 
     return quotient
+
+
+def _left_step_of_s0_s3_s0_to_its_right_step(original):
+    def fill_left(self, p):
+        # s_0 w read as w s_0 for w = s_0 s_3 s_0: the entry of the same
+        # length, s_0 s_3 in place of s_3 s_0
+        row = original(self, p)
+        if self.elements[p] == from_word(3, [0, 3, 0]):
+            row[0] = (self.right[p] or self.fill_right(p))[0]
+        return row
+
+    return fill_left
 
 
 def _slices_one_length_too_long(original):
@@ -419,6 +432,39 @@ MUTANTS = [
         "order-props",
         ((2, 4), (3, 4)),
         frozenset({"bottom-row-is-inclusion-maximal"}),
+    ),
+    # Every table of `order-props` reads the step lists.  At 27 of the 34
+    # elements of length 1 to 3 the same swap makes the sweep raise
+    # (`_flip_images` finds no step up, or `_parent` no parent) instead of
+    # failing a check, and at 3, where s_0 w = w s_0, it changes nothing.
+    Mutant(
+        "left-step-list-entry-read-on-the-right",
+        orderlab._BallOrder,
+        "fill_left",
+        _left_step_of_s0_s3_s0_to_its_right_step,
+        "order-props",
+        ((3, 4),),
+        frozenset(
+            {
+                "anti-demazure-factors",
+                "demazure-actions-monotone",
+                "demazure-monotone-in-actor",
+                "demazure-preserves-order",
+                "demazure-product-factors",
+                "generator-actions-preserve-meet-join",
+                "half-strong-join-minimal",
+                "half-strong-meet-maximal",
+                "interval-flip-anti-isomorphism",
+                "join-seed-minimal-both-forms",
+                "minus-family-confined-to-code-row",
+                "minus-family-intersection-is-join",
+                "plus-family-intersection-is-meet",
+                "reduced-factorization-comparison",
+                "strong-covers-are-reflections",
+                "weak-interval-chain-property",
+                "weak-order-triple-splitting",
+            }
+        ),
     ),
     Mutant(
         "cover-slice-one-length-too-long",

@@ -31,7 +31,13 @@ from affineschur.orderlab import (
 )
 from affineschur.oracles import closure_failure_by_pairs, d_mul, strong_meet, subword_lower_set
 from affineschur.partitions import KBoundedPartition, kbounded_partitions
-from affineschur.shapes import bounded_to_perm, is_weak_strip, strip_top, weak_strips
+from affineschur.shapes import (
+    bounded_to_core,
+    bounded_to_perm,
+    is_weak_strip,
+    strip_top,
+    weak_strips,
+)
 
 
 def P(k, *parts):
@@ -107,6 +113,15 @@ def test_forbidden_index_examples():
             fi = forbidden_index(lam)
             for r in range(k + 1):
                 assert all(fi not in s.indices for s in weak_strips(lam, r))
+
+
+def test_forbidden_index_is_the_residue_of_the_first_core_row():
+    """The residue read off the row sliding is that of the validated core."""
+    for k in (1, 2, 3, 4):
+        for lam in kbounded_partitions(k, 8):
+            core = bounded_to_core(lam)
+            want = (core.parts[0] - 1) % (k + 1) if core.parts else k
+            assert forbidden_index(lam) == want, lam
 
 
 def test_minus_forbidden_indices():

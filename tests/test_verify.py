@@ -16,11 +16,13 @@ from affineschur.affine import (
     from_word,
     identity,
     inverse,
+    left_action,
     left_mul_s,
     meet_LS,
     mul,
     psi_apply,
     reduced_word,
+    right_mul_s,
     s_join_L,
     weak_leq,
 )
@@ -436,6 +438,50 @@ def test_an_order_over_a_down_closure_answers_up_sets_in_its_ball(monkeypatch, k
             _down_row(alone, v)
         for w in elements[::3]:
             assert _meet(order, v, w) == strong_meet(v, w, elements), (v, w)
+
+
+@pytest.mark.parametrize("k,L", [(2, 4), (3, 4), (3, 0), (3, 1), (4, 1)])
+def test_step_lists_are_the_generator_steps(monkeypatch, k, L):
+    """Every entry of the left and right step lists of the orders of
+    `verify_order_props` is the position of `left_mul_s(u, i)` or
+    `right_mul_s(u, i)`, -1 outside the order: those the sweep built and,
+    filled afterwards, the rest.  At (3,0), (3,1) and (4,1) the whole
+    order, D, is no ball."""
+    built = []
+
+    def recording(elements, *args):
+        built.append(_BallOrder(elements, *args))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "_BallOrder", recording)
+    assert all(r.ok for r in verify_order_props(k, L))
+    for order in built:
+        index = {w: p for p, w in enumerate(order.elements)}
+        sides = ((order.left, order.fill_left, left_mul_s),
+                 (order.right, order.fill_right, right_mul_s))
+        for steps, fill, step in sides:
+            for p, u in enumerate(order.elements):
+                want = [index.get(step(u, i), -1) for i in range(k + 1)]
+                assert (steps[p] or fill(p)) == want, (p, u)
+    longest = built[0].elements[-1].length
+    if (k, L) in ((3, 0), (3, 1), (4, 1)):
+        assert len(built[0].elements) < len(ball(k, longest))
+
+
+def test_a_walk_leaving_the_order_raises():
+    """`walk` reaches s_{i_m} ... s_{i_1} u, as `left_action` does; a step
+    out of the order raises as `at` does, where the -1 of its entry, used
+    as a position, would read the last element."""
+    order = _BallOrder(ball(2, 3))
+    words = [(i, j, m) for i in range(3) for j in range(3) for m in range(3)]
+    for p, u in enumerate(order.elements):
+        for word in words:
+            path = [left_action(u, word[:t]) for t in range(1, 4)]
+            if all(order.position(v) is not None for v in path):
+                assert order.walk(p, word) == order.at(path[-1]), (u, word)
+            else:
+                with pytest.raises(ValueError, match="lies outside the order"):
+                    order.walk(p, word)
 
 
 @pytest.mark.parametrize("k", [2, 3])
