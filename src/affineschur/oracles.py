@@ -20,9 +20,11 @@ scan is the oracle of the bitset closure check of `orderlab`.  The scans of
 the residue subsets, one generator run each, are the oracles of the grown
 Z-set families, weak strips and set-valued strips.  The product that
 applies each h monomial on its own is the oracle of the table walk of
-`symfunc`, and the set-valued Pieri rule from the strips of one size, grown
-afresh, is the oracle of the rows `symfunc.pieri_kk` reads off one growth
-per partition.  The rotation s_i -> s_{i+t} of a reduced word is the oracle of
+`symfunc`, forward substitution over whole h monomials is the oracle of
+the h expansions that `symfunc.g_to_h` and `symfunc.ks_to_h` build one
+Pieri row at a time, and the set-valued Pieri rule from the strips of one
+size, grown afresh, is the oracle of the rows `symfunc.pieri_kk` reads off
+one growth per partition.  The rotation s_i -> s_{i+t} of a reduced word is the oracle of
 the rectangle-union lemma w_{R_t u lam} = f_t(w_lam) w_{R_t}, and the
 whole products gtilde(R_t) gtilde(lam) and s_{R_t} s_lam are the oracles of
 the sums the factorization sweep of `verify` reads off its shared tables.
@@ -87,6 +89,7 @@ __all__ = [
     "weak_strips_by_scan",
     "pieri_kk_by_strips",
     "product_via_h_by_monomial",
+    "h_expansions_by_monomials",
     "shift_ft",
     "gtilde_factorize_check",
     "kschur_rectangle_check",
@@ -463,6 +466,26 @@ def product_via_h_by_monomial(a: SymElt, b: SymElt, to_h) -> SymElt:
         for q, v in h_monomial_mult(b, hparts).as_mapping().items():
             acc[q] = acc.get(q, 0) + hc * v
     return SymElt(a.k, a.basis, tuple(acc.items()))
+
+
+def h_expansions_by_monomials(k: int, max_size: int, to_basis) -> dict[tuple[int, ...], SymElt]:
+    """b_lam in the h basis for every k-bounded lam of size <= max_size, by
+    forward substitution over whole h monomials in the term order: h_mu =
+    b_mu + sum c_nu b_nu over earlier nu, with h_mu multiplied out in the b
+    basis by `to_basis` (`symfunc.h_to_g` or `symfunc.h_to_ks`), gives
+    b_mu = h_mu - sum c_nu (b_nu in h).  The oracle of `symfunc.g_to_h` and
+    `symfunc.ks_to_h`, which read one Pieri row per partition instead."""
+    rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for mu in kbounded_partitions(k, max_size):  # in the term order
+        terms = to_basis(mu).as_mapping()
+        if terms.pop(mu.parts, 0) != 1:
+            raise RuntimeError(f"h monomial of {mu} has no unit diagonal")
+        acc = {mu.parts: 1}
+        for nu, c in terms.items():
+            for q, v in rows[nu].items():  # KeyError: a term at or after mu
+                acc[q] = acc.get(q, 0) - c * v
+        rows[mu.parts] = {q: v for q, v in acc.items() if v}
+    return {parts: SymElt(k, "h", tuple(row.items())) for parts, row in rows.items()}
 
 
 def shift_ft(w: AffinePermutation, t: int) -> AffinePermutation:

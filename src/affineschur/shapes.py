@@ -133,31 +133,41 @@ def bounded_to_perm(lam: KBoundedPartition) -> AffinePermutation:
     return w
 
 
-@functools.lru_cache(maxsize=None)
 def perm_to_bounded(w: AffinePermutation) -> KBoundedPartition:
     """The shape of the decreasing k-code: the rows of lam are the cyclically
     decreasing factors of its reading word (Lapointe–Morse, JCTA 2005).
 
-    The window of a Grassmannian element is increasing, so in the count of
-    `kcode.rd` no earlier window position contributes to column p, and a
-    later one q contributes (w(q) - w(p)) // n.  With w(q) = n a_q + r_q,
-    0 <= r_q < n, that is a_q - a_p - [r_q < r_p], so one right-to-left
-    pass sums the a_q of the later positions and counts, by bisection in
-    their sorted residues, those below r_p.  Test oracles: `sh(rd(w))` and
+    Checks that w is Grassmannian and reads the shape off its window by the
+    memo `_window_shape`.  Test oracles: `sh(rd(w))` and
     `oracles.core_by_residue_action`."""
     if not w.is_grassmannian():
         raise ValueError(f"{w!r} is not affine Grassmannian")
-    n = w.k + 1
+    return _window_shape(w.k, w.window)
+
+
+@functools.lru_cache(maxsize=None)
+def _window_shape(k: int, window: tuple[int, ...]) -> KBoundedPartition:
+    """The shape of the Grassmannian element with this increasing window,
+    memoised by (k, window), so a lookup hashes a tuple of ints and builds
+    no permutation; the strip readers hand it their grown windows.
+
+    The window is increasing, so in the count of `kcode.rd` no earlier
+    window position contributes to column p, and a later one q contributes
+    (w(q) - w(p)) // n.  With w(q) = n a_q + r_q, 0 <= r_q < n, that is
+    a_q - a_p - [r_q < r_p], so one right-to-left pass sums the a_q of the
+    later positions and counts, by bisection in their sorted residues,
+    those below r_p."""
+    n = k + 1
     heights = []  # in reverse order, which the shape does not see
     residues: list[int] = []  # of the later positions, sorted
     total = 0  # the a_q of the later positions
-    for later, x in enumerate(reversed(w.window)):
+    for later, x in enumerate(reversed(window)):
         a, r = divmod(x, n)
         i = bisect.bisect_left(residues, r)
         heights.append(total - later * a - i)
         residues.insert(i, r)
         total += a
-    return _column_shape(w.k, heights)
+    return _column_shape(k, heights)
 
 
 def _slide_row(heights: list[int], p: int, k: int) -> int:
@@ -302,7 +312,8 @@ class StripGrowth:
     `is_weak_strip_parabolic`).  w_lam is 0-dominant, so w_lam w_0 is its
     window reversed, and no product is made; the grown window reversed is
     that of the top d_A w_lam, of length |lam| + |A|.  A top is read off
-    its window on first use and kept, so a size reads only its own level,
+    that window by `_window_shape`, with no permutation built, on first
+    use and kept, so a size reads only its own level,
     and no top is read twice, whether for a strip or for an intersection.
     The grown strips are read as tables keyed by index set: `tops(r)`, to
     the top partition, and `perms()`, to d_A w_lam for every size at once.
@@ -353,7 +364,7 @@ class StripGrowth:
         return AffinePermutation._trusted(lam.k, tuple(win[::-1]), lam.size + len(A))
 
     def _read_top(self, A: frozenset[int], win: list[int]) -> KBoundedPartition:
-        top = self._tops[A] = perm_to_bounded(self._perm(A, win))
+        top = self._tops[A] = _window_shape(self.lam.k, tuple(win[::-1]))
         return top
 
 

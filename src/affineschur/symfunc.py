@@ -5,17 +5,20 @@ homogeneous generators (h), the homogeneous affine Schubert basis defined
 by the weak-strip Pieri rule (ks), and its inhomogeneous K-theoretic
 analogue defined by the signed set-valued Pieri rule (g).  Coefficients
 are arbitrary-precision integers throughout: both basis changes to h are
-unit lower-triangular in the term order, which is asserted, so they are
-inverted by integer forward substitution.  The weak-strip rules read every
+unit lower-triangular in the term order, and each is inverted by one row of
+its own Pieri rule per partition, h_r b_nu for lam = (nu, r), whose
+triangularity is asserted row by row.  The weak-strip rules read every
 strip top off the windows of the growth from w_lam w_0 (`shapes.StripGrowth`):
 the ks rule and the union form of the gtilde Pieri rule read the table of
 tops of a level, `StripGrowth.tops(r)`, and the inclusion-exclusion form
 reads index sets and the tops of their intersections, so a sweep that grows
 a partition once to level k reads every r from it.  The set-valued rule
-reads every r off one Demazure growth of w_lam, extended on demand.  Both
-Pieri rules keep their rows in memos keyed by the partition's (k, parts),
-and each partition's strong ideal is searched once, as plain parts, for
-every reader.  Their dict results are put in the term order only where it
+reads every r off one Demazure growth of w_lam, extended on demand.  Every
+shape is read off its grown window by the memo `shapes._window_shape`,
+keyed by (k, window), with no permutation built.  Both Pieri rules keep
+their rows in memos keyed by the partition's (k, parts), and each
+partition's strong ideal is searched once, as plain parts, for every
+reader.  Their dict results are put in the term order only where it
 reaches output.
 """
 
@@ -24,9 +27,9 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .affine import AffinePermutation, LeftGrowth
+from .affine import LeftGrowth
 from .partitions import KBoundedPartition
-from .shapes import StripGrowth, _core_rows, bounded_to_perm, perm_to_bounded
+from .shapes import StripGrowth, _core_rows, _window_shape, bounded_to_perm
 
 __all__ = [
     "BASES",
@@ -225,8 +228,8 @@ class _SetValuedRows(dict):
     level asked is turned into a row: the levels passed on the way are
     dropped, and the deepest is parked to grow the next.  An r at or below
     the depth grown is read off a growth of its own.  The row of level r
-    adds (-1)^(r - dl) at the shape of each window, where dl is
-    l(v) - l(w_lam).
+    adds (-1)^(r - dl) at the shape of each window (`_window_shape`), where
+    dl is l(v) - l(w_lam).
     """
 
     __slots__ = ("lam", "_w", "_growth")
@@ -247,10 +250,9 @@ class _SetValuedRows(dict):
         while growth.depth < r - 1:
             growth.grow()
         level = growth.grow()
-        ell = self._w.length
         acc: dict[tuple[int, ...], int] = {}
         for _, win, dl in level:
-            parts = perm_to_bounded(AffinePermutation._trusted(k, tuple(win), ell + dl)).parts
+            parts = _window_shape(k, tuple(win)).parts
             acc[parts] = acc.get(parts, 0) + (-1 if (r - dl) & 1 else 1)
         row = self[r] = SymElt._trusted(k, "g", acc)
         if growth is self._growth:
@@ -305,7 +307,9 @@ def h_monomial_mult(elt: SymElt, parts: tuple[int, ...]) -> SymElt:
 
 
 def h_to_g(mu: KBoundedPartition) -> SymElt:
-    """Expansion of the h monomial of mu in the g basis, by iterated Pieri."""
+    """Expansion of the h monomial of mu in the g basis, by iterated Pieri;
+    with `h_to_ks`, what the test oracle `oracles.h_expansions_by_monomials`
+    inverts."""
     return h_monomial_mult(SymElt._trusted(mu.k, "g", {(): 1}), mu.parts)
 
 
@@ -314,50 +318,74 @@ def h_to_ks(mu: KBoundedPartition) -> SymElt:
     return h_monomial_mult(SymElt._trusted(mu.k, "ks", {(): 1}), mu.parts)
 
 
-# h-basis rows of the two inverted transitions, per partition: the only memo
-# of the transitions, as `_invert_unitriangular` expands each partition once.
-_G2H_TABLES: dict[KBoundedPartition, dict[tuple[int, ...], int]] = {}
-_KS2H_TABLES: dict[KBoundedPartition, dict[tuple[int, ...], int]] = {}
+# h-basis rows of the two inverted transitions, per k and then per parts:
+# the only memo of the transitions, as `_invert_unitriangular` expands each
+# partition once.
+_G2H_TABLES: dict[int, dict[tuple[int, ...], dict[tuple[int, ...], int]]] = {}
+_KS2H_TABLES: dict[int, dict[tuple[int, ...], dict[tuple[int, ...], int]]] = {}
 
 
-def _invert_unitriangular(lam: KBoundedPartition, to_basis, rows: dict) -> SymElt:
-    """The h expansion of b_lam, given `to_basis`: h_mu in the b basis.
+def _h_times(r: int, terms: dict) -> dict[tuple[int, ...], int]:
+    """h_r times terms in the h basis: r joins each monomial in its place,
+    and distinct monomials stay distinct."""
+    acc = {}
+    for nu, c in terms.items():
+        i = len(nu)
+        while i and nu[i - 1] < r:
+            i -= 1
+        acc[(*nu[:i], r, *nu[i:])] = c
+    return acc
 
-    The transition is unit lower-triangular in the term order:
-    h_mu = b_mu + sum_{nu < mu} c_nu b_nu, so b_mu = h_mu - sum c_nu (b_nu
-    in h).  The partitions lam depends on are collected first, then their
-    rows are filled in term order and kept in `rows` per partition.  A
-    diagonal coefficient other than 1 or a term at or after mu means a
-    broken Pieri rule, not bad input.
+
+def _invert_unitriangular(lam: KBoundedPartition, rule, tables: dict) -> SymElt:
+    """The h expansion of b_lam, given `rule`: the basis's Pieri rule, h_r
+    times b_nu in the b basis.
+
+    For mu = (nu, r), r the last part of mu, the one row rule(nu, r) =
+    b_mu + sum_{rho < mu} c_rho b_rho: the strip that adds r as a new last
+    row is the latest term.  So b_mu = h_r (b_nu in h) - sum c_rho (b_rho
+    in h), and b_() = h_().  The partitions lam depends on are collected
+    first, then their rows are filled in term order and kept in tables[k]
+    per parts.  A row whose coefficient at mu is not 1, or that has another
+    term at or after mu, means a broken Pieri rule, not bad input.
     """
-    lower: dict[KBoundedPartition, list] = {}
-    todo = [lam]
+    k = lam.k
+    rows = tables.setdefault(k, {})
+    lower: dict[tuple[int, ...], tuple] = {}
+    todo = [lam.parts]
     while todo:
         mu = todo.pop()
         if mu in rows or mu in lower:
             continue
-        terms = to_basis(mu).as_mapping()
-        key = partition_sort_key(mu.parts)
-        if terms.pop(mu.parts, 0) != 1 or any(partition_sort_key(p) > key for p in terms):
-            raise RuntimeError(f"transition of {mu} is not unitriangular")
-        lower[mu] = [(KBoundedPartition._trusted(mu.k, p), c) for p, c in terms.items()]
-        todo.extend(nu for nu, _ in lower[mu])
-    for mu in sorted(lower, key=lambda m: partition_sort_key(m.parts)):
-        acc = {mu.parts: 1}
-        for nu, c in lower[mu]:
-            _accumulate(acc, rows[nu], -c)
+        if not mu:
+            rows[mu] = {mu: 1}
+            continue
+        row = rule(KBoundedPartition._trusted(k, mu[:-1]), mu[-1])._terms
+        key = partition_sort_key(mu)
+        if row.get(mu) != 1 or any(partition_sort_key(p) > key for p in row if p != mu):
+            raise RuntimeError(
+                f"transition of {KBoundedPartition._trusted(k, mu)} is not unitriangular"
+            )
+        lower[mu] = row
+        todo.append(mu[:-1])
+        todo.extend(row)
+    for mu in sorted(lower, key=partition_sort_key):
+        acc = _h_times(mu[-1], rows[mu[:-1]])
+        for rho, c in lower[mu].items():
+            if rho != mu:
+                _accumulate(acc, rows[rho], -c)
         rows[mu] = {q: v for q, v in acc.items() if v}
-    return SymElt._trusted(lam.k, "h", rows[lam])
+    return SymElt._trusted(k, "h", rows[lam.parts])
 
 
 def g_to_h(lam: KBoundedPartition) -> SymElt:
     """Exact integer expansion of a g basis element in the h basis."""
-    return _invert_unitriangular(lam, h_to_g, _G2H_TABLES)
+    return _invert_unitriangular(lam, pieri_kk, _G2H_TABLES)
 
 
 def ks_to_h(lam: KBoundedPartition) -> SymElt:
     """Expansion of a homogeneous basis element in the h basis."""
-    return _invert_unitriangular(lam, h_to_ks, _KS2H_TABLES)
+    return _invert_unitriangular(lam, pieri_kschur, _KS2H_TABLES)
 
 
 def _top_degree(elt: SymElt) -> int:

@@ -226,8 +226,8 @@ def _ideal_shift_one_row_low(original):
 
 
 def _growth_answering_with_the_level_below(original):
-    # at (2,1) only, as for the pieri_kk mutants: wherever an h_to_g
-    # expansion reads the level below, the unitriangular transition raises
+    # at (2,1) only, as for the pieri_kk mutants: wherever an inversion
+    # reads the level below as its Pieri row, it raises "not unitriangular"
     def __missing__(self, r):
         return self[r - 1] if r > 1 and self.lam.parts == (2, 1) else original(self, r)
 
@@ -241,6 +241,32 @@ def _table_entry_one_step_short(original):
         return original(in_h, table, basis, k)
 
     return h_combination
+
+
+def _inversion_skipping_one_lower_row(original):
+    def invert(lam, rule, tables):
+        # b_(1,1) = h_1 (b_(1) in h) - (b_(2) in h) - ..., without the row of (2)
+        def row_without_2(nu, r):
+            row = rule(nu, r)
+            if nu.parts != (1,) or r != 1:
+                return row
+            terms = row.as_mapping()
+            del terms[(2,)]
+            return SymElt._trusted(nu.k, row.basis, terms)
+
+        return original(lam, row_without_2, tables)
+
+    return invert
+
+
+def _window_shape_of_the_parent(original):
+    def window_shape(k, window):
+        # every window of shape (2,2) answers the shape of its parent (2,1)
+        # in Young's lattice
+        shape = original(k, window)
+        return KBoundedPartition._trusted(k, (2, 1)) if shape.parts == (2, 2) else shape
+
+    return window_shape
 
 
 def _rectangle_one_row_short(original):
@@ -602,6 +628,54 @@ MUTANTS = [
         "pieri-sum",
         ((3, 4),),
         frozenset({"product-support-above-weak-join"}),
+    ),
+    Mutant(
+        "inversion-skipping-one-lower-row/factorization",
+        symfunc,
+        "_invert_unitriangular",
+        _inversion_skipping_one_lower_row,
+        "factorization",
+        ((2, 4), (3, 4)),
+        frozenset(
+            {"ideal-sum-rectangle-factorization", "homogeneous-rectangle-factorization"}
+        ),
+    ),
+    Mutant(
+        "inversion-skipping-one-lower-row/pieri-sum",
+        symfunc,
+        "_invert_unitriangular",
+        _inversion_skipping_one_lower_row,
+        "pieri-sum",
+        ((2, 4), (3, 4)),
+        frozenset({"product-support-above-weak-join"}),
+    ),
+    # No factorization row: a wrong shape of (2,2) moves the diagonal term of
+    # a Pieri row that the inversions read, and the sweep raises "not
+    # unitriangular" instead of failing a check.  order-props sees it only
+    # at (2,4), where (2,2) is a size-k strip top.
+    Mutant(
+        "window-shape-answering-the-parent-shape/pieri-sum",
+        shapes,
+        "_window_shape",
+        _window_shape_of_the_parent,
+        "pieri-sum",
+        ((2, 4), (3, 4)),
+        frozenset(
+            {
+                "signed-product-equals-interval-union",
+                "product-coefficients-are-zero-or-one",
+                "product-support-above-weak-join",
+            }
+        ),
+    ),
+    Mutant(
+        "window-shape-answering-the-parent-shape/order-props",
+        shapes,
+        "_window_shape",
+        _window_shape_of_the_parent,
+        "order-props",
+        ((2, 4),),
+        frozenset({"unique-size-k-strip-adds-one-row"}),
     ),
     Mutant(
         "k-rectangle-one-row-short",

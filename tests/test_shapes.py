@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from affineschur import shapes, symfunc
 from affineschur.affine import (
+    AffinePermutation,
     IndexSet,
     ball,
     bruhat_leq,
@@ -24,6 +26,7 @@ from affineschur.partitions import (
     union_sort,
 )
 from affineschur.shapes import (
+    StripGrowth,
     WeakStrip,
     _core_rows,
     bounded_to_core,
@@ -158,6 +161,37 @@ def test_perm_to_bounded_equals_shape_of_rd():
             for r in range(1, k + 1):
                 for _, v in setvalued_strips(w, r):
                     assert perm_to_bounded(v) == sh(rd(v)), (lam, r, v)
+
+
+def test_grown_windows_read_their_shape_through_the_window_memo(monkeypatch):
+    # every weak-strip top and every set-valued row window is read off its
+    # grown window by the memo, which must give the shape of the k-code
+    read = {"weak": [], "set-valued": []}
+    memo = shapes._window_shape
+
+    def recording(kind):
+        def window_shape(k, window):
+            shape = memo(k, window)
+            read[kind].append((k, window, shape))
+            return shape
+
+        return window_shape
+
+    monkeypatch.setattr(shapes, "_window_shape", recording("weak"))
+    monkeypatch.setattr(symfunc, "_window_shape", recording("set-valued"))
+    for k in range(1, 5):
+        for lam in kbounded_partitions(k, 6):
+            growth = StripGrowth(lam, k)
+            perms = growth.perms()
+            for r in range(k + 1):
+                for A, top in growth.tops(r).items():
+                    assert top == sh(rd(perms[A])), (lam, A)
+            rows = symfunc._SetValuedRows(lam)
+            for r in range(1, k + 1):
+                rows[r]
+    assert read["weak"] and read["set-valued"]
+    for k, window, shape in read["weak"] + read["set-valued"]:
+        assert shape == sh(rd(AffinePermutation(k, window))), (k, window)
 
 
 def test_weak_strip_lists():

@@ -10,6 +10,7 @@ from affineschur import shapes, symfunc
 from affineschur.affine import IndexSet, ball, weak_leq
 from affineschur.oracles import (
     gtilde_factorize_check,
+    h_expansions_by_monomials,
     kschur_rectangle_check,
     pieri_kk_by_strips,
     product_via_h_by_monomial,
@@ -151,30 +152,64 @@ def test_transition_unit_diagonal():
             assert ks_to_h(lam).coefficient(lam.parts) == 1
 
 
-def test_inversion_rejects_non_triangular_transition():
-    # h_(1) = b_(1) + b_(1,1) puts a term after (1) in the term order
-    def fake(mu):
-        extra = {(1, 1): 1} if mu.parts == (1,) else {}
-        return SymElt.from_dict(2, "g", {mu.parts: 1, **extra})
+def test_each_pieri_row_is_unitriangular_at_its_last_part():
+    # the one row the inversions read per partition: h_r b_nu, with lam = (nu, r)
+    rows = 0
+    for k in range(1, 8):
+        for lam in kbounded_partitions(k, 9 if k <= 4 else 7)[1:]:
+            nu, r, key = P(k, *lam.parts[:-1]), lam.parts[-1], partition_sort_key(lam.parts)
+            for rule in (pieri_kk, pieri_kschur):
+                row = rule(nu, r).as_mapping()
+                assert row.pop(lam.parts) == 1, (lam, rule)
+                assert all(partition_sort_key(p) < key for p in row), (lam, rule, row)
+                rows += 1
+    assert rows == 576
 
+
+def test_inversions_equal_forward_substitution_over_h_monomials():
+    for k in range(1, 9):
+        size = 9 if k <= 4 else 7
+        for to_h, to_basis in ((g_to_h, h_to_g), (ks_to_h, h_to_ks)):
+            oracle = h_expansions_by_monomials(k, size, to_basis)
+            for lam in kbounded_partitions(k, size):
+                assert to_h(lam) == oracle[lam.parts], (lam, to_h)
+
+
+def test_inversion_rejects_non_triangular_transition():
+    # fake Pieri rules at k = 2.  With the one term h_r b_nu = b_(nu, r) the
+    # b basis is the h basis; h_1 b_() = b_(1) + b_(1,1) puts a term after
+    # (1) in the term order, and h_1 b_(2) = b_(2,1) + b_(1,1,1) one after
+    # (2,1); a row whose diagonal is 2 is no unitriangular row either
+    def late(after):
+        def rule(nu, r):
+            terms = {(*nu.parts, r): 1}
+            if (*nu.parts, r) == after[0]:
+                terms[after[1]] = 1
+            return SymElt.from_dict(2, "g", terms)
+
+        return rule
+
+    for lam in kbounded_partitions(2, 4):
+        assert _invert_unitriangular(lam, late(((), ())), {}).as_mapping() == {lam.parts: 1}
+    for lam, after in ((P(2, 1, 1), ((1,), (1, 1))), (P(2, 2, 1), ((2, 1), (1, 1, 1)))):
+        with pytest.raises(RuntimeError, match="unitriangular"):
+            _invert_unitriangular(lam, late(after), {})
     with pytest.raises(RuntimeError, match="unitriangular"):
-        _invert_unitriangular(P(2, 1), fake, {})
-    with pytest.raises(RuntimeError, match="unitriangular"):
-        _invert_unitriangular(P(2, 1), lambda mu: SymElt.single(2, "g", mu.parts, 2), {})
+        _invert_unitriangular(
+            P(2, 2, 1), lambda nu, r: SymElt.single(2, "g", (*nu.parts, r), 2), {}
+        )
 
 
 def test_inversion_handles_long_chains():
-    # h_(n) = b_(n) + b_(n-1): each row rests on a chain of 1500 earlier rows
+    # h_n b_() = b_(n) + b_(n-1): each row rests on a chain of 1500 earlier rows
     k = 1500
 
     def row(n):
         return (n,) if n else ()
 
-    def chain(mu):
-        terms = {mu.parts: 1}
-        if mu.size:
-            terms[row(mu.size - 1)] = 1
-        return SymElt.from_dict(k, "g", terms)
+    def chain(nu, r):
+        assert nu.parts == ()
+        return SymElt.from_dict(k, "g", {row(r): 1, row(r - 1): 1})
 
     inverse = _invert_unitriangular(P(k, k), chain, {})
     assert inverse.as_mapping() == {row(j): (-1) ** (k - j) for j in range(k + 1)}
@@ -553,11 +588,11 @@ def test_a_row_interrupted_while_built_is_built_again(monkeypatch):
     rows = symfunc._SetValuedRows(lam)
     assert rows[1] == pieri_kk_by_strips(lam, 1)
 
-    def interrupted(v):
+    def interrupted(k, window):
         raise KeyboardInterrupt
 
     with monkeypatch.context() as patch:
-        patch.setattr(symfunc, "perm_to_bounded", interrupted)
+        patch.setattr(symfunc, "_window_shape", interrupted)
         with pytest.raises(KeyboardInterrupt):
             rows[2]
     assert 2 not in rows
@@ -654,9 +689,13 @@ def test_kbounded_partitions_pass_validation():
 
 def test_pieri_memos_can_be_cleared():
     # benchmark sessions empty every memo they find by its cache_clear
-    # attribute; both rules keep their rows in a memo keyed by parts
-    for rule, memo in ((pieri_kk, symfunc._set_valued_rows), (pieri_kschur, symfunc._weak_row)):
-        rule(P(3, 2, 1), 1)
-        assert memo.cache_info().currsize > 0
-        memo.cache_clear()
-        assert memo.cache_info().currsize == 0
+    # attribute; both rules keep their rows in a memo keyed by parts, and
+    # read their shapes through the memo keyed by window
+    found = [v for m in (shapes, symfunc) for v in vars(m).values() if hasattr(v, "cache_clear")]
+    for rule, rows in ((pieri_kk, symfunc._set_valued_rows), (pieri_kschur, symfunc._weak_row)):
+        for memo in (rows, shapes._window_shape):
+            assert any(v is memo for v in found)
+            rule(P(3, 2, 1), 1)
+            assert memo.cache_info().currsize > 0
+            memo.cache_clear()
+            assert memo.cache_info().currsize == 0

@@ -597,7 +597,8 @@ def test_factorization_sums_equal_the_whole_products(monkeypatch):
 
 def test_factorization_forms_each_pieri_product_once_per_sweep(monkeypatch):
     """Every b h_nu of a Pieri-side factor is one table entry for the whole
-    sweep, not one per row: 768 Pieri steps before the tables were shared."""
+    sweep, not one per row: 768 Pieri steps before the tables were shared.
+    The inversions read one Pieri row per partition and take no step."""
     calls = []
     step = symfunc._pieri_step
 
@@ -605,12 +606,12 @@ def test_factorization_forms_each_pieri_product_once_per_sweep(monkeypatch):
         calls.append(r)
         return step(terms, rule, k, r)
 
-    # cold transitions, whose rows are h monomials by Pieri steps too
+    # cold transitions, which must not add steps of their own
     monkeypatch.setattr(symfunc, "_G2H_TABLES", {})
     monkeypatch.setattr(symfunc, "_KS2H_TABLES", {})
     monkeypatch.setattr(symfunc, "_pieri_step", counting)
     verify_factorization(4, 5)
-    assert len(calls) == 371
+    assert len(calls) == 289
 
 
 def test_weak_row_of_an_element_outside_the_ball_raises():
