@@ -27,7 +27,6 @@ __all__ = [
     "right_mul_s",
     "left_action",
     "left_growth",
-    "LeftGrowth",
     "descents",
     "least_left_descent",
     "bruhat_leq",
@@ -430,10 +429,30 @@ def left_growth(
     leaves the parent's window, shared.  The length change is +|A|, -|A|,
     or in "max" the number of steps that went up.  The full residue set has
     no run top or bottom, so it is never reached.  Each level is one
-    `LeftGrowth.grow`.
+    `_grow_level`, whose masks and position tables are kept only until the
+    next level is grown.
     """
-    growth = LeftGrowth(window, mode, within)
-    return [[(frozenset(), list(window), 0)], *(growth.grow() for _ in range(size))]
+    if mode not in LEFT_MODES[1:]:
+        raise ValueError(f"mode must be one of {LEFT_MODES[1:]}, got {mode!r}")
+    n = len(window)
+    win = list(window)
+    is_max = mode == "max"
+    if is_max and any(x > y for x, y in zip(win, win[1:])):
+        raise ValueError(f"max growth needs an increasing window, got {win}")
+    pos = [0] * n
+    for p, x in enumerate(win):
+        pos[x % n] = p
+    residues = range(n) if within is None else sorted(within)
+    ascent = mode != "descent"
+    # a may join A when its neighbour above (ascent, max) or below (descent) is out
+    step = 1 if ascent else -1
+    guard = [1 << a | 1 << (a + step) % n for a in range(n)]
+    level = [(0, frozenset(), win, pos, 0)]
+    levels = [[(frozenset(), list(window), 0)]]
+    for _ in range(size):
+        level = _grow_level(level, residues, guard, ascent, is_max)
+        levels.append([(members, cwin, dl) for _, members, cwin, _, dl in level])
+    return levels
 
 
 def _grow_level(level: list, residues, guard: list[int], ascent: bool, is_max: bool) -> list:
@@ -467,65 +486,6 @@ def _grow_level(level: list, residues, guard: list[int], ascent: bool, is_max: b
             cpos[a], cpos[j] = q, p
             grown.append((child, members | {a}, cwin, cpos, dl + (1 if ascent else -1)))
     return grown
-
-
-class LeftGrowth:
-    """`left_growth` one level at a time, for a caller that keeps the
-    growth between levels: `grow` returns the next level, adding only
-    residues of `within` (all by default).
-
-    Only the deepest level grown is kept, so a caller that wants one level
-    grows no further than it, and one that wants more goes on from there.
-    Between levels the caller can `park` the growth, keeping of its
-    deepest level only the masks, windows and length changes until the
-    next `grow`.
-    """
-
-    __slots__ = ("depth", "_level", "_parked", "_residues", "_guard", "_ascent", "_max")
-
-    def __init__(self, window: Sequence[int], mode: str, within: Iterable[int] | None = None):
-        if mode not in LEFT_MODES[1:]:
-            raise ValueError(f"mode must be one of {LEFT_MODES[1:]}, got {mode!r}")
-        n = len(window)
-        win = list(window)
-        self._max = mode == "max"
-        if self._max and any(x > y for x, y in zip(win, win[1:])):
-            raise ValueError(f"max growth needs an increasing window, got {win}")
-        pos = [0] * n
-        for p, x in enumerate(win):
-            pos[x % n] = p
-        self._level = [(0, frozenset(), win, pos, 0)]
-        self._residues = range(n) if within is None else sorted(within)
-        self._ascent = mode != "descent"
-        # a may join A when its neighbour above (ascent, max) or below (descent) is out
-        step = 1 if self._ascent else -1
-        self._guard = [1 << a | 1 << (a + step) % n for a in range(n)]
-        self._parked = False
-        self.depth = 0
-
-    def park(self) -> None:
-        """Drop the index sets and position tables of the deepest level;
-        `grow` rebuilds them from its masks and windows."""
-        self._level = [(mask, None, win, None, dl) for mask, _, win, _, dl in self._level]
-        self._parked = True
-
-    def grow(self) -> list[tuple[frozenset[int], list[int], int]]:
-        """Grow the next level and return it, as (A, window, length change)."""
-        if self._parked:
-            self._unpark()
-        self._level = _grow_level(self._level, self._residues, self._guard, self._ascent, self._max)
-        self.depth += 1
-        return [(members, win, dl) for _, members, win, _, dl in self._level]
-
-    def _unpark(self) -> None:
-        n = len(self._guard)
-        level = []
-        for mask, _, win, _, dl in self._level:
-            pos = [0] * n
-            for p, x in enumerate(win):
-                pos[x % n] = p
-            level.append((mask, frozenset([a for a in range(n) if mask >> a & 1]), win, pos, dl))
-        self._level, self._parked = level, False
 
 
 def from_word(k: int, word: Iterable[int]) -> AffinePermutation:
@@ -771,7 +731,6 @@ def ball_size(k: int, max_length: int) -> int:
     return sum(coeffs)
 
 
-@functools.lru_cache(maxsize=None)
 def longest_finite_element(k: int) -> AffinePermutation:
     """Longest element of the finite symmetric group inside, window reversed."""
     return AffinePermutation(k, range(k + 1, 0, -1))

@@ -443,8 +443,9 @@ def setvalued_strips_by_scan(
 
 def pieri_kk_by_strips(lam: KBoundedPartition, r: int) -> SymElt:
     """h_r times the K-theoretic basis element of lam, from the set-valued
-    strips of size r alone, grown afresh for this r; the oracle of
-    `symfunc.pieri_kk`, which reads every r off one growth of lam."""
+    strips of size r alone, each product built as a permutation and its
+    shape read by `perm_to_bounded`; the oracle of `symfunc.pieri_kk`,
+    which reads each shape off its grown window."""
     w = bounded_to_perm(lam)
     acc: dict[tuple[int, ...], int] = {}
     for _, v in setvalued_strips(w, r):

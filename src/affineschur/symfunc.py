@@ -13,13 +13,13 @@ the ks rule and the union form of the gtilde Pieri rule read the table of
 tops of a level, `StripGrowth.tops(r)`, and the inclusion-exclusion form
 reads index sets and the tops of their intersections, so a sweep that grows
 a partition once to level k reads every r from it.  The set-valued rule
-reads every r off one Demazure growth of w_lam, extended on demand.  Every
+reads level r of a Demazure growth of w_lam grown for that r.  Every
 shape is read off its grown window by the memo `shapes._window_shape`,
 keyed by (k, window), with no permutation built.  Both Pieri rules keep
-their rows in memos keyed by the partition's (k, parts), and each
-partition's strong ideal is searched once, as plain parts, for every
-reader.  Their dict results are put in the term order only where it
-reaches output.
+their rows in memos keyed by (k, parts, r) and keep no growth once a row
+is read, and each partition's strong ideal is searched once, as plain
+parts, for every reader.  Their dict results are put in the term order
+only where it reaches output.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .affine import LeftGrowth
+from .affine import left_growth
 from .partitions import KBoundedPartition
 from .shapes import StripGrowth, _core_rows, _window_shape, bounded_to_perm
 
@@ -184,7 +184,7 @@ class SymElt:
         }
 
 
-# Both Pieri rules are memoised per partition, keyed by (k, parts): a product
+# Both Pieri rules are memoised per row, keyed by (k, parts, r): a product
 # sweep asks for the same few hundred strip sums tens of thousands of times.
 # The rows are frozen, so every caller can share them.
 def pieri_kschur(lam: KBoundedPartition, r: int) -> SymElt:
@@ -201,11 +201,11 @@ def pieri_kk(lam: KBoundedPartition, r: int) -> SymElt:
 
     Signed sum over set-valued strips (A, v): the coefficient of the
     target v gains (-1)^(r + l(w_lam) - l(v)); distinct A with the same
-    product accumulate.  Read off the memoised growth of lam
-    (`_SetValuedRows`), which every r shares; the per-r scan
-    `oracles.pieri_kk_by_strips` is its test oracle.
+    product accumulate.  Read off a growth of lam to level r and kept
+    (`_set_valued_row`); `oracles.pieri_kk_by_strips`, over
+    `shapes.setvalued_strips`, is its test oracle.
     """
-    return _set_valued_rows(lam.k, lam.parts)[r]
+    return _set_valued_row(lam.k, lam.parts, r)
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,54 +219,20 @@ def _weak_row(k: int, parts: tuple[int, ...], r: int) -> SymElt:
     return SymElt._trusted(k, "ks", acc)
 
 
-class _SetValuedRows(dict):
-    """r -> pieri_kk(lam, r), read off one "max" growth of w_lam.
-
-    The growth (`affine.LeftGrowth`) is extended one level at a time, as
-    far as the largest r asked, so a sweep that asks r in ascending order
-    grows lam once, and a single r grows no further than itself.  Only the
-    level asked is turned into a row: the levels passed on the way are
-    dropped, and the deepest is parked to grow the next.  An r at or below
-    the depth grown is read off a growth of its own.  The row of level r
-    adds (-1)^(r - dl) at the shape of each window (`_window_shape`), where
-    dl is l(v) - l(w_lam).
-    """
-
-    __slots__ = ("lam", "_w", "_growth")
-
-    def __init__(self, lam: KBoundedPartition):
-        super().__init__()
-        self.lam = lam
-        self._w = bounded_to_perm(lam)
-        self._growth = LeftGrowth(self._w.window, "max")
-
-    def __missing__(self, r: int) -> SymElt:
-        k = self.lam.k
-        if not 1 <= r <= k:
-            raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
-        growth = self._growth
-        if growth is None or growth.depth >= r:
-            growth = LeftGrowth(self._w.window, "max")
-        while growth.depth < r - 1:
-            growth.grow()
-        level = growth.grow()
-        acc: dict[tuple[int, ...], int] = {}
-        for _, win, dl in level:
-            parts = _window_shape(k, tuple(win)).parts
-            acc[parts] = acc.get(parts, 0) + (-1 if (r - dl) & 1 else 1)
-        row = self[r] = SymElt._trusted(k, "g", acc)
-        if growth is self._growth:
-            if r == k:  # no index set is larger
-                self._growth = None
-            else:
-                growth.park()
-        return row
-
-
 @functools.lru_cache(maxsize=None)
-def _set_valued_rows(k: int, parts: tuple[int, ...]) -> _SetValuedRows:
-    """The memo of `pieri_kk`: one row table, and one growth, per partition."""
-    return _SetValuedRows(KBoundedPartition._trusted(k, parts))
+def _set_valued_row(k: int, parts: tuple[int, ...], r: int) -> SymElt:
+    """The memo of `pieri_kk`: level r of the "max" growth of w_lam, grown
+    for this r alone and dropped once read.  Each window adds
+    (-1)^(r - dl) at its shape (`_window_shape`), where dl is
+    l(v) - l(w_lam)."""
+    if not 1 <= r <= k:
+        raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
+    w = bounded_to_perm(KBoundedPartition._trusted(k, parts))
+    acc: dict[tuple[int, ...], int] = {}
+    for _, win, dl in left_growth(w.window, "max", r)[r]:
+        shape = _window_shape(k, tuple(win)).parts
+        acc[shape] = acc.get(shape, 0) + (-1 if (r - dl) & 1 else 1)
+    return SymElt._trusted(k, "g", acc)
 
 
 def h_mult(elt: SymElt, r: int) -> SymElt:

@@ -164,32 +164,29 @@ def _psi_one_letter_off(original):
     return generator_steps
 
 
-# The pieri_kk mutants change the row that the memo of g rows keeps, so
-# every reader of that memo, not only `symfunc.pieri_kk`, reads it wrong.
+# The pieri_kk mutants replace the memo of g rows, `symfunc._set_valued_row`,
+# so every caller of `symfunc.pieri_kk` reads the wrong row.
 def _pieri_kk_lower_signs_flipped(original):
-    def __missing__(self, r):
-        lam, out = self.lam, original(self, r)
-        if lam.parts != (2, 1) or r != 1:
+    def _set_valued_row(k, parts, r):
+        out = original(k, parts, r)
+        if parts != (2, 1) or r != 1:
             return out
-        top = lam.size + r
-        row = self[r] = SymElt._trusted(
-            lam.k, "g", {p: c if sum(p) == top else -c for p, c in out.as_mapping().items()}
+        top = sum(parts) + r
+        return SymElt._trusted(
+            k, "g", {p: c if sum(p) == top else -c for p, c in out.as_mapping().items()}
         )
-        return row
 
-    return __missing__
+    return _set_valued_row
 
 
 def _pieri_kk_top_degree_only(original):
-    def __missing__(self, r):
-        lam = self.lam
-        top = lam.size + r
-        row = self[r] = SymElt._trusted(
-            lam.k, "g", {p: c for p, c in original(self, r).as_mapping().items() if sum(p) == top}
+    def _set_valued_row(k, parts, r):
+        top = sum(parts) + r
+        return SymElt._trusted(
+            k, "g", {p: c for p, c in original(k, parts, r).as_mapping().items() if sum(p) == top}
         )
-        return row
 
-    return __missing__
+    return _set_valued_row
 
 
 def _ideals_without_empty_partition(original):
@@ -228,10 +225,12 @@ def _ideal_shift_one_row_low(original):
 def _growth_answering_with_the_level_below(original):
     # at (2,1) only, as for the pieri_kk mutants: wherever an inversion
     # reads the level below as its Pieri row, it raises "not unitriangular"
-    def __missing__(self, r):
-        return self[r - 1] if r > 1 and self.lam.parts == (2, 1) else original(self, r)
+    def _set_valued_row(k, parts, r):
+        if r > 1 and parts == (2, 1):
+            return _set_valued_row(k, parts, r - 1)
+        return original(k, parts, r)
 
-    return __missing__
+    return _set_valued_row
 
 
 def _table_entry_one_step_short(original):
@@ -503,8 +502,8 @@ MUTANTS = [
     ),
     Mutant(
         "pieri-kk-lower-signs-flipped/factorization",
-        symfunc._SetValuedRows,
-        "__missing__",
+        symfunc,
+        "_set_valued_row",
         _pieri_kk_lower_signs_flipped,
         "factorization",
         ((3, 4),),
@@ -512,8 +511,8 @@ MUTANTS = [
     ),
     Mutant(
         "pieri-kk-lower-signs-flipped/pieri-sum",
-        symfunc._SetValuedRows,
-        "__missing__",
+        symfunc,
+        "_set_valued_row",
         _pieri_kk_lower_signs_flipped,
         "pieri-sum",
         ((3, 4),),
@@ -527,8 +526,8 @@ MUTANTS = [
     ),
     Mutant(
         "pieri-kk-top-degree-only/factorization",
-        symfunc._SetValuedRows,
-        "__missing__",
+        symfunc,
+        "_set_valued_row",
         _pieri_kk_top_degree_only,
         "factorization",
         ((3, 4),),
@@ -536,8 +535,8 @@ MUTANTS = [
     ),
     Mutant(
         "pieri-kk-top-degree-only/pieri-sum",
-        symfunc._SetValuedRows,
-        "__missing__",
+        symfunc,
+        "_set_valued_row",
         _pieri_kk_top_degree_only,
         "pieri-sum",
         ((3, 4),),
@@ -587,8 +586,8 @@ MUTANTS = [
     ),
     Mutant(
         "pieri-growth-answers-with-the-level-below/factorization",
-        symfunc._SetValuedRows,
-        "__missing__",
+        symfunc,
+        "_set_valued_row",
         _growth_answering_with_the_level_below,
         "factorization",
         ((3, 4),),
@@ -596,8 +595,8 @@ MUTANTS = [
     ),
     Mutant(
         "pieri-growth-answers-with-the-level-below/pieri-sum",
-        symfunc._SetValuedRows,
-        "__missing__",
+        symfunc,
+        "_set_valued_row",
         _growth_answering_with_the_level_below,
         "pieri-sum",
         ((3, 4),),

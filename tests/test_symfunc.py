@@ -7,7 +7,7 @@ import random
 import pytest
 
 from affineschur import shapes, symfunc
-from affineschur.affine import IndexSet, ball, weak_leq
+from affineschur.affine import IndexSet, ball, left_growth, weak_leq
 from affineschur.oracles import (
     gtilde_factorize_check,
     h_expansions_by_monomials,
@@ -549,44 +549,44 @@ def test_memoised_pieri_rules_match_the_uncached_rules():
                     assert got == SymElt(k, got.basis, got.coeffs)
                     assert in_term_order(got)
                     assert rule(lam, r) is got
-
-
-@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-def test_shared_growth_answers_every_r_in_any_order(order):
-    # each partition gets a fresh growth, asked for every r in the given order
-    rng = random.Random(order)
+    # a g row does not depend on the rows asked before it: every r asked
+    # afresh, descending and shuffled
+    rng = random.Random("shuffled")
     lams = [lam for k in range(1, 5) for lam in kbounded_partitions(k, 6)]
     lams += rng.sample(kbounded_partitions(8, 8), 15)
-    for lam in lams:
-        rs = list(range(1, lam.k + 1))
-        if order == "descending":
-            rs.reverse()
-        elif order == "shuffled":
-            rng.shuffle(rs)
-        rows = symfunc._SetValuedRows(lam)
-        for r in rs:
-            assert rows[r] == pieri_kk_by_strips(lam, r), (lam, r)
+    for order in ("descending", "shuffled"):
+        symfunc._set_valued_row.cache_clear()
+        for lam in lams:
+            rs = list(range(lam.k, 0, -1))
+            if order == "shuffled":
+                rng.shuffle(rs)
+            for r in rs:
+                assert pieri_kk(lam, r) == pieri_kk_by_strips(lam, r), (order, lam, r)
 
 
-def test_one_r_grows_no_further_than_itself():
+def test_one_r_grows_no_further_than_itself(monkeypatch):
+    grown = []
+
+    def recording(window, mode, size, within=None):
+        grown.append(size)
+        return left_growth(window, mode, size, within)
+
+    monkeypatch.setattr(symfunc, "left_growth", recording)
+    symfunc._set_valued_row.cache_clear()
     lam = P(5, 3, 2, 1)
-    rows = symfunc._SetValuedRows(lam)
-    assert rows[3] == pieri_kk_by_strips(lam, 3)
-    assert rows._growth.depth == 3
-    assert rows[1] == pieri_kk_by_strips(lam, 1)  # off a growth of its own
-    assert rows._growth.depth == 3
-    assert rows[4] == pieri_kk_by_strips(lam, 4)  # one level on from the parked one
-    assert rows._growth.depth == 4
+    for r in (3, 1, 4):
+        assert pieri_kk(lam, r) == pieri_kk_by_strips(lam, r)
+    assert pieri_kk(lam, 3) == pieri_kk_by_strips(lam, 3)  # kept, not grown again
+    assert grown == [3, 1, 4]
     with pytest.raises(ValueError, match=r"need 1 <= r <= k, got r=6, k=5"):
-        rows[6]
+        pieri_kk(lam, 6)
 
 
 def test_a_row_interrupted_while_built_is_built_again(monkeypatch):
-    # the growth has reached level r when its row fails; asking r again must
-    # not read the level after it
+    # a row whose build fails is not kept, and asking r again builds it whole
     lam = P(5, 3, 2, 1)
-    rows = symfunc._SetValuedRows(lam)
-    assert rows[1] == pieri_kk_by_strips(lam, 1)
+    symfunc._set_valued_row.cache_clear()
+    assert pieri_kk(lam, 1) == pieri_kk_by_strips(lam, 1)
 
     def interrupted(k, window):
         raise KeyboardInterrupt
@@ -594,10 +594,10 @@ def test_a_row_interrupted_while_built_is_built_again(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(symfunc, "_window_shape", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            rows[2]
-    assert 2 not in rows
+            pieri_kk(lam, 2)
+    assert symfunc._set_valued_row.cache_info().currsize == 1
     for r in (2, 3, 5, 4):
-        assert rows[r] == pieri_kk_by_strips(lam, r), r
+        assert pieri_kk(lam, r) == pieri_kk_by_strips(lam, r), r
 
 
 def test_products_are_valid_symelts(monkeypatch):
@@ -689,10 +689,10 @@ def test_kbounded_partitions_pass_validation():
 
 def test_pieri_memos_can_be_cleared():
     # benchmark sessions empty every memo they find by its cache_clear
-    # attribute; both rules keep their rows in a memo keyed by parts, and
-    # read their shapes through the memo keyed by window
+    # attribute; both rules keep their rows in a memo keyed by (k, parts,
+    # r), and read their shapes through the memo keyed by window
     found = [v for m in (shapes, symfunc) for v in vars(m).values() if hasattr(v, "cache_clear")]
-    for rule, rows in ((pieri_kk, symfunc._set_valued_rows), (pieri_kschur, symfunc._weak_row)):
+    for rule, rows in ((pieri_kk, symfunc._set_valued_row), (pieri_kschur, symfunc._weak_row)):
         for memo in (rows, shapes._window_shape):
             assert any(v is memo for v in found)
             rule(P(3, 2, 1), 1)
