@@ -549,19 +549,24 @@ def test_memoised_pieri_rules_match_the_uncached_rules():
                     assert got == SymElt(k, got.basis, got.coeffs)
                     assert in_term_order(got)
                     assert rule(lam, r) is got
-    # a g row does not depend on the rows asked before it: every r asked
-    # afresh, descending and shuffled
-    rng = random.Random("shuffled")
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_shared_growth_answers_every_r_in_any_order(order):
+    # a g row does not depend on the rows asked before it: every r of each
+    # partition asked afresh, in the given order
+    rng = random.Random(order)
     lams = [lam for k in range(1, 5) for lam in kbounded_partitions(k, 6)]
     lams += rng.sample(kbounded_partitions(8, 8), 15)
-    for order in ("descending", "shuffled"):
-        symfunc._set_valued_row.cache_clear()
-        for lam in lams:
-            rs = list(range(lam.k, 0, -1))
-            if order == "shuffled":
-                rng.shuffle(rs)
-            for r in rs:
-                assert pieri_kk(lam, r) == pieri_kk_by_strips(lam, r), (order, lam, r)
+    symfunc._set_valued_row.cache_clear()
+    for lam in lams:
+        rs = list(range(1, lam.k + 1))
+        if order == "descending":
+            rs.reverse()
+        elif order == "shuffled":
+            rng.shuffle(rs)
+        for r in rs:
+            assert pieri_kk(lam, r) == pieri_kk_by_strips(lam, r), (lam, r)
 
 
 def test_one_r_grows_no_further_than_itself(monkeypatch):
