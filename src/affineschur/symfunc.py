@@ -3,23 +3,27 @@
 Three bases, all indexed by k-bounded partitions: products of complete
 homogeneous generators (h), the homogeneous affine Schubert basis defined
 by the weak-strip Pieri rule (ks), and its inhomogeneous K-theoretic
-analogue defined by the signed set-valued Pieri rule (g).  Coefficients
-are arbitrary-precision integers throughout: both basis changes to h are
-unit lower-triangular in the term order, and each is inverted by one row of
-its own Pieri rule per partition, h_r b_nu for lam = (nu, r), whose
-triangularity is asserted row by row.  The weak-strip rules read every
-strip top off the windows of the growth from w_lam w_0 (`shapes.StripGrowth`):
-the ks rule and the union form of the gtilde Pieri rule read the table of
-tops of a level, `StripGrowth.tops(r)`, and the inclusion-exclusion form
-reads index sets and the tops of their intersections, so a sweep that grows
-a partition once to level k reads every r from it.  The set-valued rule
-reads level r of a Demazure growth of w_lam grown for that r.  Every
-shape is read off its grown window by the memo `shapes._window_shape`,
-keyed by (k, window), with no permutation built.  Both Pieri rules keep
-their rows in memos keyed by (k, parts, r) and keep no growth once a row
-is read, and each partition's strong ideal is searched once, as plain
-parts, for every reader.  Their dict results are put in the term order
-only where it reaches output.
+analogue defined by the signed set-valued Pieri rule (g).  Coefficients are
+arbitrary-precision integers throughout: both basis changes to h are unit
+lower-triangular in the term order, and each is inverted by one row of its
+own Pieri rule per partition, h_r b_nu for lam = (nu, r), whose
+triangularity is asserted row by row.  The same recursion, walked once and
+filled from any start X, gives b_mu X for every mu at one Pieri step each
+(`_unitriangular_walk`, `_unitriangular_fill`): `verify factorization`
+reads its rows so, and the tables of Pieri products b h_nu
+(`_h_combination`) serve standalone products only.  The weak-strip rules
+read every strip top off the windows of the growth from w_lam w_0
+(`shapes.StripGrowth`): the ks rule and the union form of the gtilde Pieri
+rule read the table of tops of a level, `StripGrowth.tops(r)`, and the
+inclusion-exclusion form reads index sets and the tops of their
+intersections, so a sweep that grows a partition once to level k reads
+every r from it.  The set-valued rule reads level r of a Demazure growth of
+w_lam grown for that r.  Every shape is read off its grown window by the
+memo `shapes._window_shape`, keyed by (k, window), with no permutation
+built.  Both Pieri rules keep their rows in memos keyed by (k, parts, r)
+and keep no growth once a row is read, and each partition's strong ideal is
+searched once, as plain parts, for every reader.  Their dict results are
+put in the term order only where it reaches output.
 """
 
 from __future__ import annotations
@@ -303,28 +307,23 @@ def _h_times(r: int, terms: dict) -> dict[tuple[int, ...], int]:
     return acc
 
 
-def _invert_unitriangular(lam: KBoundedPartition, rule, tables: dict) -> SymElt:
-    """The h expansion of b_lam, given `rule`: the basis's Pieri rule, h_r
-    times b_nu in the b basis.
+def _unitriangular_walk(k: int, targets, rule, known=()) -> dict[tuple[int, ...], dict]:
+    """The Pieri rows that b_mu X for each parts mu in `targets` is built
+    from, keyed by parts in the term order, given `rule`: the basis's Pieri
+    rule, h_r times b_nu in the b basis.
 
     For mu = (nu, r), r the last part of mu, the one row rule(nu, r) =
     b_mu + sum_{rho < mu} c_rho b_rho: the strip that adds r as a new last
-    row is the latest term.  So b_mu = h_r (b_nu in h) - sum c_rho (b_rho
-    in h), and b_() = h_().  The partitions lam depends on are collected
-    first, then their rows are filled in term order and kept in tables[k]
-    per parts.  A row whose coefficient at mu is not 1, or that has another
-    term at or after mu, means a broken Pieri rule, not bad input.
+    row is the latest term.  The walk collects nu and every rho too, and
+    stops at () and at the parts in `known`.  A row whose coefficient at
+    mu is not 1, or that has another term at or after mu, means a broken
+    Pieri rule, not bad input.
     """
-    k = lam.k
-    rows = tables.setdefault(k, {})
-    lower: dict[tuple[int, ...], tuple] = {}
-    todo = [lam.parts]
+    lower: dict[tuple[int, ...], dict] = {}
+    todo = list(targets)
     while todo:
         mu = todo.pop()
-        if mu in rows or mu in lower:
-            continue
-        if not mu:
-            rows[mu] = {mu: 1}
+        if not mu or mu in known or mu in lower:
             continue
         row = rule(KBoundedPartition._trusted(k, mu[:-1]), mu[-1])._terms
         key = partition_sort_key(mu)
@@ -335,13 +334,33 @@ def _invert_unitriangular(lam: KBoundedPartition, rule, tables: dict) -> SymElt:
         lower[mu] = row
         todo.append(mu[:-1])
         todo.extend(row)
-    for mu in sorted(lower, key=partition_sort_key):
-        acc = _h_times(mu[-1], rows[mu[:-1]])
-        for rho, c in lower[mu].items():
+    return dict(sorted(lower.items(), key=_term_key))
+
+
+def _unitriangular_fill(walk: dict, rows: dict, step) -> dict:
+    """Fill rows[mu] = b_mu X for every mu of `walk`, in its order, and
+    return `rows`.
+
+    rows[()] holds X, and rows holds every `known` partition of the walk.
+    Times X, the Pieri row of mu = (nu, r) gives b_mu X = h_r (b_nu X) -
+    sum c_rho (b_rho X), every rho before mu, so each row is one step(r,
+    rows[nu]): h_r times terms, as a fresh dict, in the basis of X.
+    """
+    for mu, row in walk.items():
+        acc = step(mu[-1], rows[mu[:-1]])
+        for rho, c in row.items():
             if rho != mu:
                 _accumulate(acc, rows[rho], -c)
         rows[mu] = {q: v for q, v in acc.items() if v}
-    return SymElt._trusted(k, "h", rows[lam.parts])
+    return rows
+
+
+def _invert_unitriangular(lam: KBoundedPartition, rule, tables: dict) -> SymElt:
+    """The h expansion of b_lam: the walk and fill from X = h_(), with
+    h_r applied in h (`_h_times`), kept in tables[k] per parts."""
+    rows = tables.setdefault(lam.k, {(): {(): 1}})
+    _unitriangular_fill(_unitriangular_walk(lam.k, (lam.parts,), rule, rows), rows, _h_times)
+    return SymElt._trusted(lam.k, "h", rows[lam.parts])
 
 
 def g_to_h(lam: KBoundedPartition) -> SymElt:
@@ -372,7 +391,10 @@ def _h_combination(in_h: dict, table: dict, basis: str, k: int) -> dict[tuple[in
     `table` maps descending h monomials nu to b h_nu in the basis, and
     table[()] holds b's terms.  A missing entry is one Pieri step from the
     entry for nu less its last part (h_{nu_1} is applied first), and is kept
-    in the table, so products that share a table form each b h_nu once.
+    in the table, so the monomials of one product form each b h_nu once.
+    Only standalone products (`_product_via_h`) read such a table: rows
+    that share a factor X, as the factorization sweep's do, are filled by
+    the unitriangular recursion (`_unitriangular_fill`) instead.
     """
     rule = _pieri_rule(basis)
     acc: dict[tuple[int, ...], int] = {}
@@ -398,9 +420,11 @@ def _product_via_h(a: SymElt, b: SymElt, to_h) -> SymElt:
     The product commutes, so the factor of lower top degree is expanded:
     its h expansion inverts a smaller transition.  The monomials are read
     from a table of b h_nu local to the product (`_h_combination`), so a
-    prefix of Pieri steps that several monomials share is applied once.
-    The one-monomial-at-a-time fold is the test oracle
-    `oracles.product_via_h_by_monomial`.
+    prefix of Pieri steps that several monomials share is applied once.  A
+    product shares no rows with another: filling b_mu b by the
+    unitriangular recursion instead made the products of `verify
+    pieri-sum` 9-35 % slower.  The one-monomial-at-a-time fold is the test
+    oracle `oracles.product_via_h_by_monomial`.
     """
     a._check_compatible(b)
     if _top_degree(a) > _top_degree(b):

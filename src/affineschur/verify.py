@@ -19,14 +19,14 @@ The symmetric-function suites share work too: each partition's
 weak strips are grown once, to level k (`shapes.StripGrowth`), and every r
 of both Pieri forms is read off that growth.  The rectangle factorization
 reads gtilde(R_t) gtilde(lam) as the sum of the rows g_mu gtilde(R_t) over
-the strong ideal below lam, one row per (t, mu), and s_{R_t} s_lam as one
-sum per (t, lam).  Each expands its factor of lower top degree in h and
-reads the other factor b times each h monomial from b's table of Pieri
-products (`symfunc._h_combination`): one table per rectangle and basis for
-the whole sweep and one per partition for its t loop, so each b h_nu is
-one Pieri step per sweep.  A failing instance reports the row sum it
-compared.  The whole products, `oracles.gtilde_factorize_check` and
-`oracles.kschur_rectangle_check`, are the test oracles of the sums.
+the strong ideal below lam, and s_{R_t} s_lam as the row s_lam s_{R_t}.
+The rows b_mu X follow the recursion that inverts each basis to h
+(`symfunc._unitriangular_walk` and `symfunc._unitriangular_fill`): each
+basis is walked once per sweep, which checks each Pieri row once, and
+filled once per t from X, one Pieri step per (t, mu).  A failing instance
+reports the row sum it compared.  The whole products,
+`oracles.gtilde_factorize_check` and `oracles.kschur_rectangle_check`, are
+the test oracles of the sums.
 """
 
 from __future__ import annotations
@@ -79,13 +79,10 @@ from .symfunc import (
     _accumulate,
     _gtilde_pieri_ie,
     _gtilde_pieri_union,
-    _h_expansion,
     _in_term_order,
     expand_gtilde_combination,
-    g_to_h,
     gtilde,
     h_mult,
-    ks_to_h,
     kschur_top_degree_check,
     product_ks,
     strong_ideal_parts,
@@ -1084,37 +1081,30 @@ def verify_factorization(k: int, max_size: int) -> list[CheckResult]:
     lams = kbounded_partitions(k, max_size)
     rects = {t: k_rectangle(t, k) for t in range(1, k + 1)}
     # gtilde(lam) is the sum of g_mu over mu below lam, so gtilde(R_t) gtilde(lam)
-    # is the sum of the rows g_mu gtilde(R_t), each made once per (t, mu).  A
-    # row, and s_{R_t} s_lam, expands its factor of lower top degree in h, as
-    # `symfunc.product_g` does, and reads the other factor times each h
-    # monomial from that factor's table: one table per rectangle and basis for
-    # the whole sweep, one per partition for its t loop.
-    g_rects = {t: {(): gtilde(rect)._terms} for t, rect in rects.items()}
-    s_rects = {t: {(): {rect.parts: 1}} for t, rect in rects.items()}
-    g_rects_in_h: dict[int, dict] = {}  # gtilde(R_t) in h, made where first needed
-    rows: dict[tuple[int, tuple[int, ...]], dict] = {}  # by (t, parts of mu)
-    for lam in lams:
-        g_lam, s_lam = {(): {lam.parts: 1}}, {(): {lam.parts: 1}}
-        for t, rect in rects.items():
-            if lam.size <= rect.size:
-                row = symfunc._h_combination(g_to_h(lam)._terms, g_rects[t], "g", k)
-            else:
-                if t not in g_rects_in_h:
-                    g_rects_in_h[t] = _h_expansion(gtilde(rect), g_to_h)
-                row = symfunc._h_combination(g_rects_in_h[t], g_lam, "g", k)
-            rows[t, lam.parts] = {p: c for p, c in row.items() if c}
-            if rect.size > lam.size:
-                prod = symfunc._h_combination(ks_to_h(lam)._terms, s_rects[t], "ks", k)
-            else:
-                prod = symfunc._h_combination(ks_to_h(rect)._terms, s_lam, "ks", k)
+    # is the sum of the rows g_mu gtilde(R_t).  Each row b_mu X, for X =
+    # gtilde(R_t) in g and X = s_{R_t} in ks, is one Pieri step from the row
+    # of mu less its last part, less the rows of the lower terms of the Pieri
+    # row that the inversions read: each basis is walked once, and its rows
+    # are filled once per t.
+    targets = [lam.parts for lam in lams]
+    rules = {basis: symfunc._pieri_rule(basis) for basis in ("g", "ks")}
+    walks = {
+        basis: symfunc._unitriangular_walk(k, targets, rule) for basis, rule in rules.items()
+    }
+    steps = {
+        basis: lambda r, terms, rule=rule: symfunc._pieri_step(terms, rule, k, r)
+        for basis, rule in rules.items()
+    }
+    for t, rect in rects.items():
+        g_rows = symfunc._unitriangular_fill(walks["g"], {(): gtilde(rect)._terms}, steps["g"])
+        s_rows = symfunc._unitriangular_fill(walks["ks"], {(): {rect.parts: 1}}, steps["ks"])
+        for lam in lams:
             lhs = SymElt._trusted(k, "ks", {union_sort(rect, lam).parts: 1})
-            rhs = SymElt._trusted(k, "ks", prod)
+            rhs = SymElt._trusted(k, "ks", s_rows[lam.parts])
             ks.count() if lhs == rhs else ks.fail(lam=list(lam.parts), t=t)
-    for lam in lams:
-        for t, rect in rects.items():
             acc: dict[tuple[int, ...], int] = {}
             for mu in strong_ideal_parts(lam):
-                _accumulate(acc, rows[t, mu])
+                _accumulate(acc, g_rows[mu])
             lhs, rhs = gtilde(union_sort(rect, lam)), SymElt._trusted(k, "g", acc)
             gt.count() if lhs == rhs else gt.fail(lam=list(lam.parts), t=t, lhs=lhs, rhs=rhs)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affineschur import cli
+from affineschur import cli, symfunc
 from affineschur.affine import BALL_CAP, ball_size
 from affineschur.cli import (
     _VERIFY_SUITES,
@@ -27,6 +27,7 @@ from affineschur.cli import (
     main,
     parse_partition,
 )
+from affineschur.symfunc import SymElt
 from affineschur.verify import ball_radii
 
 GTILDE_GOLDEN = Path(__file__).parent / "data" / "gtilde_golden.json"
@@ -322,6 +323,27 @@ def test_internal_error_exits_3(monkeypatch):
     code, out, err = run_cli("verify", "pieri-sum", "--k", "2", "--max-size", "3")
     assert code == 3 and out == ""
     assert err == "internal error: RuntimeError: broken invariant\n"
+
+
+def test_a_broken_pieri_row_is_an_internal_error_not_a_counterexample(monkeypatch):
+    # the row of h_1 g_(1) with diagonal 2: the factorization sweep and the
+    # inversions to h both walk it, and neither may report a witness
+    pieri = symfunc.pieri_kk
+
+    def doubled(nu, r):
+        row = pieri(nu, r)
+        if nu.parts == (1,) and r == 1:
+            return SymElt._trusted(nu.k, "g", {**row.as_mapping(), (1, 1): 2})
+        return row
+
+    monkeypatch.setattr(symfunc, "pieri_kk", doubled)
+    args = ("--format", "json", "verify", "factorization", "--k", "3", "--max-size", "4")
+    code, out, err = run_cli(*args)
+    assert code == 3 and out == ""
+    assert err == (
+        "internal error: RuntimeError: transition of "
+        "KBoundedPartition(k=3, parts=(1, 1)) is not unitriangular\n"
+    )
 
 
 def test_byte_identical_output():

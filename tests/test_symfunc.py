@@ -655,6 +655,58 @@ def test_products_equal_the_per_monomial_oracle_at_k8():
         assert product_ks(b, a) == product_via_h_by_monomial(a, b, ks_to_h), (rect, lam)
 
 
+def _filled_rows(k, max_size, basis, x):
+    """b_mu x for every k-bounded mu of size <= max_size, walked and filled
+    as the factorization sweep does, with x in the b basis."""
+    rule = symfunc._pieri_rule(basis)
+    targets = [mu.parts for mu in kbounded_partitions(k, max_size)]
+    return symfunc._unitriangular_fill(
+        symfunc._unitriangular_walk(k, targets, rule),
+        {(): x.as_mapping()},
+        lambda r, terms: symfunc._pieri_step(terms, rule, k, r),
+    )
+
+
+@pytest.mark.parametrize("k,max_size", [(1, 5), (2, 5), (3, 5), (4, 5), (8, 3)])
+def test_filled_rows_equal_the_per_monomial_oracle(k, max_size):
+    # the factorization sweep's rows, from x = gtilde(R_t) and x = s_{R_t};
+    # b_mu is expanded in h by forward substitution, which shares no code
+    # with the fill
+    lams = kbounded_partitions(k, max_size)
+    in_h = {
+        basis: h_expansions_by_monomials(k, max_size, to_basis)
+        for basis, to_basis in (("g", h_to_g), ("ks", h_to_ks))
+    }
+    for t in range(1, k + 1):
+        rect = k_rectangle(t, k)
+        for basis, x in (("g", gtilde(rect)), ("ks", SymElt.single(k, "ks", rect.parts))):
+            rows = _filled_rows(k, max_size, basis, x)
+            assert len(rows) == len(lams)
+            for mu in lams:
+                b_mu = SymElt.single(k, basis, mu.parts)
+                expected = product_via_h_by_monomial(b_mu, x, lambda nu: in_h[basis][nu.parts])
+                assert SymElt.from_dict(k, basis, rows[mu.parts]) == expected, (basis, t, mu)
+
+
+def test_a_row_with_diagonal_2_raises_from_the_fill_as_from_g_to_h(monkeypatch):
+    pieri = symfunc.pieri_kk
+
+    def doubled(nu, r):  # h_1 g_(1) = 2 g_(1,1) + ...
+        row = pieri(nu, r)
+        if nu.parts == (1,) and r == 1:
+            return SymElt._trusted(nu.k, "g", {**row.as_mapping(), (1, 1): 2})
+        return row
+
+    monkeypatch.setattr(symfunc, "pieri_kk", doubled)
+    monkeypatch.setattr(symfunc, "_G2H_TABLES", {})
+    message = "transition of KBoundedPartition(k=3, parts=(1, 1)) is not unitriangular"
+    with pytest.raises(RuntimeError) as from_g_to_h:
+        g_to_h(P(3, 1, 1))
+    with pytest.raises(RuntimeError) as from_the_fill:
+        _filled_rows(3, 4, "g", gtilde(k_rectangle(2, 3)))
+    assert str(from_g_to_h.value) == str(from_the_fill.value) == message
+
+
 def test_trusted_partitions_pass_validation(monkeypatch):
     made = []
     trusted = KBoundedPartition._trusted

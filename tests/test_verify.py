@@ -522,30 +522,27 @@ def test_pieri_sum_builds_no_strong_table(monkeypatch):
 
 
 def test_a_wrong_rectangle_row_fails_the_ideal_sum_factorization(monkeypatch):
-    # one wrong coefficient in the sweep's table entry gtilde(R_2) h_(1) at k = 3
+    # one wrong coefficient in the sweep's row g_(1) gtilde(R_2) at k = 3
     k, t = 3, 2
     rect = k_rectangle(t, k)
     g_rect = symfunc.gtilde(rect).as_mapping()
     top = union_sort(rect, KBoundedPartition(k, (1,))).parts
-    combination = symfunc._h_combination
+    fill = symfunc._unitriangular_fill
 
-    def damaged(in_h, table, basis, k_):
-        if basis == "g" and table[()] == g_rect and (1,) not in table:
-            # fill the entries h_1^n that are built from h_(1) first, so
-            # that the damage stays in one entry
-            combination({(1,) * n: 1 for n in range(1, 5)}, table, basis, k_)
-            table[(1,)] = {**table[(1,)], top: table[(1,)].get(top, 0) + 1}
-        return combination(in_h, table, basis, k_)
+    def damaged(walk, rows, step):
+        # damaged once every row is filled, so that no other row is built
+        # from it and the damage stays in one row
+        fill(walk, rows, step)
+        if rows[()] == g_rect:
+            rows[(1,)] = {**rows[(1,)], top: rows[(1,)].get(top, 0) + 1}
+        return rows
 
-    monkeypatch.setattr(symfunc, "_h_combination", damaged)
+    monkeypatch.setattr(symfunc, "_unitriangular_fill", damaged)
     gt = verify_factorization(k, 4)[0]
     lams = kbounded_partitions(k, 4)
     assert gt.name == "ideal-sum-rectangle-factorization" and gt.instances == k * len(lams)
-    # gtilde(R_2) gtilde(lam) reads the entry with the h_(1) coefficient of gtilde(lam)
-    reads = {
-        lam: symfunc._h_expansion(symfunc.gtilde(lam), symfunc.g_to_h).get((1,), 0)
-        for lam in lams
-    }
+    # gtilde(R_2) gtilde(lam) adds the row once when the ideal of lam holds (1)
+    reads = {lam: int((1,) in symfunc.strong_ideal_parts(lam)) for lam in lams}
     assert [(w["lam"], w["t"]) for w in gt.failures] == [
         (list(lam.parts), t) for lam in lams if reads[lam]
     ]
@@ -565,9 +562,8 @@ def test_a_wrong_rectangle_row_fails_the_ideal_sum_factorization(monkeypatch):
 
 
 def test_factorization_sums_equal_the_whole_products(monkeypatch):
-    """The sums the sweep reads off its shared tables equal the products
-    its oracles form whole, on both routes: where the partition's factor
-    is expanded in h and where the rectangle's is."""
+    """The sums the sweep reads off its filled rows equal the products its
+    oracles form whole."""
     compared = []
     eq = SymElt.__eq__
 
@@ -580,30 +576,28 @@ def test_factorization_sums_equal_the_whole_products(monkeypatch):
         monkeypatch.setattr(SymElt, "__eq__", recording)
         assert all(r.ok for r in verify_factorization(k, L))
         monkeypatch.undo()
-        pairs = [(lam, t) for lam in kbounded_partitions(k, L) for t in range(1, k + 1)]
+        pairs = [(lam, t) for t in range(1, k + 1) for lam in kbounded_partitions(k, L)]
         sums = {basis: [rhs for lhs, rhs in compared if lhs.basis == basis] for basis in ("g", "ks")}
         assert len(sums["g"]) == len(sums["ks"]) == len(pairs)
-        routes = set()
         for (lam, t), g_sum, ks_sum in zip(pairs, sums["g"], sums["ks"]):
             rect = k_rectangle(t, k)
-            routes.add(lam.size <= rect.size)
             assert g_sum == symfunc.product_g(symfunc.gtilde(rect), symfunc.gtilde(lam)), (lam, t)
             assert gtilde_factorize_check(lam, t)
             single = [SymElt.single(k, "ks", mu.parts) for mu in (rect, lam)]
             assert ks_sum == symfunc.product_ks(*single), (lam, t)
             assert kschur_rectangle_check(lam, t)
-        assert routes == {True, False}, (k, L)
 
 
 def test_factorization_forms_each_pieri_product_once_per_sweep(monkeypatch):
-    """Every b h_nu of a Pieri-side factor is one table entry for the whole
-    sweep, not one per row: 768 Pieri steps before the tables were shared.
-    The inversions read one Pieri row per partition and take no step."""
-    calls = []
+    """Each row b_mu X is one Pieri step per t, from the row of mu less its
+    last part: 289 steps over 1,502 input terms when the rows read tables of
+    b h_nu shared by the sweep, and 768 before those tables were shared.
+    The inversions to h take no step."""
+    terms_in = []
     step = symfunc._pieri_step
 
     def counting(terms, rule, k, r):
-        calls.append(r)
+        terms_in.append(len(terms))
         return step(terms, rule, k, r)
 
     # cold transitions, which must not add steps of their own
@@ -611,7 +605,8 @@ def test_factorization_forms_each_pieri_product_once_per_sweep(monkeypatch):
     monkeypatch.setattr(symfunc, "_KS2H_TABLES", {})
     monkeypatch.setattr(symfunc, "_pieri_step", counting)
     verify_factorization(4, 5)
-    assert len(calls) == 289
+    assert len(terms_in) == 2 * 4 * 17  # both bases, every t, every nonempty partition
+    assert sum(terms_in) == 392
 
 
 def test_weak_row_of_an_element_outside_the_ball_raises():
