@@ -18,12 +18,15 @@ rule read the table of tops of a level, `StripGrowth.tops(r)`, and the
 inclusion-exclusion form reads index sets and the tops of their
 intersections, so a sweep that grows a partition once to level k reads
 every r from it.  The set-valued rule reads level r of a Demazure growth of
-w_lam grown for that r.  Every shape is read off its grown window by the
-memo `shapes._window_shape`, keyed by (k, window), with no permutation
-built.  Both Pieri rules keep their rows in memos keyed by (k, parts, r)
-and keep no growth once a row is read, and each partition's strong ideal is
-searched once, as plain parts, for every reader.  Their dict results are
-put in the term order only where it reaches output.
+w_lam.  Every shape is read off its grown window by the memo
+`shapes._window_shape`, keyed by (k, window), with no permutation built.
+Both Pieri rules keep their rows in memos keyed by (k, parts), one table by
+r per partition, and keep no growth once its rows are read: a single row
+is grown to its own level alone, and `_h_products`, which gives h_0 X, ...,
+h_top X at once (the signed side of `verify pieri-sum`), fills every row a
+partition lacks from one growth to the top level.  Each partition's strong
+ideal is searched once, as plain parts, for every reader.  Their dict
+results are put in the term order only where it reaches output.
 """
 
 from __future__ import annotations
@@ -188,16 +191,22 @@ class SymElt:
         }
 
 
-# Both Pieri rules are memoised per row, keyed by (k, parts, r): a product
-# sweep asks for the same few hundred strip sums tens of thousands of times.
-# The rows are frozen, so every caller can share them.
+# Both Pieri rules keep their rows per partition, in a table by r under
+# (k, parts): a product sweep asks for the same few hundred strip sums tens
+# of thousands of times.  The rows are frozen, so every caller can share
+# them.
 def pieri_kschur(lam: KBoundedPartition, r: int) -> SymElt:
     """h_r times the homogeneous basis element of lam: sum over weak strips.
 
     Each top of a size-r strip adds 1 at its shape; the row is read off the
-    table `shapes.StripGrowth.tops` and kept (`_weak_row`).
+    table `shapes.StripGrowth.tops` of a growth to level r and kept
+    (`_weak_rows`).
     """
-    return _weak_row(lam.k, lam.parts, r)
+    rows = _weak_rows(lam.k, lam.parts)
+    row = rows.get(r)
+    if row is None:
+        row = rows[r] = _weak_levels(lam.k, lam.parts, (r,))[r]
+    return row
 
 
 def pieri_kk(lam: KBoundedPartition, r: int) -> SymElt:
@@ -205,43 +214,96 @@ def pieri_kk(lam: KBoundedPartition, r: int) -> SymElt:
 
     Signed sum over set-valued strips (A, v): the coefficient of the
     target v gains (-1)^(r + l(w_lam) - l(v)); distinct A with the same
-    product accumulate.  Read off a growth of lam to level r and kept
-    (`_set_valued_row`); `oracles.pieri_kk_by_strips`, over
-    `shapes.setvalued_strips`, is its test oracle.
+    product accumulate.  Read off a growth of lam to level r alone and kept
+    with the partition's other rows (`_set_valued_rows`);
+    `oracles.pieri_kk_by_strips`, over `shapes.setvalued_strips`, is its
+    test oracle.
     """
-    return _set_valued_row(lam.k, lam.parts, r)
+    rows = _set_valued_rows(lam.k, lam.parts)
+    row = rows.get(r)
+    if row is None:
+        row = rows[r] = _set_valued_levels(lam.k, lam.parts, (r,))[r]
+    return row
 
 
 @functools.lru_cache(maxsize=None)
-def _weak_row(k: int, parts: tuple[int, ...], r: int) -> SymElt:
-    """The memo of `pieri_kschur`: the tops of the size-r weak strips over
-    the partition, counted off a growth that is dropped once read;
-    `StripGrowth` rejects an r outside 0..k."""
-    acc: dict[tuple[int, ...], int] = {}
-    for top in StripGrowth(KBoundedPartition._trusted(k, parts), r).tops(r).values():
-        acc[top.parts] = acc.get(top.parts, 0) + 1
-    return SymElt._trusted(k, "ks", acc)
+def _weak_rows(k: int, parts: tuple[int, ...]) -> dict[int, SymElt]:
+    """The memo of `pieri_kschur`: the partition's rows by r, filled by
+    `_weak_levels`."""
+    return {}
 
 
 @functools.lru_cache(maxsize=None)
-def _set_valued_row(k: int, parts: tuple[int, ...], r: int) -> SymElt:
-    """The memo of `pieri_kk`: level r of the "max" growth of w_lam, grown
-    for this r alone and dropped once read.  Each window adds
+def _set_valued_rows(k: int, parts: tuple[int, ...]) -> dict[int, SymElt]:
+    """The memo of `pieri_kk`: the partition's rows by r, filled by
+    `_set_valued_levels`."""
+    return {}
+
+
+def _weak_levels(k: int, parts: tuple[int, ...], rs) -> dict[int, SymElt]:
+    """The ks rows of the partition for each r in rs, from one growth of
+    its weak strips to max(rs), dropped once read: each row counts the tops
+    of its level.  `StripGrowth` rejects a level outside 0..k."""
+    growth = StripGrowth(KBoundedPartition._trusted(k, parts), max(rs))
+    rows = {}
+    for r in rs:
+        acc: dict[tuple[int, ...], int] = {}
+        for top in growth.tops(r).values():
+            acc[top.parts] = acc.get(top.parts, 0) + 1
+        rows[r] = SymElt._trusted(k, "ks", acc)
+    return rows
+
+
+def _set_valued_levels(k: int, parts: tuple[int, ...], rs) -> dict[int, SymElt]:
+    """The g rows of the partition for each r in rs, from one "max" growth
+    of w_lam to max(rs), dropped once read: at level r each window adds
     (-1)^(r - dl) at its shape (`_window_shape`), where dl is
     l(v) - l(w_lam)."""
-    if not 1 <= r <= k:
-        raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
+    for r in rs:
+        if not 1 <= r <= k:
+            raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
     w = bounded_to_perm(KBoundedPartition._trusted(k, parts))
-    acc: dict[tuple[int, ...], int] = {}
-    for _, win, dl in left_growth(w.window, "max", r)[r]:
-        shape = _window_shape(k, tuple(win)).parts
-        acc[shape] = acc.get(shape, 0) + (-1 if (r - dl) & 1 else 1)
-    return SymElt._trusted(k, "g", acc)
+    levels = left_growth(w.window, "max", max(rs))
+    rows = {}
+    for r in rs:
+        acc: dict[tuple[int, ...], int] = {}
+        for _, win, dl in levels[r]:
+            shape = _window_shape(k, tuple(win)).parts
+            acc[shape] = acc.get(shape, 0) + (-1 if (r - dl) & 1 else 1)
+        rows[r] = SymElt._trusted(k, "g", acc)
+    return rows
 
 
 def h_mult(elt: SymElt, r: int) -> SymElt:
     """Multiply by h_r in the ks or g basis (h_0 acts as the identity)."""
     return h_monomial_mult(elt, (r,))
+
+
+def _h_products(elt: SymElt, top: int) -> list[SymElt]:
+    """[h_0 elt, h_1 elt, ..., h_top elt] in the ks or g basis, unsorted.
+
+    Every row that a term's partition lacks for r = 1..top is filled from
+    one growth of that partition (`_weak_levels`, `_set_valued_levels`,
+    which reject a top above k), and kept with its other rows.
+    """
+    if elt.basis == "ks":
+        memo, levels = _weak_rows, _weak_levels
+    elif elt.basis == "g":
+        memo, levels = _set_valued_rows, _set_valued_levels
+    else:
+        raise ValueError("h_mult needs the ks or g basis")
+    k, rs = elt.k, range(1, top + 1)
+    accs: list[dict[tuple[int, ...], int]] = [{} for _ in rs]
+    for p, c in elt._terms.items():
+        if not c:
+            continue
+        rows = memo(k, p)
+        missing = [r for r in rs if r not in rows]
+        if missing:
+            rows.update(levels(k, p, missing))
+        for r, acc in zip(rs, accs):
+            _accumulate(acc, rows[r]._terms, c)
+    return [elt] + [SymElt._trusted(k, elt.basis, acc) for acc in accs]
 
 
 def _pieri_rule(basis: str):
@@ -529,10 +591,9 @@ def gtilde_pieri_direct(lam: KBoundedPartition, r: int) -> SymElt:
     """gtilde(lam) times h_0 + ... + h_r by the raw signed Pieri sums."""
     if not 0 <= r <= lam.k:
         raise ValueError(f"need 0 <= r <= k, got r={r}, k={lam.k}")
-    base = gtilde(lam)
     acc: dict[tuple[int, ...], int] = {}
-    for i in range(r + 1):
-        _accumulate(acc, h_mult(base, i)._terms)
+    for product in _h_products(gtilde(lam), r):
+        _accumulate(acc, product._terms)
     return SymElt._trusted(lam.k, "g", acc)
 
 

@@ -79,10 +79,10 @@ from .symfunc import (
     _accumulate,
     _gtilde_pieri_ie,
     _gtilde_pieri_union,
+    _h_products,
     _in_term_order,
     expand_gtilde_combination,
     gtilde,
-    h_mult,
     kschur_top_degree_check,
     product_ks,
     strong_ideal_parts,
@@ -1026,12 +1026,13 @@ def verify_pieri_sum(k: int, max_size: int) -> list[CheckResult]:
     join_bound = CheckResult("product-support-above-weak-join")
     for lam in kbounded_partitions(k, max_size):
         growth = StripGrowth(lam, k)
-        # gtilde_pieri_direct(lam, r) for r = 0..k, adding one h_r gtilde(lam) at a time
-        base = gtilde(lam)
+        # gtilde_pieri_direct(lam, r) for r = 0..k, adding one h_r gtilde(lam) at a
+        # time, every r of each partition of the ideal read off one growth
+        products = _h_products(gtilde(lam), k)
         direct = SymElt._trusted(k, "g", {})
         for r in range(0, k + 1):
             closed = _gtilde_pieri_union(growth, r)
-            direct = direct + h_mult(base, r)
+            direct = direct + products[r]
             ie = _gtilde_pieri_ie(growth, r)
             direct_vs_union.count() if closed == direct else direct_vs_union.fail(
                 lam=list(lam.parts), r=r, direct=direct, closed=closed

@@ -164,29 +164,53 @@ def _psi_one_letter_off(original):
     return generator_steps
 
 
-# The pieri_kk mutants replace the memo of g rows, `symfunc._set_valued_row`,
-# so every caller of `symfunc.pieri_kk` reads the wrong row.
+# The pieri_kk mutants replace the level reader of g rows,
+# `symfunc._set_valued_levels`, so every caller of `symfunc.pieri_kk` and of
+# `symfunc._h_products` reads the wrong rows.
 def _pieri_kk_lower_signs_flipped(original):
-    def _set_valued_row(k, parts, r):
-        out = original(k, parts, r)
-        if parts != (2, 1) or r != 1:
-            return out
-        top = sum(parts) + r
-        return SymElt._trusted(
-            k, "g", {p: c if sum(p) == top else -c for p, c in out.as_mapping().items()}
+    def _set_valued_levels(k, parts, rs):
+        rows = original(k, parts, rs)
+        if parts != (2, 1) or 1 not in rows:
+            return rows
+        top = sum(parts) + 1
+        rows[1] = SymElt._trusted(
+            k, "g", {p: c if sum(p) == top else -c for p, c in rows[1].as_mapping().items()}
         )
+        return rows
 
-    return _set_valued_row
+    return _set_valued_levels
 
 
 def _pieri_kk_top_degree_only(original):
-    def _set_valued_row(k, parts, r):
-        top = sum(parts) + r
-        return SymElt._trusted(
-            k, "g", {p: c for p, c in original(k, parts, r).as_mapping().items() if sum(p) == top}
-        )
+    def _set_valued_levels(k, parts, rs):
+        rows = original(k, parts, rs)
+        for r, row in rows.items():
+            top = sum(parts) + r
+            rows[r] = SymElt._trusted(
+                k, "g", {p: c for p, c in row.as_mapping().items() if sum(p) == top}
+            )
+        return rows
 
-    return _set_valued_row
+    return _set_valued_levels
+
+
+def _levels_signed_by_the_top_level(original):
+    # (-1)^(top - dl) for (-1)^(r - dl): a row asked alone is its own top,
+    # so only a fill of several levels reads a wrong sign.  At (2,1) only,
+    # as above: at every partition, the inversions of the weak-join check
+    # read the wrong rows that the signed side kept, and pieri-sum raises
+    # "not unitriangular" at (3,4) instead of failing a check
+    def _set_valued_levels(k, parts, rs):
+        rows = original(k, parts, rs)
+        if parts != (2, 1):
+            return rows
+        top = max(rs)
+        for r in rs:
+            if (top - r) & 1:
+                rows[r] = rows[r].scale(-1)
+        return rows
+
+    return _set_valued_levels
 
 
 def _ideals_without_empty_partition(original):
@@ -225,12 +249,13 @@ def _ideal_shift_one_row_low(original):
 def _growth_answering_with_the_level_below(original):
     # at (2,1) only, as for the pieri_kk mutants: wherever an inversion
     # reads the level below as its Pieri row, it raises "not unitriangular"
-    def _set_valued_row(k, parts, r):
-        if r > 1 and parts == (2, 1):
-            return _set_valued_row(k, parts, r - 1)
-        return original(k, parts, r)
+    def _set_valued_levels(k, parts, rs):
+        if parts != (2, 1):
+            return original(k, parts, rs)
+        below = original(k, parts, sorted({max(r - 1, 1) for r in rs}))
+        return {r: below[max(r - 1, 1)] for r in rs}
 
-    return _set_valued_row
+    return _set_valued_levels
 
 
 def _table_entry_one_step_short(original):
@@ -514,7 +539,7 @@ MUTANTS = [
     Mutant(
         "pieri-kk-lower-signs-flipped/factorization",
         symfunc,
-        "_set_valued_row",
+        "_set_valued_levels",
         _pieri_kk_lower_signs_flipped,
         "factorization",
         ((3, 4),),
@@ -523,7 +548,7 @@ MUTANTS = [
     Mutant(
         "pieri-kk-lower-signs-flipped/pieri-sum",
         symfunc,
-        "_set_valued_row",
+        "_set_valued_levels",
         _pieri_kk_lower_signs_flipped,
         "pieri-sum",
         ((3, 4),),
@@ -538,7 +563,7 @@ MUTANTS = [
     Mutant(
         "pieri-kk-top-degree-only/factorization",
         symfunc,
-        "_set_valued_row",
+        "_set_valued_levels",
         _pieri_kk_top_degree_only,
         "factorization",
         ((3, 4),),
@@ -547,12 +572,27 @@ MUTANTS = [
     Mutant(
         "pieri-kk-top-degree-only/pieri-sum",
         symfunc,
-        "_set_valued_row",
+        "_set_valued_levels",
         _pieri_kk_top_degree_only,
         "pieri-sum",
         ((3, 4),),
         frozenset(
             {"signed-product-equals-interval-union", "product-coefficients-are-zero-or-one"}
+        ),
+    ),
+    Mutant(
+        "pieri-levels-signed-by-the-top-level/pieri-sum",
+        symfunc,
+        "_set_valued_levels",
+        _levels_signed_by_the_top_level,
+        "pieri-sum",
+        ((3, 4),),
+        frozenset(
+            {
+                "signed-product-equals-interval-union",
+                "product-coefficients-are-zero-or-one",
+                "product-support-above-weak-join",
+            }
         ),
     ),
     Mutant(
@@ -598,7 +638,7 @@ MUTANTS = [
     Mutant(
         "pieri-growth-answers-with-the-level-below/factorization",
         symfunc,
-        "_set_valued_row",
+        "_set_valued_levels",
         _growth_answering_with_the_level_below,
         "factorization",
         ((3, 4),),
@@ -607,7 +647,7 @@ MUTANTS = [
     Mutant(
         "pieri-growth-answers-with-the-level-below/pieri-sum",
         symfunc,
-        "_set_valued_row",
+        "_set_valued_levels",
         _growth_answering_with_the_level_below,
         "pieri-sum",
         ((3, 4),),

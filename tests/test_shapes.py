@@ -186,8 +186,7 @@ def test_grown_windows_read_their_shape_through_the_window_memo(monkeypatch):
             for r in range(k + 1):
                 for A, top in growth.tops(r).items():
                     assert top == sh(rd(perms[A])), (lam, A)
-            for r in range(1, k + 1):
-                symfunc._set_valued_row.__wrapped__(k, lam.parts, r)
+            symfunc._set_valued_levels(k, lam.parts, range(1, k + 1))
     assert read["weak"] and read["set-valued"]
     for k, window, shape in read["weak"] + read["set-valued"]:
         assert shape == sh(rd(AffinePermutation(k, window))), (k, window)

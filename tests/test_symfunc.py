@@ -51,7 +51,7 @@ from affineschur.symfunc import (
     product_ks,
     strong_ideal_parts,
 )
-from affineschur.verify import verify_factorization
+from affineschur.verify import verify_factorization, verify_pieri_sum
 
 
 def P(k, *parts):
@@ -558,7 +558,7 @@ def test_shared_growth_answers_every_r_in_any_order(order):
     rng = random.Random(order)
     lams = [lam for k in range(1, 5) for lam in kbounded_partitions(k, 6)]
     lams += rng.sample(kbounded_partitions(8, 8), 15)
-    symfunc._set_valued_row.cache_clear()
+    symfunc._set_valued_rows.cache_clear()
     for lam in lams:
         rs = list(range(1, lam.k + 1))
         if order == "descending":
@@ -567,6 +567,8 @@ def test_shared_growth_answers_every_r_in_any_order(order):
             rng.shuffle(rs)
         for r in rs:
             assert pieri_kk(lam, r) == pieri_kk_by_strips(lam, r), (lam, r)
+    # the memo holds one table of rows per partition
+    assert symfunc._set_valued_rows.cache_info().currsize == len(set(lams))
 
 
 def test_one_r_grows_no_further_than_itself(monkeypatch):
@@ -577,7 +579,7 @@ def test_one_r_grows_no_further_than_itself(monkeypatch):
         return left_growth(window, mode, size, within)
 
     monkeypatch.setattr(symfunc, "left_growth", recording)
-    symfunc._set_valued_row.cache_clear()
+    symfunc._set_valued_rows.cache_clear()
     lam = P(5, 3, 2, 1)
     for r in (3, 1, 4):
         assert pieri_kk(lam, r) == pieri_kk_by_strips(lam, r)
@@ -588,9 +590,10 @@ def test_one_r_grows_no_further_than_itself(monkeypatch):
 
 
 def test_a_row_interrupted_while_built_is_built_again(monkeypatch):
-    # a row whose build fails is not kept, and asking r again builds it whole
+    # a row whose build fails is not kept, nor is any level of a multi-level
+    # fill that fails, and asking again builds them whole
     lam = P(5, 3, 2, 1)
-    symfunc._set_valued_row.cache_clear()
+    symfunc._set_valued_rows.cache_clear()
     assert pieri_kk(lam, 1) == pieri_kk_by_strips(lam, 1)
 
     def interrupted(k, window):
@@ -600,9 +603,78 @@ def test_a_row_interrupted_while_built_is_built_again(monkeypatch):
         patch.setattr(symfunc, "_window_shape", interrupted)
         with pytest.raises(KeyboardInterrupt):
             pieri_kk(lam, 2)
-    assert symfunc._set_valued_row.cache_info().currsize == 1
+    assert symfunc._set_valued_rows.cache_info().currsize == 1  # one partition
+    assert set(symfunc._set_valued_rows(lam.k, lam.parts)) == {1}
+
+    # a fill of r = 2..5 interrupted once levels 2 and 3 are read whole
+    levels = left_growth(bounded_to_perm(lam).window, "max", lam.k)
+    whole = len(levels[2]) + len(levels[3])
+    read = []
+
+    def late(k, window):
+        if len(read) == whole:
+            raise KeyboardInterrupt
+        read.append(window)
+        return shapes._window_shape(k, window)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(symfunc, "_window_shape", late)
+        with pytest.raises(KeyboardInterrupt):
+            symfunc._h_products(SymElt.single(lam.k, "g", lam.parts), lam.k)
+    assert len(read) == whole
+    assert set(symfunc._set_valued_rows(lam.k, lam.parts)) == {1}
     for r in (2, 3, 5, 4):
         assert pieri_kk(lam, r) == pieri_kk_by_strips(lam, r), r
+
+
+def _empty_pieri_memos():
+    symfunc._set_valued_rows.cache_clear()
+    symfunc._weak_rows.cache_clear()
+
+
+def test_h_products_equal_one_h_mult_per_r():
+    # every r of each term's partition from one growth, against one Pieri
+    # row at a time from empty memos; the coefficients are not all 1
+    rng = random.Random(7)
+    lams = [lam for k in range(1, 5) for lam in kbounded_partitions(k, 6)]
+    lams += rng.sample(kbounded_partitions(8, 6), 4) + rng.sample(kbounded_partitions(9, 5), 4)
+    for lam in lams:
+        coeffs = {p: (-1) ** i * (i + 1) for i, p in enumerate(strong_ideal_parts(lam))}
+        for basis in ("g", "ks"):
+            b = SymElt.from_dict(lam.k, basis, coeffs)
+            _empty_pieri_memos()
+            got = symfunc._h_products(b, lam.k)
+            _empty_pieri_memos()
+            assert len(got) == lam.k + 1
+            for r, product in enumerate(got):
+                assert product == h_mult(b, r), (lam, basis, r)
+    top = symfunc._h_products(SymElt.single(4, "g", (2, 1)), 2)
+    assert top == [h_mult(SymElt.single(4, "g", (2, 1)), r) for r in range(3)]
+    for basis in ("g", "ks"):
+        with pytest.raises(ValueError, match=r"got r=5, k=4"):
+            symfunc._h_products(SymElt.single(4, basis, (2, 1)), 5)
+    with pytest.raises(ValueError, match="ks or g basis"):
+        symfunc._h_products(SymElt.single(4, "h", (2, 1)), 1)
+
+
+def test_pieri_sum_grows_each_partition_once(monkeypatch):
+    # the signed side grows each partition of the ideals once, to level k;
+    # the products of the weak-join check ask single rows of larger ones
+    grown = []
+
+    def recording(window, mode, size, within=None):
+        grown.append((tuple(window), mode, size))
+        return left_growth(window, mode, size, within)
+
+    monkeypatch.setattr(symfunc, "left_growth", recording)
+    _empty_pieri_memos()
+    assert all(c.ok for c in verify_pieri_sum(3, 4))
+    ideals = {mu for lam in kbounded_partitions(3, 4) for mu in strong_ideal_parts(lam)}
+    windows = [window for window, _, _ in grown]
+    assert len(set(windows)) == len(windows)
+    assert {mode for _, mode, _ in grown} == {"max"}
+    to_k = {window for window, _, size in grown if size == 3}
+    assert to_k == {bounded_to_perm(P(3, *mu)).window for mu in ideals}
 
 
 def test_products_are_valid_symelts(monkeypatch):
@@ -746,10 +818,11 @@ def test_kbounded_partitions_pass_validation():
 
 def test_pieri_memos_can_be_cleared():
     # benchmark sessions empty every memo they find by its cache_clear
-    # attribute; both rules keep their rows in a memo keyed by (k, parts,
-    # r), and read their shapes through the memo keyed by window
+    # attribute; both rules keep their rows in a memo keyed by (k, parts),
+    # one table by r per partition, and read their shapes through the memo
+    # keyed by window
     found = [v for m in (shapes, symfunc) for v in vars(m).values() if hasattr(v, "cache_clear")]
-    for rule, rows in ((pieri_kk, symfunc._set_valued_row), (pieri_kschur, symfunc._weak_row)):
+    for rule, rows in ((pieri_kk, symfunc._set_valued_rows), (pieri_kschur, symfunc._weak_rows)):
         for memo in (rows, shapes._window_shape):
             assert any(v is memo for v in found)
             rule(P(3, 2, 1), 1)

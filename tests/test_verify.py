@@ -625,6 +625,15 @@ def test_pieri_sum_joins_leave_no_weak_order_memo():
     assert affine.weak_leq.cache_info().currsize == 0
 
 
+def test_pieri_sum_spot_check_past_the_cli_bound():
+    # the CLI admits k <= MAX_K only; the sweep itself builds no ball and
+    # runs at k = 9 in some 30 ms
+    assert cli.MAX_K < 9
+    results = verify_pieri_sum(9, 4)
+    assert [r.name for r in results if not r.ok] == []
+    assert all(r.instances for r in results)
+
+
 def test_a_support_term_below_a_factor_fails_the_join_bound(monkeypatch):
     # g_(1) g_(1) at k = 3 gains the term (), whose element is below w_(1)
     k = 3
